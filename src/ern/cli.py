@@ -8,10 +8,10 @@ timings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +90,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.top < 1:
+        raise _UsageError(f"--top must be at least 1, got {args.top}")
     model = _load_model(args.model)
     img = _read_image(args)
     if args.ten_crop:
@@ -110,7 +112,7 @@ def cmd_stats(args) -> int:
     cfg = arch_config(args.arch)
     stats = model_stats(cfg, args.resolution)
     if args.json:
-        doc = {"arch": args.arch, "resolution": args.resolution, **stats.as_dict()}
+        doc = {"arch": args.arch, "resolution": args.resolution, **dataclasses.asdict(stats)}
         print(json.dumps(doc, indent=2))
     else:
         print(f"{args.arch} @ {args.resolution}x{args.resolution}")
@@ -144,23 +146,12 @@ def cmd_bench(args) -> int:
     for kern in kernels:
         times = []
         for _ in range(args.iters):
-            if args.threads > 1:
-                t0 = time.perf_counter()
-                with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                    outs = list(
-                        pool.map(lambda _: execute(model, img, kernel=kern).logits,
-                                 range(args.threads))
-                    )
-                times.append((time.perf_counter() - t0) / args.threads)
-                logits_by_kernel[kern] = outs[0]
-            else:
-                t0 = time.perf_counter()
-                out = execute(model, img, kernel=kern).logits
-                times.append(time.perf_counter() - t0)
-                logits_by_kernel[kern] = out
+            t0 = time.perf_counter()
+            logits_by_kernel[kern] = execute(model, img, kernel=kern).logits
+            times.append(time.perf_counter() - t0)
         print(
             f"{kern:9s} mean {np.mean(times) * 1e3:9.2f} ms   min {np.min(times) * 1e3:9.2f} ms"
-            f"   ({args.iters} iters, {args.threads} thread(s), {r}x{r})"
+            f"   ({args.iters} iters, {r}x{r})"
         )
     if len(logits_by_kernel) == 2:
         a, b = logits_by_kernel["popcount"], logits_by_kernel["naive"]
@@ -221,7 +212,6 @@ def _build_parser() -> _Parser:
     b = sub.add_parser("bench", help="time the kernel paths")
     b.add_argument("--model", required=True)
     b.add_argument("--iters", type=int, default=3)
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--kernel", choices=["popcount", "naive"], default=None)
     b.add_argument("--resolution", type=int, default=256)
     b.add_argument("--seed", type=int, default=0)

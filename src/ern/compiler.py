@@ -179,9 +179,8 @@ def gen_random_checkpoint(
     thresholds mostly land inside the reachable accumulator range; a few
     gammas are flipped negative to exercise descending threshold tables.
     """
-    cfg = arch_config(arch)
-    g = build_model(cfg, k)
-    edges = validate_graph(g, require_lane_multiple=cfg.strict_lanes)
+    g = build_model(arch_config(arch), k)
+    edges = validate_graph(g)
     rng = np.random.default_rng(seed)
     m = CheckpointManifest(arch=arch, k=k, shared_const=shared_const)
     for node in g.convs:
@@ -191,12 +190,7 @@ def gen_random_checkpoint(
         )
     for bn in g.bnacts:
         c = bn.channels
-        fan_in = 0
-        src = edges[bn.src]
-        for node in g.convs:
-            if node.dst == bn.src:
-                fan_in = node.spec.fan_in
-        sigma_ref = 1.5 * np.sqrt(max(fan_in, src.bound / 3, 1))
+        sigma_ref = 1.5 * np.sqrt(max(edges[bn.src].bound / 3, 1))
         gamma = rng.normal(1.0, 0.3, c)
         gamma[rng.random(c) < 0.05] *= -1.0
         m.bnacts[bn.name] = BnActRecord(
@@ -239,16 +233,11 @@ def compile_checkpoint(
     warning.  Each BnAct folds against whichever scale its producing edge
     carries, clamped to that edge's accumulator bound.
 
-    ``graph`` overrides the named architecture (lane-width checks relaxed);
-    such models execute but only named architectures serialize.
+    ``graph`` overrides the named architecture; such models execute but
+    only named architectures serialize.
     """
-    if graph is None:
-        cfg = arch_config(manifest.arch)
-        g = build_model(cfg, manifest.k)
-        edges = validate_graph(g, require_lane_multiple=cfg.strict_lanes)
-    else:
-        g = graph
-        edges = validate_graph(g, require_lane_multiple=False)
+    g = manifest.graph() if graph is None else graph
+    edges = validate_graph(g)
     c = shared_const if shared_const is not None else manifest.shared_const
     c = 1.0 if c is None else float(c)
     if not (np.isfinite(c) and c > 0):
@@ -300,7 +289,7 @@ def compile_checkpoint(
         if rec is None:
             raise CompileError(bn.name, "missing batch-norm parameters")
         info = edges[bn.src]
-        alpha = np.full(bn.channels, c) if info.const_scaled else fold_alpha[info.alpha_src]
+        alpha = np.full(bn.channels, c) if info.const_scaled else fold_alpha[info.producer]
         if rec.gamma.shape[0] != bn.channels:
             raise CompileError(bn.name, f"{rec.gamma.shape[0]} channels, expected {bn.channels}")
         try:
@@ -412,7 +401,10 @@ class _Reader:
 
     def string(self) -> str:
         (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"string is not valid UTF-8: {e}") from None
 
 
 def load(data: bytes) -> CompiledModel:

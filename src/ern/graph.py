@@ -16,8 +16,8 @@ head is the one exception (only input lanes are ever padded in storage,
 so its odd width costs nothing extra).
 
 Execution is pure integer arithmetic from the pixel-embedding output to
-the final conv accumulator; the executor snapshots the float-op counter
-around that segment and reports the delta (which must be zero), and
+the final conv accumulator; each call counts float ops in its own
+counter, reports the delta across that segment (which must be zero), and
 additionally checks every intermediate dtype.
 """
 
@@ -121,7 +121,6 @@ class EdgeInfo:
     channels: int
     producer: str
     const_scaled: bool = False  # acc edges: carries the shared constant
-    alpha_src: str | None = None  # acc edges: conv whose per-channel alphas apply
     bound: int = 0  # acc edges: worst-case |value|
 
 
@@ -129,12 +128,13 @@ class EdgeInfo:
 # validation
 
 
-def validate_graph(g: GraphDef, require_lane_multiple: bool = True) -> dict[str, EdgeInfo]:
+def validate_graph(g: GraphDef) -> dict[str, EdgeInfo]:
     """Check edge-kind correctness and scale provenance; map every edge.
 
     Returns edge name -> :class:`EdgeInfo`, including per-accumulator
     bounds from interval arithmetic (conv bound 3 * fan_in, residual adds
-    summing their branch bounds) and which alpha folds into each BnAct.
+    summing their branch bounds).  A BnAct on an edge that is not
+    const-scaled folds the per-channel alphas of the edge's producer.
     """
     edges: dict[str, EdgeInfo] = {g.image_edge: EdgeInfo("image", 3, "<input>")}
 
@@ -163,21 +163,10 @@ def validate_graph(g: GraphDef, require_lane_multiple: bool = True) -> dict[str,
                     f"conv '{n.name}' expects {n.spec.in_ch} input channels, edge has {src.channels}"
                 )
             is_final = isinstance(n, FinalConv)
-            if require_lane_multiple and not is_final and n.spec.out_ch % LANES:
-                raise ConfigError(
-                    f"conv '{n.name}' output channels {n.spec.out_ch} not a multiple of {LANES}"
-                )
             const = (not is_final) and n.const_scaled
             produce(
                 n.dst,
-                EdgeInfo(
-                    "acc",
-                    n.spec.out_ch,
-                    n.name,
-                    const_scaled=const,
-                    alpha_src=None if const else n.name,
-                    bound=n.spec.acc_bound,
-                ),
+                EdgeInfo("acc", n.spec.out_ch, n.name, const_scaled=const, bound=n.spec.acc_bound),
             )
             if is_final:
                 final_conv_edge = n.dst
@@ -226,8 +215,7 @@ class ArchConfig:
 
     ``channels`` is the block output width per stage for two-conv blocks,
     or the bottleneck mid width per stage (output is 4x) for bottlenecks.
-    ``stride_on_first_bottleneck_conv`` moves the downsampling stride from
-    the 3x3 conv_2 (the default) to conv_1.
+    Every width must be a multiple of the 64-bit packing lane.
     """
 
     name: str
@@ -236,8 +224,6 @@ class ArchConfig:
     channels: tuple[int, int, int, int]
     classes: int = CLASSES
     thermo_k: int = 10
-    strict_lanes: bool = True
-    stride_on_first_bottleneck_conv: bool = False
 
     def __post_init__(self):
         if self.block not in ("conv", "bottleneck"):
@@ -246,10 +232,9 @@ class ArchConfig:
             raise ConfigError("expected 4 stage counts and 4 stage channel widths")
         if min(self.counts) < 1 or min(self.channels) < 1:
             raise ConfigError("stage counts and channels must be >= 1")
-        if self.strict_lanes:
-            bad = [c for c in self.channels if c % LANES]
-            if bad:
-                raise ConfigError(f"stage channels {bad} not multiples of {LANES}")
+        bad = [c for c in self.channels if c % LANES]
+        if bad:
+            raise ConfigError(f"stage channels {bad} not multiples of {LANES}")
 
     def stage_out(self, stage: int) -> int:
         c = self.channels[stage]
@@ -343,13 +328,12 @@ def build_bottleneck(
     src: str,
     prefix: str,
     spatial: bool = True,
-    stride_on_conv1: bool = False,
 ) -> tuple[list[Node], str]:
     """1x1 / 3x3 / 1x1 residual block with 4x expansion.
 
     ``downsample`` adds the 1x1 projection shortcut; ``spatial`` makes it
-    (and the 3x3 conv, or conv_1 with ``stride_on_conv1``) stride 2.  The
-    stage-1 first block projects channels only (``spatial=False``).
+    (and the 3x3 conv) stride 2.  The stage-1 first block projects
+    channels only (``spatial=False``).
     """
     if cout != BOTTLENECK_EXPANSION * cmid:
         raise ConfigError(f"block '{prefix}': expected cout == {BOTTLENECK_EXPANSION} * cmid")
@@ -357,7 +341,6 @@ def build_bottleneck(
         raise ConfigError(f"block '{prefix}': channel change {cin}->{cout} needs downsample")
     nodes: list[Node] = []
     stride = 2 if (downsample and spatial) else 1
-    s1, s2 = (stride, 1) if stride_on_conv1 else (1, stride)
     bn0 = BnAct(f"{prefix}.bn0", cin, src, f"{prefix}.bn0.out")
     nodes.append(bn0)
     identity = src
@@ -373,7 +356,7 @@ def build_bottleneck(
         identity = down.dst
     conv1 = Conv(
         f"{prefix}.conv1",
-        ConvSpec(cin, cmid, 1, 1, (s1, s1), (0, 0)),
+        ConvSpec(cin, cmid, 1, 1, (1, 1), (0, 0)),
         False,
         bn0.dst,
         f"{prefix}.conv1.out",
@@ -381,7 +364,7 @@ def build_bottleneck(
     bn1 = BnAct(f"{prefix}.bn1", cmid, conv1.dst, f"{prefix}.bn1.out")
     conv2 = Conv(
         f"{prefix}.conv2",
-        ConvSpec(cmid, cmid, 3, 3, (s2, s2), (1, 1)),
+        ConvSpec(cmid, cmid, 3, 3, (stride, stride), (1, 1)),
         False,
         bn1.dst,
         f"{prefix}.conv2.out",
@@ -417,14 +400,7 @@ def build_model(cfg: ArchConfig, k: int | None = None) -> GraphDef:
             else:
                 downsample = b == 0
                 blk, edge = build_bottleneck(
-                    cin,
-                    cfg.channels[stage],
-                    cout,
-                    downsample,
-                    edge,
-                    prefix,
-                    spatial=stage > 0,
-                    stride_on_conv1=cfg.stride_on_first_bottleneck_conv,
+                    cin, cfg.channels[stage], cout, downsample, edge, prefix, spatial=stage > 0
                 )
             nodes += blk
             cin = cout
@@ -438,7 +414,7 @@ def build_model(cfg: ArchConfig, k: int | None = None) -> GraphDef:
     pool = AvgPoolScale("head.pool", "head.conv.out", "logits")
     nodes += [head_bn, final, pool]
     g = GraphDef(nodes=tuple(nodes))
-    validate_graph(g, require_lane_multiple=cfg.strict_lanes)
+    validate_graph(g)
     return g
 
 
@@ -484,15 +460,6 @@ class ModelStats:
     macs: int
     activations: int
 
-    def as_dict(self) -> dict:
-        return {
-            "param_count": self.param_count,
-            "binary_weight_bytes": self.binary_weight_bytes,
-            "padded_weight_bytes": self.padded_weight_bytes,
-            "macs": self.macs,
-            "activations": self.activations,
-        }
-
 
 def model_stats(cfg: ArchConfig, resolution: int, k: int | None = None) -> ModelStats:
     """Parameter, MAC, and activation counts for a variant at one resolution.
@@ -512,8 +479,9 @@ def model_stats(cfg: ArchConfig, resolution: int, k: int | None = None) -> Model
         params += spec.out_ch * spec.fan_in
         # on-disk form: input lanes padded to 64, one u64 word column per 64
         padded_bytes += spec.out_ch * (padded_channels(spec.in_ch) // LANES) * spec.kh * spec.kw * 8
+        _, h, w = shapes[n.src]
+        macs += macs_for_conv(spec, h, w)
         c, oh, ow = shapes[n.dst]
-        macs += c * oh * ow * spec.fan_in
         acts += c * oh * ow
     return ModelStats(
         param_count=params,
@@ -561,35 +529,36 @@ def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = Fal
 
     embed_mark = None
     final_mark = None
-    for n in g.nodes:
-        if isinstance(n, PixelEmbed):
-            values[n.dst] = encode_image(values[n.src], thermo_params(n.k, n.l))
-            embed_mark = instrument.float_op_count()
-        elif isinstance(n, (Conv, FinalConv)):
-            w = model.weights[n.name]
-            if kernel == "popcount":
-                acc = conv_w1a2_popcount(packed(n.src), w, n.spec)
-            else:
-                acc = conv_w1a2_naive(values[n.src], w.unpack_signs(), n.spec)
-            assert np.issubdtype(acc.dtype, np.integer)
-            values[n.dst] = acc
-            if isinstance(n, FinalConv):
-                final_mark = instrument.float_op_count()
-            if record:
-                result.accs[n.dst] = acc
-        elif isinstance(n, BnAct):
-            codes = apply_thresholds(values[n.src], model.thresholds[n.name])
-            assert codes.dtype == np.uint8
-            values[n.dst] = codes
-            if record:
-                result.acts[n.dst] = codes
-        elif isinstance(n, ResidualAdd):
-            acc = residual_add(values[n.src_a], values[n.src_b])
-            values[n.dst] = acc
-            if record:
-                result.accs[n.dst] = acc
-        elif isinstance(n, AvgPoolScale):
-            values[n.dst] = avgpool_and_scale(values[n.src], model.alpha_out)
+    with instrument.counting_float_ops() as ops:
+        for n in g.nodes:
+            if isinstance(n, PixelEmbed):
+                values[n.dst] = encode_image(values[n.src], thermo_params(n.k, n.l))
+                embed_mark = ops.count
+            elif isinstance(n, (Conv, FinalConv)):
+                w = model.weights[n.name]
+                if kernel == "popcount":
+                    acc = conv_w1a2_popcount(packed(n.src), w, n.spec)
+                else:
+                    acc = conv_w1a2_naive(values[n.src], w.unpack_signs(), n.spec)
+                assert np.issubdtype(acc.dtype, np.integer)
+                values[n.dst] = acc
+                if isinstance(n, FinalConv):
+                    final_mark = ops.count
+                if record:
+                    result.accs[n.dst] = acc
+            elif isinstance(n, BnAct):
+                codes = apply_thresholds(values[n.src], model.thresholds[n.name])
+                assert codes.dtype == np.uint8
+                values[n.dst] = codes
+                if record:
+                    result.acts[n.dst] = codes
+            elif isinstance(n, ResidualAdd):
+                acc = residual_add(values[n.src_a], values[n.src_b])
+                values[n.dst] = acc
+                if record:
+                    result.accs[n.dst] = acc
+            elif isinstance(n, AvgPoolScale):
+                values[n.dst] = avgpool_and_scale(values[n.src], model.alpha_out)
     result.logits = values[g.logits_edge]
     if embed_mark is not None and final_mark is not None:
         result.float_ops_core = final_mark - embed_mark

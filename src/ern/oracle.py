@@ -70,7 +70,7 @@ def oracle_from_manifest(
     or divergence is by construction rather than by defect.
     """
     g = manifest.graph() if graph is None else graph
-    validate_graph(g, require_lane_multiple=False)
+    validate_graph(g)
     c = shared_const if shared_const is not None else manifest.shared_const
     c = 1.0 if c is None else float(c)
     if not (np.isfinite(c) and c > 0):

@@ -56,13 +56,6 @@ def ensure_act2(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def ensure_finite(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if not np.isfinite(w).all():
-        raise DomainError("tensor contains NaN or Inf")
-    return w
-
-
 def _pack_lanes(bits: np.ndarray, axis: int) -> np.ndarray:
     """Pack a 0/1 array along `axis` (length multiple of 64) into uint64 words."""
     lanes = np.moveaxis(bits, axis, 0)

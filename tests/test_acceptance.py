@@ -240,10 +240,11 @@ def test_a08_determinism_round_trip(say, rng):
     assert execute(model, img).logits.tobytes() == base
     for workers in (1, 2, 4):
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(lambda _: execute(model, img).logits.tobytes(), range(4)))
-        assert all(o == base for o in outs)
+            outs = list(pool.map(lambda _: execute(model, img), range(4)))
+        assert all(o.logits.tobytes() == base for o in outs)
+        assert [o.float_ops_core for o in outs] == [0] * len(outs), workers
     say("A8 determinism PASS: byte-identical recompiles, exact round-trip, "
-        "bit-identical logits across runs and 1/2/4-thread pools")
+        "bit-identical logits and integer-only cores across runs and 1/2/4-thread pools")
 
 
 def test_a09_performance_report(say, erns18_model, rng):

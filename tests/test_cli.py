@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -48,6 +50,13 @@ class TestInfer:
         )
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_rejected(self, ws, capsys, top):
+        rc = main(["infer", "--model", str(ws["model"]), "--image", str(ws["ppm"]),
+                   "--top", top])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+
     def test_raw_input_matches_ppm(self, ws, capsys):
         raw = ws["root"] / "img.raw"
         raw.write_bytes(ws["img"].tobytes())
@@ -84,6 +93,14 @@ class TestInfer:
         bad = ws["root"] / "bad.ern"
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert main(["infer", "--model", str(bad), "--image", str(ws["ppm"])]) == 2
+
+    def test_invalid_utf8_layer_name(self, ws, capsys):
+        body = bytearray(ws["model"].read_bytes()[:-4])
+        body[body.index(b"stem.conv1")] = 0xFF
+        bad = ws["root"] / "badname.ern"
+        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        assert main(["infer", "--model", str(bad), "--image", str(ws["ppm"])]) == 2
+        assert "UTF-8" in capsys.readouterr().err
 
 
 class TestTenCrop:
@@ -170,11 +187,10 @@ class TestBench:
         assert "popcount" in out and "naive" in out
         assert "identical logits" in out
 
-    def test_threaded(self, ws, capsys):
+    def test_threads_flag_removed(self, ws):
         rc = main(["bench", "--model", str(ws["model"]), "--iters", "1",
                    "--threads", "2", "--kernel", "popcount", "--resolution", "48"])
-        assert rc == 0
-        assert "2 thread(s)" in capsys.readouterr().out
+        assert rc == 1
 
 
 class TestCompile:

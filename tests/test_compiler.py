@@ -216,6 +216,14 @@ class TestSerialization:
         with pytest.raises(ChecksumError):
             load(bytes(blob))
 
+    def test_invalid_utf8_layer_name(self, small_model):
+        # keep the checksum valid so the name decoder must catch it
+        body = bytearray(serialize(small_model)[:-4])
+        body[body.index(b"stem.conv1")] = 0xFF
+        blob = bytes(body) + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load(blob)
+
     def test_trailing_bytes(self, small_model):
         # keep the checksum valid so the structural check must catch it
         body = serialize(small_model)[:-4] + b"\x00\x00\x00"

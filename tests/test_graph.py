@@ -40,39 +40,35 @@ def tiny_nodes():
 
 class TestValidation:
     def test_tiny_graph_passes_without_lane_rule(self):
-        edges = validate_graph(GraphDef(tuple(tiny_nodes())), require_lane_multiple=False)
+        edges = validate_graph(GraphDef(tuple(tiny_nodes())))
         assert edges["c1.out"].kind == "acc"
         assert edges["c1.out"].bound == 3 * 3
         assert edges["b1.out"].kind == "act2"
-
-    def test_lane_rule_enforced(self):
-        with pytest.raises(ConfigError, match="multiple of 64"):
-            validate_graph(GraphDef(tuple(tiny_nodes())))
 
     def test_undefined_edge(self):
         nodes = tiny_nodes()
         nodes[1] = Conv("c1", ConvSpec(3, 4, 1, 1), False, "nowhere", "c1.out")
         with pytest.raises(ConfigError, match="undefined edge"):
-            validate_graph(GraphDef(tuple(nodes)), require_lane_multiple=False)
+            validate_graph(GraphDef(tuple(nodes)))
 
     def test_duplicate_edge(self):
         nodes = tiny_nodes()
         nodes.insert(2, Conv("c2", ConvSpec(3, 4, 1, 1), False, "embed.out", "c1.out"))
         with pytest.raises(ConfigError, match="produced twice"):
-            validate_graph(GraphDef(tuple(nodes)), require_lane_multiple=False)
+            validate_graph(GraphDef(tuple(nodes)))
 
     def test_kind_mismatch(self):
         nodes = tiny_nodes()
         # conv consuming an accumulator edge
         nodes[2] = Conv("b1", ConvSpec(4, 4, 1, 1), False, "c1.out", "b1.out")
         with pytest.raises(ConfigError, match="needs a act2 edge"):
-            validate_graph(GraphDef(tuple(nodes)), require_lane_multiple=False)
+            validate_graph(GraphDef(tuple(nodes)))
 
     def test_channel_mismatch(self):
         nodes = tiny_nodes()
         nodes[2] = BnAct("b1", 8, "c1.out", "b1.out")
         with pytest.raises(ConfigError, match="channels"):
-            validate_graph(GraphDef(tuple(nodes)), require_lane_multiple=False)
+            validate_graph(GraphDef(tuple(nodes)))
 
     def test_residual_requires_const_scaled_branches(self):
         nodes = [
@@ -85,7 +81,7 @@ class TestValidation:
             AvgPoolScale("pool", "f.out", "logits"),
         ]
         with pytest.raises(ConfigError, match="const-scaled"):
-            validate_graph(GraphDef(tuple(nodes)), require_lane_multiple=False)
+            validate_graph(GraphDef(tuple(nodes)))
 
     def test_residual_bound_accumulates(self):
         nodes = [
@@ -97,14 +93,14 @@ class TestValidation:
             FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
             AvgPoolScale("pool", "f.out", "logits"),
         ]
-        edges = validate_graph(GraphDef(tuple(nodes)), require_lane_multiple=False)
+        edges = validate_graph(GraphDef(tuple(nodes)))
         assert edges["add.out"].bound == 9 + 81
 
     def test_pool_must_consume_final_conv(self):
         nodes = tiny_nodes()
         nodes[4] = AvgPoolScale("pool", "c1.out", "logits")
         with pytest.raises(ConfigError, match="final conv"):
-            validate_graph(GraphDef(tuple(nodes)), require_lane_multiple=False)
+            validate_graph(GraphDef(tuple(nodes)))
 
 
 class TestArchitectures:
@@ -138,41 +134,16 @@ class TestArchitectures:
         with pytest.raises(ConfigError, match="multiples of 64"):
             ArchConfig("bad", "conv", (2, 2, 2, 2), (64, 128, 200, 512))
 
-    def test_relaxed_lanes_config(self):
-        # stage 1 must stay 64 wide to match the stem; later stages may
-        # drop the lane rule when strict_lanes is off
-        cfg = ArchConfig(
-            "toy", "conv", (1, 1, 1, 1), (64, 96, 96, 160), strict_lanes=False
-        )
-        g = build_model(cfg, k=1)
-        assert validate_graph(g, require_lane_multiple=False)
-        with pytest.raises(ConfigError, match="multiples of 64"):
-            ArchConfig("toy2", "conv", (1, 1, 1, 1), (64, 96, 96, 160))
-
     def test_block_misuse(self):
         with pytest.raises(ConfigError, match="downsample"):
             build_convblock(64, 128, downsample=False, src="x", prefix="b")
         with pytest.raises(ConfigError, match="cmid"):
             build_bottleneck(64, 64, 128, downsample=True, src="x", prefix="b")
 
-    def test_bottleneck_stride_position_flag(self):
-        cfg = arch_config("erns50")
-        moved = ArchConfig(
-            "erns50v1", "bottleneck", cfg.counts, cfg.channels,
-            stride_on_first_bottleneck_conv=True,
-        )
-        g_default = build_model(cfg)
-        g_moved = build_model(moved)
-        conv1_d = g_default.node("s2.b1.conv1")
-        conv2_d = g_default.node("s2.b1.conv2")
-        conv1_m = g_moved.node("s2.b1.conv1")
-        conv2_m = g_moved.node("s2.b1.conv2")
-        assert (conv1_d.spec.stride, conv2_d.spec.stride) == ((1, 1), (2, 2))
-        assert (conv1_m.spec.stride, conv2_m.spec.stride) == ((2, 2), (1, 1))
-        # both reach the same stage-output shapes
-        assert trace_shapes(g_default, 64, 64)["s2.b1.add.out"] == trace_shapes(
-            g_moved, 64, 64
-        )["s2.b1.add.out"]
+    def test_bottleneck_default_stride_position(self):
+        g = build_model(arch_config("erns50"))
+        assert g.node("s2.b1.conv1").spec.stride == (1, 1)
+        assert g.node("s2.b1.conv2").spec.stride == (2, 2)
 
     def test_stage1_bottleneck_projects_without_downsampling(self):
         g = build_model(arch_config("erns50"))
