@@ -98,9 +98,9 @@ def cmd_infer(args) -> int:
         if args.crop_size is None:
             raise _UsageError("--ten-crop requires --crop-size")
         crops = _ten_crops(img, args.crop_size)
-        logits = np.mean([execute(model, c, kernel=args.kernel).logits for c in crops], axis=0)
+        logits = np.mean([execute(model, c).logits for c in crops], axis=0)
     else:
-        logits = execute(model, img, kernel=args.kernel).logits
+        logits = execute(model, img).logits
     probs = _softmax(logits)
     order = np.argsort(probs)[::-1][: args.top]
     for idx in order:
@@ -131,7 +131,7 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     r = args.resolution
     images = [rng.integers(0, 256, size=(3, r, r), dtype=np.uint8) for _ in range(args.images)]
-    report = cross_check(model, om, images, kernel=args.kernel)
+    report = cross_check(model, om, images)
     print(report.to_json() if args.json else report.summary())
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -190,7 +190,6 @@ def _build_parser() -> _Parser:
     i.add_argument("--crop-size", type=int, default=None)
     i.add_argument("--raw", default=None, metavar="C,H,W",
                    help="treat --image as raw uint8 tensor bytes of this shape")
-    i.add_argument("--kernel", choices=["popcount", "naive"], default="popcount")
     i.set_defaults(fn=cmd_infer)
 
     s = sub.add_parser("stats", help="parameter/MAC/size arithmetic for an architecture")
@@ -205,7 +204,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--images", type=int, default=10)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--resolution", type=int, default=64)
-    v.add_argument("--kernel", choices=["popcount", "naive"], default="popcount")
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=cmd_verify)
 

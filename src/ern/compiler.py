@@ -53,7 +53,6 @@ from .graph import (
     GraphDef,
     arch_config,
     build_model,
-    validate_graph,
 )
 from .kernels import ConvSpec
 from .quant import ActParams, BnParams, ThresholdTable, binarize_weights, fuse_thresholds
@@ -180,7 +179,6 @@ def gen_random_checkpoint(
     gammas are flipped negative to exercise descending threshold tables.
     """
     g = build_model(arch_config(arch), k)
-    edges = validate_graph(g)
     rng = np.random.default_rng(seed)
     m = CheckpointManifest(arch=arch, k=k, shared_const=shared_const)
     for node in g.convs:
@@ -190,7 +188,7 @@ def gen_random_checkpoint(
         )
     for bn in g.bnacts:
         c = bn.channels
-        sigma_ref = 1.5 * np.sqrt(max(edges[bn.src].bound / 3, 1))
+        sigma_ref = 1.5 * np.sqrt(max(g.edges[bn.src].bound / 3, 1))
         gamma = rng.normal(1.0, 0.3, c)
         gamma[rng.random(c) < 0.05] *= -1.0
         m.bnacts[bn.name] = BnActRecord(
@@ -237,7 +235,6 @@ def compile_checkpoint(
     only named architectures serialize.
     """
     g = manifest.graph() if graph is None else graph
-    edges = validate_graph(g)
     c = shared_const if shared_const is not None else manifest.shared_const
     c = 1.0 if c is None else float(c)
     if not (np.isfinite(c) and c > 0):
@@ -288,7 +285,7 @@ def compile_checkpoint(
         rec = manifest.bnacts.get(bn.name)
         if rec is None:
             raise CompileError(bn.name, "missing batch-norm parameters")
-        info = edges[bn.src]
+        info = g.edges[bn.src]
         alpha = np.full(bn.channels, c) if info.const_scaled else fold_alpha[info.producer]
         if rec.gamma.shape[0] != bn.channels:
             raise CompileError(bn.name, f"{rec.gamma.shape[0]} channels, expected {bn.channels}")

@@ -6,6 +6,9 @@ an integer accumulator; a BnAct consumes an accumulator and produces
 codes; a ResidualAdd consumes two accumulators whose producers are
 const-scaled with the shared model constant (so the add is valid in
 integers); AvgPoolScale consumes the final conv's accumulator only.
+A graph is validated once, at construction, which also derives its edge
+map (kind, channels, accumulator bound and last reader of every edge);
+everything downstream reads that map instead of re-deriving it.
 
 The five stock variants mirror the ResNet family: stages of two-conv
 blocks (erns18/34 and the 384-channel erns18x075) or 1-3-1 bottleneck
@@ -18,12 +21,13 @@ so its odd width costs nothing extra).
 Execution is pure integer arithmetic from the pixel-embedding output to
 the final conv accumulator; each call counts float ops in its own
 counter, reports the delta across that segment (which must be zero), and
-additionally checks every intermediate dtype.
+additionally checks every intermediate dtype.  Unless it is recording,
+``execute`` drops each intermediate after its last reader runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +50,6 @@ BOTTLENECK_EXPANSION = 4
 class PixelEmbed:
     name: str
     k: int
-    l: int
     src: str
     dst: str
 
@@ -95,10 +98,30 @@ Node = PixelEmbed | Conv | BnAct | ResidualAdd | FinalConv | AvgPoolScale
 
 
 @dataclass(frozen=True)
+class EdgeInfo:
+    kind: str  # "image" | "act2" | "acc" | "logits"
+    channels: int
+    producer: str
+    const_scaled: bool = False  # acc edges: carries the shared constant
+    bound: int = 0  # acc edges: worst-case |value|
+    last_reader: str | None = None  # last node (in graph order) that consumes the edge
+
+
+@dataclass(frozen=True)
 class GraphDef:
+    """A validated graph: construction raises :class:`ConfigError` on bad wiring.
+
+    ``edges`` maps every edge name to its :class:`EdgeInfo`, derived once
+    from ``nodes`` at construction.
+    """
+
     nodes: tuple[Node, ...]
     image_edge: str = "image"
     logits_edge: str = "logits"
+    edges: dict[str, EdgeInfo] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", _edge_map(self))
 
     def node(self, name: str) -> Node:
         for n in self.nodes:
@@ -115,26 +138,18 @@ class GraphDef:
         return [n for n in self.nodes if isinstance(n, BnAct)]
 
 
-@dataclass(frozen=True)
-class EdgeInfo:
-    kind: str  # "image" | "act2" | "acc" | "logits"
-    channels: int
-    producer: str
-    const_scaled: bool = False  # acc edges: carries the shared constant
-    bound: int = 0  # acc edges: worst-case |value|
-
-
 # --------------------------------------------------------------------------
 # validation
 
 
-def validate_graph(g: GraphDef) -> dict[str, EdgeInfo]:
+def _edge_map(g: GraphDef) -> dict[str, EdgeInfo]:
     """Check edge-kind correctness and scale provenance; map every edge.
 
     Returns edge name -> :class:`EdgeInfo`, including per-accumulator
     bounds from interval arithmetic (conv bound 3 * fan_in, residual adds
-    summing their branch bounds).  A BnAct on an edge that is not
-    const-scaled folds the per-channel alphas of the edge's producer.
+    summing their branch bounds) and the last node that reads each edge.
+    A BnAct on an edge that is not const-scaled folds the per-channel
+    alphas of the edge's producer.
     """
     edges: dict[str, EdgeInfo] = {g.image_edge: EdgeInfo("image", 3, "<input>")}
 
@@ -149,6 +164,7 @@ def validate_graph(g: GraphDef) -> dict[str, EdgeInfo]:
         info = edges[name]
         if info.kind != kind:
             raise ConfigError(f"node '{by}' needs a {kind} edge, got {info.kind} '{name}'")
+        edges[name] = replace(info, last_reader=by)
         return info
 
     final_conv_edge = None
@@ -386,7 +402,7 @@ def build_model(cfg: ArchConfig, k: int | None = None) -> GraphDef:
     """Full model graph: embed, stem, four stages, head conv, pooled logits."""
     k = cfg.thermo_k if k is None else k
     thermo_params(k)  # validates k
-    nodes: list[Node] = [PixelEmbed("embed", k, 2, "image", "embed.out")]
+    nodes: list[Node] = [PixelEmbed("embed", k, "image", "embed.out")]
     stem_nodes, edge = build_stem(3 * k, "embed.out")
     nodes += stem_nodes
     cin = 64
@@ -413,9 +429,7 @@ def build_model(cfg: ArchConfig, k: int | None = None) -> GraphDef:
     )
     pool = AvgPoolScale("head.pool", "head.conv.out", "logits")
     nodes += [head_bn, final, pool]
-    g = GraphDef(nodes=tuple(nodes))
-    validate_graph(g)
-    return g
+    return GraphDef(nodes=tuple(nodes))
 
 
 # --------------------------------------------------------------------------
@@ -423,26 +437,26 @@ def build_model(cfg: ArchConfig, k: int | None = None) -> GraphDef:
 
 
 def trace_shapes(g: GraphDef, height: int, width: int) -> dict[str, tuple[int, int, int]]:
-    """Propagate (C, H, W) through every edge for a given input resolution."""
+    """Propagate (C, H, W) through every edge for a given input resolution.
+
+    Channels come from the edge map; a conv applies its output spatial
+    rule, the pool gives 1x1, and every other node passes its input's
+    spatial dims through.
+    """
     shapes: dict[str, tuple[int, int, int]] = {g.image_edge: (3, height, width)}
     for n in g.nodes:
-        if isinstance(n, PixelEmbed):
-            _, h, w = shapes[n.src]
-            shapes[n.dst] = (3 * n.k, h, w)
-        elif isinstance(n, (Conv, FinalConv)):
-            _, h, w = shapes[n.src]
-            oh, ow = n.spec.out_spatial(h, w)
-            shapes[n.dst] = (n.spec.out_ch, oh, ow)
-        elif isinstance(n, BnAct):
-            shapes[n.dst] = shapes[n.src]
-        elif isinstance(n, ResidualAdd):
+        if isinstance(n, ResidualAdd):
             sa, sb = shapes[n.src_a], shapes[n.src_b]
             if sa != sb:
                 raise ShapeError(f"residual '{n.name}' shape mismatch: {sa} vs {sb}")
-            shapes[n.dst] = sa
-        elif isinstance(n, AvgPoolScale):
-            c, _, _ = shapes[n.src]
-            shapes[n.dst] = (c, 1, 1)
+            _, h, w = sa
+        else:
+            _, h, w = shapes[n.src]
+            if isinstance(n, (Conv, FinalConv)):
+                h, w = n.spec.out_spatial(h, w)
+            elif isinstance(n, AvgPoolScale):
+                h, w = 1, 1
+        shapes[n.dst] = (g.edges[n.dst].channels, h, w)
     return shapes
 
 
@@ -500,17 +514,17 @@ def model_stats(cfg: ArchConfig, resolution: int, k: int | None = None) -> Model
 class ExecutionResult:
     logits: np.ndarray
     float_ops_core: int  # real-valued ops between embed output and final conv output
-    acts: dict[str, np.ndarray] = field(default_factory=dict)
-    accs: dict[str, np.ndarray] = field(default_factory=dict)
+    values: dict[str, np.ndarray] = field(default_factory=dict)  # every edge, when recording
 
 
 def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = False) -> ExecutionResult:
     """Run the integer-only pipeline of a compiled model on one 8-bit image.
 
     ``model`` is a :class:`ern.compiler.CompiledModel`.  ``kernel`` selects
-    the convolution path; both produce bit-identical accumulators.  With
-    ``record``, every intermediate code map and accumulator is kept for
-    cross-checking.
+    the convolution path; both produce bit-identical accumulators.  Each
+    intermediate is dropped after its last reader runs, unless ``record``
+    is set: then every edge's value (image, code maps, accumulators,
+    logits) is kept in ``values`` for cross-checking.
     """
     if kernel not in ("popcount", "naive"):
         raise ConfigError(f"unknown kernel '{kernel}'")
@@ -519,49 +533,45 @@ def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = Fal
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected (3, H, W) image, got {img.shape}")
     values: dict[str, np.ndarray] = {g.image_edge: img}
-    packed_cache: dict[str, object] = {}
-    result = ExecutionResult(logits=np.zeros(0), float_ops_core=0)
-
-    def packed(edge: str):
-        if edge not in packed_cache:
-            packed_cache[edge] = pack_activations(values[edge])
-        return packed_cache[edge]
+    planes: dict[str, object] = {}  # act2 edge -> packed bitplanes, for the popcount kernel
 
     embed_mark = None
     final_mark = None
     with instrument.counting_float_ops() as ops:
         for n in g.nodes:
             if isinstance(n, PixelEmbed):
-                values[n.dst] = encode_image(values[n.src], thermo_params(n.k, n.l))
+                out = encode_image(values[n.src], thermo_params(n.k))
                 embed_mark = ops.count
             elif isinstance(n, (Conv, FinalConv)):
                 w = model.weights[n.name]
                 if kernel == "popcount":
-                    acc = conv_w1a2_popcount(packed(n.src), w, n.spec)
+                    if n.src not in planes:
+                        planes[n.src] = pack_activations(values[n.src])
+                    out = conv_w1a2_popcount(planes[n.src], w, n.spec)
                 else:
-                    acc = conv_w1a2_naive(values[n.src], w.unpack_signs(), n.spec)
-                assert np.issubdtype(acc.dtype, np.integer)
-                values[n.dst] = acc
+                    out = conv_w1a2_naive(values[n.src], w.unpack_signs(), n.spec)
+                assert np.issubdtype(out.dtype, np.integer)
                 if isinstance(n, FinalConv):
                     final_mark = ops.count
-                if record:
-                    result.accs[n.dst] = acc
             elif isinstance(n, BnAct):
-                codes = apply_thresholds(values[n.src], model.thresholds[n.name])
-                assert codes.dtype == np.uint8
-                values[n.dst] = codes
-                if record:
-                    result.acts[n.dst] = codes
+                out = apply_thresholds(values[n.src], model.thresholds[n.name])
+                assert out.dtype == np.uint8
             elif isinstance(n, ResidualAdd):
-                acc = residual_add(values[n.src_a], values[n.src_b])
-                values[n.dst] = acc
-                if record:
-                    result.accs[n.dst] = acc
+                out = residual_add(values[n.src_a], values[n.src_b])
             elif isinstance(n, AvgPoolScale):
-                values[n.dst] = avgpool_and_scale(values[n.src], model.alpha_out)
-    result.logits = values[g.logits_edge]
+                out = avgpool_and_scale(values[n.src], model.alpha_out)
+            values[n.dst] = out
+            if not record:
+                # a set, so an add reading one edge twice drops it once
+                for src in {n.src_a, n.src_b} if isinstance(n, ResidualAdd) else {n.src}:
+                    if g.edges[src].last_reader == n.name:
+                        del values[src]
+                        planes.pop(src, None)
+    float_ops_core = 0
     if embed_mark is not None and final_mark is not None:
-        result.float_ops_core = final_mark - embed_mark
-    if record:
-        result.acts[g.node("embed").dst] = values[g.node("embed").dst]
-    return result
+        float_ops_core = final_mark - embed_mark
+    return ExecutionResult(
+        logits=values[g.logits_edge],
+        float_ops_core=float_ops_core,
+        values=values if record else {},
+    )

@@ -37,10 +37,10 @@ from .graph import (
     PixelEmbed,
     ResidualAdd,
     execute,
-    validate_graph,
 )
 
-TIE_EPS = 1e-9
+TIE_EPS = 1e-9  # |v / s_a - round(v / s_a)| below this is a code-boundary tie
+LOGIT_RTOL = 1e-6  # max relative logit error a passing cross-check allows
 
 
 # --------------------------------------------------------------------------
@@ -70,7 +70,6 @@ def oracle_from_manifest(
     or divergence is by construction rather than by defect.
     """
     g = manifest.graph() if graph is None else graph
-    validate_graph(g)
     c = shared_const if shared_const is not None else manifest.shared_const
     c = 1.0 if c is None else float(c)
     if not (np.isfinite(c) and c > 0):
@@ -154,9 +153,9 @@ def _conv_im2col(codes: np.ndarray, w_signs: np.ndarray, stride, padding) -> np.
 @dataclass(eq=False)
 class OracleResult:
     logits: np.ndarray
-    codes: dict[str, np.ndarray] = field(default_factory=dict)  # act2 edge -> uint8
+    # every edge: act2 -> uint8 codes, acc -> integer-valued f64, logits -> f64
+    values: dict[str, np.ndarray] = field(default_factory=dict)
     pre: dict[str, np.ndarray] = field(default_factory=dict)  # BnAct name -> float v
-    raw: dict[str, np.ndarray] = field(default_factory=dict)  # acc edge -> integer-valued f64
 
 
 def oracle_execute(om: OracleModel, img: np.ndarray) -> OracleResult:
@@ -165,17 +164,14 @@ def oracle_execute(om: OracleModel, img: np.ndarray) -> OracleResult:
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected (3, H, W) image, got {img.shape}")
     res = OracleResult(logits=np.zeros(0))
-    values: dict[str, np.ndarray] = {}
+    values = res.values
     for node in om.graph.nodes:
         if isinstance(node, PixelEmbed):
-            values[node.dst] = _thermo_codes(img, node.k)
-            res.codes[node.dst] = values[node.dst].astype(np.uint8)
+            values[node.dst] = _thermo_codes(img, node.k).astype(np.uint8)
         elif isinstance(node, (Conv, FinalConv)):
-            raw = _conv_im2col(
+            values[node.dst] = _conv_im2col(
                 values[node.src], om.signs[node.name], node.spec.stride, node.spec.padding
             )
-            values[node.dst] = raw
-            res.raw[node.dst] = raw
         elif isinstance(node, BnAct):
             rec = om.bns[node.name]
             scale = om.edge_scale[node.src][:, None, None]
@@ -187,14 +183,10 @@ def oracle_execute(om: OracleModel, img: np.ndarray) -> OracleResult:
                 / sd
                 + np.asarray(rec.beta, dtype=np.float64)[:, None, None]
             )
-            codes = quantize_act_float(v, ActParams(rec.act_scale))
-            values[node.dst] = codes
+            values[node.dst] = quantize_act_float(v, ActParams(rec.act_scale))
             res.pre[node.name] = v
-            res.codes[node.dst] = codes
         elif isinstance(node, ResidualAdd):
-            raw = values[node.src_a] + values[node.src_b]
-            values[node.dst] = raw
-            res.raw[node.dst] = raw
+            values[node.dst] = values[node.src_a] + values[node.src_b]
         elif isinstance(node, AvgPoolScale):
             scaled = om.alpha_out * values[node.src]
             res.logits = scaled.mean(axis=(1, 2))
@@ -254,19 +246,12 @@ class CrossCheckReport:
         )
 
 
-def cross_check(
-    model,
-    om: OracleModel,
-    images,
-    kernel: str = "popcount",
-    tie_eps: float = TIE_EPS,
-    logit_rtol: float = 1e-6,
-) -> CrossCheckReport:
+def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     """Compare integer execution against the float reference image by image.
 
     Passes iff every 2-bit code map matches outside boundary ties, the
     residual branch values are exactly c times the integer accumulators,
-    and logits agree within ``logit_rtol`` relative.
+    and logits agree within ``LOGIT_RTOL`` relative.
     """
     g: GraphDef = model.graph
     report = CrossCheckReport()
@@ -277,24 +262,24 @@ def cross_check(
 
     adds = [n for n in g.nodes if isinstance(n, ResidualAdd)]
     for img in images:
-        ir = execute(model, img, kernel=kernel, record=True)
+        ir = execute(model, img, record=True)
         orr = oracle_execute(om, img)
         report.images += 1
 
         # embed codes: both routes are exact integer maps, no tie excuse
-        diff = int(np.count_nonzero(ir.acts[embed.dst] != orr.codes[embed.dst]))
+        diff = int(np.count_nonzero(ir.values[embed.dst] != orr.values[embed.dst]))
         if diff:
             report.layers[embed.name].mismatches += diff
             report.first_divergence = report.first_divergence or embed.name
 
         for bn in g.bnacts:
-            a = ir.acts[bn.dst]
-            b = orr.codes[bn.dst]
+            a = ir.values[bn.dst]
+            b = orr.values[bn.dst]
             diffmask = a != b
             if not diffmask.any():
                 continue
             ratio = orr.pre[bn.name] / om.act_scale[bn.name]
-            near = np.abs(ratio - np.rint(ratio)) < tie_eps
+            near = np.abs(ratio - np.rint(ratio)) < TIE_EPS
             hard = int(np.count_nonzero(diffmask & ~near))
             tied = int(np.count_nonzero(diffmask & near))
             report.layers[bn.name].mismatches += hard
@@ -305,8 +290,8 @@ def cross_check(
         c = model.shared_const
         for add in adds:
             for src in (add.src_a, add.src_b):
-                want = c * ir.accs[src].astype(np.float64)
-                if not np.array_equal(c * orr.raw[src], want):
+                want = c * ir.values[src].astype(np.float64)
+                if not np.array_equal(c * orr.values[src], want):
                     report.residual_scaling_exact = False
 
         lf = orr.logits
@@ -319,7 +304,7 @@ def cross_check(
     report.ok = (
         hard_total == 0
         and report.residual_scaling_exact
-        and report.max_logit_rel_err <= logit_rtol
+        and report.max_logit_rel_err <= LOGIT_RTOL
     )
     if not report.ok and report.first_divergence is None and hard_total == 0:
         report.first_divergence = "logits"

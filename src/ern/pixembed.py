@@ -1,16 +1,16 @@
 """Generalized thermometer encoding of 8-bit pixels into 2-bit activations.
 
-An 8-bit value x is mapped to a length-k vector of l-bit codes through a
+An 8-bit value x is mapped to a length-k vector of 2-bit codes through a
 per-index affine function followed by floor and clamp:
 
-    s    = max(1, floor(255 / ((2^l - 1) * k)))      # bin width
+    s    = max(1, floor(255 / (3 * k)))      # bin width
     w_i  = 1 / (s * k)
     b_i  = 1 - (i + 1) / k
-    z_i  = clamp(floor(w_i * x + b_i), 0, 2^l - 1)
+    z_i  = clamp(floor(w_i * x + b_i), 0, 3)
 
 Every output channel is monotonically non-decreasing in x, and distinct
-output vectors are totally ordered element-wise.  With l=2 and k=10 a
-3-channel RGB image becomes a 30-channel 2-bit activation map.
+output vectors are totally ordered element-wise.  With k=10 a 3-channel
+RGB image becomes a 30-channel 2-bit activation map.
 
 Channel ordering is color-major: the k channels of R first, then G, then B.
 Any fixed order is valid (the first conv layer is permutation-covariant);
@@ -25,37 +25,31 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .instrument import note_float_ops
+from .quant import NUM_CODES
 
 
 @dataclass(frozen=True)
 class ThermoParams:
     k: int
-    l: int
     s: int
     w: np.ndarray  # per-index slope, length k
     b: np.ndarray  # per-index offset, length k
 
     @property
-    def max_code(self) -> int:
-        return (1 << self.l) - 1
-
-    @property
     def levels(self) -> int:
         """Distinct code vectors over the 8-bit input range."""
-        return ((1 << self.l) - 1) * self.k + 1
+        return (NUM_CODES - 1) * self.k + 1
 
 
-def thermo_params(k: int, l: int = 2) -> ThermoParams:
-    """Build encoding parameters for vector length k and bit width l."""
+def thermo_params(k: int) -> ThermoParams:
+    """Build 2-bit encoding parameters for vector length k."""
     if k < 1:
         raise DomainError(f"thermometer length k must be >= 1, got {k}")
-    if not 1 <= l <= 8:
-        raise DomainError(f"bit width l must be in [1, 8], got {l}")
-    s = max(1, int(255 // (((1 << l) - 1) * k)))
+    s = max(1, int(255 // ((NUM_CODES - 1) * k)))
     idx = np.arange(k, dtype=np.float64)
     w = np.full(k, 1.0 / (s * k), dtype=np.float64)
     b = 1.0 - (idx + 1.0) / k
-    return ThermoParams(k=k, l=l, s=s, w=w, b=b)
+    return ThermoParams(k=k, s=s, w=w, b=b)
 
 
 def _code_table(p: ThermoParams) -> np.ndarray:
@@ -63,7 +57,7 @@ def _code_table(p: ThermoParams) -> np.ndarray:
     x = np.arange(256, dtype=np.float64)
     y = p.w[:, None] * x[None, :] + p.b[:, None]
     note_float_ops(2 * y.size)
-    z = np.clip(np.floor(y), 0, p.max_code)
+    z = np.clip(np.floor(y), 0, NUM_CODES - 1)
     return z.astype(np.uint8)
 
 

@@ -7,14 +7,14 @@ accumulator ``acc``:
     A = gamma * alpha / sqrt(var + eps)
     B = beta - gamma * mean / sqrt(var + eps)
 
-and the quantized activation ``clamp(floor(v / s_a), 0, 2^l - 1)`` crosses
+and the quantized activation ``clamp(floor(v / s_a), 0, 3)`` crosses
 code u exactly when ``v >= u * s_a``.  Solving for acc turns the whole
 (scale o batch-norm o activation) composition into three integer
 thresholds per channel, compared directly against the accumulator:
 
     A > 0:  code = #{ u : acc >= ceil((u * s_a - B) / A) }   (ascending)
     A < 0:  code = #{ u : acc <= floor((u * s_a - B) / A) }  (descending)
-    A = 0:  constant code clamp(floor(B / s_a), 0, 2^l - 1)
+    A = 0:  constant code clamp(floor(B / s_a), 0, 3)
 
 Thresholds are stored sorted ascending with a direction flag.  All folding
 is done in 64-bit reals with a fixed evaluation order; the integer
@@ -62,26 +62,19 @@ class BnParams:
 
 @dataclass(frozen=True)
 class ActParams:
-    """Quantized activation parameters: input scale and bit width.
+    """Quantized activation parameters: the input scale of 2-bit codes.
 
     The scale is per-layer; a per-channel vector is accepted as well (it
     folds into per-channel thresholds identically).
     """
 
     input_scale: np.ndarray
-    bits: int = 2
 
     def __post_init__(self):
         scale = np.atleast_1d(np.asarray(self.input_scale, dtype=np.float64))
         if not (np.isfinite(scale).all() and (scale > 0).all()):
             raise DomainError("activation scale must be finite and positive")
         object.__setattr__(self, "input_scale", scale)
-        if not 1 <= self.bits <= 8:
-            raise DomainError(f"activation bits must be in [1, 8], got {self.bits}")
-
-    @property
-    def max_code(self) -> int:
-        return (1 << self.bits) - 1
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quantize_act_float(v, p: ActParams) -> np.ndarray:
-    """Reference float activation: clamp(floor(v / s_a), 0, 2^l - 1)."""
+    """Reference float activation: clamp(floor(v / s_a), 0, 3)."""
     v = np.asarray(v, dtype=np.float64)
     if not np.isfinite(v).all():
         raise DomainError("activation input contains NaN or Inf")
@@ -130,7 +123,7 @@ def quantize_act_float(v, p: ActParams) -> np.ndarray:
         (-1,) + (1,) * (v.ndim - 1)
     )
     note_float_ops(2 * v.size)
-    return np.clip(np.floor(v / scale), 0, p.max_code).astype(np.uint8)
+    return np.clip(np.floor(v / scale), 0, NUM_CODES - 1).astype(np.uint8)
 
 
 def fuse_thresholds(alpha, bn: BnParams, act: ActParams, acc_bound: int | None = None) -> ThresholdTable:

@@ -14,6 +14,11 @@ def erns18_model(erns18_manifest):
     return compile_checkpoint(erns18_manifest)
 
 
+@pytest.fixture(scope="session")
+def erns50_model():
+    return compile_checkpoint(gen_random_checkpoint("erns50", seed=0, shared_const=0.5))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

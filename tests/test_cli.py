@@ -79,13 +79,6 @@ class TestInfer:
                    "--raw", "3x96x96"])
         assert rc == 1
 
-    def test_kernels_agree_via_cli(self, ws, capsys):
-        a = infer_lines(capsys, ["--model", str(ws["model"]), "--image", str(ws["ppm"]),
-                                 "--kernel", "popcount"])
-        b = infer_lines(capsys, ["--model", str(ws["model"]), "--image", str(ws["ppm"]),
-                                 "--kernel", "naive"])
-        assert a == b
-
     def test_missing_image(self, ws):
         assert main(["infer", "--model", str(ws["model"]), "--image", "/nope.ppm"]) == 2
 

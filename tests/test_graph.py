@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ern.compiler import compile_checkpoint, gen_random_checkpoint
+from ern.compiler import CheckpointManifest, BnActRecord, compile_checkpoint, gen_random_checkpoint
 from ern.errors import ConfigError, ShapeError
 from ern.graph import (
     ARCHITECTURES,
@@ -21,7 +23,6 @@ from ern.graph import (
     macs_for_conv,
     model_stats,
     trace_shapes,
-    validate_graph,
 )
 from ern.kernels import ConvSpec
 
@@ -30,7 +31,7 @@ from conftest import random_image
 
 def tiny_nodes():
     return [
-        PixelEmbed("embed", 1, 2, "image", "embed.out"),
+        PixelEmbed("embed", 1, "image", "embed.out"),
         Conv("c1", ConvSpec(3, 4, 1, 1), False, "embed.out", "c1.out"),
         BnAct("b1", 4, "c1.out", "b1.out"),
         FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
@@ -40,7 +41,7 @@ def tiny_nodes():
 
 class TestValidation:
     def test_tiny_graph_passes_without_lane_rule(self):
-        edges = validate_graph(GraphDef(tuple(tiny_nodes())))
+        edges = GraphDef(tuple(tiny_nodes())).edges
         assert edges["c1.out"].kind == "acc"
         assert edges["c1.out"].bound == 3 * 3
         assert edges["b1.out"].kind == "act2"
@@ -49,30 +50,30 @@ class TestValidation:
         nodes = tiny_nodes()
         nodes[1] = Conv("c1", ConvSpec(3, 4, 1, 1), False, "nowhere", "c1.out")
         with pytest.raises(ConfigError, match="undefined edge"):
-            validate_graph(GraphDef(tuple(nodes)))
+            GraphDef(tuple(nodes))
 
     def test_duplicate_edge(self):
         nodes = tiny_nodes()
         nodes.insert(2, Conv("c2", ConvSpec(3, 4, 1, 1), False, "embed.out", "c1.out"))
         with pytest.raises(ConfigError, match="produced twice"):
-            validate_graph(GraphDef(tuple(nodes)))
+            GraphDef(tuple(nodes))
 
     def test_kind_mismatch(self):
         nodes = tiny_nodes()
         # conv consuming an accumulator edge
         nodes[2] = Conv("b1", ConvSpec(4, 4, 1, 1), False, "c1.out", "b1.out")
         with pytest.raises(ConfigError, match="needs a act2 edge"):
-            validate_graph(GraphDef(tuple(nodes)))
+            GraphDef(tuple(nodes))
 
     def test_channel_mismatch(self):
         nodes = tiny_nodes()
         nodes[2] = BnAct("b1", 8, "c1.out", "b1.out")
         with pytest.raises(ConfigError, match="channels"):
-            validate_graph(GraphDef(tuple(nodes)))
+            GraphDef(tuple(nodes))
 
     def test_residual_requires_const_scaled_branches(self):
         nodes = [
-            PixelEmbed("embed", 1, 2, "image", "embed.out"),
+            PixelEmbed("embed", 1, "image", "embed.out"),
             Conv("c1", ConvSpec(3, 4, 1, 1), True, "embed.out", "c1.out"),
             Conv("c2", ConvSpec(3, 4, 1, 1), False, "embed.out", "c2.out"),
             ResidualAdd("add", "c1.out", "c2.out", "add.out"),
@@ -81,11 +82,11 @@ class TestValidation:
             AvgPoolScale("pool", "f.out", "logits"),
         ]
         with pytest.raises(ConfigError, match="const-scaled"):
-            validate_graph(GraphDef(tuple(nodes)))
+            GraphDef(tuple(nodes))
 
     def test_residual_bound_accumulates(self):
         nodes = [
-            PixelEmbed("embed", 1, 2, "image", "embed.out"),
+            PixelEmbed("embed", 1, "image", "embed.out"),
             Conv("c1", ConvSpec(3, 4, 1, 1), True, "embed.out", "c1.out"),
             Conv("c2", ConvSpec(3, 4, 3, 3, (1, 1), (1, 1)), True, "embed.out", "c2.out"),
             ResidualAdd("add", "c1.out", "c2.out", "add.out"),
@@ -93,14 +94,22 @@ class TestValidation:
             FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
             AvgPoolScale("pool", "f.out", "logits"),
         ]
-        edges = validate_graph(GraphDef(tuple(nodes)))
+        edges = GraphDef(tuple(nodes)).edges
         assert edges["add.out"].bound == 9 + 81
 
     def test_pool_must_consume_final_conv(self):
         nodes = tiny_nodes()
         nodes[4] = AvgPoolScale("pool", "c1.out", "logits")
         with pytest.raises(ConfigError, match="final conv"):
-            validate_graph(GraphDef(tuple(nodes)))
+            GraphDef(tuple(nodes))
+
+    def test_last_reader(self):
+        g50 = build_model(arch_config("erns50"))
+        assert g50.edges["s1.b1.bn0.out"].last_reader == "s1.b1.conv1"
+        assert g50.edges["s1.b1.add.out"].last_reader == "s1.b2.add"
+        g18 = build_model(arch_config("erns18"))
+        assert g18.edges["stem.conv4.out"].last_reader == "s1.b1.add"
+        assert g18.edges["logits"].last_reader is None
 
 
 class TestArchitectures:
@@ -219,12 +228,60 @@ class TestExecution:
     def test_record_keeps_intermediates(self, erns18_model, rng):
         r = execute(erns18_model, random_image(rng), record=True)
         g = erns18_model.graph
-        assert set(r.acts) == {"embed.out"} | {bn.dst for bn in g.bnacts}
-        conv_edges = {n.dst for n in g.convs}
-        add_edges = {n.dst for n in g.nodes if isinstance(n, ResidualAdd)}
-        assert set(r.accs) == conv_edges | add_edges
-        for acc in r.accs.values():
-            assert acc.dtype == np.int32
+        assert set(r.values) == set(g.edges)
+        acc_edges = [e for e, info in g.edges.items() if info.kind == "acc"]
+        assert len(acc_edges) == len(g.convs) + sum(isinstance(n, ResidualAdd) for n in g.nodes)
+        for e in acc_edges:
+            assert r.values[e].dtype == np.int32, e
+        assert execute(erns18_model, random_image(rng)).values == {}
+
+    def test_intermediates_dropped_after_last_reader(self, erns50_model, rng):
+        img = random_image(rng, 32)
+
+        def peak(record):
+            tracemalloc.start()
+            try:
+                r = execute(erns50_model, img, record=record)
+                return tracemalloc.get_traced_memory()[1], r.logits
+            finally:
+                tracemalloc.stop()
+
+        lean, a = peak(False)
+        kept, b = peak(True)
+        assert a.tobytes() == b.tobytes()
+        assert lean < kept
+
+    def test_residual_reading_one_edge_twice(self):
+        # add(c1, c1) is valid; execute must drop c1 once, after the add
+        g = GraphDef(
+            (
+                PixelEmbed("embed", 1, "image", "embed.out"),
+                Conv("c1", ConvSpec(3, 4, 1, 1), True, "embed.out", "c1.out"),
+                ResidualAdd("add", "c1.out", "c1.out", "add.out"),
+                BnAct("b1", 4, "add.out", "b1.out"),
+                FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
+                AvgPoolScale("pool", "f.out", "logits"),
+            )
+        )
+        assert g.edges["c1.out"].last_reader == "add"
+        assert g.edges["add.out"].bound == 2 * 9
+        rng = np.random.default_rng(0)
+        bn = BnActRecord(
+            gamma=np.ones(4), beta=np.zeros(4), mean=np.zeros(4), var=np.ones(4),
+            epsilon=1e-5, act_scale=1.0,
+        )
+        m = CheckpointManifest(
+            arch="toy",
+            k=1,
+            convs={"c1": rng.standard_normal((4, 3, 1, 1)), "f": rng.standard_normal((2, 4, 1, 1))},
+            bnacts={"b1": bn},
+        )
+        model = compile_checkpoint(m, graph=g)
+        img = random_image(rng, 8)
+        rec = execute(model, img, record=True)
+        assert np.array_equal(rec.values["add.out"], 2 * rec.values["c1.out"])
+        for kernel in ("popcount", "naive"):
+            assert execute(model, img, kernel=kernel).logits.tobytes() == rec.logits.tobytes()
 
     def test_unknown_kernel(self, erns18_model):
         with pytest.raises(ConfigError):
@@ -244,7 +301,7 @@ class TestExecution:
         # 9x9 head map instead of 8x8
         img = rng.integers(0, 256, size=(3, 288, 288), dtype=np.uint8)
         r = execute(erns18_model, img, record=True)
-        assert r.accs["head.conv.out"].shape == (1000, 9, 9)
+        assert r.values["head.conv.out"].shape == (1000, 9, 9)
         assert np.all(np.isfinite(r.logits))
 
 
@@ -258,9 +315,8 @@ class TestScaleDoubling:
         m1 = gen_random_checkpoint("erns18x075", seed=5, shared_const=0.75)
         m2 = gen_random_checkpoint("erns18x075", seed=5, shared_const=1.5)
         g = m1.graph()
-        edges = validate_graph(g)
         for bn in g.bnacts:
-            if not edges[bn.src].const_scaled:
+            if not g.edges[bn.src].const_scaled:
                 continue
             rec = m2.bnacts[bn.name]
             rec.beta = rec.beta * 2.0

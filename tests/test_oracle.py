@@ -23,7 +23,7 @@ from conftest import random_image
 def toy_graph():
     return GraphDef(
         nodes=(
-            PixelEmbed("embed", 1, 2, "image", "embed.out"),
+            PixelEmbed("embed", 1, "image", "embed.out"),
             Conv("c1", ConvSpec(3, 4, 1, 1), False, "embed.out", "c1.out"),
             BnAct("b1", 4, "c1.out", "b1.out"),
             FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
@@ -89,14 +89,14 @@ class TestPencilModel:
 
     def test_embed_codes(self, model):
         r = execute(model, toy_image(), record=True)
-        codes = r.acts["embed.out"]
+        codes = r.values["embed.out"]
         assert np.array_equal(codes[0], [[0, 1], [2, 3]])
         assert np.array_equal(codes[1], np.zeros((2, 2)))
         assert np.array_equal(codes[2], np.full((2, 2), 3))
 
     def test_conv_accumulators(self, model):
         r = execute(model, toy_image(), record=True)
-        acc = r.accs["c1.out"]
+        acc = r.values["c1.out"]
         assert np.array_equal(acc[0], [[3, 4], [5, 6]])
         assert np.array_equal(acc[1], [[3, 2], [1, 0]])
         assert np.array_equal(acc[2], [[3, 4], [5, 6]])
@@ -113,7 +113,7 @@ class TestPencilModel:
 
     def test_quantized_codes(self, model):
         r = execute(model, toy_image(), record=True)
-        codes = r.acts["b1.out"]
+        codes = r.values["b1.out"]
         assert np.array_equal(codes[0], [[0, 0], [1, 2]])
         assert np.array_equal(codes[1], [[1, 1], [0, 0]])
         assert np.array_equal(codes[2], [[0, 0], [1, 2]])
@@ -121,7 +121,7 @@ class TestPencilModel:
 
     def test_head_and_logits(self, model):
         r = execute(model, toy_image(), record=True)
-        raw = r.accs["f.out"]
+        raw = r.values["f.out"]
         assert np.array_equal(raw[0], [[1, 2], [2, 3]])
         assert np.array_equal(raw[1], [[1, 0], [-2, -3]])
         assert model.alpha_out == 0.375
@@ -129,12 +129,12 @@ class TestPencilModel:
 
     def test_oracle_matches_hand_values(self, om):
         r = oracle_execute(om, toy_image())
-        assert np.array_equal(r.codes["b1.out"][3], [[0, 1], [2, 3]])
-        assert np.array_equal(r.raw["f.out"][0], [[1, 2], [2, 3]])
+        assert np.array_equal(r.values["b1.out"][3], [[0, 1], [2, 3]])
+        assert np.array_equal(r.values["f.out"][0], [[1, 2], [2, 3]])
         assert r.logits.tolist() == [0.75, -0.375]
 
     def test_cross_check_passes_clean(self, model, om):
-        rep = cross_check(model, om, [toy_image()], kernel="naive")
+        rep = cross_check(model, om, [toy_image()])
         assert rep.ok
         assert rep.max_logit_rel_err == 0.0
         assert rep.first_divergence is None
@@ -150,7 +150,7 @@ class TestZeroImage:
     def test_embed_all_zero_codes(self, erns18_model):
         img = np.zeros((3, 64, 64), np.uint8)
         r = execute(erns18_model, img, record=True)
-        assert not r.acts["embed.out"].any()
+        assert not r.values["embed.out"].any()
         assert np.all(np.isfinite(r.logits))
 
 

@@ -32,11 +32,6 @@ class TestParams:
         with pytest.raises(DomainError):
             thermo_params(k)
 
-    @pytest.mark.parametrize("l", [0, 9])
-    def test_rejects_bad_bit_width(self, l):
-        with pytest.raises(DomainError):
-            thermo_params(4, l)
-
 
 class TestK2Sweep:
     # k=2, l=2: the 7-level staircase over the 8-bit range
