@@ -19,6 +19,7 @@ this one is the documented file-format convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ class ThermoParams:
     s: int
     w: np.ndarray  # per-index slope, length k
     b: np.ndarray  # per-index offset, length k
+    table: np.ndarray  # (k, 256) uint8 code of every 8-bit input, read-only
 
     @property
     def levels(self) -> int:
@@ -41,21 +43,29 @@ class ThermoParams:
         return (NUM_CODES - 1) * self.k + 1
 
 
+@functools.cache
 def thermo_params(k: int) -> ThermoParams:
-    """Build 2-bit encoding parameters for vector length k."""
+    """Build 2-bit encoding parameters for vector length k.
+
+    Cached per k, so the code table is built once; every array is
+    read-only because all callers share it.
+    """
     if k < 1:
         raise DomainError(f"thermometer length k must be >= 1, got {k}")
     s = max(1, int(255 // ((NUM_CODES - 1) * k)))
     idx = np.arange(k, dtype=np.float64)
     w = np.full(k, 1.0 / (s * k), dtype=np.float64)
     b = 1.0 - (idx + 1.0) / k
-    return ThermoParams(k=k, s=s, w=w, b=b)
+    table = _code_table(w, b)
+    for arr in (w, b, table):
+        arr.flags.writeable = False
+    return ThermoParams(k=k, s=s, w=w, b=b, table=table)
 
 
-def _code_table(p: ThermoParams) -> np.ndarray:
+def _code_table(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(k, 256) uint8 table of codes for every possible 8-bit input."""
     x = np.arange(256, dtype=np.float64)
-    y = p.w[:, None] * x[None, :] + p.b[:, None]
+    y = w[:, None] * x[None, :] + b[:, None]
     note_float_ops(2 * y.size)
     z = np.clip(np.floor(y), 0, NUM_CODES - 1)
     return z.astype(np.uint8)
@@ -65,7 +75,7 @@ def encode_pixel(x: int, p: ThermoParams) -> np.ndarray:
     """Encode one 8-bit value into its length-k code vector."""
     if not 0 <= int(x) <= 255:
         raise DomainError(f"pixel value must be in [0, 255], got {x}")
-    return _code_table(p)[:, int(x)].copy()
+    return p.table[:, int(x)].copy()
 
 
 def encode_image(img: np.ndarray, p: ThermoParams) -> np.ndarray:
@@ -82,7 +92,6 @@ def encode_image(img: np.ndarray, p: ThermoParams) -> np.ndarray:
         if img.min() < 0 or img.max() > 255:
             raise DomainError("image values must be in [0, 255]")
         img = img.astype(np.uint8)
-    table = _code_table(p)
-    codes = table[:, img]  # (k, 3, H, W)
+    codes = p.table[:, img]  # (k, 3, H, W)
     codes = np.moveaxis(codes, 0, 1)  # (3, k, H, W)
     return np.ascontiguousarray(codes.reshape(3 * p.k, *img.shape[1:]))

@@ -58,13 +58,12 @@ def ensure_act2(a: np.ndarray) -> np.ndarray:
 
 def _pack_lanes(bits: np.ndarray, axis: int) -> np.ndarray:
     """Pack a 0/1 array along `axis` (length multiple of 64) into uint64 words."""
-    lanes = np.moveaxis(bits, axis, 0)
-    n = lanes.shape[0]
-    assert n % LANES == 0
-    lanes = lanes.reshape(n // LANES, LANES, *lanes.shape[1:]).astype(np.uint64)
-    shifts = _SHIFTS.reshape((1, LANES) + (1,) * (lanes.ndim - 2))
-    words = np.bitwise_or.reduce(lanes << shifts, axis=1)
-    return np.moveaxis(words, 0, axis)
+    lanes = np.ascontiguousarray(np.moveaxis(bits, axis, -1), dtype=np.uint8)
+    assert lanes.shape[-1] % LANES == 0
+    # little bit order within each byte and little-endian bytes within each
+    # word put lane j of a word at bit j on any host
+    words = np.packbits(lanes, axis=-1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(np.moveaxis(words, -1, axis), dtype=np.uint64)
 
 
 def _unpack_lanes(words: np.ndarray, axis: int, count: int) -> np.ndarray:
@@ -135,12 +134,11 @@ def pack_activations(a: np.ndarray) -> PackedPlanes:
     """
     a = ensure_act2(a)
     c, h, w = a.shape
-    c_pad = padded_channels(c)
-    if c_pad != c:
-        padded = np.zeros((c_pad, h, w), dtype=np.uint8)
-        padded[:c] = a
-        a = padded
-    return PackedPlanes(hi=_pack_lanes(a >> 1, 0), lo=_pack_lanes(a & 1, 0), channels=c)
+    # one transposing copy to channel-last, so both planes pack contiguous rows
+    lanes = np.zeros((h, w, padded_channels(c)), dtype=np.uint8)
+    lanes[..., :c] = np.moveaxis(a, 0, -1)
+    lanes = np.moveaxis(lanes, -1, 0)
+    return PackedPlanes(hi=_pack_lanes(lanes >> 1, 0), lo=_pack_lanes(lanes & 1, 0), channels=c)
 
 
 def unpack_activations(p: PackedPlanes, channels: int) -> np.ndarray:

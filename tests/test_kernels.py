@@ -3,13 +3,14 @@ import pytest
 
 from ern.errors import ShapeError
 from ern.kernels import (
+    _BLOCK_BYTES,
     ConvSpec,
     avgpool_and_scale,
     conv_w1a2_naive,
     conv_w1a2_popcount,
     residual_add,
 )
-from ern.tensor import pack_activations, pack_weights
+from ern.tensor import LANES, pack_activations, pack_weights, padded_channels
 
 
 def run_both(codes, signs, spec):
@@ -86,6 +87,65 @@ class TestEquivalence:
             conv_w1a2_naive(codes, signs, spec)
         with pytest.raises(ShapeError):
             conv_w1a2_popcount(pack_activations(codes), pack_weights(signs, np.ones(2)), spec)
+
+
+def oc_block(spec, h, w):
+    """Output channels per block of the popcount kernel for this input."""
+    oh, ow = spec.out_spatial(h, w)
+    words = padded_channels(spec.in_ch) // LANES
+    return max(1, _BLOCK_BYTES // (2 * words * oh * ow * 8))
+
+
+class TestBlockedKernel:
+    """Shapes that split the popcount kernel's output-channel blocks."""
+
+    def test_ragged_last_block(self, rng):
+        spec = ConvSpec(70, 23, 3, 3, (1, 1), (1, 1))
+        block = oc_block(spec, 48, 48)
+        assert 1 < block < spec.out_ch and spec.out_ch % block
+        codes = rng.integers(0, 4, size=(70, 48, 48), dtype=np.uint8)
+        signs = rng.choice([-1, 1], size=(23, 70, 3, 3)).astype(np.int8)
+        naive, pop = run_both(codes, signs, spec)
+        assert np.array_equal(naive, pop)
+
+    def test_stock_stem(self, rng):
+        spec = ConvSpec(30, 64, 3, 3, (2, 2), (1, 1))
+        assert oc_block(spec, 64, 64) < spec.out_ch
+        codes = rng.integers(0, 4, size=(30, 64, 64), dtype=np.uint8)
+        signs = rng.choice([-1, 1], size=(64, 30, 3, 3)).astype(np.int8)
+        naive, pop = run_both(codes, signs, spec)
+        assert pop.shape == (64, 32, 32)
+        assert np.array_equal(naive, pop)
+
+    def test_head(self, rng):
+        spec = ConvSpec(2048, 1000, 1, 1)
+        assert oc_block(spec, 7, 7) < spec.out_ch
+        codes = rng.integers(0, 4, size=(2048, 7, 7), dtype=np.uint8)
+        signs = rng.choice([-1, 1], size=(1000, 2048, 1, 1)).astype(np.int8)
+        naive, pop = run_both(codes, signs, spec)
+        assert np.array_equal(naive, pop)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "spec,size",
+        [(ConvSpec(2048, 1000, 1, 1), 7), (ConvSpec(30, 64, 3, 3, (2, 2)), 65)],
+    )
+    def test_extreme_codes_hit_bound(self, spec, size, sign):
+        codes = np.full((spec.in_ch, size, size), 3, dtype=np.uint8)
+        signs = np.full((spec.out_ch, spec.in_ch, spec.kh, spec.kw), sign, dtype=np.int8)
+        naive, pop = run_both(codes, signs, spec)
+        assert (pop == sign * spec.acc_bound).all()
+        assert np.array_equal(naive, pop)
+
+    def test_wide_counter_for_large_kernels(self, rng):
+        # 33 * 33 taps of 64 set lanes reach 69696 in one counter, past uint16
+        spec = ConvSpec(64, 3, 33, 33)
+        codes = np.full((64, 34, 34), 3, dtype=np.uint8)
+        signs = np.ones((3, 64, 33, 33), dtype=np.int8)
+        signs[2] = rng.choice([-1, 1], size=(64, 33, 33))
+        naive, pop = run_both(codes, signs, spec)
+        assert (pop[:2] == spec.acc_bound).all()
+        assert np.array_equal(naive, pop)
 
 
 class TestResidualAdd:

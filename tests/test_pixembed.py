@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ern import pixembed
 from ern.errors import DomainError, ShapeError
 from ern.pixembed import encode_image, encode_pixel, thermo_params
 
@@ -65,6 +66,23 @@ class TestSweepProperties:
         p = thermo_params(10)
         assert tuple(encode_pixel(0, p)) == (0,) * 10
         assert tuple(encode_pixel(255, p)) == (3,) * 10
+
+
+    def test_code_table_built_once_per_k(self, monkeypatch, rng):
+        p = thermo_params(7)
+        assert thermo_params(7) is p
+        assert p.table.shape == (7, 256)
+        assert not p.table.flags.writeable
+        with pytest.raises(ValueError):
+            p.table[0, 0] = 1
+
+        def rebuilt(*args):
+            raise AssertionError("code table rebuilt")
+
+        monkeypatch.setattr(pixembed, "_code_table", rebuilt)
+        img = rng.integers(0, 256, size=(3, 2, 2), dtype=np.uint8)
+        assert encode_image(img, p).shape == (21, 2, 2)
+        assert encode_pixel(255, p).tolist() == [3] * 7
 
 
 class TestEncodeImage:

@@ -51,6 +51,17 @@ class TestPackActivations:
         assert not (packed.hi[1] & pad_mask).any()
         assert not (packed.lo[1] & pad_mask).any()
 
+    @pytest.mark.parametrize("channel", [0, 1, 63, 64, 127, 129])
+    def test_bit_position(self, channel):
+        codes = np.zeros((130, 2, 3), dtype=np.uint8)
+        codes[channel, 1, 2] = 3
+        packed = pack_activations(codes)
+        expect = np.zeros((3, 2, 3), dtype=np.uint64)
+        expect[channel // LANES, 1, 2] = np.uint64(1) << np.uint64(channel % LANES)
+        # pad lanes 130..191 stay 0
+        assert np.array_equal(packed.hi, expect)
+        assert np.array_equal(packed.lo, expect)
+
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(DomainError):
             pack_activations(np.full((2, 2, 2), 4, dtype=np.uint8))
@@ -91,6 +102,17 @@ class TestPackWeights:
         # lanes 3..63 carry +1 so packed words are deterministic
         pad_mask = np.uint64((2**64 - 1) ^ 0b111)
         assert ((w.bits & pad_mask) == pad_mask).all()
+
+    @pytest.mark.parametrize("channel", [0, 1, 63, 64, 127, 129])
+    def test_bit_position(self, channel):
+        signs = -np.ones((2, 130, 1, 2), dtype=np.int8)
+        signs[1, channel, 0, 1] = 1
+        w = pack_weights(signs, np.ones(2))
+        # pad lanes 130..191 of the last word are 1
+        expect = np.zeros((2, 3, 1, 2), dtype=np.uint64)
+        expect[:, 2] = np.uint64((2**64 - 1) ^ 0b11)
+        expect[1, channel // LANES, 0, 1] |= np.uint64(1) << np.uint64(channel % LANES)
+        assert np.array_equal(w.bits, expect)
 
     def test_rejects_non_sign_values(self):
         with pytest.raises(DomainError):
