@@ -42,6 +42,7 @@ from .errors import (
     ConfigError,
     DomainError,
     FormatError,
+    ShapeError,
     TruncationError,
     VersionError,
 )
@@ -65,6 +66,8 @@ LAYER_CONV = 1
 LAYER_BNACT = 2
 LAYER_FINAL = 3
 _ENDIAN_LITTLE = 1
+# one BnAct channel: t1, t2, t3, direction byte, degenerate byte
+_BNACT_CHANNEL = np.dtype("<i8, <i8, <i8, u1, u1")
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +145,8 @@ def load_manifest(path: str | Path) -> CheckpointManifest:
     )
     for name, entry in doc.get("layers", {}).items():
         try:
-            raw = np.frombuffer((root / entry["file"]).read_bytes(), dtype="<f4")
+            # a writable float32 array; compile and the oracle widen one layer at a time
+            raw = np.fromfile(root / entry["file"], dtype="<f4")
         except OSError as e:
             raise ConfigError(f"layer '{name}': cannot read blob: {e}") from e
         except KeyError as e:
@@ -153,7 +157,7 @@ def load_manifest(path: str | Path) -> CheckpointManifest:
                 raise ConfigError(f"layer '{name}': conv entry needs a 4-dim shape")
             if raw.size != int(np.prod(shape)):
                 raise ConfigError(f"layer '{name}': blob holds {raw.size} floats, shape {shape}")
-            m.convs[name] = raw.reshape(shape).astype(np.float64)
+            m.convs[name] = raw.reshape(shape).astype(np.float32, copy=False)
         elif entry.get("kind") == "bnact":
             c = int(entry.get("channels", 0))
             if raw.size != 4 * c:
@@ -258,9 +262,10 @@ def compile_checkpoint(
                 node.name, f"weights shaped {w.shape}, expected {(s.out_ch, s.in_ch, s.kh, s.kw)}"
             )
         w = np.asarray(w, dtype=np.float64)
-        if not np.all(np.isfinite(w)):
-            raise CompileError(node.name, "weights contain non-finite values")
-        signs, alpha = binarize_weights(w)
+        try:
+            signs, alpha = binarize_weights(w)
+        except DomainError:
+            raise CompileError(node.name, "weights contain non-finite values") from None
         zero = alpha == 0.0
         if zero.any():
             warnings.warn(
@@ -361,19 +366,13 @@ def serialize(model: CompiledModel) -> bytes:
             out.write(struct.pack("<B", LAYER_BNACT))
             out.write(_pack_str(node.name))
             out.write(struct.pack("<H", node.channels))
-            for ch in range(node.channels):
-                if tbl.degenerate[ch]:
-                    t = (int(tbl.const_code[ch]), 0, 0)
-                else:
-                    t = tuple(int(v) for v in tbl.t[ch])
-                out.write(
-                    struct.pack(
-                        "<qqqBB",
-                        *t,
-                        1 if tbl.ascending[ch] else 0,
-                        1 if tbl.degenerate[ch] else 0,
-                    )
-                )
+            t = np.where(tbl.degenerate[:, None], 0, tbl.t)
+            t[:, 0] = np.where(tbl.degenerate, tbl.const_code, t[:, 0])
+            rec = np.empty(node.channels, dtype=_BNACT_CHANNEL)
+            rec["f0"], rec["f1"], rec["f2"] = t.T
+            rec["f3"] = tbl.ascending
+            rec["f4"] = tbl.degenerate
+            out.write(rec.tobytes())
     body = out.getvalue()
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -396,16 +395,30 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def string(self) -> str:
+    def string(self) -> bytes:
+        """A length-prefixed string, still encoded; see :func:`_decode`."""
         (n,) = self.unpack("<H")
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"string is not valid UTF-8: {e}") from None
+        return self.take(n)
+
+
+def _decode(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"string is not valid UTF-8: {e}") from None
 
 
 def load(data: bytes) -> CompiledModel:
-    """Decode .ern bytes, verifying magic, version, structure, and CRC."""
+    """Decode .ern bytes, verifying magic, version, length, CRC, then structure.
+
+    The record layout is walked first, reading only the length and count
+    fields, to tell a file that ends early (:class:`TruncationError`) from
+    one whose bytes changed; the CRC is then checked before any other
+    field is interpreted, so a corrupt body raises :class:`ChecksumError`.
+    A corrupted length or count can still read as a truncation, because
+    it is walked before the CRC.  Every other defect of a file with a
+    valid CRC raises a :class:`FormatError`.
+    """
     if len(data) < 4:
         raise TruncationError(f"{len(data)} bytes is too short for a model file")
     if data[:4] != MAGIC:
@@ -420,63 +433,81 @@ def load(data: bytes) -> CompiledModel:
 
     r = _Reader(data, limit=len(data) - 4)
     r.pos = 8
-    arch = r.string()
+    arch_raw = r.string()
     k, shared_const = r.unpack("<Id")
     (endian,) = r.unpack("<B")
+    (layer_count,) = r.unpack("<I")
+    records = []
+    for _ in range(layer_count):
+        (kind,) = r.unpack("<B")
+        name = r.string()
+        if kind in (LAYER_CONV, LAYER_FINAL):
+            geometry = r.unpack("<HHBBBBBBB")
+            alpha = r.take(8 * r.unpack("<I")[0])
+            words = r.take(8 * r.unpack("<I")[0])
+            records.append((kind, name, geometry, alpha, words))
+        elif kind == LAYER_BNACT:
+            (channels,) = r.unpack("<H")
+            records.append((kind, name, channels, r.take(_BNACT_CHANNEL.itemsize * channels)))
+        else:
+            records.append((kind, name))  # unknown layout: reported after the CRC
+            break
+    (stored_crc,) = struct.unpack("<I", data[-4:])
+    if zlib.crc32(data[:-4]) != stored_crc:
+        raise ChecksumError("body CRC32 does not match the stored checksum")
+
     if endian != _ENDIAN_LITTLE:
         raise FormatError(f"unsupported endianness tag {endian}")
-    (layer_count,) = r.unpack("<I")
-
-    cfg = arch_config(arch)
-    g = build_model(cfg, k)
+    if not 1 <= 3 * k <= 0xFFFF:
+        raise FormatError(f"thermometer length {k} does not fit the stem conv record")
+    arch = _decode(arch_raw)
+    g = build_model(arch_config(arch), k)
     by_name = {n.name: n for n in g.nodes}
 
     weights: dict[str, PackedWeights] = {}
     thresholds: dict[str, ThresholdTable] = {}
     alpha_out = 1.0
-    for _ in range(layer_count):
-        (kind,) = r.unpack("<B")
-        name = r.string()
+    for kind, name, *fields in records:
+        name = _decode(name)
         node = by_name.get(name)
         if node is None:
             raise FormatError(f"layer '{name}' is not part of architecture '{arch}'")
         if kind in (LAYER_CONV, LAYER_FINAL):
-            oc, ic, kh, kw, sh, sw, ph, pw, const_flag = r.unpack("<HHBBBBBBB")
+            (oc, ic, kh, kw, sh, sw, ph, pw, const_flag), alpha, words = fields
             spec = getattr(node, "spec", None)
             if spec != ConvSpec(ic, oc, kh, kw, (sh, sw), (ph, pw)):
                 raise FormatError(f"layer '{name}': stored shape disagrees with architecture")
-            (n_alpha,) = r.unpack("<I")
-            alpha = np.frombuffer(r.take(8 * n_alpha), dtype="<f8").astype(np.float64)
-            (n_words,) = r.unpack("<I")
+            alpha = np.frombuffer(alpha, dtype="<f8").astype(np.float64)
             shape = (oc, padded_channels(ic) // LANES, kh, kw)
+            n_words = len(words) // 8
             if n_words != int(np.prod(shape)):
                 raise FormatError(f"layer '{name}': {n_words} weight words, expected {np.prod(shape)}")
-            bits = np.frombuffer(r.take(8 * n_words), dtype="<u8").astype(np.uint64).reshape(shape)
+            bits = np.frombuffer(words, dtype="<u8").astype(np.uint64).reshape(shape)
             weights[name] = PackedWeights(
                 bits=bits, alpha=alpha, in_channels=ic, const_scaled=bool(const_flag)
             )
             if kind == LAYER_FINAL:
                 alpha_out = float(alpha[0])
         elif kind == LAYER_BNACT:
-            (channels,) = r.unpack("<H")
+            channels, raw = fields
             if getattr(node, "channels", None) != channels:
                 raise FormatError(f"layer '{name}': stored width disagrees with architecture")
-            raw = np.frombuffer(r.take(26 * channels), dtype=np.dtype("<i8, <i8, <i8, u1, u1"))
+            raw = np.frombuffer(raw, dtype=_BNACT_CHANNEL)
             t = np.stack([raw["f0"], raw["f1"], raw["f2"]], axis=1).astype(np.int64)
-            ascending = raw["f3"].astype(bool)
             degenerate = raw["f4"].astype(bool)
-            const_code = np.where(degenerate, t[:, 0], 0).astype(np.uint8)
-            t = np.where(degenerate[:, None], 0, t)
-            thresholds[name] = ThresholdTable(
-                t=t, ascending=ascending, degenerate=degenerate, const_code=const_code
-            )
+            try:
+                thresholds[name] = ThresholdTable(
+                    t=np.where(degenerate[:, None], 0, t),
+                    ascending=raw["f3"].astype(bool),
+                    degenerate=degenerate,
+                    const_code=np.where(degenerate, t[:, 0], 0),
+                )
+            except (DomainError, ShapeError) as e:
+                raise FormatError(f"layer '{name}': {e}") from None
         else:
             raise FormatError(f"unknown layer record kind {kind}")
     if r.pos != len(data) - 4:
         raise FormatError(f"{len(data) - 4 - r.pos} unexpected trailing bytes before checksum")
-    (stored_crc,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise ChecksumError("body CRC32 does not match the stored checksum")
 
     missing = ({n.name for n in g.convs} | {n.name for n in g.bnacts}) - (
         set(weights) | set(thresholds)

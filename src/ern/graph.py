@@ -21,7 +21,8 @@ so its odd width costs nothing extra).
 Execution is pure integer arithmetic from the pixel-embedding output to
 the final conv accumulator; each call counts float ops in its own
 counter, reports the delta across that segment (which must be zero), and
-additionally checks every intermediate dtype.  Unless it is recording,
+additionally checks every intermediate dtype.  Every act2 edge is held as
+packed bitplanes and every acc edge as int32.  Unless it is recording,
 ``execute`` drops each intermediate after its last reader runs.
 """
 
@@ -36,7 +37,8 @@ from .errors import ConfigError, ShapeError
 from .kernels import ConvSpec, avgpool_and_scale, conv_w1a2_naive, conv_w1a2_popcount, residual_add
 from .pixembed import encode_image, thermo_params
 from .quant import apply_thresholds
-from .tensor import LANES, pack_activations, padded_channels
+from .tensor import ACC_DTYPE, LANES, PackedPlanes, padded_channels, unpack_activations
+from .tensor import pack_activations  # noqa: F401  (kept as a public name of this module)
 
 CLASSES = 1000
 BOTTLENECK_EXPANSION = 4
@@ -524,7 +526,8 @@ def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = Fal
     the convolution path; both produce bit-identical accumulators.  Each
     intermediate is dropped after its last reader runs, unless ``record``
     is set: then every edge's value (image, code maps, accumulators,
-    logits) is kept in ``values`` for cross-checking.
+    logits) is kept in ``values`` for cross-checking, with act2 edges
+    unpacked to uint8 code maps.
     """
     if kernel not in ("popcount", "naive"):
         raise ConfigError(f"unknown kernel '{kernel}'")
@@ -532,8 +535,7 @@ def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = Fal
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected (3, H, W) image, got {img.shape}")
-    values: dict[str, np.ndarray] = {g.image_edge: img}
-    planes: dict[str, object] = {}  # act2 edge -> packed bitplanes, for the popcount kernel
+    values: dict[str, np.ndarray | PackedPlanes] = {g.image_edge: img}
 
     embed_mark = None
     final_mark = None
@@ -543,19 +545,18 @@ def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = Fal
                 out = encode_image(values[n.src], thermo_params(n.k))
                 embed_mark = ops.count
             elif isinstance(n, (Conv, FinalConv)):
-                w = model.weights[n.name]
+                x, w = values[n.src], model.weights[n.name]
                 if kernel == "popcount":
-                    if n.src not in planes:
-                        planes[n.src] = pack_activations(values[n.src])
-                    out = conv_w1a2_popcount(planes[n.src], w, n.spec)
+                    out = conv_w1a2_popcount(x, w, n.spec)
                 else:
-                    out = conv_w1a2_naive(values[n.src], w.unpack_signs(), n.spec)
-                assert np.issubdtype(out.dtype, np.integer)
+                    codes = unpack_activations(x, x.channels)
+                    out = conv_w1a2_naive(codes, w.unpack_signs(), n.spec)
+                assert out.dtype == ACC_DTYPE
                 if isinstance(n, FinalConv):
                     final_mark = ops.count
             elif isinstance(n, BnAct):
                 out = apply_thresholds(values[n.src], model.thresholds[n.name])
-                assert out.dtype == np.uint8
+                assert out.hi.dtype == out.lo.dtype == np.uint64
             elif isinstance(n, ResidualAdd):
                 out = residual_add(values[n.src_a], values[n.src_b])
             elif isinstance(n, AvgPoolScale):
@@ -566,10 +567,13 @@ def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = Fal
                 for src in {n.src_a, n.src_b} if isinstance(n, ResidualAdd) else {n.src}:
                     if g.edges[src].last_reader == n.name:
                         del values[src]
-                        planes.pop(src, None)
     float_ops_core = 0
     if embed_mark is not None and final_mark is not None:
         float_ops_core = final_mark - embed_mark
+    if record:
+        for name, v in values.items():
+            if isinstance(v, PackedPlanes):
+                values[name] = unpack_activations(v, v.channels)
     return ExecutionResult(
         logits=values[g.logits_edge],
         float_ops_core=float_ops_core,

@@ -26,6 +26,12 @@ accumulators:
 
 Zero padding uses activation code 0, which contributes exactly 0 to any
 +/-1-weighted sum, making pad semantics bit-exact.
+
+Accumulators are int32 from the conv output to the pool.  Every popcount
+total of a conv is at most its ``acc_bound``, far below 2**31, so the
+kernel sums and subtracts in int32 directly; the residual add sums in
+int32 and rejects any element whose true sum passes ``ACC_LIMIT`` in
+magnitude, detecting wrap-around without a wider temporary.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .instrument import note_float_ops
-from .tensor import ACC_DTYPE, LANES, PackedPlanes, PackedWeights, ensure_act2, popcount
+from .tensor import ACC_DTYPE, ACC_LIMIT, LANES, PackedPlanes, PackedWeights, ensure_act2, popcount
 
 
 @dataclass(frozen=True)
@@ -120,12 +126,19 @@ def conv_w1a2_popcount(x: PackedPlanes, w: PackedWeights, spec: ConvSpec) -> np.
     ph, pw = spec.padding
     nw = x.words
     taps = spec.kh * spec.kw
-    planes = np.pad(np.concatenate((x.hi, x.lo)), ((0, 0), (ph, ph), (pw, pw)))
-    windows = np.empty((taps, 2 * nw, oh * ow), dtype=np.uint64)
+    halves = (x.hi, x.lo)
+    if ph or pw:
+        planes = np.zeros((2 * nw, h + 2 * ph, wd + 2 * pw), dtype=np.uint64)
+        planes[:nw, ph : ph + h, pw : pw + wd] = x.hi
+        planes[nw:, ph : ph + h, pw : pw + wd] = x.lo
+        halves = (planes[:nw], planes[nw:])
+    # (taps, 2 * words, OH * OW): each tap's strided window, hi words then lo
+    windows = np.empty((taps, 2, nw, oh, ow), dtype=np.uint64)
     for t in range(taps):
-        win = _tap_window(planes, t // spec.kw, t % spec.kw, spec.stride, oh, ow)
-        windows[t] = win.reshape(2 * nw, oh * ow)
-    base = _hi_lo_sum(popcount(windows), nw).sum(axis=0, dtype=np.int64)
+        for half, p in enumerate(halves):
+            windows[t, half] = _tap_window(p, t // spec.kw, t % spec.kw, spec.stride, oh, ow)
+    windows = windows.reshape(taps, 2 * nw, oh * ow)
+    base = _hi_lo_sum(popcount(windows), nw).sum(axis=0, dtype=ACC_DTYPE)
     # (taps, OC, 2 * words, 1): each tap's weight words, once per plane
     wtaps = np.concatenate((w.bits, w.bits), axis=1).reshape(spec.out_ch, 2 * nw, taps)
     wtaps = np.ascontiguousarray(wtaps.transpose(2, 0, 1))[..., None]
@@ -136,7 +149,7 @@ def conv_w1a2_popcount(x: PackedPlanes, w: PackedWeights, spec: ConvSpec) -> np.
     anded = np.empty((block, 2 * nw, oh * ow), dtype=np.uint64)
     bits = np.empty(anded.shape, dtype=np.uint8)
     counts = np.empty(anded.shape, dtype=count_dtype)
-    acc = np.empty((spec.out_ch, oh * ow), dtype=np.int64)
+    acc = np.empty((spec.out_ch, oh * ow), dtype=ACC_DTYPE)
     for o0 in range(0, spec.out_ch, block):
         o1 = min(o0 + block, spec.out_ch)
         a, b, c = anded[: o1 - o0], bits[: o1 - o0], counts[: o1 - o0]
@@ -154,10 +167,10 @@ def _hi_lo_sum(counts: np.ndarray, nw: int) -> np.ndarray:
     """``2 * sum(hi words) + sum(lo words)`` over the stacked word axis (-2).
 
     Pad lanes are zero in both planes, so a total never exceeds the
-    conv's ``acc_bound``, which the int32 result must hold: uint32 is exact.
+    conv's ``acc_bound``, which the int32 result must hold: int32 is exact.
     """
-    return 2 * counts[..., :nw, :].sum(axis=-2, dtype=np.uint32) + counts[..., nw:, :].sum(
-        axis=-2, dtype=np.uint32
+    return 2 * counts[..., :nw, :].sum(axis=-2, dtype=ACC_DTYPE) + counts[..., nw:, :].sum(
+        axis=-2, dtype=ACC_DTYPE
     )
 
 
@@ -165,21 +178,32 @@ def _check_acc(acc: np.ndarray, spec: ConvSpec) -> np.ndarray:
     bound = spec.acc_bound
     if acc.size and (acc.max() > bound or acc.min() < -bound):
         raise ShapeError(f"accumulator exceeded bound {bound} for {spec}")
-    return acc.astype(ACC_DTYPE)
+    return acc.astype(ACC_DTYPE, copy=False)
 
 
 def residual_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise integer sum of two accumulator maps."""
+    """Elementwise int32 sum of two int32 accumulator maps.
+
+    Raises :class:`ShapeError` if any element's true sum has magnitude
+    above ``ACC_LIMIT`` (2**31 - 2), the range the threshold stage is
+    exact for.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ShapeError(f"residual shapes differ: {a.shape} vs {b.shape}")
-    if not (np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)):
-        raise ShapeError("residual_add requires integer accumulators")
-    out = a.astype(np.int64) + b.astype(np.int64)
-    if out.size and max(out.max(), -out.min()) >= np.iinfo(ACC_DTYPE).max:
-        raise ShapeError("residual sum overflows the 32-bit accumulator")
-    return out.astype(ACC_DTYPE)
+    if not (a.dtype == b.dtype == ACC_DTYPE):
+        raise ShapeError(f"residual_add requires {np.dtype(ACC_DTYPE)} accumulators")
+    out = a + b  # wraps modulo 2**32 where the true sum leaves the int32 range
+    if out.size and (
+        int(a.max()) + int(b.max()) > ACC_LIMIT or int(a.min()) + int(b.min()) < -ACC_LIMIT
+    ):
+        # some element may pass the limit; a wrapped sum moved away from a
+        # in the opposite direction to b
+        wrapped = (out < a) != (b < 0)
+        if wrapped.any() or out.max() > ACC_LIMIT or out.min() < -ACC_LIMIT:
+            raise ShapeError("residual sum overflows the 32-bit accumulator")
+    return out
 
 
 def avgpool_and_scale(acc: np.ndarray, alpha_out: float) -> np.ndarray:

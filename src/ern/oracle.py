@@ -6,11 +6,12 @@ scaled by alpha (or the shared constant c), batch-normalized, and passed
 through the explicit float quantizer.  It shares no kernel code with the
 integer engine, so agreement between the two certifies both.
 
-Sums of small integers are exact in 64-bit reals, so the convolution
-itself is exact here; the only rounding happens when a scale or the
-batch norm touches a value.  Residual branches therefore stay exactly
-c times the engine's integer accumulators: the oracle adds the unscaled
-(integer-valued) tensors and applies c lazily.
+The convolution is a float32 GEMM whose partial sums are integers below
+2**24, so it is exact, and its result is widened to 64-bit reals; the
+only rounding happens when a scale or the batch norm touches a value.
+Residual branches therefore stay exactly c times the engine's integer
+accumulators: the oracle adds the unscaled (integer-valued) tensors and
+applies c lazily.
 
 A cross-check can still legitimately disagree with the engine at
 positions where the pre-quantization value sits essentially on a code
@@ -54,7 +55,7 @@ class OracleModel:
     graph: GraphDef
     k: int
     shared_const: float
-    signs: dict[str, np.ndarray]  # (OC, IC, kh, kw) float64, +-1
+    signs: dict[str, np.ndarray]  # (OC, IC, kh, kw) int8, +-1
     edge_scale: dict[str, np.ndarray]  # acc edge -> (OC,) effective scale
     bns: dict[str, object]  # BnActRecord per BnAct node
     act_scale: dict[str, float]
@@ -82,15 +83,16 @@ def oracle_from_manifest(
         w = manifest.convs.get(node.name)
         if w is None:
             raise ConfigError(f"layer '{node.name}' missing from manifest")
-        w = np.asarray(w, dtype=np.float64)
-        signs[node.name] = np.where(w >= 0.0, 1.0, -1.0)
+        # signs read the manifest's floats as they are; scales widen to 64 bits
+        w = np.asarray(w)
+        signs[node.name] = 2 * (w >= 0.0).astype(np.int8) - 1
         if isinstance(node, FinalConv):
-            alpha_out = float(np.mean(np.abs(w))) or 1.0
+            alpha_out = float(np.mean(np.abs(w.astype(np.float64)))) or 1.0
             edge_scale[node.dst] = np.full(node.spec.out_ch, alpha_out)
         elif node.const_scaled:
             edge_scale[node.dst] = np.full(node.spec.out_ch, c)
         else:
-            alpha = np.abs(w).mean(axis=(1, 2, 3))
+            alpha = np.abs(w.astype(np.float64)).mean(axis=(1, 2, 3))
             edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
     for n in g.nodes:
         if isinstance(n, ResidualAdd):
@@ -133,13 +135,22 @@ def _thermo_codes(img: np.ndarray, k: int) -> np.ndarray:
 
 
 def _conv_im2col(codes: np.ndarray, w_signs: np.ndarray, stride, padding) -> np.ndarray:
+    """Convolve 2-bit codes with +/-1 signs as one float32 GEMM; returns float64.
+
+    Every product and partial sum is an integer of magnitude at most
+    3 * fan_in, and integers below 2**24 are exact in float32, so the
+    result is exact whatever order the GEMM sums in.
+    """
     ic, h, wd = codes.shape
     oc, wic, kh, kw = w_signs.shape
     if wic != ic:
         raise ShapeError(f"conv weights expect {wic} channels, got {ic}")
+    if 3 * ic * kh * kw >= 2**24:
+        raise ShapeError(f"fan-in {ic * kh * kw} is too large for an exact float32 GEMM")
     sh, sw = stride
     ph, pw = padding
-    x = np.pad(codes.astype(np.float64), ((0, 0), (ph, ph), (pw, pw)))
+    x = np.zeros((ic, h + 2 * ph, wd + 2 * pw), dtype=np.float32)
+    x[:, ph : ph + h, pw : pw + wd] = codes
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (wd + 2 * pw - kw) // sw + 1
     if oh < 1 or ow < 1:
@@ -147,7 +158,8 @@ def _conv_im2col(codes: np.ndarray, w_signs: np.ndarray, stride, padding) -> np.
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     win = win[:, ::sh, ::sw][:, :oh, :ow]  # (ic, oh, ow, kh, kw)
     cols = win.transpose(0, 3, 4, 1, 2).reshape(ic * kh * kw, oh * ow)
-    return (w_signs.reshape(oc, -1) @ cols).reshape(oc, oh, ow)
+    acc = w_signs.reshape(oc, -1).astype(np.float32) @ cols
+    return acc.astype(np.float64).reshape(oc, oh, ow)
 
 
 @dataclass(eq=False)

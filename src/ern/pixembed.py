@@ -15,6 +15,11 @@ RGB image becomes a 30-channel 2-bit activation map.
 Channel ordering is color-major: the k channels of R first, then G, then B.
 Any fixed order is valid (the first conv layer is permutation-covariant);
 this one is the documented file-format convention.
+
+The encoder writes packed bitplanes directly.  Colour c's k channels sit
+at fixed lanes, so for every 8-bit value the hi and lo words they
+contribute are precomputed once per k from the code table; an image is
+then three table lookups OR-ed together per word.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .instrument import note_float_ops
 from .quant import NUM_CODES
+from .tensor import PackedPlanes, pack_activations
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,8 @@ class ThermoParams:
     w: np.ndarray  # per-index slope, length k
     b: np.ndarray  # per-index offset, length k
     table: np.ndarray  # (k, 256) uint8 code of every 8-bit input, read-only
+    # (3, 2 * n, 256) uint64: n hi then n lo words per colour and input, read-only
+    words: np.ndarray
 
     @property
     def levels(self) -> int:
@@ -47,8 +55,8 @@ class ThermoParams:
 def thermo_params(k: int) -> ThermoParams:
     """Build 2-bit encoding parameters for vector length k.
 
-    Cached per k, so the code table is built once; every array is
-    read-only because all callers share it.
+    Cached per k, so the code and word tables are built once; every array
+    is read-only because all callers share it.
     """
     if k < 1:
         raise DomainError(f"thermometer length k must be >= 1, got {k}")
@@ -57,9 +65,10 @@ def thermo_params(k: int) -> ThermoParams:
     w = np.full(k, 1.0 / (s * k), dtype=np.float64)
     b = 1.0 - (idx + 1.0) / k
     table = _code_table(w, b)
-    for arr in (w, b, table):
+    words = _word_tables(table)
+    for arr in (w, b, table, words):
         arr.flags.writeable = False
-    return ThermoParams(k=k, s=s, w=w, b=b, table=table)
+    return ThermoParams(k=k, s=s, w=w, b=b, table=table, words=words)
 
 
 def _code_table(w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,6 +80,21 @@ def _code_table(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z.astype(np.uint8)
 
 
+def _word_tables(table: np.ndarray) -> np.ndarray:
+    """(3, 2 * n, 256) packed hi and lo words of each colour's k codes, n = words per plane.
+
+    Entry [c, :, x] is the planes of a 1x1 pixel whose colour c equals x
+    and whose other colours encode to code 0, so OR-ing one entry per
+    colour gives the planes of any pixel.
+    """
+    k = table.shape[0]
+    codes = np.zeros((3, 3 * k, 1, 256), dtype=np.uint8)
+    for c in range(3):
+        codes[c, c * k : (c + 1) * k, 0] = table
+    planes = [pack_activations(x) for x in codes]
+    return np.stack([np.concatenate((p.hi[:, 0], p.lo[:, 0])) for p in planes])
+
+
 def encode_pixel(x: int, p: ThermoParams) -> np.ndarray:
     """Encode one 8-bit value into its length-k code vector."""
     if not 0 <= int(x) <= 255:
@@ -78,8 +102,8 @@ def encode_pixel(x: int, p: ThermoParams) -> np.ndarray:
     return p.table[:, int(x)].copy()
 
 
-def encode_image(img: np.ndarray, p: ThermoParams) -> np.ndarray:
-    """Encode an 8-bit (3, H, W) image into a (3k, H, W) activation map.
+def encode_image(img: np.ndarray, p: ThermoParams) -> PackedPlanes:
+    """Encode an 8-bit (3, H, W) image into packed (3k, H, W) activation planes.
 
     Output channel c*k + i holds code i of input channel c.
     """
@@ -92,6 +116,8 @@ def encode_image(img: np.ndarray, p: ThermoParams) -> np.ndarray:
         if img.min() < 0 or img.max() > 255:
             raise DomainError("image values must be in [0, 255]")
         img = img.astype(np.uint8)
-    codes = p.table[:, img]  # (k, 3, H, W)
-    codes = np.moveaxis(codes, 0, 1)  # (3, k, H, W)
-    return np.ascontiguousarray(codes.reshape(3 * p.k, *img.shape[1:]))
+    planes = p.words[0][:, img[0]]  # (2 * n, H, W)
+    planes |= p.words[1][:, img[1]]
+    planes |= p.words[2][:, img[2]]
+    words = planes.shape[0] // 2
+    return PackedPlanes(hi=planes[:words], lo=planes[words:], channels=3 * p.k)

@@ -19,19 +19,38 @@ thresholds per channel, compared directly against the accumulator:
 Thresholds are stored sorted ascending with a direction flag.  All folding
 is done in 64-bit reals with a fixed evaluation order; the integer
 threshold path is canonical at real-arithmetic boundary ties.
+
+At run time the direction folds into a per-channel sign s = +/-1, so
+every channel counts the same way against sorted int32 thresholds ts:
+
+    code = #{ j : s * acc >= ts_j }
+
+(a descending channel has ts = -t reversed; a degenerate one has
+s = +1 and ``const_code`` copies of the int32 minimum followed by the
+int32 maximum).  Because ts is sorted, the three compares c1 >= c2 >= c3
+are nested, so the code's bits come out directly:
+
+    hi = (s * acc >= ts_2)        lo = c1 xor c2 xor c3
+
+and both are packed straight into the next layer's bitplanes; no code
+map is ever written.  Clamping thresholds into the int32 range is exact
+for every accumulator with |acc| <= ``ACC_LIMIT`` (2**31 - 2), the range
+the int32 convolution and residual add guarantee.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .instrument import note_float_ops
+from .tensor import ACC_DTYPE, ACC_LIMIT, PackedPlanes, pack_bitplanes, padded_channels
 
 NUM_CODES = 4  # 2-bit activations
 _WIDE_SENTINEL = np.int64(1) << 62  # threshold clamp when no accumulator bound is known
+_ACC = np.iinfo(ACC_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -84,12 +103,52 @@ class ThresholdTable:
     ``t`` is (C, 3) int64, sorted ascending per channel.  Ascending
     channels output #{j : acc >= t_j}; descending #{j : acc <= t_j}.
     Channels with gamma == 0 are degenerate and output ``const_code``.
+    Construction checks those invariants and builds the sign-folded
+    run-time form, ``sign`` (C, 1, 1) and ``ts`` (3, C, 1, 1), both int32.
     """
 
     t: np.ndarray
     ascending: np.ndarray
     degenerate: np.ndarray
     const_code: np.ndarray
+    sign: np.ndarray = field(init=False, compare=False, repr=False)
+    ts: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        t = np.asarray(self.t)
+        if t.ndim != 2 or t.shape[1] != NUM_CODES - 1 or not np.issubdtype(t.dtype, np.integer):
+            raise ShapeError(f"thresholds must be integer (C, {NUM_CODES - 1}), got {t.shape}")
+        c = t.shape[0]
+        flags = {n: np.asarray(getattr(self, n)) for n in ("ascending", "degenerate", "const_code")}
+        for name, arr in flags.items():
+            if arr.shape != (c,):
+                raise ShapeError(f"{name} must have {c} entries, got shape {arr.shape}")
+        if (t[:, 1:] < t[:, :-1]).any():
+            raise DomainError("thresholds must be sorted ascending per channel")
+        if ((flags["const_code"] < 0) | (flags["const_code"] >= NUM_CODES)).any():
+            raise DomainError(f"constant codes must lie in 0..{NUM_CODES - 1}")
+        t = t.astype(np.int64, copy=False)
+        ascending = flags["ascending"].astype(bool, copy=False)
+        degenerate = flags["degenerate"].astype(bool, copy=False)
+        const_code = flags["const_code"].astype(np.uint8, copy=False)
+
+        # clamp before negating so nothing overflows; both clamps keep every
+        # compare's outcome for |acc| <= ACC_LIMIT
+        ts = np.clip(t, _ACC.min, _ACC.max)
+        ts = np.clip(np.where(ascending[:, None], ts, -ts[:, ::-1]), _ACC.min, _ACC.max)
+        fixed = np.arange(NUM_CODES - 1) < const_code[:, None]
+        ts[degenerate] = np.where(fixed, _ACC.min, _ACC.max)[degenerate]
+        sign = np.where(ascending | degenerate, 1, -1).astype(ACC_DTYPE).reshape(c, 1, 1)
+        ts = np.ascontiguousarray(ts.T, dtype=ACC_DTYPE).reshape(NUM_CODES - 1, c, 1, 1)
+        for name, value in (
+            ("t", t),
+            ("ascending", ascending),
+            ("degenerate", degenerate),
+            ("const_code", const_code),
+            ("sign", sign),
+            ("ts", ts),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def channels(self) -> int:
@@ -109,7 +168,7 @@ def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"weights must be (OC, IC, kh, kw), got {w.shape}")
     if not np.isfinite(w).all():
         raise DomainError("weights contain NaN or Inf")
-    signs = np.where(w >= 0, 1, -1).astype(np.int8)
+    signs = 2 * (w >= 0).astype(np.int8) - 1
     alpha = np.abs(w).mean(axis=(1, 2, 3))
     return signs, alpha
 
@@ -164,10 +223,15 @@ def fuse_thresholds(alpha, bn: BnParams, act: ActParams, acc_bound: int | None =
     return ThresholdTable(t=t, ascending=ascending, degenerate=degenerate, const_code=const_code)
 
 
-def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
-    """Turn an integer accumulator map into 2-bit codes via the count rule.
+def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> PackedPlanes:
+    """Turn an integer accumulator map into packed 2-bit activation planes.
 
-    Pure integer comparisons; this is the engine's only activation path.
+    Applies the sign-folded hi/lo rule (module docstring) with pure
+    integer compares and packs both bits along the channel axis; this is
+    the engine's only activation path.  ``acc`` is (C, H, W) with
+    |acc| <= ``ACC_LIMIT``, checked for every integer dtype (the sign fold
+    and the int32 sentinels are exact only inside it); an accumulator
+    wider than int32 is then narrowed.
     """
     acc = np.asarray(acc)
     if not np.issubdtype(acc.dtype, np.integer):
@@ -176,12 +240,15 @@ def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
         raise ShapeError(
             f"accumulator shape {acc.shape} does not match {tbl.channels} table channels"
         )
-    asc = tbl.ascending[:, None, None]
-    codes = np.zeros(acc.shape, dtype=np.uint8)
-    for j in range(tbl.t.shape[1]):
-        tj = tbl.t[:, j, None, None]
-        codes += np.where(asc, acc >= tj, acc <= tj)
-    deg = tbl.degenerate[:, None, None]
-    if deg.any():
-        codes = np.where(deg, tbl.const_code[:, None, None], codes)
-    return codes
+    if acc.size and max(int(acc.max()), -int(acc.min())) > ACC_LIMIT:
+        raise DomainError(f"accumulator magnitude exceeds {ACC_LIMIT}")
+    acc = acc.astype(ACC_DTYPE, copy=False)
+    c, h, w = acc.shape
+    folded = acc * tbl.sign
+    bits = np.zeros((2, padded_channels(c), h, w), dtype=bool)
+    hi, lo = bits[0, :c], bits[1, :c]
+    np.greater_equal(folded, tbl.ts[1], out=hi)
+    np.greater_equal(folded, tbl.ts[0], out=lo)
+    lo ^= hi
+    lo ^= folded >= tbl.ts[2]
+    return pack_bitplanes(bits, c)

@@ -3,8 +3,12 @@
 Layout rules shared by the whole engine:
 
 * Activations are channel-major ``(C, H, W)``, row-major within a plane.
-  The canonical form is one byte per 2-bit code (``uint8`` values 0..3);
-  the packed two-bitplane form is a derived fast path.
+  Their canonical form is :class:`PackedPlanes`, two bitplanes of 2-bit
+  codes: the pixel embedding and every threshold stage write it, and
+  every convolution reads it.  A uint8 code map (values 0..3) is derived
+  data, recovered with :func:`unpack_activations` for the reference
+  kernel and for cross-checking; :func:`pack_activations` goes the
+  other way.
 * Bit packing groups 64 channels into one ``uint64`` word, LSB-first:
   bit ``j`` of word ``i`` is channel ``64*i + j``.  Channel counts are
   padded up to a multiple of 64; pad lanes carry activation code 0, which
@@ -13,7 +17,8 @@ Layout rules shared by the whole engine:
 * A 2-bit code decomposes as ``code = 2*hi_bit + lo_bit``.
 
 Integer accumulators are ``int32`` arrays; their magnitude is bounded by
-3 * fan_in of the producing convolution.
+3 * fan_in of the producing convolution, plus residual branch sums, and
+never exceeds ``ACC_LIMIT``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ LANES = 64
 _SHIFTS = np.arange(LANES, dtype=np.uint64)
 
 ACC_DTYPE = np.int32
+ACC_LIMIT = int(np.iinfo(ACC_DTYPE).max) - 1  # largest |accumulator| the engine holds
 
 
 def padded_channels(c: int) -> int:
@@ -57,13 +63,24 @@ def ensure_act2(a: np.ndarray) -> np.ndarray:
 
 
 def _pack_lanes(bits: np.ndarray, axis: int) -> np.ndarray:
-    """Pack a 0/1 array along `axis` (length multiple of 64) into uint64 words."""
-    lanes = np.ascontiguousarray(np.moveaxis(bits, axis, -1), dtype=np.uint8)
-    assert lanes.shape[-1] % LANES == 0
-    # little bit order within each byte and little-endian bytes within each
-    # word put lane j of a word at bit j on any host
-    words = np.packbits(lanes, axis=-1, bitorder="little").view("<u8")
-    return np.ascontiguousarray(np.moveaxis(words, -1, axis), dtype=np.uint64)
+    """Pack a 0/1 array along `axis` (length multiple of 64) into uint64 words.
+
+    Each group of 8 lanes becomes one byte by shift-or, then the 8 bytes of
+    a word move to the last axis and are read as one little-endian uint64,
+    so lane 64*i + j lands at bit j of word i on any host.
+    """
+    before, (lanes,), after = bits.shape[:axis], bits.shape[axis : axis + 1], bits.shape[axis + 1 :]
+    assert lanes % LANES == 0
+    words = lanes // LANES
+    b = bits.view(np.uint8).reshape(*before, words, 8, 8, *after)  # (..., word, byte, bit, ...)
+    lead = (slice(None),) * (axis + 2)
+    packed = b[lead + (0,)].copy()
+    shifted = np.empty_like(packed)
+    for i in range(1, 8):
+        np.left_shift(b[lead + (i,)], i, out=shifted)
+        packed |= shifted
+    packed = np.ascontiguousarray(np.moveaxis(packed, axis + 1, -1)).view("<u8")
+    return packed.reshape(*before, words, *after).astype(np.uint64, copy=False)
 
 
 def _unpack_lanes(words: np.ndarray, axis: int, count: int) -> np.ndarray:
@@ -126,6 +143,19 @@ class PackedWeights:
         return (bits.astype(np.int8) * 2) - 1
 
 
+def pack_bitplanes(bits: np.ndarray, channels: int) -> PackedPlanes:
+    """Pack a (2, C_pad, H, W) bool array of hi and lo bits into planes.
+
+    ``C_pad`` is a multiple of 64 and lanes at or past ``channels`` must be
+    False.
+    """
+    _, c_pad, h, w = bits.shape
+    assert channels <= c_pad
+    planes = _pack_lanes(bits.reshape(2 * c_pad, h, w), 0)
+    words = c_pad // LANES
+    return PackedPlanes(hi=planes[:words], lo=planes[words:], channels=channels)
+
+
 def pack_activations(a: np.ndarray) -> PackedPlanes:
     """Pack a canonical activation map into hi/lo bitplanes.
 
@@ -134,11 +164,10 @@ def pack_activations(a: np.ndarray) -> PackedPlanes:
     """
     a = ensure_act2(a)
     c, h, w = a.shape
-    # one transposing copy to channel-last, so both planes pack contiguous rows
-    lanes = np.zeros((h, w, padded_channels(c)), dtype=np.uint8)
-    lanes[..., :c] = np.moveaxis(a, 0, -1)
-    lanes = np.moveaxis(lanes, -1, 0)
-    return PackedPlanes(hi=_pack_lanes(lanes >> 1, 0), lo=_pack_lanes(lanes & 1, 0), channels=c)
+    bits = np.zeros((2, padded_channels(c), h, w), dtype=bool)
+    bits[0, :c] = a >> 1
+    bits[1, :c] = a & 1
+    return pack_bitplanes(bits, c)
 
 
 def unpack_activations(p: PackedPlanes, channels: int) -> np.ndarray:
@@ -160,7 +189,7 @@ def pack_weights(signs: np.ndarray, alpha: np.ndarray, const_scaled: bool = Fals
     signs = np.asarray(signs)
     if signs.ndim != 4:
         raise ShapeError(f"weight signs must be (OC, IC, kh, kw), got {signs.shape}")
-    if not np.isin(signs, (-1, 1)).all():
+    if not ((signs == 1) | (signs == -1)).all():
         raise DomainError("weight signs must be exactly +1 or -1")
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (signs.shape[0],):

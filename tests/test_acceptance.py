@@ -25,7 +25,7 @@ from ern.kernels import ConvSpec, conv_w1a2_naive, conv_w1a2_popcount
 from ern.oracle import cross_check, oracle_from_manifest
 from ern.pixembed import encode_image, thermo_params
 from ern.quant import ActParams, BnParams, apply_thresholds, fuse_thresholds, quantize_act_float
-from ern.tensor import pack_activations, pack_weights
+from ern.tensor import pack_activations, pack_weights, unpack_activations
 
 from conftest import random_image
 
@@ -128,7 +128,7 @@ def test_a02_fusion_exactness(say):
         )
         act = ActParams(rng.uniform(0.3, 2.5))
         tbl = fuse_thresholds(alpha, bn, act, acc_bound=3 * K)
-        got = apply_thresholds(acc, tbl)
+        got = unpack_activations(apply_thresholds(acc, tbl), 1)
         sig = np.sqrt(bn.running_var + bn.epsilon)
         v = bn.gamma * (alpha * acc - bn.running_mean) / sig + bn.beta
         want = quantize_act_float(v, act)
@@ -144,7 +144,7 @@ def test_a02_fusion_exactness(say):
 def test_a03_thermometer(say):
     """k=2 code pairs step through 7 values at the derived transitions."""
     ramp = np.tile(np.arange(256, dtype=np.uint8), (3, 1, 1))  # (3, 1, 256)
-    codes = encode_image(ramp, thermo_params(2))[:2, 0, :]  # red channel pair
+    codes = unpack_activations(encode_image(ramp, thermo_params(2)), 6)[:2, 0, :]  # red pair
     pairs = list(map(tuple, codes.T))
     distinct = [pairs[0]]
     transitions = []
@@ -156,7 +156,7 @@ def test_a03_thermometer(say):
     assert transitions == [42, 84, 126, 168, 210, 252]
     assert distinct == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]
     for k in range(1, 33):
-        ck = encode_image(ramp, thermo_params(k))[:, 0, :]
+        ck = unpack_activations(encode_image(ramp, thermo_params(k)), 3 * k)[:, 0, :]
         assert np.all(np.diff(ck.astype(np.int64), axis=1) >= 0), f"k={k}"
     say("A3 thermometer PASS: 7 distinct k=2 codes, transitions at "
         "42/84/126/168/210/252, monotone for k=1..32")

@@ -10,6 +10,8 @@ from ern.cli import main
 from ern.compiler import load, serialize
 from ern.ppm import write_ppm
 
+from conftest import rewrite_threshold_row
+
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
@@ -94,6 +96,15 @@ class TestInfer:
         bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
         assert main(["infer", "--model", str(bad), "--image", str(ws["ppm"])]) == 2
         assert "UTF-8" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("t1,degenerate", [(10**6, None), (4, 1)])
+    def test_bad_threshold_table(self, ws, capsys, t1, degenerate):
+        bad = ws["root"] / "badtable.ern"
+        blob = rewrite_threshold_row(ws["model"].read_bytes(), "s2.b1.bn0", t1, degenerate)
+        bad.write_bytes(blob)
+        assert main(["infer", "--model", str(bad), "--image", str(ws["ppm"])]) == 2
+        assert "s2.b1.bn0" in capsys.readouterr().err
 
 
 class TestTenCrop:

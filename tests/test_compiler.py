@@ -27,7 +27,7 @@ from ern.errors import (
 )
 from ern.graph import execute
 
-from conftest import random_image
+from conftest import random_image, rewrite_threshold_row
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,14 @@ class TestManifestIO:
             assert np.array_equal(got.gamma, rec.gamma)
             assert np.array_equal(got.var, rec.var)
             assert got.act_scale == rec.act_scale
+
+    def test_conv_weights_stay_float32(self, small_manifest, tmp_path):
+        save_manifest(small_manifest, tmp_path)
+        back = load_manifest(tmp_path)
+        for w in back.convs.values():
+            assert w.dtype == np.float32
+            assert w.flags.writeable
+        assert serialize(compile_checkpoint(back)) == serialize(compile_checkpoint(small_manifest))
 
     def test_missing_blob(self, small_manifest, tmp_path):
         save_manifest(small_manifest, tmp_path)
@@ -216,6 +224,32 @@ class TestSerialization:
         with pytest.raises(ChecksumError):
             load(bytes(blob))
 
+    def test_corrupt_name_is_checksum_error(self, small_model):
+        # a changed layer name would parse as an unknown layer; the CRC comes first
+        blob = bytearray(serialize(small_model))
+        blob[blob.index(b"s2.b1.conv1") + 3] ^= 0x01
+        with pytest.raises(ChecksumError):
+            load(bytes(blob))
+
+    def test_corrupt_threshold_is_checksum_error(self, small_model):
+        blob = rewrite_threshold_row(serialize(small_model), "s1.b1.bn1", 10**6, recrc=False)
+        with pytest.raises(ChecksumError):
+            load(blob)
+
+    @pytest.mark.parametrize("t1,degenerate", [(10**6, None), (4, 1), (256, 1), (-1, 1)])
+    def test_bad_threshold_table_is_format_error(self, small_model, t1, degenerate):
+        # an unsorted row, or a constant code past 3 (256 would wrap to 0 in a byte)
+        blob = rewrite_threshold_row(serialize(small_model), "s1.b1.bn1", t1, degenerate)
+        with pytest.raises(FormatError, match="s1.b1.bn1"):
+            load(blob)
+
+    def test_thermometer_length_checked_before_use(self, small_model):
+        body = bytearray(serialize(small_model)[:-4])
+        (n,) = struct.unpack_from("<H", body, 8)
+        struct.pack_into("<I", body, 10 + n, 2**31)
+        with pytest.raises(FormatError, match="thermometer"):
+            load(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
     def test_invalid_utf8_layer_name(self, small_model):
         # keep the checksum valid so the name decoder must catch it
         body = bytearray(serialize(small_model)[:-4])
@@ -233,6 +267,42 @@ class TestSerialization:
 
 
 class TestDegenerate:
+    def test_bnact_record_bytes(self, small_manifest):
+        # each channel is <qqqBB: (t1, t2, t3) or (const code, 0, 0), then
+        # the direction and degenerate bytes
+        bnacts = dict(small_manifest.bnacts)
+        rec = bnacts["s3.b1.bn1"]
+        gamma = rec.gamma.copy()
+        gamma[7] = 0.0
+        gamma[3] = -abs(gamma[3])
+        beta = rec.beta.copy()
+        beta[7] = 2.5 * rec.act_scale  # constant code 2
+        bnacts["s3.b1.bn1"] = type(rec)(
+            gamma=gamma, beta=beta, mean=rec.mean, var=rec.var,
+            epsilon=rec.epsilon, act_scale=rec.act_scale,
+        )
+        patched = CheckpointManifest(
+            arch=small_manifest.arch, k=small_manifest.k, shared_const=0.5,
+            convs=dict(small_manifest.convs), bnacts=bnacts,
+        )
+        model = compile_checkpoint(patched)
+        tbl = model.thresholds["s3.b1.bn1"]
+        assert tbl.degenerate[7] and tbl.const_code[7] == 2 and not tbl.ascending[3]
+        want = b"".join(
+            struct.pack(
+                "<qqqBB",
+                *((int(tbl.const_code[ch]), 0, 0) if tbl.degenerate[ch] else map(int, tbl.t[ch])),
+                int(tbl.ascending[ch]),
+                int(tbl.degenerate[ch]),
+            )
+            for ch in range(tbl.channels)
+        )
+        blob = serialize(model)
+        name = b"s3.b1.bn1"
+        pos = blob.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
+        assert struct.unpack_from("<H", blob, pos) == (tbl.channels,)
+        assert blob[pos + 2 : pos + 2 + len(want)] == want
+
     def test_zero_gamma_round_trips(self, small_manifest, rng):
         bnacts = {n: r for n, r in small_manifest.bnacts.items()}
         rec = bnacts["s3.b1.bn1"]

@@ -251,6 +251,21 @@ class TestExecution:
         assert a.tobytes() == b.tobytes()
         assert lean < kept
 
+    def test_int32_bitplane_datapath_peak(self, erns50_model, rng):
+        # at 224 stage 1's residual add holds three (256, 56, 56) int32 maps;
+        # int64 temporaries or uint8 code maps between layers push the peak
+        # of one execute past five of them
+        img = random_image(rng, 224)
+        execute(erns50_model, img)
+        tracemalloc.start()
+        try:
+            execute(erns50_model, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stage1_acc = 256 * 56 * 56 * np.dtype(np.int32).itemsize
+        assert peak < 4 * stage1_acc
+
     def test_residual_reading_one_edge_twice(self):
         # add(c1, c1) is valid; execute must drop c1 once, after the add
         g = GraphDef(

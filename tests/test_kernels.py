@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,23 @@ class TestBlockedKernel:
         assert np.array_equal(naive, pop)
 
 
+class TestInt32Accumulator:
+    def test_popcount_returns_int32_without_int64_map(self, rng):
+        spec = ConvSpec(64, 1024, 1, 1)
+        codes = rng.integers(0, 4, size=(64, 32, 32), dtype=np.uint8)
+        signs = rng.choice([-1, 1], size=(1024, 64, 1, 1)).astype(np.int8)
+        x, w = pack_activations(codes), pack_weights(signs, np.ones(1024))
+        tracemalloc.start()
+        try:
+            pop = conv_w1a2_popcount(x, w, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pop.dtype == np.int32
+        assert peak < pop.size * np.dtype(np.int64).itemsize
+        assert np.array_equal(pop, conv_w1a2_naive(codes, signs, spec))
+
+
 class TestResidualAdd:
     def test_adds_exactly(self, rng):
         a = rng.integers(-100, 100, size=(4, 3, 3)).astype(np.int32)
@@ -168,6 +187,59 @@ class TestResidualAdd:
         big = np.full((1, 1, 1), 2**30, dtype=np.int32)
         with pytest.raises(ShapeError):
             residual_add(big, big)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            (2**30, 2**30 - 1),  # 2**31 - 1: fits int32 but is rejected
+            (2**30, 2**30),  # 2**31: wraps to the int32 minimum
+            (2**31 - 1, 2**31 - 1),  # 2**32 - 2: wraps to -2
+            (2**31 - 1, 1),
+        ],
+    )
+    def test_rejects_sums_at_or_past_limit(self, x, y, sign):
+        a = np.zeros((2, 3, 3), dtype=np.int32)
+        b = np.ones((2, 3, 3), dtype=np.int32)
+        a[1, 2, 0], b[1, 2, 0] = sign * x, sign * y
+        with pytest.raises(ShapeError):
+            residual_add(a, b)
+        with pytest.raises(ShapeError):
+            residual_add(b, a)
+
+    def test_rejects_int32_minimum_pair(self):
+        low = np.full((1, 1, 1), -(2**31), dtype=np.int32)
+        with pytest.raises(ShapeError):
+            residual_add(low, low)  # -2**32 wraps to 0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_accepts_sum_just_below_limit(self, sign):
+        a = np.full((1, 2, 2), sign * 2**30, dtype=np.int32)
+        b = np.full((1, 2, 2), sign * (2**30 - 2), dtype=np.int32)
+        b[0, 0, 0] = -sign * 2**30  # the other extreme nearby: no false alarm
+        out = residual_add(a, b)
+        assert out.dtype == np.int32
+        assert np.array_equal(out, a.astype(np.int64) + b)
+        assert int(out[0, 1, 1]) == sign * (2**31 - 2)
+
+    def test_rejects_wider_dtypes(self):
+        with pytest.raises(ShapeError):
+            residual_add(np.zeros((2, 2, 2), np.int64), np.zeros((2, 2, 2), np.int64))
+
+    @pytest.mark.parametrize("near_limit", [False, True])
+    def test_no_wide_temporaries(self, rng, near_limit):
+        a = rng.integers(-1000, 1000, size=(64, 56, 56)).astype(np.int32)
+        b = rng.integers(-1000, 1000, size=(64, 56, 56)).astype(np.int32)
+        if near_limit:  # forces the element-wise wrap check
+            a[0, 0, 0], b[0, 0, 0] = 2**30, 2**30 - 2
+        tracemalloc.start()
+        try:
+            out = residual_add(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, a.astype(np.int64) + b)
+        assert peak <= 3 * a.nbytes
 
 
 class TestAvgPool:

@@ -15,7 +15,8 @@ from ern.graph import (
     execute,
 )
 from ern.kernels import ConvSpec
-from ern.oracle import cross_check, oracle_execute, oracle_from_manifest
+from ern.errors import ShapeError
+from ern.oracle import _conv_im2col, cross_check, oracle_execute, oracle_from_manifest
 
 from conftest import random_image
 
@@ -252,3 +253,25 @@ class TestFullModel:
         r = oracle_execute(om, random_image(rng))
         assert r.logits.dtype == np.float64
         assert r.logits.shape == (1000,)
+
+
+class TestFloat32Gemm:
+    def test_signs_held_as_int8(self):
+        om = oracle_from_manifest(pencil_manifest(), graph=toy_graph())
+        assert all(s.dtype == np.int8 for s in om.signs.values())
+
+    def test_exact_at_largest_accumulator(self):
+        # 3 * fan_in just below 2**24: every partial sum is still exact in float32
+        ic = (2**24 - 1) // 3 // 9
+        codes = np.full((ic, 3, 3), 3, dtype=np.uint8)
+        signs = np.ones((1, ic, 3, 3), dtype=np.int8)
+        out = _conv_im2col(codes, signs, (1, 1), (0, 0))
+        assert out.dtype == np.float64
+        assert out.ravel().tolist() == [3 * ic * 9]
+
+    def test_rejects_fan_in_past_float32_exactness(self):
+        ic = -(-(2**24) // 3)
+        with pytest.raises(ShapeError):
+            _conv_im2col(
+                np.zeros((ic, 1, 1), np.uint8), np.ones((1, ic, 1, 1), np.int8), (1, 1), (0, 0)
+            )

@@ -4,6 +4,7 @@ import pytest
 from ern import pixembed
 from ern.errors import DomainError, ShapeError
 from ern.pixembed import encode_image, encode_pixel, thermo_params
+from ern.tensor import pack_activations, unpack_activations
 
 
 def full_sweep(k):
@@ -81,7 +82,7 @@ class TestSweepProperties:
 
         monkeypatch.setattr(pixembed, "_code_table", rebuilt)
         img = rng.integers(0, 256, size=(3, 2, 2), dtype=np.uint8)
-        assert encode_image(img, p).shape == (21, 2, 2)
+        assert unpack_activations(encode_image(img, p), 21).shape == (21, 2, 2)
         assert encode_pixel(255, p).tolist() == [3] * 7
 
 
@@ -91,7 +92,7 @@ class TestEncodeImage:
         img = np.zeros((3, 2, 2), dtype=np.uint8)
         img[0] = 200
         img[2] = 255
-        out = encode_image(img, p)
+        out = unpack_activations(encode_image(img, p), 9)
         assert out.shape == (9, 2, 2)
         assert np.array_equal(out[0:3, 0, 0], encode_pixel(200, p))
         assert np.array_equal(out[3:6, 0, 0], encode_pixel(0, p))
@@ -100,7 +101,7 @@ class TestEncodeImage:
     def test_matches_per_pixel(self, rng):
         p = thermo_params(4)
         img = rng.integers(0, 256, size=(3, 3, 5), dtype=np.uint8)
-        out = encode_image(img, p)
+        out = unpack_activations(encode_image(img, p), 12)
         for c in range(3):
             for y in range(3):
                 for x in range(5):
@@ -124,3 +125,18 @@ class TestEncodeImage:
     def test_rejects_bad_pixel(self):
         with pytest.raises(DomainError):
             encode_pixel(256, thermo_params(2))
+
+
+@pytest.mark.parametrize("k", [1, 10, 21, 22, 30])
+def test_planes_equal_packed_table_codes(rng, k):
+    # 3k = 63 fills one word short, 66 and 90 need a second word
+    p = thermo_params(k)
+    img = rng.integers(0, 256, size=(3, 4, 6), dtype=np.uint8)
+    img[:, 0, 0] = [0, 128, 255]
+    codes = np.concatenate([p.table[:, img[c]] for c in range(3)])
+    got = encode_image(img, p)
+    want = pack_activations(codes)
+    assert got.channels == 3 * k
+    assert got.words == (2 if 3 * k > 64 else 1)
+    assert np.array_equal(got.hi, want.hi)
+    assert np.array_equal(got.lo, want.lo)

@@ -3,13 +3,16 @@ import pytest
 
 from ern.errors import DomainError, ShapeError
 from ern.quant import (
+    _WIDE_SENTINEL,
     ActParams,
     BnParams,
+    ThresholdTable,
     apply_thresholds,
     binarize_weights,
     fuse_thresholds,
     quantize_act_float,
 )
+from ern.tensor import ACC_LIMIT, LANES, pack_activations, unpack_activations
 
 
 def bn1(gamma=1.0, beta=0.0, mean=0.0, var=0.75, eps=0.25):
@@ -31,6 +34,13 @@ class TestBinarize:
         signs, alpha = binarize_weights(w)
         assert signs.tolist() == [[[[1, 1]], [[1, -1]]]]
         assert alpha == pytest.approx([3.5 / 4])
+
+    def test_signs_are_int8(self, rng):
+        w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
+        w[0, 0, 0, 0] = -0.0
+        signs, _ = binarize_weights(w)
+        assert signs.dtype == np.int8
+        assert np.array_equal(signs, np.where(w >= 0, 1, -1))
 
     def test_alpha_is_per_channel_mean_abs(self, rng):
         w = rng.normal(size=(6, 4, 3, 3))
@@ -67,14 +77,14 @@ class TestFuse:
         assert tbl.degenerate.tolist() == [True]
         assert tbl.const_code.tolist() == [3]  # clamp(floor(7/2), 0, 3)
         acc = np.arange(-5, 6, dtype=np.int32).reshape(1, -1, 1)
-        assert (apply_thresholds(acc, tbl) == 3).all()
+        assert (unpack_activations(apply_thresholds(acc, tbl), 1) == 3).all()
 
     def test_acc_bound_clamps_to_sentinels(self):
         # thresholds far outside the reachable range clamp to bound + 1
         tbl = fuse_thresholds(np.ones(1), bn1(mean=1e9), ActParams(1.0), acc_bound=27)
         assert (tbl.t == 28).all()
         acc = np.arange(-27, 28, dtype=np.int32).reshape(1, -1, 1)
-        assert (apply_thresholds(acc, tbl) == 0).all()
+        assert (unpack_activations(apply_thresholds(acc, tbl), 1) == 0).all()
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
@@ -93,12 +103,12 @@ class TestApply:
     def test_ascending_count_rule(self):
         tbl = fuse_thresholds(np.ones(1), bn1(), ActParams(2.0))
         acc = np.array([1, 2, 5, 6, 100], dtype=np.int32).reshape(1, -1, 1)
-        assert apply_thresholds(acc, tbl).ravel().tolist() == [0, 1, 2, 3, 3]
+        assert unpack_activations(apply_thresholds(acc, tbl), 1).ravel().tolist() == [0, 1, 2, 3, 3]
 
     def test_descending_count_rule(self):
         tbl = fuse_thresholds(np.ones(1), bn1(gamma=-1.0), ActParams(2.0))
         acc = np.array([-4], dtype=np.int32).reshape(1, 1, 1)
-        assert apply_thresholds(acc, tbl).ravel().tolist() == [2]
+        assert unpack_activations(apply_thresholds(acc, tbl), 1).ravel().tolist() == [2]
 
     def test_rejects_float_accumulator(self):
         tbl = fuse_thresholds(np.ones(1), bn1(), ActParams(1.0))
@@ -129,7 +139,7 @@ class TestEquivalence:
         tbl = fuse_thresholds(alpha, bn, ActParams(s_a), acc_bound=bound)
         acc = np.arange(-bound, bound + 1, dtype=np.int32)
         acc_map = np.broadcast_to(acc[None, :, None], (c, acc.size, 1))
-        got = apply_thresholds(acc_map, tbl)
+        got = unpack_activations(apply_thresholds(acc_map, tbl), c)
 
         sd = np.sqrt(bn.running_var + bn.epsilon)
         v = bn.gamma[:, None] * (alpha[:, None] * acc[None, :] - bn.running_mean[:, None]) / sd[
@@ -168,3 +178,105 @@ def test_quantize_act_float_reference():
     p = ActParams(0.5)
     v = np.array([-1.0, 0.0, 0.49, 0.5, 1.4, 99.0])
     assert quantize_act_float(v, p).tolist() == [0, 0, 0, 1, 2, 3]
+
+
+def count_rule(acc, tbl):
+    """Codes by the stored count rule, channel by channel, in Python ints."""
+    codes = np.zeros(acc.shape, dtype=np.uint8)
+    for ch in range(tbl.channels):
+        a = acc[ch].astype(np.int64)
+        if tbl.degenerate[ch]:
+            codes[ch] = tbl.const_code[ch]
+        elif tbl.ascending[ch]:
+            codes[ch] = sum(a >= int(t) for t in tbl.t[ch])
+        else:
+            codes[ch] = sum(a <= int(t) for t in tbl.t[ch])
+    return codes
+
+
+def table(t, ascending, degenerate=None, const_code=None):
+    c = len(t)
+    return ThresholdTable(
+        t=np.asarray(t, dtype=np.int64),
+        ascending=np.asarray(ascending, dtype=bool),
+        degenerate=np.zeros(c, bool) if degenerate is None else np.asarray(degenerate),
+        const_code=np.zeros(c, np.uint8) if const_code is None else np.asarray(const_code),
+    )
+
+
+class TestBitplanes:
+    """``apply_thresholds`` planes equal the packed count-rule codes."""
+
+    @pytest.mark.parametrize("c", [1, 63, 64, 65, 130])
+    def test_planes_match_count_rule(self, rng, c):
+        bound = 500
+        t = np.sort(rng.integers(-bound, bound + 1, size=(c, 3)), axis=1)
+        # clamped rows: never / always crossed, at the fold's bound and unbounded
+        sentinels = [bound + 1, -(bound + 1), _WIDE_SENTINEL, -_WIDE_SENTINEL]
+        for ch in range(0, c, 5):
+            t[ch, 2] = sentinels[(ch // 5) % 4]
+            t[ch] = np.sort(t[ch])
+        ascending = np.arange(c) % 3 != 1
+        degenerate = np.arange(c) % 7 == 3
+        const_code = np.where(degenerate, np.arange(c) // 7 % 4, 0)
+        t[degenerate] = 0
+        if c == 1:
+            degenerate[0], const_code[0], t[0] = True, 2, 0
+        tbl = table(t, ascending, degenerate, const_code)
+        acc = rng.integers(-bound - 2, bound + 3, size=(c, 4, 6)).astype(np.int32)
+        acc[:, 0, 0] = ACC_LIMIT
+        acc[:, 0, 1] = -ACC_LIMIT
+        assert ACC_LIMIT == 2**31 - 2
+
+        want = count_rule(acc, tbl)
+        got = apply_thresholds(acc, tbl)
+        ref = pack_activations(want)
+        assert got.channels == c
+        assert np.array_equal(got.hi, ref.hi)
+        assert np.array_equal(got.lo, ref.lo)
+        lanes = unpack_activations(got, got.words * LANES)
+        assert not lanes[c:].any()  # pad lanes 0 in both planes
+        if c >= 65:
+            assert set(np.unique(want[degenerate])) == {0, 1, 2, 3}
+
+    def test_wide_accumulator_narrowed_or_rejected(self):
+        tbl = table([[-1, 0, 1]], [True])
+        acc = np.array([-2, -1, 0, 1, ACC_LIMIT], dtype=np.int64).reshape(1, 1, -1)
+        got = unpack_activations(apply_thresholds(acc, tbl), 1)
+        assert got.ravel().tolist() == [0, 1, 2, 3, 3]
+        with pytest.raises(DomainError):
+            apply_thresholds(np.full((1, 1, 1), ACC_LIMIT + 1, dtype=np.int64), tbl)
+
+    @pytest.mark.parametrize("value", [-(2**31), 2**31 - 1])
+    def test_int32_extremes_rejected(self, value):
+        # -2**31 wraps under the sign fold and 2**31 - 1 reaches a clamped
+        # "never crossed" threshold, so neither has an exact code
+        tbl = table([[-1, 0, 1], [-1, 0, _WIDE_SENTINEL]], [False, True])
+        acc = np.zeros((2, 1, 2), dtype=np.int32)
+        acc[:, 0, 1] = value
+        with pytest.raises(DomainError):
+            apply_thresholds(acc, tbl)
+
+
+class TestThresholdTable:
+    def test_runtime_form_built_at_construction(self):
+        tbl = table([[2, 4, 6], [-6, -4, -2], [0, 0, 0]], [True, False, True], [0, 0, 1], [0, 0, 2])
+        assert tbl.sign.dtype == tbl.ts.dtype == np.int32
+        assert tbl.sign.ravel().tolist() == [1, -1, 1]
+        lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+        assert tbl.ts.reshape(3, 3).T.tolist() == [[2, 4, 6], [2, 4, 6], [lo, lo, hi]]
+
+    def test_rejects_unsorted_row(self):
+        with pytest.raises(DomainError):
+            table([[1, 3, 2]], [True])
+
+    @pytest.mark.parametrize("code", [4, 256, -1])
+    def test_rejects_bad_const_code(self, code):
+        with pytest.raises(DomainError):
+            table([[0, 0, 0]], [True], [True], np.array([code], dtype=np.int64))
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ShapeError):
+            table([[0, 1]], [True])
+        with pytest.raises(ShapeError):
+            table([[0, 1, 2]], [True, False])
