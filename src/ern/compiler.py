@@ -130,7 +130,32 @@ def save_manifest(m: CheckpointManifest, path: str | Path) -> None:
     (root / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+_MISSING = object()
+_KIND_NAMES = {
+    int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list"
+}
+
+
+def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
+    """``doc[key]`` if it is a JSON value of ``kind``; else a ConfigError naming the field.
+
+    ``float`` accepts any JSON number; no kind accepts ``true``/``false``.
+    """
+    if key not in doc:
+        if default is _MISSING:
+            raise ConfigError(f"{where}: field '{key}' is missing")
+        return default
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{where}: field '{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def load_manifest(path: str | Path) -> CheckpointManifest:
+    """Read a checkpoint directory (or its manifest.json) back into memory.
+
+    Every malformed field raises a :class:`ConfigError` that names it.
+    """
     root = Path(path)
     doc_path = root / "manifest.json" if root.is_dir() else root
     root = doc_path.parent
@@ -138,38 +163,44 @@ def load_manifest(path: str | Path) -> CheckpointManifest:
         doc = json.loads(doc_path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read manifest {doc_path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"manifest {doc_path}: top level must be a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"unsupported manifest format {doc.get('format')!r}")
     m = CheckpointManifest(
-        arch=doc["arch"], k=int(doc.get("k", 10)), shared_const=doc.get("shared_const")
+        arch=_field(doc, "arch", str, "manifest"), k=_field(doc, "k", int, "manifest", 10)
     )
-    for name, entry in doc.get("layers", {}).items():
+    if doc.get("shared_const") is not None:
+        m.shared_const = _field(doc, "shared_const", float, "manifest")
+    for name, entry in _field(doc, "layers", dict, "manifest", {}).items():
+        where = f"layer '{name}'"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where}: manifest entry must be a JSON object")
+        kind = _field(entry, "kind", str, where)
         try:
             # a writable float32 array; compile and the oracle widen one layer at a time
-            raw = np.fromfile(root / entry["file"], dtype="<f4")
+            raw = np.fromfile(root / _field(entry, "file", str, where), dtype="<f4")
         except OSError as e:
-            raise ConfigError(f"layer '{name}': cannot read blob: {e}") from e
-        except KeyError as e:
-            raise ConfigError(f"layer '{name}': manifest entry missing {e}") from e
-        if entry.get("kind") == "conv":
-            shape = tuple(entry.get("shape", ()))
-            if len(shape) != 4:
-                raise ConfigError(f"layer '{name}': conv entry needs a 4-dim shape")
+            raise ConfigError(f"{where}: cannot read blob: {e}") from e
+        if kind == "conv":
+            shape = tuple(_field(entry, "shape", list, where))
+            if len(shape) != 4 or not all(type(d) is int and d > 0 for d in shape):
+                raise ConfigError(f"{where}: field 'shape' must be 4 positive integers")
             if raw.size != int(np.prod(shape)):
-                raise ConfigError(f"layer '{name}': blob holds {raw.size} floats, shape {shape}")
+                raise ConfigError(f"{where}: blob holds {raw.size} floats, shape {shape}")
             m.convs[name] = raw.reshape(shape).astype(np.float32, copy=False)
-        elif entry.get("kind") == "bnact":
-            c = int(entry.get("channels", 0))
+        elif kind == "bnact":
+            c = _field(entry, "channels", int, where)
             if raw.size != 4 * c:
-                raise ConfigError(f"layer '{name}': blob holds {raw.size} floats, expected {4 * c}")
+                raise ConfigError(f"{where}: blob holds {raw.size} floats, expected {4 * c}")
             g, b, mu, v = (raw[i * c : (i + 1) * c].astype(np.float64) for i in range(4))
             m.bnacts[name] = BnActRecord(
                 g, b, mu, v,
-                epsilon=float(entry.get("epsilon", 1e-5)),
-                act_scale=float(entry.get("act_scale", 1.0)),
+                epsilon=float(_field(entry, "epsilon", float, where, 1e-5)),
+                act_scale=float(_field(entry, "act_scale", float, where, 1.0)),
             )
         else:
-            raise ConfigError(f"layer '{name}': unknown kind {entry['kind']!r}")
+            raise ConfigError(f"{where}: unknown kind {kind!r}")
     return m
 
 

@@ -6,9 +6,13 @@ an integer accumulator; a BnAct consumes an accumulator and produces
 codes; a ResidualAdd consumes two accumulators whose producers are
 const-scaled with the shared model constant (so the add is valid in
 integers); AvgPoolScale consumes the final conv's accumulator only.
-A graph is validated once, at construction, which also derives its edge
-map (kind, channels, accumulator bound and last reader of every edge);
-everything downstream reads that map instead of re-deriving it.
+A graph is lowered once, at construction, by a single walk over its
+nodes that validates the wiring and derives two things everything
+downstream reads instead of re-deriving them: ``edges``, the kind,
+channels and accumulator bound of every edge, and ``steps``, one
+:class:`Step` per node holding what it reads, the op that computes it,
+its spatial rule and ``frees``, the inputs no later step reads.
+``execute`` and ``trace_shapes`` are plain loops over the steps.
 
 The five stock variants mirror the ResNet family: stages of two-conv
 blocks (erns18/34 and the 384-channel erns18x075) or 1-3-1 bottleneck
@@ -19,16 +23,19 @@ head is the one exception (only input lanes are ever padded in storage,
 so its odd width costs nothing extra).
 
 Execution is pure integer arithmetic from the pixel-embedding output to
-the final conv accumulator; each call counts float ops in its own
-counter, reports the delta across that segment (which must be zero), and
-additionally checks every intermediate dtype.  Every act2 edge is held as
-packed bitplanes and every acc edge as int32.  Unless it is recording,
-``execute`` drops each intermediate after its last reader runs.
+the final conv accumulator.  A graph starts with its embedding and ends
+with its pool, so each call counts the float ops of every step between
+the first and the last in its own counter (the count must be zero), and
+additionally checks the dtype of every step's output by edge kind: every
+act2 edge is held as packed bitplanes and every acc edge as int32.
+Unless it is recording, ``execute`` drops each step's ``frees`` after the
+step runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -42,13 +49,15 @@ from .tensor import pack_activations  # noqa: F401  (kept as a public name of th
 
 CLASSES = 1000
 BOTTLENECK_EXPANSION = 4
+IMAGE_EDGE = "image"  # the input every graph starts from
+LOGITS_EDGE = "logits"  # the output of every graph's final pool
 
 
 # --------------------------------------------------------------------------
 # node kinds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PixelEmbed:
     name: str
     k: int
@@ -56,7 +65,7 @@ class PixelEmbed:
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conv:
     name: str
     spec: ConvSpec
@@ -65,7 +74,7 @@ class Conv:
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BnAct:
     name: str
     channels: int
@@ -73,7 +82,7 @@ class BnAct:
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualAdd:
     name: str
     src_a: str
@@ -81,7 +90,7 @@ class ResidualAdd:
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinalConv:
     name: str
     spec: ConvSpec
@@ -89,7 +98,7 @@ class FinalConv:
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AvgPoolScale:
     name: str
     src: str
@@ -99,31 +108,50 @@ class AvgPoolScale:
 Node = PixelEmbed | Conv | BnAct | ResidualAdd | FinalConv | AvgPoolScale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeInfo:
     kind: str  # "image" | "act2" | "acc" | "logits"
     channels: int
     producer: str
     const_scaled: bool = False  # acc edges: carries the shared constant
     bound: int = 0  # acc edges: worst-case |value|
-    last_reader: str | None = None  # last node (in graph order) that consumes the edge
+
+
+@dataclass(frozen=True, slots=True)
+class Step:
+    """One node, lowered: what it reads, what it computes, what it frees.
+
+    ``op(model, node, kernel, *inputs)`` computes the node's output from
+    the values of ``srcs``; ``spatial(h, w)`` maps the inputs' spatial
+    dims to the output's; ``frees`` are the inputs no later step reads,
+    each named once.  Steps belong to a graph, not to a model: ops look
+    up the model's weights, and this module's kernels, when they run.
+    """
+
+    node: Node
+    srcs: tuple[str, ...]
+    op: Callable
+    spatial: Callable[[int, int], tuple[int, int]]
+    frees: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class GraphDef:
     """A validated graph: construction raises :class:`ConfigError` on bad wiring.
 
-    ``edges`` maps every edge name to its :class:`EdgeInfo`, derived once
+    ``edges`` maps every edge name to its :class:`EdgeInfo` and ``steps``
+    holds one :class:`Step` per node, in order; both are derived once
     from ``nodes`` at construction.
     """
 
     nodes: tuple[Node, ...]
-    image_edge: str = "image"
-    logits_edge: str = "logits"
     edges: dict[str, EdgeInfo] = field(init=False, compare=False, repr=False)
+    steps: tuple[Step, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _edge_map(self))
+        edges, steps = _lower(self)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "steps", steps)
 
     def node(self, name: str) -> Node:
         for n in self.nodes:
@@ -141,19 +169,54 @@ class GraphDef:
 
 
 # --------------------------------------------------------------------------
-# validation
+# lowering
 
 
-def _edge_map(g: GraphDef) -> dict[str, EdgeInfo]:
-    """Check edge-kind correctness and scale provenance; map every edge.
+def _embed(model, n: PixelEmbed, kernel: str, img: np.ndarray) -> PackedPlanes:
+    return encode_image(img, thermo_params(n.k))
+
+
+def _conv(model, n: Conv | FinalConv, kernel: str, x: PackedPlanes) -> np.ndarray:
+    w = model.weights[n.name]
+    if kernel == "popcount":
+        return conv_w1a2_popcount(x, w, n.spec)
+    return conv_w1a2_naive(unpack_activations(x, x.channels), w.unpack_signs(), n.spec)
+
+
+def _bnact(model, n: BnAct, kernel: str, acc: np.ndarray) -> PackedPlanes:
+    return apply_thresholds(acc, model.thresholds[n.name])
+
+
+def _residual(model, n: ResidualAdd, kernel: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return residual_add(a, b)
+
+
+def _pool(model, n: AvgPoolScale, kernel: str, acc: np.ndarray) -> np.ndarray:
+    return avgpool_and_scale(acc, model.alpha_out)
+
+
+def _keep(h: int, w: int) -> tuple[int, int]:
+    return h, w
+
+
+def _to_1x1(h: int, w: int) -> tuple[int, int]:
+    return 1, 1
+
+
+def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
+    """Check edge-kind correctness and scale provenance; map every edge; make the steps.
 
     Returns edge name -> :class:`EdgeInfo`, including per-accumulator
     bounds from interval arithmetic (conv bound 3 * fan_in, residual adds
-    summing their branch bounds) and the last node that reads each edge.
-    A BnAct on an edge that is not const-scaled folds the per-channel
-    alphas of the edge's producer.
+    summing their branch bounds), and one :class:`Step` per node, each
+    freeing the inputs it is the last to read.  A BnAct on an edge that
+    is not const-scaled folds the per-channel alphas of the edge's
+    producer.  The graph must end with the pool that produces
+    ``LOGITS_EDGE``.
     """
-    edges: dict[str, EdgeInfo] = {g.image_edge: EdgeInfo("image", 3, "<input>")}
+    edges: dict[str, EdgeInfo] = {IMAGE_EDGE: EdgeInfo("image", 3, "<input>")}
+    lowered: list[tuple] = []  # (node, srcs, op, spatial) per node
+    last_read: dict[str, int] = {}  # edge -> index of the last node that reads it
 
     def produce(name: str, info: EdgeInfo):
         if name in edges:
@@ -166,7 +229,7 @@ def _edge_map(g: GraphDef) -> dict[str, EdgeInfo]:
         info = edges[name]
         if info.kind != kind:
             raise ConfigError(f"node '{by}' needs a {kind} edge, got {info.kind} '{name}'")
-        edges[name] = replace(info, last_reader=by)
+        last_read[name] = len(lowered)
         return info
 
     final_conv_edge = None
@@ -174,6 +237,7 @@ def _edge_map(g: GraphDef) -> dict[str, EdgeInfo]:
         if isinstance(n, PixelEmbed):
             consume(n.src, "image", n.name)
             produce(n.dst, EdgeInfo("act2", 3 * n.k, n.name))
+            step = (n.src,), _embed, _keep
         elif isinstance(n, (Conv, FinalConv)):
             src = consume(n.src, "act2", n.name)
             if src.channels != n.spec.in_ch:
@@ -188,6 +252,7 @@ def _edge_map(g: GraphDef) -> dict[str, EdgeInfo]:
             )
             if is_final:
                 final_conv_edge = n.dst
+            step = (n.src,), _conv, n.spec.out_spatial
         elif isinstance(n, BnAct):
             src = consume(n.src, "acc", n.name)
             if src.channels != n.channels:
@@ -195,6 +260,7 @@ def _edge_map(g: GraphDef) -> dict[str, EdgeInfo]:
                     f"bnact '{n.name}' has {n.channels} channels, edge has {src.channels}"
                 )
             produce(n.dst, EdgeInfo("act2", n.channels, n.name))
+            step = (n.src,), _bnact, _keep
         elif isinstance(n, ResidualAdd):
             a = consume(n.src_a, "acc", n.name)
             b = consume(n.src_b, "acc", n.name)
@@ -211,16 +277,24 @@ def _edge_map(g: GraphDef) -> dict[str, EdgeInfo]:
                     "acc", a.channels, n.name, const_scaled=True, bound=a.bound + b.bound
                 ),
             )
+            step = (n.src_a, n.src_b), _residual, _keep
         elif isinstance(n, AvgPoolScale):
             src = consume(n.src, "acc", n.name)
             if n.src != final_conv_edge:
                 raise ConfigError(f"pool '{n.name}' must consume the final conv output")
             produce(n.dst, EdgeInfo("logits", src.channels, n.name))
+            step = (n.src,), _pool, _to_1x1
         else:
             raise ConfigError(f"unknown node kind {type(n).__name__}")
-    if g.logits_edge not in edges:
-        raise ConfigError(f"graph never produces logits edge '{g.logits_edge}'")
-    return edges
+        lowered.append((n, *step))
+    last = g.nodes[-1] if g.nodes else None
+    if not isinstance(last, AvgPoolScale) or last.dst != LOGITS_EDGE:
+        raise ConfigError(f"graph must end with the pool that produces '{LOGITS_EDGE}'")
+    frees: list[list[str]] = [[] for _ in lowered]
+    for edge, i in last_read.items():
+        frees[i].append(edge)
+    steps = tuple(Step(*row, frees=tuple(f)) for row, f in zip(lowered, frees))
+    return edges, steps
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +315,6 @@ class ArchConfig:
     counts: tuple[int, int, int, int]
     channels: tuple[int, int, int, int]
     classes: int = CLASSES
-    thermo_k: int = 10
 
     def __post_init__(self):
         if self.block not in ("conv", "bottleneck"):
@@ -281,11 +354,15 @@ def arch_config(name: str) -> ArchConfig:
 # graph construction
 
 
-def _conv3(cin, cout, stride, const=False) -> tuple[ConvSpec, bool]:
-    return ConvSpec(cin, cout, 3, 3, (stride, stride), (1, 1)), const
+def _conv_node(
+    name: str, cin: int, cout: int, size: int, stride: int, const: bool, src: str
+) -> Conv:
+    """A size x size conv padded by size // 2; its output edge is ``<name>.out``."""
+    spec = ConvSpec(cin, cout, size, size, (stride, stride), (size // 2, size // 2))
+    return Conv(name, spec, const, src, f"{name}.out")
 
 
-def build_stem(in_ch: int, src: str, prefix: str = "stem") -> tuple[list[Node], str]:
+def build_stem(in_ch: int, src: str) -> tuple[list[Node], str]:
     """Four 3x3/64 convs, strides 2,1,2,1; last conv const-scaled.
 
     The final conv carries the shared constant so the first block receives
@@ -296,46 +373,44 @@ def build_stem(in_ch: int, src: str, prefix: str = "stem") -> tuple[list[Node], 
     edge = src
     for i, (cin, cout, stride) in enumerate(widths, start=1):
         last = i == len(widths)
-        spec, const = _conv3(cin, cout, stride, const=last)
-        conv = Conv(f"{prefix}.conv{i}", spec, const, edge, f"{prefix}.conv{i}.out")
+        conv = _conv_node(f"stem.conv{i}", cin, cout, 3, stride, last, edge)
         nodes.append(conv)
         edge = conv.dst
         if not last:
-            bn = BnAct(f"{prefix}.bn{i}", cout, edge, f"{prefix}.bn{i}.out")
+            bn = BnAct(f"stem.bn{i}", cout, edge, f"stem.bn{i}.out")
             nodes.append(bn)
             edge = bn.dst
     return nodes, edge
+
+
+def _block_entry(
+    cin: int, cout: int, stride: int, downsample: bool, src: str, prefix: str
+) -> tuple[list[Node], str, str]:
+    """A block's input BnAct and, when downsampling, its 1x1 const-scaled projection.
+
+    Returns the nodes, the BnAct's output edge and the shortcut edge (the
+    block input unless downsampling).
+    """
+    if not downsample and cin != cout:
+        raise ConfigError(f"block '{prefix}': channel change {cin}->{cout} needs downsample")
+    bn0 = BnAct(f"{prefix}.bn0", cin, src, f"{prefix}.bn0.out")
+    if not downsample:
+        return [bn0], bn0.dst, src
+    down = _conv_node(f"{prefix}.down", cin, cout, 1, stride, True, bn0.dst)
+    return [bn0, down], bn0.dst, down.dst
 
 
 def build_convblock(
     cin: int, cout: int, downsample: bool, src: str, prefix: str
 ) -> tuple[list[Node], str]:
     """Two-conv residual block; identity is the block input unless downsampling."""
-    if not downsample and cin != cout:
-        raise ConfigError(f"block '{prefix}': channel change {cin}->{cout} needs downsample")
-    nodes: list[Node] = []
     stride = 2 if downsample else 1
-    bn0 = BnAct(f"{prefix}.bn0", cin, src, f"{prefix}.bn0.out")
-    nodes.append(bn0)
-    identity = src
-    if downsample:
-        down = Conv(
-            f"{prefix}.down",
-            ConvSpec(cin, cout, 1, 1, (stride, stride), (0, 0)),
-            True,
-            bn0.dst,
-            f"{prefix}.down.out",
-        )
-        nodes.append(down)
-        identity = down.dst
-    spec1, _ = _conv3(cin, cout, stride)
-    conv1 = Conv(f"{prefix}.conv1", spec1, False, bn0.dst, f"{prefix}.conv1.out")
+    nodes, x, identity = _block_entry(cin, cout, stride, downsample, src, prefix)
+    conv1 = _conv_node(f"{prefix}.conv1", cin, cout, 3, stride, False, x)
     bn1 = BnAct(f"{prefix}.bn1", cout, conv1.dst, f"{prefix}.bn1.out")
-    spec2, _ = _conv3(cout, cout, 1)
-    conv2 = Conv(f"{prefix}.conv2", spec2, True, bn1.dst, f"{prefix}.conv2.out")
+    conv2 = _conv_node(f"{prefix}.conv2", cout, cout, 3, 1, True, bn1.dst)
     add = ResidualAdd(f"{prefix}.add", conv2.dst, identity, f"{prefix}.add.out")
-    nodes += [conv1, bn1, conv2, add]
-    return nodes, add.dst
+    return nodes + [conv1, bn1, conv2, add], add.dst
 
 
 def build_bottleneck(
@@ -355,56 +430,27 @@ def build_bottleneck(
     """
     if cout != BOTTLENECK_EXPANSION * cmid:
         raise ConfigError(f"block '{prefix}': expected cout == {BOTTLENECK_EXPANSION} * cmid")
-    if not downsample and cin != cout:
-        raise ConfigError(f"block '{prefix}': channel change {cin}->{cout} needs downsample")
-    nodes: list[Node] = []
     stride = 2 if (downsample and spatial) else 1
-    bn0 = BnAct(f"{prefix}.bn0", cin, src, f"{prefix}.bn0.out")
-    nodes.append(bn0)
-    identity = src
-    if downsample:
-        down = Conv(
-            f"{prefix}.down",
-            ConvSpec(cin, cout, 1, 1, (stride, stride), (0, 0)),
-            True,
-            bn0.dst,
-            f"{prefix}.down.out",
-        )
-        nodes.append(down)
-        identity = down.dst
-    conv1 = Conv(
-        f"{prefix}.conv1",
-        ConvSpec(cin, cmid, 1, 1, (1, 1), (0, 0)),
-        False,
-        bn0.dst,
-        f"{prefix}.conv1.out",
-    )
+    nodes, x, identity = _block_entry(cin, cout, stride, downsample, src, prefix)
+    conv1 = _conv_node(f"{prefix}.conv1", cin, cmid, 1, 1, False, x)
     bn1 = BnAct(f"{prefix}.bn1", cmid, conv1.dst, f"{prefix}.bn1.out")
-    conv2 = Conv(
-        f"{prefix}.conv2",
-        ConvSpec(cmid, cmid, 3, 3, (stride, stride), (1, 1)),
-        False,
-        bn1.dst,
-        f"{prefix}.conv2.out",
-    )
+    conv2 = _conv_node(f"{prefix}.conv2", cmid, cmid, 3, stride, False, bn1.dst)
     bn2 = BnAct(f"{prefix}.bn2", cmid, conv2.dst, f"{prefix}.bn2.out")
-    conv3 = Conv(
-        f"{prefix}.conv3",
-        ConvSpec(cmid, cout, 1, 1, (1, 1), (0, 0)),
-        True,
-        bn2.dst,
-        f"{prefix}.conv3.out",
-    )
+    conv3 = _conv_node(f"{prefix}.conv3", cmid, cout, 1, 1, True, bn2.dst)
     add = ResidualAdd(f"{prefix}.add", conv3.dst, identity, f"{prefix}.add.out")
-    nodes += [conv1, bn1, conv2, bn2, conv3, add]
-    return nodes, add.dst
+    return nodes + [conv1, bn1, conv2, bn2, conv3, add], add.dst
 
 
-def build_model(cfg: ArchConfig, k: int | None = None) -> GraphDef:
-    """Full model graph: embed, stem, four stages, head conv, pooled logits."""
-    k = cfg.thermo_k if k is None else k
-    thermo_params(k)  # validates k
-    nodes: list[Node] = [PixelEmbed("embed", k, "image", "embed.out")]
+def build_model(cfg: ArchConfig, k: int = 10) -> GraphDef:
+    """Full model graph: embed, stem, four stages, head conv, pooled logits.
+
+    ``k`` is the thermometer length.  The stem conv's 3k input channels
+    must fit the u16 field of its ``.ern`` record; that bound is checked
+    before anything is built.
+    """
+    if not 1 <= k <= 0xFFFF // 3:
+        raise ConfigError(f"thermometer length k must be in [1, {0xFFFF // 3}], got {k}")
+    nodes: list[Node] = [PixelEmbed("embed", k, IMAGE_EDGE, "embed.out")]
     stem_nodes, edge = build_stem(3 * k, "embed.out")
     nodes += stem_nodes
     cin = 64
@@ -429,7 +475,7 @@ def build_model(cfg: ArchConfig, k: int | None = None) -> GraphDef:
         "head.bn.out",
         "head.conv.out",
     )
-    pool = AvgPoolScale("head.pool", "head.conv.out", "logits")
+    pool = AvgPoolScale("head.pool", "head.conv.out", LOGITS_EDGE)
     nodes += [head_bn, final, pool]
     return GraphDef(nodes=tuple(nodes))
 
@@ -441,24 +487,16 @@ def build_model(cfg: ArchConfig, k: int | None = None) -> GraphDef:
 def trace_shapes(g: GraphDef, height: int, width: int) -> dict[str, tuple[int, int, int]]:
     """Propagate (C, H, W) through every edge for a given input resolution.
 
-    Channels come from the edge map; a conv applies its output spatial
-    rule, the pool gives 1x1, and every other node passes its input's
-    spatial dims through.
+    Channels come from the edge map and spatial dims from each step's
+    rule.  A step whose inputs disagree on spatial dims raises
+    :class:`ShapeError`.
     """
-    shapes: dict[str, tuple[int, int, int]] = {g.image_edge: (3, height, width)}
-    for n in g.nodes:
-        if isinstance(n, ResidualAdd):
-            sa, sb = shapes[n.src_a], shapes[n.src_b]
-            if sa != sb:
-                raise ShapeError(f"residual '{n.name}' shape mismatch: {sa} vs {sb}")
-            _, h, w = sa
-        else:
-            _, h, w = shapes[n.src]
-            if isinstance(n, (Conv, FinalConv)):
-                h, w = n.spec.out_spatial(h, w)
-            elif isinstance(n, AvgPoolScale):
-                h, w = 1, 1
-        shapes[n.dst] = (g.edges[n.dst].channels, h, w)
+    shapes: dict[str, tuple[int, int, int]] = {IMAGE_EDGE: (3, height, width)}
+    for s in g.steps:
+        dims = {shapes[src][1:] for src in s.srcs}
+        if len(dims) != 1:
+            raise ShapeError(f"node '{s.node.name}' inputs differ in spatial dims: {sorted(dims)}")
+        shapes[s.node.dst] = (g.edges[s.node.dst].channels, *s.spatial(*dims.pop()))
     return shapes
 
 
@@ -477,7 +515,7 @@ class ModelStats:
     activations: int
 
 
-def model_stats(cfg: ArchConfig, resolution: int, k: int | None = None) -> ModelStats:
+def model_stats(cfg: ArchConfig, resolution: int, k: int = 10) -> ModelStats:
     """Parameter, MAC, and activation counts for a variant at one resolution.
 
     MACs and activations sum over conv layers (the head conv included);
@@ -515,7 +553,7 @@ def model_stats(cfg: ArchConfig, resolution: int, k: int | None = None) -> Model
 @dataclass
 class ExecutionResult:
     logits: np.ndarray
-    float_ops_core: int  # real-valued ops between embed output and final conv output
+    float_ops_core: int  # real-valued ops in the steps between the embedding and the pool
     values: dict[str, np.ndarray] = field(default_factory=dict)  # every edge, when recording
 
 
@@ -524,10 +562,10 @@ def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = Fal
 
     ``model`` is a :class:`ern.compiler.CompiledModel`.  ``kernel`` selects
     the convolution path; both produce bit-identical accumulators.  Each
-    intermediate is dropped after its last reader runs, unless ``record``
-    is set: then every edge's value (image, code maps, accumulators,
-    logits) is kept in ``values`` for cross-checking, with act2 edges
-    unpacked to uint8 code maps.
+    step's ``frees`` are dropped after it runs, unless ``record`` is set:
+    then every edge's value (image, code maps, accumulators, logits) is
+    kept in ``values`` for cross-checking, with act2 edges unpacked to
+    uint8 code maps.
     """
     if kernel not in ("popcount", "naive"):
         raise ConfigError(f"unknown kernel '{kernel}'")
@@ -535,47 +573,32 @@ def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = Fal
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected (3, H, W) image, got {img.shape}")
-    values: dict[str, np.ndarray | PackedPlanes] = {g.image_edge: img}
+    values: dict[str, np.ndarray | PackedPlanes] = {IMAGE_EDGE: img}
 
-    embed_mark = None
-    final_mark = None
+    def run(s: Step) -> None:
+        out = s.op(model, s.node, kernel, *[values[src] for src in s.srcs])
+        kind = g.edges[s.node.dst].kind
+        if kind == "acc":
+            assert out.dtype == ACC_DTYPE, s.node.name
+        elif kind == "act2":
+            assert out.hi.dtype == out.lo.dtype == np.uint64, s.node.name
+        values[s.node.dst] = out
+        if not record:
+            for src in s.frees:
+                del values[src]
+
+    embed, *core, pool = g.steps
+    run(embed)
     with instrument.counting_float_ops() as ops:
-        for n in g.nodes:
-            if isinstance(n, PixelEmbed):
-                out = encode_image(values[n.src], thermo_params(n.k))
-                embed_mark = ops.count
-            elif isinstance(n, (Conv, FinalConv)):
-                x, w = values[n.src], model.weights[n.name]
-                if kernel == "popcount":
-                    out = conv_w1a2_popcount(x, w, n.spec)
-                else:
-                    codes = unpack_activations(x, x.channels)
-                    out = conv_w1a2_naive(codes, w.unpack_signs(), n.spec)
-                assert out.dtype == ACC_DTYPE
-                if isinstance(n, FinalConv):
-                    final_mark = ops.count
-            elif isinstance(n, BnAct):
-                out = apply_thresholds(values[n.src], model.thresholds[n.name])
-                assert out.hi.dtype == out.lo.dtype == np.uint64
-            elif isinstance(n, ResidualAdd):
-                out = residual_add(values[n.src_a], values[n.src_b])
-            elif isinstance(n, AvgPoolScale):
-                out = avgpool_and_scale(values[n.src], model.alpha_out)
-            values[n.dst] = out
-            if not record:
-                # a set, so an add reading one edge twice drops it once
-                for src in {n.src_a, n.src_b} if isinstance(n, ResidualAdd) else {n.src}:
-                    if g.edges[src].last_reader == n.name:
-                        del values[src]
-    float_ops_core = 0
-    if embed_mark is not None and final_mark is not None:
-        float_ops_core = final_mark - embed_mark
+        for s in core:
+            run(s)
+    run(pool)
     if record:
         for name, v in values.items():
             if isinstance(v, PackedPlanes):
                 values[name] = unpack_activations(v, v.channels)
     return ExecutionResult(
-        logits=values[g.logits_edge],
-        float_ops_core=float_ops_core,
+        logits=values[LOGITS_EDGE],
+        float_ops_core=ops.count,
         values=values if record else {},
     )

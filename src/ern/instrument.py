@@ -4,8 +4,9 @@ Inference-path code that performs real-valued arithmetic (the embedding
 setup, the final logit scaling) calls :func:`note_float_ops` with the
 number of operations it executed; the integer kernels never do.  Each
 ``execute`` call opens its own counter with :func:`counting_float_ops`
-and reads it after the pixel embedding and after the final conv, so the
-reported delta is a runtime witness that the core ran no float math.
+around the steps between the pixel embedding and the pool (the core,
+through the final conv), so the reported count is a runtime witness that
+the core ran no float math.
 Offline stages (compiler, oracle) are deliberately not instrumented:
 they are free to use reals.
 

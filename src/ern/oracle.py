@@ -53,12 +53,10 @@ class OracleModel:
     """Pre-folding float view of a compiled model."""
 
     graph: GraphDef
-    k: int
     shared_const: float
     signs: dict[str, np.ndarray]  # (OC, IC, kh, kw) int8, +-1
     edge_scale: dict[str, np.ndarray]  # acc edge -> (OC,) effective scale
     bns: dict[str, object]  # BnActRecord per BnAct node
-    act_scale: dict[str, float]
     alpha_out: float
 
 
@@ -99,21 +97,17 @@ def oracle_from_manifest(
             edge_scale[n.dst] = edge_scale[n.src_a]
 
     bns = {}
-    act_scale = {}
     for bn in g.bnacts:
         rec = manifest.bnacts.get(bn.name)
         if rec is None:
             raise ConfigError(f"layer '{bn.name}' missing from manifest")
         bns[bn.name] = rec
-        act_scale[bn.name] = float(rec.act_scale)
     return OracleModel(
         graph=g,
-        k=manifest.k,
         shared_const=c,
         signs=signs,
         edge_scale=edge_scale,
         bns=bns,
-        act_scale=act_scale,
         alpha_out=alpha_out,
     )
 
@@ -267,7 +261,7 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     """
     g: GraphDef = model.graph
     report = CrossCheckReport()
-    embed = next(n for n in g.nodes if isinstance(n, PixelEmbed))
+    embed = g.steps[0].node
     report.layers[embed.name] = LayerReport()
     for bn in g.bnacts:
         report.layers[bn.name] = LayerReport()
@@ -290,7 +284,7 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
             diffmask = a != b
             if not diffmask.any():
                 continue
-            ratio = orr.pre[bn.name] / om.act_scale[bn.name]
+            ratio = orr.pre[bn.name] / om.bns[bn.name].act_scale
             near = np.abs(ratio - np.rint(ratio)) < TIE_EPS
             hard = int(np.count_nonzero(diffmask & ~near))
             tied = int(np.count_nonzero(diffmask & near))

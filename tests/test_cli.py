@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 import struct
 import zlib
 
@@ -224,6 +225,61 @@ class TestCompile:
         rc = main(["compile", "--manifest", str(broken), "--out", str(tmp_path / "x.ern")])
         assert rc == 2
         assert "s1.b2.conv1" in capsys.readouterr().err
+
+
+def _without_layer_kind(doc):
+    del doc["layers"]["stem.conv1"]["kind"]
+    return doc
+
+
+def _with_bnact_field(key, value):
+    def mutate(doc):
+        next(e for e in doc["layers"].values() if e["kind"] == "bnact")[key] = value
+        return doc
+    return mutate
+
+
+class TestMalformedManifest:
+    """Every malformed manifest ends in exit 2 with the field named, never a traceback."""
+
+    def _compile(self, ws, tmp_path, mutate):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws["ckpt"], ckpt)
+        doc = mutate(json.loads((ckpt / "manifest.json").read_text()))
+        (ckpt / "manifest.json").write_text(json.dumps(doc))
+        return main(["compile", "--manifest", str(ckpt), "--out", str(tmp_path / "x.ern")])
+
+    @pytest.mark.parametrize(
+        "mutate,named",
+        [
+            (lambda doc: [], "top level"),
+            (lambda doc: {**doc, "layers": []}, "layers"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "arch"}, "arch"),
+            (_without_layer_kind, "kind"),
+            (lambda doc: {**doc, "k": "x"}, "'k'"),
+            (lambda doc: {**doc, "shared_const": "a"}, "shared_const"),
+            (_with_bnact_field("channels", "z"), "channels"),
+            (_with_bnact_field("act_scale", None), "act_scale"),
+        ],
+        ids=["top-level-list", "layers-list", "missing-arch", "layer-without-kind", "k-string",
+             "shared-const-string", "channels-string", "act-scale-null"],
+    )
+    def test_field_named(self, ws, tmp_path, capsys, mutate, named):
+        assert self._compile(ws, tmp_path, mutate) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [21846, 10**6])
+    def test_oversized_k(self, ws, tmp_path, capsys, k):
+        # 3k must fit the stem record's u16 in_ch field
+        assert self._compile(ws, tmp_path, lambda doc: {**doc, "k": k}) == 2
+        assert "thermometer length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["21846", "1000000"])
+    def test_init_random_oversized_k(self, tmp_path, capsys, k):
+        rc = main(["init-random", "--arch", "erns18x075", "--seed", "0", "--k", k,
+                   "--out", str(tmp_path / "ckpt")])
+        assert rc == 2
+        assert "thermometer length" in capsys.readouterr().err
 
 
 class TestUsage:

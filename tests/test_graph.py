@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ern.graph
 from ern.compiler import CheckpointManifest, BnActRecord, compile_checkpoint, gen_random_checkpoint
 from ern.errors import ConfigError, ShapeError
 from ern.graph import (
@@ -24,9 +25,33 @@ from ern.graph import (
     model_stats,
     trace_shapes,
 )
+from ern.instrument import note_float_ops
 from ern.kernels import ConvSpec
 
 from conftest import random_image
+
+
+def freed_by(g, edge):
+    return [s.node.name for s in g.steps if edge in s.frees]
+
+
+def compile_toy(g, rng):
+    """Compile a small hand-wired graph with random convs and unit batch norms."""
+    m = CheckpointManifest(
+        arch="toy",
+        k=1,
+        convs={
+            n.name: rng.standard_normal((n.spec.out_ch, n.spec.in_ch, n.spec.kh, n.spec.kw))
+            for n in g.convs
+        },
+        bnacts={
+            n.name: BnActRecord(
+                np.ones(n.channels), np.zeros(n.channels), np.zeros(n.channels), np.ones(n.channels)
+            )
+            for n in g.bnacts
+        },
+    )
+    return compile_checkpoint(m, graph=g)
 
 
 def tiny_nodes():
@@ -104,12 +129,41 @@ class TestValidation:
             GraphDef(tuple(nodes))
 
     def test_last_reader(self):
+        # an edge is freed once, by the last step that reads it
         g50 = build_model(arch_config("erns50"))
-        assert g50.edges["s1.b1.bn0.out"].last_reader == "s1.b1.conv1"
-        assert g50.edges["s1.b1.add.out"].last_reader == "s1.b2.add"
+        assert freed_by(g50, "s1.b1.bn0.out") == ["s1.b1.conv1"]
+        assert freed_by(g50, "s1.b1.add.out") == ["s1.b2.add"]
         g18 = build_model(arch_config("erns18"))
-        assert g18.edges["stem.conv4.out"].last_reader == "s1.b1.add"
-        assert g18.edges["logits"].last_reader is None
+        assert freed_by(g18, "stem.conv4.out") == ["s1.b1.add"]
+        assert freed_by(g18, "logits") == []
+
+    def test_one_step_per_node(self):
+        g = build_model(arch_config("erns50"))
+        assert [s.node for s in g.steps] == list(g.nodes)
+        assert g.steps[0].node.name == "embed" and g.steps[-1].node.name == "head.pool"
+
+    @pytest.mark.parametrize("tail", ["after_pool", "pool_not_logits"])
+    def test_graph_must_end_with_the_logits_pool(self, tail):
+        nodes = tiny_nodes()
+        if tail == "after_pool":
+            nodes.append(Conv("c2", ConvSpec(4, 4, 1, 1), False, "b1.out", "c2.out"))
+        else:
+            nodes[-1] = AvgPoolScale("pool", "f.out", "scores")
+        with pytest.raises(ConfigError, match="must end with the pool"):
+            GraphDef(tuple(nodes))
+
+    @pytest.mark.parametrize("k", [0, 21846, 10**6])
+    def test_thermometer_length_checked_before_building(self, k):
+        # 3k input channels must fit the stem record's u16 field
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="thermometer length"):
+                build_model(arch_config("erns18"), k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert build_model(arch_config("erns18"), 21845).node("stem.conv1").spec.in_ch == 65535
 
 
 class TestArchitectures:
@@ -180,6 +234,24 @@ class TestShapes:
         g = build_model(arch_config("erns18"))
         assert trace_shapes(g, 32, 32)["head.conv.out"] == (1000, 1, 1)
         assert trace_shapes(g, 16, 16)["head.conv.out"] == (1000, 1, 1)
+
+    def test_residual_of_mismatched_strides(self, rng):
+        # equal widths pass validation; only the spatial dims disagree
+        g = GraphDef(
+            (
+                PixelEmbed("embed", 1, "image", "embed.out"),
+                Conv("c1", ConvSpec(3, 4, 1, 1), True, "embed.out", "c1.out"),
+                Conv("c2", ConvSpec(3, 4, 1, 1, (2, 2)), True, "embed.out", "c2.out"),
+                ResidualAdd("add", "c1.out", "c2.out", "add.out"),
+                BnAct("b1", 4, "add.out", "b1.out"),
+                FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
+                AvgPoolScale("pool", "f.out", "logits"),
+            )
+        )
+        with pytest.raises(ShapeError):
+            trace_shapes(g, 8, 8)
+        with pytest.raises(ShapeError):
+            execute(compile_toy(g, rng), random_image(rng, 8))
 
     def test_macs_reference_layers(self):
         assert macs_for_conv(ConvSpec(3, 64, 7, 7, (2, 2), (3, 3)), 224, 224) == 118013952
@@ -278,25 +350,66 @@ class TestExecution:
                 AvgPoolScale("pool", "f.out", "logits"),
             )
         )
-        assert g.edges["c1.out"].last_reader == "add"
+        add = g.steps[2]
+        assert add.srcs == ("c1.out", "c1.out")
+        assert add.frees == ("c1.out",)
+        assert freed_by(g, "c1.out") == ["add"]
         assert g.edges["add.out"].bound == 2 * 9
         rng = np.random.default_rng(0)
-        bn = BnActRecord(
-            gamma=np.ones(4), beta=np.zeros(4), mean=np.zeros(4), var=np.ones(4),
-            epsilon=1e-5, act_scale=1.0,
-        )
-        m = CheckpointManifest(
-            arch="toy",
-            k=1,
-            convs={"c1": rng.standard_normal((4, 3, 1, 1)), "f": rng.standard_normal((2, 4, 1, 1))},
-            bnacts={"b1": bn},
-        )
-        model = compile_checkpoint(m, graph=g)
+        model = compile_toy(g, rng)
         img = random_image(rng, 8)
         rec = execute(model, img, record=True)
         assert np.array_equal(rec.values["add.out"], 2 * rec.values["c1.out"])
         for kernel in ("popcount", "naive"):
             assert execute(model, img, kernel=kernel).logits.tobytes() == rec.logits.tobytes()
+
+    def test_kernels_looked_up_per_call(self, erns18_model, rng, monkeypatch):
+        # steps call this module's kernels by name, with the model's own
+        # weight and table objects, so a wrapper installed after the model
+        # is built sees every call
+        g = erns18_model.graph
+        calls = {"conv": [], "bnact": []}
+
+        def counting(kind, fn):
+            def wrapper(*args):
+                calls[kind].append(args[1])
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ern.graph, "conv_w1a2_popcount",
+                            counting("conv", ern.graph.conv_w1a2_popcount))
+        monkeypatch.setattr(ern.graph, "apply_thresholds",
+                            counting("bnact", ern.graph.apply_thresholds))
+        execute(erns18_model, random_image(rng, 32))
+        assert len(calls["conv"]) == len(g.convs)
+        assert len(calls["bnact"]) == len(g.bnacts)
+        for n, w in zip(g.convs, calls["conv"]):
+            assert w is erns18_model.weights[n.name], n.name
+        for n, t in zip(g.bnacts, calls["bnact"]):
+            assert t is erns18_model.thresholds[n.name], n.name
+
+    def test_float_op_witness_brackets_embed_output_to_final_conv(
+        self, erns18_model, rng, monkeypatch
+    ):
+        # float ops in the embedding and the pool fall outside the core;
+        # the final conv is inside it
+        def noting(fn, n):
+            def wrapper(*args):
+                note_float_ops(n)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ern.graph, "encode_image", noting(ern.graph.encode_image, 1000))
+        monkeypatch.setattr(ern.graph, "conv_w1a2_popcount",
+                            noting(ern.graph.conv_w1a2_popcount, 1))
+        r = execute(erns18_model, random_image(rng, 32))
+        assert r.float_ops_core == len(erns18_model.graph.convs)
+
+    def test_residual_output_dtype_checked(self, erns18_model, rng, monkeypatch):
+        add = ern.graph.residual_add
+        monkeypatch.setattr(ern.graph, "residual_add", lambda a, b: add(a, b).astype(np.int64))
+        with pytest.raises(AssertionError, match="s1.b1.add"):
+            execute(erns18_model, random_image(rng, 32))
 
     def test_unknown_kernel(self, erns18_model):
         with pytest.raises(ConfigError):
