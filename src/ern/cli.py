@@ -46,6 +46,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of the count and size flags: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     e = np.exp(logits - np.max(logits))
     return e / e.sum()
@@ -90,8 +98,6 @@ def cmd_compile(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    if args.top < 1:
-        raise _UsageError(f"--top must be at least 1, got {args.top}")
     model = _load_model(args.model)
     img = _read_image(args)
     if args.ten_crop:
@@ -185,33 +191,33 @@ def _build_parser() -> _Parser:
     i = sub.add_parser("infer", help="classify one image")
     i.add_argument("--model", required=True)
     i.add_argument("--image", required=True)
-    i.add_argument("--top", type=int, default=5)
+    i.add_argument("--top", type=positive_int, default=5)
     i.add_argument("--ten-crop", action="store_true")
-    i.add_argument("--crop-size", type=int, default=None)
+    i.add_argument("--crop-size", type=positive_int, default=None)
     i.add_argument("--raw", default=None, metavar="C,H,W",
                    help="treat --image as raw uint8 tensor bytes of this shape")
     i.set_defaults(fn=cmd_infer)
 
     s = sub.add_parser("stats", help="parameter/MAC/size arithmetic for an architecture")
     s.add_argument("--arch", required=True)
-    s.add_argument("--resolution", type=int, default=256)
+    s.add_argument("--resolution", type=positive_int, default=256)
     s.add_argument("--json", action="store_true")
     s.set_defaults(fn=cmd_stats)
 
     v = sub.add_parser("verify", help="cross-check a model against its float oracle")
     v.add_argument("--model", required=True)
     v.add_argument("--manifest", required=True)
-    v.add_argument("--images", type=int, default=10)
+    v.add_argument("--images", type=positive_int, default=10)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--resolution", type=int, default=64)
+    v.add_argument("--resolution", type=positive_int, default=64)
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bench", help="time the kernel paths")
     b.add_argument("--model", required=True)
-    b.add_argument("--iters", type=int, default=3)
+    b.add_argument("--iters", type=positive_int, default=3)
     b.add_argument("--kernel", choices=["popcount", "naive"], default=None)
-    b.add_argument("--resolution", type=int, default=256)
+    b.add_argument("--resolution", type=positive_int, default=256)
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(fn=cmd_bench)
 

@@ -4,6 +4,9 @@ A checkpoint is a directory: ``manifest.json`` naming the architecture
 plus one raw little-endian float32 blob per layer (conv weights in
 (OC, IC, kh, kw) C order; batch-norm blobs are gamma, beta, mean, var
 concatenated).  Any training framework can emit one with a few lines.
+Each BnAct's blob, epsilon and act_scale load into one
+:class:`ern.quant.BnParams`, which checks them when it is built and is
+what compilation and the float oracle read.
 
 Compilation binarizes every conv (per-channel alpha = mean |w|, or the
 shared constant c for convs feeding a residual add), folds each
@@ -15,12 +18,16 @@ integer-executable and serializes to a single .ern file:
     f64 c | u8 endian tag (1 = little) | u32 layer count |
     layer records | u32 CRC32 over everything before it
 
-Conv records carry the ConvSpec fields, the per-channel scales, and the
-packed weight words; BnAct records carry per-channel (t1, t2, t3) as
-signed 64-bit plus a direction byte and a degenerate byte.  A degenerate
-channel (folded slope exactly zero) stores its constant code in the t1
-slot.  All multi-byte values little-endian; identical inputs produce
-byte-identical files.
+Conv records carry the ConvSpec fields, a const flag, the per-channel
+scales, and the packed weight words.  The flag and some scales repeat
+facts the reader already has: which convs are const-scaled is a fact of
+the architecture's graph, their scales all equal c, and the head conv's
+all equal alpha_out.  ``load`` checks each copy against its source.
+BnAct records carry per-channel (t1, t2, t3) as signed 64-bit plus a
+direction byte and a degenerate byte.  A degenerate channel (folded
+slope exactly zero) stores its constant code in the t1 slot.  All
+multi-byte values little-endian; identical inputs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from .graph import (
     build_model,
 )
 from .kernels import ConvSpec
-from .quant import ActParams, BnParams, ThresholdTable, binarize_weights, fuse_thresholds
+from .quant import BnParams, ThresholdTable, binarize_weights, fuse_thresholds
 from .tensor import LANES, PackedWeights, pack_weights, padded_channels
 
 MAGIC = b"ERN1"
@@ -75,24 +82,18 @@ _BNACT_CHANNEL = np.dtype("<i8, <i8, <i8, u1, u1")
 
 
 @dataclass(eq=False)
-class BnActRecord:
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    epsilon: float = 1e-5
-    act_scale: float = 1.0
-
-
-@dataclass(eq=False)
 class CheckpointManifest:
-    """Float checkpoint: architecture id plus per-layer parameter arrays."""
+    """Float checkpoint: architecture id plus per-layer parameter arrays.
+
+    :meth:`graph` is the one source of the graph that compilation and the
+    float oracle build from.
+    """
 
     arch: str
     k: int = 10
     shared_const: float | None = None
     convs: dict[str, np.ndarray] = field(default_factory=dict)
-    bnacts: dict[str, BnActRecord] = field(default_factory=dict)
+    bnacts: dict[str, BnParams] = field(default_factory=dict)
 
     def graph(self) -> GraphDef:
         return build_model(arch_config(self.arch), self.k)
@@ -154,7 +155,8 @@ def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
 def load_manifest(path: str | Path) -> CheckpointManifest:
     """Read a checkpoint directory (or its manifest.json) back into memory.
 
-    Every malformed field raises a :class:`ConfigError` that names it.
+    Every malformed field, and every batch-norm blob or scale that
+    :class:`BnParams` rejects, raises a :class:`ConfigError` that names it.
     """
     root = Path(path)
     doc_path = root / "manifest.json" if root.is_dir() else root
@@ -193,12 +195,14 @@ def load_manifest(path: str | Path) -> CheckpointManifest:
             c = _field(entry, "channels", int, where)
             if raw.size != 4 * c:
                 raise ConfigError(f"{where}: blob holds {raw.size} floats, expected {4 * c}")
-            g, b, mu, v = (raw[i * c : (i + 1) * c].astype(np.float64) for i in range(4))
-            m.bnacts[name] = BnActRecord(
-                g, b, mu, v,
-                epsilon=float(_field(entry, "epsilon", float, where, 1e-5)),
-                act_scale=float(_field(entry, "act_scale", float, where, 1.0)),
-            )
+            try:
+                m.bnacts[name] = BnParams(
+                    *(raw[i * c : (i + 1) * c] for i in range(4)),
+                    epsilon=_field(entry, "epsilon", float, where, 1e-5),
+                    act_scale=_field(entry, "act_scale", float, where, 1.0),
+                )
+            except DomainError as e:
+                raise ConfigError(f"{where}: {e}") from None
         else:
             raise ConfigError(f"{where}: unknown kind {kind!r}")
     return m
@@ -226,13 +230,13 @@ def gen_random_checkpoint(
         sigma_ref = 1.5 * np.sqrt(max(g.edges[bn.src].bound / 3, 1))
         gamma = rng.normal(1.0, 0.3, c)
         gamma[rng.random(c) < 0.05] *= -1.0
-        m.bnacts[bn.name] = BnActRecord(
-            gamma=gamma.astype(np.float32).astype(np.float64),
-            beta=rng.normal(0.0, 1.0, c).astype(np.float32).astype(np.float64),
-            mean=rng.normal(0.0, 0.3 * sigma_ref, c).astype(np.float32).astype(np.float64),
-            var=(sigma_ref**2 * rng.uniform(0.25, 4.0, c)).astype(np.float32).astype(np.float64),
+        m.bnacts[bn.name] = BnParams(
+            gamma=gamma.astype(np.float32),
+            beta=rng.normal(0.0, 1.0, c).astype(np.float32),
+            mean=rng.normal(0.0, 0.3 * sigma_ref, c).astype(np.float32),
+            var=(sigma_ref**2 * rng.uniform(0.25, 4.0, c)).astype(np.float32),
             epsilon=1e-5,
-            act_scale=float(round(rng.uniform(0.5, 2.0), 4)),
+            act_scale=round(rng.uniform(0.5, 2.0), 4),
         )
     return m
 
@@ -250,26 +254,22 @@ class CompiledModel:
     arch: str
     k: int
     shared_const: float
-    version: int = FORMAT_VERSION
 
 
 def compile_checkpoint(
-    manifest: CheckpointManifest,
-    shared_const: float | None = None,
-    graph: GraphDef | None = None,
+    manifest: CheckpointManifest, shared_const: float | None = None
 ) -> CompiledModel:
     """Fold a float checkpoint into an integer-executable model.
 
-    Scale resolution per conv: const-scaled convs (those feeding residual
-    adds) take the shared constant c; others take per-channel
-    alpha = mean |w|, with all-zero filters substituting alpha = 1 under a
-    warning.  Each BnAct folds against whichever scale its producing edge
-    carries, clamped to that edge's accumulator bound.
-
-    ``graph`` overrides the named architecture; such models execute but
-    only named architectures serialize.
+    The graph is ``manifest.graph()``.  Scale resolution per conv: convs
+    whose output edge is const-scaled (those feeding residual adds) take
+    the shared constant c; the head conv takes one alpha_out = mean |w|;
+    others take per-channel alpha = mean |w|, with all-zero filters
+    substituting alpha = 1 under a warning.  Each BnAct folds against
+    whichever scale its producing edge carries, clamped to that edge's
+    accumulator bound.  Only named architectures serialize.
     """
-    g = manifest.graph() if graph is None else graph
+    g = manifest.graph()
     c = shared_const if shared_const is not None else manifest.shared_const
     c = 1.0 if c is None else float(c)
     if not (np.isfinite(c) and c > 0):
@@ -281,7 +281,6 @@ def compile_checkpoint(
         raise CompileError(sorted(extra)[0], "not a layer of this architecture")
 
     weights: dict[str, PackedWeights] = {}
-    fold_alpha: dict[str, np.ndarray] = {}
     alpha_out = 1.0
     for node in g.convs:
         w = manifest.convs.get(node.name)
@@ -306,31 +305,21 @@ def compile_checkpoint(
             alpha = np.where(zero, 1.0, alpha)
         if isinstance(node, FinalConv):
             alpha_out = float(np.mean(np.abs(w))) or 1.0
-            store = np.full(s.out_ch, alpha_out)
-            weights[node.name] = pack_weights(signs, store, const_scaled=False)
-        elif node.const_scaled:
-            store = np.full(s.out_ch, c)
-            weights[node.name] = pack_weights(signs, store, const_scaled=True)
-            fold_alpha[node.name] = store
-        else:
-            weights[node.name] = pack_weights(signs, alpha, const_scaled=False)
-            fold_alpha[node.name] = alpha
+            alpha = np.full(s.out_ch, alpha_out)
+        elif g.edges[node.dst].const_scaled:
+            alpha = np.full(s.out_ch, c)
+        weights[node.name] = pack_weights(signs, alpha)
 
     thresholds: dict[str, ThresholdTable] = {}
     for bn in g.bnacts:
         rec = manifest.bnacts.get(bn.name)
         if rec is None:
             raise CompileError(bn.name, "missing batch-norm parameters")
+        if rec.channels != bn.channels:
+            raise CompileError(bn.name, f"{rec.channels} channels, expected {bn.channels}")
         info = g.edges[bn.src]
-        alpha = np.full(bn.channels, c) if info.const_scaled else fold_alpha[info.producer]
-        if rec.gamma.shape[0] != bn.channels:
-            raise CompileError(bn.name, f"{rec.gamma.shape[0]} channels, expected {bn.channels}")
-        try:
-            params = BnParams(rec.gamma, rec.beta, rec.mean, rec.var, rec.epsilon)
-            act = ActParams(rec.act_scale)
-            thresholds[bn.name] = fuse_thresholds(alpha, params, act, acc_bound=info.bound)
-        except (DomainError, ValueError) as e:
-            raise CompileError(bn.name, str(e)) from e
+        alpha = np.full(bn.channels, c) if info.const_scaled else weights[info.producer].alpha
+        thresholds[bn.name] = fuse_thresholds(alpha, rec, acc_bound=info.bound)
 
     return CompiledModel(
         graph=g,
@@ -358,7 +347,7 @@ def serialize(model: CompiledModel) -> bytes:
         raise ConfigError(f"only named architectures serialize, got '{model.arch}'")
     out = io.BytesIO()
     out.write(MAGIC)
-    out.write(struct.pack("<I", model.version))
+    out.write(struct.pack("<I", FORMAT_VERSION))
     out.write(_pack_str(model.arch))
     out.write(struct.pack("<Id", model.k, model.shared_const))
     out.write(struct.pack("<B", _ENDIAN_LITTLE))
@@ -383,7 +372,7 @@ def serialize(model: CompiledModel) -> bytes:
                     s.stride[1],
                     s.padding[0],
                     s.padding[1],
-                    1 if w.const_scaled else 0,
+                    1 if model.graph.edges[node.dst].const_scaled else 0,
                 )
             )
             alpha = np.ascontiguousarray(w.alpha, dtype="<f8")
@@ -448,7 +437,11 @@ def load(data: bytes) -> CompiledModel:
     field is interpreted, so a corrupt body raises :class:`ChecksumError`.
     A corrupted length or count can still read as a truncation, because
     it is walked before the CRC.  Every other defect of a file with a
-    valid CRC raises a :class:`FormatError`.
+    valid CRC raises a :class:`FormatError`, including any record that
+    disagrees with the architecture (shape, record kind, const flag) and
+    any scale the file repeats that disagrees with c: c and every conv
+    scale must be finite and > 0, a const-scaled conv's scales must all
+    equal c, and the head conv's must all equal one alpha_out.
     """
     if len(data) < 4:
         raise TruncationError(f"{len(data)} bytes is too short for a model file")
@@ -489,6 +482,8 @@ def load(data: bytes) -> CompiledModel:
 
     if endian != _ENDIAN_LITTLE:
         raise FormatError(f"unsupported endianness tag {endian}")
+    if not (np.isfinite(shared_const) and shared_const > 0):
+        raise FormatError(f"shared constant {shared_const} is not finite and > 0")
     if not 1 <= 3 * k <= 0xFFFF:
         raise FormatError(f"thermometer length {k} does not fit the stem conv record")
     arch = _decode(arch_raw)
@@ -503,20 +498,30 @@ def load(data: bytes) -> CompiledModel:
         node = by_name.get(name)
         if node is None:
             raise FormatError(f"layer '{name}' is not part of architecture '{arch}'")
+        if name in weights or name in thresholds:
+            raise FormatError(f"layer '{name}' is stored twice")
         if kind in (LAYER_CONV, LAYER_FINAL):
             (oc, ic, kh, kw, sh, sw, ph, pw, const_flag), alpha, words = fields
             spec = getattr(node, "spec", None)
             if spec != ConvSpec(ic, oc, kh, kw, (sh, sw), (ph, pw)):
                 raise FormatError(f"layer '{name}': stored shape disagrees with architecture")
+            if (kind == LAYER_FINAL) != isinstance(node, FinalConv):
+                raise FormatError(f"layer '{name}': record kind {kind} disagrees with architecture")
+            if const_flag != g.edges[node.dst].const_scaled:
+                raise FormatError(f"layer '{name}': const flag {const_flag} disagrees with graph")
             alpha = np.frombuffer(alpha, dtype="<f8").astype(np.float64)
+            if alpha.shape != (oc,) or not (np.isfinite(alpha) & (alpha > 0)).all():
+                raise FormatError(f"layer '{name}': scales must be {oc} finite values > 0")
+            if const_flag and (alpha != shared_const).any():
+                raise FormatError(f"layer '{name}': const-scaled conv scales differ from c")
+            if kind == LAYER_FINAL and (alpha != alpha[0]).any():
+                raise FormatError(f"layer '{name}': head conv scales differ from one another")
             shape = (oc, padded_channels(ic) // LANES, kh, kw)
             n_words = len(words) // 8
             if n_words != int(np.prod(shape)):
                 raise FormatError(f"layer '{name}': {n_words} weight words, expected {np.prod(shape)}")
             bits = np.frombuffer(words, dtype="<u8").astype(np.uint64).reshape(shape)
-            weights[name] = PackedWeights(
-                bits=bits, alpha=alpha, in_channels=ic, const_scaled=bool(const_flag)
-            )
+            weights[name] = PackedWeights(bits=bits, alpha=alpha, in_channels=ic)
             if kind == LAYER_FINAL:
                 alpha_out = float(alpha[0])
         elif kind == LAYER_BNACT:
@@ -553,13 +558,12 @@ def load(data: bytes) -> CompiledModel:
         arch=arch,
         k=k,
         shared_const=shared_const,
-        version=version,
     )
 
 
 def models_equivalent(a: CompiledModel, b: CompiledModel) -> bool:
     """Bit-exact equality of weights, thresholds, and metadata."""
-    if (a.arch, a.k, a.version) != (b.arch, b.k, b.version):
+    if (a.arch, a.k) != (b.arch, b.k):
         return False
     if a.shared_const != b.shared_const or a.alpha_out != b.alpha_out:
         return False
@@ -567,7 +571,7 @@ def models_equivalent(a: CompiledModel, b: CompiledModel) -> bool:
         return False
     for name, wa in a.weights.items():
         wb = b.weights[name]
-        if wa.const_scaled != wb.const_scaled or wa.in_channels != wb.in_channels:
+        if wa.in_channels != wb.in_channels:
             return False
         if not (np.array_equal(wa.bits, wb.bits) and np.array_equal(wa.alpha, wb.alpha)):
             return False

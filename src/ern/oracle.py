@@ -3,8 +3,10 @@
 The oracle evaluates the same quantized network in 64-bit reals, straight
 from the defining math: binary signs convolved with code maps by im2col,
 scaled by alpha (or the shared constant c), batch-normalized, and passed
-through the explicit float quantizer.  It shares no kernel code with the
-integer engine, so agreement between the two certifies both.
+through the explicit float quantizer.  It builds on the manifest's own
+graph and reads each BnAct's :class:`ern.quant.BnParams` as the manifest
+holds it, already checked and in 64-bit reals.  It shares no kernel code
+with the integer engine, so agreement between the two certifies both.
 
 The convolution is a float32 GEMM whose partial sums are integers below
 2**24, so it is exact, and its result is widened to 64-bit reals; the
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .quant import ActParams, quantize_act_float
+from .quant import BnParams, quantize_act_float
 from .graph import (
     AvgPoolScale,
     BnAct,
@@ -56,19 +58,17 @@ class OracleModel:
     shared_const: float
     signs: dict[str, np.ndarray]  # (OC, IC, kh, kw) int8, +-1
     edge_scale: dict[str, np.ndarray]  # acc edge -> (OC,) effective scale
-    bns: dict[str, object]  # BnActRecord per BnAct node
+    bns: dict[str, BnParams]  # the manifest's parameters per BnAct node
     alpha_out: float
 
 
-def oracle_from_manifest(
-    manifest, shared_const: float | None = None, graph: GraphDef | None = None
-) -> OracleModel:
-    """Build the float reference with the same scale policy as compilation.
+def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleModel:
+    """Build the float reference on ``manifest.graph()`` with compilation's scale policy.
 
     Must see the same manifest and shared constant as the compiled model,
     or divergence is by construction rather than by defect.
     """
-    g = manifest.graph() if graph is None else graph
+    g = manifest.graph()
     c = shared_const if shared_const is not None else manifest.shared_const
     c = 1.0 if c is None else float(c)
     if not (np.isfinite(c) and c > 0):
@@ -87,7 +87,7 @@ def oracle_from_manifest(
         if isinstance(node, FinalConv):
             alpha_out = float(np.mean(np.abs(w.astype(np.float64)))) or 1.0
             edge_scale[node.dst] = np.full(node.spec.out_ch, alpha_out)
-        elif node.const_scaled:
+        elif g.edges[node.dst].const_scaled:
             edge_scale[node.dst] = np.full(node.spec.out_ch, c)
         else:
             alpha = np.abs(w.astype(np.float64)).mean(axis=(1, 2, 3))
@@ -179,17 +179,11 @@ def oracle_execute(om: OracleModel, img: np.ndarray) -> OracleResult:
                 values[node.src], om.signs[node.name], node.spec.stride, node.spec.padding
             )
         elif isinstance(node, BnAct):
-            rec = om.bns[node.name]
-            scale = om.edge_scale[node.src][:, None, None]
-            y = scale * values[node.src]
-            sd = np.sqrt(np.asarray(rec.var, dtype=np.float64) + rec.epsilon)[:, None, None]
-            v = (
-                np.asarray(rec.gamma, dtype=np.float64)[:, None, None]
-                * (y - np.asarray(rec.mean, dtype=np.float64)[:, None, None])
-                / sd
-                + np.asarray(rec.beta, dtype=np.float64)[:, None, None]
-            )
-            values[node.dst] = quantize_act_float(v, ActParams(rec.act_scale))
+            bn = om.bns[node.name]
+            y = om.edge_scale[node.src][:, None, None] * values[node.src]
+            sd = np.sqrt(bn.var + bn.epsilon)[:, None, None]
+            v = bn.gamma[:, None, None] * (y - bn.mean[:, None, None]) / sd + bn.beta[:, None, None]
+            values[node.dst] = quantize_act_float(v, bn.act_scale)
             res.pre[node.name] = v
         elif isinstance(node, ResidualAdd):
             values[node.dst] = values[node.src_a] + values[node.src_b]

@@ -16,6 +16,11 @@ thresholds per channel, compared directly against the accumulator:
     A < 0:  code = #{ u : acc <= floor((u * s_a - B) / A) }  (descending)
     A = 0:  constant code clamp(floor(B / s_a), 0, 3)
 
+The float inputs of one fold -- gamma, beta, mean, var, eps and the code
+step s_a -- travel together as one :class:`BnParams`, checked once when it
+is built; the checkpoint manifest, the fold and the float oracle all hold
+that one type.
+
 Thresholds are stored sorted ascending with a direction flag.  All folding
 is done in 64-bit reals with a fixed evaluation order; the integer
 threshold path is canonical at real-arithmetic boundary ties.
@@ -55,45 +60,42 @@ _ACC = np.iinfo(ACC_DTYPE)
 
 @dataclass(frozen=True)
 class BnParams:
-    """Per-channel batch-norm statistics (inference view)."""
+    """One BnAct's float parameters: batch-norm statistics and the code step.
+
+    ``gamma``, ``beta``, ``mean`` and ``var`` are per-channel; ``act_scale``
+    is the layer's 2-bit code step s_a.  Construction checks every field
+    once -- equal-length 1-D finite statistics, var >= 0, and a finite
+    epsilon and act_scale > 0 -- and stores the statistics as float64 and
+    the scalars as floats, so readers neither re-check nor re-cast them.
+    """
 
     gamma: np.ndarray
     beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    epsilon: float
+    mean: np.ndarray
+    var: np.ndarray
+    epsilon: float = 1e-5
+    act_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64))
+        shape = np.shape(self.gamma)
+        for name in ("gamma", "beta", "mean", "var"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.ndim != 1 or arr.shape != shape:
+                raise ShapeError(f"batch-norm {name} must be 1-D of shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise DomainError(f"batch-norm {name} contains NaN or Inf")
             object.__setattr__(self, name, arr)
-        if (self.running_var < 0).any():
-            raise DomainError("running_var must be non-negative")
-        if not self.epsilon > 0:
-            raise DomainError("epsilon must be positive")
+        if (self.var < 0).any():
+            raise DomainError("batch-norm var must be non-negative")
+        for name in ("epsilon", "act_scale"):
+            value = float(getattr(self, name))
+            if not (np.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and positive, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
-
-
-@dataclass(frozen=True)
-class ActParams:
-    """Quantized activation parameters: the input scale of 2-bit codes.
-
-    The scale is per-layer; a per-channel vector is accepted as well (it
-    folds into per-channel thresholds identically).
-    """
-
-    input_scale: np.ndarray
-
-    def __post_init__(self):
-        scale = np.atleast_1d(np.asarray(self.input_scale, dtype=np.float64))
-        if not (np.isfinite(scale).all() and (scale > 0).all()):
-            raise DomainError("activation scale must be finite and positive")
-        object.__setattr__(self, "input_scale", scale)
 
 
 @dataclass(frozen=True)
@@ -173,19 +175,16 @@ def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return signs, alpha
 
 
-def quantize_act_float(v, p: ActParams) -> np.ndarray:
-    """Reference float activation: clamp(floor(v / s_a), 0, 3)."""
+def quantize_act_float(v, scale: float) -> np.ndarray:
+    """Reference float activation: clamp(floor(v / s_a), 0, 3) with s_a = ``scale``."""
     v = np.asarray(v, dtype=np.float64)
     if not np.isfinite(v).all():
         raise DomainError("activation input contains NaN or Inf")
-    scale = p.input_scale if p.input_scale.size == 1 else p.input_scale.reshape(
-        (-1,) + (1,) * (v.ndim - 1)
-    )
     note_float_ops(2 * v.size)
     return np.clip(np.floor(v / scale), 0, NUM_CODES - 1).astype(np.uint8)
 
 
-def fuse_thresholds(alpha, bn: BnParams, act: ActParams, acc_bound: int | None = None) -> ThresholdTable:
+def fuse_thresholds(alpha, bn: BnParams, acc_bound: int | None = None) -> ThresholdTable:
     """Fold per-channel scale, batch norm, and activation into thresholds.
 
     ``alpha`` is scalar or per-channel.  When ``acc_bound`` (the producing
@@ -199,22 +198,23 @@ def fuse_thresholds(alpha, bn: BnParams, act: ActParams, acc_bound: int | None =
         raise DomainError("alpha must be finite and positive")
     c = bn.channels
     alpha = np.broadcast_to(alpha, (c,))
-    scale = np.broadcast_to(act.input_scale, (c,))
 
-    sd = np.sqrt(bn.running_var + bn.epsilon)
+    sd = np.sqrt(bn.var + bn.epsilon)
     a_coef = bn.gamma * alpha / sd
-    b_coef = bn.beta - bn.gamma * bn.running_mean / sd
+    b_coef = bn.beta - bn.gamma * bn.mean / sd
 
     degenerate = a_coef == 0.0
     ascending = a_coef > 0.0
     const_code = np.clip(
-        np.floor(np.divide(b_coef, scale, where=degenerate, out=np.zeros(c))), 0, NUM_CODES - 1
+        np.floor(np.divide(b_coef, bn.act_scale, where=degenerate, out=np.zeros(c))),
+        0,
+        NUM_CODES - 1,
     ).astype(np.uint8)
     const_code[~degenerate] = 0
 
     u = np.arange(1, NUM_CODES, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bounds = (u[None, :] * scale[:, None] - b_coef[:, None]) / a_coef[:, None]
+        bounds = (u[None, :] * bn.act_scale - b_coef[:, None]) / a_coef[:, None]
     rounded = np.where(ascending[:, None], np.ceil(bounds), np.floor(bounds))
     limit = float(_WIDE_SENTINEL if acc_bound is None else acc_bound + 1)
     rounded = np.clip(np.nan_to_num(rounded, nan=0.0, posinf=limit, neginf=-limit), -limit, limit)

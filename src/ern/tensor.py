@@ -120,14 +120,14 @@ class PackedWeights:
 
     ``bits`` has shape (OC, IC_pad/64, kh, kw) with dtype uint64; bit 1
     means weight +1, bit 0 means -1.  Pad lanes are fixed to 1.  ``alpha``
-    is the per-output-channel scaling factor (all entries equal to the
-    shared constant when ``const_scaled`` is set).
+    is the per-output-channel scaling factor; which convs carry the shared
+    constant there is a fact of the graph (``GraphDef.edges``), not of the
+    weights.
     """
 
     bits: np.ndarray
     alpha: np.ndarray
     in_channels: int  # logical (unpadded) input channel count
-    const_scaled: bool = False
 
     @property
     def out_channels(self) -> int:
@@ -179,7 +179,7 @@ def unpack_activations(p: PackedPlanes, channels: int) -> np.ndarray:
     return (hi << 1) | lo
 
 
-def pack_weights(signs: np.ndarray, alpha: np.ndarray, const_scaled: bool = False) -> PackedWeights:
+def pack_weights(signs: np.ndarray, alpha: np.ndarray) -> PackedWeights:
     """Bit-pack a +/-1 sign tensor with its per-output-channel scales.
 
     Every element of ``signs`` must be exactly +1 or -1; ``alpha`` must be
@@ -200,9 +200,4 @@ def pack_weights(signs: np.ndarray, alpha: np.ndarray, const_scaled: bool = Fals
     ic_pad = padded_channels(ic)
     bits = np.ones((oc, ic_pad, kh, kw), dtype=np.uint8)
     bits[:, :ic] = signs > 0
-    return PackedWeights(
-        bits=_pack_lanes(bits, 1),
-        alpha=alpha,
-        in_channels=ic,
-        const_scaled=const_scaled,
-    )
+    return PackedWeights(bits=_pack_lanes(bits, 1), alpha=alpha, in_channels=ic)

@@ -47,3 +47,23 @@ def rewrite_threshold_row(blob: bytes, layer: str, t1: int, degenerate: int | No
         body[row + 25] = degenerate
     crc = zlib.crc32(body) if recrc else struct.unpack("<I", blob[-4:])[0]
     return bytes(body) + struct.pack("<I", crc)
+
+
+def rewrite_conv_record(blob: bytes, layer: str, alpha=None, const_flag: int | None = None,
+                        kind: int | None = None) -> bytes:
+    """Replace the scales (any count), the const flag or the record kind of one
+    serialized conv record, then re-sign the file's CRC."""
+    body = bytearray(blob[:-4])
+    name = layer.encode()
+    at = body.index(struct.pack("<H", len(name)) + name)
+    geometry = at + 2 + len(name)  # <HHBBBBBBB: out_ch, in_ch, kh, kw, strides, pads, const flag
+    count_at = geometry + struct.calcsize("<HHBBBBBBB")
+    if kind is not None:
+        body[at - 1] = kind
+    if const_flag is not None:
+        body[count_at - 1] = const_flag
+    if alpha is not None:
+        (n,) = struct.unpack_from("<I", body, count_at)
+        alpha = np.asarray(alpha, dtype="<f8")
+        body[count_at : count_at + 4 + 8 * n] = struct.pack("<I", alpha.size) + alpha.tobytes()
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))

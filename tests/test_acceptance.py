@@ -24,7 +24,7 @@ from ern.graph import ARCHITECTURES, arch_config, build_model, execute, model_st
 from ern.kernels import ConvSpec, conv_w1a2_naive, conv_w1a2_popcount
 from ern.oracle import cross_check, oracle_from_manifest
 from ern.pixembed import encode_image, thermo_params
-from ern.quant import ActParams, BnParams, apply_thresholds, fuse_thresholds, quantize_act_float
+from ern.quant import BnParams, apply_thresholds, fuse_thresholds, quantize_act_float
 from ern.tensor import pack_activations, pack_weights, unpack_activations
 
 from conftest import random_image
@@ -122,17 +122,17 @@ def test_a02_fusion_exactness(say):
         bn = BnParams(
             gamma=gamma,
             beta=np.array([rng.normal(0.0, 1.0)]),
-            running_mean=np.array([rng.normal(0.0, 2.0)]),
-            running_var=np.array([rng.uniform(0.05, 2.0)]),
+            mean=np.array([rng.normal(0.0, 2.0)]),
+            var=np.array([rng.uniform(0.05, 2.0)]),
             epsilon=1e-5,
+            act_scale=rng.uniform(0.3, 2.5),
         )
-        act = ActParams(rng.uniform(0.3, 2.5))
-        tbl = fuse_thresholds(alpha, bn, act, acc_bound=3 * K)
+        tbl = fuse_thresholds(alpha, bn, acc_bound=3 * K)
         got = unpack_activations(apply_thresholds(acc, tbl), 1)
-        sig = np.sqrt(bn.running_var + bn.epsilon)
-        v = bn.gamma * (alpha * acc - bn.running_mean) / sig + bn.beta
-        want = quantize_act_float(v, act)
-        ratio = v / act.input_scale
+        sig = np.sqrt(bn.var + bn.epsilon)
+        v = bn.gamma * (alpha * acc - bn.mean) / sig + bn.beta
+        want = quantize_act_float(v, bn.act_scale)
+        ratio = v / bn.act_scale
         near = np.abs(ratio - np.rint(ratio)) < 1e-9
         ties += int(np.count_nonzero(near))
         assert np.array_equal(got[~near], want[~near])

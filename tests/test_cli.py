@@ -268,6 +268,31 @@ class TestMalformedManifest:
         assert self._compile(ws, tmp_path, mutate) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    @pytest.mark.parametrize("defect", ["nan-gamma", "negative-var", "zero-act-scale"])
+    def test_bad_bnact_params_named(self, ws, tmp_path, capsys, command, defect):
+        layer = "s2.b1.bn1"
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws["ckpt"], ckpt)
+        doc = json.loads((ckpt / "manifest.json").read_text())
+        entry = doc["layers"][layer]
+        blob = np.fromfile(ckpt / entry["file"], dtype="<f4")  # gamma, beta, mean, var
+        if defect == "nan-gamma":
+            blob[0] = np.nan
+        elif defect == "negative-var":
+            blob[3 * entry["channels"]] = -1.0
+        else:
+            entry["act_scale"] = 0.0
+        blob.tofile(ckpt / entry["file"])
+        (ckpt / "manifest.json").write_text(json.dumps(doc))
+        argv = {
+            "compile": ["compile", "--manifest", str(ckpt), "--out", str(tmp_path / "x.ern")],
+            "verify": ["verify", "--model", str(ws["model"]), "--manifest", str(ckpt),
+                       "--images", "1", "--resolution", "32"],
+        }[command]
+        assert main(argv) == 2
+        assert layer in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", [21846, 10**6])
     def test_oversized_k(self, ws, tmp_path, capsys, k):
         # 3k must fit the stem record's u16 in_ch field
@@ -283,6 +308,25 @@ class TestMalformedManifest:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("verify", "--images"), ("verify", "--resolution"), ("bench", "--iters"),
+         ("bench", "--resolution"), ("infer", "--crop-size"), ("infer", "--top"),
+         ("stats", "--resolution")],
+    )
+    def test_count_below_one_rejected(self, ws, capsys, command, flag, value):
+        required = {
+            "verify": ["--model", str(ws["model"]), "--manifest", str(ws["ckpt"])],
+            "bench": ["--model", str(ws["model"])],
+            "infer": ["--model", str(ws["model"]), "--image", str(ws["ppm"]), "--ten-crop"],
+            "stats": ["--arch", "erns18x075"],
+        }
+        assert main([command, *required[command], flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: must be at least 1" in captured.err
+
     def test_no_command(self):
         assert main([]) == 1
 

@@ -6,6 +6,8 @@ import pytest
 
 from ern.compiler import (
     FORMAT_VERSION,
+    LAYER_CONV,
+    LAYER_FINAL,
     MAGIC,
     CheckpointManifest,
     compile_checkpoint,
@@ -27,7 +29,7 @@ from ern.errors import (
 )
 from ern.graph import execute
 
-from conftest import random_image, rewrite_threshold_row
+from conftest import random_image, rewrite_conv_record, rewrite_threshold_row
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +173,11 @@ class TestCompile:
         assert a == b
 
     def test_const_convs_carry_shared_const(self, small_model):
+        edges = small_model.graph.edges
         w = small_model.weights["s1.b1.conv2"]
-        assert w.const_scaled
+        assert edges["s1.b1.conv2.out"].const_scaled
         assert np.all(w.alpha == 0.5)
-        assert not small_model.weights["s1.b1.conv1"].const_scaled
+        assert not edges["s1.b1.conv1.out"].const_scaled
 
 
 class TestSerialization:
@@ -258,12 +261,106 @@ class TestSerialization:
         with pytest.raises(FormatError, match="UTF-8"):
             load(blob)
 
+    def test_layer_stored_twice(self, small_model):
+        # a second copy of a record, with the layer count raised to match
+        body = bytearray(serialize(small_model)[:-4])
+        name = b"s1.b1.bn1"
+        start = body.index(struct.pack("<H", len(name)) + name) - 1
+        channels = small_model.thresholds["s1.b1.bn1"].channels
+        end = start + 1 + 2 + len(name) + 2 + 26 * channels
+        (n,) = struct.unpack_from("<H", body, 8)
+        count_at = 8 + 2 + n + 4 + 8 + 1  # after version, arch, k, c, endian tag
+        struct.pack_into("<I", body, count_at, struct.unpack_from("<I", body, count_at)[0] + 1)
+        body += body[start:end]
+        with pytest.raises(FormatError, match="s1.b1.bn1.*twice"):
+            load(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
     def test_trailing_bytes(self, small_model):
         # keep the checksum valid so the structural check must catch it
         body = serialize(small_model)[:-4] + b"\x00\x00\x00"
         blob = body + struct.pack("<I", zlib.crc32(body))
         with pytest.raises(FormatError):
             load(blob)
+
+
+def with_header_c(blob: bytes, c: float) -> bytes:
+    """Re-sign ``blob`` with the header's shared constant set to ``c``."""
+    body = bytearray(blob[:-4])
+    (n,) = struct.unpack_from("<H", body, 8)
+    struct.pack_into("<d", body, 8 + 2 + n + 4, c)  # after version, arch string, k
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+class TestLoadChecksGraphAndScales:
+    """Const flags must match the graph; the scales a file repeats must match c."""
+
+    def test_unchanged_rewrite_reproduces_file(self, small_model):
+        blob = serialize(small_model)
+        head = small_model.weights["head.conv"]
+        assert rewrite_conv_record(blob, "head.conv", head.alpha, 0, LAYER_FINAL) == blob
+        assert with_header_c(blob, 0.5) == blob
+
+    @pytest.mark.parametrize(
+        "layer,flag",
+        [("s1.b1.conv2", 0), ("s1.b1.conv2", 2), ("stem.conv4", 0), ("s2.b1.down", 0),
+         ("s1.b1.conv1", 1), ("head.conv", 1)],
+    )
+    def test_const_flag_must_match_graph(self, small_model, layer, flag):
+        blob = rewrite_conv_record(serialize(small_model), layer, const_flag=flag)
+        with pytest.raises(FormatError, match=f"{layer}.*const flag"):
+            load(blob)
+
+    @pytest.mark.parametrize("layer,kind", [("head.conv", LAYER_CONV), ("s1.b1.conv1", LAYER_FINAL)])
+    def test_record_kind_must_match_graph(self, small_model, layer, kind):
+        blob = rewrite_conv_record(serialize(small_model), layer, kind=kind)
+        with pytest.raises(FormatError, match=f"{layer}.*record kind"):
+            load(blob)
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, 0.0, np.inf])
+    def test_head_scale_must_be_finite_and_positive(self, small_model, value):
+        blob = rewrite_conv_record(serialize(small_model), "head.conv", np.full(1000, value))
+        with pytest.raises(FormatError, match="head.conv"):
+            load(blob)
+
+    def test_head_scales_must_be_one_value(self, small_model):
+        alpha = small_model.weights["head.conv"].alpha.copy()
+        alpha[7] *= 2.0
+        blob = rewrite_conv_record(serialize(small_model), "head.conv", alpha)
+        with pytest.raises(FormatError, match="head.conv"):
+            load(blob)
+
+    @pytest.mark.parametrize("layer", ["stem.conv1", "s1.b1.conv1"])
+    @pytest.mark.parametrize("value", [-1.0, np.nan, 0.0, np.inf])
+    def test_conv_scales_must_be_finite_and_positive(self, small_model, layer, value):
+        alpha = small_model.weights[layer].alpha.copy()
+        alpha[3] = value
+        blob = rewrite_conv_record(serialize(small_model), layer, alpha)
+        with pytest.raises(FormatError, match=layer):
+            load(blob)
+
+    @pytest.mark.parametrize("layer", ["stem.conv1", "s1.b1.conv2", "head.conv"])
+    def test_one_scale_per_output_channel(self, small_model, layer):
+        alpha = small_model.weights[layer].alpha[:-1]
+        blob = rewrite_conv_record(serialize(small_model), layer, alpha)
+        with pytest.raises(FormatError, match=layer):
+            load(blob)
+
+    @pytest.mark.parametrize("layer", ["stem.conv4", "s1.b1.conv2", "s2.b1.down"])
+    def test_const_scales_must_equal_c(self, small_model, layer):
+        alpha = small_model.weights[layer].alpha.copy()
+        alpha[0] = 0.25  # c is 0.5
+        blob = rewrite_conv_record(serialize(small_model), layer, alpha)
+        with pytest.raises(FormatError, match=layer):
+            load(blob)
+
+    @pytest.mark.parametrize("c", [np.nan, 0.0, -0.5, np.inf])
+    def test_header_c_must_be_finite_and_positive(self, small_model, c):
+        with pytest.raises(FormatError, match="shared constant"):
+            load(with_header_c(serialize(small_model), c))
+
+    def test_header_c_must_match_const_scales(self, small_model):
+        with pytest.raises(FormatError, match="differ from c"):
+            load(with_header_c(serialize(small_model), 1.0))
 
 
 class TestDegenerate:

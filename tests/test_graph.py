@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import ern.graph
-from ern.compiler import CheckpointManifest, BnActRecord, compile_checkpoint, gen_random_checkpoint
+from ern.compiler import CheckpointManifest, compile_checkpoint, gen_random_checkpoint
 from ern.errors import ConfigError, ShapeError
 from ern.graph import (
     ARCHITECTURES,
@@ -27,6 +28,7 @@ from ern.graph import (
 )
 from ern.instrument import note_float_ops
 from ern.kernels import ConvSpec
+from ern.quant import BnParams
 
 from conftest import random_image
 
@@ -37,7 +39,12 @@ def freed_by(g, edge):
 
 def compile_toy(g, rng):
     """Compile a small hand-wired graph with random convs and unit batch norms."""
-    m = CheckpointManifest(
+
+    class ToyManifest(CheckpointManifest):
+        def graph(self):
+            return g
+
+    m = ToyManifest(
         arch="toy",
         k=1,
         convs={
@@ -45,13 +52,13 @@ def compile_toy(g, rng):
             for n in g.convs
         },
         bnacts={
-            n.name: BnActRecord(
+            n.name: BnParams(
                 np.ones(n.channels), np.zeros(n.channels), np.zeros(n.channels), np.ones(n.channels)
             )
             for n in g.bnacts
         },
     )
-    return compile_checkpoint(m, graph=g)
+    return compile_checkpoint(m)
 
 
 def tiny_nodes():
@@ -447,9 +454,9 @@ class TestScaleDoubling:
             if not g.edges[bn.src].const_scaled:
                 continue
             rec = m2.bnacts[bn.name]
-            rec.beta = rec.beta * 2.0
-            rec.mean = rec.mean * 2.0
-            rec.act_scale = rec.act_scale * 2.0
+            m2.bnacts[bn.name] = dataclasses.replace(
+                rec, beta=rec.beta * 2.0, mean=rec.mean * 2.0, act_scale=rec.act_scale * 2.0
+            )
         a = compile_checkpoint(m1)
         b = compile_checkpoint(m2)
         assert b.shared_const == 2 * a.shared_const

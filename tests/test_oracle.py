@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ern.compiler import CheckpointManifest, BnActRecord, compile_checkpoint, gen_random_checkpoint
+from ern.compiler import CheckpointManifest, compile_checkpoint, gen_random_checkpoint
 from ern.graph import (
     AvgPoolScale,
     BnAct,
@@ -17,6 +17,7 @@ from ern.graph import (
 from ern.kernels import ConvSpec
 from ern.errors import ShapeError
 from ern.oracle import _conv_im2col, cross_check, oracle_execute, oracle_from_manifest
+from ern.quant import BnParams
 
 from conftest import random_image
 
@@ -31,6 +32,13 @@ def toy_graph():
             AvgPoolScale("pool", "f.out", "logits"),
         )
     )
+
+
+class ToyManifest(CheckpointManifest):
+    """A manifest whose graph is :func:`toy_graph` rather than a named architecture."""
+
+    def graph(self):
+        return toy_graph()
 
 
 def toy_image():
@@ -58,7 +66,7 @@ def pencil_manifest():
             [-0.25, 0.25, 0.25, -0.25],
         ]
     ).reshape(2, 4, 1, 1)
-    bn = BnActRecord(
+    bn = BnParams(
         gamma=np.array([1.0, 1.0, 2.0, -1.0]),
         beta=np.array([0.25, -0.25, 0.125, 0.25]),
         mean=np.array([1.0, 0.0, 1.0, -2.0]),
@@ -66,7 +74,7 @@ def pencil_manifest():
         epsilon=0.25,
         act_scale=0.5,
     )
-    return CheckpointManifest(
+    return ToyManifest(
         arch="toy", k=1, convs={"c1": w1, "f": wf}, bnacts={"b1": bn}
     )
 
@@ -82,11 +90,11 @@ class TestPencilModel:
 
     @pytest.fixture
     def model(self):
-        return compile_checkpoint(pencil_manifest(), graph=toy_graph())
+        return compile_checkpoint(pencil_manifest())
 
     @pytest.fixture
     def om(self):
-        return oracle_from_manifest(pencil_manifest(), graph=toy_graph())
+        return oracle_from_manifest(pencil_manifest())
 
     def test_embed_codes(self, model):
         r = execute(model, toy_image(), record=True)
@@ -172,7 +180,7 @@ def tie_manifest():
             [-0.25, 0.25, 0.25, -0.25],
         ]
     ).reshape(2, 4, 1, 1)
-    bn = BnActRecord(
+    bn = BnParams(
         gamma=np.ones(4),
         beta=np.zeros(4),
         mean=np.zeros(4),
@@ -180,7 +188,7 @@ def tie_manifest():
         epsilon=0.25,
         act_scale=0.25,
     )
-    return CheckpointManifest(
+    return ToyManifest(
         arch="toy", k=1, convs={"c1": w1, "f": wf}, bnacts={"b1": bn}
     )
 
@@ -188,8 +196,8 @@ def tie_manifest():
 class TestDisagreementClassification:
     def test_boundary_ties_excused_not_failed(self):
         m = tie_manifest()
-        model = compile_checkpoint(m, graph=toy_graph())
-        om = oracle_from_manifest(m, graph=toy_graph())
+        model = compile_checkpoint(m)
+        om = oracle_from_manifest(m)
         tbl = model.thresholds["b1"]
         assert np.array_equal(tbl.t[1], [1, 1, 2])
         # shift channel 1 to exclude equality: disagreements can now occur,
@@ -257,7 +265,7 @@ class TestFullModel:
 
 class TestFloat32Gemm:
     def test_signs_held_as_int8(self):
-        om = oracle_from_manifest(pencil_manifest(), graph=toy_graph())
+        om = oracle_from_manifest(pencil_manifest())
         assert all(s.dtype == np.int8 for s in om.signs.values())
 
     def test_exact_at_largest_accumulator(self):

@@ -4,7 +4,6 @@ import pytest
 from ern.errors import DomainError, ShapeError
 from ern.quant import (
     _WIDE_SENTINEL,
-    ActParams,
     BnParams,
     ThresholdTable,
     apply_thresholds,
@@ -15,17 +14,11 @@ from ern.quant import (
 from ern.tensor import ACC_LIMIT, LANES, pack_activations, unpack_activations
 
 
-def bn1(gamma=1.0, beta=0.0, mean=0.0, var=0.75, eps=0.25):
+def bn1(gamma=1.0, beta=0.0, mean=0.0, var=0.75, eps=0.25, s_a=1.0):
     # var + eps == 1.0 exactly, so the folded slope is gamma * alpha
     return BnParams(
-        np.array([gamma]), np.array([beta]), np.array([mean]), np.array([var]), eps
+        np.array([gamma]), np.array([beta]), np.array([mean]), np.array([var]), eps, s_a
     )
-
-
-def float_codes(alpha, bn, s_a, acc):
-    sd = np.sqrt(bn.running_var + bn.epsilon)
-    v = bn.gamma * (alpha * acc - bn.running_mean) / sd + bn.beta
-    return np.clip(np.floor(v / s_a), 0, 3).astype(np.uint8)
 
 
 class TestBinarize:
@@ -61,19 +54,19 @@ class TestBinarize:
 class TestFuse:
     def test_ascending_unit_case(self):
         # A = 1, B = 0, s_a = 2 -> thresholds ceil(2u) = 2, 4, 6
-        tbl = fuse_thresholds(np.ones(1), bn1(), ActParams(2.0))
+        tbl = fuse_thresholds(np.ones(1), bn1(s_a=2.0))
         assert tbl.t.tolist() == [[2, 4, 6]]
         assert tbl.ascending.tolist() == [True]
         assert not tbl.degenerate.any()
 
     def test_descending_mirror(self):
         # gamma < 0 flips direction: floor(-2u) sorted -> -6, -4, -2
-        tbl = fuse_thresholds(np.ones(1), bn1(gamma=-1.0), ActParams(2.0))
+        tbl = fuse_thresholds(np.ones(1), bn1(gamma=-1.0, s_a=2.0))
         assert tbl.t.tolist() == [[-6, -4, -2]]
         assert tbl.ascending.tolist() == [False]
 
     def test_degenerate_constant_channel(self):
-        tbl = fuse_thresholds(np.ones(1), bn1(gamma=0.0, beta=7.0), ActParams(2.0))
+        tbl = fuse_thresholds(np.ones(1), bn1(gamma=0.0, beta=7.0, s_a=2.0))
         assert tbl.degenerate.tolist() == [True]
         assert tbl.const_code.tolist() == [3]  # clamp(floor(7/2), 0, 3)
         acc = np.arange(-5, 6, dtype=np.int32).reshape(1, -1, 1)
@@ -81,14 +74,14 @@ class TestFuse:
 
     def test_acc_bound_clamps_to_sentinels(self):
         # thresholds far outside the reachable range clamp to bound + 1
-        tbl = fuse_thresholds(np.ones(1), bn1(mean=1e9), ActParams(1.0), acc_bound=27)
+        tbl = fuse_thresholds(np.ones(1), bn1(mean=1e9), acc_bound=27)
         assert (tbl.t == 28).all()
         acc = np.arange(-27, 28, dtype=np.int32).reshape(1, -1, 1)
         assert (unpack_activations(apply_thresholds(acc, tbl), 1) == 0).all()
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
-            fuse_thresholds(np.zeros(1), bn1(), ActParams(1.0))
+            fuse_thresholds(np.zeros(1), bn1())
 
     def test_rejects_negative_var(self):
         with pytest.raises(DomainError):
@@ -96,28 +89,59 @@ class TestFuse:
 
     def test_rejects_bad_scale(self):
         with pytest.raises(DomainError):
-            ActParams(0.0)
+            bn1(s_a=0.0)
+
+
+class TestBnParams:
+    """Every field is checked once, when the parameters are built."""
+
+    def test_stores_float64_statistics_and_float_scalars(self):
+        bn = BnParams(np.ones(3, np.float32), np.zeros(3), [0, 1, 2], np.ones(3), 1, act_scale=2)
+        for arr in (bn.gamma, bn.beta, bn.mean, bn.var):
+            assert arr.dtype == np.float64 and arr.shape == (3,)
+        assert type(bn.epsilon) is float and type(bn.act_scale) is float
+        assert bn.channels == 3
+
+    @pytest.mark.parametrize("field", ["gamma", "beta", "mean", "var"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_statistics(self, field, value):
+        args = {"gamma": np.ones(2), "beta": np.zeros(2), "mean": np.zeros(2), "var": np.ones(2)}
+        args[field][1] = value
+        with pytest.raises(DomainError, match=field):
+            BnParams(**args)
+
+    @pytest.mark.parametrize("field", ["epsilon", "act_scale"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_scalars(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            BnParams(np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), **{field: value})
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ShapeError):
+            BnParams(np.ones(2), np.zeros(3), np.zeros(2), np.ones(2))
+        with pytest.raises(ShapeError):
+            BnParams(np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)), np.ones((2, 1)))
 
 
 class TestApply:
     def test_ascending_count_rule(self):
-        tbl = fuse_thresholds(np.ones(1), bn1(), ActParams(2.0))
+        tbl = fuse_thresholds(np.ones(1), bn1(s_a=2.0))
         acc = np.array([1, 2, 5, 6, 100], dtype=np.int32).reshape(1, -1, 1)
         assert unpack_activations(apply_thresholds(acc, tbl), 1).ravel().tolist() == [0, 1, 2, 3, 3]
 
     def test_descending_count_rule(self):
-        tbl = fuse_thresholds(np.ones(1), bn1(gamma=-1.0), ActParams(2.0))
+        tbl = fuse_thresholds(np.ones(1), bn1(gamma=-1.0, s_a=2.0))
         acc = np.array([-4], dtype=np.int32).reshape(1, 1, 1)
         assert unpack_activations(apply_thresholds(acc, tbl), 1).ravel().tolist() == [2]
 
     def test_rejects_float_accumulator(self):
-        tbl = fuse_thresholds(np.ones(1), bn1(), ActParams(1.0))
+        tbl = fuse_thresholds(np.ones(1), bn1())
         with pytest.raises(DomainError):
             apply_thresholds(np.zeros((1, 2, 2)), tbl)
 
     def test_rejects_channel_mismatch(self):
         bn = BnParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), 1e-5)
-        tbl = fuse_thresholds(np.ones(2), bn, ActParams(1.0))
+        tbl = fuse_thresholds(np.ones(2), bn)
         with pytest.raises(ShapeError):
             apply_thresholds(np.zeros((3, 2, 2), dtype=np.int32), tbl)
 
@@ -134,18 +158,19 @@ class TestEquivalence:
             rng.normal(0.0, 20.0, c),
             np.exp(rng.normal(3.0, 1.0, c)),
             1e-5,
+            rng.uniform(0.5, 2.0),
         )
-        s_a = rng.uniform(0.5, 2.0, c)
-        tbl = fuse_thresholds(alpha, bn, ActParams(s_a), acc_bound=bound)
+        s_a = bn.act_scale
+        tbl = fuse_thresholds(alpha, bn, acc_bound=bound)
         acc = np.arange(-bound, bound + 1, dtype=np.int32)
         acc_map = np.broadcast_to(acc[None, :, None], (c, acc.size, 1))
         got = unpack_activations(apply_thresholds(acc_map, tbl), c)
 
-        sd = np.sqrt(bn.running_var + bn.epsilon)
-        v = bn.gamma[:, None] * (alpha[:, None] * acc[None, :] - bn.running_mean[:, None]) / sd[
+        sd = np.sqrt(bn.var + bn.epsilon)
+        v = bn.gamma[:, None] * (alpha[:, None] * acc[None, :] - bn.mean[:, None]) / sd[
             :, None
         ] + bn.beta[:, None]
-        ratio = v / s_a[:, None]
+        ratio = v / s_a
         want = np.clip(np.floor(ratio), 0, 3).astype(np.uint8)
         ties = np.abs(ratio - np.rint(ratio)) < 1e-9
         mismatch = got[:, :, 0] != want
@@ -160,24 +185,18 @@ class TestEquivalence:
         beta = rng.normal(0.0, 2.0, c)
         mean = rng.normal(0.0, 10.0, c)
         var = np.exp(rng.normal(2.0, 1.0, c))
-        s_a = rng.uniform(0.5, 2.0, c)
-        t1 = fuse_thresholds(
-            alpha, BnParams(gamma, beta, mean, var, 1e-5), ActParams(s_a), acc_bound=192
-        )
+        s_a = rng.uniform(0.5, 2.0)
+        t1 = fuse_thresholds(alpha, BnParams(gamma, beta, mean, var, 1e-5, s_a), acc_bound=192)
         t2 = fuse_thresholds(
-            2 * alpha,
-            BnParams(gamma, 2 * beta, 2 * mean, var, 1e-5),
-            ActParams(2 * s_a),
-            acc_bound=192,
+            2 * alpha, BnParams(gamma, 2 * beta, 2 * mean, var, 1e-5, 2 * s_a), acc_bound=192
         )
         assert np.array_equal(t1.t, t2.t)
         assert np.array_equal(t1.ascending, t2.ascending)
 
 
 def test_quantize_act_float_reference():
-    p = ActParams(0.5)
     v = np.array([-1.0, 0.0, 0.49, 0.5, 1.4, 99.0])
-    assert quantize_act_float(v, p).tolist() == [0, 0, 0, 1, 2, 3]
+    assert quantize_act_float(v, 0.5).tolist() == [0, 0, 0, 1, 2, 3]
 
 
 def count_rule(acc, tbl):
