@@ -69,6 +69,8 @@ def _read_image(args) -> np.ndarray:
             c, h, w = (int(v) for v in args.raw.split(","))
         except ValueError:
             raise _UsageError(f"--raw expects C,H,W integers, got '{args.raw}'") from None
+        if min(c, h, w) < 1:
+            raise _UsageError(f"--raw: C, H and W must be at least 1, got '{args.raw}'")
         data = np.fromfile(args.image, dtype=np.uint8)
         if data.size != c * h * w:
             raise FormatError(

@@ -6,7 +6,10 @@ plus one raw little-endian float32 blob per layer (conv weights in
 concatenated).  Any training framework can emit one with a few lines.
 Each BnAct's blob, epsilon and act_scale load into one
 :class:`ern.quant.BnParams`, which checks them when it is built and is
-what compilation and the float oracle read.
+what compilation and the float oracle read.  Conv blobs, the bulk of a
+checkpoint, are only size-checked on load and read from disk one layer
+per lookup, so compilation and the oracle hold one layer's floats at a
+time.
 
 Compilation binarizes every conv (per-channel alpha = mean |w|, or the
 shared constant c for convs feeding a residual add), folds each
@@ -37,6 +40,7 @@ import json
 import struct
 import warnings
 import zlib
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,7 +96,7 @@ class CheckpointManifest:
     arch: str
     k: int = 10
     shared_const: float | None = None
-    convs: dict[str, np.ndarray] = field(default_factory=dict)
+    convs: Mapping[str, np.ndarray] = field(default_factory=dict)
     bnacts: dict[str, BnParams] = field(default_factory=dict)
 
     def graph(self) -> GraphDef:
@@ -152,11 +156,48 @@ def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
     return value
 
 
-def load_manifest(path: str | Path) -> CheckpointManifest:
-    """Read a checkpoint directory (or its manifest.json) back into memory.
+def _check_conv_blob(where: str, nbytes: int, shape: tuple[int, ...]) -> None:
+    need = 4 * int(np.prod(shape))
+    if nbytes != need:
+        raise ConfigError(f"{where}: blob holds {nbytes} bytes, shape {shape} needs {need}")
 
-    Every malformed field, and every batch-norm blob or scale that
-    :class:`BnParams` rejects, raises a :class:`ConfigError` that names it.
+
+class _ConvBlobs(Mapping[str, np.ndarray]):
+    """A checkpoint's conv weights, read from disk on every lookup.
+
+    Each lookup reads that one blob, checks its size again and returns a
+    fresh writable float32 array; nothing is cached, so a walk over the
+    layers holds one layer's floats at a time.
+    """
+
+    def __init__(self, entries: dict[str, tuple[Path, tuple[int, ...]]]):
+        self._entries = entries  # layer name -> (blob path, shape)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        blob, shape = self._entries[name]
+        where = f"layer '{name}'"
+        try:
+            raw = np.fromfile(blob, dtype="<f4")
+        except OSError as e:
+            raise ConfigError(f"{where}: cannot read blob: {e}") from e
+        _check_conv_blob(where, raw.nbytes, shape)
+        return raw.reshape(shape).astype(np.float32, copy=False)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def load_manifest(path: str | Path) -> CheckpointManifest:
+    """Read a checkpoint directory (or its manifest.json).
+
+    Every malformed field, every conv blob of the wrong size, and every
+    batch-norm blob or scale that :class:`BnParams` rejects, raises a
+    :class:`ConfigError` that names it.  Batch-norm blobs are read here;
+    conv blobs are only sized here (``stat``) and read by each lookup in
+    ``convs``, which re-checks the size and raises the same error.
     """
     root = Path(path)
     doc_path = root / "manifest.json" if root.is_dir() else root
@@ -174,23 +215,26 @@ def load_manifest(path: str | Path) -> CheckpointManifest:
     )
     if doc.get("shared_const") is not None:
         m.shared_const = _field(doc, "shared_const", float, "manifest")
+    convs: dict[str, tuple[Path, tuple[int, ...]]] = {}
     for name, entry in _field(doc, "layers", dict, "manifest", {}).items():
         where = f"layer '{name}'"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: manifest entry must be a JSON object")
         kind = _field(entry, "kind", str, where)
-        try:
-            # a writable float32 array; compile and the oracle widen one layer at a time
-            raw = np.fromfile(root / _field(entry, "file", str, where), dtype="<f4")
+        blob = root / _field(entry, "file", str, where)
+        try:  # conv blobs are only sized here; each ``convs`` lookup reads one
+            if kind == "conv":
+                nbytes = blob.stat().st_size
+            else:
+                raw = np.fromfile(blob, dtype="<f4")
         except OSError as e:
             raise ConfigError(f"{where}: cannot read blob: {e}") from e
         if kind == "conv":
             shape = tuple(_field(entry, "shape", list, where))
             if len(shape) != 4 or not all(type(d) is int and d > 0 for d in shape):
                 raise ConfigError(f"{where}: field 'shape' must be 4 positive integers")
-            if raw.size != int(np.prod(shape)):
-                raise ConfigError(f"{where}: blob holds {raw.size} floats, shape {shape}")
-            m.convs[name] = raw.reshape(shape).astype(np.float32, copy=False)
+            _check_conv_blob(where, nbytes, shape)
+            convs[name] = (blob, shape)
         elif kind == "bnact":
             c = _field(entry, "channels", int, where)
             if raw.size != 4 * c:
@@ -205,6 +249,7 @@ def load_manifest(path: str | Path) -> CheckpointManifest:
                 raise ConfigError(f"{where}: {e}") from None
         else:
             raise ConfigError(f"{where}: unknown kind {kind!r}")
+    m.convs = _ConvBlobs(convs)
     return m
 
 
@@ -268,6 +313,11 @@ def compile_checkpoint(
     substituting alpha = 1 under a warning.  Each BnAct folds against
     whichever scale its producing edge carries, clamped to that edge's
     accumulator bound.  Only named architectures serialize.
+
+    ``manifest.convs`` is read one layer at a time and each layer's floats
+    are dropped once its signs are packed; with a loaded manifest that
+    reads one blob per lookup, compilation holds one conv's floats at a
+    time.
     """
     g = manifest.graph()
     c = shared_const if shared_const is not None else manifest.shared_const
@@ -291,7 +341,6 @@ def compile_checkpoint(
             raise CompileError(
                 node.name, f"weights shaped {w.shape}, expected {(s.out_ch, s.in_ch, s.kh, s.kw)}"
             )
-        w = np.asarray(w, dtype=np.float64)
         try:
             signs, alpha = binarize_weights(w)
         except DomainError:
@@ -304,7 +353,8 @@ def compile_checkpoint(
             )
             alpha = np.where(zero, 1.0, alpha)
         if isinstance(node, FinalConv):
-            alpha_out = float(np.mean(np.abs(w))) or 1.0
+            # widened first: a float32 mean over the whole head rounds differently
+            alpha_out = float(np.mean(np.abs(w.astype(np.float64)))) or 1.0
             alpha = np.full(s.out_ch, alpha_out)
         elif g.edges[node.dst].const_scaled:
             alpha = np.full(s.out_ch, c)

@@ -66,7 +66,9 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     """Build the float reference on ``manifest.graph()`` with compilation's scale policy.
 
     Must see the same manifest and shared constant as the compiled model,
-    or divergence is by construction rather than by defect.
+    or divergence is by construction rather than by defect.  Reads
+    ``manifest.convs`` one layer at a time and keeps only its int8 signs
+    and 64-bit scales.
     """
     g = manifest.graph()
     c = shared_const if shared_const is not None else manifest.shared_const
@@ -81,7 +83,7 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
         w = manifest.convs.get(node.name)
         if w is None:
             raise ConfigError(f"layer '{node.name}' missing from manifest")
-        # signs read the manifest's floats as they are; scales widen to 64 bits
+        # signs read the manifest's floats as they are; scales sum in 64 bits
         w = np.asarray(w)
         signs[node.name] = 2 * (w >= 0.0).astype(np.int8) - 1
         if isinstance(node, FinalConv):
@@ -90,7 +92,7 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
         elif g.edges[node.dst].const_scaled:
             edge_scale[node.dst] = np.full(node.spec.out_ch, c)
         else:
-            alpha = np.abs(w.astype(np.float64)).mean(axis=(1, 2, 3))
+            alpha = np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)
             edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
     for n in g.nodes:
         if isinstance(n, ResidualAdd):
@@ -251,7 +253,8 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
 
     Passes iff every 2-bit code map matches outside boundary ties, the
     residual branch values are exactly c times the integer accumulators,
-    and logits agree within ``LOGIT_RTOL`` relative.
+    and logits agree within ``LOGIT_RTOL`` relative.  Holds one image's
+    maps from each executor at a time.
     """
     g: GraphDef = model.graph
     report = CrossCheckReport()
@@ -299,6 +302,7 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
         denom = max(float(np.max(np.abs(lf))), 1e-30)
         rel = float(np.max(np.abs(li - lf))) / denom
         report.max_logit_rel_err = max(report.max_logit_rel_err, rel)
+        del ir, orr  # free this image's maps before the next image is run
 
     hard_total = sum(r.mismatches for r in report.layers.values())
     report.ok = (

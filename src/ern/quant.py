@@ -162,16 +162,18 @@ def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     sign(0) = +1, and alpha[o] is the mean absolute value of filter o,
     which minimizes the L2 error of alpha * signs among per-channel-scalar
-    binary approximations.  An all-zero filter yields alpha 0; callers
-    must substitute a positive value before packing.
+    binary approximations.  The weights are read in their own dtype (a
+    checkpoint's float32) and alpha is summed in 64-bit reals, so no
+    widened copy of the layer is made.  An all-zero filter yields alpha
+    0; callers must substitute a positive value before packing.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = np.asarray(w)
     if w.ndim != 4:
         raise ShapeError(f"weights must be (OC, IC, kh, kw), got {w.shape}")
     if not np.isfinite(w).all():
         raise DomainError("weights contain NaN or Inf")
     signs = 2 * (w >= 0).astype(np.int8) - 1
-    alpha = np.abs(w).mean(axis=(1, 2, 3))
+    alpha = np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)
     return signs, alpha
 
 

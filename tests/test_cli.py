@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
+import ern.cli
 from ern.cli import main
 from ern.compiler import load, serialize
 from ern.ppm import write_ppm
@@ -81,6 +82,17 @@ class TestInfer:
         rc = main(["infer", "--model", str(ws["model"]), "--image", str(ws["ppm"]),
                    "--raw", "3x96x96"])
         assert rc == 1
+
+    @pytest.mark.parametrize("spec", ["3,-2,-2", "-1,-1,12", "3,0,4"])
+    def test_raw_dimension_below_one(self, ws, capsys, spec):
+        # the first two pass the 12-byte size check, since (-2) * (-2) * 3 == 12
+        raw = ws["root"] / "twelve.raw"
+        raw.write_bytes(b"\x01" * 12)
+        rc = main(["infer", "--model", str(ws["model"]), "--image", str(raw), f"--raw={spec}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--raw" in captured.err
 
     def test_missing_image(self, ws):
         assert main(["infer", "--model", str(ws["model"]), "--image", "/nope.ppm"]) == 2
@@ -285,6 +297,33 @@ class TestMalformedManifest:
             entry["act_scale"] = 0.0
         blob.tofile(ckpt / entry["file"])
         (ckpt / "manifest.json").write_text(json.dumps(doc))
+        argv = {
+            "compile": ["compile", "--manifest", str(ckpt), "--out", str(tmp_path / "x.ern")],
+            "verify": ["verify", "--model", str(ws["model"]), "--manifest", str(ckpt),
+                       "--images", "1", "--resolution", "32"],
+        }[command]
+        assert main(argv) == 2
+        assert layer in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    @pytest.mark.parametrize("defect", ["deleted", "truncated"])
+    def test_blob_changed_after_load(self, ws, tmp_path, capsys, monkeypatch, command, defect):
+        """A conv blob, read on demand, that changed after the manifest loaded."""
+        layer = "s1.b2.conv1"
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws["ckpt"], ckpt)
+        load_manifest = ern.cli.load_manifest
+
+        def load_then_break(path):
+            m = load_manifest(path)
+            blob = ckpt / f"{layer}.bin"
+            if defect == "deleted":
+                blob.unlink()
+            else:
+                blob.write_bytes(blob.read_bytes()[:-4])
+            return m
+
+        monkeypatch.setattr(ern.cli, "load_manifest", load_then_break)
         argv = {
             "compile": ["compile", "--manifest", str(ckpt), "--out", str(tmp_path / "x.ern")],
             "verify": ["verify", "--model", str(ws["model"]), "--manifest", str(ckpt),

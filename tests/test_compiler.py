@@ -1,5 +1,8 @@
+import json
 import struct
+import tracemalloc
 import zlib
+from collections.abc import MutableMapping
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from ern.errors import (
     VersionError,
 )
 from ern.graph import execute
+from ern.oracle import oracle_from_manifest
 
 from conftest import random_image, rewrite_conv_record, rewrite_threshold_row
 
@@ -92,6 +96,63 @@ class TestManifestIO:
             assert a.bnacts[name].act_scale == b.bnacts[name].act_scale
         c = gen_random_checkpoint("erns18x075", seed=1)
         assert not np.array_equal(a.convs["s1.b1.conv1"], c.convs["s1.b1.conv1"])
+
+
+def break_blob(path, defect: str) -> None:
+    """Delete a blob, or rewrite it one float shorter or longer."""
+    if defect == "deleted":
+        path.unlink()
+    else:
+        data = path.read_bytes()
+        path.write_bytes(data[:-4] if defect == "truncated" else data + data[:4])
+
+
+class TestConvBlobsOnDemand:
+    """``load_manifest`` sizes conv blobs; each ``convs`` lookup reads one."""
+
+    @pytest.fixture
+    def ckpt(self, small_manifest, tmp_path):
+        save_manifest(small_manifest, tmp_path)
+        return tmp_path
+
+    def test_read_only_mapping_of_fresh_arrays(self, ckpt):
+        convs = load_manifest(ckpt).convs
+        assert not isinstance(convs, MutableMapping)
+        w = convs["s1.b1.conv1"]
+        want = w.copy()
+        w[...] = 0.0
+        assert np.array_equal(convs["s1.b1.conv1"], want)
+        assert convs["s1.b1.conv1"] is not convs["s1.b1.conv1"]
+        with pytest.raises(KeyError):
+            convs["s9.b9.conv1"]
+
+    @pytest.mark.parametrize("defect", ["truncated", "extended"])
+    def test_load_rejects_wrong_size(self, ckpt, defect):
+        break_blob(ckpt / "s2.b1.down.bin", defect)
+        with pytest.raises(ConfigError, match="s2.b1.down"):
+            load_manifest(ckpt)
+
+    @pytest.mark.parametrize("build", [compile_checkpoint, oracle_from_manifest])
+    @pytest.mark.parametrize("defect", ["deleted", "truncated", "extended"])
+    def test_blob_changed_after_load(self, ckpt, build, defect):
+        m = load_manifest(ckpt)
+        break_blob(ckpt / "s2.b1.down.bin", defect)
+        with pytest.raises(ConfigError, match="s2.b1.down"):
+            build(m)
+
+    def test_compile_peak_below_checkpoint_floats(self, tmp_path):
+        save_manifest(gen_random_checkpoint("erns18", seed=5), tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        conv_bytes = sum(
+            4 * int(np.prod(e["shape"])) for e in doc["layers"].values() if e["kind"] == "conv"
+        )
+        tracemalloc.start()
+        try:
+            compile_checkpoint(load_manifest(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < conv_bytes
 
 
 class TestCompile:

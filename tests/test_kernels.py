@@ -130,7 +130,15 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize(
         "spec,size",
-        [(ConvSpec(2048, 1000, 1, 1), 7), (ConvSpec(30, 64, 3, 3, (2, 2)), 65)],
+        [
+            (ConvSpec(2048, 1000, 1, 1), 7),
+            (ConvSpec(30, 64, 3, 3, (2, 2)), 65),
+            # 3x3 taps over 37 words total at most 63936, inside uint16; over
+            # 38 words they reach 65664, past it, though each per-tap counter
+            # (at most 9 * 64) still fits
+            (ConvSpec(2368, 2, 3, 3), 3),
+            (ConvSpec(2432, 2, 3, 3), 3),
+        ],
     )
     def test_extreme_codes_hit_bound(self, spec, size, sign):
         codes = np.full((spec.in_ch, size, size), 3, dtype=np.uint8)

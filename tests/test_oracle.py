@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,22 @@ class TestFullModel:
         doc = json.loads(rep.to_json())
         assert doc["ok"] is True
         assert doc["images"] == 2
+
+    def test_cross_check_peak_does_not_grow_with_images(
+        self, erns18_manifest, erns18_model, rng
+    ):
+        # each image's engine and oracle maps are freed before the next runs
+        om = oracle_from_manifest(erns18_manifest)
+        imgs = [random_image(rng) for _ in range(3)]
+        peaks = []
+        for n in (1, 3):
+            tracemalloc.start()
+            try:
+                assert cross_check(erns18_model, om, imgs[:n]).ok
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
 
     def test_oracle_shared_const_precedence(self, erns18_manifest):
         om = oracle_from_manifest(erns18_manifest)
