@@ -9,7 +9,11 @@ Each BnAct's blob, epsilon and act_scale load into one
 what compilation and the float oracle read.  Conv blobs, the bulk of a
 checkpoint, are only size-checked on load and read from disk one layer
 per lookup, so compilation and the oracle hold one layer's floats at a
-time.
+time.  :meth:`CheckpointManifest.checked_graph` and
+:meth:`CheckpointManifest.conv_weights` are the one check of a
+checkpoint against its architecture; compilation and the oracle both
+start from them, so they refuse the same checkpoints with the same
+:class:`CompileError`.
 
 Compilation binarizes every conv (per-channel alpha = mean |w|, or the
 shared constant c for convs feeding a residual add), folds each
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import warnings
 import zlib
@@ -89,8 +94,9 @@ _BNACT_CHANNEL = np.dtype("<i8, <i8, <i8, u1, u1")
 class CheckpointManifest:
     """Float checkpoint: architecture id plus per-layer parameter arrays.
 
-    :meth:`graph` is the one source of the graph that compilation and the
-    float oracle build from.
+    :meth:`graph` is the one source of the graph, and :meth:`checked_graph`
+    and :meth:`conv_weights` the one check of the held layers against it,
+    for compilation and the float oracle alike.
     """
 
     arch: str
@@ -101,6 +107,49 @@ class CheckpointManifest:
 
     def graph(self) -> GraphDef:
         return build_model(arch_config(self.arch), self.k)
+
+    def checked_graph(self, shared_const: float | None = None) -> tuple[GraphDef, float]:
+        """The graph and the shared constant c, once the held layers fit the graph.
+
+        c is ``shared_const`` if given, else the manifest's, else 1.0, and
+        must be finite and > 0 (:class:`ConfigError`).  A held layer that
+        is not a node of the graph, and a BnAct whose parameters are
+        missing or of the wrong width, raise :class:`CompileError` naming
+        the layer.  Conv weights are checked as they are read, by
+        :meth:`conv_weights`.
+        """
+        g = self.graph()
+        c = next(v for v in (shared_const, self.shared_const, 1.0) if v is not None)
+        if not (np.isfinite(c) and c > 0):
+            raise ConfigError(f"shared constant must be finite and > 0, got {c}")
+        extra = (set(self.convs) | set(self.bnacts)) - {n.name for n in g.convs + g.bnacts}
+        if extra:
+            raise CompileError(sorted(extra)[0], "not a layer of this architecture")
+        for bn in g.bnacts:
+            rec = self.bnacts.get(bn.name)
+            if rec is None:
+                raise CompileError(bn.name, "missing batch-norm parameters")
+            if rec.channels != bn.channels:
+                raise CompileError(bn.name, f"{rec.channels} channels, expected {bn.channels}")
+        return g, float(c)
+
+    def conv_weights(self, node: Conv | FinalConv) -> np.ndarray:
+        """One conv's float weights, read once from ``convs``.
+
+        Raises :class:`CompileError` naming the layer if they are missing,
+        not shaped as ``node.spec`` (OC, IC, kh, kw), or not all finite.
+        """
+        w = self.convs.get(node.name)
+        if w is None:
+            raise CompileError(node.name, "missing conv weights")
+        s = node.spec
+        if w.shape != (s.out_ch, s.in_ch, s.kh, s.kw):
+            raise CompileError(
+                node.name, f"weights shaped {w.shape}, expected {(s.out_ch, s.in_ch, s.kh, s.kw)}"
+            )
+        if not np.isfinite(w).all():
+            raise CompileError(node.name, "weights contain non-finite values")
+        return w
 
 
 def save_manifest(m: CheckpointManifest, path: str | Path) -> None:
@@ -157,7 +206,7 @@ def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
 
 
 def _check_conv_blob(where: str, nbytes: int, shape: tuple[int, ...]) -> None:
-    need = 4 * int(np.prod(shape))
+    need = 4 * math.prod(shape)  # np.prod wraps in int64
     if nbytes != need:
         raise ConfigError(f"{where}: blob holds {nbytes} bytes, shape {shape} needs {need}")
 
@@ -306,7 +355,9 @@ def compile_checkpoint(
 ) -> CompiledModel:
     """Fold a float checkpoint into an integer-executable model.
 
-    The graph is ``manifest.graph()``.  Scale resolution per conv: convs
+    The graph and c come from ``manifest.checked_graph(shared_const)``
+    and each conv's weights from ``manifest.conv_weights``, the checks
+    ``oracle_from_manifest`` shares.  Scale resolution per conv: convs
     whose output edge is const-scaled (those feeding residual adds) take
     the shared constant c; the head conv takes one alpha_out = mean |w|;
     others take per-channel alpha = mean |w|, with all-zero filters
@@ -314,37 +365,16 @@ def compile_checkpoint(
     whichever scale its producing edge carries, clamped to that edge's
     accumulator bound.  Only named architectures serialize.
 
-    ``manifest.convs`` is read one layer at a time and each layer's floats
-    are dropped once its signs are packed; with a loaded manifest that
-    reads one blob per lookup, compilation holds one conv's floats at a
-    time.
+    Each conv's floats are dropped once its signs are packed; with a
+    loaded manifest that reads one blob per lookup, compilation holds one
+    conv's floats at a time.
     """
-    g = manifest.graph()
-    c = shared_const if shared_const is not None else manifest.shared_const
-    c = 1.0 if c is None else float(c)
-    if not (np.isfinite(c) and c > 0):
-        raise ConfigError(f"shared constant must be finite and > 0, got {c}")
-
-    expected = {n.name for n in g.convs} | {n.name for n in g.bnacts}
-    extra = (set(manifest.convs) | set(manifest.bnacts)) - expected
-    if extra:
-        raise CompileError(sorted(extra)[0], "not a layer of this architecture")
-
+    g, c = manifest.checked_graph(shared_const)
     weights: dict[str, PackedWeights] = {}
     alpha_out = 1.0
     for node in g.convs:
-        w = manifest.convs.get(node.name)
-        if w is None:
-            raise CompileError(node.name, "missing conv weights")
-        s = node.spec
-        if tuple(w.shape) != (s.out_ch, s.in_ch, s.kh, s.kw):
-            raise CompileError(
-                node.name, f"weights shaped {w.shape}, expected {(s.out_ch, s.in_ch, s.kh, s.kw)}"
-            )
-        try:
-            signs, alpha = binarize_weights(w)
-        except DomainError:
-            raise CompileError(node.name, "weights contain non-finite values") from None
+        w = manifest.conv_weights(node)
+        signs, alpha = binarize_weights(w)
         zero = alpha == 0.0
         if zero.any():
             warnings.warn(
@@ -354,22 +384,18 @@ def compile_checkpoint(
             alpha = np.where(zero, 1.0, alpha)
         if isinstance(node, FinalConv):
             # widened first: a float32 mean over the whole head rounds differently
-            alpha_out = float(np.mean(np.abs(w.astype(np.float64)))) or 1.0
-            alpha = np.full(s.out_ch, alpha_out)
+            wide = w.astype(np.float64)
+            alpha_out = float(np.abs(wide, out=wide).mean()) or 1.0
+            alpha = np.full(node.spec.out_ch, alpha_out)
         elif g.edges[node.dst].const_scaled:
-            alpha = np.full(s.out_ch, c)
+            alpha = np.full(node.spec.out_ch, c)
         weights[node.name] = pack_weights(signs, alpha)
 
     thresholds: dict[str, ThresholdTable] = {}
     for bn in g.bnacts:
-        rec = manifest.bnacts.get(bn.name)
-        if rec is None:
-            raise CompileError(bn.name, "missing batch-norm parameters")
-        if rec.channels != bn.channels:
-            raise CompileError(bn.name, f"{rec.channels} channels, expected {bn.channels}")
         info = g.edges[bn.src]
         alpha = np.full(bn.channels, c) if info.const_scaled else weights[info.producer].alpha
-        thresholds[bn.name] = fuse_thresholds(alpha, rec, acc_bound=info.bound)
+        thresholds[bn.name] = fuse_thresholds(alpha, manifest.bnacts[bn.name], acc_bound=info.bound)
 
     return CompiledModel(
         graph=g,

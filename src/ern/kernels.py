@@ -14,17 +14,19 @@ accumulators:
   and the 2-bit code contributes ``2 * hi_dot + lo_dot``.  Pad lanes are
   zero in both planes, so they add nothing regardless of their weight bits.
 
-  The loop keeps its temporaries in cache.  The hi and lo words are
-  stacked on one word axis, so one AND and one popcount serve both
-  planes, and each tap's strided window is copied once into a contiguous
-  (2 * words, 1, OH * OW) array.  The image-only term ``popcount(p)`` is
-  summed once for all output channels.  Output channels are then walked
-  in blocks whose uint64 AND temporary, (2 * words, block, OH * OW), is
-  about ``_BLOCK_BYTES``: per tap, the block's popcounts are added into a
-  uint16 (uint32 for very large kernels) counter per (word, oc, pixel).
-  The word axis is outermost, so the counters reduce once per block to
-  ``2 * sum(hi) + sum(lo)`` as two sums over that axis, in uint16 while
-  the largest possible total fits it and uint32 otherwise.
+  The loop keeps its temporaries in cache.  Each tap's strided window
+  is copied once into a contiguous (2, words, 1, OH * OW) array, hi
+  plane then lo, and each tap's (words, OC, 1) weight words are ANDed
+  against both planes by broadcasting, so one AND and one popcount serve
+  both.  The image-only term ``popcount(p)`` is summed once for all
+  output channels.  Output channels are then walked in blocks whose
+  uint64 AND temporary, (2, words, block, OH * OW), is about
+  ``_BLOCK_BYTES``: per tap, the block's popcounts are added into a
+  uint16 (uint32 for very large kernels) counter per (plane, word, oc,
+  pixel).  The plane and word axes are outermost, so the counters reduce
+  once per block to ``2 * sum(hi) + sum(lo)`` as two sums over the word
+  axis, in uint16 while the largest possible total fits it and uint32
+  otherwise.
 
 Zero padding uses activation code 0, which contributes exactly 0 to any
 +/-1-weighted sum, making pad semantics bit-exact.
@@ -134,41 +136,41 @@ def conv_w1a2_popcount(x: PackedPlanes, w: PackedWeights, spec: ConvSpec) -> np.
         planes[:nw, ph : ph + h, pw : pw + wd] = x.hi
         planes[nw:, ph : ph + h, pw : pw + wd] = x.lo
         halves = (planes[:nw], planes[nw:])
-    # (taps, 2 * words, 1, OH * OW): each tap's strided window, hi words then lo
+    # (taps, 2, words, 1, OH * OW): each tap's strided window, hi plane then lo
     windows = np.empty((taps, 2, nw, oh, ow), dtype=np.uint64)
     for t in range(taps):
         for half, p in enumerate(halves):
             windows[t, half] = _tap_window(p, t // spec.kw, t % spec.kw, spec.stride, oh, ow)
-    windows = windows.reshape(taps, 2 * nw, 1, oh * ow)
+    windows = windows.reshape(taps, 2, nw, 1, oh * ow)
     # pad lanes are zero in both planes, so no sum below exceeds acc_bound
-    pc = popcount(windows[:, :, 0])
-    base = 2 * pc[:, :nw].sum(axis=(0, 1), dtype=ACC_DTYPE)
-    base += pc[:, nw:].sum(axis=(0, 1), dtype=ACC_DTYPE)
-    # (taps, 2 * words, OC, 1): each tap's weight words, once per plane
-    wtaps = np.concatenate((w.bits, w.bits), axis=1).reshape(spec.out_ch, 2 * nw, taps)
+    pc = popcount(windows[..., 0, :])
+    base = 2 * pc[:, 0].sum(axis=(0, 1), dtype=ACC_DTYPE)
+    base += pc[:, 1].sum(axis=(0, 1), dtype=ACC_DTYPE)
+    # (taps, words, OC, 1): each tap's weight words, ANDed against both planes
+    wtaps = w.bits.reshape(spec.out_ch, nw, taps)
     wtaps = np.ascontiguousarray(wtaps.transpose(2, 1, 0))[..., None]
 
     block = min(spec.out_ch, max(1, _BLOCK_BYTES // (2 * nw * oh * ow * 8)))
-    # each tap adds at most 64 to a (word, oc, pixel) counter, and each word
-    # and tap at most 3 * 64 to a pixel's 2 * sum(hi) + sum(lo)
+    # each tap adds at most 64 to a (plane, word, oc, pixel) counter, and each
+    # word and tap at most 3 * 64 to a pixel's 2 * sum(hi) + sum(lo)
     count_dtype = np.uint16 if taps * LANES < 2**16 else np.uint32
     hits_dtype = np.uint16 if 3 * LANES * nw * taps < 2**16 else np.uint32
-    anded = np.empty((2 * nw, block, oh * ow), dtype=np.uint64)
+    anded = np.empty((2, nw, block, oh * ow), dtype=np.uint64)
     bits = np.empty(anded.shape, dtype=np.uint8)
     counts = np.empty(anded.shape, dtype=count_dtype)
     acc = np.empty((spec.out_ch, oh * ow), dtype=ACC_DTYPE)
     for o0 in range(0, spec.out_ch, block):
         o1 = min(o0 + block, spec.out_ch)
-        a, b, c = anded[:, : o1 - o0], bits[:, : o1 - o0], counts[:, : o1 - o0]
+        a, b, c = anded[:, :, : o1 - o0], bits[:, :, : o1 - o0], counts[:, :, : o1 - o0]
         for t in range(taps):
             np.bitwise_and(wtaps[t, :, o0:o1], windows[t], out=a)
             if t == 0:
                 np.bitwise_count(a, out=c)
             else:
                 np.add(c, np.bitwise_count(a, out=b), out=c)
-        hits = np.add.reduce(c[:nw], axis=0, dtype=hits_dtype)
+        hits = np.add.reduce(c[0], axis=0, dtype=hits_dtype)
         hits *= 2
-        hits += np.add.reduce(c[nw:], axis=0, dtype=hits_dtype)
+        hits += np.add.reduce(c[1], axis=0, dtype=hits_dtype)
         out = acc[o0:o1]
         np.multiply(hits, 2, out=out, dtype=ACC_DTYPE)  # 2 * hits may not fit hits_dtype
         out -= base

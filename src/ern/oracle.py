@@ -3,10 +3,12 @@
 The oracle evaluates the same quantized network in 64-bit reals, straight
 from the defining math: binary signs convolved with code maps by im2col,
 scaled by alpha (or the shared constant c), batch-normalized, and passed
-through the explicit float quantizer.  It builds on the manifest's own
-graph and reads each BnAct's :class:`ern.quant.BnParams` as the manifest
-holds it, already checked and in 64-bit reals.  It shares no kernel code
-with the integer engine, so agreement between the two certifies both.
+through the explicit float quantizer.  It builds on the graph, c and
+conv weights that the manifest's own checks hand out, the ones
+compilation starts from, and reads each BnAct's
+:class:`ern.quant.BnParams` as the manifest holds it, already checked
+and in 64-bit reals.  It shares no kernel code with the integer engine,
+so agreement between the two certifies both.
 
 The convolution is a float32 GEMM whose partial sums are integers below
 2**24, so it is exact, and its result is widened to 64-bit reals; the
@@ -63,31 +65,27 @@ class OracleModel:
 
 
 def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleModel:
-    """Build the float reference on ``manifest.graph()`` with compilation's scale policy.
+    """Build the float reference with compilation's scale policy.
 
-    Must see the same manifest and shared constant as the compiled model,
-    or divergence is by construction rather than by defect.  Reads
-    ``manifest.convs`` one layer at a time and keeps only its int8 signs
-    and 64-bit scales.
+    The graph, c and each conv's weights come from the manifest's
+    ``checked_graph`` and ``conv_weights``, the checks compilation runs,
+    so a manifest compilation refuses is refused here with the same
+    error.  Must see the same manifest and shared constant as the
+    compiled model, or divergence is by construction rather than by
+    defect.  Reads one conv at a time and keeps only its int8 signs and
+    64-bit scales.
     """
-    g = manifest.graph()
-    c = shared_const if shared_const is not None else manifest.shared_const
-    c = 1.0 if c is None else float(c)
-    if not (np.isfinite(c) and c > 0):
-        raise ConfigError(f"shared constant must be finite and > 0, got {c}")
-
+    g, c = manifest.checked_graph(shared_const)
     signs: dict[str, np.ndarray] = {}
     edge_scale: dict[str, np.ndarray] = {}
     alpha_out = 1.0
     for node in g.convs:
-        w = manifest.convs.get(node.name)
-        if w is None:
-            raise ConfigError(f"layer '{node.name}' missing from manifest")
         # signs read the manifest's floats as they are; scales sum in 64 bits
-        w = np.asarray(w)
+        w = manifest.conv_weights(node)
         signs[node.name] = 2 * (w >= 0.0).astype(np.int8) - 1
         if isinstance(node, FinalConv):
-            alpha_out = float(np.mean(np.abs(w.astype(np.float64)))) or 1.0
+            wide = w.astype(np.float64)
+            alpha_out = float(np.abs(wide, out=wide).mean()) or 1.0
             edge_scale[node.dst] = np.full(node.spec.out_ch, alpha_out)
         elif g.edges[node.dst].const_scaled:
             edge_scale[node.dst] = np.full(node.spec.out_ch, c)
@@ -98,12 +96,7 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
         if isinstance(n, ResidualAdd):
             edge_scale[n.dst] = edge_scale[n.src_a]
 
-    bns = {}
-    for bn in g.bnacts:
-        rec = manifest.bnacts.get(bn.name)
-        if rec is None:
-            raise ConfigError(f"layer '{bn.name}' missing from manifest")
-        bns[bn.name] = rec
+    bns = {bn.name: manifest.bnacts[bn.name] for bn in g.bnacts}
     return OracleModel(
         graph=g,
         shared_const=c,
@@ -254,9 +247,13 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     Passes iff every 2-bit code map matches outside boundary ties, the
     residual branch values are exactly c times the integer accumulators,
     and logits agree within ``LOGIT_RTOL`` relative.  Holds one image's
-    maps from each executor at a time.
+    maps from each executor at a time.  A model and an oracle built on
+    different graphs (another architecture or k) raise
+    :class:`ConfigError` before any image is run.
     """
     g: GraphDef = model.graph
+    if om.graph != g:
+        raise ConfigError("model and manifest graphs differ (another architecture or k)")
     report = CrossCheckReport()
     embed = g.steps[0].node
     report.layers[embed.name] = LayerReport()

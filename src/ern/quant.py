@@ -54,7 +54,6 @@ from .instrument import note_float_ops
 from .tensor import ACC_DTYPE, ACC_LIMIT, PackedPlanes, pack_bitplanes, padded_channels
 
 NUM_CODES = 4  # 2-bit activations
-_WIDE_SENTINEL = np.int64(1) << 62  # threshold clamp when no accumulator bound is known
 _ACC = np.iinfo(ACC_DTYPE)
 
 
@@ -186,14 +185,14 @@ def quantize_act_float(v, scale: float) -> np.ndarray:
     return np.clip(np.floor(v / scale), 0, NUM_CODES - 1).astype(np.uint8)
 
 
-def fuse_thresholds(alpha, bn: BnParams, acc_bound: int | None = None) -> ThresholdTable:
+def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
     """Fold per-channel scale, batch norm, and activation into thresholds.
 
-    ``alpha`` is scalar or per-channel.  When ``acc_bound`` (the producing
-    layer's accumulator bound, 3 * fan_in plus any residual contributions)
-    is given, thresholds outside +/-acc_bound are clamped to sentinel
-    values one past the bound -- never/always crossed, identical semantics,
-    bounded storage.
+    ``alpha`` is scalar or per-channel.  ``acc_bound`` is the producing
+    edge's static accumulator bound (3 * fan_in plus any residual
+    contributions); thresholds outside +/-acc_bound are clamped to
+    sentinel values one past the bound -- never/always crossed, identical
+    semantics, bounded storage.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     if not (np.isfinite(alpha).all() and (alpha > 0).all()):
@@ -218,7 +217,7 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int | None = None) -> Thresh
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bounds = (u[None, :] * bn.act_scale - b_coef[:, None]) / a_coef[:, None]
     rounded = np.where(ascending[:, None], np.ceil(bounds), np.floor(bounds))
-    limit = float(_WIDE_SENTINEL if acc_bound is None else acc_bound + 1)
+    limit = float(acc_bound + 1)
     rounded = np.clip(np.nan_to_num(rounded, nan=0.0, posinf=limit, neginf=-limit), -limit, limit)
     t = np.sort(rounded, axis=1).astype(np.int64)
     t[degenerate] = 0

@@ -239,6 +239,15 @@ class TestCompile:
         assert "s1.b2.conv1" in capsys.readouterr().err
 
 
+def _argv(ws, tmp_path, command, ckpt):
+    """``ern compile`` of ``ckpt``, or ``ern verify`` of the shared model against it."""
+    return {
+        "compile": ["compile", "--manifest", str(ckpt), "--out", str(tmp_path / "x.ern")],
+        "verify": ["verify", "--model", str(ws["model"]), "--manifest", str(ckpt),
+                   "--images", "1", "--resolution", "32"],
+    }[command]
+
+
 def _without_layer_kind(doc):
     del doc["layers"]["stem.conv1"]["kind"]
     return doc
@@ -297,13 +306,56 @@ class TestMalformedManifest:
             entry["act_scale"] = 0.0
         blob.tofile(ckpt / entry["file"])
         (ckpt / "manifest.json").write_text(json.dumps(doc))
-        argv = {
-            "compile": ["compile", "--manifest", str(ckpt), "--out", str(tmp_path / "x.ern")],
-            "verify": ["verify", "--model", str(ws["model"]), "--manifest", str(ckpt),
-                       "--images", "1", "--resolution", "32"],
-        }[command]
-        assert main(argv) == 2
+        assert main(_argv(ws, tmp_path, command, ckpt)) == 2
         assert layer in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    @pytest.mark.parametrize(
+        "defect,layer",
+        [
+            ("conv-shape", "s1.b1.conv1"),
+            ("bnact-width", "s1.b1.bn1"),
+            ("extra-layer", "s9.b9.conv1"),
+            ("overflowing-shape", "s1.b1.conv1"),
+            ("nan-head-weight", "head.conv"),
+        ],
+    )
+    def test_layer_must_fit_architecture(self, ws, tmp_path, capsys, command, defect, layer):
+        """Each entry's blob holds what the entry declares, but the layer does not fit."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws["ckpt"], ckpt)
+        doc = json.loads((ckpt / "manifest.json").read_text())
+        layers = doc["layers"]
+        if defect == "conv-shape":
+            layers[layer]["shape"] = [32, 64, 3, 3]
+            np.ones(32 * 64 * 3 * 3, "<f4").tofile(ckpt / layers[layer]["file"])
+        elif defect == "bnact-width":
+            layers[layer]["channels"] = 32
+            np.ones(4 * 32, "<f4").tofile(ckpt / layers[layer]["file"])
+        elif defect == "extra-layer":
+            layers[layer] = dict(layers["s1.b1.conv1"])
+        elif defect == "overflowing-shape":
+            # 4 * 65536**4 bytes wraps to 0 in int64, the size of an empty blob
+            layers[layer]["shape"] = [65536] * 4
+            (ckpt / layers[layer]["file"]).write_bytes(b"")
+        else:
+            blob = np.fromfile(ckpt / layers[layer]["file"], dtype="<f4")
+            blob[5] = np.nan
+            blob.tofile(ckpt / layers[layer]["file"])
+        (ckpt / "manifest.json").write_text(json.dumps(doc))
+        assert main(_argv(ws, tmp_path, command, ckpt)) == 2
+        assert layer in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--arch", "erns18"], ["--arch", "erns18x075", "--k", "4"]],
+        ids=["other-arch", "other-k"],
+    )
+    def test_verify_against_another_graph(self, ws, tmp_path, capsys, flags):
+        ckpt = tmp_path / "ckpt"
+        assert main(["init-random", *flags, "--seed", "1", "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(_argv(ws, tmp_path, "verify", ckpt)) == 2
+        assert "graphs differ" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["compile", "verify"])
     @pytest.mark.parametrize("defect", ["deleted", "truncated"])
@@ -324,12 +376,7 @@ class TestMalformedManifest:
             return m
 
         monkeypatch.setattr(ern.cli, "load_manifest", load_then_break)
-        argv = {
-            "compile": ["compile", "--manifest", str(ckpt), "--out", str(tmp_path / "x.ern")],
-            "verify": ["verify", "--model", str(ws["model"]), "--manifest", str(ckpt),
-                       "--images", "1", "--resolution", "32"],
-        }[command]
-        assert main(argv) == 2
+        assert main(_argv(ws, tmp_path, command, ckpt)) == 2
         assert layer in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", [21846, 10**6])

@@ -3,7 +3,6 @@ import pytest
 
 from ern.errors import DomainError, ShapeError
 from ern.quant import (
-    _WIDE_SENTINEL,
     BnParams,
     ThresholdTable,
     apply_thresholds,
@@ -12,6 +11,9 @@ from ern.quant import (
     quantize_act_float,
 )
 from ern.tensor import ACC_LIMIT, LANES, pack_activations, unpack_activations
+
+
+WIDE = 2**62  # a stored threshold far past any accumulator bound
 
 
 def bn1(gamma=1.0, beta=0.0, mean=0.0, var=0.75, eps=0.25, s_a=1.0):
@@ -54,19 +56,19 @@ class TestBinarize:
 class TestFuse:
     def test_ascending_unit_case(self):
         # A = 1, B = 0, s_a = 2 -> thresholds ceil(2u) = 2, 4, 6
-        tbl = fuse_thresholds(np.ones(1), bn1(s_a=2.0))
+        tbl = fuse_thresholds(np.ones(1), bn1(s_a=2.0), acc_bound=100)
         assert tbl.t.tolist() == [[2, 4, 6]]
         assert tbl.ascending.tolist() == [True]
         assert not tbl.degenerate.any()
 
     def test_descending_mirror(self):
         # gamma < 0 flips direction: floor(-2u) sorted -> -6, -4, -2
-        tbl = fuse_thresholds(np.ones(1), bn1(gamma=-1.0, s_a=2.0))
+        tbl = fuse_thresholds(np.ones(1), bn1(gamma=-1.0, s_a=2.0), acc_bound=100)
         assert tbl.t.tolist() == [[-6, -4, -2]]
         assert tbl.ascending.tolist() == [False]
 
     def test_degenerate_constant_channel(self):
-        tbl = fuse_thresholds(np.ones(1), bn1(gamma=0.0, beta=7.0, s_a=2.0))
+        tbl = fuse_thresholds(np.ones(1), bn1(gamma=0.0, beta=7.0, s_a=2.0), acc_bound=100)
         assert tbl.degenerate.tolist() == [True]
         assert tbl.const_code.tolist() == [3]  # clamp(floor(7/2), 0, 3)
         acc = np.arange(-5, 6, dtype=np.int32).reshape(1, -1, 1)
@@ -81,7 +83,7 @@ class TestFuse:
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
-            fuse_thresholds(np.zeros(1), bn1())
+            fuse_thresholds(np.zeros(1), bn1(), acc_bound=100)
 
     def test_rejects_negative_var(self):
         with pytest.raises(DomainError):
@@ -125,23 +127,23 @@ class TestBnParams:
 
 class TestApply:
     def test_ascending_count_rule(self):
-        tbl = fuse_thresholds(np.ones(1), bn1(s_a=2.0))
+        tbl = fuse_thresholds(np.ones(1), bn1(s_a=2.0), acc_bound=100)
         acc = np.array([1, 2, 5, 6, 100], dtype=np.int32).reshape(1, -1, 1)
         assert unpack_activations(apply_thresholds(acc, tbl), 1).ravel().tolist() == [0, 1, 2, 3, 3]
 
     def test_descending_count_rule(self):
-        tbl = fuse_thresholds(np.ones(1), bn1(gamma=-1.0, s_a=2.0))
+        tbl = fuse_thresholds(np.ones(1), bn1(gamma=-1.0, s_a=2.0), acc_bound=100)
         acc = np.array([-4], dtype=np.int32).reshape(1, 1, 1)
         assert unpack_activations(apply_thresholds(acc, tbl), 1).ravel().tolist() == [2]
 
     def test_rejects_float_accumulator(self):
-        tbl = fuse_thresholds(np.ones(1), bn1())
+        tbl = fuse_thresholds(np.ones(1), bn1(), acc_bound=100)
         with pytest.raises(DomainError):
             apply_thresholds(np.zeros((1, 2, 2)), tbl)
 
     def test_rejects_channel_mismatch(self):
         bn = BnParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), 1e-5)
-        tbl = fuse_thresholds(np.ones(2), bn)
+        tbl = fuse_thresholds(np.ones(2), bn, acc_bound=100)
         with pytest.raises(ShapeError):
             apply_thresholds(np.zeros((3, 2, 2), dtype=np.int32), tbl)
 
@@ -231,7 +233,7 @@ class TestBitplanes:
         bound = 500
         t = np.sort(rng.integers(-bound, bound + 1, size=(c, 3)), axis=1)
         # clamped rows: never / always crossed, at the fold's bound and unbounded
-        sentinels = [bound + 1, -(bound + 1), _WIDE_SENTINEL, -_WIDE_SENTINEL]
+        sentinels = [bound + 1, -(bound + 1), WIDE, -WIDE]
         for ch in range(0, c, 5):
             t[ch, 2] = sentinels[(ch // 5) % 4]
             t[ch] = np.sort(t[ch])
@@ -270,7 +272,7 @@ class TestBitplanes:
     def test_int32_extremes_rejected(self, value):
         # -2**31 wraps under the sign fold and 2**31 - 1 reaches a clamped
         # "never crossed" threshold, so neither has an exact code
-        tbl = table([[-1, 0, 1], [-1, 0, _WIDE_SENTINEL]], [False, True])
+        tbl = table([[-1, 0, 1], [-1, 0, WIDE]], [False, True])
         acc = np.zeros((2, 1, 2), dtype=np.int32)
         acc[:, 0, 1] = value
         with pytest.raises(DomainError):
