@@ -26,7 +26,7 @@ from .compiler import (
 )
 from .errors import ErnError, FormatError, VerificationError
 from .graph import arch_config, execute, model_stats
-from .oracle import cross_check, oracle_from_manifest
+from .oracle import cross_check, oracle_from_manifest, require_same_graph
 from .ppm import read_ppm
 
 EXIT_OK = 0
@@ -135,6 +135,7 @@ def cmd_stats(args) -> int:
 def cmd_verify(args) -> int:
     model = _load_model(args.model)
     manifest = load_manifest(args.manifest)
+    require_same_graph(model.graph, manifest.graph())  # before any blob is read
     om = oracle_from_manifest(manifest, shared_const=model.shared_const)
     rng = np.random.default_rng(args.seed)
     r = args.resolution

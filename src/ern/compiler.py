@@ -15,31 +15,34 @@ checkpoint against its architecture; compilation and the oracle both
 start from them, so they refuse the same checkpoints with the same
 :class:`CompileError`.
 
-Compilation binarizes every conv (per-channel alpha = mean |w|, or the
-shared constant c for convs feeding a residual add), folds each
-batch-norm + quantizer pair into an integer threshold table using the
-producing conv's scale, and bit-packs the signs.  The result is fully
-integer-executable and serializes to a single .ern file:
+Compilation binarizes every conv (per-channel alpha = mean |w|, the
+shared constant c for convs feeding a residual add, one alpha_out for
+the head conv), folds each batch-norm + quantizer pair into an integer
+threshold table using the producing conv's scale, and bit-packs the
+signs.  The result is fully integer-executable and serializes to a
+single .ern file, format version 2:
 
-    magic "ERN1" | u32 version | arch (u16 len + utf8) | u32 k |
-    f64 c | u8 endian tag (1 = little) | u32 layer count |
-    layer records | u32 CRC32 over everything before it
+    prefix   magic "ERN1" | u32 version | u32 body length |
+             u32 CRC32 of those 12 bytes
+    body     arch (u16 len + utf8) | u32 k | f64 c | f64 alpha_out |
+             one record per conv and BnAct, in ``graph.nodes`` order
+    trailer  u32 CRC32 of the body
 
-Conv records carry the ConvSpec fields, a const flag, the per-channel
-scales, and the packed weight words.  The flag and some scales repeat
-facts the reader already has: which convs are const-scaled is a fact of
-the architecture's graph, their scales all equal c, and the head conv's
-all equal alpha_out.  ``load`` checks each copy against its source.
-BnAct records carry per-channel (t1, t2, t3) as signed 64-bit plus a
-direction byte and a degenerate byte.  A degenerate channel (folded
-slope exactly zero) stores its constant code in the t1 slot.  All
-multi-byte values little-endian; identical inputs produce byte-identical
-files.
+The architecture and k fix the graph, and so every record's size; the
+records carry no name, kind, geometry or count.  A conv record is its
+packed u64 weight words, preceded by its f64 per-channel scales only if
+the conv folds into a BnAct: a const-scaled conv's scales are c and the
+head conv's are alpha_out, each written once at the start of the body.  A
+BnAct record is ``<i4 t1, t2, t3, u1 flags>`` per channel, flag bit 0
+ascending and bit 1 degenerate.  A degenerate channel (folded slope
+exactly zero) stores its constant code in t1 and zeros in t2 and t3.
+Every threshold lies within its edge's static bound + 1 (42,240 at most
+on a stock model), which int32 holds.  All multi-byte values are
+little-endian; identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -71,19 +74,17 @@ from .graph import (
     arch_config,
     build_model,
 )
-from .kernels import ConvSpec
 from .quant import BnParams, ThresholdTable, binarize_weights, fuse_thresholds
 from .tensor import LANES, PackedWeights, pack_weights, padded_channels
 
 MAGIC = b"ERN1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_FORMAT = "ern-checkpoint-v1"
-LAYER_CONV = 1
-LAYER_BNACT = 2
-LAYER_FINAL = 3
-_ENDIAN_LITTLE = 1
-# one BnAct channel: t1, t2, t3, direction byte, degenerate byte
-_BNACT_CHANNEL = np.dtype("<i8, <i8, <i8, u1, u1")
+_PREFIX = 16  # magic, version, body length, CRC32 of those 12 bytes
+# one BnAct channel: t1, t2, t3, then flag bits
+_BNACT_CHANNEL = np.dtype([("t", "<i4", 3), ("flags", "u1")])
+_ASCENDING = 1
+_DEGENERATE = 2
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +254,7 @@ def load_manifest(path: str | Path) -> CheckpointManifest:
     root = doc_path.parent
     try:
         doc = json.loads(doc_path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON, UTF-8 or a huge integer
         raise ConfigError(f"cannot read manifest {doc_path}: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"manifest {doc_path}: top level must be a JSON object")
@@ -412,112 +413,87 @@ def compile_checkpoint(
 # .ern serialization
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw
+def _stores_scales(g: GraphDef, node: Conv | FinalConv) -> bool:
+    """Whether a conv record carries scales: only a conv that folds into a BnAct."""
+    return isinstance(node, Conv) and not g.edges[node.dst].const_scaled
+
+
+def _check_bound(t: np.ndarray, bound: int, name: str, error: type[Exception]) -> None:
+    if np.abs(t).max(initial=0) > bound + 1:
+        raise error(f"layer '{name}': a threshold exceeds the accumulator bound {bound} + 1")
 
 
 def serialize(model: CompiledModel) -> bytes:
-    """Encode a compiled model as .ern bytes (see module docstring)."""
+    """Encode a compiled model as .ern bytes (see module docstring).
+
+    One walk over ``graph.nodes`` writes each conv's and BnAct's record.
+    A threshold table with |t| > its edge's bound + 1 raises
+    :class:`DomainError`, and a model of an unnamed architecture, which
+    ``load`` could not rebuild, raises :class:`ConfigError`.
+    """
     if model.arch not in ARCHITECTURES:
         raise ConfigError(f"only named architectures serialize, got '{model.arch}'")
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<I", FORMAT_VERSION))
-    out.write(_pack_str(model.arch))
-    out.write(struct.pack("<Id", model.k, model.shared_const))
-    out.write(struct.pack("<B", _ENDIAN_LITTLE))
-    convs = model.graph.convs
-    bnacts = model.graph.bnacts
-    out.write(struct.pack("<I", len(convs) + len(bnacts)))
-    for node in model.graph.nodes:
+    g = model.graph
+    arch = model.arch.encode("utf-8")
+    parts = [
+        struct.pack("<H", len(arch)),
+        arch,
+        struct.pack("<Idd", model.k, model.shared_const, model.alpha_out),
+    ]
+    for node in g.nodes:
         if isinstance(node, (Conv, FinalConv)):
             w = model.weights[node.name]
-            s = node.spec
-            kind = LAYER_FINAL if isinstance(node, FinalConv) else LAYER_CONV
-            out.write(struct.pack("<B", kind))
-            out.write(_pack_str(node.name))
-            out.write(
-                struct.pack(
-                    "<HHBBBBBBB",
-                    s.out_ch,
-                    s.in_ch,
-                    s.kh,
-                    s.kw,
-                    s.stride[0],
-                    s.stride[1],
-                    s.padding[0],
-                    s.padding[1],
-                    1 if model.graph.edges[node.dst].const_scaled else 0,
-                )
-            )
-            alpha = np.ascontiguousarray(w.alpha, dtype="<f8")
-            out.write(struct.pack("<I", alpha.size))
-            out.write(alpha.tobytes())
-            words = np.ascontiguousarray(w.bits, dtype="<u8")
-            out.write(struct.pack("<I", words.size))
-            out.write(words.tobytes())
+            if _stores_scales(g, node):
+                parts.append(np.ascontiguousarray(w.alpha, dtype="<f8").tobytes())
+            parts.append(np.ascontiguousarray(w.bits, dtype="<u8").tobytes())
         elif isinstance(node, BnAct):
             tbl = model.thresholds[node.name]
-            out.write(struct.pack("<B", LAYER_BNACT))
-            out.write(_pack_str(node.name))
-            out.write(struct.pack("<H", node.channels))
             t = np.where(tbl.degenerate[:, None], 0, tbl.t)
             t[:, 0] = np.where(tbl.degenerate, tbl.const_code, t[:, 0])
+            _check_bound(t, g.edges[node.src].bound, node.name, DomainError)
             rec = np.empty(node.channels, dtype=_BNACT_CHANNEL)
-            rec["f0"], rec["f1"], rec["f2"] = t.T
-            rec["f3"] = tbl.ascending
-            rec["f4"] = tbl.degenerate
-            out.write(rec.tobytes())
-    body = out.getvalue()
-    return body + struct.pack("<I", zlib.crc32(body))
+            rec["t"] = t
+            rec["flags"] = tbl.ascending * _ASCENDING | tbl.degenerate * _DEGENERATE
+            parts.append(rec.tobytes())
+    body = b"".join(parts)
+    prefix = MAGIC + struct.pack("<II", FORMAT_VERSION, len(body))
+    return prefix + struct.pack("<I", zlib.crc32(prefix)) + body + struct.pack("<I", zlib.crc32(body))
 
 
 class _Reader:
-    def __init__(self, data: bytes, limit: int):
-        self.data = data
+    """Reads a body whose CRC matched; a body too short for its graph is a FormatError."""
+
+    def __init__(self, body: memoryview):
+        self.body = body
         self.pos = 0
-        self.limit = limit
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > self.limit:
-            raise TruncationError(
-                f"file ends at byte {self.limit}, needed {self.pos + n}"
-            )
-        chunk = self.data[self.pos : self.pos + n]
+    def take(self, n: int) -> memoryview:
+        if self.pos + n > len(self.body):
+            raise FormatError(f"body of {len(self.body)} bytes is too short for its records")
         self.pos += n
-        return chunk
+        return self.body[self.pos - n : self.pos]
 
-    def unpack(self, fmt: str):
+    def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def string(self) -> bytes:
-        """A length-prefixed string, still encoded; see :func:`_decode`."""
-        (n,) = self.unpack("<H")
-        return self.take(n)
-
-
-def _decode(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"string is not valid UTF-8: {e}") from None
+    def array(self, dtype, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype)
 
 
 def load(data: bytes) -> CompiledModel:
-    """Decode .ern bytes, verifying magic, version, length, CRC, then structure.
+    """Decode .ern bytes in one pass over the graph (see module docstring).
 
-    The record layout is walked first, reading only the length and count
-    fields, to tell a file that ends early (:class:`TruncationError`) from
-    one whose bytes changed; the CRC is then checked before any other
-    field is interpreted, so a corrupt body raises :class:`ChecksumError`.
-    A corrupted length or count can still read as a truncation, because
-    it is walked before the CRC.  Every other defect of a file with a
-    valid CRC raises a :class:`FormatError`, including any record that
-    disagrees with the architecture (shape, record kind, const flag) and
-    any scale the file repeats that disagrees with c: c and every conv
-    scale must be finite and > 0, a const-scaled conv's scales must all
-    equal c, and the head conv's must all equal one alpha_out.
+    Magic, version, the prefix CRC, the file length the prefix declares
+    and the body CRC are all checked before any body field is read, so a
+    file that ends early raises :class:`TruncationError` and one whose
+    bytes changed raises :class:`ChecksumError` (or :class:`BadMagicError`
+    or :class:`VersionError` for those fields).  Every other defect of a
+    file whose CRCs match raises a :class:`FormatError`: an unknown
+    architecture or k, c or alpha_out not finite and > 0, a stored scale
+    not finite and > 0, unknown flag bits, a threshold past its edge's
+    bound + 1, an invalid threshold table, or a body of the wrong length.
+    A const-scaled conv's scales are c and the head conv's alpha_out.
     """
     if len(data) < 4:
         raise TruncationError(f"{len(data)} bytes is too short for a model file")
@@ -525,107 +501,70 @@ def load(data: bytes) -> CompiledModel:
         raise BadMagicError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
     if len(data) < 8:
         raise TruncationError("file ends inside the version field")
-    (version,) = struct.unpack("<I", data[4:8])
+    (version,) = struct.unpack_from("<I", data, 4)
     if version != FORMAT_VERSION:
         raise VersionError(f"format version {version}, this reader handles {FORMAT_VERSION}")
-    if len(data) < 13:
-        raise TruncationError("file ends inside the header")
-
-    r = _Reader(data, limit=len(data) - 4)
-    r.pos = 8
-    arch_raw = r.string()
-    k, shared_const = r.unpack("<Id")
-    (endian,) = r.unpack("<B")
-    (layer_count,) = r.unpack("<I")
-    records = []
-    for _ in range(layer_count):
-        (kind,) = r.unpack("<B")
-        name = r.string()
-        if kind in (LAYER_CONV, LAYER_FINAL):
-            geometry = r.unpack("<HHBBBBBBB")
-            alpha = r.take(8 * r.unpack("<I")[0])
-            words = r.take(8 * r.unpack("<I")[0])
-            records.append((kind, name, geometry, alpha, words))
-        elif kind == LAYER_BNACT:
-            (channels,) = r.unpack("<H")
-            records.append((kind, name, channels, r.take(_BNACT_CHANNEL.itemsize * channels)))
-        else:
-            records.append((kind, name))  # unknown layout: reported after the CRC
-            break
-    (stored_crc,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(data[:-4]) != stored_crc:
+    if len(data) < _PREFIX:
+        raise TruncationError("file ends inside the prefix")
+    body_len, prefix_crc = struct.unpack_from("<II", data, 8)
+    if zlib.crc32(data[:12]) != prefix_crc:
+        raise ChecksumError("prefix CRC32 does not match the stored checksum")
+    end = _PREFIX + body_len
+    if len(data) < end + 4:
+        raise TruncationError(f"file ends at byte {len(data)}, needed {end + 4}")
+    if len(data) > end + 4:
+        raise FormatError(f"{len(data) - end - 4} unexpected bytes after the checksum")
+    body = memoryview(data)[_PREFIX:end]
+    if zlib.crc32(body) != struct.unpack_from("<I", data, end)[0]:
         raise ChecksumError("body CRC32 does not match the stored checksum")
 
-    if endian != _ENDIAN_LITTLE:
-        raise FormatError(f"unsupported endianness tag {endian}")
-    if not (np.isfinite(shared_const) and shared_const > 0):
-        raise FormatError(f"shared constant {shared_const} is not finite and > 0")
-    if not 1 <= 3 * k <= 0xFFFF:
-        raise FormatError(f"thermometer length {k} does not fit the stem conv record")
-    arch = _decode(arch_raw)
-    g = build_model(arch_config(arch), k)
-    by_name = {n.name: n for n in g.nodes}
+    r = _Reader(body)
+    (n,) = r.unpack("<H")
+    try:
+        arch = str(r.take(n), "utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"architecture name is not valid UTF-8: {e}") from None
+    k, c, alpha_out = r.unpack("<Idd")
+    for what, v in (("shared constant c", c), ("head.conv scale alpha_out", alpha_out)):
+        if not (np.isfinite(v) and v > 0):
+            raise FormatError(f"{what} {v} is not finite and > 0")
+    try:
+        g = build_model(arch_config(arch), k)
+    except ConfigError as e:
+        raise FormatError(str(e)) from None
 
     weights: dict[str, PackedWeights] = {}
     thresholds: dict[str, ThresholdTable] = {}
-    alpha_out = 1.0
-    for kind, name, *fields in records:
-        name = _decode(name)
-        node = by_name.get(name)
-        if node is None:
-            raise FormatError(f"layer '{name}' is not part of architecture '{arch}'")
-        if name in weights or name in thresholds:
-            raise FormatError(f"layer '{name}' is stored twice")
-        if kind in (LAYER_CONV, LAYER_FINAL):
-            (oc, ic, kh, kw, sh, sw, ph, pw, const_flag), alpha, words = fields
-            spec = getattr(node, "spec", None)
-            if spec != ConvSpec(ic, oc, kh, kw, (sh, sw), (ph, pw)):
-                raise FormatError(f"layer '{name}': stored shape disagrees with architecture")
-            if (kind == LAYER_FINAL) != isinstance(node, FinalConv):
-                raise FormatError(f"layer '{name}': record kind {kind} disagrees with architecture")
-            if const_flag != g.edges[node.dst].const_scaled:
-                raise FormatError(f"layer '{name}': const flag {const_flag} disagrees with graph")
-            alpha = np.frombuffer(alpha, dtype="<f8").astype(np.float64)
-            if alpha.shape != (oc,) or not (np.isfinite(alpha) & (alpha > 0)).all():
-                raise FormatError(f"layer '{name}': scales must be {oc} finite values > 0")
-            if const_flag and (alpha != shared_const).any():
-                raise FormatError(f"layer '{name}': const-scaled conv scales differ from c")
-            if kind == LAYER_FINAL and (alpha != alpha[0]).any():
-                raise FormatError(f"layer '{name}': head conv scales differ from one another")
-            shape = (oc, padded_channels(ic) // LANES, kh, kw)
-            n_words = len(words) // 8
-            if n_words != int(np.prod(shape)):
-                raise FormatError(f"layer '{name}': {n_words} weight words, expected {np.prod(shape)}")
-            bits = np.frombuffer(words, dtype="<u8").astype(np.uint64).reshape(shape)
-            weights[name] = PackedWeights(bits=bits, alpha=alpha, in_channels=ic)
-            if kind == LAYER_FINAL:
-                alpha_out = float(alpha[0])
-        elif kind == LAYER_BNACT:
-            channels, raw = fields
-            if getattr(node, "channels", None) != channels:
-                raise FormatError(f"layer '{name}': stored width disagrees with architecture")
-            raw = np.frombuffer(raw, dtype=_BNACT_CHANNEL)
-            t = np.stack([raw["f0"], raw["f1"], raw["f2"]], axis=1).astype(np.int64)
-            degenerate = raw["f4"].astype(bool)
+    for node in g.nodes:
+        if isinstance(node, (Conv, FinalConv)):
+            s = node.spec
+            if _stores_scales(g, node):
+                alpha = r.array("<f8", s.out_ch).astype(np.float64)
+                if not (np.isfinite(alpha) & (alpha > 0)).all():
+                    raise FormatError(f"layer '{node.name}': scales must be finite and > 0")
+            else:
+                alpha = np.full(s.out_ch, alpha_out if isinstance(node, FinalConv) else c)
+            shape = (s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw)
+            bits = r.array("<u8", math.prod(shape)).astype(np.uint64).reshape(shape)
+            weights[node.name] = PackedWeights(bits=bits, alpha=alpha, in_channels=s.in_ch)
+        elif isinstance(node, BnAct):
+            rec = r.array(_BNACT_CHANNEL, node.channels)
+            t = rec["t"].astype(np.int64)
+            if (rec["flags"] > (_ASCENDING | _DEGENERATE)).any():
+                raise FormatError(f"layer '{node.name}': unknown flag bits")
+            _check_bound(t, g.edges[node.src].bound, node.name, FormatError)
+            degenerate = (rec["flags"] & _DEGENERATE).astype(bool)
             try:
-                thresholds[name] = ThresholdTable(
+                thresholds[node.name] = ThresholdTable(
                     t=np.where(degenerate[:, None], 0, t),
-                    ascending=raw["f3"].astype(bool),
+                    ascending=(rec["flags"] & _ASCENDING).astype(bool),
                     degenerate=degenerate,
                     const_code=np.where(degenerate, t[:, 0], 0),
                 )
             except (DomainError, ShapeError) as e:
-                raise FormatError(f"layer '{name}': {e}") from None
-        else:
-            raise FormatError(f"unknown layer record kind {kind}")
-    if r.pos != len(data) - 4:
-        raise FormatError(f"{len(data) - 4 - r.pos} unexpected trailing bytes before checksum")
-
-    missing = ({n.name for n in g.convs} | {n.name for n in g.bnacts}) - (
-        set(weights) | set(thresholds)
-    )
-    if missing:
-        raise FormatError(f"layer '{sorted(missing)[0]}' missing from file")
+                raise FormatError(f"layer '{node.name}': {e}") from None
+    if r.pos != len(body):
+        raise FormatError(f"{len(body) - r.pos} unexpected bytes after the last record")
     return CompiledModel(
         graph=g,
         weights=weights,
@@ -633,7 +572,7 @@ def load(data: bytes) -> CompiledModel:
         alpha_out=alpha_out,
         arch=arch,
         k=k,
-        shared_const=shared_const,
+        shared_const=c,
     )
 
 

@@ -444,9 +444,8 @@ def build_bottleneck(
 def build_model(cfg: ArchConfig, k: int = 10) -> GraphDef:
     """Full model graph: embed, stem, four stages, head conv, pooled logits.
 
-    ``k`` is the thermometer length.  The stem conv's 3k input channels
-    must fit the u16 field of its ``.ern`` record; that bound is checked
-    before anything is built.
+    ``k`` is the thermometer length, in [1, 21845] (3k input channels
+    to the stem conv); that bound is checked before anything is built.
     """
     if not 1 <= k <= 0xFFFF // 3:
         raise ConfigError(f"thermometer length k must be in [1, {0xFFFF // 3}], got {k}")

@@ -27,6 +27,7 @@ of an integer), counted, and excluded; any other disagreement fails.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,19 +242,25 @@ class CrossCheckReport:
         )
 
 
+def require_same_graph(model_graph: GraphDef, manifest_graph: GraphDef) -> None:
+    """Raise :class:`ConfigError` unless both graphs have the same nodes."""
+    if model_graph != manifest_graph:
+        raise ConfigError("model and manifest graphs differ (another architecture or k)")
+
+
 def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     """Compare integer execution against the float reference image by image.
 
     Passes iff every 2-bit code map matches outside boundary ties, the
     residual branch values are exactly c times the integer accumulators,
-    and logits agree within ``LOGIT_RTOL`` relative.  Holds one image's
+    and logits agree within ``LOGIT_RTOL`` relative; a non-finite logit on
+    either side counts as an infinite error.  Holds one image's
     maps from each executor at a time.  A model and an oracle built on
     different graphs (another architecture or k) raise
     :class:`ConfigError` before any image is run.
     """
     g: GraphDef = model.graph
-    if om.graph != g:
-        raise ConfigError("model and manifest graphs differ (another architecture or k)")
+    require_same_graph(g, om.graph)
     report = CrossCheckReport()
     embed = g.steps[0].node
     report.layers[embed.name] = LayerReport()
@@ -296,8 +303,10 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
 
         lf = orr.logits
         li = ir.logits
-        denom = max(float(np.max(np.abs(lf))), 1e-30)
-        rel = float(np.max(np.abs(li - lf))) / denom
+        if np.isfinite(lf).all() and np.isfinite(li).all():
+            rel = float(np.max(np.abs(li - lf))) / max(float(np.max(np.abs(lf))), 1e-30)
+        else:  # max() would drop a NaN error
+            rel = math.inf
         report.max_logit_rel_err = max(report.max_logit_rel_err, rel)
         del ir, orr  # free this image's maps before the next image is run
 

@@ -33,7 +33,10 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int]:
             start = pos
             while pos < len(data) and data[pos : pos + 1].isdigit():
                 pos += 1
-            fields.append(int(data[start:pos]))
+            try:
+                fields.append(int(data[start:pos]))
+            except ValueError:  # past int()'s digit limit
+                raise FormatError(f"header number of {pos - start} digits") from None
         else:
             raise FormatError(f"unexpected byte {ch!r} in header")
     # exactly one whitespace byte separates maxval from pixel data
@@ -50,7 +53,11 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int]:
 
 def read_ppm(path: str | Path) -> np.ndarray:
     """Read a P6 file into a (3, H, W) uint8 array."""
-    data = Path(path).read_bytes()
+    return decode_ppm(Path(path).read_bytes())
+
+
+def decode_ppm(data: bytes) -> np.ndarray:
+    """Decode P6 bytes into a (3, H, W) uint8 array; any defect is a FormatError."""
     width, height, _, offset = _parse_header(data)
     need = width * height * 3
     pixels = data[offset : offset + need]

@@ -4,7 +4,9 @@ import zlib
 import numpy as np
 import pytest
 
-from ern.compiler import compile_checkpoint, gen_random_checkpoint
+from ern.compiler import FORMAT_VERSION, MAGIC, compile_checkpoint, gen_random_checkpoint
+from ern.graph import BnAct, Conv, FinalConv, arch_config, build_model
+from ern.tensor import padded_channels
 
 
 @pytest.fixture(scope="session")
@@ -31,39 +33,49 @@ def random_image(rng, size=64):
     return rng.integers(0, 256, size=(3, size, size), dtype=np.uint8)
 
 
+def resign(body: bytes) -> bytes:
+    """A .ern file around ``body``: the prefix with its length, and both CRCs."""
+    prefix = MAGIC + struct.pack("<II", FORMAT_VERSION, len(body))
+    return (
+        prefix + struct.pack("<I", zlib.crc32(prefix)) + body + struct.pack("<I", zlib.crc32(body))
+    )
+
+
+def record_offset(blob: bytes, layer: str) -> int:
+    """Offset of ``layer``'s record in ``blob``, found by walking the graph.
+
+    The sizes come from each node's ConvSpec and width, not from the
+    compiler: a conv record is 8 bytes of scale per output channel if the
+    conv folds into a BnAct (not const-scaled, not the head), then its
+    weight words; a BnAct record is 13 bytes per channel.
+    """
+    (n,) = struct.unpack_from("<H", blob, 16)
+    arch = blob[18 : 18 + n].decode()
+    (k,) = struct.unpack_from("<I", blob, 18 + n)
+    g = build_model(arch_config(arch), k)
+    pos = 18 + n + 4 + 8 + 8  # after the arch string, k, c and alpha_out
+    for node in g.nodes:
+        if node.name == layer:
+            return pos
+        if isinstance(node, (Conv, FinalConv)):
+            s = node.spec
+            if isinstance(node, Conv) and not node.const_scaled:
+                pos += 8 * s.out_ch
+            pos += 8 * s.out_ch * padded_channels(s.in_ch) // 64 * s.kh * s.kw
+        elif isinstance(node, BnAct):
+            pos += 13 * node.channels
+    raise KeyError(layer)
+
+
 def rewrite_threshold_row(blob: bytes, layer: str, t1: int, degenerate: int | None = None,
                           recrc: bool = True) -> bytes:
-    """Set t1 (and optionally the degenerate flag) of the first non-degenerate
+    """Set t1 (and optionally the degenerate flag bit) of the first non-degenerate
     channel of a serialized BnAct record; re-sign the file unless ``recrc`` is off."""
-    body = bytearray(blob[:-4])
-    name = layer.encode()
-    pos = body.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
-    (channels,) = struct.unpack_from("<H", body, pos)
-    row = pos + 2
-    while body[row + 25]:  # skip degenerate channels
-        row += 26
-    struct.pack_into("<q", body, row, t1)
+    data = bytearray(blob)
+    row = record_offset(blob, layer)
+    while data[row + 12] & 2:  # skip degenerate channels
+        row += 13
+    struct.pack_into("<i", data, row, t1)
     if degenerate is not None:
-        body[row + 25] = degenerate
-    crc = zlib.crc32(body) if recrc else struct.unpack("<I", blob[-4:])[0]
-    return bytes(body) + struct.pack("<I", crc)
-
-
-def rewrite_conv_record(blob: bytes, layer: str, alpha=None, const_flag: int | None = None,
-                        kind: int | None = None) -> bytes:
-    """Replace the scales (any count), the const flag or the record kind of one
-    serialized conv record, then re-sign the file's CRC."""
-    body = bytearray(blob[:-4])
-    name = layer.encode()
-    at = body.index(struct.pack("<H", len(name)) + name)
-    geometry = at + 2 + len(name)  # <HHBBBBBBB: out_ch, in_ch, kh, kw, strides, pads, const flag
-    count_at = geometry + struct.calcsize("<HHBBBBBBB")
-    if kind is not None:
-        body[at - 1] = kind
-    if const_flag is not None:
-        body[count_at - 1] = const_flag
-    if alpha is not None:
-        (n,) = struct.unpack_from("<I", body, count_at)
-        alpha = np.asarray(alpha, dtype="<f8")
-        body[count_at : count_at + 4 + 8 * n] = struct.pack("<I", alpha.size) + alpha.tobytes()
-    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+        data[row + 12] = data[row + 12] & 1 | degenerate << 1
+    return resign(bytes(data[16:-4])) if recrc else bytes(data)

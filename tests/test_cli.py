@@ -1,8 +1,6 @@
 import dataclasses
 import json
 import shutil
-import struct
-import zlib
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from ern.cli import main
 from ern.compiler import load, serialize
 from ern.ppm import write_ppm
 
-from conftest import rewrite_threshold_row
+from conftest import resign, rewrite_threshold_row
 
 
 @pytest.fixture(scope="module")
@@ -103,13 +101,20 @@ class TestInfer:
         assert main(["infer", "--model", str(bad), "--image", str(ws["ppm"])]) == 2
 
     def test_invalid_utf8_layer_name(self, ws, capsys):
-        body = bytearray(ws["model"].read_bytes()[:-4])
-        body[body.index(b"stem.conv1")] = 0xFF
+        # the architecture is the one name a file stores
+        body = bytearray(ws["model"].read_bytes()[16:-4])
+        body[2] = 0xFF
         bad = ws["root"] / "badname.ern"
-        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        bad.write_bytes(resign(bytes(body)))
         assert main(["infer", "--model", str(bad), "--image", str(ws["ppm"])]) == 2
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_huge_header_number(self, ws, capsys):
+        # more digits than Python's int() converts by default
+        bad = ws["root"] / "huge.ppm"
+        bad.write_bytes(b"P6\n" + b"9" * 5000 + b" 4\n255\n" + bytes(48))
+        assert main(["infer", "--model", str(ws["model"]), "--image", str(bad)]) == 2
+        assert "header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t1,degenerate", [(10**6, None), (4, 1)])
     def test_bad_threshold_table(self, ws, capsys, t1, degenerate):
@@ -357,6 +362,30 @@ class TestMalformedManifest:
         assert main(_argv(ws, tmp_path, "verify", ckpt)) == 2
         assert "graphs differ" in capsys.readouterr().err
 
+    def test_verify_compares_graphs_before_reading_blobs(self, ws, tmp_path, capsys,
+                                                         monkeypatch):
+        ckpt = tmp_path / "ckpt"
+        assert main(["init-random", "--arch", "erns18", "--seed", "1", "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle built for a manifest of another graph")
+
+        monkeypatch.setattr(ern.cli, "oracle_from_manifest", no_oracle)
+        assert main(_argv(ws, tmp_path, "verify", ckpt)) == 2
+        assert "graphs differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_huge_integer(self, ws, tmp_path, capsys, command):
+        # more digits than Python's int() converts by default
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws["ckpt"], ckpt)
+        text = (ckpt / "manifest.json").read_text()
+        assert '"k": 10' in text
+        (ckpt / "manifest.json").write_text(text.replace('"k": 10', '"k": ' + "9" * 5000))
+        assert main(_argv(ws, tmp_path, command, ckpt)) == 2
+        assert "manifest" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["compile", "verify"])
     @pytest.mark.parametrize("defect", ["deleted", "truncated"])
     def test_blob_changed_after_load(self, ws, tmp_path, capsys, monkeypatch, command, defect):
@@ -381,7 +410,7 @@ class TestMalformedManifest:
 
     @pytest.mark.parametrize("k", [21846, 10**6])
     def test_oversized_k(self, ws, tmp_path, capsys, k):
-        # 3k must fit the stem record's u16 in_ch field
+        # k is bounded before any table is built
         assert self._compile(ws, tmp_path, lambda doc: {**doc, "k": k}) == 2
         assert "thermometer length" in capsys.readouterr().err
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -9,8 +10,6 @@ import pytest
 
 from ern.compiler import (
     FORMAT_VERSION,
-    LAYER_CONV,
-    LAYER_FINAL,
     MAGIC,
     CheckpointManifest,
     compile_checkpoint,
@@ -26,6 +25,7 @@ from ern.errors import (
     ChecksumError,
     CompileError,
     ConfigError,
+    DomainError,
     FormatError,
     TruncationError,
     VersionError,
@@ -33,7 +33,7 @@ from ern.errors import (
 from ern.graph import execute
 from ern.oracle import oracle_from_manifest
 
-from conftest import random_image, rewrite_conv_record, rewrite_threshold_row
+from conftest import random_image, record_offset, resign, rewrite_threshold_row
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +259,8 @@ class TestSerialization:
         blob = serialize(small_model)
         assert blob[:4] == MAGIC
         assert struct.unpack_from("<I", blob, 4)[0] == FORMAT_VERSION
-        assert zlib.crc32(blob[:-4]) == struct.unpack("<I", blob[-4:])[0]
+        assert struct.unpack_from("<II", blob, 8) == (len(blob) - 20, zlib.crc32(blob[:12]))
+        assert zlib.crc32(blob[16:-4]) == struct.unpack("<I", blob[-4:])[0]
 
     def test_bad_magic(self, small_model):
         blob = bytearray(serialize(small_model))
@@ -271,6 +272,13 @@ class TestSerialization:
         blob = bytearray(serialize(small_model))
         struct.pack_into("<I", blob, 4, 99)
         with pytest.raises(VersionError):
+            load(bytes(blob))
+
+    def test_v1_file_is_version_error(self, small_model):
+        # a v1 file has the same magic and a version of 1; no v1 reader is left
+        blob = bytearray(serialize(small_model))
+        struct.pack_into("<I", blob, 4, 1)
+        with pytest.raises(VersionError, match="version 1"):
             load(bytes(blob))
 
     def test_truncated(self, small_model):
@@ -288,10 +296,18 @@ class TestSerialization:
         with pytest.raises(ChecksumError):
             load(bytes(blob))
 
-    def test_corrupt_name_is_checksum_error(self, small_model):
-        # a changed layer name would parse as an unknown layer; the CRC comes first
+    @pytest.mark.parametrize("bit", [0, 7, 20, 31])
+    def test_corrupt_body_length_is_checksum_error(self, small_model, bit):
+        # a length that claims more bytes than the file has is not a truncation
         blob = bytearray(serialize(small_model))
-        blob[blob.index(b"s2.b1.conv1") + 3] ^= 0x01
+        struct.pack_into("<I", blob, 8, struct.unpack_from("<I", blob, 8)[0] ^ 1 << bit)
+        with pytest.raises(ChecksumError, match="prefix"):
+            load(bytes(blob))
+
+    def test_corrupt_name_is_checksum_error(self, small_model):
+        # a changed architecture name would parse as another model; the CRC comes first
+        blob = bytearray(serialize(small_model))
+        blob[blob.index(b"erns18x075") + 3] ^= 0x01
         with pytest.raises(ChecksumError):
             load(bytes(blob))
 
@@ -302,132 +318,117 @@ class TestSerialization:
 
     @pytest.mark.parametrize("t1,degenerate", [(10**6, None), (4, 1), (256, 1), (-1, 1)])
     def test_bad_threshold_table_is_format_error(self, small_model, t1, degenerate):
-        # an unsorted row, or a constant code past 3 (256 would wrap to 0 in a byte)
+        # an unsorted row, or a constant code past 3
         blob = rewrite_threshold_row(serialize(small_model), "s1.b1.bn1", t1, degenerate)
         with pytest.raises(FormatError, match="s1.b1.bn1"):
             load(blob)
 
+    @pytest.mark.parametrize("flags", [4, 0x80, 0xFF])
+    def test_unknown_flag_bits_are_format_error(self, small_model, flags):
+        blob = bytearray(serialize(small_model))
+        blob[record_offset(blob, "s1.b1.bn1") + 12] |= flags
+        with pytest.raises(FormatError, match="s1.b1.bn1.*flag bits"):
+            load(resign(bytes(blob[16:-4])))
+
+    def test_thresholds_within_bound_plus_one(self, small_model):
+        # one past the edge's bound is the sentinel fuse_thresholds clamps to;
+        # two past is out of range, on load and on serialize
+        g = small_model.graph
+        bound = g.edges[next(n.src for n in g.bnacts if n.name == "s1.b1.bn1")].bound
+        blob = serialize(small_model)
+        load(rewrite_threshold_row(blob, "s1.b1.bn1", -(bound + 1)))
+        with pytest.raises(FormatError, match="s1.b1.bn1.*bound"):
+            load(rewrite_threshold_row(blob, "s1.b1.bn1", -(bound + 2)))
+        tbl = small_model.thresholds["s1.b1.bn1"]
+        t = tbl.t.copy()
+        t[~tbl.degenerate, 0] = -(bound + 2)
+        bad = dataclasses.replace(
+            small_model,
+            thresholds={**small_model.thresholds, "s1.b1.bn1": dataclasses.replace(tbl, t=t)},
+        )
+        with pytest.raises(DomainError, match="s1.b1.bn1.*bound"):
+            serialize(bad)
+
     def test_thermometer_length_checked_before_use(self, small_model):
-        body = bytearray(serialize(small_model)[:-4])
-        (n,) = struct.unpack_from("<H", body, 8)
-        struct.pack_into("<I", body, 10 + n, 2**31)
+        body = bytearray(serialize(small_model)[16:-4])
+        (n,) = struct.unpack_from("<H", body, 0)
+        struct.pack_into("<I", body, 2 + n, 2**31)
         with pytest.raises(FormatError, match="thermometer"):
-            load(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+            load(resign(bytes(body)))
 
     def test_invalid_utf8_layer_name(self, small_model):
-        # keep the checksum valid so the name decoder must catch it
-        body = bytearray(serialize(small_model)[:-4])
-        body[body.index(b"stem.conv1")] = 0xFF
-        blob = bytes(body) + struct.pack("<I", zlib.crc32(body))
+        # the architecture is the one name a file stores; keep the checksum
+        # valid so the name decoder must catch it
+        body = bytearray(serialize(small_model)[16:-4])
+        body[2] = 0xFF
         with pytest.raises(FormatError, match="UTF-8"):
-            load(blob)
-
-    def test_layer_stored_twice(self, small_model):
-        # a second copy of a record, with the layer count raised to match
-        body = bytearray(serialize(small_model)[:-4])
-        name = b"s1.b1.bn1"
-        start = body.index(struct.pack("<H", len(name)) + name) - 1
-        channels = small_model.thresholds["s1.b1.bn1"].channels
-        end = start + 1 + 2 + len(name) + 2 + 26 * channels
-        (n,) = struct.unpack_from("<H", body, 8)
-        count_at = 8 + 2 + n + 4 + 8 + 1  # after version, arch, k, c, endian tag
-        struct.pack_into("<I", body, count_at, struct.unpack_from("<I", body, count_at)[0] + 1)
-        body += body[start:end]
-        with pytest.raises(FormatError, match="s1.b1.bn1.*twice"):
-            load(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+            load(resign(bytes(body)))
 
     def test_trailing_bytes(self, small_model):
-        # keep the checksum valid so the structural check must catch it
-        body = serialize(small_model)[:-4] + b"\x00\x00\x00"
-        blob = body + struct.pack("<I", zlib.crc32(body))
-        with pytest.raises(FormatError):
-            load(blob)
+        # keep the checksums valid so the structural checks must catch it:
+        # bytes after the last record, and bytes after the trailing CRC
+        blob = serialize(small_model)
+        with pytest.raises(FormatError, match="after the last record"):
+            load(resign(blob[16:-4] + b"\x00\x00\x00"))
+        with pytest.raises(FormatError, match="after the checksum"):
+            load(blob + b"\x00")
 
 
-def with_header_c(blob: bytes, c: float) -> bytes:
-    """Re-sign ``blob`` with the header's shared constant set to ``c``."""
-    body = bytearray(blob[:-4])
-    (n,) = struct.unpack_from("<H", body, 8)
-    struct.pack_into("<d", body, 8 + 2 + n + 4, c)  # after version, arch string, k
-    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+def with_header_c(blob: bytes, c: float, alpha_out: float | None = None) -> bytes:
+    """Re-sign ``blob`` with the header's shared constant (and alpha_out) replaced."""
+    body = bytearray(blob[16:-4])
+    (n,) = struct.unpack_from("<H", body, 0)
+    struct.pack_into("<d", body, 2 + n + 4, c)  # after the arch string and k
+    if alpha_out is not None:
+        struct.pack_into("<d", body, 2 + n + 12, alpha_out)
+    return resign(bytes(body))
 
 
 class TestLoadChecksGraphAndScales:
-    """Const flags must match the graph; the scales a file repeats must match c."""
+    """c and alpha_out are stored once; the scales a file stores must be finite and > 0."""
 
     def test_unchanged_rewrite_reproduces_file(self, small_model):
         blob = serialize(small_model)
-        head = small_model.weights["head.conv"]
-        assert rewrite_conv_record(blob, "head.conv", head.alpha, 0, LAYER_FINAL) == blob
-        assert with_header_c(blob, 0.5) == blob
+        assert with_header_c(blob, 0.5, small_model.alpha_out) == blob
+        row = record_offset(blob, "s1.b1.bn1")
+        assert rewrite_threshold_row(blob, "s1.b1.bn1", *struct.unpack_from("<i", blob, row)) == blob
 
-    @pytest.mark.parametrize(
-        "layer,flag",
-        [("s1.b1.conv2", 0), ("s1.b1.conv2", 2), ("stem.conv4", 0), ("s2.b1.down", 0),
-         ("s1.b1.conv1", 1), ("head.conv", 1)],
-    )
-    def test_const_flag_must_match_graph(self, small_model, layer, flag):
-        blob = rewrite_conv_record(serialize(small_model), layer, const_flag=flag)
-        with pytest.raises(FormatError, match=f"{layer}.*const flag"):
-            load(blob)
-
-    @pytest.mark.parametrize("layer,kind", [("head.conv", LAYER_CONV), ("s1.b1.conv1", LAYER_FINAL)])
-    def test_record_kind_must_match_graph(self, small_model, layer, kind):
-        blob = rewrite_conv_record(serialize(small_model), layer, kind=kind)
-        with pytest.raises(FormatError, match=f"{layer}.*record kind"):
-            load(blob)
+    def test_scales_come_from_the_header(self, small_model):
+        back = load(with_header_c(serialize(small_model), 0.25, 3.0))
+        edges = back.graph.edges
+        for node in back.graph.convs:
+            alpha = back.weights[node.name].alpha
+            if node.name == "head.conv":
+                assert (alpha == 3.0).all() and back.alpha_out == 3.0
+            elif edges[node.dst].const_scaled:
+                assert (alpha == 0.25).all()
+            else:
+                assert np.array_equal(alpha, small_model.weights[node.name].alpha)
 
     @pytest.mark.parametrize("value", [-1.0, np.nan, 0.0, np.inf])
     def test_head_scale_must_be_finite_and_positive(self, small_model, value):
-        blob = rewrite_conv_record(serialize(small_model), "head.conv", np.full(1000, value))
-        with pytest.raises(FormatError, match="head.conv"):
-            load(blob)
-
-    def test_head_scales_must_be_one_value(self, small_model):
-        alpha = small_model.weights["head.conv"].alpha.copy()
-        alpha[7] *= 2.0
-        blob = rewrite_conv_record(serialize(small_model), "head.conv", alpha)
+        blob = with_header_c(serialize(small_model), 0.5, value)
         with pytest.raises(FormatError, match="head.conv"):
             load(blob)
 
     @pytest.mark.parametrize("layer", ["stem.conv1", "s1.b1.conv1"])
     @pytest.mark.parametrize("value", [-1.0, np.nan, 0.0, np.inf])
     def test_conv_scales_must_be_finite_and_positive(self, small_model, layer, value):
-        alpha = small_model.weights[layer].alpha.copy()
-        alpha[3] = value
-        blob = rewrite_conv_record(serialize(small_model), layer, alpha)
+        blob = bytearray(serialize(small_model))
+        struct.pack_into("<d", blob, record_offset(blob, layer) + 8 * 3, value)
         with pytest.raises(FormatError, match=layer):
-            load(blob)
-
-    @pytest.mark.parametrize("layer", ["stem.conv1", "s1.b1.conv2", "head.conv"])
-    def test_one_scale_per_output_channel(self, small_model, layer):
-        alpha = small_model.weights[layer].alpha[:-1]
-        blob = rewrite_conv_record(serialize(small_model), layer, alpha)
-        with pytest.raises(FormatError, match=layer):
-            load(blob)
-
-    @pytest.mark.parametrize("layer", ["stem.conv4", "s1.b1.conv2", "s2.b1.down"])
-    def test_const_scales_must_equal_c(self, small_model, layer):
-        alpha = small_model.weights[layer].alpha.copy()
-        alpha[0] = 0.25  # c is 0.5
-        blob = rewrite_conv_record(serialize(small_model), layer, alpha)
-        with pytest.raises(FormatError, match=layer):
-            load(blob)
+            load(resign(bytes(blob[16:-4])))
 
     @pytest.mark.parametrize("c", [np.nan, 0.0, -0.5, np.inf])
     def test_header_c_must_be_finite_and_positive(self, small_model, c):
         with pytest.raises(FormatError, match="shared constant"):
             load(with_header_c(serialize(small_model), c))
 
-    def test_header_c_must_match_const_scales(self, small_model):
-        with pytest.raises(FormatError, match="differ from c"):
-            load(with_header_c(serialize(small_model), 1.0))
-
 
 class TestDegenerate:
     def test_bnact_record_bytes(self, small_manifest):
-        # each channel is <qqqBB: (t1, t2, t3) or (const code, 0, 0), then
-        # the direction and degenerate bytes
+        # each channel is <iiiB: (t1, t2, t3) or (const code, 0, 0), then
+        # flag bit 0 ascending and bit 1 degenerate
         bnacts = dict(small_manifest.bnacts)
         rec = bnacts["s3.b1.bn1"]
         gamma = rec.gamma.copy()
@@ -448,18 +449,15 @@ class TestDegenerate:
         assert tbl.degenerate[7] and tbl.const_code[7] == 2 and not tbl.ascending[3]
         want = b"".join(
             struct.pack(
-                "<qqqBB",
+                "<iiiB",
                 *((int(tbl.const_code[ch]), 0, 0) if tbl.degenerate[ch] else map(int, tbl.t[ch])),
-                int(tbl.ascending[ch]),
-                int(tbl.degenerate[ch]),
+                int(tbl.ascending[ch]) | int(tbl.degenerate[ch]) << 1,
             )
             for ch in range(tbl.channels)
         )
         blob = serialize(model)
-        name = b"s3.b1.bn1"
-        pos = blob.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
-        assert struct.unpack_from("<H", blob, pos) == (tbl.channels,)
-        assert blob[pos + 2 : pos + 2 + len(want)] == want
+        pos = record_offset(blob, "s3.b1.bn1")
+        assert blob[pos : pos + len(want)] == want
 
     def test_zero_gamma_round_trips(self, small_manifest, rng):
         bnacts = {n: r for n, r in small_manifest.bnacts.items()}

@@ -235,6 +235,21 @@ class TestDisagreementClassification:
         for name in ("stem.bn1", "s1.b1.bn1", "s2.b1.bn0"):
             assert rep.layers[name].mismatches == 0
 
+    @pytest.mark.parametrize("side", ["oracle", "engine"])
+    def test_nan_logits_fail(self, rng, side):
+        # max() drops a NaN, so a NaN error must not be folded in as one
+        m = gen_random_checkpoint("erns18x075", seed=1)
+        model = compile_checkpoint(m)
+        om = oracle_from_manifest(m)
+        if side == "oracle":
+            om = dataclasses.replace(om, alpha_out=np.nan)
+        else:
+            model = dataclasses.replace(model, alpha_out=np.nan)
+        rep = cross_check(model, om, [random_image(rng, 32)])
+        assert not rep.ok
+        assert rep.first_divergence == "logits"
+        assert rep.max_logit_rel_err == np.inf
+
 
 class TestFullModel:
     def test_erns18_cross_check(self, erns18_manifest, erns18_model, rng):
