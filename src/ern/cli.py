@@ -139,7 +139,8 @@ def cmd_verify(args) -> int:
     om = oracle_from_manifest(manifest, shared_const=model.shared_const)
     rng = np.random.default_rng(args.seed)
     r = args.resolution
-    images = [rng.integers(0, 256, size=(3, r, r), dtype=np.uint8) for _ in range(args.images)]
+    # drawn one at a time as cross_check asks, so no more than one is held
+    images = (rng.integers(0, 256, size=(3, r, r), dtype=np.uint8) for _ in range(args.images))
     report = cross_check(model, om, images)
     print(report.to_json() if args.json else report.summary())
     return EXIT_OK if report.ok else EXIT_VERIFY

@@ -491,8 +491,11 @@ def load(data: bytes) -> CompiledModel:
     or :class:`VersionError` for those fields).  Every other defect of a
     file whose CRCs match raises a :class:`FormatError`: an unknown
     architecture or k, c or alpha_out not finite and > 0, a stored scale
-    not finite and > 0, unknown flag bits, a threshold past its edge's
-    bound + 1, an invalid threshold table, or a body of the wrong length.
+    not finite and > 0, a pad weight bit that is not 1, unknown flag bits,
+    a threshold past its edge's bound + 1, a degenerate channel whose t2
+    or t3 is not 0, an invalid threshold table, or a body of the wrong
+    length, so every file that loads is one ``serialize`` writes back
+    byte for byte.
     A const-scaled conv's scales are c and the head conv's alpha_out.
     """
     if len(data) < 4:
@@ -546,6 +549,10 @@ def load(data: bytes) -> CompiledModel:
                 alpha = np.full(s.out_ch, alpha_out if isinstance(node, FinalConv) else c)
             shape = (s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw)
             bits = r.array("<u8", math.prod(shape)).astype(np.uint64).reshape(shape)
+            lanes = s.in_ch % LANES  # the last word's logical lanes; the rest are pad, stored as 1
+            pad = np.uint64(2**64 - (1 << lanes)) if lanes else np.uint64(0)
+            if ((bits[:, -1] & pad) != pad).any():
+                raise FormatError(f"layer '{node.name}': a pad weight bit is not 1")
             weights[node.name] = PackedWeights(bits=bits, alpha=alpha, in_channels=s.in_ch)
         elif isinstance(node, BnAct):
             rec = r.array(_BNACT_CHANNEL, node.channels)
@@ -554,6 +561,8 @@ def load(data: bytes) -> CompiledModel:
                 raise FormatError(f"layer '{node.name}': unknown flag bits")
             _check_bound(t, g.edges[node.src].bound, node.name, FormatError)
             degenerate = (rec["flags"] & _DEGENERATE).astype(bool)
+            if t[degenerate, 1:].any():
+                raise FormatError(f"layer '{node.name}': a degenerate channel's t2, t3 are not 0")
             try:
                 thresholds[node.name] = ThresholdTable(
                     t=np.where(degenerate[:, None], 0, t),

@@ -28,8 +28,10 @@ with its pool, so each call counts the float ops of every step between
 the first and the last in its own counter (the count must be zero), and
 additionally checks the dtype of every step's output by edge kind: every
 act2 edge is held as packed bitplanes and every acc edge as int32.
-Unless it is recording, ``execute`` drops each step's ``frees`` after the
-step runs.
+``execute`` drops each step's ``frees`` after the step runs.  A caller
+that wants intermediates passes ``observe(step, value)``, which sees each
+step's output once, after its dtype check and before its ``frees`` are
+dropped, and keeps only what it needs.
 """
 
 from __future__ import annotations
@@ -553,18 +555,23 @@ def model_stats(cfg: ArchConfig, resolution: int, k: int = 10) -> ModelStats:
 class ExecutionResult:
     logits: np.ndarray
     float_ops_core: int  # real-valued ops in the steps between the embedding and the pool
-    values: dict[str, np.ndarray] = field(default_factory=dict)  # every edge, when recording
 
 
-def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = False) -> ExecutionResult:
+def execute(
+    model,
+    img: np.ndarray,
+    kernel: str = "popcount",
+    observe: Callable[[Step, np.ndarray | PackedPlanes], None] | None = None,
+) -> ExecutionResult:
     """Run the integer-only pipeline of a compiled model on one 8-bit image.
 
     ``model`` is a :class:`ern.compiler.CompiledModel`.  ``kernel`` selects
     the convolution path; both produce bit-identical accumulators.  Each
-    step's ``frees`` are dropped after it runs, unless ``record`` is set:
-    then every edge's value (image, code maps, accumulators, logits) is
-    kept in ``values`` for cross-checking, with act2 edges unpacked to
-    uint8 code maps.
+    step's ``frees`` are dropped after it runs.  ``observe(step, value)``,
+    if given, is called once per step with the step's output (act2 edges
+    as :class:`PackedPlanes`, acc edges as int32, the logits as float64)
+    after its dtype check and before its ``frees`` are dropped; whatever
+    it keeps outlives the call.
     """
     if kernel not in ("popcount", "naive"):
         raise ConfigError(f"unknown kernel '{kernel}'")
@@ -582,9 +589,10 @@ def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = Fal
         elif kind == "act2":
             assert out.hi.dtype == out.lo.dtype == np.uint64, s.node.name
         values[s.node.dst] = out
-        if not record:
-            for src in s.frees:
-                del values[src]
+        if observe is not None:
+            observe(s, out)
+        for src in s.frees:
+            del values[src]
 
     embed, *core, pool = g.steps
     run(embed)
@@ -592,12 +600,4 @@ def execute(model, img: np.ndarray, kernel: str = "popcount", record: bool = Fal
         for s in core:
             run(s)
     run(pool)
-    if record:
-        for name, v in values.items():
-            if isinstance(v, PackedPlanes):
-                values[name] = unpack_activations(v, v.channels)
-    return ExecutionResult(
-        logits=values[LOGITS_EDGE],
-        float_ops_core=ops.count,
-        values=values if record else {},
-    )
+    return ExecutionResult(logits=values[LOGITS_EDGE], float_ops_core=ops.count)

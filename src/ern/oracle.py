@@ -10,12 +10,23 @@ compilation starts from, and reads each BnAct's
 and in 64-bit reals.  It shares no kernel code with the integer engine,
 so agreement between the two certifies both.
 
-The convolution is a float32 GEMM whose partial sums are integers below
-2**24, so it is exact, and its result is widened to 64-bit reals; the
-only rounding happens when a scale or the batch norm touches a value.
+Each conv's signs are held at one bit per weight (``np.packbits`` of
+w >= 0, numpy's own packing, not the engine's).  The convolution expands
+them to float32 +/-1 through a 256-entry byte table and runs one float32
+GEMM whose partial sums are integers below 2**24, so it is exact, and
+its result is widened to 64-bit reals.  The only rounding happens when a
+scale or the batch norm touches a value.
 Residual branches therefore stay exactly c times the engine's integer
 accumulators: the oracle adds the unscaled (integer-valued) tensors and
 applies c lazily.
+
+:func:`oracle_steps` walks the graph once per image, node by node, and
+drops each map after its last reader (the step's ``frees``).
+:func:`cross_check` runs the engine first, keeping through ``execute``'s
+``observe`` hook only what it compares (embed and BnAct codes as packed
+planes, residual-branch accumulators as int32), then walks the oracle
+and compares each kept value when its node is reached, so the memory it
+holds is one image's compared edges plus the oracle's live maps.
 
 A cross-check can still legitimately disagree with the engine at
 positions where the pre-quantization value sits essentially on a code
@@ -29,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -40,11 +52,16 @@ from .graph import (
     Conv,
     FinalConv,
     GraphDef,
+    IMAGE_EDGE,
+    Node,
     PixelEmbed,
     ResidualAdd,
     execute,
 )
+from .tensor import unpack_activations
 
+# byte -> its 8 signs as float32 +/-1, most significant bit first as np.packbits packs
+_BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) * np.float32(2) - 1
 TIE_EPS = 1e-9  # |v / s_a - round(v / s_a)| below this is a code-boundary tie
 LOGIT_RTOL = 1e-6  # max relative logit error a passing cross-check allows
 
@@ -59,7 +76,7 @@ class OracleModel:
 
     graph: GraphDef
     shared_const: float
-    signs: dict[str, np.ndarray]  # (OC, IC, kh, kw) int8, +-1
+    signs: dict[str, np.ndarray]  # np.packbits(w >= 0) of each (OC, IC, kh, kw) conv
     edge_scale: dict[str, np.ndarray]  # acc edge -> (OC,) effective scale
     bns: dict[str, BnParams]  # the manifest's parameters per BnAct node
     alpha_out: float
@@ -73,8 +90,8 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     so a manifest compilation refuses is refused here with the same
     error.  Must see the same manifest and shared constant as the
     compiled model, or divergence is by construction rather than by
-    defect.  Reads one conv at a time and keeps only its int8 signs and
-    64-bit scales.
+    defect.  Reads one conv at a time and keeps only its signs, packed
+    one bit per weight, and its 64-bit scales.
     """
     g, c = manifest.checked_graph(shared_const)
     signs: dict[str, np.ndarray] = {}
@@ -83,10 +100,9 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     for node in g.convs:
         # signs read the manifest's floats as they are; scales sum in 64 bits
         w = manifest.conv_weights(node)
-        signs[node.name] = 2 * (w >= 0.0).astype(np.int8) - 1
+        signs[node.name] = np.packbits(w >= 0.0)
         if isinstance(node, FinalConv):
-            wide = w.astype(np.float64)
-            alpha_out = float(np.abs(wide, out=wide).mean()) or 1.0
+            alpha_out = float(np.abs(w).mean(dtype=np.float64)) or 1.0
             edge_scale[node.dst] = np.full(node.spec.out_ch, alpha_out)
         elif g.edges[node.dst].const_scaled:
             edge_scale[node.dst] = np.full(node.spec.out_ch, c)
@@ -124,15 +140,16 @@ def _thermo_codes(img: np.ndarray, k: int) -> np.ndarray:
     return z.reshape(c * kk, h, wd)
 
 
-def _conv_im2col(codes: np.ndarray, w_signs: np.ndarray, stride, padding) -> np.ndarray:
-    """Convolve 2-bit codes with +/-1 signs as one float32 GEMM; returns float64.
+def _conv_im2col(codes: np.ndarray, bits: np.ndarray, shape, stride, padding) -> np.ndarray:
+    """Convolve 2-bit codes with packed signs as one float32 GEMM; returns float64.
 
-    Every product and partial sum is an integer of magnitude at most
-    3 * fan_in, and integers below 2**24 are exact in float32, so the
-    result is exact whatever order the GEMM sums in.
+    ``bits`` is ``np.packbits`` of the (OC, IC, kh, kw) ``shape``'s signs,
+    bit 1 for +1.  Every product and partial sum is an integer of
+    magnitude at most 3 * fan_in, and integers below 2**24 are exact in
+    float32, so the result is exact whatever order the GEMM sums in.
     """
     ic, h, wd = codes.shape
-    oc, wic, kh, kw = w_signs.shape
+    oc, wic, kh, kw = shape
     if wic != ic:
         raise ShapeError(f"conv weights expect {wic} channels, got {ic}")
     if 3 * ic * kh * kw >= 2**24:
@@ -148,46 +165,63 @@ def _conv_im2col(codes: np.ndarray, w_signs: np.ndarray, stride, padding) -> np.
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     win = win[:, ::sh, ::sw][:, :oh, :ow]  # (ic, oh, ow, kh, kw)
     cols = win.transpose(0, 3, 4, 1, 2).reshape(ic * kh * kw, oh * ow)
-    acc = w_signs.reshape(oc, -1).astype(np.float32) @ cols
+    signs = _BYTE_SIGNS.take(bits, axis=0).reshape(-1)[: oc * ic * kh * kw].reshape(oc, -1)
+    acc = signs @ cols
     return acc.astype(np.float64).reshape(oc, oh, ow)
 
 
-@dataclass(eq=False)
-class OracleResult:
-    logits: np.ndarray
-    # every edge: act2 -> uint8 codes, acc -> integer-valued f64, logits -> f64
-    values: dict[str, np.ndarray] = field(default_factory=dict)
-    pre: dict[str, np.ndarray] = field(default_factory=dict)  # BnAct name -> float v
+def oracle_steps(
+    om: OracleModel, img: np.ndarray
+) -> Iterator[tuple[Node, np.ndarray, np.ndarray | None]]:
+    """Run the float reference on one image, yielding each node's output in order.
 
-
-def oracle_execute(om: OracleModel, img: np.ndarray) -> OracleResult:
-    """Run the float reference on one image, keeping every intermediate."""
+    Yields ``(node, value, pre)``: act2 values are uint8 codes, acc values
+    integer-valued float64, the pool's value the float64 logits; ``pre``
+    is a BnAct's float value before quantization, else None.  Each map is
+    dropped after its last reader, as the graph's steps' ``frees`` say,
+    so a caller that keeps nothing holds only the live maps.
+    """
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected (3, H, W) image, got {img.shape}")
-    res = OracleResult(logits=np.zeros(0))
-    values = res.values
-    for node in om.graph.nodes:
+    values: dict[str, np.ndarray] = {IMAGE_EDGE: img}
+    for step in om.graph.steps:
+        node = step.node
+        pre = None
         if isinstance(node, PixelEmbed):
-            values[node.dst] = _thermo_codes(img, node.k).astype(np.uint8)
+            out = _thermo_codes(img, node.k).astype(np.uint8)
         elif isinstance(node, (Conv, FinalConv)):
-            values[node.dst] = _conv_im2col(
-                values[node.src], om.signs[node.name], node.spec.stride, node.spec.padding
+            s = node.spec
+            out = _conv_im2col(
+                values[node.src], om.signs[node.name], (s.out_ch, s.in_ch, s.kh, s.kw),
+                s.stride, s.padding,
             )
         elif isinstance(node, BnAct):
             bn = om.bns[node.name]
             y = om.edge_scale[node.src][:, None, None] * values[node.src]
             sd = np.sqrt(bn.var + bn.epsilon)[:, None, None]
-            v = bn.gamma[:, None, None] * (y - bn.mean[:, None, None]) / sd + bn.beta[:, None, None]
-            values[node.dst] = quantize_act_float(v, bn.act_scale)
-            res.pre[node.name] = v
+            pre = bn.gamma[:, None, None] * (y - bn.mean[:, None, None]) / sd + bn.beta[:, None, None]
+            out = quantize_act_float(pre, bn.act_scale)
         elif isinstance(node, ResidualAdd):
-            values[node.dst] = values[node.src_a] + values[node.src_b]
+            out = values[node.src_a] + values[node.src_b]
         elif isinstance(node, AvgPoolScale):
-            scaled = om.alpha_out * values[node.src]
-            res.logits = scaled.mean(axis=(1, 2))
-            values[node.dst] = res.logits
-    return res
+            out = (om.alpha_out * values[node.src]).mean(axis=(1, 2))
+        values[node.dst] = out
+        yield node, out, pre
+        for src in step.frees:
+            del values[src]
+
+
+@dataclass(eq=False)
+class OracleResult:
+    logits: np.ndarray
+
+
+def oracle_execute(om: OracleModel, img: np.ndarray) -> OracleResult:
+    """Run the float reference on one image; only the logits are kept."""
+    for _, out, _ in oracle_steps(om, img):
+        pass
+    return OracleResult(logits=out)
 
 
 # --------------------------------------------------------------------------
@@ -226,11 +260,13 @@ class CrossCheckReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        """Strict JSON: a non-finite logit error is written as null."""
+        err = self.max_logit_rel_err
         return json.dumps(
             {
                 "ok": self.ok,
                 "images": self.images,
-                "max_logit_rel_err": self.max_logit_rel_err,
+                "max_logit_rel_err": err if math.isfinite(err) else None,
                 "residual_scaling_exact": self.residual_scaling_exact,
                 "first_divergence": self.first_divergence,
                 "layers": {
@@ -239,6 +275,7 @@ class CrossCheckReport:
                 },
             },
             indent=2,
+            allow_nan=False,
         )
 
 
@@ -254,8 +291,11 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     Passes iff every 2-bit code map matches outside boundary ties, the
     residual branch values are exactly c times the integer accumulators,
     and logits agree within ``LOGIT_RTOL`` relative; a non-finite logit on
-    either side counts as an infinite error.  Holds one image's
-    maps from each executor at a time.  A model and an oracle built on
+    either side counts as an infinite error.  Per image, the engine keeps
+    only the edges compared (embed and BnAct codes as packed planes,
+    residual-branch accumulators as int32), and each is compared and
+    dropped when the oracle's walk reaches its node, so the peak does not
+    grow with the number of images.  A model and an oracle built on
     different graphs (another architecture or k) raise
     :class:`ConfigError` before any image is run.
     """
@@ -266,49 +306,47 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     report.layers[embed.name] = LayerReport()
     for bn in g.bnacts:
         report.layers[bn.name] = LayerReport()
+    branches = {src for n in g.nodes if isinstance(n, ResidualAdd) for src in (n.src_a, n.src_b)}
+    compared = branches | {embed.dst} | {bn.dst for bn in g.bnacts}
+    c = model.shared_const
+    kept: dict = {}
 
-    adds = [n for n in g.nodes if isinstance(n, ResidualAdd)]
+    def keep(step, value) -> None:
+        if step.node.dst in compared:
+            kept[step.node.dst] = value
+
     for img in images:
-        ir = execute(model, img, record=True)
-        orr = oracle_execute(om, img)
+        li = execute(model, img, observe=keep).logits
         report.images += 1
-
-        # embed codes: both routes are exact integer maps, no tie excuse
-        diff = int(np.count_nonzero(ir.values[embed.dst] != orr.values[embed.dst]))
-        if diff:
-            report.layers[embed.name].mismatches += diff
-            report.first_divergence = report.first_divergence or embed.name
-
-        for bn in g.bnacts:
-            a = ir.values[bn.dst]
-            b = orr.values[bn.dst]
-            diffmask = a != b
+        for node, want, pre in oracle_steps(om, img):
+            got = kept.pop(node.dst, None)
+            if got is None:
+                continue
+            if node.dst in branches:
+                if not np.array_equal(c * want, c * got.astype(np.float64)):
+                    report.residual_scaling_exact = False
+                continue
+            diffmask = unpack_activations(got, got.channels) != want
             if not diffmask.any():
                 continue
-            ratio = orr.pre[bn.name] / om.bns[bn.name].act_scale
-            near = np.abs(ratio - np.rint(ratio)) < TIE_EPS
-            hard = int(np.count_nonzero(diffmask & ~near))
-            tied = int(np.count_nonzero(diffmask & near))
-            report.layers[bn.name].mismatches += hard
-            report.layers[bn.name].boundary += tied
+            if isinstance(node, PixelEmbed):
+                # both routes are exact integer maps, no tie excuse
+                hard, tied = int(np.count_nonzero(diffmask)), 0
+            else:
+                ratio = pre / om.bns[node.name].act_scale
+                near = np.abs(ratio - np.rint(ratio)) < TIE_EPS
+                hard = int(np.count_nonzero(diffmask & ~near))
+                tied = int(np.count_nonzero(diffmask & near))
+            report.layers[node.name].mismatches += hard
+            report.layers[node.name].boundary += tied
             if hard:
-                report.first_divergence = report.first_divergence or bn.name
-
-        c = model.shared_const
-        for add in adds:
-            for src in (add.src_a, add.src_b):
-                want = c * ir.values[src].astype(np.float64)
-                if not np.array_equal(c * orr.values[src], want):
-                    report.residual_scaling_exact = False
-
-        lf = orr.logits
-        li = ir.logits
+                report.first_divergence = report.first_divergence or node.name
+        lf = want  # the pool's value, the last the walk yields
         if np.isfinite(lf).all() and np.isfinite(li).all():
             rel = float(np.max(np.abs(li - lf))) / max(float(np.max(np.abs(lf))), 1e-30)
         else:  # max() would drop a NaN error
             rel = math.inf
         report.max_logit_rel_err = max(report.max_logit_rel_err, rel)
-        del ir, orr  # free this image's maps before the next image is run
 
     hard_total = sum(r.mismatches for r in report.layers.values())
     report.ok = (

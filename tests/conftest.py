@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ern.compiler import FORMAT_VERSION, MAGIC, compile_checkpoint, gen_random_checkpoint
-from ern.graph import BnAct, Conv, FinalConv, arch_config, build_model
-from ern.tensor import padded_channels
+from ern.graph import BnAct, Conv, FinalConv, arch_config, build_model, execute
+from ern.oracle import oracle_from_manifest
+from ern.tensor import PackedPlanes, padded_channels, unpack_activations
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +25,12 @@ def erns50_model():
     return compile_checkpoint(gen_random_checkpoint("erns50", seed=0, shared_const=0.5))
 
 
+@pytest.fixture(scope="session")
+def erns50_oracle():
+    # built from its own copy of the checkpoint, so no fixture holds erns50's floats
+    return oracle_from_manifest(gen_random_checkpoint("erns50", seed=0, shared_const=0.5))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -31,6 +38,23 @@ def rng():
 
 def random_image(rng, size=64):
     return rng.integers(0, 256, size=(3, size, size), dtype=np.uint8)
+
+
+def execute_keeping_all(model, img, kernel="popcount"):
+    """``execute`` with an observer that keeps every step's output.
+
+    Returns the result and a dict of every edge but the image, with act2
+    edges unpacked to uint8 code maps.
+    """
+    values = {}
+
+    def keep(step, value):
+        assert step.node.dst not in values, step.node.name
+        if isinstance(value, PackedPlanes):
+            value = unpack_activations(value, value.channels)
+        values[step.node.dst] = value
+
+    return execute(model, img, kernel, observe=keep), values
 
 
 def resign(body: bytes) -> bytes:

@@ -182,6 +182,24 @@ class TestVerify:
         assert doc["ok"] is True
         assert doc["images"] == 1
 
+    def test_json_report_is_strict_json(self, ws, capsys, monkeypatch):
+        # a NaN alpha_out makes the logit error infinite; strict JSON has no
+        # token for it, so it is written as null
+        def load_nan(data):
+            return dataclasses.replace(load(data), alpha_out=float("nan"))
+
+        def no_constant(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        monkeypatch.setattr(ern.cli, "load", load_nan)
+        rc = main(["verify", "--model", str(ws["model"]), "--manifest", str(ws["ckpt"]),
+                   "--images", "1", "--resolution", "32", "--json"])
+        assert rc == 3
+        doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert doc["ok"] is False
+        assert doc["max_logit_rel_err"] is None
+        assert doc["first_divergence"] == "logits"
+
     def test_tampered_model_fails(self, ws, capsys):
         model = load(ws["model"].read_bytes())
         name = "s2.b1.bn1"

@@ -349,6 +349,34 @@ class TestSerialization:
         with pytest.raises(DomainError, match="s1.b1.bn1.*bound"):
             serialize(bad)
 
+    def test_degenerate_row_stores_zero_t2_t3(self, small_model):
+        # a degenerate channel is (const code, 0, 0); (2, 7, 9) would load
+        # and then serialize as (2, 0, 0)
+        blob = bytearray(serialize(small_model))
+        row = record_offset(blob, "s1.b1.bn1")
+        struct.pack_into("<iiiB", blob, row, 2, 0, 0, 2)
+        assert serialize(load(resign(bytes(blob[16:-4])))) == resign(bytes(blob[16:-4]))
+        struct.pack_into("<iiiB", blob, row, 2, 7, 9, 2)
+        with pytest.raises(FormatError, match="s1.b1.bn1.*degenerate"):
+            load(resign(bytes(blob[16:-4])))
+
+    def test_pad_weight_bits_must_be_one(self, small_model):
+        # stem.conv1 reads 3k channels, so each tap word has 64 - 3k pad lanes
+        node = small_model.graph.node("stem.conv1")
+        lanes = node.spec.in_ch % 64
+        assert lanes == 3 * small_model.k
+        blob = bytearray(serialize(small_model))
+        first_word = record_offset(blob, "stem.conv1") + 8 * node.spec.out_ch  # after the scales
+        for lane in (lanes, 63):
+            bad = bytearray(blob)
+            bad[first_word + lane // 8] &= ~(1 << lane % 8) & 0xFF
+            with pytest.raises(FormatError, match="stem.conv1.*pad"):
+                load(resign(bytes(bad[16:-4])))
+        # a logical lane below the pad is a weight, free to be 0 or 1
+        ok = bytearray(blob)
+        ok[first_word + (lanes - 1) // 8] ^= 1 << (lanes - 1) % 8
+        load(resign(bytes(ok[16:-4])))
+
     def test_thermometer_length_checked_before_use(self, small_model):
         body = bytearray(serialize(small_model)[16:-4])
         (n,) = struct.unpack_from("<H", body, 0)

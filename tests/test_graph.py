@@ -29,8 +29,9 @@ from ern.graph import (
 from ern.instrument import note_float_ops
 from ern.kernels import ConvSpec
 from ern.quant import BnParams
+from ern.tensor import PackedPlanes
 
-from conftest import random_image
+from conftest import execute_keeping_all, random_image
 
 
 def freed_by(g, edge):
@@ -305,30 +306,58 @@ class TestExecution:
         assert execute(erns18_model, random_image(rng)).float_ops_core == 0
 
     def test_record_keeps_intermediates(self, erns18_model, rng):
-        r = execute(erns18_model, random_image(rng), record=True)
+        # observe sees every step's output once (the helper asserts once)
+        r, values = execute_keeping_all(erns18_model, random_image(rng))
         g = erns18_model.graph
-        assert set(r.values) == set(g.edges)
+        assert set(values) | {"image"} == set(g.edges)
         acc_edges = [e for e, info in g.edges.items() if info.kind == "acc"]
         assert len(acc_edges) == len(g.convs) + sum(isinstance(n, ResidualAdd) for n in g.nodes)
         for e in acc_edges:
-            assert r.values[e].dtype == np.int32, e
-        assert execute(erns18_model, random_image(rng)).values == {}
+            assert values[e].dtype == np.int32, e
+        assert values["logits"] is r.logits
+        # without an observer the result holds nothing but the logits and the count
+        assert [f.name for f in dataclasses.fields(execute(erns18_model, random_image(rng)))] == [
+            "logits", "float_ops_core"
+        ]
+
+    def test_observe_sees_every_step_in_order(self, erns18_model, rng):
+        # once per node, in graph order; act2 edges arrive as packed planes
+        seen = []
+
+        def look(step, value):
+            seen.append(step.node.name)
+            if erns18_model.graph.edges[step.node.dst].kind == "act2":
+                assert isinstance(value, PackedPlanes), step.node.name
+
+        execute(erns18_model, random_image(rng, 32), observe=look)
+        assert seen == [n.name for n in erns18_model.graph.nodes]
 
     def test_intermediates_dropped_after_last_reader(self, erns50_model, rng):
         img = random_image(rng, 32)
 
-        def peak(record):
+        def peak(run):
             tracemalloc.start()
             try:
-                r = execute(erns50_model, img, record=record)
+                r = run()
                 return tracemalloc.get_traced_memory()[1], r.logits
             finally:
                 tracemalloc.stop()
 
-        lean, a = peak(False)
-        kept, b = peak(True)
+        # lean: no observer; kept: an observer that keeps every edge
+        lean, a = peak(lambda: execute(erns50_model, img))
+        kept, b = peak(lambda: execute_keeping_all(erns50_model, img)[0])
         assert a.tobytes() == b.tobytes()
         assert lean < kept
+
+    @pytest.mark.parametrize("kernel", ["popcount", "naive"])
+    def test_observe_leaves_logits_bit_identical(self, erns18_model, rng, kernel):
+        img = random_image(rng, 32)
+        plain = execute(erns18_model, img, kernel=kernel)
+        observed, _ = execute_keeping_all(erns18_model, img, kernel=kernel)
+        assert observed.logits.tobytes() == plain.logits.tobytes()
+        assert observed.float_ops_core == plain.float_ops_core == 0
+        other = "naive" if kernel == "popcount" else "popcount"
+        assert execute(erns18_model, img, kernel=other).logits.tobytes() == plain.logits.tobytes()
 
     def test_int32_bitplane_datapath_peak(self, erns50_model, rng):
         # at 224 stage 1's residual add holds three (256, 56, 56) int32 maps;
@@ -365,8 +394,8 @@ class TestExecution:
         rng = np.random.default_rng(0)
         model = compile_toy(g, rng)
         img = random_image(rng, 8)
-        rec = execute(model, img, record=True)
-        assert np.array_equal(rec.values["add.out"], 2 * rec.values["c1.out"])
+        rec, values = execute_keeping_all(model, img)
+        assert np.array_equal(values["add.out"], 2 * values["c1.out"])
         for kernel in ("popcount", "naive"):
             assert execute(model, img, kernel=kernel).logits.tobytes() == rec.logits.tobytes()
 
@@ -435,8 +464,8 @@ class TestExecution:
         # models carry no baked-in input size; a 288 image just yields a
         # 9x9 head map instead of 8x8
         img = rng.integers(0, 256, size=(3, 288, 288), dtype=np.uint8)
-        r = execute(erns18_model, img, record=True)
-        assert r.values["head.conv.out"].shape == (1000, 9, 9)
+        r, values = execute_keeping_all(erns18_model, img)
+        assert values["head.conv.out"].shape == (1000, 9, 9)
         assert np.all(np.isfinite(r.logits))
 
 

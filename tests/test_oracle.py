@@ -17,10 +17,17 @@ from ern.graph import (
 )
 from ern.kernels import ConvSpec
 from ern.errors import ShapeError
-from ern.oracle import _conv_im2col, cross_check, oracle_execute, oracle_from_manifest
+from ern.oracle import (
+    TIE_EPS,
+    _conv_im2col,
+    cross_check,
+    oracle_execute,
+    oracle_from_manifest,
+    oracle_steps,
+)
 from ern.quant import BnParams
 
-from conftest import random_image
+from conftest import execute_keeping_all, random_image
 
 
 def toy_graph():
@@ -98,15 +105,15 @@ class TestPencilModel:
         return oracle_from_manifest(pencil_manifest())
 
     def test_embed_codes(self, model):
-        r = execute(model, toy_image(), record=True)
-        codes = r.values["embed.out"]
+        _, values = execute_keeping_all(model, toy_image())
+        codes = values["embed.out"]
         assert np.array_equal(codes[0], [[0, 1], [2, 3]])
         assert np.array_equal(codes[1], np.zeros((2, 2)))
         assert np.array_equal(codes[2], np.full((2, 2), 3))
 
     def test_conv_accumulators(self, model):
-        r = execute(model, toy_image(), record=True)
-        acc = r.values["c1.out"]
+        _, values = execute_keeping_all(model, toy_image())
+        acc = values["c1.out"]
         assert np.array_equal(acc[0], [[3, 4], [5, 6]])
         assert np.array_equal(acc[1], [[3, 2], [1, 0]])
         assert np.array_equal(acc[2], [[3, 4], [5, 6]])
@@ -122,26 +129,27 @@ class TestPencilModel:
         assert not tbl.degenerate.any()
 
     def test_quantized_codes(self, model):
-        r = execute(model, toy_image(), record=True)
-        codes = r.values["b1.out"]
+        _, values = execute_keeping_all(model, toy_image())
+        codes = values["b1.out"]
         assert np.array_equal(codes[0], [[0, 0], [1, 2]])
         assert np.array_equal(codes[1], [[1, 1], [0, 0]])
         assert np.array_equal(codes[2], [[0, 0], [1, 2]])
         assert np.array_equal(codes[3], [[0, 1], [2, 3]])
 
     def test_head_and_logits(self, model):
-        r = execute(model, toy_image(), record=True)
-        raw = r.values["f.out"]
+        r, values = execute_keeping_all(model, toy_image())
+        raw = values["f.out"]
         assert np.array_equal(raw[0], [[1, 2], [2, 3]])
         assert np.array_equal(raw[1], [[1, 0], [-2, -3]])
         assert model.alpha_out == 0.375
         assert r.logits.tolist() == [0.75, -0.375]
 
     def test_oracle_matches_hand_values(self, om):
-        r = oracle_execute(om, toy_image())
-        assert np.array_equal(r.values["b1.out"][3], [[0, 1], [2, 3]])
-        assert np.array_equal(r.values["f.out"][0], [[1, 2], [2, 3]])
-        assert r.logits.tolist() == [0.75, -0.375]
+        values = {node.dst: out for node, out, _ in oracle_steps(om, toy_image())}
+        assert np.array_equal(values["b1.out"][3], [[0, 1], [2, 3]])
+        assert np.array_equal(values["f.out"][0], [[1, 2], [2, 3]])
+        assert values["logits"].tolist() == [0.75, -0.375]
+        assert oracle_execute(om, toy_image()).logits.tolist() == [0.75, -0.375]
 
     def test_cross_check_passes_clean(self, model, om):
         rep = cross_check(model, om, [toy_image()])
@@ -159,8 +167,8 @@ class TestPencilModel:
 class TestZeroImage:
     def test_embed_all_zero_codes(self, erns18_model):
         img = np.zeros((3, 64, 64), np.uint8)
-        r = execute(erns18_model, img, record=True)
-        assert not r.values["embed.out"].any()
+        r, values = execute_keeping_all(erns18_model, img)
+        assert not values["embed.out"].any()
         assert np.all(np.isfinite(r.logits))
 
 
@@ -235,6 +243,47 @@ class TestDisagreementClassification:
         for name in ("stem.bn1", "s1.b1.bn1", "s2.b1.bn0"):
             assert rep.layers[name].mismatches == 0
 
+    def test_corrupted_table_matches_whole_trace_comparison(self, erns50_model, erns50_oracle, rng):
+        # the streamed report equals one computed from every edge of both
+        # executors at once, the way cross_check compared before it streamed
+        model = erns50_model
+        name = "s3.b2.bn2"
+        tbl = model.thresholds[name]
+        tampered = dataclasses.replace(
+            model,
+            thresholds={**model.thresholds, name: dataclasses.replace(tbl, t=tbl.t + 25)},
+        )
+        imgs = [random_image(rng, 32) for _ in range(2)]
+        rep = cross_check(tampered, erns50_oracle, imgs)
+
+        want = {n: [0, 0] for n in rep.layers}
+        first = None
+        for img in imgs:
+            _, got = execute_keeping_all(tampered, img)
+            ref = {}
+            pre = {}
+            for node, out, v in oracle_steps(erns50_oracle, img):
+                ref[node.dst] = out
+                if v is not None:
+                    pre[node.name] = v
+            for node in tampered.graph.nodes:
+                if node.name not in want:
+                    continue
+                diff = got[node.dst] != ref[node.dst]
+                if node.name in pre:
+                    ratio = pre[node.name] / erns50_oracle.bns[node.name].act_scale
+                    near = np.abs(ratio - np.rint(ratio)) < TIE_EPS
+                else:
+                    near = np.zeros_like(diff)
+                want[node.name][0] += int(np.count_nonzero(diff & ~near))
+                want[node.name][1] += int(np.count_nonzero(diff & near))
+                if want[node.name][0] and first is None:
+                    first = node.name
+        assert {n: [r.mismatches, r.boundary] for n, r in rep.layers.items()} == want
+        assert not rep.ok
+        assert rep.first_divergence == first == name
+        assert rep.layers[name].mismatches > 0
+
     @pytest.mark.parametrize("side", ["oracle", "engine"])
     def test_nan_logits_fail(self, rng, side):
         # max() drops a NaN, so a NaN error must not be folded in as one
@@ -282,6 +331,28 @@ class TestFullModel:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0]
 
+    def test_cross_check_streams_images(self, erns50_model, erns50_oracle, rng):
+        # each image's compared edges are dropped as the oracle reaches them,
+        # so checking 8 images peaks where checking 1 does
+        imgs = [random_image(rng, 32) for _ in range(8)]
+        cross_check(erns50_model, erns50_oracle, imgs[:1])  # warm-up
+        peaks = []
+        for n in (1, 8):
+            tracemalloc.start()
+            try:
+                assert cross_check(erns50_model, erns50_oracle, imgs[:n]).ok
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6
+
+    def test_oracle_execute_is_the_walk_drained(self, erns18_manifest, rng):
+        om = oracle_from_manifest(erns18_manifest)
+        img = random_image(rng)
+        *_, (node, logits, _) = list(oracle_steps(om, img))
+        assert node.name == "head.pool"
+        assert oracle_execute(om, img).logits.tobytes() == logits.tobytes()
+
     def test_oracle_shared_const_precedence(self, erns18_manifest):
         om = oracle_from_manifest(erns18_manifest)
         assert om.shared_const == 0.5
@@ -296,22 +367,50 @@ class TestFullModel:
 
 
 class TestFloat32Gemm:
-    def test_signs_held_as_int8(self):
-        om = oracle_from_manifest(pencil_manifest())
-        assert all(s.dtype == np.int8 for s in om.signs.values())
+    def test_signs_held_as_bits(self):
+        # one bit per weight, ceil(n / 8) bytes per conv, bit 1 for w >= 0
+        m = pencil_manifest()
+        om = oracle_from_manifest(m)
+        for name, w in m.convs.items():
+            bits = om.signs[name]
+            assert bits.dtype == np.uint8
+            assert bits.shape == (-(-w.size // 8),)
+            assert np.array_equal(np.unpackbits(bits, count=w.size), (w >= 0).ravel())
 
     def test_exact_at_largest_accumulator(self):
         # 3 * fan_in just below 2**24: every partial sum is still exact in float32
         ic = (2**24 - 1) // 3 // 9
         codes = np.full((ic, 3, 3), 3, dtype=np.uint8)
-        signs = np.ones((1, ic, 3, 3), dtype=np.int8)
-        out = _conv_im2col(codes, signs, (1, 1), (0, 0))
+        signs = np.packbits(np.ones(ic * 9, dtype=bool))
+        out = _conv_im2col(codes, signs, (1, ic, 3, 3), (1, 1), (0, 0))
         assert out.dtype == np.float64
         assert out.ravel().tolist() == [3 * ic * 9]
+        # all -1, the other end of the bound
+        out = _conv_im2col(codes, np.zeros_like(signs), (1, ic, 3, 3), (1, 1), (0, 0))
+        assert out.ravel().tolist() == [-3 * ic * 9]
 
     def test_rejects_fan_in_past_float32_exactness(self):
         ic = -(-(2**24) // 3)
         with pytest.raises(ShapeError):
             _conv_im2col(
-                np.zeros((ic, 1, 1), np.uint8), np.ones((1, ic, 1, 1), np.int8), (1, 1), (0, 0)
+                np.zeros((ic, 1, 1), np.uint8),
+                np.packbits(np.ones(ic, dtype=bool)),
+                (1, ic, 1, 1),
+                (1, 1),
+                (0, 0),
             )
+
+    def test_matches_signed_product(self, rng):
+        # strided, padded, odd channel count: equals the direct sum of s * x
+        codes = rng.integers(0, 4, size=(5, 7, 6), dtype=np.uint8)
+        s = rng.choice([-1, 1], size=(3, 5, 3, 3))
+        out = _conv_im2col(codes, np.packbits(s > 0), s.shape, (2, 2), (1, 1))
+        x = np.pad(codes.astype(np.int64), ((0, 0), (1, 1), (1, 1)))
+        want = np.array(
+            [
+                [[(s[o] * x[:, i : i + 3, j : j + 3]).sum() for j in range(0, 6, 2)]
+                 for i in range(0, 7, 2)]
+                for o in range(3)
+            ]
+        )
+        assert np.array_equal(out, want)
