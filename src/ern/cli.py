@@ -46,12 +46,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type of the count and size flags: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(1, text)
+
+
+def seed_int(text: str) -> int:
+    """argparse type of ``--seed``: an integer of at least 0, as numpy's generators take."""
+    return _int_at_least(0, text)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -175,6 +184,7 @@ def cmd_init_random(args) -> int:
     manifest = gen_random_checkpoint(
         args.arch, args.seed, k=args.k, shared_const=args.shared_const
     )
+    manifest.checked_graph()  # refuse what compile would refuse before anything is written
     save_manifest(manifest, args.out)
     n = len(manifest.convs) + len(manifest.bnacts)
     print(f"{args.out}: {args.arch} seed={args.seed} ({n} layers)")
@@ -212,7 +222,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--model", required=True)
     v.add_argument("--manifest", required=True)
     v.add_argument("--images", type=positive_int, default=10)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=seed_int, default=0)
     v.add_argument("--resolution", type=positive_int, default=64)
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=cmd_verify)
@@ -222,12 +232,12 @@ def _build_parser() -> _Parser:
     b.add_argument("--iters", type=positive_int, default=3)
     b.add_argument("--kernel", choices=["popcount", "naive"], default=None)
     b.add_argument("--resolution", type=positive_int, default=256)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=seed_int, default=0)
     b.set_defaults(fn=cmd_bench)
 
     r = sub.add_parser("init-random", help="write a seeded random checkpoint manifest")
     r.add_argument("--arch", required=True)
-    r.add_argument("--seed", type=int, required=True)
+    r.add_argument("--seed", type=seed_int, required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--k", type=int, default=10)
     r.add_argument("--shared-const", type=float, default=1.0)

@@ -34,8 +34,9 @@ packed u64 weight words, preceded by its f64 per-channel scales only if
 the conv folds into a BnAct: a const-scaled conv's scales are c and the
 head conv's are alpha_out, each written once at the start of the body.  A
 BnAct record is ``<i4 t1, t2, t3, u1 flags>`` per channel, flag bit 0
-ascending and bit 1 degenerate.  A degenerate channel (folded slope
-exactly zero) stores its constant code in t1 and zeros in t2 and t3.
+ascending and bit 1 degenerate, never both.  A degenerate channel
+(folded slope exactly zero) stores its constant code in t1 and zeros in
+t2 and t3.
 Every threshold lies within its edge's static bound + 1 (42,240 at most
 on a stock model), which int32 holds.  All multi-byte values are
 little-endian; identical inputs produce byte-identical files.
@@ -491,11 +492,11 @@ def load(data: bytes) -> CompiledModel:
     or :class:`VersionError` for those fields).  Every other defect of a
     file whose CRCs match raises a :class:`FormatError`: an unknown
     architecture or k, c or alpha_out not finite and > 0, a stored scale
-    not finite and > 0, a pad weight bit that is not 1, unknown flag bits,
-    a threshold past its edge's bound + 1, a degenerate channel whose t2
-    or t3 is not 0, an invalid threshold table, or a body of the wrong
-    length, so every file that loads is one ``serialize`` writes back
-    byte for byte.
+    not finite and > 0, a pad weight bit that is not 1, a flag byte
+    other than 0, 1 or 2, a threshold past its edge's bound + 1, a
+    degenerate channel whose t2 or t3 is not 0, an invalid threshold
+    table, or a body of the wrong length, so every file that loads is one
+    ``serialize`` writes back byte for byte.
     A const-scaled conv's scales are c and the head conv's alpha_out.
     """
     if len(data) < 4:
@@ -553,12 +554,12 @@ def load(data: bytes) -> CompiledModel:
             pad = np.uint64(2**64 - (1 << lanes)) if lanes else np.uint64(0)
             if ((bits[:, -1] & pad) != pad).any():
                 raise FormatError(f"layer '{node.name}': a pad weight bit is not 1")
-            weights[node.name] = PackedWeights(bits=bits, alpha=alpha, in_channels=s.in_ch)
+            weights[node.name] = PackedWeights(bits=bits, alpha=alpha)
         elif isinstance(node, BnAct):
             rec = r.array(_BNACT_CHANNEL, node.channels)
             t = rec["t"].astype(np.int64)
-            if (rec["flags"] > (_ASCENDING | _DEGENERATE)).any():
-                raise FormatError(f"layer '{node.name}': unknown flag bits")
+            if (rec["flags"] >= _ASCENDING | _DEGENERATE).any():  # a degenerate slope is 0
+                raise FormatError(f"layer '{node.name}': flag bits must read 0, 1 or 2")
             _check_bound(t, g.edges[node.src].bound, node.name, FormatError)
             degenerate = (rec["flags"] & _DEGENERATE).astype(bool)
             if t[degenerate, 1:].any():
@@ -595,8 +596,6 @@ def models_equivalent(a: CompiledModel, b: CompiledModel) -> bool:
         return False
     for name, wa in a.weights.items():
         wb = b.weights[name]
-        if wa.in_channels != wb.in_channels:
-            return False
         if not (np.array_equal(wa.bits, wb.bits) and np.array_equal(wa.alpha, wb.alpha)):
             return False
     for name, ta in a.thresholds.items():

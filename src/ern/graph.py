@@ -26,12 +26,14 @@ Execution is pure integer arithmetic from the pixel-embedding output to
 the final conv accumulator.  A graph starts with its embedding and ends
 with its pool, so each call counts the float ops of every step between
 the first and the last in its own counter (the count must be zero), and
-additionally checks the dtype of every step's output by edge kind: every
-act2 edge is held as packed bitplanes and every acc edge as int32.
-``execute`` drops each step's ``frees`` after the step runs.  A caller
-that wants intermediates passes ``observe(step, value)``, which sees each
-step's output once, after its dtype check and before its ``frees`` are
-dropped, and keeps only what it needs.
+additionally checks the dtype of every step's output against one table
+keyed by edge kind: every act2 edge is held as one uint64 array of packed
+bitplanes, (2, words, H, W), every acc edge as int32 and the logits as
+float64.  A value is a plain array; its channel count is its edge's, in
+``edges``.  ``execute`` drops each step's ``frees`` after the step runs.
+A caller that wants intermediates passes ``observe(step, value)``, which
+sees each step's output once, after its dtype check and before its
+``frees`` are dropped, and keeps only what it needs.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ from .errors import ConfigError, ShapeError
 from .kernels import ConvSpec, avgpool_and_scale, conv_w1a2_naive, conv_w1a2_popcount, residual_add
 from .pixembed import encode_image, thermo_params
 from .quant import apply_thresholds
-from .tensor import ACC_DTYPE, LANES, PackedPlanes, padded_channels, unpack_activations
-from .tensor import pack_activations  # noqa: F401  (kept as a public name of this module)
+from .tensor import ACC_DTYPE, LANES, padded_channels, unpack_activations, unpack_signs
+
+# kept only for perfbench's ``tensor.pack`` lookup; goes with ROADMAP item 1
+from .tensor import pack_activations  # noqa: F401
 
 CLASSES = 1000
 BOTTLENECK_EXPANSION = 4
@@ -174,18 +178,19 @@ class GraphDef:
 # lowering
 
 
-def _embed(model, n: PixelEmbed, kernel: str, img: np.ndarray) -> PackedPlanes:
+def _embed(model, n: PixelEmbed, kernel: str, img: np.ndarray) -> np.ndarray:
     return encode_image(img, thermo_params(n.k))
 
 
-def _conv(model, n: Conv | FinalConv, kernel: str, x: PackedPlanes) -> np.ndarray:
+def _conv(model, n: Conv | FinalConv, kernel: str, x: np.ndarray) -> np.ndarray:
     w = model.weights[n.name]
     if kernel == "popcount":
         return conv_w1a2_popcount(x, w, n.spec)
-    return conv_w1a2_naive(unpack_activations(x, x.channels), w.unpack_signs(), n.spec)
+    c = n.spec.in_ch
+    return conv_w1a2_naive(unpack_activations(x, c), unpack_signs(w.bits, c), n.spec)
 
 
-def _bnact(model, n: BnAct, kernel: str, acc: np.ndarray) -> PackedPlanes:
+def _bnact(model, n: BnAct, kernel: str, acc: np.ndarray) -> np.ndarray:
     return apply_thresholds(acc, model.thresholds[n.name])
 
 
@@ -551,6 +556,10 @@ def model_stats(cfg: ArchConfig, resolution: int, k: int = 10) -> ModelStats:
 # execution
 
 
+# the dtype every step's output must have, by the kind of edge it produces
+_EDGE_DTYPES = {"act2": np.uint64, "acc": ACC_DTYPE, "logits": np.float64}
+
+
 @dataclass
 class ExecutionResult:
     logits: np.ndarray
@@ -561,7 +570,7 @@ def execute(
     model,
     img: np.ndarray,
     kernel: str = "popcount",
-    observe: Callable[[Step, np.ndarray | PackedPlanes], None] | None = None,
+    observe: Callable[[Step, np.ndarray], None] | None = None,
 ) -> ExecutionResult:
     """Run the integer-only pipeline of a compiled model on one 8-bit image.
 
@@ -569,9 +578,10 @@ def execute(
     the convolution path; both produce bit-identical accumulators.  Each
     step's ``frees`` are dropped after it runs.  ``observe(step, value)``,
     if given, is called once per step with the step's output (act2 edges
-    as :class:`PackedPlanes`, acc edges as int32, the logits as float64)
-    after its dtype check and before its ``frees`` are dropped; whatever
-    it keeps outlives the call.
+    as (2, words, H, W) uint64 planes, whose width is the edge's
+    ``channels`` in ``model.graph.edges``; acc edges as int32; the logits
+    as float64) after its dtype check and before its ``frees`` are
+    dropped; whatever it keeps outlives the call.
     """
     if kernel not in ("popcount", "naive"):
         raise ConfigError(f"unknown kernel '{kernel}'")
@@ -579,15 +589,11 @@ def execute(
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected (3, H, W) image, got {img.shape}")
-    values: dict[str, np.ndarray | PackedPlanes] = {IMAGE_EDGE: img}
+    values: dict[str, np.ndarray] = {IMAGE_EDGE: img}
 
     def run(s: Step) -> None:
         out = s.op(model, s.node, kernel, *[values[src] for src in s.srcs])
-        kind = g.edges[s.node.dst].kind
-        if kind == "acc":
-            assert out.dtype == ACC_DTYPE, s.node.name
-        elif kind == "act2":
-            assert out.hi.dtype == out.lo.dtype == np.uint64, s.node.name
+        assert out.dtype == _EDGE_DTYPES[g.edges[s.node.dst].kind], s.node.name
         values[s.node.dst] = out
         if observe is not None:
             observe(s, out)

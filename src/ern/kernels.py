@@ -12,11 +12,13 @@ accumulators:
       sum_lanes(signs * plane_bits) = 2 * popcount(wb & p) - popcount(p)
 
   and the 2-bit code contributes ``2 * hi_dot + lo_dot``.  Pad lanes are
-  zero in both planes, so they add nothing regardless of their weight bits.
+  zero in both planes, so they add nothing regardless of their weight bits;
+  the kernel checks this where a word has pad lanes.
 
-  The loop keeps its temporaries in cache.  Each tap's strided window
-  is copied once into a contiguous (2, words, 1, OH * OW) array, hi
-  plane then lo, and each tap's (words, OC, 1) weight words are ANDed
+  The input is one (2, words, H, W) array, hi plane then lo, padded
+  once.  The loop keeps its temporaries in cache.  Each tap's strided
+  window of both planes is copied once into a contiguous (2, words, 1,
+  OH * OW) array, and each tap's (words, OC, 1) weight words are ANDed
   against both planes by broadcasting, so one AND and one popcount serve
   both.  The image-only term ``popcount(p)`` is summed once for all
   output channels.  Output channels are then walked in blocks whose
@@ -46,7 +48,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .instrument import note_float_ops
-from .tensor import ACC_DTYPE, ACC_LIMIT, LANES, PackedPlanes, PackedWeights, ensure_act2, popcount
+from .tensor import ACC_DTYPE, ACC_LIMIT, LANES, PackedWeights, ensure_act2, popcount
+from .tensor import padded_channels
 
 
 @dataclass(frozen=True)
@@ -117,30 +120,33 @@ def conv_w1a2_naive(x: np.ndarray, signs: np.ndarray, spec: ConvSpec) -> np.ndar
     return _check_acc(acc.reshape(spec.out_ch, oh, ow), spec)
 
 
-def conv_w1a2_popcount(x: PackedPlanes, w: PackedWeights, spec: ConvSpec) -> np.ndarray:
-    """Popcount convolution over packed bitplanes; equals the naive kernel."""
-    if x.channels != spec.in_ch or w.in_channels != spec.in_ch:
-        raise ShapeError(
-            f"channel mismatch: planes {x.channels}, weights {w.in_channels}, spec {spec.in_ch}"
-        )
-    if (w.out_channels, *w.kernel) != (spec.out_ch, spec.kh, spec.kw):
-        raise ShapeError(f"weight geometry {w.bits.shape} does not match {spec}")
-    h, wd = x.spatial
+def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.ndarray:
+    """Popcount convolution over (2, words, H, W) packed planes; equals the naive kernel.
+
+    The planes must hold ``spec.in_ch`` channels: their word count is
+    checked against it, and when the last word has pad lanes, that no
+    code sits in one (each would add to the popcount).
+    """
+    nw = padded_channels(spec.in_ch) // LANES
+    if x.ndim != 4 or x.shape[:2] != (2, nw):
+        raise ShapeError(f"planes {x.shape} are not (2, {nw}, H, W) for {spec.in_ch} channels")
+    if w.bits.shape != (spec.out_ch, nw, spec.kh, spec.kw):
+        raise ShapeError(f"weight words {w.bits.shape} do not match {spec}")
+    lanes = spec.in_ch % LANES
+    if lanes and (x[:, -1] >> np.uint64(lanes)).any():
+        raise ShapeError(f"planes hold a code past channel {spec.in_ch}")
+    _, _, h, wd = x.shape
     oh, ow = spec.out_spatial(h, wd)
     ph, pw = spec.padding
-    nw = x.words
     taps = spec.kh * spec.kw
-    halves = (x.hi, x.lo)
     if ph or pw:
-        planes = np.zeros((2 * nw, h + 2 * ph, wd + 2 * pw), dtype=np.uint64)
-        planes[:nw, ph : ph + h, pw : pw + wd] = x.hi
-        planes[nw:, ph : ph + h, pw : pw + wd] = x.lo
-        halves = (planes[:nw], planes[nw:])
-    # (taps, 2, words, 1, OH * OW): each tap's strided window, hi plane then lo
+        padded = np.zeros((2, nw, h + 2 * ph, wd + 2 * pw), dtype=np.uint64)
+        padded[:, :, ph : ph + h, pw : pw + wd] = x
+        x = padded
+    # (taps, 2, words, 1, OH * OW): each tap's strided window of both planes
     windows = np.empty((taps, 2, nw, oh, ow), dtype=np.uint64)
     for t in range(taps):
-        for half, p in enumerate(halves):
-            windows[t, half] = _tap_window(p, t // spec.kw, t % spec.kw, spec.stride, oh, ow)
+        windows[t] = _tap_window(x, t // spec.kw, t % spec.kw, spec.stride, oh, ow)
     windows = windows.reshape(taps, 2, nw, 1, oh * ow)
     # pad lanes are zero in both planes, so no sum below exceeds acc_bound
     pc = popcount(windows[..., 0, :])

@@ -326,7 +326,7 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
                 if not np.array_equal(c * want, c * got.astype(np.float64)):
                     report.residual_scaling_exact = False
                 continue
-            diffmask = unpack_activations(got, got.channels) != want
+            diffmask = unpack_activations(got, g.edges[node.dst].channels) != want
             if not diffmask.any():
                 continue
             if isinstance(node, PixelEmbed):

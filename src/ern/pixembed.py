@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .instrument import note_float_ops
 from .quant import NUM_CODES
-from .tensor import PackedPlanes, pack_activations
+from .tensor import pack_activations
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class ThermoParams:
     w: np.ndarray  # per-index slope, length k
     b: np.ndarray  # per-index offset, length k
     table: np.ndarray  # (k, 256) uint8 code of every 8-bit input, read-only
-    # (3, 2 * n, 256) uint64: n hi then n lo words per colour and input, read-only
+    # (3, 2, n, 256) uint64: hi and lo planes of n words per colour and input, read-only
     words: np.ndarray
 
     @property
@@ -81,9 +81,9 @@ def _code_table(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _word_tables(table: np.ndarray) -> np.ndarray:
-    """(3, 2 * n, 256) packed hi and lo words of each colour's k codes, n = words per plane.
+    """(3, 2, n, 256) packed hi and lo planes of each colour's k codes, n = words per plane.
 
-    Entry [c, :, x] is the planes of a 1x1 pixel whose colour c equals x
+    Entry [c, ..., x] is the planes of a 1x1 pixel whose colour c equals x
     and whose other colours encode to code 0, so OR-ing one entry per
     colour gives the planes of any pixel.
     """
@@ -91,8 +91,7 @@ def _word_tables(table: np.ndarray) -> np.ndarray:
     codes = np.zeros((3, 3 * k, 1, 256), dtype=np.uint8)
     for c in range(3):
         codes[c, c * k : (c + 1) * k, 0] = table
-    planes = [pack_activations(x) for x in codes]
-    return np.stack([np.concatenate((p.hi[:, 0], p.lo[:, 0])) for p in planes])
+    return np.stack([pack_activations(x)[:, :, 0] for x in codes])
 
 
 def encode_pixel(x: int, p: ThermoParams) -> np.ndarray:
@@ -102,8 +101,8 @@ def encode_pixel(x: int, p: ThermoParams) -> np.ndarray:
     return p.table[:, int(x)].copy()
 
 
-def encode_image(img: np.ndarray, p: ThermoParams) -> PackedPlanes:
-    """Encode an 8-bit (3, H, W) image into packed (3k, H, W) activation planes.
+def encode_image(img: np.ndarray, p: ThermoParams) -> np.ndarray:
+    """Encode an 8-bit (3, H, W) image into the (2, words, H, W) planes of 3k channels.
 
     Output channel c*k + i holds code i of input channel c.
     """
@@ -116,8 +115,7 @@ def encode_image(img: np.ndarray, p: ThermoParams) -> PackedPlanes:
         if img.min() < 0 or img.max() > 255:
             raise DomainError("image values must be in [0, 255]")
         img = img.astype(np.uint8)
-    planes = p.words[0][:, img[0]]  # (2 * n, H, W)
-    planes |= p.words[1][:, img[1]]
-    planes |= p.words[2][:, img[2]]
-    words = planes.shape[0] // 2
-    return PackedPlanes(hi=planes[:words], lo=planes[words:], channels=3 * p.k)
+    planes = p.words[0][:, :, img[0]]  # (2, n, H, W)
+    planes |= p.words[1][:, :, img[1]]
+    planes |= p.words[2][:, :, img[2]]
+    return planes

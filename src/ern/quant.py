@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .instrument import note_float_ops
-from .tensor import ACC_DTYPE, ACC_LIMIT, PackedPlanes, pack_bitplanes, padded_channels
+from .tensor import ACC_DTYPE, ACC_LIMIT, pack_bitplanes, padded_channels
 
 NUM_CODES = 4  # 2-bit activations
 _ACC = np.iinfo(ACC_DTYPE)
@@ -224,8 +224,8 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
     return ThresholdTable(t=t, ascending=ascending, degenerate=degenerate, const_code=const_code)
 
 
-def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> PackedPlanes:
-    """Turn an integer accumulator map into packed 2-bit activation planes.
+def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
+    """Turn an integer accumulator map into its (2, words, H, W) packed code planes.
 
     Applies the sign-folded hi/lo rule (module docstring) with pure
     integer compares and packs both bits along the channel axis; this is
@@ -252,4 +252,4 @@ def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> PackedPlanes:
     np.greater_equal(folded, tbl.ts[0], out=lo)
     lo ^= hi
     lo ^= folded >= tbl.ts[2]
-    return pack_bitplanes(bits, c)
+    return pack_bitplanes(bits)

@@ -3,12 +3,15 @@
 Layout rules shared by the whole engine:
 
 * Activations are channel-major ``(C, H, W)``, row-major within a plane.
-  Their canonical form is :class:`PackedPlanes`, two bitplanes of 2-bit
-  codes: the pixel embedding and every threshold stage write it, and
-  every convolution reads it.  A uint8 code map (values 0..3) is derived
-  data, recovered with :func:`unpack_activations` for the reference
-  kernel and for cross-checking; :func:`pack_activations` goes the
-  other way.
+  Their canonical form is one uint64 array ``(2, words, H, W)`` of
+  packed bitplanes, plane 0 the hi bits and plane 1 the lo bits of the
+  2-bit codes: the pixel embedding and every threshold stage write it,
+  and every convolution reads it.  The array holds only words; its
+  logical channel count is a fact of the graph (``GraphDef.edges``,
+  ``ConvSpec.in_ch``), passed by whoever needs it.  A uint8 code map
+  (values 0..3) is derived data, recovered with
+  :func:`unpack_activations` for the reference kernel and for
+  cross-checking; :func:`pack_activations` goes the other way.
 * Bit packing groups 64 channels into one ``uint64`` word, LSB-first:
   bit ``j`` of word ``i`` is channel ``64*i + j``.  Channel counts are
   padded up to a multiple of 64; pad lanes carry activation code 0, which
@@ -93,89 +96,52 @@ def _unpack_lanes(words: np.ndarray, axis: int, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PackedPlanes:
-    """Two bitplanes of a 2-bit activation map, channels packed 64 per word.
-
-    ``hi`` and ``lo`` have shape (C_pad/64, H, W) with dtype uint64; pad
-    lanes are all-zero in both planes so they never contribute to a
-    popcount dot product.
-    """
-
-    hi: np.ndarray
-    lo: np.ndarray
-    channels: int  # logical (unpadded) channel count
-
-    @property
-    def words(self) -> int:
-        return self.hi.shape[0]
-
-    @property
-    def spatial(self) -> tuple[int, int]:
-        return self.hi.shape[1], self.hi.shape[2]
-
-
-@dataclass(frozen=True)
 class PackedWeights:
-    """Binary conv weights as bit-packed sign planes plus scaling metadata.
+    """Binary conv weights as bit-packed sign words plus scaling metadata.
 
     ``bits`` has shape (OC, IC_pad/64, kh, kw) with dtype uint64; bit 1
     means weight +1, bit 0 means -1.  Pad lanes are fixed to 1.  ``alpha``
-    is the per-output-channel scaling factor; which convs carry the shared
-    constant there is a fact of the graph (``GraphDef.edges``), not of the
-    weights.
+    is the per-output-channel scaling factor; the logical input width and
+    which convs carry the shared constant there are facts of the graph
+    (``ConvSpec``, ``GraphDef.edges``), not of the weights.
     """
 
     bits: np.ndarray
     alpha: np.ndarray
-    in_channels: int  # logical (unpadded) input channel count
-
-    @property
-    def out_channels(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def kernel(self) -> tuple[int, int]:
-        return self.bits.shape[2], self.bits.shape[3]
-
-    def unpack_signs(self) -> np.ndarray:
-        """Expand to an int8 (OC, IC, kh, kw) array of +/-1 (pads dropped)."""
-        bits = _unpack_lanes(self.bits, 1, self.in_channels)
-        return (bits.astype(np.int8) * 2) - 1
 
 
-def pack_bitplanes(bits: np.ndarray, channels: int) -> PackedPlanes:
-    """Pack a (2, C_pad, H, W) bool array of hi and lo bits into planes.
+def unpack_signs(bits: np.ndarray, in_channels: int) -> np.ndarray:
+    """Expand packed weight words to an int8 (OC, IC, kh, kw) array of +/-1 (pads dropped)."""
+    return _unpack_lanes(bits, 1, in_channels).astype(np.int8) * 2 - 1
 
-    ``C_pad`` is a multiple of 64 and lanes at or past ``channels`` must be
-    False.
+
+def pack_bitplanes(bits: np.ndarray) -> np.ndarray:
+    """Pack a (2, C_pad, H, W) bool array of hi and lo bits into (2, C_pad/64, H, W) words.
+
+    ``C_pad`` is a multiple of 64 and pad lanes must be False.
     """
-    _, c_pad, h, w = bits.shape
-    assert channels <= c_pad
-    planes = _pack_lanes(bits.reshape(2 * c_pad, h, w), 0)
-    words = c_pad // LANES
-    return PackedPlanes(hi=planes[:words], lo=planes[words:], channels=channels)
+    return _pack_lanes(bits, 1)
 
 
-def pack_activations(a: np.ndarray) -> PackedPlanes:
-    """Pack a canonical activation map into hi/lo bitplanes.
+def pack_activations(a: np.ndarray) -> np.ndarray:
+    """Pack a canonical activation map into its (2, words, H, W) bitplanes.
 
-    Bit j of word i corresponds to channel 64*i + j; hi bit = code div 2,
-    lo bit = code mod 2.  Pad lanes hold code 0.
+    Bit j of word i corresponds to channel 64*i + j; plane 0 holds
+    code div 2 and plane 1 code mod 2.  Pad lanes hold code 0.
     """
     a = ensure_act2(a)
     c, h, w = a.shape
     bits = np.zeros((2, padded_channels(c), h, w), dtype=bool)
     bits[0, :c] = a >> 1
     bits[1, :c] = a & 1
-    return pack_bitplanes(bits, c)
+    return pack_bitplanes(bits)
 
 
-def unpack_activations(p: PackedPlanes, channels: int) -> np.ndarray:
-    """Recover the canonical uint8 activation map from packed planes."""
-    if channels > p.words * LANES:
-        raise ShapeError(f"cannot unpack {channels} channels from {p.words} words")
-    hi = _unpack_lanes(p.hi, 0, channels)
-    lo = _unpack_lanes(p.lo, 0, channels)
+def unpack_activations(planes: np.ndarray, channels: int) -> np.ndarray:
+    """Recover the first ``channels`` channels of a packed map as uint8 codes."""
+    if channels > planes.shape[1] * LANES:
+        raise ShapeError(f"cannot unpack {channels} channels from {planes.shape[1]} words")
+    hi, lo = _unpack_lanes(planes, 1, channels)
     return (hi << 1) | lo
 
 
@@ -200,4 +166,4 @@ def pack_weights(signs: np.ndarray, alpha: np.ndarray) -> PackedWeights:
     ic_pad = padded_channels(ic)
     bits = np.ones((oc, ic_pad, kh, kw), dtype=np.uint8)
     bits[:, :ic] = signs > 0
-    return PackedWeights(bits=_pack_lanes(bits, 1), alpha=alpha, in_channels=ic)
+    return PackedWeights(bits=_pack_lanes(bits, 1), alpha=alpha)

@@ -7,7 +7,7 @@ import pytest
 from ern.compiler import FORMAT_VERSION, MAGIC, compile_checkpoint, gen_random_checkpoint
 from ern.graph import BnAct, Conv, FinalConv, arch_config, build_model, execute
 from ern.oracle import oracle_from_manifest
-from ern.tensor import PackedPlanes, padded_channels, unpack_activations
+from ern.tensor import padded_channels, unpack_activations
 
 
 @pytest.fixture(scope="session")
@@ -44,14 +44,15 @@ def execute_keeping_all(model, img, kernel="popcount"):
     """``execute`` with an observer that keeps every step's output.
 
     Returns the result and a dict of every edge but the image, with act2
-    edges unpacked to uint8 code maps.
+    edges unpacked to uint8 code maps of the width the graph gives them.
     """
     values = {}
 
     def keep(step, value):
         assert step.node.dst not in values, step.node.name
-        if isinstance(value, PackedPlanes):
-            value = unpack_activations(value, value.channels)
+        info = model.graph.edges[step.node.dst]
+        if info.kind == "act2":
+            value = unpack_activations(value, info.channels)
         values[step.node.dst] = value
 
     return execute(model, img, kernel, observe=keep), values

@@ -439,6 +439,16 @@ class TestMalformedManifest:
         assert rc == 2
         assert "thermometer length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_init_random_bad_shared_const(self, tmp_path, capsys, value):
+        # refused with compile's own message, before any file is written
+        out = tmp_path / "ckpt"
+        rc = main(["init-random", "--arch", "erns18x075", "--seed", "0",
+                   "--shared-const", value, "--out", str(out)])
+        assert rc == 2
+        assert "shared constant must be finite and > 0" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestUsage:
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -459,6 +469,18 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{flag}: must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("command", ["init-random", "verify", "bench"])
+    def test_negative_seed_rejected(self, ws, tmp_path, capsys, command):
+        required = {
+            "init-random": ["--arch", "erns18x075", "--out", str(tmp_path / "ckpt")],
+            "verify": ["--model", str(ws["model"]), "--manifest", str(ws["ckpt"])],
+            "bench": ["--model", str(ws["model"])],
+        }
+        assert main([command, *required[command], "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed: must be at least 0" in captured.err
 
     def test_no_command(self):
         assert main([]) == 1

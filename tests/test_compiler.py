@@ -359,6 +359,10 @@ class TestSerialization:
         struct.pack_into("<iiiB", blob, row, 2, 7, 9, 2)
         with pytest.raises(FormatError, match="s1.b1.bn1.*degenerate"):
             load(resign(bytes(blob[16:-4])))
+        # a degenerate channel's slope is 0, so it is never also ascending
+        struct.pack_into("<iiiB", blob, row, 2, 0, 0, 3)
+        with pytest.raises(FormatError, match="s1.b1.bn1.*flag bits"):
+            load(resign(bytes(blob[16:-4])))
 
     def test_pad_weight_bits_must_be_one(self, small_model):
         # stem.conv1 reads 3k channels, so each tap word has 64 - 3k pad lanes

@@ -29,7 +29,7 @@ from ern.graph import (
 from ern.instrument import note_float_ops
 from ern.kernels import ConvSpec
 from ern.quant import BnParams
-from ern.tensor import PackedPlanes
+from ern.tensor import LANES, padded_channels
 
 from conftest import execute_keeping_all, random_image
 
@@ -321,13 +321,16 @@ class TestExecution:
         ]
 
     def test_observe_sees_every_step_in_order(self, erns18_model, rng):
-        # once per node, in graph order; act2 edges arrive as packed planes
+        # once per node, in graph order; act2 edges arrive as (2, words, H, W) planes
         seen = []
 
         def look(step, value):
             seen.append(step.node.name)
-            if erns18_model.graph.edges[step.node.dst].kind == "act2":
-                assert isinstance(value, PackedPlanes), step.node.name
+            info = erns18_model.graph.edges[step.node.dst]
+            if info.kind == "act2":
+                words = padded_channels(info.channels) // LANES
+                assert isinstance(value, np.ndarray), step.node.name
+                assert value.dtype == np.uint64 and value.shape[:2] == (2, words), step.node.name
 
         execute(erns18_model, random_image(rng, 32), observe=look)
         assert seen == [n.name for n in erns18_model.graph.nodes]

@@ -136,7 +136,8 @@ def test_planes_equal_packed_table_codes(rng, k):
     codes = np.concatenate([p.table[:, img[c]] for c in range(3)])
     got = encode_image(img, p)
     want = pack_activations(codes)
-    assert got.channels == 3 * k
-    assert got.words == (2 if 3 * k > 64 else 1)
-    assert np.array_equal(got.hi, want.hi)
-    assert np.array_equal(got.lo, want.lo)
+    words = 2 if 3 * k > 64 else 1
+    assert got.dtype == np.uint64 and got.shape == (2, words, 4, 6)
+    assert not unpack_activations(got, words * 64)[3 * k :].any()  # 3k channels, then pad
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])

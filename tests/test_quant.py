@@ -252,10 +252,10 @@ class TestBitplanes:
         want = count_rule(acc, tbl)
         got = apply_thresholds(acc, tbl)
         ref = pack_activations(want)
-        assert got.channels == c
-        assert np.array_equal(got.hi, ref.hi)
-        assert np.array_equal(got.lo, ref.lo)
-        lanes = unpack_activations(got, got.words * LANES)
+        assert got.dtype == np.uint64 and got.shape == (2, -(-c // LANES), 4, 6)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+        lanes = unpack_activations(got, got.shape[1] * LANES)
         assert not lanes[c:].any()  # pad lanes 0 in both planes
         if c >= 65:
             assert set(np.unique(want[degenerate])) == {0, 1, 2, 3}

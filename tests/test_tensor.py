@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from ern.tensor import (
     padded_channels,
     popcount,
     unpack_activations,
+    unpack_signs,
 )
 
 
@@ -32,24 +35,25 @@ class TestPackActivations:
     def test_round_trip(self, rng, channels):
         codes = rng.integers(0, 4, size=(channels, 5, 7), dtype=np.uint8)
         packed = pack_activations(codes)
-        assert packed.channels == channels
-        assert packed.words == padded_channels(channels) // LANES
+        # a plain (2, words, H, W) array: the width is the caller's, not the value's
+        assert isinstance(packed, np.ndarray) and packed.dtype == np.uint64
+        assert packed.shape == (2, padded_channels(channels) // LANES, 5, 7)
         assert np.array_equal(unpack_activations(packed, channels), codes)
 
     def test_bitplane_split(self):
         codes = np.array([0, 1, 2, 3], dtype=np.uint8).reshape(4, 1, 1)
         packed = pack_activations(codes)
         # code = 2*hi + lo, channel i at bit i of word 0
-        assert int(packed.hi[0, 0, 0]) == 0b1100
-        assert int(packed.lo[0, 0, 0]) == 0b1010
+        assert int(packed[0, 0, 0, 0]) == 0b1100  # plane 0: hi
+        assert int(packed[1, 0, 0, 0]) == 0b1010  # plane 1: lo
 
     def test_pad_lanes_are_zero(self, rng):
         codes = rng.integers(0, 4, size=(70, 3, 3), dtype=np.uint8)
         packed = pack_activations(codes)
         # lanes 6..63 of the second word must stay clear
         pad_mask = np.uint64((2**64 - 1) ^ (2**6 - 1))
-        assert not (packed.hi[1] & pad_mask).any()
-        assert not (packed.lo[1] & pad_mask).any()
+        assert not (packed[0, 1] & pad_mask).any()
+        assert not (packed[1, 1] & pad_mask).any()
 
     @pytest.mark.parametrize("channel", [0, 1, 63, 64, 127, 129])
     def test_bit_position(self, channel):
@@ -59,8 +63,8 @@ class TestPackActivations:
         expect = np.zeros((3, 2, 3), dtype=np.uint64)
         expect[channel // LANES, 1, 2] = np.uint64(1) << np.uint64(channel % LANES)
         # pad lanes 130..191 stay 0
-        assert np.array_equal(packed.hi, expect)
-        assert np.array_equal(packed.lo, expect)
+        assert np.array_equal(packed[0], expect)
+        assert np.array_equal(packed[1], expect)
 
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(DomainError):
@@ -91,10 +95,10 @@ class TestPackWeights:
     def test_round_trip(self, rng):
         signs = rng.choice([-1, 1], size=(5, 67, 3, 3)).astype(np.int8)
         w = pack_weights(signs, np.ones(5))
-        assert w.out_channels == 5
-        assert w.in_channels == 67
-        assert w.kernel == (3, 3)
-        assert np.array_equal(w.unpack_signs(), signs)
+        # only words and scales: OC and kernel are the words' shape, IC is the caller's
+        assert [f.name for f in dataclasses.fields(w)] == ["bits", "alpha"]
+        assert w.bits.shape == (5, padded_channels(67) // LANES, 3, 3)
+        assert np.array_equal(unpack_signs(w.bits, 67), signs)
 
     def test_pad_bits_fixed_to_one(self, rng):
         signs = rng.choice([-1, 1], size=(2, 3, 1, 1)).astype(np.int8)
