@@ -109,11 +109,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.ten_crop != (args.crop_size is not None):
+        raise _UsageError("--ten-crop and --crop-size must be given together")
     model = _load_model(args.model)
     img = _read_image(args)
     if args.ten_crop:
-        if args.crop_size is None:
-            raise _UsageError("--ten-crop requires --crop-size")
         crops = _ten_crops(img, args.crop_size)
         logits = np.mean([execute(model, c).logits for c in crops], axis=0)
     else:
@@ -239,7 +239,7 @@ def _build_parser() -> _Parser:
     r.add_argument("--arch", required=True)
     r.add_argument("--seed", type=seed_int, required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--k", type=int, default=10)
+    r.add_argument("--k", type=positive_int, default=10)
     r.add_argument("--shared-const", type=float, default=1.0)
     r.set_defaults(fn=cmd_init_random)
     return p

@@ -15,12 +15,14 @@ checkpoint against its architecture; compilation and the oracle both
 start from them, so they refuse the same checkpoints with the same
 :class:`CompileError`.
 
-Compilation binarizes every conv (per-channel alpha = mean |w|, the
-shared constant c for convs feeding a residual add, one alpha_out for
-the head conv), folds each batch-norm + quantizer pair into an integer
-threshold table using the producing conv's scale, and bit-packs the
-signs.  The result is fully integer-executable and serializes to a
-single .ern file, format version 2:
+Compilation binarizes every conv, scaling it as its output edge's
+``scale`` in the graph says: ``"alpha"``, per-channel alpha = mean |w|;
+``"c"``, the shared constant c (the convs feeding a residual add);
+``"alpha_out"``, one alpha_out = mean |w| (the head conv).  It folds each
+batch-norm + quantizer pair into an integer threshold table using the
+producing edge's scale, and bit-packs the signs.  The result is fully
+integer-executable and serializes to a single .ern file, format
+version 2:
 
     prefix   magic "ERN1" | u32 version | u32 body length |
              u32 CRC32 of those 12 bytes
@@ -31,10 +33,10 @@ single .ern file, format version 2:
 The architecture and k fix the graph, and so every record's size; the
 records carry no name, kind, geometry or count.  A conv record is its
 packed u64 weight words, preceded by its f64 per-channel scales only if
-the conv folds into a BnAct: a const-scaled conv's scales are c and the
-head conv's are alpha_out, each written once at the start of the body.  A
-BnAct record is ``<i4 t1, t2, t3, u1 flags>`` per channel, flag bit 0
-ascending and bit 1 degenerate, never both.  A degenerate channel
+its edge's scale is ``"alpha"``: the scales of a ``"c"`` or
+``"alpha_out"`` conv are c or alpha_out, each written once at the start
+of the body.  A BnAct record is ``<i4 t1, t2, t3, u1 flags>`` per
+channel, flag bit 0 ascending and bit 1 degenerate, never both.  A degenerate channel
 (folded slope exactly zero) stores its constant code in t1 and zeros in
 t2 and t3.
 Every threshold lies within its edge's static bound + 1 (42,240 at most
@@ -70,7 +72,6 @@ from .graph import (
     ARCHITECTURES,
     BnAct,
     Conv,
-    FinalConv,
     GraphDef,
     arch_config,
     build_model,
@@ -135,7 +136,7 @@ class CheckpointManifest:
                 raise CompileError(bn.name, f"{rec.channels} channels, expected {bn.channels}")
         return g, float(c)
 
-    def conv_weights(self, node: Conv | FinalConv) -> np.ndarray:
+    def conv_weights(self, node: Conv) -> np.ndarray:
         """One conv's float weights, read once from ``convs``.
 
         Raises :class:`CompileError` naming the layer if they are missing,
@@ -195,7 +196,8 @@ _KIND_NAMES = {
 def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
     """``doc[key]`` if it is a JSON value of ``kind``; else a ConfigError naming the field.
 
-    ``float`` accepts any JSON number; no kind accepts ``true``/``false``.
+    ``float`` accepts any JSON number a float holds and returns it as a
+    float; no kind accepts ``true``/``false``.
     """
     if key not in doc:
         if default is _MISSING:
@@ -204,6 +206,11 @@ def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ConfigError(f"{where}: field '{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:  # an integer past 1.8e308
+            raise ConfigError(f"{where}: field '{key}' is too large for a float") from None
     return value
 
 
@@ -359,13 +366,13 @@ def compile_checkpoint(
 
     The graph and c come from ``manifest.checked_graph(shared_const)``
     and each conv's weights from ``manifest.conv_weights``, the checks
-    ``oracle_from_manifest`` shares.  Scale resolution per conv: convs
-    whose output edge is const-scaled (those feeding residual adds) take
-    the shared constant c; the head conv takes one alpha_out = mean |w|;
-    others take per-channel alpha = mean |w|, with all-zero filters
-    substituting alpha = 1 under a warning.  Each BnAct folds against
-    whichever scale its producing edge carries, clamped to that edge's
-    accumulator bound.  Only named architectures serialize.
+    ``oracle_from_manifest`` shares.  Each conv takes the scale its
+    output edge's ``scale`` names: ``"c"``, the shared constant c;
+    ``"alpha_out"``, one alpha_out = mean |w|; ``"alpha"``, per-channel
+    alpha = mean |w|, with all-zero filters substituting alpha = 1 under
+    a warning.  Each BnAct folds against whichever scale its producing
+    edge carries, clamped to that edge's accumulator bound.  Only named
+    architectures serialize.
 
     Each conv's floats are dropped once its signs are packed; with a
     loaded manifest that reads one blob per lookup, compilation holds one
@@ -384,19 +391,20 @@ def compile_checkpoint(
                 stacklevel=2,
             )
             alpha = np.where(zero, 1.0, alpha)
-        if isinstance(node, FinalConv):
+        scale = g.edges[node.dst].scale
+        if scale == "alpha_out":
             # widened first: a float32 mean over the whole head rounds differently
             wide = w.astype(np.float64)
             alpha_out = float(np.abs(wide, out=wide).mean()) or 1.0
             alpha = np.full(node.spec.out_ch, alpha_out)
-        elif g.edges[node.dst].const_scaled:
+        elif scale == "c":
             alpha = np.full(node.spec.out_ch, c)
         weights[node.name] = pack_weights(signs, alpha)
 
     thresholds: dict[str, ThresholdTable] = {}
     for bn in g.bnacts:
         info = g.edges[bn.src]
-        alpha = np.full(bn.channels, c) if info.const_scaled else weights[info.producer].alpha
+        alpha = np.full(bn.channels, c) if info.scale == "c" else weights[info.producer].alpha
         thresholds[bn.name] = fuse_thresholds(alpha, manifest.bnacts[bn.name], acc_bound=info.bound)
 
     return CompiledModel(
@@ -412,11 +420,6 @@ def compile_checkpoint(
 
 # --------------------------------------------------------------------------
 # .ern serialization
-
-
-def _stores_scales(g: GraphDef, node: Conv | FinalConv) -> bool:
-    """Whether a conv record carries scales: only a conv that folds into a BnAct."""
-    return isinstance(node, Conv) and not g.edges[node.dst].const_scaled
 
 
 def _check_bound(t: np.ndarray, bound: int, name: str, error: type[Exception]) -> None:
@@ -442,9 +445,9 @@ def serialize(model: CompiledModel) -> bytes:
         struct.pack("<Idd", model.k, model.shared_const, model.alpha_out),
     ]
     for node in g.nodes:
-        if isinstance(node, (Conv, FinalConv)):
+        if isinstance(node, Conv):
             w = model.weights[node.name]
-            if _stores_scales(g, node):
+            if g.edges[node.dst].scale == "alpha":
                 parts.append(np.ascontiguousarray(w.alpha, dtype="<f8").tobytes())
             parts.append(np.ascontiguousarray(w.bits, dtype="<u8").tobytes())
         elif isinstance(node, BnAct):
@@ -497,7 +500,8 @@ def load(data: bytes) -> CompiledModel:
     degenerate channel whose t2 or t3 is not 0, an invalid threshold
     table, or a body of the wrong length, so every file that loads is one
     ``serialize`` writes back byte for byte.
-    A const-scaled conv's scales are c and the head conv's alpha_out.
+    Only ``"alpha"`` convs' scales are stored; a ``"c"`` conv's scales are
+    c and an ``"alpha_out"`` conv's alpha_out.
     """
     if len(data) < 4:
         raise TruncationError(f"{len(data)} bytes is too short for a model file")
@@ -540,14 +544,15 @@ def load(data: bytes) -> CompiledModel:
     weights: dict[str, PackedWeights] = {}
     thresholds: dict[str, ThresholdTable] = {}
     for node in g.nodes:
-        if isinstance(node, (Conv, FinalConv)):
+        if isinstance(node, Conv):
             s = node.spec
-            if _stores_scales(g, node):
+            scale = g.edges[node.dst].scale
+            if scale == "alpha":
                 alpha = r.array("<f8", s.out_ch).astype(np.float64)
                 if not (np.isfinite(alpha) & (alpha > 0)).all():
                     raise FormatError(f"layer '{node.name}': scales must be finite and > 0")
             else:
-                alpha = np.full(s.out_ch, alpha_out if isinstance(node, FinalConv) else c)
+                alpha = np.full(s.out_ch, c if scale == "c" else alpha_out)
             shape = (s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw)
             bits = r.array("<u8", math.prod(shape)).astype(np.uint64).reshape(shape)
             lanes = s.in_ch % LANES  # the last word's logical lanes; the rest are pad, stored as 1

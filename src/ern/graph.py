@@ -1,15 +1,20 @@
 """Architecture graphs and the integer-only executor.
 
-A :class:`GraphDef` is an ordered list of nodes wired by named edges.
-Edge kinds are strict: a Conv consumes a 2-bit activation map and produces
+A :class:`GraphDef` is an ordered list of nodes of five kinds wired by
+named edges.  Edge kinds are strict: a PixelEmbed turns the image into a
+2-bit activation map; a Conv consumes a 2-bit activation map and produces
 an integer accumulator; a BnAct consumes an accumulator and produces
-codes; a ResidualAdd consumes two accumulators whose producers are
-const-scaled with the shared model constant (so the add is valid in
-integers); AvgPoolScale consumes the final conv's accumulator only.
+codes; a ResidualAdd consumes two accumulators; AvgPoolScale consumes the
+head's accumulator and produces the logits.  Every accumulator carries
+one of three scales, named by its Conv's ``scale``: ``"alpha"``, a
+per-channel scale folded into the next BnAct's thresholds; ``"c"``, the
+shared model constant, which both inputs of a ResidualAdd and its output
+carry (so the add is valid in integers); and ``"alpha_out"``, the head's
+one scale, the only edge the pool reads.
 A graph is lowered once, at construction, by a single walk over its
 nodes that validates the wiring and derives two things everything
 downstream reads instead of re-deriving them: ``edges``, the kind,
-channels and accumulator bound of every edge, and ``steps``, one
+channels, scale and accumulator bound of every edge, and ``steps``, one
 :class:`Step` per node holding what it reads, the op that computes it,
 its spatial rule and ``frees``, the inputs no later step reads.
 ``execute`` and ``trace_shapes`` are plain loops over the steps.
@@ -23,7 +28,7 @@ head is the one exception (only input lanes are ever padded in storage,
 so its odd width costs nothing extra).
 
 Execution is pure integer arithmetic from the pixel-embedding output to
-the final conv accumulator.  A graph starts with its embedding and ends
+the head conv accumulator.  A graph starts with its embedding and ends
 with its pool, so each call counts the float ops of every step between
 the first and the last in its own counter (the count must be zero), and
 additionally checks the dtype of every step's output against one table
@@ -75,7 +80,7 @@ class PixelEmbed:
 class Conv:
     name: str
     spec: ConvSpec
-    const_scaled: bool
+    scale: str  # one of SCALES: what multiplies its accumulator
     src: str
     dst: str
 
@@ -97,21 +102,17 @@ class ResidualAdd:
 
 
 @dataclass(frozen=True, slots=True)
-class FinalConv:
-    name: str
-    spec: ConvSpec
-    src: str
-    dst: str
-
-
-@dataclass(frozen=True, slots=True)
 class AvgPoolScale:
     name: str
     src: str
     dst: str
 
 
-Node = PixelEmbed | Conv | BnAct | ResidualAdd | FinalConv | AvgPoolScale
+Node = PixelEmbed | Conv | BnAct | ResidualAdd | AvgPoolScale
+
+# an accumulator's scale: per-channel alpha (folded into the next BnAct),
+# the shared constant c (residual branches and sums), or the head's alpha_out
+SCALES = ("alpha", "c", "alpha_out")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +120,7 @@ class EdgeInfo:
     kind: str  # "image" | "act2" | "acc" | "logits"
     channels: int
     producer: str
-    const_scaled: bool = False  # acc edges: carries the shared constant
+    scale: str | None = None  # acc edges: one of SCALES
     bound: int = 0  # acc edges: worst-case |value|
 
 
@@ -166,8 +167,8 @@ class GraphDef:
         raise KeyError(name)
 
     @property
-    def convs(self) -> list[Conv | FinalConv]:
-        return [n for n in self.nodes if isinstance(n, (Conv, FinalConv))]
+    def convs(self) -> list[Conv]:
+        return [n for n in self.nodes if isinstance(n, Conv)]
 
     @property
     def bnacts(self) -> list[BnAct]:
@@ -182,7 +183,7 @@ def _embed(model, n: PixelEmbed, kernel: str, img: np.ndarray) -> np.ndarray:
     return encode_image(img, thermo_params(n.k))
 
 
-def _conv(model, n: Conv | FinalConv, kernel: str, x: np.ndarray) -> np.ndarray:
+def _conv(model, n: Conv, kernel: str, x: np.ndarray) -> np.ndarray:
     w = model.weights[n.name]
     if kernel == "popcount":
         return conv_w1a2_popcount(x, w, n.spec)
@@ -216,10 +217,11 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
     Returns edge name -> :class:`EdgeInfo`, including per-accumulator
     bounds from interval arithmetic (conv bound 3 * fan_in, residual adds
     summing their branch bounds), and one :class:`Step` per node, each
-    freeing the inputs it is the last to read.  A BnAct on an edge that
-    is not const-scaled folds the per-channel alphas of the edge's
-    producer.  The graph must end with the pool that produces
-    ``LOGITS_EDGE``.
+    freeing the inputs it is the last to read.  Each acc edge carries its
+    scale: a Conv's own (one of ``SCALES``, else :class:`ConfigError`),
+    and ``"c"`` for a ResidualAdd, whose inputs must both be ``"c"``.  The
+    pool must read an ``"alpha_out"`` edge, and the graph must end with
+    the pool that produces ``LOGITS_EDGE``.
     """
     edges: dict[str, EdgeInfo] = {IMAGE_EDGE: EdgeInfo("image", 3, "<input>")}
     lowered: list[tuple] = []  # (node, srcs, op, spatial) per node
@@ -239,26 +241,22 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
         last_read[name] = len(lowered)
         return info
 
-    final_conv_edge = None
     for n in g.nodes:
         if isinstance(n, PixelEmbed):
             consume(n.src, "image", n.name)
             produce(n.dst, EdgeInfo("act2", 3 * n.k, n.name))
             step = (n.src,), _embed, _keep
-        elif isinstance(n, (Conv, FinalConv)):
+        elif isinstance(n, Conv):
             src = consume(n.src, "act2", n.name)
             if src.channels != n.spec.in_ch:
                 raise ConfigError(
                     f"conv '{n.name}' expects {n.spec.in_ch} input channels, edge has {src.channels}"
                 )
-            is_final = isinstance(n, FinalConv)
-            const = (not is_final) and n.const_scaled
+            if n.scale not in SCALES:
+                raise ConfigError(f"conv '{n.name}' has scale {n.scale!r}, not one of {SCALES}")
             produce(
-                n.dst,
-                EdgeInfo("acc", n.spec.out_ch, n.name, const_scaled=const, bound=n.spec.acc_bound),
+                n.dst, EdgeInfo("acc", n.spec.out_ch, n.name, scale=n.scale, bound=n.spec.acc_bound)
             )
-            if is_final:
-                final_conv_edge = n.dst
             step = (n.src,), _conv, n.spec.out_spatial
         elif isinstance(n, BnAct):
             src = consume(n.src, "acc", n.name)
@@ -271,23 +269,18 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
         elif isinstance(n, ResidualAdd):
             a = consume(n.src_a, "acc", n.name)
             b = consume(n.src_b, "acc", n.name)
-            if not (a.const_scaled and b.const_scaled):
+            if not a.scale == b.scale == "c":
                 raise ConfigError(
                     f"residual '{n.name}' needs both branches const-scaled "
-                    f"(got {a.producer}:{a.const_scaled}, {b.producer}:{b.const_scaled})"
+                    f"(got {a.producer}:{a.scale}, {b.producer}:{b.scale})"
                 )
             if a.channels != b.channels:
                 raise ConfigError(f"residual '{n.name}' channel mismatch")
-            produce(
-                n.dst,
-                EdgeInfo(
-                    "acc", a.channels, n.name, const_scaled=True, bound=a.bound + b.bound
-                ),
-            )
+            produce(n.dst, EdgeInfo("acc", a.channels, n.name, scale="c", bound=a.bound + b.bound))
             step = (n.src_a, n.src_b), _residual, _keep
         elif isinstance(n, AvgPoolScale):
             src = consume(n.src, "acc", n.name)
-            if n.src != final_conv_edge:
+            if src.scale != "alpha_out":
                 raise ConfigError(f"pool '{n.name}' must consume the final conv output")
             produce(n.dst, EdgeInfo("logits", src.channels, n.name))
             step = (n.src,), _pool, _to_1x1
@@ -362,25 +355,26 @@ def arch_config(name: str) -> ArchConfig:
 
 
 def _conv_node(
-    name: str, cin: int, cout: int, size: int, stride: int, const: bool, src: str
+    name: str, cin: int, cout: int, size: int, stride: int, scale: str, src: str
 ) -> Conv:
     """A size x size conv padded by size // 2; its output edge is ``<name>.out``."""
     spec = ConvSpec(cin, cout, size, size, (stride, stride), (size // 2, size // 2))
-    return Conv(name, spec, const, src, f"{name}.out")
+    return Conv(name, spec, scale, src, f"{name}.out")
 
 
 def build_stem(in_ch: int, src: str) -> tuple[list[Node], str]:
-    """Four 3x3/64 convs, strides 2,1,2,1; last conv const-scaled.
+    """Four 3x3/64 convs, strides 2,1,2,1; the last scaled by c, the rest by alpha.
 
-    The final conv carries the shared constant so the first block receives
-    a residual-ready accumulator.
+    The last conv carries the shared constant c so the first block
+    receives a residual-ready accumulator; each other conv's per-channel
+    alpha folds into the BnAct after it.
     """
     nodes: list[Node] = []
     widths = [(in_ch, 64, 2), (64, 64, 1), (64, 64, 2), (64, 64, 1)]
     edge = src
     for i, (cin, cout, stride) in enumerate(widths, start=1):
         last = i == len(widths)
-        conv = _conv_node(f"stem.conv{i}", cin, cout, 3, stride, last, edge)
+        conv = _conv_node(f"stem.conv{i}", cin, cout, 3, stride, "c" if last else "alpha", edge)
         nodes.append(conv)
         edge = conv.dst
         if not last:
@@ -393,7 +387,7 @@ def build_stem(in_ch: int, src: str) -> tuple[list[Node], str]:
 def _block_entry(
     cin: int, cout: int, stride: int, downsample: bool, src: str, prefix: str
 ) -> tuple[list[Node], str, str]:
-    """A block's input BnAct and, when downsampling, its 1x1 const-scaled projection.
+    """A block's input BnAct and, when downsampling, its 1x1 projection scaled by c.
 
     Returns the nodes, the BnAct's output edge and the shortcut edge (the
     block input unless downsampling).
@@ -403,7 +397,7 @@ def _block_entry(
     bn0 = BnAct(f"{prefix}.bn0", cin, src, f"{prefix}.bn0.out")
     if not downsample:
         return [bn0], bn0.dst, src
-    down = _conv_node(f"{prefix}.down", cin, cout, 1, stride, True, bn0.dst)
+    down = _conv_node(f"{prefix}.down", cin, cout, 1, stride, "c", bn0.dst)
     return [bn0, down], bn0.dst, down.dst
 
 
@@ -413,9 +407,9 @@ def build_convblock(
     """Two-conv residual block; identity is the block input unless downsampling."""
     stride = 2 if downsample else 1
     nodes, x, identity = _block_entry(cin, cout, stride, downsample, src, prefix)
-    conv1 = _conv_node(f"{prefix}.conv1", cin, cout, 3, stride, False, x)
+    conv1 = _conv_node(f"{prefix}.conv1", cin, cout, 3, stride, "alpha", x)
     bn1 = BnAct(f"{prefix}.bn1", cout, conv1.dst, f"{prefix}.bn1.out")
-    conv2 = _conv_node(f"{prefix}.conv2", cout, cout, 3, 1, True, bn1.dst)
+    conv2 = _conv_node(f"{prefix}.conv2", cout, cout, 3, 1, "c", bn1.dst)
     add = ResidualAdd(f"{prefix}.add", conv2.dst, identity, f"{prefix}.add.out")
     return nodes + [conv1, bn1, conv2, add], add.dst
 
@@ -439,11 +433,11 @@ def build_bottleneck(
         raise ConfigError(f"block '{prefix}': expected cout == {BOTTLENECK_EXPANSION} * cmid")
     stride = 2 if (downsample and spatial) else 1
     nodes, x, identity = _block_entry(cin, cout, stride, downsample, src, prefix)
-    conv1 = _conv_node(f"{prefix}.conv1", cin, cmid, 1, 1, False, x)
+    conv1 = _conv_node(f"{prefix}.conv1", cin, cmid, 1, 1, "alpha", x)
     bn1 = BnAct(f"{prefix}.bn1", cmid, conv1.dst, f"{prefix}.bn1.out")
-    conv2 = _conv_node(f"{prefix}.conv2", cmid, cmid, 3, stride, False, bn1.dst)
+    conv2 = _conv_node(f"{prefix}.conv2", cmid, cmid, 3, stride, "alpha", bn1.dst)
     bn2 = BnAct(f"{prefix}.bn2", cmid, conv2.dst, f"{prefix}.bn2.out")
-    conv3 = _conv_node(f"{prefix}.conv3", cmid, cout, 1, 1, True, bn2.dst)
+    conv3 = _conv_node(f"{prefix}.conv3", cmid, cout, 1, 1, "c", bn2.dst)
     add = ResidualAdd(f"{prefix}.add", conv3.dst, identity, f"{prefix}.add.out")
     return nodes + [conv1, bn1, conv2, bn2, conv3, add], add.dst
 
@@ -475,14 +469,9 @@ def build_model(cfg: ArchConfig, k: int = 10) -> GraphDef:
             nodes += blk
             cin = cout
     head_bn = BnAct("head.bn", cin, edge, "head.bn.out")
-    final = FinalConv(
-        "head.conv",
-        ConvSpec(cin, cfg.classes, 1, 1, (1, 1), (0, 0)),
-        "head.bn.out",
-        "head.conv.out",
-    )
-    pool = AvgPoolScale("head.pool", "head.conv.out", LOGITS_EDGE)
-    nodes += [head_bn, final, pool]
+    head = _conv_node("head.conv", cin, cfg.classes, 1, 1, "alpha_out", head_bn.dst)
+    pool = AvgPoolScale("head.pool", head.dst, LOGITS_EDGE)
+    nodes += [head_bn, head, pool]
     return GraphDef(nodes=tuple(nodes))
 
 
@@ -581,7 +570,9 @@ def execute(
     as (2, words, H, W) uint64 planes, whose width is the edge's
     ``channels`` in ``model.graph.edges``; acc edges as int32; the logits
     as float64) after its dtype check and before its ``frees`` are
-    dropped; whatever it keeps outlives the call.
+    dropped; whatever it keeps outlives the call.  A step whose output
+    has another dtype raises :class:`AssertionError` naming the node,
+    under ``python -O`` too.
     """
     if kernel not in ("popcount", "naive"):
         raise ConfigError(f"unknown kernel '{kernel}'")
@@ -593,7 +584,9 @@ def execute(
 
     def run(s: Step) -> None:
         out = s.op(model, s.node, kernel, *[values[src] for src in s.srcs])
-        assert out.dtype == _EDGE_DTYPES[g.edges[s.node.dst].kind], s.node.name
+        want = _EDGE_DTYPES[g.edges[s.node.dst].kind]
+        if out.dtype != want:  # raised, not asserted, so ``python -O`` keeps the check
+            raise AssertionError(f"{s.node.name}: {out.dtype} output, expected {np.dtype(want)}")
         values[s.node.dst] = out
         if observe is not None:
             observe(s, out)

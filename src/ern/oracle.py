@@ -50,7 +50,6 @@ from .graph import (
     AvgPoolScale,
     BnAct,
     Conv,
-    FinalConv,
     GraphDef,
     IMAGE_EDGE,
     Node,
@@ -88,7 +87,9 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     The graph, c and each conv's weights come from the manifest's
     ``checked_graph`` and ``conv_weights``, the checks compilation runs,
     so a manifest compilation refuses is refused here with the same
-    error.  Must see the same manifest and shared constant as the
+    error.  Which scale a conv's accumulator carries (``"alpha"``, ``"c"``
+    or ``"alpha_out"``) is its output edge's ``scale`` in the graph; its
+    value the oracle computes itself.  Must see the same manifest and shared constant as the
     compiled model, or divergence is by construction rather than by
     defect.  Reads one conv at a time and keeps only its signs, packed
     one bit per weight, and its 64-bit scales.
@@ -101,10 +102,11 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
         # signs read the manifest's floats as they are; scales sum in 64 bits
         w = manifest.conv_weights(node)
         signs[node.name] = np.packbits(w >= 0.0)
-        if isinstance(node, FinalConv):
+        scale = g.edges[node.dst].scale
+        if scale == "alpha_out":
             alpha_out = float(np.abs(w).mean(dtype=np.float64)) or 1.0
             edge_scale[node.dst] = np.full(node.spec.out_ch, alpha_out)
-        elif g.edges[node.dst].const_scaled:
+        elif scale == "c":
             edge_scale[node.dst] = np.full(node.spec.out_ch, c)
         else:
             alpha = np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)
@@ -190,7 +192,7 @@ def oracle_steps(
         pre = None
         if isinstance(node, PixelEmbed):
             out = _thermo_codes(img, node.k).astype(np.uint8)
-        elif isinstance(node, (Conv, FinalConv)):
+        elif isinstance(node, Conv):
             s = node.spec
             out = _conv_im2col(
                 values[node.src], om.signs[node.name], (s.out_ch, s.in_ch, s.kh, s.kw),

@@ -3,11 +3,16 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ern.compiler import FORMAT_VERSION, MAGIC, compile_checkpoint, gen_random_checkpoint
-from ern.graph import BnAct, Conv, FinalConv, arch_config, build_model, execute
+from ern.graph import BnAct, Conv, arch_config, build_model, execute
 from ern.oracle import oracle_from_manifest
 from ern.tensor import padded_channels, unpack_activations
+
+# every property draws the same cases on every run and writes no example database
+settings.register_profile("ern", derandomize=True, database=None, deadline=None)
+settings.load_profile("ern")
 
 
 @pytest.fixture(scope="session")
@@ -70,9 +75,9 @@ def record_offset(blob: bytes, layer: str) -> int:
     """Offset of ``layer``'s record in ``blob``, found by walking the graph.
 
     The sizes come from each node's ConvSpec and width, not from the
-    compiler: a conv record is 8 bytes of scale per output channel if the
-    conv folds into a BnAct (not const-scaled, not the head), then its
-    weight words; a BnAct record is 13 bytes per channel.
+    compiler: a conv record is 8 bytes of scale per output channel if its
+    edge's scale is ``"alpha"``, then its weight words; a BnAct record is
+    13 bytes per channel.
     """
     (n,) = struct.unpack_from("<H", blob, 16)
     arch = blob[18 : 18 + n].decode()
@@ -82,9 +87,9 @@ def record_offset(blob: bytes, layer: str) -> int:
     for node in g.nodes:
         if node.name == layer:
             return pos
-        if isinstance(node, (Conv, FinalConv)):
+        if isinstance(node, Conv):
             s = node.spec
-            if isinstance(node, Conv) and not node.const_scaled:
+            if g.edges[node.dst].scale == "alpha":
                 pos += 8 * s.out_ch
             pos += 8 * s.out_ch * padded_channels(s.in_ch) // 64 * s.kh * s.kw
         elif isinstance(node, BnAct):

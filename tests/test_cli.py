@@ -143,6 +143,15 @@ class TestTenCrop:
                    "--ten-crop"])
         assert rc == 1
 
+    def test_crop_size_requires_ten_crop(self, ws, capsys):
+        # a crop size alone used to be ignored: exit 0 with the full image's top-5
+        rc = main(["infer", "--model", str(ws["model"]), "--image", str(ws["ppm"]),
+                   "--crop-size", "64"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--ten-crop" in captured.err
+
     def test_crop_larger_than_image(self, ws):
         rc = main(["infer", "--model", str(ws["model"]), "--image", str(ws["ppm"]),
                    "--ten-crop", "--crop-size", "128"])
@@ -304,9 +313,12 @@ class TestMalformedManifest:
             (lambda doc: {**doc, "shared_const": "a"}, "shared_const"),
             (_with_bnact_field("channels", "z"), "channels"),
             (_with_bnact_field("act_scale", None), "act_scale"),
+            (lambda doc: {**doc, "shared_const": 10**400}, "shared_const"),
+            (_with_bnact_field("epsilon", 10**400), "epsilon"),
         ],
         ids=["top-level-list", "layers-list", "missing-arch", "layer-without-kind", "k-string",
-             "shared-const-string", "channels-string", "act-scale-null"],
+             "shared-const-string", "channels-string", "act-scale-null", "shared-const-huge-int",
+             "epsilon-huge-int"],
     )
     def test_field_named(self, ws, tmp_path, capsys, mutate, named):
         assert self._compile(ws, tmp_path, mutate) == 2
@@ -456,10 +468,11 @@ class TestUsage:
         "command,flag",
         [("verify", "--images"), ("verify", "--resolution"), ("bench", "--iters"),
          ("bench", "--resolution"), ("infer", "--crop-size"), ("infer", "--top"),
-         ("stats", "--resolution")],
+         ("stats", "--resolution"), ("init-random", "--k")],
     )
-    def test_count_below_one_rejected(self, ws, capsys, command, flag, value):
+    def test_count_below_one_rejected(self, ws, tmp_path, capsys, command, flag, value):
         required = {
+            "init-random": ["--arch", "erns18x075", "--seed", "0", "--out", str(tmp_path / "ckpt")],
             "verify": ["--model", str(ws["model"]), "--manifest", str(ws["ckpt"])],
             "bench": ["--model", str(ws["model"])],
             "infer": ["--model", str(ws["model"]), "--image", str(ws["ppm"]), "--ten-crop"],

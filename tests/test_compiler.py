@@ -236,9 +236,9 @@ class TestCompile:
     def test_const_convs_carry_shared_const(self, small_model):
         edges = small_model.graph.edges
         w = small_model.weights["s1.b1.conv2"]
-        assert edges["s1.b1.conv2.out"].const_scaled
+        assert edges["s1.b1.conv2.out"].scale == "c"
         assert np.all(w.alpha == 0.5)
-        assert not edges["s1.b1.conv1.out"].const_scaled
+        assert edges["s1.b1.conv1.out"].scale == "alpha"
 
 
 class TestSerialization:
@@ -432,7 +432,7 @@ class TestLoadChecksGraphAndScales:
             alpha = back.weights[node.name].alpha
             if node.name == "head.conv":
                 assert (alpha == 3.0).all() and back.alpha_out == 3.0
-            elif edges[node.dst].const_scaled:
+            elif edges[node.dst].scale == "c":
                 assert (alpha == 0.25).all()
             else:
                 assert np.array_equal(alpha, small_model.weights[node.name].alpha)

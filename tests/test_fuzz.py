@@ -8,27 +8,36 @@ file with a structured edit (a flag byte, a threshold row, a
 raises a :class:`FormatError` or loads as a model that serializes back to
 the same bytes and meets the compiler's invariants.
 ``decode_ppm`` returns a (3, H, W) uint8 image or raises
-:class:`FormatError` for any damaged P6 file.  The runs are derandomized
-and keep no example database, so they draw the same cases on every run
+:class:`FormatError` for any damaged P6 file.  ``ern compile`` and
+``ern verify`` on a checkpoint directory with one damaged
+``manifest.json`` field or one damaged blob exit 0 or 2, never with a
+traceback.  The runs are derandomized and keep no example database (the
+profile ``conftest`` loads), so they draw the same cases on every run
 and leave no files.
 """
 
+import contextlib
 import functools
+import io
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ern.compiler import compile_checkpoint, gen_random_checkpoint, load, serialize
+from ern.cli import main
+from ern.compiler import compile_checkpoint, gen_random_checkpoint, load, save_manifest, serialize
 from ern.errors import BadMagicError, ChecksumError, FormatError, TruncationError, VersionError
 from ern.ppm import decode_ppm
 from ern.tensor import LANES, padded_channels
 
 from conftest import record_offset, resign
 
-FUZZ = settings(database=None, derandomize=True, max_examples=1000, deadline=None)
+FUZZ = settings(max_examples=1000)
 
 
 @functools.cache
@@ -137,7 +146,7 @@ def assert_compiler_invariants(m) -> None:
 
 
 class TestStructuredEdits:
-    @settings(database=None, derandomize=True, max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(edit=structured_edit())
     def test_load_refuses_or_round_trips(self, edit):
         pos, new = edit
@@ -178,3 +187,143 @@ class TestPpmFile:
             return
         assert img.dtype == np.uint8
         assert img.ndim == 3 and img.shape[0] == 3 and img.size > 0
+
+
+CKPT_ARCH = "erns18x075"
+WRONG_TYPES = [None, True, "10", [], {}, [1, 2, 3, 4], 1.5, 7]
+NUMBERS = [0, -1, -0.5, 5e-324, 1e308, float("inf"), float("nan"), 2**31, 2**64, 10**400]
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory) -> Path:
+    """A clean erns18x075 checkpoint directory and, beside it, its compiled model."""
+    root = tmp_path_factory.mktemp("ckpt")
+    save_manifest(gen_random_checkpoint(CKPT_ARCH, seed=3, shared_const=0.5), root / "ckpt")
+    assert main(["compile", "--manifest", str(root / "ckpt"), "--out", str(root / "m.ern")]) == 0
+    return root
+
+
+@functools.cache
+def clean_manifest() -> dict:
+    """The manifest ``checkpoint`` writes, rebuilt without touching disk."""
+    g = gen_random_checkpoint(CKPT_ARCH, seed=3, shared_const=0.5).graph()
+    layers = {n.name: {"kind": "conv", "file": f"{n.name}.bin",
+                       "shape": [n.spec.out_ch, n.spec.in_ch, n.spec.kh, n.spec.kw]}
+              for n in g.convs}
+    layers.update({n.name: {"kind": "bnact", "file": f"{n.name}.bin", "channels": n.channels,
+                            "epsilon": 1e-5, "act_scale": 1.0} for n in g.bnacts})
+    return {"format": "ern-checkpoint-v1", "arch": CKPT_ARCH, "k": 10, "shared_const": 0.5,
+            "layers": layers}
+
+
+def blob_bytes(layer: dict) -> int:
+    return 4 * (np.prod(layer["shape"]) if layer["kind"] == "conv" else 4 * layer["channels"])
+
+
+@st.composite
+def checkpoint_edit(draw) -> tuple:
+    """One edit of the clean checkpoint: ("manifest", path, value) or ("blob", layer, size).
+
+    ``path`` is a key path into ``manifest.json``; ``value`` None drops the
+    key.  ``size`` is the new length in bytes of that layer's blob.
+    """
+    doc = clean_manifest()
+    layers = sorted(doc["layers"])
+    convs = [n for n in layers if doc["layers"][n]["kind"] == "conv"]
+    bnacts = [n for n in layers if doc["layers"][n]["kind"] == "bnact"]
+    edit = draw(st.sampled_from(
+        ["drop", "type", "number", "shape", "channels", "kind", "file", "blob"]), label="edit")
+    if edit == "blob":
+        name = draw(st.sampled_from(layers), label="layer")
+        size = blob_bytes(doc["layers"][name])
+        delta = draw(st.sampled_from([-size, -4, -1, 1, 4, 64]), label="delta")
+        return "blob", name, size + delta
+    if edit in ("drop", "type"):
+        key = draw(st.sampled_from(sorted(doc) + layers), label="key")
+        if key in doc["layers"]:
+            entry = doc["layers"][key]
+            field = draw(st.sampled_from([None, *sorted(entry)]), label="field")
+            path = ("layers", key) if field is None else ("layers", key, field)
+        else:
+            path = (key,)
+        return "manifest", path, None if edit == "drop" else draw(st.sampled_from(WRONG_TYPES))
+    if edit == "number":
+        name = draw(st.sampled_from([None] + layers), label="layer")
+        if name is None:
+            path = (draw(st.sampled_from(["k", "shared_const"]), label="field"),)
+        elif name in convs:
+            path = ("layers", name, "shape", draw(st.integers(0, 3), label="dim"))
+        else:
+            field = draw(st.sampled_from(["channels", "epsilon", "act_scale"]), label="field")
+            path = ("layers", name, field)
+        return "manifest", path, draw(st.sampled_from(NUMBERS), label="value")
+    if edit == "shape":
+        name = draw(st.sampled_from(convs), label="layer")
+        oc, ic, kh, kw = doc["layers"][name]["shape"]
+        shapes = [[ic, oc, kh, kw], [oc, ic + 1, kh, kw], [oc - 1, ic, kh, kw],
+                  [oc, ic, kw + 2, kh], [oc, ic, kh], [oc, ic, kh, kw, 1], [oc * ic, 1, kh, kw]]
+        return "manifest", ("layers", name, "shape"), draw(st.sampled_from(shapes), label="shape")
+    if edit == "channels":
+        name = draw(st.sampled_from(bnacts), label="layer")
+        c = doc["layers"][name]["channels"]
+        value = draw(st.sampled_from([c - 1, c + 1, 2 * c, c // 2, 1]), label="channels")
+        return "manifest", ("layers", name, "channels"), value
+    name = draw(st.sampled_from(layers), label="layer")
+    if edit == "kind":
+        value = draw(st.sampled_from(["conv", "bnact", "Conv", "", "relu"]), label="kind")
+    else:  # "file": a blob that is not there, or another layer's
+        value = draw(st.sampled_from(["missing.bin", "", ".", f"{layers[0]}.bin"]), label="file")
+    return "manifest", ("layers", name, edit), value
+
+
+def apply_edit(src: Path, dst: Path, edit: tuple) -> None:
+    """Make ``dst`` a copy of checkpoint ``src`` with ``edit`` applied; blobs are symlinked."""
+    doc = json.loads((src / "manifest.json").read_text())
+    for blob in src.glob("*.bin"):
+        (dst / blob.name).symlink_to(blob)
+    where, key, value = edit
+    if where == "blob":
+        (dst / f"{key}.bin").unlink()
+        data = (src / f"{key}.bin").read_bytes()
+        (dst / f"{key}.bin").write_bytes(data[:value] + bytes(max(0, value - len(data))))
+    else:
+        *parents, last = key
+        node = doc
+        for k in parents:
+            node = node[k]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+    (dst / "manifest.json").write_text(json.dumps(doc))
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestCheckpointDirectory:
+    @settings(max_examples=100)
+    @given(edit=checkpoint_edit(), verify=st.integers(0, 7).map(lambda i: i == 0))
+    # integers no float holds once raised an OverflowError and a numpy TypeError
+    @example(edit=("manifest", ("layers", "head.bn", "epsilon"), 10**400), verify=False)
+    @example(edit=("manifest", ("shared_const",), 2**64), verify=False)
+    def test_compile_and_verify_exit_0_or_2(self, checkpoint, edit, verify):
+        with tempfile.TemporaryDirectory(dir=checkpoint) as tmp:
+            ckpt = Path(tmp)
+            apply_edit(checkpoint / "ckpt", ckpt, edit)
+            model = ckpt / "m.ern"
+            rc, err = run_cli(["compile", "--manifest", str(ckpt), "--out", str(model)])
+            assert rc in (0, 2), err
+            assert rc == 0 or err.startswith("ern:"), err
+            if not verify:
+                return
+            if rc == 2:  # the clean model against the damaged checkpoint
+                model = checkpoint / "m.ern"
+            rc, err = run_cli(["verify", "--model", str(model), "--manifest", str(ckpt),
+                               "--images", "1", "--resolution", "32"])
+            assert rc in (0, 2), err
+            assert rc == 0 or err.startswith("ern:"), err

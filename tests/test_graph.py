@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,6 @@ from ern.graph import (
     ArchConfig,
     BnAct,
     Conv,
-    FinalConv,
     GraphDef,
     PixelEmbed,
     ResidualAdd,
@@ -65,9 +68,9 @@ def compile_toy(g, rng):
 def tiny_nodes():
     return [
         PixelEmbed("embed", 1, "image", "embed.out"),
-        Conv("c1", ConvSpec(3, 4, 1, 1), False, "embed.out", "c1.out"),
+        Conv("c1", ConvSpec(3, 4, 1, 1), "alpha", "embed.out", "c1.out"),
         BnAct("b1", 4, "c1.out", "b1.out"),
-        FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
+        Conv("f", ConvSpec(4, 2, 1, 1), "alpha_out", "b1.out", "f.out"),
         AvgPoolScale("pool", "f.out", "logits"),
     ]
 
@@ -81,20 +84,20 @@ class TestValidation:
 
     def test_undefined_edge(self):
         nodes = tiny_nodes()
-        nodes[1] = Conv("c1", ConvSpec(3, 4, 1, 1), False, "nowhere", "c1.out")
+        nodes[1] = Conv("c1", ConvSpec(3, 4, 1, 1), "alpha", "nowhere", "c1.out")
         with pytest.raises(ConfigError, match="undefined edge"):
             GraphDef(tuple(nodes))
 
     def test_duplicate_edge(self):
         nodes = tiny_nodes()
-        nodes.insert(2, Conv("c2", ConvSpec(3, 4, 1, 1), False, "embed.out", "c1.out"))
+        nodes.insert(2, Conv("c2", ConvSpec(3, 4, 1, 1), "alpha", "embed.out", "c1.out"))
         with pytest.raises(ConfigError, match="produced twice"):
             GraphDef(tuple(nodes))
 
     def test_kind_mismatch(self):
         nodes = tiny_nodes()
         # conv consuming an accumulator edge
-        nodes[2] = Conv("b1", ConvSpec(4, 4, 1, 1), False, "c1.out", "b1.out")
+        nodes[2] = Conv("b1", ConvSpec(4, 4, 1, 1), "alpha", "c1.out", "b1.out")
         with pytest.raises(ConfigError, match="needs a act2 edge"):
             GraphDef(tuple(nodes))
 
@@ -104,14 +107,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="channels"):
             GraphDef(tuple(nodes))
 
-    def test_residual_requires_const_scaled_branches(self):
+    def test_residual_requires_c_scaled_branches(self):
         nodes = [
             PixelEmbed("embed", 1, "image", "embed.out"),
-            Conv("c1", ConvSpec(3, 4, 1, 1), True, "embed.out", "c1.out"),
-            Conv("c2", ConvSpec(3, 4, 1, 1), False, "embed.out", "c2.out"),
+            Conv("c1", ConvSpec(3, 4, 1, 1), "c", "embed.out", "c1.out"),
+            Conv("c2", ConvSpec(3, 4, 1, 1), "alpha", "embed.out", "c2.out"),
             ResidualAdd("add", "c1.out", "c2.out", "add.out"),
             BnAct("b1", 4, "add.out", "b1.out"),
-            FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
+            Conv("f", ConvSpec(4, 2, 1, 1), "alpha_out", "b1.out", "f.out"),
             AvgPoolScale("pool", "f.out", "logits"),
         ]
         with pytest.raises(ConfigError, match="const-scaled"):
@@ -120,15 +123,43 @@ class TestValidation:
     def test_residual_bound_accumulates(self):
         nodes = [
             PixelEmbed("embed", 1, "image", "embed.out"),
-            Conv("c1", ConvSpec(3, 4, 1, 1), True, "embed.out", "c1.out"),
-            Conv("c2", ConvSpec(3, 4, 3, 3, (1, 1), (1, 1)), True, "embed.out", "c2.out"),
+            Conv("c1", ConvSpec(3, 4, 1, 1), "c", "embed.out", "c1.out"),
+            Conv("c2", ConvSpec(3, 4, 3, 3, (1, 1), (1, 1)), "c", "embed.out", "c2.out"),
             ResidualAdd("add", "c1.out", "c2.out", "add.out"),
             BnAct("b1", 4, "add.out", "b1.out"),
-            FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
+            Conv("f", ConvSpec(4, 2, 1, 1), "alpha_out", "b1.out", "f.out"),
             AvgPoolScale("pool", "f.out", "logits"),
         ]
         edges = GraphDef(tuple(nodes)).edges
         assert edges["add.out"].bound == 9 + 81
+
+    @pytest.mark.parametrize("scale", ["C", "const", None])
+    def test_unknown_scale_rejected(self, scale):
+        nodes = tiny_nodes()
+        nodes[1] = Conv("c1", ConvSpec(3, 4, 1, 1), scale, "embed.out", "c1.out")
+        with pytest.raises(ConfigError, match="scale"):
+            GraphDef(tuple(nodes))
+
+    def test_every_edge_carries_its_scale(self):
+        edges = build_model(arch_config("erns50")).edges
+        assert edges["stem.conv1.out"].scale == "alpha"
+        assert edges["stem.conv4.out"].scale == "c"
+        assert edges["s1.b1.down.out"].scale == "c"
+        assert edges["s1.b1.conv2.out"].scale == "alpha"
+        assert edges["s1.b1.add.out"].scale == "c"
+        assert edges["head.conv.out"].scale == "alpha_out"
+        assert {e.scale for e in edges.values() if e.kind != "acc"} == {None}
+
+    def test_pool_must_not_consume_a_residual_sum(self):
+        nodes = [
+            PixelEmbed("embed", 1, "image", "embed.out"),
+            Conv("c1", ConvSpec(3, 4, 1, 1), "c", "embed.out", "c1.out"),
+            Conv("c2", ConvSpec(3, 4, 1, 1), "c", "embed.out", "c2.out"),
+            ResidualAdd("add", "c1.out", "c2.out", "add.out"),
+            AvgPoolScale("pool", "add.out", "logits"),
+        ]
+        with pytest.raises(ConfigError, match="final conv"):
+            GraphDef(tuple(nodes))
 
     def test_pool_must_consume_final_conv(self):
         nodes = tiny_nodes()
@@ -154,7 +185,7 @@ class TestValidation:
     def test_graph_must_end_with_the_logits_pool(self, tail):
         nodes = tiny_nodes()
         if tail == "after_pool":
-            nodes.append(Conv("c2", ConvSpec(4, 4, 1, 1), False, "b1.out", "c2.out"))
+            nodes.append(Conv("c2", ConvSpec(4, 4, 1, 1), "alpha", "b1.out", "c2.out"))
         else:
             nodes[-1] = AvgPoolScale("pool", "f.out", "scores")
         with pytest.raises(ConfigError, match="must end with the pool"):
@@ -248,11 +279,11 @@ class TestShapes:
         g = GraphDef(
             (
                 PixelEmbed("embed", 1, "image", "embed.out"),
-                Conv("c1", ConvSpec(3, 4, 1, 1), True, "embed.out", "c1.out"),
-                Conv("c2", ConvSpec(3, 4, 1, 1, (2, 2)), True, "embed.out", "c2.out"),
+                Conv("c1", ConvSpec(3, 4, 1, 1), "c", "embed.out", "c1.out"),
+                Conv("c2", ConvSpec(3, 4, 1, 1, (2, 2)), "c", "embed.out", "c2.out"),
                 ResidualAdd("add", "c1.out", "c2.out", "add.out"),
                 BnAct("b1", 4, "add.out", "b1.out"),
-                FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
+                Conv("f", ConvSpec(4, 2, 1, 1), "alpha_out", "b1.out", "f.out"),
                 AvgPoolScale("pool", "f.out", "logits"),
             )
         )
@@ -382,10 +413,10 @@ class TestExecution:
         g = GraphDef(
             (
                 PixelEmbed("embed", 1, "image", "embed.out"),
-                Conv("c1", ConvSpec(3, 4, 1, 1), True, "embed.out", "c1.out"),
+                Conv("c1", ConvSpec(3, 4, 1, 1), "c", "embed.out", "c1.out"),
                 ResidualAdd("add", "c1.out", "c1.out", "add.out"),
                 BnAct("b1", 4, "add.out", "b1.out"),
-                FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
+                Conv("f", ConvSpec(4, 2, 1, 1), "alpha_out", "b1.out", "f.out"),
                 AvgPoolScale("pool", "f.out", "logits"),
             )
         )
@@ -450,6 +481,45 @@ class TestExecution:
         with pytest.raises(AssertionError, match="s1.b1.add"):
             execute(erns18_model, random_image(rng, 32))
 
+    @pytest.mark.parametrize(
+        "target,patch,node",
+        [
+            ("residual_add", "lambda a, b: f(a, b).astype(np.int64)", "s1.b1.add"),
+            (
+                "conv_w1a2_popcount",
+                "lambda x, w, s: f(x, w, s).astype(np.float64 if s.out_ch == 1000 else np.int32)",
+                "head.conv",
+            ),
+        ],
+        ids=["residual", "head"],
+    )
+    def test_output_dtype_checked_under_optimize(self, target, patch, node):
+        # the check must not be an ``assert``, which ``python -O`` strips
+        script = f"""
+import sys
+import numpy as np
+import ern.graph
+from ern.compiler import compile_checkpoint, gen_random_checkpoint
+if __debug__:
+    sys.exit("not running under -O")
+model = compile_checkpoint(gen_random_checkpoint("erns18x075", seed=0))
+f = ern.graph.{target}
+ern.graph.{target} = {patch}
+try:
+    r = ern.graph.execute(model, np.zeros((3, 32, 32), np.uint8))
+except AssertionError as e:
+    print(e)
+else:
+    sys.exit(f"ran to logits, float_ops_core = {{r.float_ops_core}}")
+"""
+        src = str(Path(ern.graph.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith(node)
+
     def test_unknown_kernel(self, erns18_model):
         with pytest.raises(ConfigError):
             execute(erns18_model, np.zeros((3, 64, 64), np.uint8), kernel="simd")
@@ -483,7 +553,7 @@ class TestScaleDoubling:
         m2 = gen_random_checkpoint("erns18x075", seed=5, shared_const=1.5)
         g = m1.graph()
         for bn in g.bnacts:
-            if not g.edges[bn.src].const_scaled:
+            if g.edges[bn.src].scale != "c":
                 continue
             rec = m2.bnacts[bn.name]
             m2.bnacts[bn.name] = dataclasses.replace(

@@ -10,7 +10,6 @@ from ern.graph import (
     AvgPoolScale,
     BnAct,
     Conv,
-    FinalConv,
     GraphDef,
     PixelEmbed,
     execute,
@@ -34,9 +33,9 @@ def toy_graph():
     return GraphDef(
         nodes=(
             PixelEmbed("embed", 1, "image", "embed.out"),
-            Conv("c1", ConvSpec(3, 4, 1, 1), False, "embed.out", "c1.out"),
+            Conv("c1", ConvSpec(3, 4, 1, 1), "alpha", "embed.out", "c1.out"),
             BnAct("b1", 4, "c1.out", "b1.out"),
-            FinalConv("f", ConvSpec(4, 2, 1, 1), "b1.out", "f.out"),
+            Conv("f", ConvSpec(4, 2, 1, 1), "alpha_out", "b1.out", "f.out"),
             AvgPoolScale("pool", "f.out", "logits"),
         )
     )

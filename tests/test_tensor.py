@@ -85,7 +85,7 @@ class TestPackActivations:
         w=st.integers(1, 4),
         seed=st.integers(0, 2**31),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=200)
     def test_round_trip_property(self, channels, h, w, seed):
         codes = np.random.default_rng(seed).integers(0, 4, size=(channels, h, w), dtype=np.uint8)
         assert np.array_equal(unpack_activations(pack_activations(codes), channels), codes)
