@@ -104,7 +104,11 @@ def cmd_compile(args) -> int:
     model = compile_checkpoint(manifest, shared_const=args.shared_const)
     data = serialize(model)
     Path(args.out).write_bytes(data)
-    print(f"{args.out}: {model.arch} k={model.k} c={model.shared_const} ({len(data)} bytes)")
+    a = model.graph.arch
+    print(
+        f"{args.out}: {a.block} blocks {a.counts} widths {a.channels} classes={a.classes} "
+        f"k={a.k} c={model.shared_const} ({len(data)} bytes)"
+    )
     return EXIT_OK
 
 
@@ -126,8 +130,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    cfg = arch_config(args.arch)
-    stats = model_stats(cfg, args.resolution)
+    stats = model_stats(arch_config(args.arch), args.resolution)
     if args.json:
         doc = {"arch": args.arch, "resolution": args.resolution, **dataclasses.asdict(stats)}
         print(json.dumps(doc, indent=2))
@@ -181,9 +184,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_init_random(args) -> int:
-    manifest = gen_random_checkpoint(
-        args.arch, args.seed, k=args.k, shared_const=args.shared_const
-    )
+    cfg = dataclasses.replace(arch_config(args.arch), k=args.k)
+    manifest = gen_random_checkpoint(cfg, args.seed, shared_const=args.shared_const)
     manifest.checked_graph()  # refuse what compile would refuse before anything is written
     save_manifest(manifest, args.out)
     n = len(manifest.convs) + len(manifest.bnacts)

@@ -22,16 +22,19 @@ Compilation binarizes every conv, scaling it as its output edge's
 batch-norm + quantizer pair into an integer threshold table using the
 producing edge's scale, and bit-packs the signs.  The result is fully
 integer-executable and serializes to a single .ern file, format
-version 2:
+version 3:
 
     prefix   magic "ERN1" | u32 version | u32 body length |
              u32 CRC32 of those 12 bytes
-    body     arch (u16 len + utf8) | u32 k | f64 c | f64 alpha_out |
-             one record per conv and BnAct, in ``graph.nodes`` order
+    body     45-byte header: u8 block kind (0 conv, 1 bottleneck) |
+             4 x u8 stage counts | 4 x u32 stage widths | u32 classes |
+             u32 k | f64 c | f64 alpha_out;
+             then one record per conv and BnAct, in ``graph.nodes`` order
     trailer  u32 CRC32 of the body
 
-The architecture and k fix the graph, and so every record's size; the
-records carry no name, kind, geometry or count.  A conv record is its
+The header's layout is the graph's :class:`ern.graph.ArchConfig`, which
+fixes the graph and so every record's size; the records carry no name,
+kind, geometry or count.  A conv record is its
 packed u64 weight words, preceded by its f64 per-channel scales only if
 its edge's scale is ``"alpha"``: the scales of a ``"c"`` or
 ``"alpha_out"`` conv are c or alpha_out, each written once at the start
@@ -52,7 +55,7 @@ import struct
 import warnings
 import zlib
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +73,8 @@ from .errors import (
 )
 from .graph import (
     ARCHITECTURES,
+    BLOCKS,
+    ArchConfig,
     BnAct,
     Conv,
     GraphDef,
@@ -80,9 +85,11 @@ from .quant import BnParams, ThresholdTable, binarize_weights, fuse_thresholds
 from .tensor import LANES, PackedWeights, pack_weights, padded_channels
 
 MAGIC = b"ERN1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_FORMAT = "ern-checkpoint-v1"
 _PREFIX = 16  # magic, version, body length, CRC32 of those 12 bytes
+# block kind, 4 stage counts, 4 stage widths, classes, k, c, alpha_out
+_HEADER = struct.Struct("<B4B4IIIdd")
 # one BnAct channel: t1, t2, t3, then flag bits
 _BNACT_CHANNEL = np.dtype([("t", "<i4", 3), ("flags", "u1")])
 _ASCENDING = 1
@@ -95,21 +102,20 @@ _DEGENERATE = 2
 
 @dataclass(eq=False)
 class CheckpointManifest:
-    """Float checkpoint: architecture id plus per-layer parameter arrays.
+    """Float checkpoint: architecture plus per-layer parameter arrays.
 
     :meth:`graph` is the one source of the graph, and :meth:`checked_graph`
     and :meth:`conv_weights` the one check of the held layers against it,
     for compilation and the float oracle alike.
     """
 
-    arch: str
-    k: int = 10
+    arch: ArchConfig
     shared_const: float | None = None
     convs: Mapping[str, np.ndarray] = field(default_factory=dict)
     bnacts: dict[str, BnParams] = field(default_factory=dict)
 
     def graph(self) -> GraphDef:
-        return build_model(arch_config(self.arch), self.k)
+        return build_model(self.arch)
 
     def checked_graph(self, shared_const: float | None = None) -> tuple[GraphDef, float]:
         """The graph and the shared constant c, once the held layers fit the graph.
@@ -156,7 +162,15 @@ class CheckpointManifest:
 
 
 def save_manifest(m: CheckpointManifest, path: str | Path) -> None:
-    """Write manifest.json plus one float32 blob per layer."""
+    """Write manifest.json plus one float32 blob per layer.
+
+    The manifest names its architecture: the preset of ``ARCHITECTURES``
+    whose layout is ``m.arch``'s up to k.  Any other layout raises
+    :class:`ConfigError` before anything is written.
+    """
+    preset = next((n for n, a in ARCHITECTURES.items() if replace(a, k=m.arch.k) == m.arch), None)
+    if preset is None:
+        raise ConfigError(f"a manifest names a preset architecture; no preset has {m.arch}")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     layers: dict[str, dict] = {}
@@ -181,7 +195,7 @@ def save_manifest(m: CheckpointManifest, path: str | Path) -> None:
             "act_scale": rec.act_scale,
             "file": f"{name}.bin",
         }
-    doc = {"format": MANIFEST_FORMAT, "arch": m.arch, "k": m.k, "layers": layers}
+    doc = {"format": MANIFEST_FORMAT, "arch": preset, "k": m.arch.k, "layers": layers}
     if m.shared_const is not None:
         doc["shared_const"] = m.shared_const
     (root / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -268,9 +282,8 @@ def load_manifest(path: str | Path) -> CheckpointManifest:
         raise ConfigError(f"manifest {doc_path}: top level must be a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"unsupported manifest format {doc.get('format')!r}")
-    m = CheckpointManifest(
-        arch=_field(doc, "arch", str, "manifest"), k=_field(doc, "k", int, "manifest", 10)
-    )
+    arch = arch_config(_field(doc, "arch", str, "manifest"))
+    m = CheckpointManifest(arch=replace(arch, k=_field(doc, "k", int, "manifest", 10)))
     if doc.get("shared_const") is not None:
         m.shared_const = _field(doc, "shared_const", float, "manifest")
     convs: dict[str, tuple[Path, tuple[int, ...]]] = {}
@@ -312,17 +325,20 @@ def load_manifest(path: str | Path) -> CheckpointManifest:
 
 
 def gen_random_checkpoint(
-    arch: str, seed: int, k: int = 10, shared_const: float = 1.0
+    arch: ArchConfig | str, seed: int, shared_const: float = 1.0
 ) -> CheckpointManifest:
     """Seeded random float checkpoint with plausible batch-norm statistics.
 
-    Statistics are scaled to the producing conv's fan-in so folded
-    thresholds mostly land inside the reachable accumulator range; a few
-    gammas are flipped negative to exercise descending threshold tables.
+    ``arch`` is an :class:`ArchConfig` or a preset name.  Statistics are
+    scaled to the producing conv's fan-in so folded thresholds mostly
+    land inside the reachable accumulator range; a few gammas are flipped
+    negative to exercise descending threshold tables.
     """
-    g = build_model(arch_config(arch), k)
+    m = CheckpointManifest(
+        arch=arch_config(arch) if isinstance(arch, str) else arch, shared_const=shared_const
+    )
+    g = m.graph()
     rng = np.random.default_rng(seed)
-    m = CheckpointManifest(arch=arch, k=k, shared_const=shared_const)
     for node in g.convs:
         s = node.spec
         m.convs[node.name] = rng.standard_normal((s.out_ch, s.in_ch, s.kh, s.kw)).astype(
@@ -354,8 +370,6 @@ class CompiledModel:
     weights: dict[str, PackedWeights]
     thresholds: dict[str, ThresholdTable]
     alpha_out: float
-    arch: str
-    k: int
     shared_const: float
 
 
@@ -371,8 +385,9 @@ def compile_checkpoint(
     ``"alpha_out"``, one alpha_out = mean |w|; ``"alpha"``, per-channel
     alpha = mean |w|, with all-zero filters substituting alpha = 1 under
     a warning.  Each BnAct folds against whichever scale its producing
-    edge carries, clamped to that edge's accumulator bound.  Only named
-    architectures serialize.
+    edge carries, clamped to that edge's accumulator bound; a fold whose
+    reach over that bound is not finite raises :class:`CompileError`
+    naming the BnAct.
 
     Each conv's floats are dropped once its signs are packed; with a
     loaded manifest that reads one blob per lookup, compilation holds one
@@ -405,16 +420,13 @@ def compile_checkpoint(
     for bn in g.bnacts:
         info = g.edges[bn.src]
         alpha = np.full(bn.channels, c) if info.scale == "c" else weights[info.producer].alpha
-        thresholds[bn.name] = fuse_thresholds(alpha, manifest.bnacts[bn.name], acc_bound=info.bound)
+        try:
+            thresholds[bn.name] = fuse_thresholds(alpha, manifest.bnacts[bn.name], info.bound)
+        except DomainError as e:
+            raise CompileError(bn.name, str(e)) from None
 
     return CompiledModel(
-        graph=g,
-        weights=weights,
-        thresholds=thresholds,
-        alpha_out=alpha_out,
-        arch=manifest.arch,
-        k=manifest.k,
-        shared_const=c,
+        graph=g, weights=weights, thresholds=thresholds, alpha_out=alpha_out, shared_const=c
     )
 
 
@@ -430,19 +442,21 @@ def _check_bound(t: np.ndarray, bound: int, name: str, error: type[Exception]) -
 def serialize(model: CompiledModel) -> bytes:
     """Encode a compiled model as .ern bytes (see module docstring).
 
-    One walk over ``graph.nodes`` writes each conv's and BnAct's record.
-    A threshold table with |t| > its edge's bound + 1 raises
-    :class:`DomainError`, and a model of an unnamed architecture, which
-    ``load`` could not rebuild, raises :class:`ConfigError`.
+    The header stores ``graph.arch``, and one walk over ``graph.nodes``
+    writes each conv's and BnAct's record.  A threshold table with |t| >
+    its edge's bound + 1 raises :class:`DomainError`, and a graph with no
+    ``arch`` (wired by hand), which ``load`` could not rebuild, raises
+    :class:`ConfigError`.
     """
-    if model.arch not in ARCHITECTURES:
-        raise ConfigError(f"only named architectures serialize, got '{model.arch}'")
     g = model.graph
-    arch = model.arch.encode("utf-8")
+    a = g.arch
+    if a is None:
+        raise ConfigError("only a graph built from an ArchConfig serializes")
     parts = [
-        struct.pack("<H", len(arch)),
-        arch,
-        struct.pack("<Idd", model.k, model.shared_const, model.alpha_out),
+        _HEADER.pack(
+            BLOCKS.index(a.block), *a.counts, *a.channels, a.classes, a.k,
+            model.shared_const, model.alpha_out,
+        )
     ]
     for node in g.nodes:
         if isinstance(node, Conv):
@@ -477,8 +491,8 @@ class _Reader:
         self.pos += n
         return self.body[self.pos - n : self.pos]
 
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
 
     def array(self, dtype, count: int) -> np.ndarray:
         dtype = np.dtype(dtype)
@@ -493,13 +507,13 @@ def load(data: bytes) -> CompiledModel:
     file that ends early raises :class:`TruncationError` and one whose
     bytes changed raises :class:`ChecksumError` (or :class:`BadMagicError`
     or :class:`VersionError` for those fields).  Every other defect of a
-    file whose CRCs match raises a :class:`FormatError`: an unknown
-    architecture or k, c or alpha_out not finite and > 0, a stored scale
-    not finite and > 0, a pad weight bit that is not 1, a flag byte
-    other than 0, 1 or 2, a threshold past its edge's bound + 1, a
-    degenerate channel whose t2 or t3 is not 0, an invalid threshold
-    table, or a body of the wrong length, so every file that loads is one
-    ``serialize`` writes back byte for byte.
+    file whose CRCs match raises a :class:`FormatError`: an unknown block
+    kind or a layout :class:`ArchConfig` refuses, c or alpha_out not
+    finite and > 0, a stored scale not finite and > 0, a pad weight bit
+    that is not 1, a flag byte other than 0, 1 or 2, a threshold past its
+    edge's bound + 1, a degenerate channel whose t2 or t3 is not 0, an
+    invalid threshold table, or a body of the wrong length, so every file
+    that loads is one ``serialize`` writes back byte for byte.
     Only ``"alpha"`` convs' scales are stored; a ``"c"`` conv's scales are
     c and an ``"alpha_out"`` conv's alpha_out.
     """
@@ -527,17 +541,14 @@ def load(data: bytes) -> CompiledModel:
         raise ChecksumError("body CRC32 does not match the stored checksum")
 
     r = _Reader(body)
-    (n,) = r.unpack("<H")
-    try:
-        arch = str(r.take(n), "utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"architecture name is not valid UTF-8: {e}") from None
-    k, c, alpha_out = r.unpack("<Idd")
+    block, *sizes, classes, k, c, alpha_out = r.unpack(_HEADER)
     for what, v in (("shared constant c", c), ("head.conv scale alpha_out", alpha_out)):
         if not (np.isfinite(v) and v > 0):
             raise FormatError(f"{what} {v} is not finite and > 0")
+    if block >= len(BLOCKS):
+        raise FormatError(f"unknown block kind {block}")
     try:
-        g = build_model(arch_config(arch), k)
+        g = build_model(ArchConfig(BLOCKS[block], tuple(sizes[:4]), tuple(sizes[4:]), classes, k))
     except ConfigError as e:
         raise FormatError(str(e)) from None
 
@@ -551,10 +562,10 @@ def load(data: bytes) -> CompiledModel:
                 alpha = r.array("<f8", s.out_ch).astype(np.float64)
                 if not (np.isfinite(alpha) & (alpha > 0)).all():
                     raise FormatError(f"layer '{node.name}': scales must be finite and > 0")
-            else:
-                alpha = np.full(s.out_ch, c if scale == "c" else alpha_out)
             shape = (s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw)
             bits = r.array("<u8", math.prod(shape)).astype(np.uint64).reshape(shape)
+            if scale != "alpha":  # filled once the words are read, so the width is backed by bytes
+                alpha = np.full(s.out_ch, c if scale == "c" else alpha_out)
             lanes = s.in_ch % LANES  # the last word's logical lanes; the rest are pad, stored as 1
             pad = np.uint64(2**64 - (1 << lanes)) if lanes else np.uint64(0)
             if ((bits[:, -1] & pad) != pad).any():
@@ -581,35 +592,5 @@ def load(data: bytes) -> CompiledModel:
     if r.pos != len(body):
         raise FormatError(f"{len(body) - r.pos} unexpected bytes after the last record")
     return CompiledModel(
-        graph=g,
-        weights=weights,
-        thresholds=thresholds,
-        alpha_out=alpha_out,
-        arch=arch,
-        k=k,
-        shared_const=c,
+        graph=g, weights=weights, thresholds=thresholds, alpha_out=alpha_out, shared_const=c
     )
-
-
-def models_equivalent(a: CompiledModel, b: CompiledModel) -> bool:
-    """Bit-exact equality of weights, thresholds, and metadata."""
-    if (a.arch, a.k) != (b.arch, b.k):
-        return False
-    if a.shared_const != b.shared_const or a.alpha_out != b.alpha_out:
-        return False
-    if set(a.weights) != set(b.weights) or set(a.thresholds) != set(b.thresholds):
-        return False
-    for name, wa in a.weights.items():
-        wb = b.weights[name]
-        if not (np.array_equal(wa.bits, wb.bits) and np.array_equal(wa.alpha, wb.alpha)):
-            return False
-    for name, ta in a.thresholds.items():
-        tb = b.thresholds[name]
-        if not (
-            np.array_equal(ta.t, tb.t)
-            and np.array_equal(ta.ascending, tb.ascending)
-            and np.array_equal(ta.degenerate, tb.degenerate)
-            and np.array_equal(ta.const_code, tb.const_code)
-        ):
-            return False
-    return True

@@ -19,13 +19,16 @@ channels, scale and accumulator bound of every edge, and ``steps``, one
 its spatial rule and ``frees``, the inputs no later step reads.
 ``execute`` and ``trace_shapes`` are plain loops over the steps.
 
-The five stock variants mirror the ResNet family: stages of two-conv
-blocks (erns18/34 and the 384-channel erns18x075) or 1-3-1 bottleneck
-blocks (erns50/101).  The stem is four 3x3 convs with 64 output channels,
-strides 2,1,2,1, so the spatial dims shrink 4x before the stages and 32x
-overall.  All conv output channels are multiples of 64; the 1000-class
-head is the one exception (only input lanes are ever padded in storage,
-so its odd width costs nothing extra).
+An :class:`ArchConfig` is one architecture (block kind, four stage
+counts and widths, classes and the thermometer length k), and
+:func:`build_model` records it as the graph's ``arch``.  ``ARCHITECTURES``
+names five preset layouts that mirror the ResNet family: stages of
+two-conv blocks (erns18/34 and the 384-channel erns18x075) or 1-3-1
+bottleneck blocks (erns50/101).  The stem is four 3x3 convs with 64
+output channels, strides 2,1,2,1, so the spatial dims shrink 4x before
+the stages and 32x overall.  All conv output channels are multiples of
+64; the head, one per class, is the one exception (only input lanes are
+ever padded in storage, so its odd width costs nothing extra).
 
 Execution is pure integer arithmetic from the pixel-embedding output to
 the head conv accumulator.  A graph starts with its embedding and ends
@@ -148,10 +151,13 @@ class GraphDef:
 
     ``edges`` maps every edge name to its :class:`EdgeInfo` and ``steps``
     holds one :class:`Step` per node, in order; both are derived once
-    from ``nodes`` at construction.
+    from ``nodes`` at construction.  ``arch`` is the :class:`ArchConfig`
+    that :func:`build_model` built the nodes from, None for a graph wired
+    by hand; the nodes alone decide equality.
     """
 
     nodes: tuple[Node, ...]
+    arch: ArchConfig | None = field(default=None, compare=False)
     edges: dict[str, EdgeInfo] = field(init=False, compare=False, repr=False)
     steps: tuple[Step, ...] = field(init=False, compare=False, repr=False)
 
@@ -301,31 +307,40 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
 # architecture configs
 
 
+BLOCKS = ("conv", "bottleneck")  # a block kind's index is its .ern header byte
+
+
 @dataclass(frozen=True)
 class ArchConfig:
-    """Stage layout of one model variant.
+    """One architecture: block kind, stage layout, classes and thermometer length k.
 
     ``channels`` is the block output width per stage for two-conv blocks,
     or the bottleneck mid width per stage (output is 4x) for bottlenecks.
-    Every width must be a multiple of the 64-bit packing lane.
+    Every width must be a multiple of the 64-bit packing lane, each stage
+    holds 1 to 255 blocks, and k (3k input channels to the stem conv) is
+    in [1, 21845]; construction raises :class:`ConfigError` otherwise.
     """
 
-    name: str
-    block: str  # "conv" | "bottleneck"
+    block: str  # one of BLOCKS
     counts: tuple[int, int, int, int]
     channels: tuple[int, int, int, int]
     classes: int = CLASSES
+    k: int = 10
 
     def __post_init__(self):
-        if self.block not in ("conv", "bottleneck"):
+        if self.block not in BLOCKS:
             raise ConfigError(f"unknown block type '{self.block}'")
         if len(self.counts) != 4 or len(self.channels) != 4:
             raise ConfigError("expected 4 stage counts and 4 stage channel widths")
-        if min(self.counts) < 1 or min(self.channels) < 1:
-            raise ConfigError("stage counts and channels must be >= 1")
+        if not all(1 <= n <= 255 for n in self.counts):  # a count is one .ern header byte
+            raise ConfigError(f"stage counts must be in [1, 255], got {self.counts}")
+        if min(self.channels) < 1 or self.classes < 1:
+            raise ConfigError("stage channels and classes must be >= 1")
         bad = [c for c in self.channels if c % LANES]
         if bad:
             raise ConfigError(f"stage channels {bad} not multiples of {LANES}")
+        if not 1 <= self.k <= 0xFFFF // 3:  # 3k stem input channels fit 16 bits
+            raise ConfigError(f"thermometer length k must be in [1, {0xFFFF // 3}], got {self.k}")
 
     def stage_out(self, stage: int) -> int:
         c = self.channels[stage]
@@ -333,11 +348,11 @@ class ArchConfig:
 
 
 ARCHITECTURES: dict[str, ArchConfig] = {
-    "erns18": ArchConfig("erns18", "conv", (2, 2, 2, 2), (64, 128, 256, 512)),
-    "erns18x075": ArchConfig("erns18x075", "conv", (2, 2, 2, 2), (64, 128, 256, 384)),
-    "erns34": ArchConfig("erns34", "conv", (3, 4, 6, 3), (64, 128, 256, 512)),
-    "erns50": ArchConfig("erns50", "bottleneck", (3, 4, 6, 3), (64, 128, 256, 512)),
-    "erns101": ArchConfig("erns101", "bottleneck", (3, 4, 23, 3), (64, 128, 256, 512)),
+    "erns18": ArchConfig("conv", (2, 2, 2, 2), (64, 128, 256, 512)),
+    "erns18x075": ArchConfig("conv", (2, 2, 2, 2), (64, 128, 256, 384)),
+    "erns34": ArchConfig("conv", (3, 4, 6, 3), (64, 128, 256, 512)),
+    "erns50": ArchConfig("bottleneck", (3, 4, 6, 3), (64, 128, 256, 512)),
+    "erns101": ArchConfig("bottleneck", (3, 4, 23, 3), (64, 128, 256, 512)),
 }
 
 
@@ -402,10 +417,15 @@ def _block_entry(
 
 
 def build_convblock(
-    cin: int, cout: int, downsample: bool, src: str, prefix: str
+    cin: int, cout: int, downsample: bool, src: str, prefix: str, spatial: bool = True
 ) -> tuple[list[Node], str]:
-    """Two-conv residual block; identity is the block input unless downsampling."""
-    stride = 2 if downsample else 1
+    """Two-conv residual block; identity is the block input unless downsampling.
+
+    ``downsample`` adds the 1x1 projection shortcut; ``spatial`` makes it
+    (and the first 3x3 conv) stride 2.  A first stage wider than the stem
+    projects channels only (``spatial=False``).
+    """
+    stride = 2 if (downsample and spatial) else 1
     nodes, x, identity = _block_entry(cin, cout, stride, downsample, src, prefix)
     conv1 = _conv_node(f"{prefix}.conv1", cin, cout, 3, stride, "alpha", x)
     bn1 = BnAct(f"{prefix}.bn1", cout, conv1.dst, f"{prefix}.bn1.out")
@@ -442,37 +462,34 @@ def build_bottleneck(
     return nodes + [conv1, bn1, conv2, bn2, conv3, add], add.dst
 
 
-def build_model(cfg: ArchConfig, k: int = 10) -> GraphDef:
+def build_model(cfg: ArchConfig) -> GraphDef:
     """Full model graph: embed, stem, four stages, head conv, pooled logits.
 
-    ``k`` is the thermometer length, in [1, 21845] (3k input channels
-    to the stem conv); that bound is checked before anything is built.
+    The graph records ``cfg`` as its ``arch``.
     """
-    if not 1 <= k <= 0xFFFF // 3:
-        raise ConfigError(f"thermometer length k must be in [1, {0xFFFF // 3}], got {k}")
-    nodes: list[Node] = [PixelEmbed("embed", k, IMAGE_EDGE, "embed.out")]
-    stem_nodes, edge = build_stem(3 * k, "embed.out")
+    nodes: list[Node] = [PixelEmbed("embed", cfg.k, IMAGE_EDGE, "embed.out")]
+    stem_nodes, edge = build_stem(3 * cfg.k, "embed.out")
     nodes += stem_nodes
     cin = 64
     for stage in range(4):
         for b in range(cfg.counts[stage]):
             prefix = f"s{stage + 1}.b{b + 1}"
             cout = cfg.stage_out(stage)
+            # a stage's first block projects its shortcut: with stride 2 after the
+            # first stage, and in the first stage only if its width is not the stem's
+            downsample = b == 0 and (stage > 0 or cin != cout)
             if cfg.block == "conv":
-                downsample = b == 0 and stage > 0
-                blk, edge = build_convblock(cin, cout, downsample, edge, prefix)
+                blk, edge = build_convblock(cin, cout, downsample, edge, prefix, stage > 0)
             else:
-                downsample = b == 0
-                blk, edge = build_bottleneck(
-                    cin, cfg.channels[stage], cout, downsample, edge, prefix, spatial=stage > 0
-                )
+                mid = cfg.channels[stage]
+                blk, edge = build_bottleneck(cin, mid, cout, downsample, edge, prefix, stage > 0)
             nodes += blk
             cin = cout
     head_bn = BnAct("head.bn", cin, edge, "head.bn.out")
     head = _conv_node("head.conv", cin, cfg.classes, 1, 1, "alpha_out", head_bn.dst)
     pool = AvgPoolScale("head.pool", head.dst, LOGITS_EDGE)
     nodes += [head_bn, head, pool]
-    return GraphDef(nodes=tuple(nodes))
+    return GraphDef(nodes=tuple(nodes), arch=cfg)
 
 
 # --------------------------------------------------------------------------
@@ -510,14 +527,14 @@ class ModelStats:
     activations: int
 
 
-def model_stats(cfg: ArchConfig, resolution: int, k: int = 10) -> ModelStats:
+def model_stats(cfg: ArchConfig, resolution: int) -> ModelStats:
     """Parameter, MAC, and activation counts for a variant at one resolution.
 
     MACs and activations sum over conv layers (the head conv included);
     parameters use logical (unpadded) channels, with the padded byte count
     reported separately to match on-disk storage.
     """
-    g = build_model(cfg, k)
+    g = build_model(cfg)
     shapes = trace_shapes(g, resolution, resolution)
     params = 0
     padded_bytes = 0

@@ -290,10 +290,12 @@ def require_same_graph(model_graph: GraphDef, manifest_graph: GraphDef) -> None:
 def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     """Compare integer execution against the float reference image by image.
 
-    Passes iff every 2-bit code map matches outside boundary ties, the
-    residual branch values are exactly c times the integer accumulators,
-    and logits agree within ``LOGIT_RTOL`` relative; a non-finite logit on
-    either side counts as an infinite error.  Per image, the engine keeps
+    Passes iff every 2-bit code map matches outside boundary ties, every
+    residual-branch accumulator equals the oracle's integer-valued one
+    (both are then c times the same integers, so their scaled values
+    agree exactly, and no product by c can overflow), and logits agree
+    within ``LOGIT_RTOL`` relative; a non-finite logit on either side
+    counts as an infinite error.  Per image, the engine keeps
     only the edges compared (embed and BnAct codes as packed planes,
     residual-branch accumulators as int32), and each is compared and
     dropped when the oracle's walk reaches its node, so the peak does not
@@ -310,7 +312,6 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
         report.layers[bn.name] = LayerReport()
     branches = {src for n in g.nodes if isinstance(n, ResidualAdd) for src in (n.src_a, n.src_b)}
     compared = branches | {embed.dst} | {bn.dst for bn in g.bnacts}
-    c = model.shared_const
     kept: dict = {}
 
     def keep(step, value) -> None:
@@ -324,8 +325,8 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
             got = kept.pop(node.dst, None)
             if got is None:
                 continue
-            if node.dst in branches:
-                if not np.array_equal(c * want, c * got.astype(np.float64)):
+            if node.dst in branches:  # both integer-valued; c scales both alike
+                if not np.array_equal(got, want):
                     report.residual_scaling_exact = False
                 continue
             diffmask = unpack_activations(got, g.edges[node.dst].channels) != want

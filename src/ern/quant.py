@@ -192,7 +192,9 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
     edge's static accumulator bound (3 * fan_in plus any residual
     contributions); thresholds outside +/-acc_bound are clamped to
     sentinel values one past the bound -- never/always crossed, identical
-    semantics, bounded storage.
+    semantics, bounded storage.  The folded value A * acc + B must stay
+    finite over the whole range: a channel whose |A| * acc_bound + |B|
+    overflows raises :class:`DomainError`.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     if not (np.isfinite(alpha).all() and (alpha > 0).all()):
@@ -201,8 +203,12 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
     alpha = np.broadcast_to(alpha, (c,))
 
     sd = np.sqrt(bn.var + bn.epsilon)
-    a_coef = bn.gamma * alpha / sd
-    b_coef = bn.beta - bn.gamma * bn.mean / sd
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_coef = bn.gamma * alpha / sd
+        b_coef = bn.beta - bn.gamma * bn.mean / sd
+        reach = np.abs(a_coef) * acc_bound + np.abs(b_coef)
+    if not np.isfinite(reach).all():
+        raise DomainError(f"fold |A| * {acc_bound} + |B| over the accumulator range is not finite")
 
     degenerate = a_coef == 0.0
     ascending = a_coef > 0.0

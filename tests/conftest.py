@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from ern.compiler import FORMAT_VERSION, MAGIC, compile_checkpoint, gen_random_checkpoint
-from ern.graph import BnAct, Conv, arch_config, build_model, execute
+from ern.graph import ArchConfig, BnAct, Conv, build_model, execute
 from ern.oracle import oracle_from_manifest
 from ern.tensor import padded_channels, unpack_activations
 
@@ -71,6 +71,19 @@ def resign(body: bytes) -> bytes:
     )
 
 
+# the body header: block kind, 4 stage counts, 4 stage widths, classes, k, c, alpha_out
+HEADER = struct.Struct("<B4B4IIIdd")
+# file offset where each header field starts; counts are 4 x u8, channels 4 x u32
+HEADER_AT = {"block": 16, "counts": 17, "channels": 21, "classes": 37, "k": 41, "c": 45,
+             "alpha_out": 53}
+
+
+def header_arch(blob: bytes) -> ArchConfig:
+    """The ArchConfig a .ern file's header stores, parsed here, not by the compiler."""
+    block, *sizes, classes, k, _, _ = HEADER.unpack_from(blob, 16)
+    return ArchConfig(("conv", "bottleneck")[block], tuple(sizes[:4]), tuple(sizes[4:]), classes, k)
+
+
 def record_offset(blob: bytes, layer: str) -> int:
     """Offset of ``layer``'s record in ``blob``, found by walking the graph.
 
@@ -79,11 +92,8 @@ def record_offset(blob: bytes, layer: str) -> int:
     edge's scale is ``"alpha"``, then its weight words; a BnAct record is
     13 bytes per channel.
     """
-    (n,) = struct.unpack_from("<H", blob, 16)
-    arch = blob[18 : 18 + n].decode()
-    (k,) = struct.unpack_from("<I", blob, 18 + n)
-    g = build_model(arch_config(arch), k)
-    pos = 18 + n + 4 + 8 + 8  # after the arch string, k, c and alpha_out
+    g = build_model(header_arch(blob))
+    pos = 16 + HEADER.size
     for node in g.nodes:
         if node.name == layer:
             return pos

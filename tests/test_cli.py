@@ -10,7 +10,7 @@ from ern.cli import main
 from ern.compiler import load, serialize
 from ern.ppm import write_ppm
 
-from conftest import resign, rewrite_threshold_row
+from conftest import HEADER_AT, resign, rewrite_threshold_row
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +100,14 @@ class TestInfer:
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert main(["infer", "--model", str(bad), "--image", str(ws["ppm"])]) == 2
 
-    def test_invalid_utf8_layer_name(self, ws, capsys):
-        # the architecture is the one name a file stores
-        body = bytearray(ws["model"].read_bytes()[16:-4])
-        body[2] = 0xFF
-        bad = ws["root"] / "badname.ern"
-        bad.write_bytes(resign(bytes(body)))
+    def test_unknown_block_kind(self, ws, capsys):
+        # the header's block kind byte is 0 (conv) or 1 (bottleneck)
+        blob = bytearray(ws["model"].read_bytes())
+        blob[HEADER_AT["block"]] = 0xFF
+        bad = ws["root"] / "badblock.ern"
+        bad.write_bytes(resign(bytes(blob[16:-4])))
         assert main(["infer", "--model", str(bad), "--image", str(ws["ppm"])]) == 2
-        assert "UTF-8" in capsys.readouterr().err
+        assert "block kind 255" in capsys.readouterr().err
 
     def test_huge_header_number(self, ws, capsys):
         # more digits than Python's int() converts by default
@@ -251,6 +251,28 @@ class TestCompile:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_bytes() == ws["model"].read_bytes()
+
+    def test_prints_the_stored_layout(self, ws, capsys):
+        out = ws["root"] / "layout.ern"
+        assert main(["compile", "--manifest", str(ws["ckpt"]), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"{out}: conv blocks (2, 2, 2, 2) widths (64, 128, 256, 384) classes=1000 k=10 "
+            f"c=0.5 ({out.stat().st_size} bytes)\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_shared_const(self, tmp_path, capsys):
+        # init-random takes any finite c > 0; at 1e308 the first BnAct fed by
+        # c cannot fold, so compile refuses it by name instead of writing
+        # tables that verify cannot check
+        ckpt = tmp_path / "ckpt"
+        assert main(["init-random", "--arch", "erns18x075", "--seed", "0",
+                     "--shared-const", "1e308", "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.ern"
+        assert main(["compile", "--manifest", str(ckpt), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ern: layer 's1.b1.bn0': ")
+        assert not out.exists()
 
     def test_shared_const_override_changes_bytes(self, ws, capsys):
         out = ws["root"] / "c2.ern"

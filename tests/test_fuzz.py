@@ -4,9 +4,15 @@
 :class:`VersionError` for any single bit flip of a serialized
 erns18x075, and :class:`TruncationError` for any truncation.  A re-signed
 file with a structured edit (a flag byte, a threshold row, a
-``stem.conv1`` weight lane, or the header's k, c or alpha_out) either
-raises a :class:`FormatError` or loads as a model that serializes back to
-the same bytes and meets the compiler's invariants.
+``stem.conv1`` weight lane, or a header field: block kind, a stage count
+or width, classes, k, c or alpha_out) either raises a
+:class:`FormatError` or loads as a model that serializes back to the same
+bytes and meets the compiler's invariants, and ``ern infer`` on it exits
+0 or 2, never with a traceback.
+Small generated architectures (either block kind, stage counts 1-2,
+widths 64 or 128, odd class counts, k 1-21, odd and even resolutions)
+compile, serialize, load back byte for byte, run identically on both
+kernels and pass ``cross_check``.
 ``decode_ppm`` returns a (3, H, W) uint8 image or raises
 :class:`FormatError` for any damaged P6 file.  ``ern compile`` and
 ``ern verify`` on a checkpoint directory with one damaged
@@ -32,10 +38,12 @@ from hypothesis import strategies as st
 from ern.cli import main
 from ern.compiler import compile_checkpoint, gen_random_checkpoint, load, save_manifest, serialize
 from ern.errors import BadMagicError, ChecksumError, FormatError, TruncationError, VersionError
+from ern.graph import ArchConfig, execute
+from ern.oracle import cross_check, oracle_from_manifest
 from ern.ppm import decode_ppm
 from ern.tensor import LANES, padded_channels
 
-from conftest import record_offset, resign
+from conftest import HEADER_AT, record_offset, resign
 
 FUZZ = settings(max_examples=1000)
 
@@ -91,8 +99,7 @@ def structured_edit(draw) -> tuple[int, bytes]:
     """One edit of ``model_file()`` as (offset, new bytes), drawn from its graph."""
     data = model_file()
     g = model_graph()
-    (n,) = struct.unpack_from("<H", data, 16)
-    edit = draw(st.sampled_from(["flags", "row", "pad", "k", "c", "alpha_out"]), label="edit")
+    edit = draw(st.sampled_from(["flags", "row", "pad", *HEADER_AT]), label="edit")
     if edit in ("flags", "row"):
         bn = draw(st.sampled_from(g.bnacts), label="bnact")
         pos = offset(bn.name) + 13 * draw(st.integers(0, bn.channels - 1), label="channel")
@@ -117,10 +124,25 @@ def structured_edit(draw) -> tuple[int, bytes]:
         lane = draw(st.integers(0, LANES - 1), label="lane")
         pos += 8 * word + lane // 8
         return pos, bytes([data[pos] ^ 1 << lane % 8])
-    if edit == "k":
-        return 18 + n, struct.pack("<I", draw(st.integers(0, 2**32 - 1), label="k"))
+    if edit == "block":  # 0 conv and 1 bottleneck; 2-255 name no block kind
+        return HEADER_AT[edit], bytes([draw(st.integers(0, 255), label=edit)])
+    if edit == "counts":  # 0 is refused; up to 255 builds, then runs out of records
+        stage = draw(st.integers(0, 3), label="stage")
+        value = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 255]), st.integers(0, 255)), label=edit)
+        return HEADER_AT[edit] + stage, bytes([value])
+    if edit in ("channels", "classes", "k"):
+        at = HEADER_AT[edit]
+        if edit == "channels":
+            at += 4 * draw(st.integers(0, 3), label="stage")
+        special = {
+            "channels": [0, 1, 63, 64, 100, 128, 384, 448, 512, 2**32 - 64, 2**32 - 1],
+            "classes": [0, 1, 7, 999, 1000, 1001, 2**32 - 1],
+            "k": [0, 1, 9, 10, 11, 21, 22, 21845, 21846, 2**32 - 1],
+        }[edit]
+        value = draw(st.one_of(st.sampled_from(special), st.integers(0, 2**32 - 1)), label=edit)
+        return at, struct.pack("<I", value)
     value = draw(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, 5e-324])), label=edit)
-    return (22 if edit == "c" else 30) + n, struct.pack("<d", value)
+    return HEADER_AT[edit], struct.pack("<d", value)
 
 
 def assert_compiler_invariants(m) -> None:
@@ -145,20 +167,76 @@ def assert_compiler_invariants(m) -> None:
         assert (tbl.const_code[~d] == 0).all() and (tbl.const_code < 4).all()
 
 
+def edited(edit: tuple[int, bytes]) -> bytes:
+    """``model_file()`` with ``edit`` applied, re-signed."""
+    pos, new = edit
+    data = bytearray(model_file())
+    data[pos : pos + len(new)] = new
+    return resign(bytes(data[16:-4]))
+
+
+@pytest.fixture(scope="module")
+def tmp_dir(tmp_path_factory) -> Path:
+    """A directory holding one 17x17 raw image."""
+    root = tmp_path_factory.mktemp("edits")
+    (root / "img.raw").write_bytes(np.random.default_rng(5).integers(0, 256, 3 * 17 * 17,
+                                                                     dtype=np.uint8).tobytes())
+    return root
+
+
 class TestStructuredEdits:
     @settings(max_examples=400)
     @given(edit=structured_edit())
     def test_load_refuses_or_round_trips(self, edit):
-        pos, new = edit
-        data = bytearray(model_file())
-        data[pos : pos + len(new)] = new
-        blob = resign(bytes(data[16:-4]))
+        blob = edited(edit)
         try:
             m = load(blob)
         except FormatError:
             return
         assert serialize(m) == blob
         assert_compiler_invariants(m)
+
+    @settings(max_examples=100)
+    @given(edit=structured_edit())
+    # k 21 keeps stem.conv1's one word per tap and turns pad lanes into weights
+    @example(edit=(HEADER_AT["k"], struct.pack("<I", 21)))
+    def test_infer_exits_0_or_2(self, tmp_dir, edit):
+        with tempfile.TemporaryDirectory(dir=tmp_dir) as tmp:
+            model = Path(tmp) / "m.ern"
+            model.write_bytes(edited(edit))
+            rc, err = run_cli(["infer", "--model", str(model), "--image", str(tmp_dir / "img.raw"),
+                               "--raw", "3,17,17"])
+        assert rc in (0, 2), err
+        assert rc == 0 or err.startswith("ern:"), err
+
+
+@st.composite
+def small_arch(draw) -> ArchConfig:
+    """A small architecture of either block kind; odd class counts, any k up to 21."""
+    return ArchConfig(
+        draw(st.sampled_from(["conv", "bottleneck"]), label="block"),
+        tuple(draw(st.lists(st.integers(1, 2), min_size=4, max_size=4), label="counts")),
+        tuple(draw(st.lists(st.sampled_from([64, 128]), min_size=4, max_size=4), label="widths")),
+        classes=draw(st.integers(0, 499), label="classes") * 2 + 1,
+        k=draw(st.integers(1, 21), label="k"),
+    )
+
+
+class TestGeneratedArchitectures:
+    @settings(max_examples=30)
+    @given(cfg=small_arch(), size=st.integers(17, 48), seed=st.integers(0, 2**16))
+    def test_round_trip_kernels_and_oracle_agree(self, cfg, size, seed):
+        manifest = gen_random_checkpoint(cfg, seed)
+        blob = serialize(compile_checkpoint(manifest))
+        model = load(blob)
+        assert model.graph.arch == cfg
+        assert serialize(model) == blob
+        img = np.random.default_rng(seed).integers(0, 256, (3, size, size), dtype=np.uint8)
+        popcount = execute(model, img).logits
+        assert popcount.tobytes() == execute(model, img, kernel="naive").logits.tobytes()
+        report = cross_check(model, oracle_from_manifest(manifest), [img])
+        assert report.ok, report.summary()
+        assert sum(r.mismatches for r in report.layers.values()) == 0
 
 
 PPM = b"P6\n# a 5x4 image\n5 4\n255\n" + bytes(range(60))

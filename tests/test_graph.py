@@ -49,8 +49,7 @@ def compile_toy(g, rng):
             return g
 
     m = ToyManifest(
-        arch="toy",
-        k=1,
+        arch=None,
         convs={
             n.name: rng.standard_normal((n.spec.out_ch, n.spec.in_ch, n.spec.kh, n.spec.kw))
             for n in g.convs
@@ -197,12 +196,13 @@ class TestValidation:
         tracemalloc.start()
         try:
             with pytest.raises(ConfigError, match="thermometer length"):
-                build_model(arch_config("erns18"), k)
+                build_model(dataclasses.replace(arch_config("erns18"), k=k))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert build_model(arch_config("erns18"), 21845).node("stem.conv1").spec.in_ch == 65535
+        top = dataclasses.replace(arch_config("erns18"), k=21845)
+        assert build_model(top).node("stem.conv1").spec.in_ch == 65535
 
 
 class TestArchitectures:
@@ -234,7 +234,35 @@ class TestArchitectures:
 
     def test_stage_channels_must_be_lane_multiples(self):
         with pytest.raises(ConfigError, match="multiples of 64"):
-            ArchConfig("bad", "conv", (2, 2, 2, 2), (64, 128, 200, 512))
+            ArchConfig("conv", (2, 2, 2, 2), (64, 128, 200, 512))
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("block", "dense", "block type"),
+            ("counts", (2, 0, 2, 2), "stage counts"),
+            ("counts", (2, 256, 2, 2), "stage counts"),
+            ("channels", (64, 0, 64, 64), ">= 1"),
+            ("classes", 0, ">= 1"),
+            ("k", 0, "thermometer length"),
+        ],
+    )
+    def test_config_checked_at_construction(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(arch_config("erns18"), **{field: value})
+
+    def test_stage_count_up_to_255(self):
+        cfg = dataclasses.replace(arch_config("erns18"), counts=(255, 1, 1, 1))
+        assert sum(n.name.endswith(".add") for n in build_model(cfg).nodes) == 258
+
+    def test_graph_carries_its_config(self):
+        cfg = dataclasses.replace(arch_config("erns50"), k=4, classes=7)
+        g = build_model(cfg)
+        assert g.arch == cfg
+        assert g.node("embed").k == 4 and g.node("head.conv").spec.out_ch == 7
+        # a graph wired by hand has no config; the nodes alone decide equality
+        bare = GraphDef(g.nodes)
+        assert bare.arch is None and bare == g
 
     def test_block_misuse(self):
         with pytest.raises(ConfigError, match="downsample"):

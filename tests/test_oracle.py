@@ -82,7 +82,7 @@ def pencil_manifest():
         act_scale=0.5,
     )
     return ToyManifest(
-        arch="toy", k=1, convs={"c1": w1, "f": wf}, bnacts={"b1": bn}
+        arch=None, convs={"c1": w1, "f": wf}, bnacts={"b1": bn}
     )
 
 
@@ -197,7 +197,7 @@ def tie_manifest():
         act_scale=0.25,
     )
     return ToyManifest(
-        arch="toy", k=1, convs={"c1": w1, "f": wf}, bnacts={"b1": bn}
+        arch=None, convs={"c1": w1, "f": wf}, bnacts={"b1": bn}
     )
 
 

@@ -81,6 +81,12 @@ class TestFuse:
         acc = np.arange(-27, 28, dtype=np.int32).reshape(1, -1, 1)
         assert (unpack_activations(apply_thresholds(acc, tbl), 1) == 0).all()
 
+    @pytest.mark.parametrize("alpha,gamma,mean", [(1e308, 2.0, 0.0), (1.0, 1e300, 1e300)])
+    def test_rejects_overflowing_fold(self, alpha, gamma, mean):
+        # A = gamma * alpha, B = -gamma * mean here; |A| * bound + |B| must stay finite
+        with np.errstate(all="raise"), pytest.raises(DomainError, match="not finite"):
+            fuse_thresholds(np.full(1, alpha), bn1(gamma=gamma, mean=mean), acc_bound=100)
+
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
             fuse_thresholds(np.zeros(1), bn1(), acc_bound=100)
