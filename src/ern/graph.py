@@ -26,7 +26,13 @@ names five preset layouts that mirror the ResNet family: stages of
 two-conv blocks (erns18/34 and the 384-channel erns18x075) or 1-3-1
 bottleneck blocks (erns50/101).  The stem is four 3x3 convs with 64
 output channels, strides 2,1,2,1, so the spatial dims shrink 4x before
-the stages and 32x overall.  All conv output channels are multiples of
+the stages and 32x overall.  One builder makes every conv chain, with a
+BnAct between each two convs: the stem from the ``STEM`` table, and each
+block's residual branch from its kind's table (two 3x3 convs, or
+1x1/3x3/1x1 with the stride on the 3x3), the last conv scaled by c.  One
+rule makes the shortcut: a block projects it with a 1x1 conv scaled by c
+exactly when the block has stride 2 or changes width; otherwise the
+shortcut is the block input.  All conv output channels are multiples of
 64; the head, one per class, is the one exception (only input lanes are
 ever padded in storage, so its odd width costs nothing extra).
 
@@ -62,7 +68,6 @@ from .tensor import ACC_DTYPE, LANES, padded_channels, unpack_activations, unpac
 from .tensor import pack_activations  # noqa: F401
 
 CLASSES = 1000
-BOTTLENECK_EXPANSION = 4
 IMAGE_EDGE = "image"  # the input every graph starts from
 LOGITS_EDGE = "logits"  # the output of every graph's final pool
 
@@ -316,9 +321,11 @@ class ArchConfig:
 
     ``channels`` is the block output width per stage for two-conv blocks,
     or the bottleneck mid width per stage (output is 4x) for bottlenecks.
-    Every width must be a multiple of the 64-bit packing lane, each stage
-    holds 1 to 255 blocks, and k (3k input channels to the stem conv) is
-    in [1, 21845]; construction raises :class:`ConfigError` otherwise.
+    Every width must be a multiple of the 64-bit packing lane, each width
+    and ``classes`` is in [1, 2**32 - 1], each stage holds 1 to 255
+    blocks, and k (3k input channels to the stem conv) is in [1, 21845]:
+    each fits its ``.ern`` header field.  Construction raises
+    :class:`ConfigError` otherwise.
     """
 
     block: str  # one of BLOCKS
@@ -334,17 +341,16 @@ class ArchConfig:
             raise ConfigError("expected 4 stage counts and 4 stage channel widths")
         if not all(1 <= n <= 255 for n in self.counts):  # a count is one .ern header byte
             raise ConfigError(f"stage counts must be in [1, 255], got {self.counts}")
-        if min(self.channels) < 1 or self.classes < 1:
-            raise ConfigError("stage channels and classes must be >= 1")
+        if not all(1 <= c <= 0xFFFFFFFF for c in (*self.channels, self.classes)):  # .ern u32s
+            raise ConfigError(
+                f"stage channels and classes must be >= 1 and <= {0xFFFFFFFF}, "
+                f"got {self.channels} and {self.classes}"
+            )
         bad = [c for c in self.channels if c % LANES]
         if bad:
             raise ConfigError(f"stage channels {bad} not multiples of {LANES}")
         if not 1 <= self.k <= 0xFFFF // 3:  # 3k stem input channels fit 16 bits
             raise ConfigError(f"thermometer length k must be in [1, {0xFFFF // 3}], got {self.k}")
-
-    def stage_out(self, stage: int) -> int:
-        c = self.channels[stage]
-        return c * BOTTLENECK_EXPANSION if self.block == "bottleneck" else c
 
 
 ARCHITECTURES: dict[str, ArchConfig] = {
@@ -377,114 +383,67 @@ def _conv_node(
     return Conv(name, spec, scale, src, f"{name}.out")
 
 
-def build_stem(in_ch: int, src: str) -> tuple[list[Node], str]:
-    """Four 3x3/64 convs, strides 2,1,2,1; the last scaled by c, the rest by alpha.
+# a chain of convs as (size, width, stride, scale) rows: the stem is four 3x3/64
+# convs, strides 2,1,2,1, and its last carries c so the first block receives a
+# residual-ready accumulator
+STEM = ((3, 64, 2, "alpha"), (3, 64, 1, "alpha"), (3, 64, 2, "alpha"), (3, 64, 1, "c"))
 
-    The last conv carries the shared constant c so the first block
-    receives a residual-ready accumulator; each other conv's per-channel
-    alpha folds into the BnAct after it.
+# a block's residual branch, from its stage width w and its stride s: two 3x3
+# convs, or 1x1 / 3x3 / 1x1 with 4x expansion and the stride on the 3x3
+_BRANCHES = {
+    "conv": lambda w, s: ((3, w, s, "alpha"), (3, w, 1, "c")),
+    "bottleneck": lambda w, s: ((1, w, 1, "alpha"), (3, w, s, "alpha"), (1, 4 * w, 1, "c")),
+}
+
+
+def _chain(prefix: str, cin: int, convs, src: str) -> tuple[list[Node], str]:
+    """``<prefix>.conv1``, ``.conv2``, ... from ``convs`` rows, a BnAct between each two.
+
+    The BnAct after ``conv<i>`` is ``<prefix>.bn<i>``; the last conv's
+    output edge is returned with the nodes.
     """
     nodes: list[Node] = []
-    widths = [(in_ch, 64, 2), (64, 64, 1), (64, 64, 2), (64, 64, 1)]
-    edge = src
-    for i, (cin, cout, stride) in enumerate(widths, start=1):
-        last = i == len(widths)
-        conv = _conv_node(f"stem.conv{i}", cin, cout, 3, stride, "c" if last else "alpha", edge)
-        nodes.append(conv)
-        edge = conv.dst
-        if not last:
-            bn = BnAct(f"stem.bn{i}", cout, edge, f"stem.bn{i}.out")
+    for i, (size, width, stride, scale) in enumerate(convs, start=1):
+        if nodes:
+            bn = BnAct(f"{prefix}.bn{i - 1}", cin, src, f"{prefix}.bn{i - 1}.out")
             nodes.append(bn)
-            edge = bn.dst
-    return nodes, edge
-
-
-def _block_entry(
-    cin: int, cout: int, stride: int, downsample: bool, src: str, prefix: str
-) -> tuple[list[Node], str, str]:
-    """A block's input BnAct and, when downsampling, its 1x1 projection scaled by c.
-
-    Returns the nodes, the BnAct's output edge and the shortcut edge (the
-    block input unless downsampling).
-    """
-    if not downsample and cin != cout:
-        raise ConfigError(f"block '{prefix}': channel change {cin}->{cout} needs downsample")
-    bn0 = BnAct(f"{prefix}.bn0", cin, src, f"{prefix}.bn0.out")
-    if not downsample:
-        return [bn0], bn0.dst, src
-    down = _conv_node(f"{prefix}.down", cin, cout, 1, stride, "c", bn0.dst)
-    return [bn0, down], bn0.dst, down.dst
-
-
-def build_convblock(
-    cin: int, cout: int, downsample: bool, src: str, prefix: str, spatial: bool = True
-) -> tuple[list[Node], str]:
-    """Two-conv residual block; identity is the block input unless downsampling.
-
-    ``downsample`` adds the 1x1 projection shortcut; ``spatial`` makes it
-    (and the first 3x3 conv) stride 2.  A first stage wider than the stem
-    projects channels only (``spatial=False``).
-    """
-    stride = 2 if (downsample and spatial) else 1
-    nodes, x, identity = _block_entry(cin, cout, stride, downsample, src, prefix)
-    conv1 = _conv_node(f"{prefix}.conv1", cin, cout, 3, stride, "alpha", x)
-    bn1 = BnAct(f"{prefix}.bn1", cout, conv1.dst, f"{prefix}.bn1.out")
-    conv2 = _conv_node(f"{prefix}.conv2", cout, cout, 3, 1, "c", bn1.dst)
-    add = ResidualAdd(f"{prefix}.add", conv2.dst, identity, f"{prefix}.add.out")
-    return nodes + [conv1, bn1, conv2, add], add.dst
-
-
-def build_bottleneck(
-    cin: int,
-    cmid: int,
-    cout: int,
-    downsample: bool,
-    src: str,
-    prefix: str,
-    spatial: bool = True,
-) -> tuple[list[Node], str]:
-    """1x1 / 3x3 / 1x1 residual block with 4x expansion.
-
-    ``downsample`` adds the 1x1 projection shortcut; ``spatial`` makes it
-    (and the 3x3 conv) stride 2.  The stage-1 first block projects
-    channels only (``spatial=False``).
-    """
-    if cout != BOTTLENECK_EXPANSION * cmid:
-        raise ConfigError(f"block '{prefix}': expected cout == {BOTTLENECK_EXPANSION} * cmid")
-    stride = 2 if (downsample and spatial) else 1
-    nodes, x, identity = _block_entry(cin, cout, stride, downsample, src, prefix)
-    conv1 = _conv_node(f"{prefix}.conv1", cin, cmid, 1, 1, "alpha", x)
-    bn1 = BnAct(f"{prefix}.bn1", cmid, conv1.dst, f"{prefix}.bn1.out")
-    conv2 = _conv_node(f"{prefix}.conv2", cmid, cmid, 3, stride, "alpha", bn1.dst)
-    bn2 = BnAct(f"{prefix}.bn2", cmid, conv2.dst, f"{prefix}.bn2.out")
-    conv3 = _conv_node(f"{prefix}.conv3", cmid, cout, 1, 1, "c", bn2.dst)
-    add = ResidualAdd(f"{prefix}.add", conv3.dst, identity, f"{prefix}.add.out")
-    return nodes + [conv1, bn1, conv2, bn2, conv3, add], add.dst
+            src = bn.dst
+        conv = _conv_node(f"{prefix}.conv{i}", cin, width, size, stride, scale, src)
+        nodes.append(conv)
+        src, cin = conv.dst, width
+    return nodes, src
 
 
 def build_model(cfg: ArchConfig) -> GraphDef:
     """Full model graph: embed, stem, four stages, head conv, pooled logits.
 
-    The graph records ``cfg`` as its ``arch``.
+    The stem is the :func:`_chain` of ``STEM`` and each block's residual
+    branch the chain of its block kind's rows; a stage's first block
+    after the first stage has stride 2.  Each block starts with a BnAct
+    ``bn0``; its shortcut is the block input, or a 1x1 ``down`` conv
+    scaled by c after ``bn0`` exactly when the block has stride 2 or
+    changes width.  The graph records ``cfg`` as its ``arch``.
     """
     nodes: list[Node] = [PixelEmbed("embed", cfg.k, IMAGE_EDGE, "embed.out")]
-    stem_nodes, edge = build_stem(3 * cfg.k, "embed.out")
-    nodes += stem_nodes
-    cin = 64
-    for stage in range(4):
-        for b in range(cfg.counts[stage]):
+    stem, edge = _chain("stem", 3 * cfg.k, STEM, "embed.out")
+    nodes += stem
+    cin = STEM[-1][1]
+    for stage, (count, width) in enumerate(zip(cfg.counts, cfg.channels)):
+        for b in range(count):
             prefix = f"s{stage + 1}.b{b + 1}"
-            cout = cfg.stage_out(stage)
-            # a stage's first block projects its shortcut: with stride 2 after the
-            # first stage, and in the first stage only if its width is not the stem's
-            downsample = b == 0 and (stage > 0 or cin != cout)
-            if cfg.block == "conv":
-                blk, edge = build_convblock(cin, cout, downsample, edge, prefix, stage > 0)
-            else:
-                mid = cfg.channels[stage]
-                blk, edge = build_bottleneck(cin, mid, cout, downsample, edge, prefix, stage > 0)
-            nodes += blk
-            cin = cout
+            stride = 2 if stage > 0 and b == 0 else 1
+            branch = _BRANCHES[cfg.block](width, stride)
+            cout = branch[-1][1]
+            bn0 = BnAct(f"{prefix}.bn0", cin, edge, f"{prefix}.bn0.out")
+            nodes.append(bn0)
+            if stride != 1 or cin != cout:
+                down = _conv_node(f"{prefix}.down", cin, cout, 1, stride, "c", bn0.dst)
+                nodes.append(down)
+                edge = down.dst  # the shortcut: the block input unless projected
+            body, out = _chain(prefix, cin, branch, bn0.dst)
+            add = ResidualAdd(f"{prefix}.add", out, edge, f"{prefix}.add.out")
+            nodes += [*body, add]
+            edge, cin = add.dst, cout
     head_bn = BnAct("head.bn", cin, edge, "head.bn.out")
     head = _conv_node("head.conv", cin, cfg.classes, 1, 1, "alpha_out", head_bn.dst)
     pool = AvgPoolScale("head.pool", head.dst, LOGITS_EDGE)

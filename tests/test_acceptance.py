@@ -7,6 +7,7 @@ fixture and are discarded variant by variant to bound peak memory.
 """
 
 import gc
+import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,6 +32,21 @@ VARIANT_SEEDS = [
     ("erns101", 55),
 ]
 
+# SHA-256 of each variant's serialized model and of repr(graph.nodes), as
+# variant_sweep builds them: a builder refactor must change neither
+PINNED = {
+    "erns18": ("237d36d863506295836816c3eca2876b9502ab26756a5b00870f65a55c444157",
+               "d32391792e3183d03f3759d447a285deb242442043b9a06d3027b39d4774f4c7"),
+    "erns18x075": ("9827783ff22dabeef8e4c0002083a04126ae3f1e8a8bc5842bb596bc7578049e",
+                   "52e92ccb2ba7cbf0b0ddcc79999a16f7ddac2ad0713a633a3f939006c0cb17d9"),
+    "erns34": ("72a669bff7a6b12159f17ac256bb421556d20b9b2cfc988d5c790c02fce49053",
+               "8531690b6f9b82b7d54b195a42e6c19fdf6a9343483af8dc34c7cb2862152dbb"),
+    "erns50": ("6e01610d2f8145bf7045982bfe7308ae11a3fdfacb3ed607710ed2031844cab2",
+               "f115d6b0a41f832e8d2f1eb6fedebc0dca1fffbb328e02846e02fbe2815ef281"),
+    "erns101": ("53ea664cb93bb8ed4069f9bd8a61305ed362c40adcef8e61b3bf83da70113165",
+                "e9b888858db553799fe963804ce7331e4f6fb7ec59b4f13b0a654f66cbe10a68"),
+}
+
 
 @pytest.fixture(scope="module")
 def say(request):
@@ -48,7 +64,8 @@ def variant_sweep():
     """Random checkpoint, compile, oracle cross-check for every variant.
 
     Each variant is built, checked on 10 random 64x64 images, and freed
-    before the next starts; only the scalar summaries are kept.
+    before the next starts; only the scalar summaries and the digests of
+    its file and node list are kept.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -67,6 +84,8 @@ def variant_sweep():
             "rel": rep.max_logit_rel_err,
             "residual_exact": rep.residual_scaling_exact,
             "float_ops_core": execute(model, images[0]).float_ops_core,
+            "digests": (hashlib.sha256(serialize(model)).hexdigest(),
+                        hashlib.sha256(repr(model.graph.nodes).encode()).hexdigest()),
         }
         del model, om, rep, images
         gc.collect()
@@ -238,6 +257,14 @@ def test_a08_determinism_round_trip(say, rng):
         assert [o.float_ops_core for o in outs] == [0] * len(outs), workers
     say("A8 determinism PASS: byte-identical recompiles, exact round-trip, "
         "bit-identical logits and integer-only cores across runs and 1/2/4-thread pools")
+
+
+def test_a08_presets_pinned(say, variant_sweep):
+    """Every variant's .ern bytes and node list are the pinned ones."""
+    got = {a: variant_sweep[a]["digests"] for a, _ in VARIANT_SEEDS}
+    assert got == PINNED
+    say(f"A8 pinned-presets PASS: .ern and node-list SHA-256 of all {len(got)} variants "
+        f"match the pins")
 
 
 def test_a09_performance_report(say, erns18_model, rng):

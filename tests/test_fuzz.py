@@ -9,12 +9,14 @@ or width, classes, k, c or alpha_out) either raises a
 :class:`FormatError` or loads as a model that serializes back to the same
 bytes and meets the compiler's invariants, and ``ern infer`` on it exits
 0 or 2, never with a traceback.
-Small generated architectures (either block kind, stage counts 1-2,
-widths 64 or 128, odd class counts, k 1-21, odd and even resolutions)
-compile, serialize, load back byte for byte, run identically on both
-kernels and pass ``cross_check``.
+Small generated architectures (stage counts 1-2, widths 64 or 128, odd
+class counts, k 1-21, resolutions 17-48; each draw builds one network of
+each block kind, one run at an odd resolution and one at an even) compile,
+serialize, load back byte for byte, run identically on both kernels and
+pass ``cross_check``.
 ``decode_ppm`` returns a (3, H, W) uint8 image or raises
-:class:`FormatError` for any damaged P6 file.  ``ern compile`` and
+:class:`FormatError` for any damaged P6 file, and ``ern infer`` on one
+exits 0 or 2, never with a traceback.  ``ern compile`` and
 ``ern verify`` on a checkpoint directory with one damaged
 ``manifest.json`` field or one damaged blob exit 0 or 2, never with a
 traceback.  The runs are derandomized and keep no example database (the
@@ -38,7 +40,7 @@ from hypothesis import strategies as st
 from ern.cli import main
 from ern.compiler import compile_checkpoint, gen_random_checkpoint, load, save_manifest, serialize
 from ern.errors import BadMagicError, ChecksumError, FormatError, TruncationError, VersionError
-from ern.graph import ArchConfig, execute
+from ern.graph import BLOCKS, ArchConfig, execute
 from ern.oracle import cross_check, oracle_from_manifest
 from ern.ppm import decode_ppm
 from ern.tensor import LANES, padded_channels
@@ -211,10 +213,10 @@ class TestStructuredEdits:
 
 
 @st.composite
-def small_arch(draw) -> ArchConfig:
-    """A small architecture of either block kind; odd class counts, any k up to 21."""
+def small_arch(draw, block: str) -> ArchConfig:
+    """A small architecture of one block kind; odd class counts, any k up to 21."""
     return ArchConfig(
-        draw(st.sampled_from(["conv", "bottleneck"]), label="block"),
+        block,
         tuple(draw(st.lists(st.integers(1, 2), min_size=4, max_size=4), label="counts")),
         tuple(draw(st.lists(st.sampled_from([64, 128]), min_size=4, max_size=4), label="widths")),
         classes=draw(st.integers(0, 499), label="classes") * 2 + 1,
@@ -223,20 +225,24 @@ def small_arch(draw) -> ArchConfig:
 
 
 class TestGeneratedArchitectures:
-    @settings(max_examples=30)
-    @given(cfg=small_arch(), size=st.integers(17, 48), seed=st.integers(0, 2**16))
-    def test_round_trip_kernels_and_oracle_agree(self, cfg, size, seed):
-        manifest = gen_random_checkpoint(cfg, seed)
-        blob = serialize(compile_checkpoint(manifest))
-        model = load(blob)
-        assert model.graph.arch == cfg
-        assert serialize(model) == blob
-        img = np.random.default_rng(seed).integers(0, 256, (3, size, size), dtype=np.uint8)
-        popcount = execute(model, img).logits
-        assert popcount.tobytes() == execute(model, img, kernel="naive").logits.tobytes()
-        report = cross_check(model, oracle_from_manifest(manifest), [img])
-        assert report.ok, report.summary()
-        assert sum(r.mismatches for r in report.layers.values()) == 0
+    @settings(max_examples=15)
+    @given(data=st.data(), odd=st.booleans(), seed=st.integers(0, 2**16))
+    def test_round_trip_kernels_and_oracle_agree(self, data, odd, seed):
+        # each draw builds one network of each block kind, one at an odd side
+        for block, odd_side in zip(BLOCKS, (odd, not odd)):
+            cfg = data.draw(small_arch(block), label=block)
+            size = 2 * data.draw(st.integers(9, 24), label=f"{block} half side") - odd_side
+            manifest = gen_random_checkpoint(cfg, seed)
+            blob = serialize(compile_checkpoint(manifest))
+            model = load(blob)
+            assert model.graph.arch == cfg
+            assert serialize(model) == blob
+            img = np.random.default_rng(seed).integers(0, 256, (3, size, size), dtype=np.uint8)
+            popcount = execute(model, img).logits
+            assert popcount.tobytes() == execute(model, img, kernel="naive").logits.tobytes()
+            report = cross_check(model, oracle_from_manifest(manifest), [img])
+            assert report.ok, report.summary()
+            assert sum(r.mismatches for r in report.layers.values()) == 0
 
 
 PPM = b"P6\n# a 5x4 image\n5 4\n255\n" + bytes(range(60))
@@ -245,12 +251,21 @@ HEADER_BYTES = st.sampled_from(list(b"P6# \n0123456789"))
 
 @st.composite
 def damaged_ppm(draw) -> bytes:
-    """``PPM`` with a few bytes replaced, header or pixels, then truncated."""
+    """``PPM`` with a few bytes replaced, header or pixels, then maybe truncated."""
     data = bytearray(PPM)
     for _ in range(draw(st.integers(1, 4))):
         pos = draw(st.integers(0, len(data) - 1))
         data[pos] = draw(st.one_of(HEADER_BYTES, st.integers(0, 255)))
-    return bytes(data[: draw(st.integers(0, len(data)))])
+    return bytes(data[: draw(st.one_of(st.just(len(data)), st.integers(0, len(data))))])
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory) -> Path:
+    """A compiled model of a generated layout, written once."""
+    cfg = ArchConfig("conv", (1, 1, 1, 1), (64, 64, 64, 64), classes=7, k=3)
+    path = tmp_path_factory.mktemp("ppm") / "m.ern"
+    path.write_bytes(serialize(compile_checkpoint(gen_random_checkpoint(cfg, seed=3))))
+    return path
 
 
 class TestPpmFile:
@@ -265,6 +280,16 @@ class TestPpmFile:
             return
         assert img.dtype == np.uint8
         assert img.ndim == 3 and img.shape[0] == 3 and img.size > 0
+
+    @settings(max_examples=100)
+    @given(data=damaged_ppm())
+    def test_infer_exits_0_or_2(self, small_model, data):
+        with tempfile.TemporaryDirectory(dir=small_model.parent) as tmp:
+            image = Path(tmp) / "img.ppm"
+            image.write_bytes(data)
+            rc, err = run_cli(["infer", "--model", str(small_model), "--image", str(image)])
+        assert rc in (0, 2), err
+        assert rc == 0 or err.startswith("ern:"), err
 
 
 CKPT_ARCH = "erns18x075"

@@ -21,8 +21,6 @@ from ern.graph import (
     PixelEmbed,
     ResidualAdd,
     arch_config,
-    build_bottleneck,
-    build_convblock,
     build_model,
     execute,
     macs_for_conv,
@@ -244,6 +242,9 @@ class TestArchitectures:
             ("counts", (2, 256, 2, 2), "stage counts"),
             ("channels", (64, 0, 64, 64), ">= 1"),
             ("classes", 0, ">= 1"),
+            # each is a u32 of the .ern header
+            ("channels", (64, 64, 64, 2**32), "4294967295"),
+            ("classes", 2**32, "4294967295"),
             ("k", 0, "thermometer length"),
         ],
     )
@@ -263,12 +264,6 @@ class TestArchitectures:
         # a graph wired by hand has no config; the nodes alone decide equality
         bare = GraphDef(g.nodes)
         assert bare.arch is None and bare == g
-
-    def test_block_misuse(self):
-        with pytest.raises(ConfigError, match="downsample"):
-            build_convblock(64, 128, downsample=False, src="x", prefix="b")
-        with pytest.raises(ConfigError, match="cmid"):
-            build_bottleneck(64, 64, 128, downsample=True, src="x", prefix="b")
 
     def test_bottleneck_default_stride_position(self):
         g = build_model(arch_config("erns50"))
