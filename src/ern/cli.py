@@ -141,6 +141,9 @@ def cmd_stats(args) -> int:
         print(f"  padded bytes:       {stats.padded_weight_bytes:,}")
         print(f"  MACs:               {stats.macs:,}")
         print(f"  activations:        {stats.activations:,}")
+        print(f"  acc edges int16:    {stats.acc16_edges:,}")
+        print(f"  acc edges int32:    {stats.acc32_edges:,}")
+        print(f"  largest acc bound:  {stats.max_acc_bound:,}")
     return EXIT_OK
 
 

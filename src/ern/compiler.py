@@ -586,6 +586,7 @@ def load(data: bytes) -> CompiledModel:
                     ascending=(rec["flags"] & _ASCENDING).astype(bool),
                     degenerate=degenerate,
                     const_code=np.where(degenerate, t[:, 0], 0),
+                    dtype=g.edges[node.src].dtype,
                 )
             except (DomainError, ShapeError) as e:
                 raise FormatError(f"layer '{node.name}': {e}") from None

@@ -14,9 +14,10 @@ one scale, the only edge the pool reads.
 A graph is lowered once, at construction, by a single walk over its
 nodes that validates the wiring and derives two things everything
 downstream reads instead of re-deriving them: ``edges``, the kind,
-channels, scale and accumulator bound of every edge, and ``steps``, one
-:class:`Step` per node holding what it reads, the op that computes it,
-its spatial rule and ``frees``, the inputs no later step reads.
+channels, scale, accumulator bound and dtype of every edge, and
+``steps``, one :class:`Step` per node holding what it reads, the op
+that computes it, its spatial rule and ``frees``, the inputs no later
+step reads.
 ``execute`` and ``trace_shapes`` are plain loops over the steps.
 
 An :class:`ArchConfig` is one architecture (block kind, four stage
@@ -40,13 +41,16 @@ Execution is pure integer arithmetic from the pixel-embedding output to
 the head conv accumulator.  A graph starts with its embedding and ends
 with its pool, so each call counts the float ops of every step between
 the first and the last in its own counter (the count must be zero), and
-additionally checks the dtype of every step's output against one table
-keyed by edge kind: every act2 edge is held as one uint64 array of packed
-bitplanes, (2, words, H, W), every acc edge as int32 and the logits as
-float64.  A value is a plain array; its channel count is its edge's, in
-``edges``.  ``execute`` drops each step's ``frees`` after the step runs.
-A caller that wants intermediates passes ``observe(step, value)``, which
-sees each step's output once, after its dtype check and before its
+additionally checks the dtype of every step's output against its edge's
+``dtype``: every act2 edge is held as one uint64 array of packed
+bitplanes, (2, words, H, W), and the logits as float64.  An acc edge is
+as wide as its bound: int16 when the bound is at most 32,766 (int16's
+maximum - 1, so negation and the threshold sentinels stay exact), int32
+up to ``ACC_LIMIT``, and a graph with a larger bound is refused.  A
+value is a plain array; its channel count is its edge's, in ``edges``.
+``execute`` drops each step's ``frees`` after the step runs.  A caller
+that wants intermediates passes ``observe(step, value)``, which sees
+each step's output once, after its dtype check and before its
 ``frees`` are dropped, and keeps only what it needs.
 """
 
@@ -62,7 +66,7 @@ from .errors import ConfigError, ShapeError
 from .kernels import ConvSpec, avgpool_and_scale, conv_w1a2_naive, conv_w1a2_popcount, residual_add
 from .pixembed import encode_image, thermo_params
 from .quant import apply_thresholds
-from .tensor import ACC_DTYPE, LANES, padded_channels, unpack_activations, unpack_signs
+from .tensor import LANES, acc_dtype, padded_channels, unpack_activations, unpack_signs
 
 # kept only for perfbench's ``tensor.pack`` lookup; goes with ROADMAP item 1
 from .tensor import pack_activations  # noqa: F401
@@ -123,6 +127,10 @@ Node = PixelEmbed | Conv | BnAct | ResidualAdd | AvgPoolScale
 SCALES = ("alpha", "c", "alpha_out")
 
 
+# the dtype of every produced edge of a kind; an acc edge's is the narrowest that holds its bound
+_KIND_DTYPES = {"act2": np.dtype(np.uint64), "logits": np.dtype(np.float64)}
+
+
 @dataclass(frozen=True, slots=True)
 class EdgeInfo:
     kind: str  # "image" | "act2" | "acc" | "logits"
@@ -130,6 +138,7 @@ class EdgeInfo:
     producer: str
     scale: str | None = None  # acc edges: one of SCALES
     bound: int = 0  # acc edges: worst-case |value|
+    dtype: np.dtype | None = None  # what a produced value is held as; set by _lower
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,7 +216,7 @@ def _bnact(model, n: BnAct, kernel: str, acc: np.ndarray) -> np.ndarray:
 
 
 def _residual(model, n: ResidualAdd, kernel: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return residual_add(a, b)
+    return residual_add(a, b, model.graph.edges[n.dst].dtype)
 
 
 def _pool(model, n: AvgPoolScale, kernel: str, acc: np.ndarray) -> np.ndarray:
@@ -227,21 +236,31 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
 
     Returns edge name -> :class:`EdgeInfo`, including per-accumulator
     bounds from interval arithmetic (conv bound 3 * fan_in, residual adds
-    summing their branch bounds), and one :class:`Step` per node, each
-    freeing the inputs it is the last to read.  Each acc edge carries its
-    scale: a Conv's own (one of ``SCALES``, else :class:`ConfigError`),
-    and ``"c"`` for a ResidualAdd, whose inputs must both be ``"c"``.  The
-    pool must read an ``"alpha_out"`` edge, and the graph must end with
-    the pool that produces ``LOGITS_EDGE``.
+    summing their branch bounds) and each edge's dtype, an acc edge's
+    the narrowest that holds its bound (``acc_dtype``; a bound past
+    ``ACC_LIMIT`` is a :class:`ConfigError` naming the edge), and one
+    :class:`Step` per node, each freeing the inputs it is the last to
+    read.  Each acc edge carries its scale: a Conv's own (one of
+    ``SCALES``, else :class:`ConfigError`), and ``"c"`` for a
+    ResidualAdd, whose inputs must both be ``"c"``.  The pool must read
+    an ``"alpha_out"`` edge, and the graph must end with the pool that
+    produces ``LOGITS_EDGE``.
     """
     edges: dict[str, EdgeInfo] = {IMAGE_EDGE: EdgeInfo("image", 3, "<input>")}
     lowered: list[tuple] = []  # (node, srcs, op, spatial) per node
     last_read: dict[str, int] = {}  # edge -> index of the last node that reads it
 
-    def produce(name: str, info: EdgeInfo):
+    def produce(name: str, kind: str, channels: int, by: str, scale=None, bound=0):
         if name in edges:
             raise ConfigError(f"edge '{name}' produced twice")
-        edges[name] = info
+        if kind == "acc":
+            try:
+                dtype = acc_dtype(bound)
+            except ConfigError as e:
+                raise ConfigError(f"edge '{name}': {e}") from None
+        else:
+            dtype = _KIND_DTYPES[kind]
+        edges[name] = EdgeInfo(kind, channels, by, scale, bound, dtype)
 
     def consume(name: str, kind: str, by: str) -> EdgeInfo:
         if name not in edges:
@@ -255,7 +274,7 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
     for n in g.nodes:
         if isinstance(n, PixelEmbed):
             consume(n.src, "image", n.name)
-            produce(n.dst, EdgeInfo("act2", 3 * n.k, n.name))
+            produce(n.dst, "act2", 3 * n.k, n.name)
             step = (n.src,), _embed, _keep
         elif isinstance(n, Conv):
             src = consume(n.src, "act2", n.name)
@@ -265,9 +284,7 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
                 )
             if n.scale not in SCALES:
                 raise ConfigError(f"conv '{n.name}' has scale {n.scale!r}, not one of {SCALES}")
-            produce(
-                n.dst, EdgeInfo("acc", n.spec.out_ch, n.name, scale=n.scale, bound=n.spec.acc_bound)
-            )
+            produce(n.dst, "acc", n.spec.out_ch, n.name, scale=n.scale, bound=n.spec.acc_bound)
             step = (n.src,), _conv, n.spec.out_spatial
         elif isinstance(n, BnAct):
             src = consume(n.src, "acc", n.name)
@@ -275,7 +292,7 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
                 raise ConfigError(
                     f"bnact '{n.name}' has {n.channels} channels, edge has {src.channels}"
                 )
-            produce(n.dst, EdgeInfo("act2", n.channels, n.name))
+            produce(n.dst, "act2", n.channels, n.name)
             step = (n.src,), _bnact, _keep
         elif isinstance(n, ResidualAdd):
             a = consume(n.src_a, "acc", n.name)
@@ -287,13 +304,13 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
                 )
             if a.channels != b.channels:
                 raise ConfigError(f"residual '{n.name}' channel mismatch")
-            produce(n.dst, EdgeInfo("acc", a.channels, n.name, scale="c", bound=a.bound + b.bound))
+            produce(n.dst, "acc", a.channels, n.name, scale="c", bound=a.bound + b.bound)
             step = (n.src_a, n.src_b), _residual, _keep
         elif isinstance(n, AvgPoolScale):
             src = consume(n.src, "acc", n.name)
             if src.scale != "alpha_out":
                 raise ConfigError(f"pool '{n.name}' must consume the final conv output")
-            produce(n.dst, EdgeInfo("logits", src.channels, n.name))
+            produce(n.dst, "logits", src.channels, n.name)
             step = (n.src,), _pool, _to_1x1
         else:
             raise ConfigError(f"unknown node kind {type(n).__name__}")
@@ -484,16 +501,21 @@ class ModelStats:
     padded_weight_bytes: int
     macs: int
     activations: int
+    acc16_edges: int  # accumulator edges held as int16
+    acc32_edges: int  # accumulator edges held as int32
+    max_acc_bound: int  # the largest accumulator edge bound
 
 
 def model_stats(cfg: ArchConfig, resolution: int) -> ModelStats:
-    """Parameter, MAC, and activation counts for a variant at one resolution.
+    """Parameter, MAC, activation and accumulator-width counts for a variant at one resolution.
 
     MACs and activations sum over conv layers (the head conv included);
     parameters use logical (unpadded) channels, with the padded byte count
-    reported separately to match on-disk storage.
+    reported separately to match on-disk storage.  The accumulator edges
+    are counted by their width in ``edges``, next to the largest bound.
     """
     g = build_model(cfg)
+    accs = [e for e in g.edges.values() if e.kind == "acc"]
     shapes = trace_shapes(g, resolution, resolution)
     params = 0
     padded_bytes = 0
@@ -514,15 +536,14 @@ def model_stats(cfg: ArchConfig, resolution: int) -> ModelStats:
         padded_weight_bytes=padded_bytes,
         macs=macs,
         activations=acts,
+        acc16_edges=sum(e.dtype == np.int16 for e in accs),
+        acc32_edges=sum(e.dtype == np.int32 for e in accs),
+        max_acc_bound=max(e.bound for e in accs),
     )
 
 
 # --------------------------------------------------------------------------
 # execution
-
-
-# the dtype every step's output must have, by the kind of edge it produces
-_EDGE_DTYPES = {"act2": np.uint64, "acc": ACC_DTYPE, "logits": np.float64}
 
 
 @dataclass
@@ -544,11 +565,11 @@ def execute(
     step's ``frees`` are dropped after it runs.  ``observe(step, value)``,
     if given, is called once per step with the step's output (act2 edges
     as (2, words, H, W) uint64 planes, whose width is the edge's
-    ``channels`` in ``model.graph.edges``; acc edges as int32; the logits
-    as float64) after its dtype check and before its ``frees`` are
-    dropped; whatever it keeps outlives the call.  A step whose output
-    has another dtype raises :class:`AssertionError` naming the node,
-    under ``python -O`` too.
+    ``channels`` in ``model.graph.edges``; acc edges as int16 or int32,
+    the edge's ``dtype``; the logits as float64) after its dtype check
+    and before its ``frees`` are dropped; whatever it keeps outlives the
+    call.  A step whose output has another dtype than its edge's raises
+    :class:`AssertionError` naming the node, under ``python -O`` too.
     """
     if kernel not in ("popcount", "naive"):
         raise ConfigError(f"unknown kernel '{kernel}'")
@@ -560,9 +581,9 @@ def execute(
 
     def run(s: Step) -> None:
         out = s.op(model, s.node, kernel, *[values[src] for src in s.srcs])
-        want = _EDGE_DTYPES[g.edges[s.node.dst].kind]
+        want = g.edges[s.node.dst].dtype
         if out.dtype != want:  # raised, not asserted, so ``python -O`` keeps the check
-            raise AssertionError(f"{s.node.name}: {out.dtype} output, expected {np.dtype(want)}")
+            raise AssertionError(f"{s.node.name}: {out.dtype} output, expected {want}")
         values[s.node.dst] = out
         if observe is not None:
             observe(s, out)

@@ -1,7 +1,8 @@
 """Integer convolution kernels, residual addition, and the pooled head.
 
-Two interchangeable convolution paths produce bit-identical int32
-accumulators:
+Two interchangeable convolution paths produce bit-identical
+accumulators, each at its edge's width (``acc_dtype`` of the conv's
+``acc_bound``: int16 up to 32,766, else int32):
 
 * ``conv_w1a2_naive`` -- direct integer dot products of +/-1 signs against
   2-bit codes, one int64 matmul per kernel tap.  Simple enough to serve as
@@ -33,11 +34,15 @@ accumulators:
 Zero padding uses activation code 0, which contributes exactly 0 to any
 +/-1-weighted sum, making pad semantics bit-exact.
 
-Accumulators are int32 from the conv output to the pool.  Every popcount
-total of a conv is at most its ``acc_bound``, far below 2**31, so the
-kernel sums and subtracts in int32 directly; the residual add sums in
-int32 and rejects any element whose true sum passes ``ACC_LIMIT`` in
-magnitude, detecting wrap-around without a wider temporary.
+An accumulator keeps its edge's width from the conv output to the pool;
+no wider map is made.  The popcount kernel forms ``2 * hits - base`` in
+the unsigned integer of the output's width, modulo 2**16 or 2**32: 2 *
+hits alone can pass 2**15, but the true value's magnitude is at most
+``acc_bound``, which the width holds, so the wrapped result read as
+signed is exact.  The residual add sums at its output edge's width and
+rejects any element whose true sum passes that width's limit (its
+maximum - 1) in magnitude, detecting wrap-around without a wider
+temporary.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .instrument import note_float_ops
-from .tensor import ACC_DTYPE, ACC_LIMIT, LANES, PackedWeights, ensure_act2, popcount
-from .tensor import padded_channels
+from .tensor import ACC_DTYPE, ACC_DTYPES, LANES, PackedWeights, acc_dtype, acc_limit
+from .tensor import ensure_act2, padded_channels, popcount
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def conv_w1a2_naive(x: np.ndarray, signs: np.ndarray, spec: ConvSpec) -> np.ndar
     """Direct integer convolution of 2-bit codes against +/-1 signs.
 
     ``signs`` is the unpacked (OC, IC, kh, kw) view of the weights.
-    Returns the int32 accumulator map (OC, OH, OW).
+    Returns the accumulator map (OC, OH, OW) at ``acc_dtype(spec.acc_bound)``.
     """
     x = ensure_act2(x)
     signs = np.asarray(signs)
@@ -148,10 +153,14 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
     for t in range(taps):
         windows[t] = _tap_window(x, t // spec.kw, t % spec.kw, spec.stride, oh, ow)
     windows = windows.reshape(taps, 2, nw, 1, oh * ow)
-    # pad lanes are zero in both planes, so no sum below exceeds acc_bound
+    # every sum below is taken modulo 2**bits of the output width, in its
+    # unsigned twin; pad lanes are zero in both planes, so the true
+    # 2 * hits - base never exceeds acc_bound, which the width holds
+    dtype = acc_dtype(spec.acc_bound)
+    wrap = np.dtype(f"u{dtype.itemsize}")
     pc = popcount(windows[..., 0, :])
-    base = 2 * pc[:, 0].sum(axis=(0, 1), dtype=ACC_DTYPE)
-    base += pc[:, 1].sum(axis=(0, 1), dtype=ACC_DTYPE)
+    base = 2 * pc[:, 0].sum(axis=(0, 1), dtype=wrap)
+    base += pc[:, 1].sum(axis=(0, 1), dtype=wrap)
     # (taps, words, OC, 1): each tap's weight words, ANDed against both planes
     wtaps = w.bits.reshape(spec.out_ch, nw, taps)
     wtaps = np.ascontiguousarray(wtaps.transpose(2, 1, 0))[..., None]
@@ -164,7 +173,7 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
     anded = np.empty((2, nw, block, oh * ow), dtype=np.uint64)
     bits = np.empty(anded.shape, dtype=np.uint8)
     counts = np.empty(anded.shape, dtype=count_dtype)
-    acc = np.empty((spec.out_ch, oh * ow), dtype=ACC_DTYPE)
+    acc = np.empty((spec.out_ch, oh * ow), dtype=dtype)
     for o0 in range(0, spec.out_ch, block):
         o1 = min(o0 + block, spec.out_ch)
         a, b, c = anded[:, :, : o1 - o0], bits[:, :, : o1 - o0], counts[:, :, : o1 - o0]
@@ -177,8 +186,8 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
         hits = np.add.reduce(c[0], axis=0, dtype=hits_dtype)
         hits *= 2
         hits += np.add.reduce(c[1], axis=0, dtype=hits_dtype)
-        out = acc[o0:o1]
-        np.multiply(hits, 2, out=out, dtype=ACC_DTYPE)  # 2 * hits may not fit hits_dtype
+        out = acc[o0:o1].view(wrap)
+        np.multiply(hits, 2, out=out, dtype=wrap, casting="unsafe")  # 2 * hits modulo 2**bits
         out -= base
     return _check_acc(acc.reshape(spec.out_ch, oh, ow), spec)
 
@@ -187,31 +196,36 @@ def _check_acc(acc: np.ndarray, spec: ConvSpec) -> np.ndarray:
     bound = spec.acc_bound
     if acc.size and (acc.max() > bound or acc.min() < -bound):
         raise ShapeError(f"accumulator exceeded bound {bound} for {spec}")
-    return acc.astype(ACC_DTYPE, copy=False)
+    return acc.astype(acc_dtype(bound), copy=False)
 
 
-def residual_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise int32 sum of two int32 accumulator maps.
+def residual_add(a: np.ndarray, b: np.ndarray, dtype=ACC_DTYPE) -> np.ndarray:
+    """Elementwise sum of two accumulator maps at ``dtype``, the output edge's width.
 
+    ``dtype`` is one of ``ACC_DTYPES`` and neither input may be wider.
     Raises :class:`ShapeError` if any element's true sum has magnitude
-    above ``ACC_LIMIT`` (2**31 - 2), the range the threshold stage is
-    exact for.
+    above ``acc_limit(dtype)`` (32,766 for int16, ``ACC_LIMIT`` =
+    2**31 - 2 for int32), the range the threshold stage is exact for.
     """
     a = np.asarray(a)
     b = np.asarray(b)
+    dtype = np.dtype(dtype)
     if a.shape != b.shape:
         raise ShapeError(f"residual shapes differ: {a.shape} vs {b.shape}")
-    if not (a.dtype == b.dtype == ACC_DTYPE):
-        raise ShapeError(f"residual_add requires {np.dtype(ACC_DTYPE)} accumulators")
-    out = a + b  # wraps modulo 2**32 where the true sum leaves the int32 range
-    if out.size and (
-        int(a.max()) + int(b.max()) > ACC_LIMIT or int(a.min()) + int(b.min()) < -ACC_LIMIT
-    ):
+    wider = max(a.itemsize, b.itemsize) > dtype.itemsize
+    if wider or not {a.dtype, b.dtype, dtype} <= set(ACC_DTYPES):
+        raise ShapeError(
+            f"residual_add sums int16/int32 accumulators into one no narrower, "
+            f"got {a.dtype} + {b.dtype} -> {dtype}"
+        )
+    limit = acc_limit(dtype)
+    out = np.add(a, b, dtype=dtype)  # wraps modulo 2**bits where the true sum leaves the range
+    if out.size and (int(a.max()) + int(b.max()) > limit or int(a.min()) + int(b.min()) < -limit):
         # some element may pass the limit; a wrapped sum moved away from a
         # in the opposite direction to b
         wrapped = (out < a) != (b < 0)
-        if wrapped.any() or out.max() > ACC_LIMIT or out.min() < -ACC_LIMIT:
-            raise ShapeError("residual sum overflows the 32-bit accumulator")
+        if wrapped.any() or out.max() > limit or out.min() < -limit:
+            raise ShapeError(f"residual sum overflows the {dtype} accumulator")
     return out
 
 

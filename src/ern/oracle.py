@@ -24,9 +24,10 @@ applies c lazily.
 drops each map after its last reader (the step's ``frees``).
 :func:`cross_check` runs the engine first, keeping through ``execute``'s
 ``observe`` hook only what it compares (embed and BnAct codes as packed
-planes, residual-branch accumulators as int32), then walks the oracle
-and compares each kept value when its node is reached, so the memory it
-holds is one image's compared edges plus the oracle's live maps.
+planes, residual-branch accumulators at their edge's width), then walks
+the oracle and compares each kept value when its node is reached, so the
+memory it holds is one image's compared edges plus the oracle's live
+maps.
 
 A cross-check can still legitimately disagree with the engine at
 positions where the pre-quantization value sits essentially on a code
@@ -297,9 +298,9 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     within ``LOGIT_RTOL`` relative; a non-finite logit on either side
     counts as an infinite error.  Per image, the engine keeps
     only the edges compared (embed and BnAct codes as packed planes,
-    residual-branch accumulators as int32), and each is compared and
-    dropped when the oracle's walk reaches its node, so the peak does not
-    grow with the number of images.  A model and an oracle built on
+    residual-branch accumulators at their edge's width), and each is
+    compared and dropped when the oracle's walk reaches its node, so the
+    peak does not grow with the number of images.  A model and an oracle built on
     different graphs (another architecture or k) raise
     :class:`ConfigError` before any image is run.
     """

@@ -26,21 +26,24 @@ is done in 64-bit reals with a fixed evaluation order; the integer
 threshold path is canonical at real-arithmetic boundary ties.
 
 At run time the direction folds into a per-channel sign s = +/-1, so
-every channel counts the same way against sorted int32 thresholds ts:
+every channel counts the same way against sorted thresholds ts, held at
+the width of the accumulator the table reads (``ThresholdTable.dtype``,
+int16 or int32, the input edge's width in the graph):
 
     code = #{ j : s * acc >= ts_j }
 
 (a descending channel has ts = -t reversed; a degenerate one has
-s = +1 and ``const_code`` copies of the int32 minimum followed by the
-int32 maximum).  Because ts is sorted, the three compares c1 >= c2 >= c3
+s = +1 and ``const_code`` copies of the width's minimum followed by its
+maximum).  Because ts is sorted, the three compares c1 >= c2 >= c3
 are nested, so the code's bits come out directly:
 
     hi = (s * acc >= ts_2)        lo = c1 xor c2 xor c3
 
 and both are packed straight into the next layer's bitplanes; no code
-map is ever written.  Clamping thresholds into the int32 range is exact
-for every accumulator with |acc| <= ``ACC_LIMIT`` (2**31 - 2), the range
-the int32 convolution and residual add guarantee.
+map is ever written.  Clamping thresholds into the width's range is
+exact for every accumulator with |acc| <= ``acc_limit`` of the width
+(32,766 for int16, ``ACC_LIMIT`` = 2**31 - 2 for int32), the range the
+convolution and residual add guarantee for that width.
 """
 
 from __future__ import annotations
@@ -51,10 +54,9 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .instrument import note_float_ops
-from .tensor import ACC_DTYPE, ACC_LIMIT, pack_bitplanes, padded_channels
+from .tensor import ACC_DTYPE, ACC_DTYPES, acc_dtype, acc_limit, pack_bitplanes, padded_channels
 
 NUM_CODES = 4  # 2-bit activations
-_ACC = np.iinfo(ACC_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -104,14 +106,17 @@ class ThresholdTable:
     ``t`` is (C, 3) int64, sorted ascending per channel.  Ascending
     channels output #{j : acc >= t_j}; descending #{j : acc <= t_j}.
     Channels with gamma == 0 are degenerate and output ``const_code``.
-    Construction checks those invariants and builds the sign-folded
-    run-time form, ``sign`` (C, 1, 1) and ``ts`` (3, C, 1, 1), both int32.
+    ``dtype`` is the width of the accumulator the table reads, int16 or
+    int32.  Construction checks those invariants and builds the
+    sign-folded run-time form, ``sign`` (C, 1, 1) and ``ts`` (3, C, 1, 1),
+    both at ``dtype``.
     """
 
     t: np.ndarray
     ascending: np.ndarray
     degenerate: np.ndarray
     const_code: np.ndarray
+    dtype: np.dtype = field(default=np.dtype(ACC_DTYPE), compare=False)
     sign: np.ndarray = field(init=False, compare=False, repr=False)
     ts: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -132,20 +137,25 @@ class ThresholdTable:
         ascending = flags["ascending"].astype(bool, copy=False)
         degenerate = flags["degenerate"].astype(bool, copy=False)
         const_code = flags["const_code"].astype(np.uint8, copy=False)
+        dtype = np.dtype(self.dtype)
+        if dtype not in ACC_DTYPES:
+            raise DomainError(f"a table reads an int16 or int32 accumulator width, not {dtype}")
 
         # clamp before negating so nothing overflows; both clamps keep every
-        # compare's outcome for |acc| <= ACC_LIMIT
-        ts = np.clip(t, _ACC.min, _ACC.max)
-        ts = np.clip(np.where(ascending[:, None], ts, -ts[:, ::-1]), _ACC.min, _ACC.max)
+        # compare's outcome for |acc| <= acc_limit(dtype)
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        ts = np.clip(t, lo, hi)
+        ts = np.clip(np.where(ascending[:, None], ts, -ts[:, ::-1]), lo, hi)
         fixed = np.arange(NUM_CODES - 1) < const_code[:, None]
-        ts[degenerate] = np.where(fixed, _ACC.min, _ACC.max)[degenerate]
-        sign = np.where(ascending | degenerate, 1, -1).astype(ACC_DTYPE).reshape(c, 1, 1)
-        ts = np.ascontiguousarray(ts.T, dtype=ACC_DTYPE).reshape(NUM_CODES - 1, c, 1, 1)
+        ts[degenerate] = np.where(fixed, lo, hi)[degenerate]
+        sign = np.where(ascending | degenerate, 1, -1).astype(dtype).reshape(c, 1, 1)
+        ts = np.ascontiguousarray(ts.T, dtype=dtype).reshape(NUM_CODES - 1, c, 1, 1)
         for name, value in (
             ("t", t),
             ("ascending", ascending),
             ("degenerate", degenerate),
             ("const_code", const_code),
+            ("dtype", dtype),
             ("sign", sign),
             ("ts", ts),
         ):
@@ -194,7 +204,8 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
     sentinel values one past the bound -- never/always crossed, identical
     semantics, bounded storage.  The folded value A * acc + B must stay
     finite over the whole range: a channel whose |A| * acc_bound + |B|
-    overflows raises :class:`DomainError`.
+    overflows raises :class:`DomainError`.  The table reads accumulators
+    at ``acc_dtype(acc_bound)``, the width the graph gives that edge.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     if not (np.isfinite(alpha).all() and (alpha > 0).all()):
@@ -227,7 +238,7 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
     rounded = np.clip(np.nan_to_num(rounded, nan=0.0, posinf=limit, neginf=-limit), -limit, limit)
     t = np.sort(rounded, axis=1).astype(np.int64)
     t[degenerate] = 0
-    return ThresholdTable(t=t, ascending=ascending, degenerate=degenerate, const_code=const_code)
+    return ThresholdTable(t, ascending, degenerate, const_code, acc_dtype(acc_bound))
 
 
 def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
@@ -236,9 +247,10 @@ def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
     Applies the sign-folded hi/lo rule (module docstring) with pure
     integer compares and packs both bits along the channel axis; this is
     the engine's only activation path.  ``acc`` is (C, H, W) with
-    |acc| <= ``ACC_LIMIT``, checked for every integer dtype (the sign fold
-    and the int32 sentinels are exact only inside it); an accumulator
-    wider than int32 is then narrowed.
+    |acc| <= ``acc_limit(tbl.dtype)``, checked for every integer dtype
+    (the sign fold and the sentinels are exact only inside it).  An
+    accumulator at the table's width, as every engine edge is, is used
+    as it is; any other is then cast to that width.
     """
     acc = np.asarray(acc)
     if not np.issubdtype(acc.dtype, np.integer):
@@ -247,9 +259,10 @@ def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
         raise ShapeError(
             f"accumulator shape {acc.shape} does not match {tbl.channels} table channels"
         )
-    if acc.size and max(int(acc.max()), -int(acc.min())) > ACC_LIMIT:
-        raise DomainError(f"accumulator magnitude exceeds {ACC_LIMIT}")
-    acc = acc.astype(ACC_DTYPE, copy=False)
+    limit = acc_limit(tbl.dtype)
+    if acc.size and max(int(acc.max()), -int(acc.min())) > limit:
+        raise DomainError(f"accumulator magnitude exceeds {limit}")
+    acc = acc.astype(tbl.dtype, copy=False)
     c, h, w = acc.shape
     folded = acc * tbl.sign
     bits = np.zeros((2, padded_channels(c), h, w), dtype=bool)

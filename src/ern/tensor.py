@@ -19,9 +19,13 @@ Layout rules shared by the whole engine:
   don't-care.  We fix pad weight bits to 1 for byte-exact reproducibility.
 * A 2-bit code decomposes as ``code = 2*hi_bit + lo_bit``.
 
-Integer accumulators are ``int32`` arrays; their magnitude is bounded by
-3 * fan_in of the producing convolution, plus residual branch sums, and
-never exceeds ``ACC_LIMIT``.
+Integer accumulators are int16 or int32 arrays.  Each edge's magnitude
+is bounded by 3 * fan_in of the producing convolution, plus residual
+branch sums; :func:`acc_dtype` maps that static bound to the narrowest of
+``ACC_DTYPES`` that holds it, and no bound may pass ``ACC_LIMIT``.  A
+width's limit is its maximum minus one, so every |value| within it
+stays exact under the threshold stage's sign fold and never reaches the
+width's maximum, the "never crossed" sentinel of a clamped threshold.
 """
 
 from __future__ import annotations
@@ -30,13 +34,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 LANES = 64
 _SHIFTS = np.arange(LANES, dtype=np.uint64)
 
-ACC_DTYPE = np.int32
+ACC_DTYPES = (np.dtype(np.int16), np.dtype(np.int32))  # accumulator widths, narrowest first
+ACC_DTYPE = np.int32  # the widest
 ACC_LIMIT = int(np.iinfo(ACC_DTYPE).max) - 1  # largest |accumulator| the engine holds
+
+
+def acc_limit(dtype) -> int:
+    """Largest |accumulator| an accumulator of ``dtype`` holds exactly: its maximum - 1."""
+    return int(np.iinfo(dtype).max) - 1
+
+
+def acc_dtype(bound: int) -> np.dtype:
+    """The narrowest accumulator dtype for values of |magnitude| <= ``bound``.
+
+    int16 up to 32,766, int32 up to ``ACC_LIMIT``; a larger bound raises
+    :class:`ConfigError`.
+    """
+    for dtype in ACC_DTYPES:
+        if bound <= acc_limit(dtype):
+            return dtype
+    raise ConfigError(f"accumulator bound {bound} passes ACC_LIMIT {ACC_LIMIT}")
 
 
 def padded_channels(c: int) -> int:

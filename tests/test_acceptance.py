@@ -17,10 +17,10 @@ import pytest
 from ern.compiler import compile_checkpoint, gen_random_checkpoint, load, serialize
 from ern.graph import ARCHITECTURES, arch_config, build_model, execute, model_stats
 from ern.kernels import ConvSpec, conv_w1a2_naive, conv_w1a2_popcount
-from ern.oracle import cross_check, oracle_from_manifest
+from ern.oracle import _thermo_codes, cross_check, oracle_from_manifest
 from ern.pixembed import encode_image, thermo_params
 from ern.quant import BnParams, apply_thresholds, fuse_thresholds, quantize_act_float
-from ern.tensor import pack_activations, pack_weights, unpack_activations
+from ern.tensor import acc_dtype, pack_activations, pack_weights, unpack_activations
 
 from conftest import random_image
 
@@ -112,7 +112,7 @@ def test_a01_kernel_equivalence(say):
                     got = conv_w1a2_popcount(
                         pack_activations(codes), pack_weights(signs, np.ones(oc)), spec
                     )
-                    assert got.dtype == np.int32
+                    assert got.dtype == ref.dtype == acc_dtype(spec.acc_bound)
                     assert np.array_equal(got, ref), f"ic={ic} k={ksz} s={stride} h={h} w={w}"
                     n += 1
     dt = time.perf_counter() - t0
@@ -155,7 +155,11 @@ def test_a02_fusion_exactness(say):
 
 
 def test_a03_thermometer(say):
-    """k=2 code pairs step through 7 values at the derived transitions."""
+    """k=2 code pairs step through 7 values at the derived transitions.
+
+    For k = 1..32 the table-driven encoder equals the oracle's direct
+    evaluation of the defining map on all 256 byte values of each colour.
+    """
     ramp = np.tile(np.arange(256, dtype=np.uint8), (3, 1, 1))  # (3, 1, 256)
     codes = unpack_activations(encode_image(ramp, thermo_params(2)), 6)[:2, 0, :]  # red pair
     pairs = list(map(tuple, codes.T))
@@ -171,8 +175,14 @@ def test_a03_thermometer(say):
     for k in range(1, 33):
         ck = unpack_activations(encode_image(ramp, thermo_params(k)), 3 * k)[:, 0, :]
         assert np.all(np.diff(ck.astype(np.int64), axis=1) >= 0), f"k={k}"
+    # each colour runs through all 256 values, the three out of phase
+    shifted = ((np.arange(256) + 85 * np.arange(3)[:, None]) % 256).astype(np.uint8)[:, None, :]
+    for k in range(1, 33):
+        got = unpack_activations(encode_image(shifted, thermo_params(k)), 3 * k)
+        assert np.array_equal(got, _thermo_codes(shifted, k)), f"k={k}"
     say("A3 thermometer PASS: 7 distinct k=2 codes, transitions at "
-        "42/84/126/168/210/252, monotone for k=1..32")
+        "42/84/126/168/210/252, monotone for k=1..32 and equal to the oracle's "
+        "codes on all 256 byte values")
 
 
 def test_a04_mac_arithmetic(say):

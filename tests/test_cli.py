@@ -165,6 +165,16 @@ class TestStats:
         assert doc["arch"] == "erns18"
         assert doc["param_count"] == 11797376
         assert doc["binary_weight_bytes"] == 1474672
+        assert (doc["acc16_edges"], doc["acc32_edges"], doc["max_acc_bound"]) == (32, 0, 28416)
+
+    @pytest.mark.parametrize("arch,acc32,bound", [("erns34", 3, 42240), ("erns50", 0, 13824)])
+    def test_acc_widths(self, capsys, arch, acc32, bound):
+        assert main(["stats", "--arch", arch, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["acc32_edges"], doc["max_acc_bound"]) == (acc32, bound)
+        assert main(["stats", "--arch", arch]) == 0
+        out = capsys.readouterr().out
+        assert f"acc edges int32:    {acc32}" in out and f"largest acc bound:  {bound:,}" in out
 
     def test_text_output(self, capsys):
         assert main(["stats", "--arch", "erns50", "--resolution", "224"]) == 0

@@ -9,6 +9,9 @@ or width, classes, k, c or alpha_out) either raises a
 :class:`FormatError` or loads as a model that serializes back to the same
 bytes and meets the compiler's invariants, and ``ern infer`` on it exits
 0 or 2, never with a traceback.
+A threshold table for an int16 accumulator edge gives the same planes
+as the same table at int32, for rows at and past the edge's bound and
+int16's range and accumulators at every threshold step and at +/-bound.
 Small generated architectures (stage counts 1-2, widths 64 or 128, odd
 class counts, k 1-21, resolutions 17-48; each draw builds one network of
 each block kind, one run at an odd resolution and one at an even) compile,
@@ -43,6 +46,7 @@ from ern.errors import BadMagicError, ChecksumError, FormatError, TruncationErro
 from ern.graph import BLOCKS, ArchConfig, execute
 from ern.oracle import cross_check, oracle_from_manifest
 from ern.ppm import decode_ppm
+from ern.quant import ThresholdTable, apply_thresholds
 from ern.tensor import LANES, padded_channels
 
 from conftest import HEADER_AT, record_offset, resign
@@ -88,8 +92,9 @@ def offset(layer: str) -> int:
 
 
 def int32_near(bound: int):
-    """Thresholds at and around the edge's bound + 1, and anywhere in int32."""
-    edges = [0, 1, 2, 3, 4, bound, bound + 1, bound + 2, 2**31 - 1]
+    """Thresholds around the edge's bound + 1 and int16's ends, and anywhere in int32."""
+    edges = [0, 1, 2, 3, 4, bound, bound + 1, bound + 2, 2**15 - 2, 2**15 - 1, 2**15, 2**15 + 1]
+    edges += [2**16, 2**31 - 1]
     return st.one_of(
         st.integers(-(bound + 2), bound + 2),
         st.sampled_from(edges + [-e for e in edges] + [-(2**31)]),
@@ -167,6 +172,7 @@ def assert_compiler_invariants(m) -> None:
         assert not (tbl.ascending & d).any()
         assert not tbl.t[d].any()
         assert (tbl.const_code[~d] == 0).all() and (tbl.const_code < 4).all()
+        assert tbl.dtype == tbl.sign.dtype == tbl.ts.dtype == g.edges[bn.src].dtype
 
 
 def edited(edit: tuple[int, bytes]) -> bytes:
@@ -210,6 +216,51 @@ class TestStructuredEdits:
                                "--raw", "3,17,17"])
         assert rc in (0, 2), err
         assert rc == 0 or err.startswith("ern:"), err
+
+
+@st.composite
+def int16_table(draw) -> tuple[np.ndarray, dict]:
+    """Table fields for an int16 edge of a drawn bound, and an accumulator map within it.
+
+    Rows come from ``int32_near``, so they include the +/-(bound + 1)
+    sentinels and values past int16's range; channels are ascending,
+    descending or degenerate with constant codes 0-3.  Each channel's
+    accumulators are +/-bound, 0 and t - 1, t, t + 1 of each threshold,
+    clipped to the bound.
+    """
+    bound = draw(
+        st.one_of(st.sampled_from([1, 16512, 28416, 32765, 32766]), st.integers(1, 32766)),
+        label="bound",
+    )
+    c = draw(st.integers(1, 70), label="channels")
+    near = int32_near(bound)
+    t = np.array(draw(st.lists(st.tuples(near, near, near).map(sorted), min_size=c, max_size=c),
+                      label="rows"), dtype=np.int64)
+    kind = np.array(draw(st.lists(st.integers(0, 2), min_size=c, max_size=c), label="kinds"))
+    degenerate = kind == 2
+    const = np.array(draw(st.lists(st.integers(0, 3), min_size=c, max_size=c), label="codes"))
+    t[degenerate] = 0
+    steps = t[:, :, None] + np.arange(-1, 2)
+    acc = np.concatenate([np.tile([-bound, 0, bound], (c, 1)), steps.reshape(c, 9)], axis=1)
+    fields = dict(
+        t=t,
+        ascending=kind == 0,
+        degenerate=degenerate,
+        const_code=np.where(degenerate, const, 0),
+    )
+    return np.clip(acc, -bound, bound)[:, None, :], fields
+
+
+class TestThresholdWidths:
+    @settings(max_examples=300)
+    @given(case=int16_table())
+    def test_int16_table_equals_int32(self, case):
+        acc, fields = case
+        narrow = ThresholdTable(**fields, dtype=np.int16)
+        wide = ThresholdTable(**fields, dtype=np.int32)
+        assert narrow.sign.dtype == narrow.ts.dtype == np.int16
+        got = apply_thresholds(acc.astype(np.int16), narrow)
+        assert np.array_equal(got, apply_thresholds(acc.astype(np.int32), wide))
 
 
 @st.composite

@@ -130,6 +130,40 @@ class TestValidation:
         edges = GraphDef(tuple(nodes)).edges
         assert edges["add.out"].bound == 9 + 81
 
+    def test_bound_past_acc_limit_refused(self):
+        # c bound 9 doubles 30 times to 9 * 2**30; a28, 9 * 2**28, is the
+        # first past ACC_LIMIT = 2**31 - 2
+        nodes = [
+            PixelEmbed("embed", 1, "image", "embed.out"),
+            Conv("c", ConvSpec(3, 4, 1, 1), "c", "embed.out", "a0"),
+        ]
+        nodes += [ResidualAdd(f"add{i}", f"a{i - 1}", f"a{i - 1}", f"a{i}") for i in range(1, 31)]
+        nodes += [
+            BnAct("b1", 4, "a30", "b1.out"),
+            Conv("f", ConvSpec(4, 2, 1, 1), "alpha_out", "b1.out", "f.out"),
+            AvgPoolScale("pool", "f.out", "logits"),
+        ]
+        with pytest.raises(ConfigError, match=r"edge 'a28'.* 2415919104 passes ACC_LIMIT"):
+            GraphDef(tuple(nodes))
+        edges = GraphDef(tuple(nodes[:29]) + (BnAct("b1", 4, "a27", "b1.out"), *nodes[-2:])).edges
+        assert edges["a27"].bound == 9 * 2**27 and edges["a27"].dtype == np.int32
+
+    def test_acc_edge_width_follows_bound(self):
+        # int16 up to 32766 (int16 maximum - 1), then int32
+        def widths(cin):
+            nodes = tiny_nodes()
+            nodes[0] = PixelEmbed("embed", cin // 3, "image", "embed.out")
+            nodes[1] = Conv("c1", ConvSpec(cin, 4, 1, 1), "alpha", "embed.out", "c1.out")
+            return GraphDef(tuple(nodes)).edges
+
+        assert widths(3 * 3640)["c1.out"].dtype == np.int16  # bound 32760
+        assert widths(3 * 3641)["c1.out"].dtype == np.int32  # bound 32769
+        edges = widths(3)
+        assert {e: str(i.dtype) for e, i in edges.items()} == {
+            "image": "None", "embed.out": "uint64", "c1.out": "int16",
+            "b1.out": "uint64", "f.out": "int16", "logits": "float64",
+        }
+
     @pytest.mark.parametrize("scale", ["C", "const", None])
     def test_unknown_scale_rejected(self, scale):
         nodes = tiny_nodes()
@@ -265,6 +299,19 @@ class TestArchitectures:
         bare = GraphDef(g.nodes)
         assert bare.arch is None and bare == g
 
+    @pytest.mark.parametrize("name", sorted(ARCHITECTURES))
+    def test_acc_edge_widths(self, name):
+        # every acc edge of the presets is int16 but three residual sums of erns34
+        g = build_model(arch_config(name))
+        wide = {e for e, i in g.edges.items() if i.kind == "acc" and i.dtype == np.int32}
+        narrow = {e for e, i in g.edges.items() if i.kind == "acc" and i.dtype == np.int16}
+        want = {"s3.b5.add.out", "s3.b6.add.out", "s4.b3.add.out"} if name == "erns34" else set()
+        assert wide == want
+        assert all(g.edges[e].bound > 32766 for e in wide)
+        assert all(g.edges[e].bound <= 32766 for e in narrow)
+        adds = sum(isinstance(n, ResidualAdd) for n in g.nodes)
+        assert len(wide | narrow) == len(g.convs) + adds
+
     def test_bottleneck_default_stride_position(self):
         g = build_model(arch_config("erns50"))
         assert g.node("s2.b1.conv1").spec.stride == (1, 1)
@@ -366,8 +413,8 @@ class TestExecution:
         assert set(values) | {"image"} == set(g.edges)
         acc_edges = [e for e, info in g.edges.items() if info.kind == "acc"]
         assert len(acc_edges) == len(g.convs) + sum(isinstance(n, ResidualAdd) for n in g.nodes)
-        for e in acc_edges:
-            assert values[e].dtype == np.int32, e
+        for e in acc_edges:  # every acc edge of erns18 is int16
+            assert values[e].dtype == g.edges[e].dtype == np.int16, e
         assert values["logits"] is r.logits
         # without an observer the result holds nothing but the logits and the count
         assert [f.name for f in dataclasses.fields(execute(erns18_model, random_image(rng)))] == [
@@ -416,10 +463,10 @@ class TestExecution:
         other = "naive" if kernel == "popcount" else "popcount"
         assert execute(erns18_model, img, kernel=other).logits.tobytes() == plain.logits.tobytes()
 
-    def test_int32_bitplane_datapath_peak(self, erns50_model, rng):
-        # at 224 stage 1's residual add holds three (256, 56, 56) int32 maps;
-        # int64 temporaries or uint8 code maps between layers push the peak
-        # of one execute past five of them
+    def test_acc_width_bitplane_datapath_peak(self, erns50_model, rng):
+        # at 224 stage 1's residual add holds three (256, 56, 56) acc maps,
+        # int16 on erns50; held as int32, they alone pass 2.2 int32 maps, as
+        # do int64 temporaries or uint8 code maps between layers
         img = random_image(rng, 224)
         execute(erns50_model, img)
         tracemalloc.start()
@@ -429,7 +476,7 @@ class TestExecution:
         finally:
             tracemalloc.stop()
         stage1_acc = 256 * 56 * 56 * np.dtype(np.int32).itemsize
-        assert peak < 4 * stage1_acc
+        assert peak < 2.2 * stage1_acc
 
     def test_residual_reading_one_edge_twice(self):
         # add(c1, c1) is valid; execute must drop c1 once, after the add
@@ -499,18 +546,19 @@ class TestExecution:
         assert r.float_ops_core == len(erns18_model.graph.convs)
 
     def test_residual_output_dtype_checked(self, erns18_model, rng, monkeypatch):
+        # int32 is an accumulator width, but not this int16 edge's
         add = ern.graph.residual_add
-        monkeypatch.setattr(ern.graph, "residual_add", lambda a, b: add(a, b).astype(np.int64))
-        with pytest.raises(AssertionError, match="s1.b1.add"):
+        monkeypatch.setattr(ern.graph, "residual_add", lambda a, b, dtype: add(a, b, np.int32))
+        with pytest.raises(AssertionError, match="s1.b1.add: int32 output, expected int16"):
             execute(erns18_model, random_image(rng, 32))
 
     @pytest.mark.parametrize(
         "target,patch,node",
         [
-            ("residual_add", "lambda a, b: f(a, b).astype(np.int64)", "s1.b1.add"),
+            ("residual_add", "lambda a, b, d: f(a, b, np.int32)", "s1.b1.add"),
             (
                 "conv_w1a2_popcount",
-                "lambda x, w, s: f(x, w, s).astype(np.float64 if s.out_ch == 1000 else np.int32)",
+                "lambda x, w, s: f(x, w, s).astype(np.float64 if s.out_ch == 1000 else np.int16)",
                 "head.conv",
             ),
         ],

@@ -12,7 +12,7 @@ from ern.kernels import (
     conv_w1a2_popcount,
     residual_add,
 )
-from ern.tensor import LANES, pack_activations, pack_weights, padded_channels
+from ern.tensor import LANES, acc_dtype, pack_activations, pack_weights, padded_channels
 
 
 def run_both(codes, signs, spec):
@@ -62,7 +62,7 @@ class TestEquivalence:
         codes = rng.integers(0, 4, size=(ic, 9, 11), dtype=np.uint8)
         signs = rng.choice([-1, 1], size=(16, ic, ksz, ksz)).astype(np.int8)
         naive, pop = run_both(codes, signs, spec)
-        assert naive.dtype == pop.dtype == np.int32
+        assert naive.dtype == pop.dtype == acc_dtype(spec.acc_bound) == np.int16
         assert np.array_equal(naive, pop)
 
     def test_accumulator_within_bound(self, rng):
@@ -158,8 +158,10 @@ class TestBlockedKernel:
         assert np.array_equal(naive, pop)
 
 
-class TestInt32Accumulator:
-    def test_popcount_returns_int32_without_int64_map(self, rng):
+class TestAccumulatorWidth:
+    """Each conv writes its edge's width, ``acc_dtype(acc_bound)``, and no wider map."""
+
+    def test_popcount_returns_edge_width_without_wide_map(self, rng):
         spec = ConvSpec(64, 1024, 1, 1)
         codes = rng.integers(0, 4, size=(64, 32, 32), dtype=np.uint8)
         signs = rng.choice([-1, 1], size=(1024, 64, 1, 1)).astype(np.int8)
@@ -170,9 +172,48 @@ class TestInt32Accumulator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pop.dtype == np.int32
-        assert peak < pop.size * np.dtype(np.int64).itemsize
+        assert pop.dtype == np.int16
+        assert peak < pop.size * np.dtype(np.int32).itemsize
         assert np.array_equal(pop, conv_w1a2_naive(codes, signs, spec))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int16_epilogue_past_2_to_15(self, sign):
+        # 5504 channels of code 3: bound 16512, yet 2 * hits = 33024 passes
+        # 2**15, so the epilogue is exact only modulo 2**16
+        spec = ConvSpec(5504, 2, 1, 1)
+        assert spec.acc_bound == 16512
+        codes = np.full((5504, 2, 3), 3, dtype=np.uint8)
+        signs = np.full((2, 5504, 1, 1), sign, dtype=np.int8)
+        naive, pop = run_both(codes, signs, spec)
+        assert naive.dtype == pop.dtype == np.int16
+        assert (pop == sign * 16512).all()
+        assert np.array_equal(naive, pop)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("ic,dtype", [(10922, np.int16), (10923, np.int32)])
+    def test_width_boundary(self, rng, ic, dtype, sign):
+        # bound 32766 is int16's limit (its maximum - 1); 32769 needs int32
+        spec = ConvSpec(ic, 3, 1, 1)
+        assert acc_dtype(spec.acc_bound) == dtype
+        codes = np.full((ic, 2, 2), 3, dtype=np.uint8)
+        signs = np.full((3, ic, 1, 1), sign, dtype=np.int8)
+        signs[2] = rng.choice([-1, 1], size=(ic, 1, 1))
+        naive, pop = run_both(codes, signs, spec)
+        assert naive.dtype == pop.dtype == dtype
+        assert (pop[:2] == sign * spec.acc_bound).all()
+        assert np.array_equal(naive, pop)
+
+    def test_int16_output_from_wide_counters(self):
+        # one channel over 19 x 19 taps: the pixel totals need uint32 while
+        # the bound, 1083, is int16
+        spec = ConvSpec(1, 2, 19, 19)
+        codes = np.full((1, 20, 20), 3, dtype=np.uint8)
+        signs = np.ones((2, 1, 19, 19), dtype=np.int8)
+        signs[1] = -1
+        naive, pop = run_both(codes, signs, spec)
+        assert pop.dtype == np.int16
+        assert pop[:, 0, 0].tolist() == [1083, -1083]
+        assert np.array_equal(naive, pop)
 
 
 class TestResidualAdd:
@@ -233,6 +274,34 @@ class TestResidualAdd:
     def test_rejects_wider_dtypes(self):
         with pytest.raises(ShapeError):
             residual_add(np.zeros((2, 2, 2), np.int64), np.zeros((2, 2, 2), np.int64))
+        with pytest.raises(ShapeError):
+            residual_add(np.zeros((2, 2, 2), np.int64), np.zeros((2, 2, 2), np.int64), np.int64)
+        with pytest.raises(ShapeError):  # an input wider than the output
+            residual_add(np.zeros((2, 2, 2), np.int32), np.zeros((2, 2, 2), np.int16), np.int16)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int16_inputs_to_int32_at_their_bounds(self, sign):
+        # two int16 edges of bound 32766 sum into an int32 edge of bound 65532
+        a = np.full((2, 2, 3), sign * 32766, dtype=np.int16)
+        b = np.full((2, 2, 3), sign * 32766, dtype=np.int16)
+        b[1] = -sign * 32766
+        out = residual_add(a, b, np.int32)
+        assert out.dtype == np.int32
+        assert np.array_equal(out, a.astype(np.int64) + b)
+        assert int(out[0, 0, 0]) == sign * 65532
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int16_sum_at_its_limit(self, sign):
+        a = np.full((1, 2, 2), sign * 16383, dtype=np.int16)
+        b = np.full((1, 2, 2), sign * 16383, dtype=np.int16)
+        out = residual_add(a, b, np.int16)
+        assert out.dtype == np.int16 and (out == sign * 32766).all()
+        b[0, 1, 1] = sign * 16384  # 32767: fits int16 but is rejected
+        with pytest.raises(ShapeError):
+            residual_add(a, b, np.int16)
+        b[0, 1, 1] = sign * 20000  # wraps
+        with pytest.raises(ShapeError):
+            residual_add(a, b, np.int16)
 
     @pytest.mark.parametrize("near_limit", [False, True])
     def test_no_wide_temporaries(self, rng, near_limit):

@@ -293,6 +293,40 @@ class TestThresholdTable:
         lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
         assert tbl.ts.reshape(3, 3).T.tolist() == [[2, 4, 6], [2, 4, 6], [lo, lo, hi]]
 
+    def test_int16_runtime_form(self):
+        # the int16 sentinels are int16's ends; past them a stored threshold clamps
+        t = [[2, 4, 6], [-6, -4, -2], [0, 0, 0], [-WIDE, 40000, WIDE], [-(2**15) - 5, 0, 2**15]]
+        tbl = ThresholdTable(
+            t=np.asarray(t, dtype=np.int64),
+            ascending=np.array([True, False, True, True, False]),
+            degenerate=np.array([False, False, True, False, False]),
+            const_code=np.array([0, 0, 2, 0, 0]),
+            dtype=np.int16,
+        )
+        assert tbl.sign.dtype == tbl.ts.dtype == tbl.dtype == np.int16
+        lo, hi = -(2**15), 2**15 - 1
+        assert tbl.ts.reshape(3, 5).T.tolist() == [
+            [2, 4, 6], [2, 4, 6], [lo, lo, hi], [lo, hi, hi], [-hi, 0, hi]
+        ]
+        acc = np.array([-32766, -32765, -1, 0, 1, 32765, 32766])
+        acc = np.tile(acc, (5, 1)).reshape(5, 1, -1)
+        got = unpack_activations(apply_thresholds(acc.astype(np.int16), tbl), 5)
+        assert np.array_equal(got, count_rule(acc, tbl))
+        wide = ThresholdTable(tbl.t, tbl.ascending, tbl.degenerate, tbl.const_code)
+        assert np.array_equal(got, unpack_activations(apply_thresholds(acc, wide), 5))
+        for v in (32767, -32767, -(2**15)):  # past int16's limit
+            with pytest.raises(DomainError, match="32766"):
+                apply_thresholds(np.full((5, 1, 1), v, dtype=np.int32), tbl)
+
+    def test_width_from_fold_bound(self):
+        assert fuse_thresholds(np.ones(1), bn1(), acc_bound=32766).dtype == np.int16
+        assert fuse_thresholds(np.ones(1), bn1(), acc_bound=32767).dtype == np.int32
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32])
+    def test_rejects_other_widths(self, dtype):
+        with pytest.raises(DomainError, match="width"):
+            ThresholdTable(np.zeros((1, 3), np.int64), [True], [False], [0], dtype=dtype)
+
     def test_rejects_unsorted_row(self):
         with pytest.raises(DomainError):
             table([[1, 3, 2]], [True])
