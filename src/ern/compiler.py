@@ -38,13 +38,14 @@ kind, geometry or count.  A conv record is its
 packed u64 weight words, preceded by its f64 per-channel scales only if
 its edge's scale is ``"alpha"``: the scales of a ``"c"`` or
 ``"alpha_out"`` conv are c or alpha_out, each written once at the start
-of the body.  A BnAct record is ``<i4 t1, t2, t3, u1 flags>`` per
-channel, flag bit 0 ascending and bit 1 degenerate, never both.  A degenerate channel
-(folded slope exactly zero) stores its constant code in t1 and zeros in
-t2 and t3.
-Every threshold lies within its edge's static bound + 1 (42,240 at most
-on a stock model), which int32 holds.  All multi-byte values are
-little-endian; identical inputs produce byte-identical files.
+of the body.  A BnAct record is its :class:`ern.quant.ThresholdTable`
+as the table holds it: ``<i4 t1, t2, t3, u1 flags>`` per channel, flag
+bit 0 ascending and bit 1 degenerate, never both, and t1 <= t2 <= t3
+or, for a degenerate channel (folded slope exactly zero), its constant
+code then 0, 0.  Every |threshold| is at most the table's bound + 1,
+the bound being its input edge's static one (42,240 at most on a stock
+model), so i4 holds each.  All multi-byte values are little-endian;
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -385,9 +386,10 @@ def compile_checkpoint(
     ``"alpha_out"``, one alpha_out = mean |w|; ``"alpha"``, per-channel
     alpha = mean |w|, with all-zero filters substituting alpha = 1 under
     a warning.  Each BnAct folds against whichever scale its producing
-    edge carries, clamped to that edge's accumulator bound; a fold whose
-    reach over that bound is not finite raises :class:`CompileError`
-    naming the BnAct.
+    edge carries, clamped to that edge's accumulator bound; a fold that
+    is not finite over that bound, in its folded form or as the float
+    composition it replaces, raises :class:`CompileError` naming the
+    BnAct.
 
     Each conv's floats are dropped once its signs are packed; with a
     loaded manifest that reads one blob per lookup, compilation holds one
@@ -434,19 +436,14 @@ def compile_checkpoint(
 # .ern serialization
 
 
-def _check_bound(t: np.ndarray, bound: int, name: str, error: type[Exception]) -> None:
-    if np.abs(t).max(initial=0) > bound + 1:
-        raise error(f"layer '{name}': a threshold exceeds the accumulator bound {bound} + 1")
-
-
 def serialize(model: CompiledModel) -> bytes:
     """Encode a compiled model as .ern bytes (see module docstring).
 
     The header stores ``graph.arch``, and one walk over ``graph.nodes``
-    writes each conv's and BnAct's record.  A threshold table with |t| >
-    its edge's bound + 1 raises :class:`DomainError`, and a graph with no
-    ``arch`` (wired by hand), which ``load`` could not rebuild, raises
-    :class:`ConfigError`.
+    writes each conv's and BnAct's record.  A threshold table whose
+    ``bound`` is not its input edge's raises :class:`DomainError`, and a
+    graph with no ``arch`` (wired by hand), which ``load`` could not
+    rebuild, raises :class:`ConfigError`.
     """
     g = model.graph
     a = g.arch
@@ -465,12 +462,13 @@ def serialize(model: CompiledModel) -> bytes:
                 parts.append(np.ascontiguousarray(w.alpha, dtype="<f8").tobytes())
             parts.append(np.ascontiguousarray(w.bits, dtype="<u8").tobytes())
         elif isinstance(node, BnAct):
-            tbl = model.thresholds[node.name]
-            t = np.where(tbl.degenerate[:, None], 0, tbl.t)
-            t[:, 0] = np.where(tbl.degenerate, tbl.const_code, t[:, 0])
-            _check_bound(t, g.edges[node.src].bound, node.name, DomainError)
+            tbl, bound = model.thresholds[node.name], g.edges[node.src].bound
+            if tbl.bound != bound:
+                raise DomainError(
+                    f"layer '{node.name}': table bound {tbl.bound} is not its edge's bound {bound}"
+                )
             rec = np.empty(node.channels, dtype=_BNACT_CHANNEL)
-            rec["t"] = t
+            rec["t"] = tbl.t
             rec["flags"] = tbl.ascending * _ASCENDING | tbl.degenerate * _DEGENERATE
             parts.append(rec.tobytes())
     body = b"".join(parts)
@@ -510,10 +508,11 @@ def load(data: bytes) -> CompiledModel:
     file whose CRCs match raises a :class:`FormatError`: an unknown block
     kind or a layout :class:`ArchConfig` refuses, c or alpha_out not
     finite and > 0, a stored scale not finite and > 0, a pad weight bit
-    that is not 1, a flag byte other than 0, 1 or 2, a threshold past its
-    edge's bound + 1, a degenerate channel whose t2 or t3 is not 0, an
-    invalid threshold table, or a body of the wrong length, so every file
-    that loads is one ``serialize`` writes back byte for byte.
+    that is not 1, a flag byte other than 0, 1 or 2, a BnAct record that
+    is not a valid :class:`ThresholdTable` for its input edge's bound
+    (a threshold past bound + 1, an unsorted live row, a degenerate row
+    other than (0-3, 0, 0)), or a body of the wrong length, so every
+    file that loads is one ``serialize`` writes back byte for byte.
     Only ``"alpha"`` convs' scales are stored; a ``"c"`` conv's scales are
     c and an ``"alpha_out"`` conv's alpha_out.
     """
@@ -573,20 +572,12 @@ def load(data: bytes) -> CompiledModel:
             weights[node.name] = PackedWeights(bits=bits, alpha=alpha)
         elif isinstance(node, BnAct):
             rec = r.array(_BNACT_CHANNEL, node.channels)
-            t = rec["t"].astype(np.int64)
-            if (rec["flags"] >= _ASCENDING | _DEGENERATE).any():  # a degenerate slope is 0
+            flags = rec["flags"]
+            if (flags >= _ASCENDING | _DEGENERATE).any():  # a degenerate slope is 0
                 raise FormatError(f"layer '{node.name}': flag bits must read 0, 1 or 2")
-            _check_bound(t, g.edges[node.src].bound, node.name, FormatError)
-            degenerate = (rec["flags"] & _DEGENERATE).astype(bool)
-            if t[degenerate, 1:].any():
-                raise FormatError(f"layer '{node.name}': a degenerate channel's t2, t3 are not 0")
             try:
                 thresholds[node.name] = ThresholdTable(
-                    t=np.where(degenerate[:, None], 0, t),
-                    ascending=(rec["flags"] & _ASCENDING).astype(bool),
-                    degenerate=degenerate,
-                    const_code=np.where(degenerate, t[:, 0], 0),
-                    dtype=g.edges[node.src].dtype,
+                    rec["t"], flags & _ASCENDING, flags & _DEGENERATE, g.edges[node.src].bound
                 )
             except (DomainError, ShapeError) as e:
                 raise FormatError(f"layer '{node.name}': {e}") from None

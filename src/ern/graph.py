@@ -570,13 +570,12 @@ def execute(
     and before its ``frees`` are dropped; whatever it keeps outlives the
     call.  A step whose output has another dtype than its edge's raises
     :class:`AssertionError` naming the node, under ``python -O`` too.
+    The embed step checks ``img`` (:func:`encode_image`): one that is not
+    (3, H, W) raises :class:`ShapeError` before any other step runs.
     """
     if kernel not in ("popcount", "naive"):
         raise ConfigError(f"unknown kernel '{kernel}'")
     g = model.graph
-    img = np.asarray(img)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ShapeError(f"expected (3, H, W) image, got {img.shape}")
     values: dict[str, np.ndarray] = {IMAGE_EDGE: img}
 
     def run(s: Step) -> None:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .instrument import note_float_ops
-from .tensor import ACC_DTYPE, ACC_DTYPES, LANES, PackedWeights, acc_dtype, acc_limit
+from .tensor import ACC_DTYPES, LANES, PackedWeights, acc_dtype, acc_limit
 from .tensor import ensure_act2, padded_channels, popcount
 
 
@@ -199,7 +199,7 @@ def _check_acc(acc: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return acc.astype(acc_dtype(bound), copy=False)
 
 
-def residual_add(a: np.ndarray, b: np.ndarray, dtype=ACC_DTYPE) -> np.ndarray:
+def residual_add(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
     """Elementwise sum of two accumulator maps at ``dtype``, the output edge's width.
 
     ``dtype`` is one of ``ACC_DTYPES`` and neither input may be wider.

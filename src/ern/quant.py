@@ -21,29 +21,37 @@ step s_a -- travel together as one :class:`BnParams`, checked once when it
 is built; the checkpoint manifest, the fold and the float oracle all hold
 that one type.
 
-Thresholds are stored sorted ascending with a direction flag.  All folding
-is done in 64-bit reals with a fixed evaluation order; the integer
-threshold path is canonical at real-arithmetic boundary ties.
+All folding is done in 64-bit reals with a fixed evaluation order; the
+integer threshold path is canonical at real-arithmetic boundary ties.
+
+Every table is held in the one form the ``.ern`` record stores (see
+:class:`ThresholdTable`): a live channel's three thresholds sorted
+ascending with a direction flag, or a degenerate channel's constant
+code followed by 0, 0, together with the static bound of the
+accumulator edge the table reads.  Each threshold lies within
++/-(bound + 1), one past the bound being the "never/always crossed"
+sentinel of a clamped fold.
 
 At run time the direction folds into a per-channel sign s = +/-1, so
 every channel counts the same way against sorted thresholds ts, held at
-the width of the accumulator the table reads (``ThresholdTable.dtype``,
-int16 or int32, the input edge's width in the graph):
+``acc_dtype(bound)``, the width the graph gives the input edge (int16 or
+int32):
 
     code = #{ j : s * acc >= ts_j }
 
 (a descending channel has ts = -t reversed; a degenerate one has
-s = +1 and ``const_code`` copies of the width's minimum followed by its
-maximum).  Because ts is sorted, the three compares c1 >= c2 >= c3
+s = +1 and as many copies of the width's minimum as its code, followed
+by its maximum).  Because ts is sorted, the three compares c1 >= c2 >= c3
 are nested, so the code's bits come out directly:
 
     hi = (s * acc >= ts_2)        lo = c1 xor c2 xor c3
 
 and both are packed straight into the next layer's bitplanes; no code
-map is ever written.  Clamping thresholds into the width's range is
-exact for every accumulator with |acc| <= ``acc_limit`` of the width
-(32,766 for int16, ``ACC_LIMIT`` = 2**31 - 2 for int32), the range the
-convolution and residual add guarantee for that width.
+map is ever written.  Since bound + 1 is at most the width's maximum,
+every ts fits the width as it is, and the compares are exact for every
+accumulator with |acc| <= ``acc_limit`` of the width (32,766 for int16,
+``ACC_LIMIT`` = 2**31 - 2 for int32), the range the convolution and
+residual add guarantee for that width.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .instrument import note_float_ops
-from .tensor import ACC_DTYPE, ACC_DTYPES, acc_dtype, acc_limit, pack_bitplanes, padded_channels
+from .tensor import acc_dtype, acc_limit, pack_bitplanes, padded_channels
 
 NUM_CODES = 4  # 2-bit activations
 
@@ -103,20 +111,23 @@ class BnParams:
 class ThresholdTable:
     """Fused (scale o batch-norm o activation) as integer thresholds.
 
-    ``t`` is (C, 3) int64, sorted ascending per channel.  Ascending
-    channels output #{j : acc >= t_j}; descending #{j : acc <= t_j}.
-    Channels with gamma == 0 are degenerate and output ``const_code``.
-    ``dtype`` is the width of the accumulator the table reads, int16 or
-    int32.  Construction checks those invariants and builds the
-    sign-folded run-time form, ``sign`` (C, 1, 1) and ``ts`` (3, C, 1, 1),
-    both at ``dtype``.
+    ``t`` is (C, 3), each row as the ``.ern`` record stores it: a live
+    channel's thresholds sorted ascending, or a degenerate channel's
+    (gamma == 0) constant code 0-3 followed by 0, 0.  Ascending channels
+    output #{j : acc >= t_j}, descending #{j : acc <= t_j}, degenerate
+    their code; no channel is both ascending and degenerate.  ``bound``
+    is the static bound of the accumulator edge the table reads, and
+    every |t| <= bound + 1.  Construction checks each of these
+    (:class:`ShapeError` for a shape, :class:`DomainError` otherwise),
+    stores ``t`` as int64, and builds the sign-folded run-time form,
+    ``sign`` (C, 1, 1) and ``ts`` (3, C, 1, 1), both at ``dtype`` =
+    ``acc_dtype(bound)``, the edge's width.
     """
 
     t: np.ndarray
     ascending: np.ndarray
     degenerate: np.ndarray
-    const_code: np.ndarray
-    dtype: np.dtype = field(default=np.dtype(ACC_DTYPE), compare=False)
+    bound: int
     sign: np.ndarray = field(init=False, compare=False, repr=False)
     ts: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -125,28 +136,28 @@ class ThresholdTable:
         if t.ndim != 2 or t.shape[1] != NUM_CODES - 1 or not np.issubdtype(t.dtype, np.integer):
             raise ShapeError(f"thresholds must be integer (C, {NUM_CODES - 1}), got {t.shape}")
         c = t.shape[0]
-        flags = {n: np.asarray(getattr(self, n)) for n in ("ascending", "degenerate", "const_code")}
+        flags = {n: np.asarray(getattr(self, n)) for n in ("ascending", "degenerate")}
         for name, arr in flags.items():
             if arr.shape != (c,):
                 raise ShapeError(f"{name} must have {c} entries, got shape {arr.shape}")
-        if (t[:, 1:] < t[:, :-1]).any():
-            raise DomainError("thresholds must be sorted ascending per channel")
-        if ((flags["const_code"] < 0) | (flags["const_code"] >= NUM_CODES)).any():
-            raise DomainError(f"constant codes must lie in 0..{NUM_CODES - 1}")
-        t = t.astype(np.int64, copy=False)
         ascending = flags["ascending"].astype(bool, copy=False)
         degenerate = flags["degenerate"].astype(bool, copy=False)
-        const_code = flags["const_code"].astype(np.uint8, copy=False)
-        dtype = np.dtype(self.dtype)
-        if dtype not in ACC_DTYPES:
-            raise DomainError(f"a table reads an int16 or int32 accumulator width, not {dtype}")
+        bound = int(self.bound)
+        dtype = acc_dtype(bound)
+        if int(t.max(initial=0)) > bound + 1 or int(t.min(initial=0)) < -(bound + 1):
+            raise DomainError(f"a threshold exceeds the accumulator bound {bound} + 1")
+        t = t.astype(np.int64, copy=False)
+        live, code = t[~degenerate], t[degenerate]
+        if (live[:, 1:] < live[:, :-1]).any():
+            raise DomainError("thresholds must be sorted ascending per channel")
+        if code[:, 1:].any() or ((code[:, 0] < 0) | (code[:, 0] >= NUM_CODES)).any():
+            raise DomainError(f"a degenerate channel must store (0..{NUM_CODES - 1}, 0, 0)")
+        if (ascending & degenerate).any():
+            raise DomainError("a degenerate channel cannot also be ascending")
 
-        # clamp before negating so nothing overflows; both clamps keep every
-        # compare's outcome for |acc| <= acc_limit(dtype)
         lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
-        ts = np.clip(t, lo, hi)
-        ts = np.clip(np.where(ascending[:, None], ts, -ts[:, ::-1]), lo, hi)
-        fixed = np.arange(NUM_CODES - 1) < const_code[:, None]
+        ts = np.where(ascending[:, None], t, -t[:, ::-1])
+        fixed = np.arange(NUM_CODES - 1) < t[:, :1]
         ts[degenerate] = np.where(fixed, lo, hi)[degenerate]
         sign = np.where(ascending | degenerate, 1, -1).astype(dtype).reshape(c, 1, 1)
         ts = np.ascontiguousarray(ts.T, dtype=dtype).reshape(NUM_CODES - 1, c, 1, 1)
@@ -154,8 +165,7 @@ class ThresholdTable:
             ("t", t),
             ("ascending", ascending),
             ("degenerate", degenerate),
-            ("const_code", const_code),
-            ("dtype", dtype),
+            ("bound", bound),
             ("sign", sign),
             ("ts", ts),
         ):
@@ -164,6 +174,11 @@ class ThresholdTable:
     @property
     def channels(self) -> int:
         return self.t.shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The width of the accumulator the table reads, ``acc_dtype(bound)``."""
+        return self.ts.dtype
 
 
 def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +207,8 @@ def quantize_act_float(v, scale: float) -> np.ndarray:
     if not np.isfinite(v).all():
         raise DomainError("activation input contains NaN or Inf")
     note_float_ops(2 * v.size)
-    return np.clip(np.floor(v / scale), 0, NUM_CODES - 1).astype(np.uint8)
+    with np.errstate(over="ignore"):  # a quotient past the float range clamps all the same
+        return np.clip(np.floor(v / scale), 0, NUM_CODES - 1).astype(np.uint8)
 
 
 def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
@@ -200,12 +216,15 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
 
     ``alpha`` is scalar or per-channel.  ``acc_bound`` is the producing
     edge's static accumulator bound (3 * fan_in plus any residual
-    contributions); thresholds outside +/-acc_bound are clamped to
-    sentinel values one past the bound -- never/always crossed, identical
-    semantics, bounded storage.  The folded value A * acc + B must stay
-    finite over the whole range: a channel whose |A| * acc_bound + |B|
-    overflows raises :class:`DomainError`.  The table reads accumulators
-    at ``acc_dtype(acc_bound)``, the width the graph gives that edge.
+    contributions) and becomes the table's ``bound``; thresholds outside
+    +/-acc_bound are clamped to sentinel values one past the bound --
+    never/always crossed, identical semantics, bounded storage.  A
+    degenerate channel (A == 0) stores its constant code
+    clamp(floor(B / s_a), 0, 3) in t1 and 0 in t2, t3, as the record
+    does.  Both the folded value A * acc + B and the float composition
+    gamma * (alpha * acc - mean) / sd + beta it replaces must stay finite
+    over the whole range: a channel where either overflows at |acc| =
+    acc_bound raises :class:`DomainError`.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     if not (np.isfinite(alpha).all() and (alpha > 0).all()):
@@ -217,19 +236,14 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
     with np.errstate(over="ignore", invalid="ignore"):
         a_coef = bn.gamma * alpha / sd
         b_coef = bn.beta - bn.gamma * bn.mean / sd
+        # both the fold and the float composition it replaces, at |acc| = acc_bound
         reach = np.abs(a_coef) * acc_bound + np.abs(b_coef)
+        reach += np.abs(bn.gamma) * (alpha * acc_bound + np.abs(bn.mean)) / sd + np.abs(bn.beta)
     if not np.isfinite(reach).all():
-        raise DomainError(f"fold |A| * {acc_bound} + |B| over the accumulator range is not finite")
+        raise DomainError(f"fold over the accumulator range +/-{acc_bound} is not finite")
 
     degenerate = a_coef == 0.0
     ascending = a_coef > 0.0
-    const_code = np.clip(
-        np.floor(np.divide(b_coef, bn.act_scale, where=degenerate, out=np.zeros(c))),
-        0,
-        NUM_CODES - 1,
-    ).astype(np.uint8)
-    const_code[~degenerate] = 0
-
     u = np.arange(1, NUM_CODES, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bounds = (u[None, :] * bn.act_scale - b_coef[:, None]) / a_coef[:, None]
@@ -238,7 +252,8 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
     rounded = np.clip(np.nan_to_num(rounded, nan=0.0, posinf=limit, neginf=-limit), -limit, limit)
     t = np.sort(rounded, axis=1).astype(np.int64)
     t[degenerate] = 0
-    return ThresholdTable(t, ascending, degenerate, const_code, acc_dtype(acc_bound))
+    t[degenerate, 0] = np.clip(np.floor(b_coef[degenerate] / bn.act_scale), 0, NUM_CODES - 1)
+    return ThresholdTable(t, ascending, degenerate, acc_bound)
 
 
 def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:

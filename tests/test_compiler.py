@@ -383,30 +383,49 @@ class TestSerialization:
 
     def test_thresholds_within_bound_plus_one(self, small_model):
         # one past the edge's bound is the sentinel fuse_thresholds clamps to;
-        # two past is out of range, on load and on serialize
+        # two past is out of range: a table refuses it, and so load does
         g = small_model.graph
-        bound = g.edges[next(n.src for n in g.bnacts if n.name == "s1.b1.bn1")].bound
+        bound = g.edges[g.node("s1.b1.bn1").src].bound
+        tbl = small_model.thresholds["s1.b1.bn1"]
+        assert tbl.bound == bound
         blob = serialize(small_model)
         load(rewrite_threshold_row(blob, "s1.b1.bn1", -(bound + 1)))
-        with pytest.raises(FormatError, match="s1.b1.bn1.*bound"):
+        with pytest.raises(FormatError, match=f"s1.b1.bn1.*bound {bound} \\+ 1"):
             load(rewrite_threshold_row(blob, "s1.b1.bn1", -(bound + 2)))
-        tbl = small_model.thresholds["s1.b1.bn1"]
         t = tbl.t.copy()
         t[~tbl.degenerate, 0] = -(bound + 2)
+        with pytest.raises(DomainError, match=f"bound {bound} \\+ 1"):
+            dataclasses.replace(tbl, t=t)
+
+    @pytest.mark.parametrize("shift", [1, 2**15])
+    def test_serialize_refuses_table_of_another_bound(self, small_model, shift):
+        # the record stores no bound; load takes the edge's, so a table
+        # built for another one would not load back as itself
+        tbl = small_model.thresholds["s1.b1.bn1"]
         bad = dataclasses.replace(
             small_model,
-            thresholds={**small_model.thresholds, "s1.b1.bn1": dataclasses.replace(tbl, t=t)},
+            thresholds={
+                **small_model.thresholds,
+                "s1.b1.bn1": dataclasses.replace(tbl, bound=tbl.bound + shift),
+            },
         )
         with pytest.raises(DomainError, match="s1.b1.bn1.*bound"):
             serialize(bad)
 
     def test_degenerate_row_stores_zero_t2_t3(self, small_model):
-        # a degenerate channel is (const code, 0, 0); (2, 7, 9) would load
-        # and then serialize as (2, 0, 0)
+        # a degenerate channel is (const code, 0, 0), in the table as in the
+        # record; a table refuses (2, 7, 9), and so load does
         blob = bytearray(serialize(small_model))
         row = record_offset(blob, "s1.b1.bn1")
         struct.pack_into("<iiiB", blob, row, 2, 0, 0, 2)
-        assert serialize(load(resign(bytes(blob[16:-4])))) == resign(bytes(blob[16:-4]))
+        back = load(resign(bytes(blob[16:-4])))
+        assert back.thresholds["s1.b1.bn1"].t[0].tolist() == [2, 0, 0]
+        assert serialize(back) == resign(bytes(blob[16:-4]))
+        tbl = back.thresholds["s1.b1.bn1"]
+        t = tbl.t.copy()
+        t[0] = 2, 7, 9
+        with pytest.raises(DomainError, match="degenerate"):
+            dataclasses.replace(tbl, t=t)
         struct.pack_into("<iiiB", blob, row, 2, 7, 9, 2)
         with pytest.raises(FormatError, match="s1.b1.bn1.*degenerate"):
             load(resign(bytes(blob[16:-4])))
@@ -528,11 +547,12 @@ class TestDegenerate:
         )
         model = compile_checkpoint(patched)
         tbl = model.thresholds["s3.b1.bn1"]
-        assert tbl.degenerate[7] and tbl.const_code[7] == 2 and not tbl.ascending[3]
+        assert tbl.degenerate[7] and tbl.t[7].tolist() == [2, 0, 0] and not tbl.ascending[3]
+        assert tbl.bound == model.graph.edges[model.graph.node("s3.b1.bn1").src].bound
         want = b"".join(
             struct.pack(
                 "<iiiB",
-                *((int(tbl.const_code[ch]), 0, 0) if tbl.degenerate[ch] else map(int, tbl.t[ch])),
+                *map(int, tbl.t[ch]),
                 int(tbl.ascending[ch]) | int(tbl.degenerate[ch]) << 1,
             )
             for ch in range(tbl.channels)
@@ -561,9 +581,8 @@ class TestDegenerate:
         back = load(blob)
         assert serialize(back) == blob
         assert back.thresholds["s3.b1.bn1"].degenerate[7]
-        assert (
-            back.thresholds["s3.b1.bn1"].const_code[7] == table.const_code[7]
-        )
+        assert np.array_equal(back.thresholds["s3.b1.bn1"].t, table.t)
+        assert back.thresholds["s3.b1.bn1"].bound == table.bound
         img = random_image(rng)
         assert np.array_equal(
             execute(model, img).logits, execute(back, img).logits

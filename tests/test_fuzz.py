@@ -9,14 +9,18 @@ or width, classes, k, c or alpha_out) either raises a
 :class:`FormatError` or loads as a model that serializes back to the same
 bytes and meets the compiler's invariants, and ``ern infer`` on it exits
 0 or 2, never with a traceback.
-A threshold table for an int16 accumulator edge gives the same planes
-as the same table at int32, for rows at and past the edge's bound and
-int16's range and accumulators at every threshold step and at +/-bound.
+A threshold table refuses a row past its bound + 1 (drawn around the
+bound and int16's range); within it, a table for an int16 accumulator
+edge gives the same planes as the same rows at an int32 bound, for
+accumulators at every threshold step and at +/-bound.
 Small generated architectures (stage counts 1-2, widths 64 or 128, odd
 class counts, k 1-21, resolutions 17-48; each draw builds one network of
 each block kind, one run at an odd resolution and one at an even) compile,
 serialize, load back byte for byte, run identically on both kernels and
-pass ``cross_check``.
+pass ``cross_check``.  With adversarial batch norms drawn per layer
+(zero or negative gammas, variance 1e-30 or 1e30, ``act_scale`` 1e-6 or
+1e6, a shared constant near the fold's overflow refusal) one either
+raises :class:`CompileError` or does all of that, with no hard mismatch.
 ``decode_ppm`` returns a (3, H, W) uint8 image or raises
 :class:`FormatError` for any damaged P6 file, and ``ern infer`` on one
 exits 0 or 2, never with a traceback.  ``ern compile`` and
@@ -42,12 +46,20 @@ from hypothesis import strategies as st
 
 from ern.cli import main
 from ern.compiler import compile_checkpoint, gen_random_checkpoint, load, save_manifest, serialize
-from ern.errors import BadMagicError, ChecksumError, FormatError, TruncationError, VersionError
+from ern.errors import (
+    BadMagicError,
+    ChecksumError,
+    CompileError,
+    DomainError,
+    FormatError,
+    TruncationError,
+    VersionError,
+)
 from ern.graph import BLOCKS, ArchConfig, execute
 from ern.oracle import cross_check, oracle_from_manifest
 from ern.ppm import decode_ppm
-from ern.quant import ThresholdTable, apply_thresholds
-from ern.tensor import LANES, padded_channels
+from ern.quant import BnParams, ThresholdTable, apply_thresholds
+from ern.tensor import ACC_LIMIT, LANES, padded_channels
 
 from conftest import HEADER_AT, record_offset, resign
 
@@ -166,12 +178,12 @@ def assert_compiler_invariants(m) -> None:
             assert (w.bits[:, -1] >> np.uint64(lanes) == np.uint64(2 ** (LANES - lanes) - 1)).all()
     for bn in g.bnacts:
         tbl, bound = m.thresholds[bn.name], g.edges[bn.src].bound
-        assert (np.diff(tbl.t, axis=1) >= 0).all()
-        assert np.abs(tbl.t).max() <= bound + 1
+        assert tbl.bound == bound
         d = tbl.degenerate
+        assert (np.diff(tbl.t[~d], axis=1) >= 0).all()
+        assert np.abs(tbl.t).max() <= bound + 1
         assert not (tbl.ascending & d).any()
-        assert not tbl.t[d].any()
-        assert (tbl.const_code[~d] == 0).all() and (tbl.const_code < 4).all()
+        assert not tbl.t[d, 1:].any() and ((tbl.t[d, 0] >= 0) & (tbl.t[d, 0] < 4)).all()
         assert tbl.dtype == tbl.sign.dtype == tbl.ts.dtype == g.edges[bn.src].dtype
 
 
@@ -219,14 +231,14 @@ class TestStructuredEdits:
 
 
 @st.composite
-def int16_table(draw) -> tuple[np.ndarray, dict]:
-    """Table fields for an int16 edge of a drawn bound, and an accumulator map within it.
+def int16_table(draw) -> tuple[np.ndarray, dict, int]:
+    """Table rows for an int16 edge of a drawn bound, an accumulator map within it, the bound.
 
     Rows come from ``int32_near``, so they include the +/-(bound + 1)
-    sentinels and values past int16's range; channels are ascending,
-    descending or degenerate with constant codes 0-3.  Each channel's
-    accumulators are +/-bound, 0 and t - 1, t, t + 1 of each threshold,
-    clipped to the bound.
+    sentinels and values past them and past int16's range; channels are
+    ascending, descending or degenerate, (code 0-3, 0, 0).  Each
+    channel's accumulators are +/-bound, 0 and t - 1, t, t + 1 of each
+    threshold, clipped to the bound.
     """
     bound = draw(
         st.one_of(st.sampled_from([1, 16512, 28416, 32765, 32766]), st.integers(1, 32766)),
@@ -240,25 +252,26 @@ def int16_table(draw) -> tuple[np.ndarray, dict]:
     degenerate = kind == 2
     const = np.array(draw(st.lists(st.integers(0, 3), min_size=c, max_size=c), label="codes"))
     t[degenerate] = 0
+    t[degenerate, 0] = const[degenerate]
     steps = t[:, :, None] + np.arange(-1, 2)
     acc = np.concatenate([np.tile([-bound, 0, bound], (c, 1)), steps.reshape(c, 9)], axis=1)
-    fields = dict(
-        t=t,
-        ascending=kind == 0,
-        degenerate=degenerate,
-        const_code=np.where(degenerate, const, 0),
-    )
-    return np.clip(acc, -bound, bound)[:, None, :], fields
+    fields = dict(t=t, ascending=kind == 0, degenerate=degenerate)
+    return np.clip(acc, -bound, bound)[:, None, :], fields, bound
 
 
 class TestThresholdWidths:
     @settings(max_examples=300)
-    @given(case=int16_table())
-    def test_int16_table_equals_int32(self, case):
-        acc, fields = case
-        narrow = ThresholdTable(**fields, dtype=np.int16)
-        wide = ThresholdTable(**fields, dtype=np.int32)
-        assert narrow.sign.dtype == narrow.ts.dtype == np.int16
+    @given(case=int16_table(), wide_bound=st.integers(32767, ACC_LIMIT))
+    def test_int16_table_equals_int32(self, case, wide_bound):
+        acc, fields, bound = case
+        if np.abs(fields["t"]).max() > bound + 1:  # past the sentinels: no table holds it
+            with pytest.raises(DomainError, match=f"bound {bound} \\+ 1"):
+                ThresholdTable(**fields, bound=bound)
+            fields["t"] = np.clip(fields["t"], -(bound + 1), bound + 1)
+        narrow = ThresholdTable(**fields, bound=bound)
+        wide = ThresholdTable(**fields, bound=wide_bound)
+        assert narrow.dtype == narrow.sign.dtype == narrow.ts.dtype == np.int16
+        assert wide.dtype == wide.sign.dtype == wide.ts.dtype == np.int32
         got = apply_thresholds(acc.astype(np.int16), narrow)
         assert np.array_equal(got, apply_thresholds(acc.astype(np.int32), wide))
 
@@ -294,6 +307,70 @@ class TestGeneratedArchitectures:
             report = cross_check(model, oracle_from_manifest(manifest), [img])
             assert report.ok, report.summary()
             assert sum(r.mismatches for r in report.layers.values()) == 0
+
+
+BN_MODES = ("keep", "zero_gamma", "negative_gamma", "tiny_var", "huge_var", "tiny_scale",
+            "huge_scale")
+
+
+def adversarial(rec: BnParams, mode: str) -> BnParams:
+    """``rec`` with one extreme batch-norm setting of ``mode`` (``BN_MODES``)."""
+    gamma, var, act_scale = rec.gamma.copy(), rec.var, rec.act_scale
+    if mode == "zero_gamma":  # every other channel: degenerate next to live
+        gamma[::2] = 0.0
+    elif mode == "negative_gamma":
+        gamma = -np.abs(gamma)
+    elif mode in ("tiny_var", "huge_var"):
+        var = np.full_like(var, 1e-30 if mode == "tiny_var" else 1e30)
+    elif mode in ("tiny_scale", "huge_scale"):
+        act_scale = 1e-6 if mode == "tiny_scale" else 1e6
+    return BnParams(gamma, rec.beta, rec.mean, var, rec.epsilon, act_scale)
+
+
+class TestAdversarialBatchNorm:
+    @settings(max_examples=15)
+    @given(
+        cfg=st.sampled_from(BLOCKS).flatmap(small_arch),
+        modes=st.lists(st.sampled_from(BN_MODES), min_size=1, max_size=6),
+        # the refusal falls between 1e300 and 1e306 on these networks
+        c=st.sampled_from([1.0, 1e300, 1e302, 1e303, 1e304, 1e305, 1e306]),
+        seed=st.integers(0, 2**16),
+        side=st.integers(17, 40),
+    )
+    # random checkpoints have no degenerate channel; here every other one
+    # of each second layer is
+    @example(
+        cfg=ArchConfig("bottleneck", (1, 1, 1, 1), (64, 64, 64, 64), classes=7, k=3),
+        modes=["zero_gamma", "keep"], c=1.0, seed=0, side=32,
+    )
+    # the fold's A was finite here but c * acc was not, and the oracle failed
+    @example(
+        cfg=ArchConfig("bottleneck", (1, 1, 1, 1), (64, 64, 64, 64), classes=7, k=3),
+        modes=["huge_var"], c=1e307, seed=0, side=32,
+    )
+    def test_compile_refuses_or_runs_exactly(self, cfg, modes, c, seed, side):
+        # BnAct i takes modes[i % len(modes)]; c near the fold's overflow
+        # refusal scales the residual branches' folds
+        manifest = gen_random_checkpoint(cfg, seed, shared_const=c)
+        for i, bn in enumerate(manifest.graph().bnacts):
+            manifest.bnacts[bn.name] = adversarial(manifest.bnacts[bn.name], modes[i % len(modes)])
+        try:
+            model = compile_checkpoint(manifest)
+        except CompileError:
+            return
+        degenerate = sum(int(t.degenerate.sum()) for t in model.thresholds.values())
+        assert ("zero_gamma" in modes) == (degenerate > 0)
+        blob = serialize(model)
+        back = load(blob)
+        assert serialize(back) == blob
+        assert_compiler_invariants(model)
+        assert_compiler_invariants(back)
+        img = np.random.default_rng(seed).integers(0, 256, (3, side, side), dtype=np.uint8)
+        popcount = execute(back, img).logits
+        assert popcount.tobytes() == execute(back, img, kernel="naive").logits.tobytes()
+        report = cross_check(back, oracle_from_manifest(manifest), [img])
+        assert sum(r.mismatches for r in report.layers.values()) == 0, report.summary()
+        assert report.ok, report.summary()
 
 
 PPM = b"P6\n# a 5x4 image\n5 4\n255\n" + bytes(range(60))

@@ -220,22 +220,22 @@ class TestResidualAdd:
     def test_adds_exactly(self, rng):
         a = rng.integers(-100, 100, size=(4, 3, 3)).astype(np.int32)
         b = rng.integers(-100, 100, size=(4, 3, 3)).astype(np.int32)
-        out = residual_add(a, b)
+        out = residual_add(a, b, np.int32)
         assert out.dtype == np.int32
         assert np.array_equal(out, a.astype(np.int64) + b)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            residual_add(np.zeros((2, 2, 2), np.int32), np.zeros((2, 2, 3), np.int32))
+            residual_add(np.zeros((2, 2, 2), np.int32), np.zeros((2, 2, 3), np.int32), np.int32)
 
     def test_rejects_float_input(self):
         with pytest.raises(ShapeError):
-            residual_add(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+            residual_add(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.int32)
 
     def test_rejects_overflow(self):
         big = np.full((1, 1, 1), 2**30, dtype=np.int32)
         with pytest.raises(ShapeError):
-            residual_add(big, big)
+            residual_add(big, big, np.int32)
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize(
@@ -252,28 +252,28 @@ class TestResidualAdd:
         b = np.ones((2, 3, 3), dtype=np.int32)
         a[1, 2, 0], b[1, 2, 0] = sign * x, sign * y
         with pytest.raises(ShapeError):
-            residual_add(a, b)
+            residual_add(a, b, np.int32)
         with pytest.raises(ShapeError):
-            residual_add(b, a)
+            residual_add(b, a, np.int32)
 
     def test_rejects_int32_minimum_pair(self):
         low = np.full((1, 1, 1), -(2**31), dtype=np.int32)
         with pytest.raises(ShapeError):
-            residual_add(low, low)  # -2**32 wraps to 0
+            residual_add(low, low, np.int32)  # -2**32 wraps to 0
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_accepts_sum_just_below_limit(self, sign):
         a = np.full((1, 2, 2), sign * 2**30, dtype=np.int32)
         b = np.full((1, 2, 2), sign * (2**30 - 2), dtype=np.int32)
         b[0, 0, 0] = -sign * 2**30  # the other extreme nearby: no false alarm
-        out = residual_add(a, b)
+        out = residual_add(a, b, np.int32)
         assert out.dtype == np.int32
         assert np.array_equal(out, a.astype(np.int64) + b)
         assert int(out[0, 1, 1]) == sign * (2**31 - 2)
 
     def test_rejects_wider_dtypes(self):
         with pytest.raises(ShapeError):
-            residual_add(np.zeros((2, 2, 2), np.int64), np.zeros((2, 2, 2), np.int64))
+            residual_add(np.zeros((2, 2, 2), np.int64), np.zeros((2, 2, 2), np.int64), np.int32)
         with pytest.raises(ShapeError):
             residual_add(np.zeros((2, 2, 2), np.int64), np.zeros((2, 2, 2), np.int64), np.int64)
         with pytest.raises(ShapeError):  # an input wider than the output
@@ -311,7 +311,7 @@ class TestResidualAdd:
             a[0, 0, 0], b[0, 0, 0] = 2**30, 2**30 - 2
         tracemalloc.start()
         try:
-            out = residual_add(a, b)
+            out = residual_add(a, b, np.int32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ern.errors import DomainError, ShapeError
+from ern.errors import ConfigError, DomainError, ShapeError
 from ern.quant import (
     BnParams,
     ThresholdTable,
@@ -10,10 +10,7 @@ from ern.quant import (
     fuse_thresholds,
     quantize_act_float,
 )
-from ern.tensor import ACC_LIMIT, LANES, pack_activations, unpack_activations
-
-
-WIDE = 2**62  # a stored threshold far past any accumulator bound
+from ern.tensor import ACC_LIMIT, LANES, acc_limit, pack_activations, unpack_activations
 
 
 def bn1(gamma=1.0, beta=0.0, mean=0.0, var=0.75, eps=0.25, s_a=1.0):
@@ -69,15 +66,15 @@ class TestFuse:
 
     def test_degenerate_constant_channel(self):
         tbl = fuse_thresholds(np.ones(1), bn1(gamma=0.0, beta=7.0, s_a=2.0), acc_bound=100)
-        assert tbl.degenerate.tolist() == [True]
-        assert tbl.const_code.tolist() == [3]  # clamp(floor(7/2), 0, 3)
+        assert tbl.degenerate.tolist() == [True] and tbl.ascending.tolist() == [False]
+        assert tbl.t.tolist() == [[3, 0, 0]]  # clamp(floor(7/2), 0, 3), then 0, 0
         acc = np.arange(-5, 6, dtype=np.int32).reshape(1, -1, 1)
         assert (unpack_activations(apply_thresholds(acc, tbl), 1) == 3).all()
 
     def test_acc_bound_clamps_to_sentinels(self):
         # thresholds far outside the reachable range clamp to bound + 1
         tbl = fuse_thresholds(np.ones(1), bn1(mean=1e9), acc_bound=27)
-        assert (tbl.t == 28).all()
+        assert (tbl.t == 28).all() and tbl.bound == 27
         acc = np.arange(-27, 28, dtype=np.int32).reshape(1, -1, 1)
         assert (unpack_activations(apply_thresholds(acc, tbl), 1) == 0).all()
 
@@ -86,6 +83,14 @@ class TestFuse:
         # A = gamma * alpha, B = -gamma * mean here; |A| * bound + |B| must stay finite
         with np.errstate(all="raise"), pytest.raises(DomainError, match="not finite"):
             fuse_thresholds(np.full(1, alpha), bn1(gamma=gamma, mean=mean), acc_bound=100)
+
+    def test_rejects_overflowing_float_composition(self):
+        # at var 1e30 the fold's A is a finite 1e292, but the composition it
+        # replaces, gamma * (alpha * acc - mean) / sd + beta, overflows at
+        # alpha * acc, so no float reference could check the table
+        with np.errstate(all="raise"), pytest.raises(DomainError, match="not finite"):
+            fuse_thresholds(np.full(1, 1e307), bn1(var=1e30), acc_bound=100)
+        fuse_thresholds(np.full(1, 1e305), bn1(var=1e30), acc_bound=100)
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
@@ -205,6 +210,8 @@ class TestEquivalence:
 def test_quantize_act_float_reference():
     v = np.array([-1.0, 0.0, 0.49, 0.5, 1.4, 99.0])
     assert quantize_act_float(v, 0.5).tolist() == [0, 0, 0, 1, 2, 3]
+    with np.errstate(all="raise"):  # v / s_a past the float range still clamps
+        assert quantize_act_float(np.array([-1e303, 1e303]), 1e-6).tolist() == [0, 3]
 
 
 def count_rule(acc, tbl):
@@ -213,7 +220,7 @@ def count_rule(acc, tbl):
     for ch in range(tbl.channels):
         a = acc[ch].astype(np.int64)
         if tbl.degenerate[ch]:
-            codes[ch] = tbl.const_code[ch]
+            codes[ch] = tbl.t[ch, 0]
         elif tbl.ascending[ch]:
             codes[ch] = sum(a >= int(t) for t in tbl.t[ch])
         else:
@@ -221,13 +228,13 @@ def count_rule(acc, tbl):
     return codes
 
 
-def table(t, ascending, degenerate=None, const_code=None):
-    c = len(t)
+def table(t, ascending, degenerate=None, bound=ACC_LIMIT):
+    """A table of the given rows; the default bound is int32's, ``ACC_LIMIT``."""
     return ThresholdTable(
         t=np.asarray(t, dtype=np.int64),
         ascending=np.asarray(ascending, dtype=bool),
-        degenerate=np.zeros(c, bool) if degenerate is None else np.asarray(degenerate),
-        const_code=np.zeros(c, np.uint8) if const_code is None else np.asarray(const_code),
+        degenerate=np.zeros(len(t), bool) if degenerate is None else np.asarray(degenerate),
+        bound=bound,
     )
 
 
@@ -236,23 +243,28 @@ class TestBitplanes:
 
     @pytest.mark.parametrize("c", [1, 63, 64, 65, 130])
     def test_planes_match_count_rule(self, rng, c):
-        bound = 500
-        t = np.sort(rng.integers(-bound, bound + 1, size=(c, 3)), axis=1)
-        # clamped rows: never / always crossed, at the fold's bound and unbounded
-        sentinels = [bound + 1, -(bound + 1), WIDE, -WIDE]
+        for bound in (500, ACC_LIMIT):  # an int16 table, then an int32 one
+            self.check_planes(rng, c, bound)
+
+    def check_planes(self, rng, c, bound):
+        t = np.sort(rng.integers(-500, 501, size=(c, 3)), axis=1)
+        # clamped rows: never / always crossed, one past the bound
         for ch in range(0, c, 5):
-            t[ch, 2] = sentinels[(ch // 5) % 4]
+            t[ch, 2] = (bound + 1) * (-1) ** (ch // 5)
             t[ch] = np.sort(t[ch])
         ascending = np.arange(c) % 3 != 1
         degenerate = np.arange(c) % 7 == 3
-        const_code = np.where(degenerate, np.arange(c) // 7 % 4, 0)
         t[degenerate] = 0
+        t[degenerate, 0] = (np.arange(c) // 7 % 4)[degenerate]
         if c == 1:
-            degenerate[0], const_code[0], t[0] = True, 2, 0
-        tbl = table(t, ascending, degenerate, const_code)
-        acc = rng.integers(-bound - 2, bound + 3, size=(c, 4, 6)).astype(np.int32)
-        acc[:, 0, 0] = ACC_LIMIT
-        acc[:, 0, 1] = -ACC_LIMIT
+            degenerate[0], t[0] = True, [2, 0, 0]
+        ascending &= ~degenerate
+        tbl = table(t, ascending, degenerate, bound)
+        assert tbl.dtype == (np.int16 if bound == 500 else np.int32)
+        limit = acc_limit(tbl.dtype)
+        acc = rng.integers(-502, 503, size=(c, 4, 6)).astype(tbl.dtype)
+        acc[:, 0, 0] = limit
+        acc[:, 0, 1] = -limit
         assert ACC_LIMIT == 2**31 - 2
 
         want = count_rule(acc, tbl)
@@ -276,9 +288,9 @@ class TestBitplanes:
 
     @pytest.mark.parametrize("value", [-(2**31), 2**31 - 1])
     def test_int32_extremes_rejected(self, value):
-        # -2**31 wraps under the sign fold and 2**31 - 1 reaches a clamped
-        # "never crossed" threshold, so neither has an exact code
-        tbl = table([[-1, 0, 1], [-1, 0, WIDE]], [False, True])
+        # -2**31 wraps under the sign fold and 2**31 - 1 reaches the
+        # "never crossed" sentinel ACC_LIMIT + 1, so neither has an exact code
+        tbl = table([[-1, 0, 1], [-1, 0, ACC_LIMIT + 1]], [False, True])
         acc = np.zeros((2, 1, 2), dtype=np.int32)
         acc[:, 0, 1] = value
         with pytest.raises(DomainError):
@@ -287,54 +299,77 @@ class TestBitplanes:
 
 class TestThresholdTable:
     def test_runtime_form_built_at_construction(self):
-        tbl = table([[2, 4, 6], [-6, -4, -2], [0, 0, 0]], [True, False, True], [0, 0, 1], [0, 0, 2])
-        assert tbl.sign.dtype == tbl.ts.dtype == np.int32
+        tbl = table([[2, 4, 6], [-6, -4, -2], [2, 0, 0]], [True, False, False], [0, 0, 1])
+        assert tbl.bound == ACC_LIMIT and tbl.t.dtype == np.int64
+        assert tbl.t.tolist() == [[2, 4, 6], [-6, -4, -2], [2, 0, 0]]  # the record's rows
+        assert tbl.sign.dtype == tbl.ts.dtype == tbl.dtype == np.int32
         assert tbl.sign.ravel().tolist() == [1, -1, 1]
         lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
         assert tbl.ts.reshape(3, 3).T.tolist() == [[2, 4, 6], [2, 4, 6], [lo, lo, hi]]
 
     def test_int16_runtime_form(self):
-        # the int16 sentinels are int16's ends; past them a stored threshold clamps
-        t = [[2, 4, 6], [-6, -4, -2], [0, 0, 0], [-WIDE, 40000, WIDE], [-(2**15) - 5, 0, 2**15]]
-        tbl = ThresholdTable(
+        # at bound 32766 the +/-32767 sentinels are int16's maximum and its minimum + 1
+        t = [[2, 4, 6], [-6, -4, -2], [2, 0, 0], [-32767, 30000, 32767], [-32767, 0, 32767]]
+        fields = dict(
             t=np.asarray(t, dtype=np.int64),
-            ascending=np.array([True, False, True, True, False]),
+            ascending=np.array([True, False, False, True, False]),
             degenerate=np.array([False, False, True, False, False]),
-            const_code=np.array([0, 0, 2, 0, 0]),
-            dtype=np.int16,
         )
+        tbl = ThresholdTable(**fields, bound=32766)
         assert tbl.sign.dtype == tbl.ts.dtype == tbl.dtype == np.int16
         lo, hi = -(2**15), 2**15 - 1
         assert tbl.ts.reshape(3, 5).T.tolist() == [
-            [2, 4, 6], [2, 4, 6], [lo, lo, hi], [lo, hi, hi], [-hi, 0, hi]
+            [2, 4, 6], [2, 4, 6], [lo, lo, hi], [-hi, 30000, hi], [-hi, 0, hi]
         ]
-        acc = np.array([-32766, -32765, -1, 0, 1, 32765, 32766])
+        acc = np.array([-32766, -32765, -1, 0, 1, 29999, 30000, 32765, 32766])
         acc = np.tile(acc, (5, 1)).reshape(5, 1, -1)
         got = unpack_activations(apply_thresholds(acc.astype(np.int16), tbl), 5)
         assert np.array_equal(got, count_rule(acc, tbl))
-        wide = ThresholdTable(tbl.t, tbl.ascending, tbl.degenerate, tbl.const_code)
+        wide = ThresholdTable(**fields, bound=32767)
+        assert wide.dtype == np.int32
         assert np.array_equal(got, unpack_activations(apply_thresholds(acc, wide), 5))
         for v in (32767, -32767, -(2**15)):  # past int16's limit
             with pytest.raises(DomainError, match="32766"):
                 apply_thresholds(np.full((5, 1, 1), v, dtype=np.int32), tbl)
 
     def test_width_from_fold_bound(self):
-        assert fuse_thresholds(np.ones(1), bn1(), acc_bound=32766).dtype == np.int16
-        assert fuse_thresholds(np.ones(1), bn1(), acc_bound=32767).dtype == np.int32
+        narrow = fuse_thresholds(np.ones(1), bn1(), acc_bound=32766)
+        wide = fuse_thresholds(np.ones(1), bn1(), acc_bound=32767)
+        assert (narrow.bound, narrow.dtype) == (32766, np.int16)
+        assert (wide.bound, wide.dtype) == (32767, np.int32)
+        with pytest.raises(ConfigError, match="ACC_LIMIT"):
+            table([[0, 1, 2]], [True], bound=ACC_LIMIT + 1)
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32])
-    def test_rejects_other_widths(self, dtype):
-        with pytest.raises(DomainError, match="width"):
-            ThresholdTable(np.zeros((1, 3), np.int64), [True], [False], [0], dtype=dtype)
+    @pytest.mark.parametrize("bound", [27, 32766, ACC_LIMIT])
+    def test_thresholds_within_bound_plus_one(self, bound):
+        table([[-(bound + 1), 0, bound + 1]], [True], bound=bound)  # the sentinels
+        rows = [[0, 0, bound + 2], [-(bound + 2), 0, 0], [0, 0, 2**63 - 1], [-(2**63), 0, 0]]
+        for row in rows:
+            with pytest.raises(DomainError, match=f"bound {bound} \\+ 1"):
+                table([row], [True], bound=bound)
+        with pytest.raises(DomainError, match="bound"):  # checked before any cast
+            ThresholdTable(np.full((1, 3), 2**64 - 1, np.uint64), [True], [False], bound)
 
     def test_rejects_unsorted_row(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="sorted"):
             table([[1, 3, 2]], [True])
+        with pytest.raises(DomainError, match="sorted"):
+            table([[1, 3, 2]], [False])
 
     @pytest.mark.parametrize("code", [4, 256, -1])
     def test_rejects_bad_const_code(self, code):
-        with pytest.raises(DomainError):
-            table([[0, 0, 0]], [True], [True], np.array([code], dtype=np.int64))
+        table([[3, 0, 0]], [False], [True])  # a degenerate row: its constant code, then 0, 0
+        with pytest.raises(DomainError, match="degenerate"):
+            table([[code, 0, 0]], [False], [True])
+
+    @pytest.mark.parametrize("row", [[2, 7, 9], [0, 0, 1], [3, -1, 0]])
+    def test_rejects_degenerate_row_with_nonzero_t2_t3(self, row):
+        with pytest.raises(DomainError, match="degenerate"):
+            table([row], [False], [True])
+
+    def test_rejects_ascending_degenerate_channel(self):
+        with pytest.raises(DomainError, match="degenerate"):
+            table([[2, 0, 0]], [True], [True])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
