@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -178,12 +179,24 @@ def cmd_bench(args) -> int:
             f"{kern:9s} mean {np.mean(times) * 1e3:9.2f} ms   min {np.min(times) * 1e3:9.2f} ms"
             f"   ({args.iters} iters, {r}x{r})"
         )
+        print(f"{kern:9s} peak {_execute_peak(model, img, kern) / 1e6:9.2f} MB"
+              f"   (tracemalloc, one more untimed run)")
     if len(logits_by_kernel) == 2:
         a, b = logits_by_kernel["popcount"], logits_by_kernel["naive"]
         if not np.array_equal(a, b):
             raise VerificationError("popcount and naive kernels disagree on logits")
         print("kernel paths agree: identical logits")
     return EXIT_OK
+
+
+def _execute_peak(model, img, kernel: str) -> int:
+    """Peak bytes that tracemalloc sees numpy and Python allocate during one ``execute``."""
+    tracemalloc.start()
+    try:
+        execute(model, img, kernel=kernel)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cmd_init_random(args) -> int:
@@ -232,7 +245,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=cmd_verify)
 
-    b = sub.add_parser("bench", help="time the kernel paths")
+    b = sub.add_parser("bench", help="time the kernel paths and report their memory peak")
     b.add_argument("--model", required=True)
     b.add_argument("--iters", type=positive_int, default=3)
     b.add_argument("--kernel", choices=["popcount", "naive"], default=None)

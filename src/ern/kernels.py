@@ -16,20 +16,26 @@ accumulators, each at its edge's width (``acc_dtype`` of the conv's
   zero in both planes, so they add nothing regardless of their weight bits;
   the kernel checks this where a word has pad lanes.
 
-  The input is one (2, words, H, W) array, hi plane then lo, padded
-  once.  The loop keeps its temporaries in cache.  Each tap's strided
-  window of both planes is copied once into a contiguous (2, words, 1,
-  OH * OW) array, and each tap's (words, OC, 1) weight words are ANDed
-  against both planes by broadcasting, so one AND and one popcount serve
-  both.  The image-only term ``popcount(p)`` is summed once for all
+  The input is one (2, words, H, W) array, hi plane then lo.  The
+  kernel works on tiles of whole output rows, and no step holds a
+  temporary the size of the input or output map, so its working set
+  stays in cache.  A tile has as many rows as keep all its taps'
+  windows within ``2 * BLOCK_BYTES`` (at least one row).  Each tap's strided
+  window of both planes is copied once per tile into a contiguous
+  (2, words, 1, rows * OW) array, straight from the unpadded planes:
+  the part that falls outside the input is zero-filled, so no padded
+  copy exists.  Each tap's (words, OC, 1) weight words are ANDed against
+  both planes by broadcasting, so one AND and one popcount serve both.
+  The image-only term ``popcount(p)`` is summed once per tile for all
   output channels.  Output channels are then walked in blocks whose
-  uint64 AND temporary, (2, words, block, OH * OW), is about
-  ``_BLOCK_BYTES``: per tap, the block's popcounts are added into a
-  uint16 (uint32 for very large kernels) counter per (plane, word, oc,
-  pixel).  The plane and word axes are outermost, so the counters reduce
-  once per block to ``2 * sum(hi) + sum(lo)`` as two sums over the word
-  axis, in uint16 while the largest possible total fits it and uint32
-  otherwise.
+  uint64 AND temporary over the tile, (2, words, block, rows * OW), is
+  about ``BLOCK_BYTES``: per tap, the block's popcounts are added into
+  a uint16 (uint32 for very large kernels) counter per (plane, word,
+  oc, pixel).  The plane and word axes are outermost, so the counters
+  reduce once per block to ``2 * sum(hi) + sum(lo)`` as two sums over
+  the word axis, in uint16 while the largest possible total fits it and
+  uint32 otherwise.  Rows and channels are split into near-equal parts,
+  so no tile or block is a small remainder.
 
 Zero padding uses activation code 0, which contributes exactly 0 to any
 +/-1-weighted sum, making pad semantics bit-exact.
@@ -53,8 +59,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .instrument import note_float_ops
-from .tensor import ACC_DTYPES, LANES, PackedWeights, acc_dtype, acc_limit
-from .tensor import ensure_act2, padded_channels, popcount
+from .tensor import ACC_DTYPES, BLOCK_BYTES, LANES, PackedWeights, acc_dtype, acc_limit
+from .tensor import ensure_act2, even_parts, padded_channels, popcount
 
 
 @dataclass(frozen=True)
@@ -91,14 +97,31 @@ class ConvSpec:
         return oh, ow
 
 
-# bytes of the uint64 AND temporary per output-channel block; sized to stay in
-# cache (256 KiB to 1 MiB measured flat)
-_BLOCK_BYTES = 512 * 1024
-
-
 def _tap_window(padded: np.ndarray, i: int, j: int, stride, oh: int, ow: int) -> np.ndarray:
     sh, sw = stride
     return padded[..., i : i + sh * (oh - 1) + 1 : sh, j : j + sw * (ow - 1) + 1 : sw]
+
+
+def _inside(n: int, stride: int, offset: int, size: int) -> tuple[int, int]:
+    """Output positions [lo, hi) along one axis whose input, o * stride + offset, is in [0, size)."""
+    lo = min(n, max(0, -(offset // stride)))
+    return lo, max(lo, min(n, (size - 1 - offset) // stride + 1))
+
+
+def _tiles(spec: ConvSpec, oh: int, ow: int) -> tuple[int, int]:
+    """Output rows per tile and output channels per block of the popcount kernel.
+
+    A tile's windows are at most ``2 * BLOCK_BYTES`` and a block's AND
+    temporary over one tile at most ``BLOCK_BYTES`` (unless one row alone
+    is larger), and each axis is split into as few parts as that allows,
+    of near-equal size.  The windows get twice the budget because
+    splitting a map whose windows fit it measured up to 1.7x slower: at
+    256 that is every conv after the stem's first two, whose tiles would
+    fall to 2,048 pixels, and the AND runs slower on such short rows.
+    """
+    row = 2 * (padded_channels(spec.in_ch) // LANES) * ow * 8  # both planes' words, one row
+    rows = even_parts(oh, 2 * BLOCK_BYTES // (spec.kh * spec.kw * row))
+    return rows, even_parts(spec.out_ch, BLOCK_BYTES // (rows * row))
 
 
 def conv_w1a2_naive(x: np.ndarray, signs: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -142,53 +165,65 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
         raise ShapeError(f"planes hold a code past channel {spec.in_ch}")
     _, _, h, wd = x.shape
     oh, ow = spec.out_spatial(h, wd)
-    ph, pw = spec.padding
+    (sh, sw), (ph, pw) = spec.stride, spec.padding
     taps = spec.kh * spec.kw
-    if ph or pw:
-        padded = np.zeros((2, nw, h + 2 * ph, wd + 2 * pw), dtype=np.uint64)
-        padded[:, :, ph : ph + h, pw : pw + wd] = x
-        x = padded
-    # (taps, 2, words, 1, OH * OW): each tap's strided window of both planes
-    windows = np.empty((taps, 2, nw, oh, ow), dtype=np.uint64)
-    for t in range(taps):
-        windows[t] = _tap_window(x, t // spec.kw, t % spec.kw, spec.stride, oh, ow)
-    windows = windows.reshape(taps, 2, nw, 1, oh * ow)
+    # per tap row i and column j, the output rows and columns it reads inside the input
+    tap_rows = [_inside(oh, sh, i - ph, h) for i in range(spec.kh)]
+    tap_cols = [_inside(ow, sw, j - pw, wd) for j in range(spec.kw)]
     # every sum below is taken modulo 2**bits of the output width, in its
     # unsigned twin; pad lanes are zero in both planes, so the true
     # 2 * hits - base never exceeds acc_bound, which the width holds
     dtype = acc_dtype(spec.acc_bound)
     wrap = np.dtype(f"u{dtype.itemsize}")
-    pc = popcount(windows[..., 0, :])
-    base = 2 * pc[:, 0].sum(axis=(0, 1), dtype=wrap)
-    base += pc[:, 1].sum(axis=(0, 1), dtype=wrap)
     # (taps, words, OC, 1): each tap's weight words, ANDed against both planes
     wtaps = w.bits.reshape(spec.out_ch, nw, taps)
     wtaps = np.ascontiguousarray(wtaps.transpose(2, 1, 0))[..., None]
 
-    block = min(spec.out_ch, max(1, _BLOCK_BYTES // (2 * nw * oh * ow * 8)))
+    rows, block = _tiles(spec, oh, ow)
     # each tap adds at most 64 to a (plane, word, oc, pixel) counter, and each
     # word and tap at most 3 * 64 to a pixel's 2 * sum(hi) + sum(lo)
     count_dtype = np.uint16 if taps * LANES < 2**16 else np.uint32
     hits_dtype = np.uint16 if 3 * LANES * nw * taps < 2**16 else np.uint32
-    anded = np.empty((2, nw, block, oh * ow), dtype=np.uint64)
+    window_words = np.empty(taps * 2 * nw * rows * ow, dtype=np.uint64)
+    anded = np.empty((2, nw, block, rows * ow), dtype=np.uint64)
     bits = np.empty(anded.shape, dtype=np.uint8)
     counts = np.empty(anded.shape, dtype=count_dtype)
     acc = np.empty((spec.out_ch, oh * ow), dtype=dtype)
-    for o0 in range(0, spec.out_ch, block):
-        o1 = min(o0 + block, spec.out_ch)
-        a, b, c = anded[:, :, : o1 - o0], bits[:, :, : o1 - o0], counts[:, :, : o1 - o0]
+    for r0 in range(0, oh, rows):
+        r1 = min(r0 + rows, oh)
+        n = (r1 - r0) * ow
+        # (taps, 2, words, rows, OW): each tap's strided window of both planes,
+        # read from the input where it lies inside and zero (code 0) elsewhere
+        windows = window_words[: taps * 2 * nw * n].reshape(taps, 2, nw, r1 - r0, ow)
         for t in range(taps):
-            np.bitwise_and(wtaps[t, :, o0:o1], windows[t], out=a)
-            if t == 0:
-                np.bitwise_count(a, out=c)
-            else:
-                np.add(c, np.bitwise_count(a, out=b), out=c)
-        hits = np.add.reduce(c[0], axis=0, dtype=hits_dtype)
-        hits *= 2
-        hits += np.add.reduce(c[1], axis=0, dtype=hits_dtype)
-        out = acc[o0:o1].view(wrap)
-        np.multiply(hits, 2, out=out, dtype=wrap, casting="unsafe")  # 2 * hits modulo 2**bits
-        out -= base
+            i, j = divmod(t, spec.kw)
+            (a0, a1), (c0, c1) = tap_rows[i], tap_cols[j]
+            a0, a1 = max(a0, r0), min(a1, r1)
+            if (a0, a1, c0, c1) != (r0, r1, 0, ow):
+                windows[t].fill(0)
+            if a0 < a1 and c0 < c1:
+                rs = slice(a0 * sh + i - ph, (a1 - 1) * sh + i - ph + 1, sh)
+                cs = slice(c0 * sw + j - pw, (c1 - 1) * sw + j - pw + 1, sw)
+                windows[t, :, :, a0 - r0 : a1 - r0, c0:c1] = x[:, :, rs, cs]
+        windows = windows.reshape(taps, 2, nw, 1, n)
+        pc = popcount(windows[..., 0, :])
+        base = 2 * pc[:, 0].sum(axis=(0, 1), dtype=wrap)
+        base += pc[:, 1].sum(axis=(0, 1), dtype=wrap)
+        for o0 in range(0, spec.out_ch, block):
+            o1 = min(o0 + block, spec.out_ch)
+            a, b, c = (buf[:, :, : o1 - o0, :n] for buf in (anded, bits, counts))
+            for t in range(taps):
+                np.bitwise_and(wtaps[t, :, o0:o1], windows[t], out=a)
+                if t == 0:
+                    np.bitwise_count(a, out=c)
+                else:
+                    np.add(c, np.bitwise_count(a, out=b), out=c)
+            hits = np.add.reduce(c[0], axis=0, dtype=hits_dtype)
+            hits *= 2
+            hits += np.add.reduce(c[1], axis=0, dtype=hits_dtype)
+            out = acc[o0:o1, r0 * ow : r1 * ow].view(wrap)
+            np.multiply(hits, 2, out=out, dtype=wrap, casting="unsafe")  # 2 * hits modulo 2**bits
+            out -= base
     return _check_acc(acc.reshape(spec.out_ch, oh, ow), spec)
 
 

@@ -62,7 +62,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .instrument import note_float_ops
-from .tensor import acc_dtype, acc_limit, pack_bitplanes, padded_channels
+from .tensor import BLOCK_BYTES, LANES, acc_dtype, acc_limit, even_parts, pack_bitplanes
+from .tensor import padded_channels
 
 NUM_CODES = 4  # 2-bit activations
 
@@ -263,9 +264,13 @@ def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
     integer compares and packs both bits along the channel axis; this is
     the engine's only activation path.  ``acc`` is (C, H, W) with
     |acc| <= ``acc_limit(tbl.dtype)``, checked for every integer dtype
-    (the sign fold and the sentinels are exact only inside it).  An
-    accumulator at the table's width, as every engine edge is, is used
-    as it is; any other is then cast to that width.
+    (the sign fold and the sentinels are exact only inside it); an
+    accumulator of another width is cast to the table's as it is read.
+    The work goes one block of rows at a time, a block's bool plane pair
+    being about ``BLOCK_BYTES``: the sign fold, the three compares and
+    the packing make only block-sized temporaries, and each block writes
+    its rows of the output planes.  No step makes a temporary the size of
+    the whole map.
     """
     acc = np.asarray(acc)
     if not np.issubdtype(acc.dtype, np.integer):
@@ -277,13 +282,19 @@ def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
     limit = acc_limit(tbl.dtype)
     if acc.size and max(int(acc.max()), -int(acc.min())) > limit:
         raise DomainError(f"accumulator magnitude exceeds {limit}")
-    acc = acc.astype(tbl.dtype, copy=False)
     c, h, w = acc.shape
-    folded = acc * tbl.sign
-    bits = np.zeros((2, padded_channels(c), h, w), dtype=bool)
-    hi, lo = bits[0, :c], bits[1, :c]
-    np.greater_equal(folded, tbl.ts[1], out=hi)
-    np.greater_equal(folded, tbl.ts[0], out=lo)
-    lo ^= hi
-    lo ^= folded >= tbl.ts[2]
-    return pack_bitplanes(bits)
+    cp = padded_channels(c)
+    rows = even_parts(h, BLOCK_BYTES // max(1, 2 * cp * w))  # bool plane pair of a row block
+    planes = np.empty((2, cp // LANES, h, w), dtype=np.uint64)
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0)
+        # exact at the table's width: |acc| <= limit was checked above
+        folded = np.multiply(acc[:, r0 : r0 + n], tbl.sign, dtype=tbl.dtype, casting="unsafe")
+        bits = np.zeros((2, cp, n, w), dtype=bool)  # pad lanes stay False
+        hi, lo = bits[0, :c], bits[1, :c]
+        np.greater_equal(folded, tbl.ts[1], out=hi)
+        np.greater_equal(folded, tbl.ts[0], out=lo)
+        lo ^= hi
+        lo ^= folded >= tbl.ts[2]
+        planes[:, :, r0 : r0 + n] = pack_bitplanes(bits)
+    return planes

@@ -43,6 +43,24 @@ ACC_DTYPES = (np.dtype(np.int16), np.dtype(np.int32))  # accumulator widths, nar
 ACC_DTYPE = np.int32  # the widest
 ACC_LIMIT = int(np.iinfo(ACC_DTYPE).max) - 1  # largest |accumulator| the engine holds
 
+# bytes of each large working array of a hot-path step: a popcount conv's AND
+# temporary (its row tile of tap windows may take twice this), a threshold
+# stage's row block of bit planes; sized to stay in cache (256 KiB to 1 MiB
+# measured flat)
+BLOCK_BYTES = 512 * 1024
+
+
+def even_parts(n: int, most: int) -> int:
+    """Part size that splits ``n`` items into as few parts of at most ``most`` as it can.
+
+    ``most`` below 1 counts as 1, and no items make one part of size 1.
+    Every part but the last has this size, and the last falls short of
+    it by fewer items than there are parts, so no part is a small
+    remainder.
+    """
+    parts = -(-n // max(1, most))
+    return -(-n // parts) if parts else 1
+
 
 def acc_limit(dtype) -> int:
     """Largest |accumulator| an accumulator of ``dtype`` holds exactly: its maximum - 1."""

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import ern.cli
 from ern.cli import main
 from ern.compiler import load, serialize
+from ern.graph import execute
 from ern.ppm import write_ppm
 
 from conftest import HEADER_AT, resign, rewrite_threshold_row
@@ -245,6 +247,28 @@ class TestBench:
         out = capsys.readouterr().out
         assert "popcount" in out and "naive" in out
         assert "identical logits" in out
+
+    def test_peak_of_one_untimed_run(self, ws, capsys):
+        rc = main(["bench", "--model", str(ws["model"]), "--iters", "2",
+                   "--kernel", "popcount", "--resolution", "48"])
+        assert rc == 0
+        assert not tracemalloc.is_tracing()
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("popcount  mean")
+        name, field, mb, unit = lines[1].split()[:4]
+        assert (name, field, unit) == ("popcount", "peak", "MB")
+        # the same run measured here, after a warm-up as bench's timed runs
+        # are: the 48x48 image bench draws from seed 0
+        img = np.random.default_rng(0).integers(0, 256, size=(3, 48, 48), dtype=np.uint8)
+        model = load(ws["model"].read_bytes())
+        execute(model, img)
+        tracemalloc.start()
+        try:
+            execute(model, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert float(mb) == pytest.approx(peak / 1e6, rel=0.1)
 
     def test_threads_flag_removed(self, ws):
         rc = main(["bench", "--model", str(ws["model"]), "--iters", "1",

@@ -19,8 +19,9 @@ each block kind, one run at an odd resolution and one at an even) compile,
 serialize, load back byte for byte, run identically on both kernels and
 pass ``cross_check``.  With adversarial batch norms drawn per layer
 (zero or negative gammas, variance 1e-30 or 1e30, ``act_scale`` 1e-6 or
-1e6, a shared constant near the fold's overflow refusal) one either
-raises :class:`CompileError` or does all of that, with no hard mismatch.
+1e6, a shared constant near the fold's overflow refusal), again on one
+network of each block kind per draw, each network either raises
+:class:`CompileError` or does all of that, with no hard mismatch.
 ``decode_ppm`` returns a (3, H, W) uint8 image or raises
 :class:`FormatError` for any damaged P6 file, and ``ern infer`` on one
 exits 0 or 2, never with a traceback.  ``ern compile`` and
@@ -330,7 +331,8 @@ def adversarial(rec: BnParams, mode: str) -> BnParams:
 class TestAdversarialBatchNorm:
     @settings(max_examples=15)
     @given(
-        cfg=st.sampled_from(BLOCKS).flatmap(small_arch),
+        # each draw builds one network of each block kind
+        cfgs=st.tuples(*(small_arch(block) for block in BLOCKS)),
         modes=st.lists(st.sampled_from(BN_MODES), min_size=1, max_size=6),
         # the refusal falls between 1e300 and 1e306 on these networks
         c=st.sampled_from([1.0, 1e300, 1e302, 1e303, 1e304, 1e305, 1e306]),
@@ -340,15 +342,20 @@ class TestAdversarialBatchNorm:
     # random checkpoints have no degenerate channel; here every other one
     # of each second layer is
     @example(
-        cfg=ArchConfig("bottleneck", (1, 1, 1, 1), (64, 64, 64, 64), classes=7, k=3),
+        cfgs=(ArchConfig("bottleneck", (1, 1, 1, 1), (64, 64, 64, 64), classes=7, k=3),),
         modes=["zero_gamma", "keep"], c=1.0, seed=0, side=32,
     )
     # the fold's A was finite here but c * acc was not, and the oracle failed
     @example(
-        cfg=ArchConfig("bottleneck", (1, 1, 1, 1), (64, 64, 64, 64), classes=7, k=3),
+        cfgs=(ArchConfig("bottleneck", (1, 1, 1, 1), (64, 64, 64, 64), classes=7, k=3),),
         modes=["huge_var"], c=1e307, seed=0, side=32,
     )
-    def test_compile_refuses_or_runs_exactly(self, cfg, modes, c, seed, side):
+    def test_compile_refuses_or_runs_exactly(self, cfgs, modes, c, seed, side):
+        for cfg in cfgs:
+            self.check(cfg, modes, c, seed, side)
+
+    @staticmethod
+    def check(cfg, modes, c, seed, side):
         # BnAct i takes modes[i % len(modes)]; c near the fold's overflow
         # refusal scales the residual branches' folds
         manifest = gen_random_checkpoint(cfg, seed, shared_const=c)

@@ -30,7 +30,7 @@ from ern.graph import (
 from ern.instrument import note_float_ops
 from ern.kernels import ConvSpec
 from ern.quant import BnParams
-from ern.tensor import LANES, padded_channels
+from ern.tensor import BLOCK_BYTES, LANES, padded_channels
 
 from conftest import execute_keeping_all, random_image
 
@@ -463,20 +463,36 @@ class TestExecution:
         other = "naive" if kernel == "popcount" else "popcount"
         assert execute(erns18_model, img, kernel=other).logits.tobytes() == plain.logits.tobytes()
 
-    def test_acc_width_bitplane_datapath_peak(self, erns50_model, rng):
-        # at 224 stage 1's residual add holds three (256, 56, 56) acc maps,
-        # int16 on erns50; held as int32, they alone pass 2.2 int32 maps, as
-        # do int64 temporaries or uint8 code maps between layers
-        img = random_image(rng, 224)
-        execute(erns50_model, img)
+    @staticmethod
+    def execute_peak(model, img):
+        execute(model, img)
         tracemalloc.start()
         try:
-            execute(erns50_model, img)
-            peak = tracemalloc.get_traced_memory()[1]
+            execute(model, img)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_acc_width_bitplane_datapath_peak(self, erns50_model, rng):
+        # at 224 stage 1's residual add holds three (256, 56, 56) acc maps,
+        # int16 on erns50: 1.5 int32 maps.  Held as int32 they alone pass 1.6,
+        # as do int64 temporaries, uint8 code maps between layers, or the
+        # full-size stem and threshold temporaries of untiled steps (1.85)
+        peak = self.execute_peak(erns50_model, random_image(rng, 224))
         stage1_acc = 256 * 56 * 56 * np.dtype(np.int32).itemsize
-        assert peak < 2.2 * stage1_acc
+        assert peak < 1.6 * stage1_acc
+
+    def test_tiled_stem_peak(self, erns18_model, rng):
+        # at 256 stem.conv1 reads (2, 1, 256, 256) planes and writes a
+        # (64, 128, 128) int16 map; its row tiles (windows up to twice
+        # BLOCK_BYTES, AND temporaries up to once), and the row blocks of the
+        # threshold stage after it, add a few BLOCK_BYTES more.  A padded
+        # copy with every tap's full-size window, or a full-size sign fold
+        # with its bool planes, passes this (7.76 MB)
+        peak = self.execute_peak(erns18_model, random_image(rng, 256))
+        planes = 2 * 256 * 256 * np.dtype(np.uint64).itemsize
+        acc = 64 * 128 * 128 * np.dtype(np.int16).itemsize
+        assert peak < planes + acc + 4 * BLOCK_BYTES
 
     def test_residual_reading_one_edge_twice(self):
         # add(c1, c1) is valid; execute must drop c1 once, after the add

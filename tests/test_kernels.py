@@ -5,14 +5,15 @@ import pytest
 
 from ern.errors import ShapeError
 from ern.kernels import (
-    _BLOCK_BYTES,
     ConvSpec,
+    _tiles,
     avgpool_and_scale,
     conv_w1a2_naive,
     conv_w1a2_popcount,
     residual_add,
 )
-from ern.tensor import LANES, acc_dtype, pack_activations, pack_weights, padded_channels
+from ern.tensor import BLOCK_BYTES, LANES, acc_dtype, pack_activations, pack_weights
+from ern.tensor import padded_channels
 
 
 def run_both(codes, signs, spec):
@@ -91,28 +92,77 @@ class TestEquivalence:
             conv_w1a2_popcount(pack_activations(codes), pack_weights(signs, np.ones(2)), spec)
 
 
-def oc_block(spec, h, w):
-    """Output channels per block of the popcount kernel for this input."""
-    oh, ow = spec.out_spatial(h, w)
-    words = padded_channels(spec.in_ch) // LANES
-    return max(1, _BLOCK_BYTES // (2 * words * oh * ow * 8))
+def tiles(spec, h, w):
+    """Output rows per tile and output channels per block of the popcount kernel."""
+    return _tiles(spec, *spec.out_spatial(h, w))
+
+
+def window_bytes(spec, w):
+    """Bytes of one output row of every tap's window of both planes."""
+    ow = spec.out_spatial(spec.kh, w)[1]
+    return spec.kh * spec.kw * 2 * padded_channels(spec.in_ch) // LANES * ow * 8
 
 
 class TestBlockedKernel:
-    """Shapes that split the popcount kernel's output-channel blocks."""
+    """Shapes that split the popcount kernel's row tiles and output-channel blocks."""
 
     def test_ragged_last_block(self, rng):
         spec = ConvSpec(70, 23, 3, 3, (1, 1), (1, 1))
-        block = oc_block(spec, 48, 48)
+        block = tiles(spec, 48, 48)[1]
         assert 1 < block < spec.out_ch and spec.out_ch % block
         codes = rng.integers(0, 4, size=(70, 48, 48), dtype=np.uint8)
         signs = rng.choice([-1, 1], size=(23, 70, 3, 3)).astype(np.int8)
         naive, pop = run_both(codes, signs, spec)
         assert np.array_equal(naive, pop)
 
+    def test_ragged_last_row_tile(self, rng):
+        spec = ConvSpec(128, 8, 3, 3, (1, 1), (1, 1))
+        rows = tiles(spec, 61, 90)[0]
+        assert 1 < rows < 61 and 61 % rows
+        codes = rng.integers(0, 4, size=(128, 61, 90), dtype=np.uint8)
+        signs = rng.choice([-1, 1], size=(8, 128, 3, 3)).astype(np.int8)
+        naive, pop = run_both(codes, signs, spec)
+        assert np.array_equal(naive, pop)
+
+    def test_row_wider_than_budget(self, rng):
+        # one output row of windows passes the windows' budget, twice
+        # BLOCK_BYTES, so each tile is one row
+        spec = ConvSpec(1280, 4, 3, 3, (1, 1), (1, 1))
+        assert window_bytes(spec, 400) > 2 * BLOCK_BYTES
+        assert tiles(spec, 3, 400)[0] == 1
+        codes = rng.integers(0, 4, size=(1280, 3, 400), dtype=np.uint8)
+        signs = rng.choice([-1, 1], size=(4, 1280, 3, 3)).astype(np.int8)
+        naive, pop = run_both(codes, signs, spec)
+        assert np.array_equal(naive, pop)
+
+    def test_taps_outside_a_whole_tile(self, rng):
+        # one-row tiles at stride 2, pad 1: output row 0 reads input row -1 in
+        # its top taps, and row 2 reads row 5 of 5 in its bottom taps, so those
+        # taps see nothing inside the first and the last tile; the odd width
+        # leaves the right taps' last column outside too
+        spec = ConvSpec(640, 4, 3, 3, (2, 2), (1, 1))
+        assert spec.out_spatial(5, 801) == (3, 401)
+        assert tiles(spec, 5, 801)[0] == 1
+        codes = rng.integers(0, 4, size=(640, 5, 801), dtype=np.uint8)
+        signs = rng.choice([-1, 1], size=(4, 640, 3, 3)).astype(np.int8)
+        naive, pop = run_both(codes, signs, spec)
+        assert np.array_equal(naive, pop)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_pixel_input(self, rng, stride):
+        # every tap but the centre reads padding
+        spec = ConvSpec(70, 5, 3, 3, (stride, stride), (1, 1))
+        assert spec.out_spatial(1, 1) == (1, 1)
+        codes = rng.integers(0, 4, size=(70, 1, 1), dtype=np.uint8)
+        signs = rng.choice([-1, 1], size=(5, 70, 3, 3)).astype(np.int8)
+        naive, pop = run_both(codes, signs, spec)
+        assert np.array_equal(naive, pop)
+        centre = signs[:, :, 1, 1].astype(np.int64) @ codes[:, 0, 0]
+        assert pop[:, 0, 0].tolist() == centre.tolist()
+
     def test_stock_stem(self, rng):
         spec = ConvSpec(30, 64, 3, 3, (2, 2), (1, 1))
-        assert oc_block(spec, 64, 64) < spec.out_ch
+        assert tiles(spec, 64, 64)[1] < spec.out_ch
         codes = rng.integers(0, 4, size=(30, 64, 64), dtype=np.uint8)
         signs = rng.choice([-1, 1], size=(64, 30, 3, 3)).astype(np.int8)
         naive, pop = run_both(codes, signs, spec)
@@ -121,7 +171,7 @@ class TestBlockedKernel:
 
     def test_head(self, rng):
         spec = ConvSpec(2048, 1000, 1, 1)
-        assert oc_block(spec, 7, 7) < spec.out_ch
+        assert tiles(spec, 7, 7)[1] < spec.out_ch
         codes = rng.integers(0, 4, size=(2048, 7, 7), dtype=np.uint8)
         signs = rng.choice([-1, 1], size=(1000, 2048, 1, 1)).astype(np.int8)
         naive, pop = run_both(codes, signs, spec)

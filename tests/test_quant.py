@@ -10,7 +10,16 @@ from ern.quant import (
     fuse_thresholds,
     quantize_act_float,
 )
-from ern.tensor import ACC_LIMIT, LANES, acc_limit, pack_activations, unpack_activations
+from ern.tensor import (
+    ACC_LIMIT,
+    BLOCK_BYTES,
+    LANES,
+    acc_limit,
+    even_parts,
+    pack_activations,
+    padded_channels,
+    unpack_activations,
+)
 
 
 def bn1(gamma=1.0, beta=0.0, mean=0.0, var=0.75, eps=0.25, s_a=1.0):
@@ -246,7 +255,15 @@ class TestBitplanes:
         for bound in (500, ACC_LIMIT):  # an int16 table, then an int32 one
             self.check_planes(rng, c, bound)
 
-    def check_planes(self, rng, c, bound):
+    @pytest.mark.parametrize("c,h,w", [(64, 151, 64), (130, 74, 40)])
+    def test_row_blocks(self, rng, c, h, w):
+        # several row blocks of the bool plane pair, the last one ragged
+        rows = even_parts(h, BLOCK_BYTES // (2 * padded_channels(c) * w))
+        assert 1 < rows < h and h % rows
+        for bound in (500, ACC_LIMIT):
+            self.check_planes(rng, c, bound, (h, w))
+
+    def check_planes(self, rng, c, bound, shape=(4, 6)):
         t = np.sort(rng.integers(-500, 501, size=(c, 3)), axis=1)
         # clamped rows: never / always crossed, one past the bound
         for ch in range(0, c, 5):
@@ -262,15 +279,15 @@ class TestBitplanes:
         tbl = table(t, ascending, degenerate, bound)
         assert tbl.dtype == (np.int16 if bound == 500 else np.int32)
         limit = acc_limit(tbl.dtype)
-        acc = rng.integers(-502, 503, size=(c, 4, 6)).astype(tbl.dtype)
+        acc = rng.integers(-502, 503, size=(c, *shape)).astype(tbl.dtype)
         acc[:, 0, 0] = limit
-        acc[:, 0, 1] = -limit
+        acc[:, -1, 1] = -limit
         assert ACC_LIMIT == 2**31 - 2
 
         want = count_rule(acc, tbl)
         got = apply_thresholds(acc, tbl)
         ref = pack_activations(want)
-        assert got.dtype == np.uint64 and got.shape == (2, -(-c // LANES), 4, 6)
+        assert got.dtype == np.uint64 and got.shape == (2, -(-c // LANES), *shape)
         assert np.array_equal(got[0], ref[0])
         assert np.array_equal(got[1], ref[1])
         lanes = unpack_activations(got, got.shape[1] * LANES)
@@ -285,6 +302,13 @@ class TestBitplanes:
         assert got.ravel().tolist() == [0, 1, 2, 3, 3]
         with pytest.raises(DomainError):
             apply_thresholds(np.full((1, 1, 1), ACC_LIMIT + 1, dtype=np.int64), tbl)
+
+    @pytest.mark.parametrize("h,w", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_map(self, h, w):
+        # no rows means no row block, not a block of no rows
+        tbl = table([[-1, 0, 1]] * 3, [True] * 3, bound=500)
+        got = apply_thresholds(np.zeros((3, h, w), dtype=np.int16), tbl)
+        assert got.dtype == np.uint64 and got.shape == (2, 1, h, w)
 
     @pytest.mark.parametrize("value", [-(2**31), 2**31 - 1])
     def test_int32_extremes_rejected(self, value):
