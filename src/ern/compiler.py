@@ -82,8 +82,8 @@ from .graph import (
     arch_config,
     build_model,
 )
-from .quant import BnParams, ThresholdTable, binarize_weights, fuse_thresholds
-from .tensor import LANES, PackedWeights, pack_weights, padded_channels
+from .quant import BnParams, ThresholdTable, binarize_weights, fuse_thresholds, mean_abs
+from .tensor import LANES, PackedWeights, pack_weights, padded_channels, row_blocks
 
 MAGIC = b"ERN1"
 FORMAT_VERSION = 3
@@ -147,7 +147,10 @@ class CheckpointManifest:
         """One conv's float weights, read once from ``convs``.
 
         Raises :class:`CompileError` naming the layer if they are missing,
-        not shaped as ``node.spec`` (OC, IC, kh, kw), or not all finite.
+        not shaped as ``node.spec`` (OC, IC, kh, kw), or not all finite;
+        finiteness is checked one block of output channels at a time
+        (:func:`ern.tensor.row_blocks`), so the check's temporary is
+        block-sized.
         """
         w = self.convs.get(node.name)
         if w is None:
@@ -157,8 +160,9 @@ class CheckpointManifest:
             raise CompileError(
                 node.name, f"weights shaped {w.shape}, expected {(s.out_ch, s.in_ch, s.kh, s.kw)}"
             )
-        if not np.isfinite(w).all():
-            raise CompileError(node.name, "weights contain non-finite values")
+        for rows in row_blocks(s.out_ch, w[0].nbytes):
+            if not np.isfinite(w[rows]).all():
+                raise CompileError(node.name, "weights contain non-finite values")
         return w
 
 
@@ -391,9 +395,14 @@ def compile_checkpoint(
     composition it replaces, raises :class:`CompileError` naming the
     BnAct.
 
-    Each conv's floats are dropped once its signs are packed; with a
-    loaded manifest that reads one blob per lookup, compilation holds one
-    conv's floats at a time.
+    Each conv is read, binarized (:func:`binarize_weights`, once) and
+    packed (:func:`pack_weights`, once) on its own; its floats are
+    dropped before its words are packed, and its signs before the next
+    conv is read.  With a loaded manifest, which reads one blob per
+    lookup, compilation so holds at once the words packed so far, one
+    conv's floats and its int8 signs, and temporaries of one row block
+    (about ``ern.tensor.BLOCK_BYTES``); the head's alpha_out is summed by
+    :func:`ern.quant.mean_abs`, with no widened copy of the layer.
     """
     g, c = manifest.checked_graph(shared_const)
     weights: dict[str, PackedWeights] = {}
@@ -410,13 +419,13 @@ def compile_checkpoint(
             alpha = np.where(zero, 1.0, alpha)
         scale = g.edges[node.dst].scale
         if scale == "alpha_out":
-            # widened first: a float32 mean over the whole head rounds differently
-            wide = w.astype(np.float64)
-            alpha_out = float(np.abs(wide, out=wide).mean()) or 1.0
+            alpha_out = mean_abs(w) or 1.0
             alpha = np.full(node.spec.out_ch, alpha_out)
         elif scale == "c":
             alpha = np.full(node.spec.out_ch, c)
+        del w  # the floats go before the words are made
         weights[node.name] = pack_weights(signs, alpha)
+        del signs  # and the signs before the next conv's floats are read
 
     thresholds: dict[str, ThresholdTable] = {}
     for bn in g.bnacts:
@@ -444,6 +453,12 @@ def serialize(model: CompiledModel) -> bytes:
     ``bound`` is not its input edge's raises :class:`DomainError`, and a
     graph with no ``arch`` (wired by hand), which ``load`` could not
     rebuild, raises :class:`ConfigError`.
+
+    The file is built in one copy: the records are buffers (the model's
+    own contiguous ``<u8`` words and ``<f8`` scales, and one small array
+    per BnAct), the body CRC is taken over them one by one, and one join
+    writes the prefix, the records and the CRC.  Beside the model, the
+    call holds the BnAct records and the file's bytes.
     """
     g = model.graph
     a = g.arch
@@ -459,8 +474,8 @@ def serialize(model: CompiledModel) -> bytes:
         if isinstance(node, Conv):
             w = model.weights[node.name]
             if g.edges[node.dst].scale == "alpha":
-                parts.append(np.ascontiguousarray(w.alpha, dtype="<f8").tobytes())
-            parts.append(np.ascontiguousarray(w.bits, dtype="<u8").tobytes())
+                parts.append(np.ascontiguousarray(w.alpha, dtype="<f8"))
+            parts.append(np.ascontiguousarray(w.bits, dtype="<u8"))
         elif isinstance(node, BnAct):
             tbl, bound = model.thresholds[node.name], g.edges[node.src].bound
             if tbl.bound != bound:
@@ -470,10 +485,14 @@ def serialize(model: CompiledModel) -> bytes:
             rec = np.empty(node.channels, dtype=_BNACT_CHANNEL)
             rec["t"] = tbl.t
             rec["flags"] = tbl.ascending * _ASCENDING | tbl.degenerate * _DEGENERATE
-            parts.append(rec.tobytes())
-    body = b"".join(parts)
-    prefix = MAGIC + struct.pack("<II", FORMAT_VERSION, len(body))
-    return prefix + struct.pack("<I", zlib.crc32(prefix)) + body + struct.pack("<I", zlib.crc32(body))
+            parts.append(rec)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    prefix = MAGIC + struct.pack("<II", FORMAT_VERSION, sum(memoryview(p).nbytes for p in parts))
+    return b"".join(
+        [prefix, struct.pack("<I", zlib.crc32(prefix)), *parts, struct.pack("<I", crc)]
+    )
 
 
 class _Reader:

@@ -12,9 +12,10 @@ so agreement between the two certifies both.
 
 Each conv's signs are held at one bit per weight (``np.packbits`` of
 w >= 0, numpy's own packing, not the engine's).  The convolution expands
-them to float32 +/-1 through a 256-entry byte table and runs one float32
-GEMM whose partial sums are integers below 2**24, so it is exact, and
-its result is widened to 64-bit reals.  The only rounding happens when a
+them to float32 +/-1 through a 256-entry byte table, one block of output
+channels at a time, and runs one float32 GEMM per block whose partial
+sums are integers below 2**24, so it is exact, and its result is
+widened to 64-bit reals.  The only rounding happens when a
 scale or the batch norm touches a value.
 Residual branches therefore stay exactly c times the engine's integer
 accumulators: the oracle adds the unscaled (integer-valued) tensors and
@@ -58,7 +59,7 @@ from .graph import (
     ResidualAdd,
     execute,
 )
-from .tensor import unpack_activations
+from .tensor import BLOCK_BYTES, row_blocks, unpack_activations
 
 # byte -> its 8 signs as float32 +/-1, most significant bit first as np.packbits packs
 _BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) * np.float32(2) - 1
@@ -92,8 +93,17 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     or ``"alpha_out"``) is its output edge's ``scale`` in the graph; its
     value the oracle computes itself.  Must see the same manifest and shared constant as the
     compiled model, or divergence is by construction rather than by
-    defect.  Reads one conv at a time and keeps only its signs, packed
-    one bit per weight, and its 64-bit scales.
+    defect.
+
+    Reads one conv at a time and keeps only its signs, packed one bit
+    per weight, and its 64-bit scales; each conv's floats are dropped
+    before the next is read.  Nothing layer-sized is made beside the
+    floats: the signs are packed ``BLOCK_BYTES`` weights at a time into
+    one array, the per-channel scales are taken over row blocks of about
+    ``BLOCK_BYTES`` (:func:`ern.tensor.row_blocks`), and the head's
+    alpha_out over numpy's own buffer chunks (:func:`_mean_abs`).  So the
+    build holds, beside the manifest, the signs and scales so far, one
+    conv's floats and block-sized temporaries.
     """
     g, c = manifest.checked_graph(shared_const)
     signs: dict[str, np.ndarray] = {}
@@ -102,16 +112,19 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     for node in g.convs:
         # signs read the manifest's floats as they are; scales sum in 64 bits
         w = manifest.conv_weights(node)
-        signs[node.name] = np.packbits(w >= 0.0)
+        signs[node.name] = _packed_signs(w)
         scale = g.edges[node.dst].scale
         if scale == "alpha_out":
-            alpha_out = float(np.abs(w).mean(dtype=np.float64)) or 1.0
+            alpha_out = _mean_abs(w) or 1.0
             edge_scale[node.dst] = np.full(node.spec.out_ch, alpha_out)
         elif scale == "c":
             edge_scale[node.dst] = np.full(node.spec.out_ch, c)
         else:
-            alpha = np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)
+            alpha = np.empty(node.spec.out_ch)
+            for rows in row_blocks(len(w), w[0].nbytes):
+                alpha[rows] = np.abs(w[rows]).mean(axis=(1, 2, 3), dtype=np.float64)
             edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
+        del w
     for n in g.nodes:
         if isinstance(n, ResidualAdd):
             edge_scale[n.dst] = edge_scale[n.src_a]
@@ -125,6 +138,34 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
         bns=bns,
         alpha_out=alpha_out,
     )
+
+
+def _packed_signs(w: np.ndarray) -> np.ndarray:
+    """``np.packbits(w >= 0)``, packed ``BLOCK_BYTES`` weights (a multiple of 8) at a time."""
+    flat = w.reshape(-1)
+    out = np.empty(-(-flat.size // 8), dtype=np.uint8)
+    for i in range(0, flat.size, BLOCK_BYTES):
+        chunk = np.packbits(flat[i : i + BLOCK_BYTES] >= 0.0)
+        out[i // 8 : i // 8 + chunk.size] = chunk
+    return out
+
+
+def _mean_abs(w: np.ndarray) -> float:
+    """``np.abs(w).mean(dtype=np.float64)`` with no layer-sized ``np.abs(w)``.
+
+    numpy widens a float32 layer, as every checkpoint holds it, for this
+    reduction one buffer of ``np.getbufsize()`` elements at a time and
+    adds each buffer's pairwise sum to the total in order; this sums the
+    same chunks the same way, so the mean is bit-identical.  (A float64
+    layer numpy sums pairwise in one pass, which this matches to
+    rounding.)
+    """
+    flat = w.reshape(-1)
+    step = np.getbufsize()
+    total = 0.0
+    for i in range(0, flat.size, step):
+        total += float(np.abs(flat[i : i + step]).sum(dtype=np.float64))
+    return total / flat.size
 
 
 # --------------------------------------------------------------------------
@@ -144,19 +185,26 @@ def _thermo_codes(img: np.ndarray, k: int) -> np.ndarray:
 
 
 def _conv_im2col(codes: np.ndarray, bits: np.ndarray, shape, stride, padding) -> np.ndarray:
-    """Convolve 2-bit codes with packed signs as one float32 GEMM; returns float64.
+    """Convolve 2-bit codes with packed signs by float32 GEMMs; returns float64.
 
     ``bits`` is ``np.packbits`` of the (OC, IC, kh, kw) ``shape``'s signs,
     bit 1 for +1.  Every product and partial sum is an integer of
     magnitude at most 3 * fan_in, and integers below 2**24 are exact in
-    float32, so the result is exact whatever order the GEMM sums in.
+    float32, so the result is exact whatever order a GEMM sums in.  The
+    signs are expanded and multiplied one block of output channels at a
+    time (:func:`ern.tensor.row_blocks`, a block's float32 signs being
+    about ``BLOCK_BYTES``); a block whose first weight is not the first
+    of a byte starts mid-byte.  The call holds the image's columns
+    (fan_in x output pixels, float32), the float64 result and one block
+    of expanded signs.
     """
     ic, h, wd = codes.shape
     oc, wic, kh, kw = shape
     if wic != ic:
         raise ShapeError(f"conv weights expect {wic} channels, got {ic}")
-    if 3 * ic * kh * kw >= 2**24:
-        raise ShapeError(f"fan-in {ic * kh * kw} is too large for an exact float32 GEMM")
+    fan = ic * kh * kw
+    if 3 * fan >= 2**24:
+        raise ShapeError(f"fan-in {fan} is too large for an exact float32 GEMM")
     sh, sw = stride
     ph, pw = padding
     x = np.zeros((ic, h + 2 * ph, wd + 2 * pw), dtype=np.float32)
@@ -167,10 +215,14 @@ def _conv_im2col(codes: np.ndarray, bits: np.ndarray, shape, stride, padding) ->
         raise ShapeError(f"empty conv output for input {h}x{wd}")
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     win = win[:, ::sh, ::sw][:, :oh, :ow]  # (ic, oh, ow, kh, kw)
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(ic * kh * kw, oh * ow)
-    signs = _BYTE_SIGNS.take(bits, axis=0).reshape(-1)[: oc * ic * kh * kw].reshape(oc, -1)
-    acc = signs @ cols
-    return acc.astype(np.float64).reshape(oc, oh, ow)
+    cols = win.transpose(0, 3, 4, 1, 2).reshape(fan, oh * ow)
+    acc = np.empty((oc, oh * ow))
+    for rows in row_blocks(oc, 4 * fan):
+        start, stop = rows.start * fan, rows.stop * fan  # the block's weights, flat
+        first = start // 8
+        signs = _BYTE_SIGNS.take(bits[first : -(-stop // 8)], axis=0).reshape(-1)
+        acc[rows] = signs[start - 8 * first : stop - 8 * first].reshape(-1, fan) @ cols
+    return acc.reshape(oc, oh, ow)
 
 
 def oracle_steps(

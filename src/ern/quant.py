@@ -56,14 +56,15 @@ residual add guarantee for that width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .instrument import note_float_ops
-from .tensor import BLOCK_BYTES, LANES, acc_dtype, acc_limit, even_parts, pack_bitplanes
-from .tensor import padded_channels
+from .tensor import BLOCK_BYTES, LANES, acc_dtype, acc_limit, pack_bitplanes, padded_channels
+from .tensor import row_blocks
 
 NUM_CODES = 4  # 2-bit activations
 
@@ -187,19 +188,58 @@ def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     sign(0) = +1, and alpha[o] is the mean absolute value of filter o,
     which minimizes the L2 error of alpha * signs among per-channel-scalar
-    binary approximations.  The weights are read in their own dtype (a
-    checkpoint's float32) and alpha is summed in 64-bit reals, so no
-    widened copy of the layer is made.  An all-zero filter yields alpha
-    0; callers must substitute a positive value before packing.
+    binary approximations.  An all-zero filter yields alpha 0; callers
+    must substitute a positive value before packing.
+
+    The weights are read in their own dtype (a checkpoint's float32), one
+    block of output channels at a time (:func:`ern.tensor.row_blocks`, a
+    block's weights being about ``BLOCK_BYTES``): each block is checked
+    finite, its |w| summed per row in 64-bit reals, and its signs written
+    into the one int8 array returned.  The call holds the weights, the
+    int8 signs and block-sized temporaries at once, and each row's scale
+    is the one a whole-layer ``np.abs(w).mean(axis=(1, 2, 3),
+    dtype=np.float64)`` gives.
     """
     w = np.asarray(w)
     if w.ndim != 4:
         raise ShapeError(f"weights must be (OC, IC, kh, kw), got {w.shape}")
-    if not np.isfinite(w).all():
-        raise DomainError("weights contain NaN or Inf")
-    signs = 2 * (w >= 0).astype(np.int8) - 1
-    alpha = np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)
+    signs = np.empty(w.shape, dtype=np.int8)
+    alpha = np.empty(w.shape[0], dtype=np.float64)
+    for rows in row_blocks(w.shape[0], w.itemsize * math.prod(w.shape[1:])):
+        block = w[rows]
+        if not np.isfinite(block).all():
+            raise DomainError("weights contain NaN or Inf")
+        alpha[rows] = np.abs(block).mean(axis=(1, 2, 3), dtype=np.float64)
+        out = signs[rows]
+        np.multiply((block >= 0).view(np.int8), 2, out=out)
+        out -= 1
     return signs, alpha
+
+
+# elements of each leaf of mean_abs's pairwise sum, widened to 64-bit reals at once
+_LEAF = BLOCK_BYTES // 8
+
+
+def mean_abs(w: np.ndarray) -> float:
+    """Mean |w| over a whole layer in 64-bit reals, with no widened copy of the layer.
+
+    Bit-identical to ``np.abs(w.astype(np.float64)).mean()``: numpy sums a
+    contiguous float64 array pairwise, splitting a range of more than 128
+    elements at half its length rounded down to a multiple of 8.  This
+    sum follows the same split down to leaves of at most ``BLOCK_BYTES``
+    // 8 elements, and widens and sums each leaf on its own, so it adds
+    the same partial sums in the same order.
+    """
+    flat = np.asarray(w).reshape(-1)
+    return _pairwise_abs_sum(flat, 0, flat.size) / flat.size
+
+
+def _pairwise_abs_sum(flat: np.ndarray, lo: int, n: int) -> float:
+    if n <= _LEAF:
+        leaf = flat[lo : lo + n].astype(np.float64)
+        return float(np.abs(leaf, out=leaf).sum())
+    half = n // 2 - n // 2 % 8
+    return _pairwise_abs_sum(flat, lo, half) + _pairwise_abs_sum(flat, lo + half, n - half)
 
 
 def quantize_act_float(v, scale: float) -> np.ndarray:
@@ -284,17 +324,15 @@ def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
         raise DomainError(f"accumulator magnitude exceeds {limit}")
     c, h, w = acc.shape
     cp = padded_channels(c)
-    rows = even_parts(h, BLOCK_BYTES // max(1, 2 * cp * w))  # bool plane pair of a row block
     planes = np.empty((2, cp // LANES, h, w), dtype=np.uint64)
-    for r0 in range(0, h, rows):
-        n = min(rows, h - r0)
+    for rows in row_blocks(h, 2 * cp * w):  # a row block's bool plane pair
         # exact at the table's width: |acc| <= limit was checked above
-        folded = np.multiply(acc[:, r0 : r0 + n], tbl.sign, dtype=tbl.dtype, casting="unsafe")
-        bits = np.zeros((2, cp, n, w), dtype=bool)  # pad lanes stay False
+        folded = np.multiply(acc[:, rows], tbl.sign, dtype=tbl.dtype, casting="unsafe")
+        bits = np.zeros((2, cp, *folded.shape[1:]), dtype=bool)  # pad lanes stay False
         hi, lo = bits[0, :c], bits[1, :c]
         np.greater_equal(folded, tbl.ts[1], out=hi)
         np.greater_equal(folded, tbl.ts[0], out=lo)
         lo ^= hi
         lo ^= folded >= tbl.ts[2]
-        planes[:, :, r0 : r0 + n] = pack_bitplanes(bits)
+        planes[:, :, rows] = pack_bitplanes(bits)
     return planes

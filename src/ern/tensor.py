@@ -30,6 +30,7 @@ width's maximum, the "never crossed" sentinel of a clamped threshold.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ ACC_LIMIT = int(np.iinfo(ACC_DTYPE).max) - 1  # largest |accumulator| the engine
 
 # bytes of each large working array of a hot-path step: a popcount conv's AND
 # temporary (its row tile of tap windows may take twice this), a threshold
-# stage's row block of bit planes; sized to stay in cache (256 KiB to 1 MiB
-# measured flat)
+# stage's row block of bit planes, a row block of one layer's weights as
+# compilation and the oracle read them; sized to stay in cache (256 KiB to
+# 1 MiB measured flat)
 BLOCK_BYTES = 512 * 1024
 
 
@@ -60,6 +62,16 @@ def even_parts(n: int, most: int) -> int:
     """
     parts = -(-n // max(1, most))
     return -(-n // parts) if parts else 1
+
+
+def row_blocks(n: int, row_bytes: int) -> Iterator[slice]:
+    """Slices that split ``n`` rows of ``row_bytes`` each into blocks of about ``BLOCK_BYTES``.
+
+    The blocks are near-equal (:func:`even_parts`), and a row wider than
+    the budget is a block of its own.
+    """
+    rows = even_parts(n, BLOCK_BYTES // max(1, row_bytes))
+    return (slice(r, min(r + rows, n)) for r in range(0, n, rows))
 
 
 def acc_limit(dtype) -> int:
@@ -190,20 +202,28 @@ def pack_weights(signs: np.ndarray, alpha: np.ndarray) -> PackedWeights:
 
     Every element of ``signs`` must be exactly +1 or -1; ``alpha`` must be
     positive.  Pad lanes are set to bit 1 (never contribute because padded
-    activations are 0).
+    activations are 0).  The signs are checked and packed one block of
+    output channels at a time (:func:`row_blocks`, a block's uint8 lanes
+    being about ``BLOCK_BYTES``), each block writing its rows of the one
+    word array, so the call holds the signs, the words and block-sized
+    temporaries at once.
     """
     signs = np.asarray(signs)
     if signs.ndim != 4:
         raise ShapeError(f"weight signs must be (OC, IC, kh, kw), got {signs.shape}")
-    if not ((signs == 1) | (signs == -1)).all():
-        raise DomainError("weight signs must be exactly +1 or -1")
+    oc, ic, kh, kw = signs.shape
+    ic_pad = padded_channels(ic)
+    bits = np.empty((oc, ic_pad // LANES, kh, kw), dtype=np.uint64)
+    for rows in row_blocks(oc, ic_pad * kh * kw):
+        block = signs[rows]
+        if not ((block == 1) | (block == -1)).all():
+            raise DomainError("weight signs must be exactly +1 or -1")
+        lanes = np.ones((len(block), ic_pad, kh, kw), dtype=np.uint8)
+        lanes[:, :ic] = block > 0
+        bits[rows] = _pack_lanes(lanes, 1)
     alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (signs.shape[0],):
+    if alpha.shape != (oc,):
         raise ShapeError(f"alpha must have one entry per output channel, got {alpha.shape}")
     if not (alpha > 0).all():
         raise DomainError("alpha must be positive")
-    oc, ic, kh, kw = signs.shape
-    ic_pad = padded_channels(ic)
-    bits = np.ones((oc, ic_pad, kh, kw), dtype=np.uint8)
-    bits[:, :ic] = signs > 0
-    return PackedWeights(bits=_pack_lanes(bits, 1), alpha=alpha)
+    return PackedWeights(bits=bits, alpha=alpha)

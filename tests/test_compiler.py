@@ -30,8 +30,9 @@ from ern.errors import (
     TruncationError,
     VersionError,
 )
-from ern.graph import ArchConfig, GraphDef, arch_config, execute
+from ern.graph import ArchConfig, GraphDef, arch_config, build_model, execute
 from ern.oracle import oracle_from_manifest
+from ern.tensor import BLOCK_BYTES, LANES, padded_channels
 
 from conftest import HEADER_AT, random_image, record_offset, resign, rewrite_threshold_row
 
@@ -127,6 +128,15 @@ def break_blob(path, defect: str) -> None:
         path.write_bytes(data[:-4] if defect == "truncated" else data + data[:4])
 
 
+def traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestConvBlobsOnDemand:
     """``load_manifest`` sizes conv blobs; each ``convs`` lookup reads one."""
 
@@ -166,16 +176,66 @@ class TestConvBlobsOnDemand:
         conv_bytes = sum(
             4 * int(np.prod(e["shape"])) for e in doc["layers"].values() if e["kind"] == "conv"
         )
-        tracemalloc.start()
-        try:
-            compile_checkpoint(load_manifest(tmp_path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        m = load_manifest(tmp_path)
+        _, peak = traced_peak(lambda: compile_checkpoint(m))
         assert peak < conv_bytes
 
 
+class TestWorkingSet:
+    """Compile, serialize and the oracle build hold nothing layer-sized beside one conv's floats.
+
+    Each bound is in the sizes of erns50's layers; before the blocked
+    reductions the three peaks were 34.0, 14.3 and 22.0 MB against bounds
+    of 17.1, 4.5 and 14.7 MB.
+    """
+
+    @pytest.fixture(scope="class")
+    def ckpt(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("erns50")
+        save_manifest(gen_random_checkpoint("erns50", seed=2), path)
+        return path
+
+    @pytest.fixture(scope="class")
+    def sizes(self):
+        specs = [n.spec for n in build_model(arch_config("erns50")).convs]
+        counts = [s.out_ch * s.in_ch * s.kh * s.kw for s in specs]
+        return {
+            "largest": max(counts),  # weights of the largest conv
+            "words": sum(8 * s.out_ch * padded_channels(s.in_ch) // LANES * s.kh * s.kw
+                         for s in specs),
+            "signs": sum(-(-n // 8) for n in counts),  # one bit per weight
+        }
+
+    def test_compile(self, ckpt, sizes):
+        m = load_manifest(ckpt)
+        _, peak = traced_peak(lambda: compile_checkpoint(m))
+        # the largest conv's float32 weights and int8 signs, every packed word, blocks
+        assert peak < 5 * sizes["largest"] + sizes["words"] + 4 * BLOCK_BYTES
+
+    def test_serialize(self, ckpt):
+        model = compile_checkpoint(load_manifest(ckpt))
+        blob, peak = traced_peak(lambda: serialize(model))
+        assert peak < 1.25 * len(blob)
+
+    def test_oracle_build(self, ckpt, sizes):
+        m = load_manifest(ckpt)
+        _, peak = traced_peak(lambda: oracle_from_manifest(m))
+        # the largest conv's float32 weights, every conv's packed signs, blocks
+        assert peak < 4 * sizes["largest"] + sizes["signs"] + 4 * BLOCK_BYTES
+
+
 class TestCompile:
+    def test_scales_match_whole_layer(self, small_manifest, small_model):
+        # alpha_out is the mean of the widened head; alpha, each filter's mean
+        head = small_manifest.convs["head.conv"]
+        assert small_model.alpha_out == float(np.abs(head.astype(np.float64)).mean())
+        g = small_model.graph
+        for node in g.convs:
+            if g.edges[node.dst].scale == "alpha":
+                w = small_manifest.convs[node.name]
+                want = np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)
+                assert small_model.weights[node.name].alpha.tobytes() == want.tobytes()
+
     def test_shared_const_precedence(self, small_manifest):
         assert compile_checkpoint(small_manifest).shared_const == 0.5
         assert compile_checkpoint(small_manifest, shared_const=2.0).shared_const == 2.0

@@ -19,12 +19,15 @@ from ern.errors import ShapeError
 from ern.oracle import (
     TIE_EPS,
     _conv_im2col,
+    _mean_abs,
+    _packed_signs,
     cross_check,
     oracle_execute,
     oracle_from_manifest,
     oracle_steps,
 )
 from ern.quant import BnParams
+from ern.tensor import BLOCK_BYTES, row_blocks
 
 from conftest import execute_keeping_all, random_image
 
@@ -413,3 +416,55 @@ class TestFloat32Gemm:
             ]
         )
         assert np.array_equal(out, want)
+
+
+def unblocked_conv(codes, bits, shape, pad):
+    """One float32 GEMM of all the expanded signs against the columns, stride 1."""
+    oc, ic, kh, kw = shape
+    signs = np.unpackbits(bits, count=oc * ic * kh * kw).reshape(oc, -1) * np.float32(2) - 1
+    x = np.pad(codes.astype(np.float32), ((0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    cols = win.transpose(0, 3, 4, 1, 2).reshape(ic * kh * kw, -1)
+    return (signs @ cols).astype(np.float64).reshape(oc, *win.shape[1:3])
+
+
+class TestBlockedReductions:
+    """The oracle's blocked reductions equal the whole-layer expressions they replace."""
+
+    # the stem's fan-in 30 * 9 = 270: 1,000 filters make three blocks, and
+    # the second and third start mid-byte; 4,608 = 512 * 9, a stage-4 conv
+    @pytest.mark.parametrize("oc,ic", [(1000, 30), (100, 512)])
+    def test_conv_im2col_matches_one_gemm(self, rng, oc, ic):
+        shape = (oc, ic, 3, 3)
+        blocks = list(row_blocks(oc, 4 * ic * 9))
+        assert len(blocks) > 1
+        if ic == 30:
+            assert any(r.start * ic * 9 % 8 for r in blocks)
+        codes = rng.integers(0, 4, size=(ic, 5, 6), dtype=np.uint8)
+        bits = np.packbits(rng.random(shape) < 0.5)
+        got = _conv_im2col(codes, bits, shape, (1, 1), (1, 1))
+        assert got.tobytes() == unblocked_conv(codes, bits, shape, 1).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 2 * BLOCK_BYTES + 13])
+    def test_signs_match_packbits(self, rng, n):
+        w = rng.standard_normal(n).astype(np.float32)
+        w[::5] = 0.0
+        w[1::5] = -0.0
+        assert np.array_equal(_packed_signs(w), np.packbits(w >= 0))
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 65_537, 2_048_000])
+    def test_mean_abs_matches_buffered_mean(self, rng, n):
+        w = (rng.standard_normal(n) * rng.uniform(1e-3, 1e3, n)).astype(np.float32)
+        assert _mean_abs(w) == float(np.abs(w).mean(dtype=np.float64))
+
+    def test_alpha_out_and_scales_match_whole_layer(self, erns18_manifest):
+        om = oracle_from_manifest(erns18_manifest)
+        g = erns18_manifest.graph()
+        head = erns18_manifest.convs["head.conv"]
+        assert om.alpha_out == float(np.abs(head).mean(dtype=np.float64))
+        alpha_convs = [n for n in g.convs if g.edges[n.dst].scale == "alpha"]
+        assert len(alpha_convs) > 10
+        for node in alpha_convs:
+            w = erns18_manifest.convs[node.name]
+            want = np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)
+            assert om.edge_scale[node.dst].tobytes() == want.tobytes(), node.name

@@ -3,6 +3,7 @@ import pytest
 
 from ern import pixembed
 from ern.errors import DomainError, ShapeError
+from ern.oracle import _thermo_codes
 from ern.pixembed import encode_image, encode_pixel, thermo_params
 from ern.tensor import pack_activations, unpack_activations
 
@@ -141,3 +142,15 @@ def test_planes_equal_packed_table_codes(rng, k):
     assert not unpack_activations(got, words * 64)[3 * k :].any()  # 3k channels, then pad
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("k", [1, 10, 21, 22, 85])
+def test_embedding_equals_oracle_on_every_byte(k):
+    # each colour runs through all 256 values, in a different order per colour,
+    # so the encoder is checked on its whole domain against the oracle's map
+    img = np.stack([np.roll(np.arange(256, dtype=np.uint8), 85 * c) for c in range(3)])
+    img = img.reshape(3, 16, 16)
+    got = unpack_activations(encode_image(img, thermo_params(k)), 3 * k)
+    want = _thermo_codes(img, k)
+    assert got.shape == want.shape == (3 * k, 16, 16)
+    assert np.array_equal(got, want)

@@ -8,6 +8,7 @@ from ern.quant import (
     apply_thresholds,
     binarize_weights,
     fuse_thresholds,
+    mean_abs,
     quantize_act_float,
 )
 from ern.tensor import (
@@ -18,6 +19,7 @@ from ern.tensor import (
     even_parts,
     pack_activations,
     padded_channels,
+    row_blocks,
     unpack_activations,
 )
 
@@ -57,6 +59,46 @@ class TestBinarize:
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
             binarize_weights(np.full((1, 1, 1, 1), np.nan))
+
+
+class TestBlockedBinarize:
+    """The row-blocked reductions equal the whole-layer expressions they replace, bit for bit."""
+
+    # fan-ins about np.getbufsize() (8192) and past it; 71 filters end in a
+    # ragged block, and every seventh is all zero
+    @pytest.mark.parametrize("shape", [(8191, 1, 1), (8192, 1, 1), (8193, 1, 1), (2048, 3, 3)])
+    def test_matches_whole_layer(self, rng, shape):
+        w = (rng.standard_normal((71, *shape)) * rng.uniform(1e-3, 1e3, (71, 1, 1, 1)))
+        w = w.astype(np.float32)
+        w[::7] = 0.0
+        w[1, 0] = -0.0
+        blocks = [r.stop - r.start for r in row_blocks(71, w[0].nbytes)]
+        assert len(blocks) > 1 and blocks[-1] != blocks[0]
+        signs, alpha = binarize_weights(w)
+        assert signs.dtype == np.int8
+        assert np.array_equal(signs, 2 * (w >= 0).astype(np.int8) - 1)
+        want = np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)
+        assert alpha.tobytes() == want.tobytes()
+        assert (alpha[::7] == 0.0).all()
+
+    def test_nan_in_last_block(self, rng):
+        w = rng.standard_normal((71, 8193, 1, 1)).astype(np.float32)
+        w[-1, -1] = np.nan
+        with pytest.raises(DomainError):
+            binarize_weights(w)
+
+    # pairwise leaves of 65,536: one leaf, 8-wide blocks, one split, an erns head,
+    # and a half rounded down to a multiple of 8 (65,539 -> 65,536) on data
+    # where a split at 65,539 sums to another double
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (127, 1), (129, 1), (65_537, 1), (1000, 2048), (131_079, 1)]
+    )
+    def test_mean_abs_matches_widened_mean(self, rng, shape):
+        n = shape[0] * shape[1]
+        # magnitudes over 26 decades, so a sum taken in another order can round differently
+        w = (rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n))).astype(np.float32)
+        w = w.reshape(*shape, 1, 1)
+        assert mean_abs(w) == float(np.abs(w.astype(np.float64)).mean())
 
 
 class TestFuse:

@@ -12,6 +12,7 @@ from ern.tensor import (
     pack_weights,
     padded_channels,
     popcount,
+    row_blocks,
     unpack_activations,
     unpack_signs,
 )
@@ -117,6 +118,29 @@ class TestPackWeights:
         expect[:, 2] = np.uint64((2**64 - 1) ^ 0b11)
         expect[1, channel // LANES, 0, 1] |= np.uint64(1) << np.uint64(channel % LANES)
         assert np.array_equal(w.bits, expect)
+
+    # fan-ins about np.getbufsize() (8192) and past it, in a ragged last block
+    @pytest.mark.parametrize("shape", [(8191, 1, 1), (8192, 1, 1), (8193, 1, 1), (2048, 3, 3)])
+    def test_blocked_matches_whole_layer(self, rng, shape):
+        oc, (ic, kh, kw) = 71, shape
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(oc, *shape))
+        signs[::7] = 1  # the signs of all-zero filters
+        ic_pad = padded_channels(ic)
+        blocks = [r.stop - r.start for r in row_blocks(oc, ic_pad * kh * kw)]
+        assert len(blocks) > 1 and blocks[-1] != blocks[0]
+        # the whole layer at once: LSB-first lanes, 8 little-endian bytes per word
+        lanes = np.ones((oc, ic_pad, kh, kw), dtype=np.uint8)
+        lanes[:, :ic] = signs > 0
+        octets = np.packbits(lanes, axis=1, bitorder="little")
+        octets = octets.reshape(oc, ic_pad // LANES, 8, kh, kw).transpose(0, 1, 3, 4, 2)
+        want = np.ascontiguousarray(octets).view("<u8")[..., 0]
+        assert np.array_equal(pack_weights(signs, np.ones(oc)).bits, want)
+
+    def test_rejects_non_sign_in_last_block(self, rng):
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(71, 8193, 1, 1))
+        signs[-1, -1] = 0
+        with pytest.raises(DomainError):
+            pack_weights(signs, np.ones(71))
 
     def test_rejects_non_sign_values(self):
         with pytest.raises(DomainError):
