@@ -4,7 +4,7 @@ import struct
 import tracemalloc
 import warnings
 import zlib
-from collections.abc import MutableMapping
+from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 import pytest
@@ -176,9 +176,24 @@ class TestConvBlobsOnDemand:
         conv_bytes = sum(
             4 * int(np.prod(e["shape"])) for e in doc["layers"].values() if e["kind"] == "conv"
         )
-        m = load_manifest(tmp_path)
-        _, peak = traced_peak(lambda: compile_checkpoint(m))
+        _, peak = traced_peak(lambda: compile_checkpoint(load_manifest(tmp_path)))
         assert peak < conv_bytes
+
+
+class FreshCopies(Mapping):
+    """``convs`` whose every lookup makes a fresh array, as a loaded manifest's reads do."""
+
+    def __init__(self, convs):
+        self._convs = convs
+
+    def __getitem__(self, name):
+        return self._convs[name].copy()
+
+    def __iter__(self):
+        return iter(self._convs)
+
+    def __len__(self):
+        return len(self._convs)
 
 
 class TestWorkingSet:
@@ -211,6 +226,20 @@ class TestWorkingSet:
         _, peak = traced_peak(lambda: compile_checkpoint(m))
         # the largest conv's float32 weights and int8 signs, every packed word, blocks
         assert peak < 5 * sizes["largest"] + sizes["words"] + 4 * BLOCK_BYTES
+
+    def test_compile_drops_floats_before_the_next_read(self):
+        # the last three convs, 512 x 512 x 3 x 3, are the largest and adjacent
+        cfg = ArchConfig("conv", (1, 1, 1, 2), (64, 64, 64, 512), classes=7, k=1)
+        src = gen_random_checkpoint(cfg, seed=4)
+        m = dataclasses.replace(src, convs=FreshCopies(src.convs))
+        specs = [n.spec for n in build_model(cfg).convs]
+        largest = max(s.out_ch * s.in_ch * s.kh * s.kw for s in specs)
+        words = sum(8 * s.out_ch * padded_channels(s.in_ch) // LANES * s.kh * s.kw
+                    for s in specs)
+        _, peak = traced_peak(lambda: compile_checkpoint(m))
+        # one conv's float32 weights and int8 signs, every packed word, blocks;
+        # holding the previous conv's floats or signs at the next read goes over it
+        assert peak < 5 * largest + words + 4 * BLOCK_BYTES
 
     def test_serialize(self, ckpt):
         model = compile_checkpoint(load_manifest(ckpt))

@@ -277,21 +277,31 @@ class TestThresholdWidths:
         assert np.array_equal(got, apply_thresholds(acc.astype(np.int32), wide))
 
 
+# the space of generated architectures, read by small_arch and adversarial_case:
+# blocks per stage, stage widths, classes = 2 * half + 1 (always odd), and k
+STAGE_COUNTS = (1, 2)  # inclusive, as is each range below
+STAGE_WIDTHS = (64, 128)
+CLASS_HALVES = (0, 499)
+K_RANGE = (1, 21)
+SEEDS = (0, 2**16)
+
+
 @st.composite
 def small_arch(draw, block: str) -> ArchConfig:
     """A small architecture of one block kind; odd class counts, any k up to 21."""
     return ArchConfig(
         block,
-        tuple(draw(st.lists(st.integers(1, 2), min_size=4, max_size=4), label="counts")),
-        tuple(draw(st.lists(st.sampled_from([64, 128]), min_size=4, max_size=4), label="widths")),
-        classes=draw(st.integers(0, 499), label="classes") * 2 + 1,
-        k=draw(st.integers(1, 21), label="k"),
+        tuple(draw(st.lists(st.integers(*STAGE_COUNTS), min_size=4, max_size=4), label="counts")),
+        tuple(draw(st.lists(st.sampled_from(STAGE_WIDTHS), min_size=4, max_size=4),
+                   label="widths")),
+        classes=draw(st.integers(*CLASS_HALVES), label="classes") * 2 + 1,
+        k=draw(st.integers(*K_RANGE), label="k"),
     )
 
 
 class TestGeneratedArchitectures:
     @settings(max_examples=15)
-    @given(data=st.data(), odd=st.booleans(), seed=st.integers(0, 2**16))
+    @given(data=st.data(), odd=st.booleans(), seed=st.integers(*SEEDS))
     def test_round_trip_kernels_and_oracle_agree(self, data, odd, seed):
         # each draw builds one network of each block kind, one at an odd side
         for block, odd_side in zip(BLOCKS, (odd, not odd)):
@@ -335,25 +345,30 @@ ADVERSARIAL_C = (1.0, 1e300, 1e302, 1e303, 1e304, 1e305, 1e306)
 def adversarial_case(n: int) -> tuple:
     """``(cfgs, modes, c, seed, side)``, all drawn from the one integer ``n``.
 
-    One network of each block kind with ``small_arch``'s ranges, 1-6
-    modes of ``BN_MODES``, c of ``ADVERSARIAL_C``, a checkpoint seed up
-    to 2**16 and an image side of 17-40.  Hypothesis follows each new
-    draw with copies of it in which parts of equal label are made equal,
-    so drawn part by part, four of 15 draws shared one modes, c, seed
-    and side; one integer has no such parts, so each draw is new.
+    One network of each block kind from ``small_arch``'s space, 1-6
+    modes of ``BN_MODES``, c of ``ADVERSARIAL_C``, a checkpoint seed and
+    an image side of 17-40.  Hypothesis follows each new draw with
+    copies of it in which parts of equal label are made equal, so drawn
+    part by part, four of 15 draws shared one modes, c, seed and side;
+    one integer has no such parts, so each draw is new.  A failing draw
+    is reported as the case it made, not as ``n``.
     """
     rng = np.random.default_rng(n)
 
     def ints(low: int, high: int, size=None):
         return rng.integers(low, high + 1, size).tolist()
 
+    def pick(choices, size=None):
+        i = ints(0, len(choices) - 1, size)
+        return [choices[j] for j in i] if size is not None else choices[i]
+
     cfgs = tuple(
-        ArchConfig(block, tuple(ints(1, 2, 4)), tuple(64 * v for v in ints(1, 2, 4)),
-                   classes=2 * ints(0, 499) + 1, k=ints(1, 21))
+        ArchConfig(block, tuple(ints(*STAGE_COUNTS, 4)), tuple(pick(STAGE_WIDTHS, 4)),
+                   classes=2 * ints(*CLASS_HALVES) + 1, k=ints(*K_RANGE))
         for block in BLOCKS
     )
-    modes = [BN_MODES[i] for i in ints(0, len(BN_MODES) - 1, ints(1, 6))]
-    return cfgs, modes, ADVERSARIAL_C[ints(0, len(ADVERSARIAL_C) - 1)], ints(0, 2**16), ints(17, 40)
+    modes = pick(BN_MODES, ints(1, 6))
+    return cfgs, modes, pick(ADVERSARIAL_C), ints(*SEEDS), ints(17, 40)
 
 
 class TestAdversarialBatchNorm:
