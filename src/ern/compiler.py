@@ -7,9 +7,10 @@ concatenated).  Any training framework can emit one with a few lines.
 Each BnAct's blob, epsilon and act_scale load into one
 :class:`ern.quant.BnParams`, which checks them when it is built and is
 what compilation and the float oracle read.  Conv blobs, the bulk of a
-checkpoint, are only size-checked on load and read from disk one layer
-per lookup, so compilation and the oracle hold one layer's floats at a
-time.  :meth:`CheckpointManifest.checked_graph` and
+checkpoint, are only size-checked on load; compilation and the oracle
+read each one in blocks of about ``ern.tensor.BLOCK_BYTES`` through a
+:class:`ConvReader`, so neither holds a whole layer's floats.
+:meth:`CheckpointManifest.checked_graph` and
 :meth:`CheckpointManifest.conv_weights` are the one check of a
 checkpoint against its architecture; compilation and the oracle both
 start from them, so they refuse the same checkpoints with the same
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import warnings
 import zlib
@@ -143,27 +145,88 @@ class CheckpointManifest:
                 raise CompileError(bn.name, f"{rec.channels} channels, expected {bn.channels}")
         return g, float(c)
 
-    def conv_weights(self, node: Conv) -> np.ndarray:
-        """One conv's float weights, read once from ``convs``.
+    def conv_weights(self, node: Conv) -> ConvReader:
+        """A reader of one conv's float weights (:class:`ConvReader`).
 
-        Raises :class:`CompileError` naming the layer if they are missing,
-        not shaped as ``node.spec`` (OC, IC, kh, kw), or not all finite;
-        finiteness is checked one block of output channels at a time
-        (:func:`ern.tensor.row_blocks`), so the check's temporary is
-        block-sized.
+        Raises :class:`CompileError` naming the layer if they are missing
+        or not shaped as ``node.spec`` (OC, IC, kh, kw); each read then
+        checks its values finite.  A loaded manifest's reader reads the
+        blob file a block at a time; any other reads slices of the
+        ``convs`` array.  Either way no layer of floats is held.
         """
-        w = self.convs.get(node.name)
-        if w is None:
-            raise CompileError(node.name, "missing conv weights")
         s = node.spec
-        if w.shape != (s.out_ch, s.in_ch, s.kh, s.kw):
-            raise CompileError(
-                node.name, f"weights shaped {w.shape}, expected {(s.out_ch, s.in_ch, s.kh, s.kw)}"
-            )
-        for rows in row_blocks(s.out_ch, w[0].nbytes):
-            if not np.isfinite(w[rows]).all():
-                raise CompileError(node.name, "weights contain non-finite values")
-        return w
+        want = (s.out_ch, s.in_ch, s.kh, s.kw)
+        if isinstance(self.convs, _ConvBlobs):  # a lookup would read the whole blob
+            source, shape = self.convs._entries.get(node.name, (None, None))
+        else:
+            source = self.convs.get(node.name)
+            shape = None if source is None else source.shape
+        if source is None:
+            raise CompileError(node.name, "missing conv weights")
+        if shape != want:
+            raise CompileError(node.name, f"weights shaped {shape}, expected {want}")
+        return ConvReader(node.name, want, source)
+
+
+class ConvReader:
+    """One conv's float weights, read as ranges of their flat (OC, IC, kh, kw) C order.
+
+    ``w[start:stop]`` reads that range and ``w.rows(rows)`` a block of
+    output channels, shaped (rows, IC, kh, kw).  Nothing is cached: each
+    read returns a new range, so a pass over the layer holds one range at
+    a time.  Over a blob file, the reader keeps the file open until it is
+    closed (it is a context manager), and each read checks the file's
+    size again and is one ``np.fromfile`` of the range; a blob that no
+    longer holds its layer's bytes raises :class:`ConfigError` naming the
+    layer.  Over an array, a read is a slice.  Every read checks its
+    values finite (:class:`CompileError` naming the layer).
+    """
+
+    def __init__(self, name: str, shape: tuple[int, ...], source: np.ndarray | Path):
+        self.name = name
+        self.shape = shape
+        self.size = math.prod(shape)
+        self._flat = self._file = None
+        if isinstance(source, np.ndarray):
+            self._flat = source.reshape(-1)
+        else:
+            try:
+                self._file = open(source, "rb")
+            except OSError as e:
+                raise ConfigError(f"layer '{name}': cannot read blob: {e}") from e
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        start, stop, _ = span.indices(self.size)
+        if self._file is None:
+            block = self._flat[start:stop]
+        else:
+            where = f"layer '{self.name}'"
+            _check_conv_blob(where, os.fstat(self._file.fileno()).st_size, self.shape)
+            self._file.seek(4 * start)
+            block = np.fromfile(self._file, dtype="<f4", count=stop - start)
+            if block.size != stop - start:  # cut short after the size check
+                raise ConfigError(f"{where}: blob ends inside element {start + block.size}")
+            block = block.astype(np.float32, copy=False)
+        if not np.isfinite(block).all():
+            raise CompileError(self.name, "weights contain non-finite values")
+        return block
+
+    def rows(self, rows: slice) -> np.ndarray:
+        """Output channels ``rows``, shaped (rows, IC, kh, kw)."""
+        fan = self.size // self.shape[0]
+        return self[rows.start * fan : rows.stop * fan].reshape(-1, *self.shape[1:])
+
+    def close(self) -> None:
+        """Close the blob file, or let go of the array."""
+        if self._file is not None:
+            self._file.close()
+        self._flat = None
+
+    def __enter__(self) -> ConvReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def save_manifest(m: CheckpointManifest, path: str | Path) -> None:
@@ -242,9 +305,10 @@ def _check_conv_blob(where: str, nbytes: int, shape: tuple[int, ...]) -> None:
 class _ConvBlobs(Mapping[str, np.ndarray]):
     """A checkpoint's conv weights, read from disk on every lookup.
 
-    Each lookup reads that one blob, checks its size again and returns a
-    fresh writable float32 array; nothing is cached, so a walk over the
-    layers holds one layer's floats at a time.
+    Each lookup reads that one whole blob, checks its size again and
+    returns a fresh writable float32 array; nothing is cached.
+    Compilation and the oracle do not look layers up: they read each
+    blob in blocks through :meth:`CheckpointManifest.conv_weights`.
     """
 
     def __init__(self, entries: dict[str, tuple[Path, tuple[int, ...]]]):
@@ -395,37 +459,39 @@ def compile_checkpoint(
     composition it replaces, raises :class:`CompileError` naming the
     BnAct.
 
-    Each conv is read, binarized (:func:`binarize_weights`, once) and
-    packed (:func:`pack_weights`, once) on its own; its floats are
-    dropped before its words are packed, and its signs before the next
-    conv is read.  With a loaded manifest, which reads one blob per
-    lookup, compilation so holds at once the words packed so far, one
-    conv's floats and its int8 signs, and temporaries of one row block
-    (about ``ern.tensor.BLOCK_BYTES``); the head's alpha_out is summed by
-    :func:`ern.quant.mean_abs`, with no widened copy of the layer.
+    Each conv is read one block of output channels at a time
+    (:func:`ern.tensor.row_blocks`, a block's float32 weights being about
+    ``ern.tensor.BLOCK_BYTES``); each block is binarized
+    (:func:`binarize_weights`) and packed (:func:`pack_weights`) into its
+    rows of the conv's one word array, and the head's alpha_out is summed
+    by :func:`ern.quant.mean_abs` over a second pass of reads.  No layer
+    of floats or signs is held: compilation holds the words packed so
+    far and temporaries of one block.
     """
     g, c = manifest.checked_graph(shared_const)
     weights: dict[str, PackedWeights] = {}
     alpha_out = 1.0
     for node in g.convs:
-        w = manifest.conv_weights(node)
-        signs, alpha = binarize_weights(w)
-        zero = alpha == 0.0
-        if zero.any():
-            warnings.warn(
-                f"layer '{node.name}': {int(zero.sum())} all-zero filter(s), using alpha = 1",
-                stacklevel=2,
-            )
-            alpha = np.where(zero, 1.0, alpha)
+        s = node.spec
+        bits = np.empty((s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw), np.uint64)
+        alpha = np.empty(s.out_ch)
+        zero = 0  # all-zero filters
         scale = g.edges[node.dst].scale
-        if scale == "alpha_out":
-            alpha_out = mean_abs(w) or 1.0
-            alpha = np.full(node.spec.out_ch, alpha_out)
-        elif scale == "c":
-            alpha = np.full(node.spec.out_ch, c)
-        del w  # the floats go before the words are made
-        weights[node.name] = pack_weights(signs, alpha)
-        del signs  # and the signs before the next conv's floats are read
+        with manifest.conv_weights(node) as w:
+            for rows in row_blocks(s.out_ch, 4 * s.fan_in):
+                signs, a = binarize_weights(w.rows(rows))
+                zero += int(np.count_nonzero(a == 0.0))
+                alpha[rows] = np.where(a == 0.0, 1.0, a)
+                bits[rows] = pack_weights(signs, alpha[rows]).bits
+            if scale == "alpha_out":
+                alpha_out = mean_abs(w) or 1.0
+        if zero:
+            warnings.warn(
+                f"layer '{node.name}': {zero} all-zero filter(s), using alpha = 1", stacklevel=2
+            )
+        if scale != "alpha":
+            alpha = np.full(s.out_ch, alpha_out if scale == "alpha_out" else c)
+        weights[node.name] = PackedWeights(bits=bits, alpha=alpha)
 
     thresholds: dict[str, ThresholdTable] = {}
     for bn in g.bnacts:

@@ -10,25 +10,27 @@ compilation starts from, and reads each BnAct's
 and in 64-bit reals.  It shares no kernel code with the integer engine,
 so agreement between the two certifies both.
 
-Each conv's signs are held at one bit per weight (``np.packbits`` of
-w >= 0, numpy's own packing, not the engine's).  The convolution expands
-them to float32 +/-1 through a 256-entry byte table, one block of output
-channels at a time, and runs one float32 GEMM per block whose partial
-sums are integers below 2**24, so it is exact, and its result is
-widened to 64-bit reals.  The only rounding happens when a
-scale or the batch norm touches a value.
-Residual branches therefore stay exactly c times the engine's integer
-accumulators: the oracle adds the unscaled (integer-valued) tensors and
-applies c lazily.
+The build reads each conv's weights a block at a time through the
+manifest's reader and holds no layer of floats.  Each conv's signs are
+held at one bit per weight (``np.packbits`` of w >= 0, numpy's own
+packing, not the engine's).  The convolution expands them to float32
++/-1 through a 256-entry byte table, one block of output channels at a
+time, and multiplies each block by the image's columns, built one block
+of output rows at a time; each float32 GEMM's partial sums are integers
+below 2**24, so it is exact, and its result is widened to 64-bit reals.
+The only rounding happens when a scale or the batch norm touches a
+value.  Residual branches therefore stay exactly c times the engine's
+integer accumulators: the oracle adds the unscaled (integer-valued)
+tensors and applies c lazily.
 
 :func:`oracle_steps` walks the graph once per image, node by node, and
 drops each map after its last reader (the step's ``frees``).
-:func:`cross_check` runs the engine first, keeping through ``execute``'s
-``observe`` hook only what it compares (embed and BnAct codes as packed
-planes, residual-branch accumulators at their edge's width), then walks
-the oracle and compares each kept value when its node is reached, so the
-memory it holds is one image's compared edges plus the oracle's live
-maps.
+:func:`cross_check` runs the engine and the oracle in lockstep: through
+``execute``'s ``observe`` hook, each engine step advances the oracle's
+walk by the same step, and the two outputs are compared at once (embed
+and BnAct codes, residual-branch accumulators).  So the check holds one
+step's engine and oracle maps beside each side's live maps, never an
+image's worth of compared edges.
 
 A cross-check can still legitimately disagree with the engine at
 positions where the pre-quantization value sits essentially on a code
@@ -54,6 +56,7 @@ from .graph import (
     Conv,
     GraphDef,
     IMAGE_EDGE,
+    LOGITS_EDGE,
     Node,
     PixelEmbed,
     ResidualAdd,
@@ -95,15 +98,15 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     compiled model, or divergence is by construction rather than by
     defect.
 
-    Reads one conv at a time and keeps only its signs, packed one bit
-    per weight, and its 64-bit scales; each conv's floats are dropped
-    before the next is read.  Nothing layer-sized is made beside the
-    floats: the signs are packed ``BLOCK_BYTES`` weights at a time into
-    one array, the per-channel scales are taken over row blocks of about
-    ``BLOCK_BYTES`` (:func:`ern.tensor.row_blocks`), and the head's
-    alpha_out over numpy's own buffer chunks (:func:`_mean_abs`).  So the
-    build holds, beside the manifest, the signs and scales so far, one
-    conv's floats and block-sized temporaries.
+    Reads each conv through its reader, one range at a time, and keeps
+    only its signs, packed one bit per weight, and its 64-bit scales: the
+    signs are packed from reads of ``BLOCK_BYTES`` bytes of weights into
+    one array (:func:`_packed_signs`), the per-channel scales taken over
+    row blocks of about ``BLOCK_BYTES`` (:func:`ern.tensor.row_blocks`),
+    and the head's alpha_out over numpy's own buffer chunks
+    (:func:`_mean_abs`).  No layer of floats is held: the build holds,
+    beside the manifest, the signs and scales so far and block-sized
+    temporaries.
     """
     g, c = manifest.checked_graph(shared_const)
     signs: dict[str, np.ndarray] = {}
@@ -111,20 +114,20 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     alpha_out = 1.0
     for node in g.convs:
         # signs read the manifest's floats as they are; scales sum in 64 bits
-        w = manifest.conv_weights(node)
-        signs[node.name] = _packed_signs(w)
+        s = node.spec
         scale = g.edges[node.dst].scale
-        if scale == "alpha_out":
-            alpha_out = _mean_abs(w) or 1.0
-            edge_scale[node.dst] = np.full(node.spec.out_ch, alpha_out)
-        elif scale == "c":
-            edge_scale[node.dst] = np.full(node.spec.out_ch, c)
-        else:
-            alpha = np.empty(node.spec.out_ch)
-            for rows in row_blocks(len(w), w[0].nbytes):
-                alpha[rows] = np.abs(w[rows]).mean(axis=(1, 2, 3), dtype=np.float64)
-            edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
-        del w
+        with manifest.conv_weights(node) as w:
+            signs[node.name] = _packed_signs(w)
+            if scale == "alpha_out":
+                alpha_out = _mean_abs(w) or 1.0
+                edge_scale[node.dst] = np.full(s.out_ch, alpha_out)
+            elif scale == "c":
+                edge_scale[node.dst] = np.full(s.out_ch, c)
+            else:
+                alpha = np.empty(s.out_ch)
+                for rows in row_blocks(s.out_ch, 4 * s.fan_in):
+                    alpha[rows] = np.abs(w.rows(rows)).mean(axis=(1, 2, 3), dtype=np.float64)
+                edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
     for n in g.nodes:
         if isinstance(n, ResidualAdd):
             edge_scale[n.dst] = edge_scale[n.src_a]
@@ -140,19 +143,25 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     )
 
 
-def _packed_signs(w: np.ndarray) -> np.ndarray:
-    """``np.packbits(w >= 0)``, packed ``BLOCK_BYTES`` weights (a multiple of 8) at a time."""
-    flat = w.reshape(-1)
-    out = np.empty(-(-flat.size // 8), dtype=np.uint8)
-    for i in range(0, flat.size, BLOCK_BYTES):
-        chunk = np.packbits(flat[i : i + BLOCK_BYTES] >= 0.0)
+def _packed_signs(w) -> np.ndarray:
+    """``np.packbits(w >= 0)`` of the flat weights, read ``BLOCK_BYTES`` of float32 at a time.
+
+    ``w`` is a 1-D array or a conv reader
+    (:meth:`ern.compiler.CheckpointManifest.conv_weights`); each read is
+    a multiple of 8 weights, so its bytes are whole.
+    """
+    out = np.empty(-(-w.size // 8), dtype=np.uint8)
+    step = BLOCK_BYTES // 4
+    for i in range(0, w.size, step):
+        chunk = np.packbits(w[i : i + step] >= 0.0)
         out[i // 8 : i // 8 + chunk.size] = chunk
     return out
 
 
-def _mean_abs(w: np.ndarray) -> float:
+def _mean_abs(w) -> float:
     """``np.abs(w).mean(dtype=np.float64)`` with no layer-sized ``np.abs(w)``.
 
+    ``w`` is a 1-D array or a conv reader, read one buffer at a time.
     numpy widens a float32 layer, as every checkpoint holds it, for this
     reduction one buffer of ``np.getbufsize()`` elements at a time and
     adds each buffer's pairwise sum to the total in order; this sums the
@@ -160,12 +169,11 @@ def _mean_abs(w: np.ndarray) -> float:
     layer numpy sums pairwise in one pass, which this matches to
     rounding.)
     """
-    flat = w.reshape(-1)
     step = np.getbufsize()
     total = 0.0
-    for i in range(0, flat.size, step):
-        total += float(np.abs(flat[i : i + step]).sum(dtype=np.float64))
-    return total / flat.size
+    for i in range(0, w.size, step):
+        total += float(np.abs(w[i : i + step]).sum(dtype=np.float64))
+    return total / w.size
 
 
 # --------------------------------------------------------------------------
@@ -191,12 +199,15 @@ def _conv_im2col(codes: np.ndarray, bits: np.ndarray, shape, stride, padding) ->
     bit 1 for +1.  Every product and partial sum is an integer of
     magnitude at most 3 * fan_in, and integers below 2**24 are exact in
     float32, so the result is exact whatever order a GEMM sums in.  The
-    signs are expanded and multiplied one block of output channels at a
-    time (:func:`ern.tensor.row_blocks`, a block's float32 signs being
-    about ``BLOCK_BYTES``); a block whose first weight is not the first
-    of a byte starts mid-byte.  The call holds the image's columns
-    (fan_in x output pixels, float32), the float64 result and one block
-    of expanded signs.
+    signs are expanded one block of output channels at a time
+    (:func:`ern.tensor.row_blocks`, a block's float32 signs being about
+    ``BLOCK_BYTES``); a block whose first weight is not the first of a
+    byte starts mid-byte.  Each block multiplies the image's columns
+    (fan_in x output pixels, float32), which are built from the window
+    view one block of output rows at a time, a block's columns being
+    about ``BLOCK_BYTES``; when one block holds every row they are built
+    once.  The call holds the padded input, the float64 result, one
+    block of expanded signs and one block of columns.
     """
     ic, h, wd = codes.shape
     oc, wic, kh, kw = shape
@@ -215,14 +226,22 @@ def _conv_im2col(codes: np.ndarray, bits: np.ndarray, shape, stride, padding) ->
         raise ShapeError(f"empty conv output for input {h}x{wd}")
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     win = win[:, ::sh, ::sw][:, :oh, :ow]  # (ic, oh, ow, kh, kw)
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(fan, oh * ow)
-    acc = np.empty((oc, oh * ow))
+
+    def columns(out_rows: slice) -> np.ndarray:
+        return win[:, out_rows].transpose(0, 3, 4, 1, 2).reshape(fan, -1)
+
+    tiles = list(row_blocks(oh, 4 * fan * ow))
+    whole = columns(tiles[0]) if len(tiles) == 1 else None
+    acc = np.empty((oc, oh, ow))
     for rows in row_blocks(oc, 4 * fan):
         start, stop = rows.start * fan, rows.stop * fan  # the block's weights, flat
         first = start // 8
         signs = _BYTE_SIGNS.take(bits[first : -(-stop // 8)], axis=0).reshape(-1)
-        acc[rows] = signs[start - 8 * first : stop - 8 * first].reshape(-1, fan) @ cols
-    return acc.reshape(oc, oh, ow)
+        signs = signs[start - 8 * first : stop - 8 * first].reshape(-1, fan)
+        for t in tiles:
+            cols = columns(t) if whole is None else whole
+            acc[rows, t] = (signs @ cols).reshape(len(signs), -1, ow)
+    return acc
 
 
 def oracle_steps(
@@ -256,6 +275,7 @@ def oracle_steps(
             y = om.edge_scale[node.src][:, None, None] * values[node.src]
             sd = np.sqrt(bn.var + bn.epsilon)[:, None, None]
             pre = bn.gamma[:, None, None] * (y - bn.mean[:, None, None]) / sd + bn.beta[:, None, None]
+            del y  # else the suspended walk holds it while the caller runs
             out = quantize_act_float(pre, bn.act_scale)
         elif isinstance(node, ResidualAdd):
             out = values[node.src_a] + values[node.src_b]
@@ -341,20 +361,23 @@ def require_same_graph(model_graph: GraphDef, manifest_graph: GraphDef) -> None:
 
 
 def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
-    """Compare integer execution against the float reference image by image.
+    """Compare integer execution against the float reference, step by step.
 
     Passes iff every 2-bit code map matches outside boundary ties, every
     residual-branch accumulator equals the oracle's integer-valued one
     (both are then c times the same integers, so their scaled values
     agree exactly, and no product by c can overflow), and logits agree
     within ``LOGIT_RTOL`` relative; a non-finite logit on either side
-    counts as an infinite error.  Per image, the engine keeps
-    only the edges compared (embed and BnAct codes as packed planes,
-    residual-branch accumulators at their edge's width), and each is
-    compared and dropped when the oracle's walk reaches its node, so the
-    peak does not grow with the number of images.  A model and an oracle built on
-    different graphs (another architecture or k) raise
-    :class:`ConfigError` before any image is run.
+    counts as an infinite error.  The check runs in lockstep: ``execute``'s
+    ``observe`` hook advances the image's :func:`oracle_steps` walk by one
+    step per engine step (both walk the graph's steps in order) and
+    compares the two outputs at once (embed and BnAct codes, and
+    residual-branch accumulators).  Nothing is kept past its step, so the
+    check holds one step's engine and oracle maps, each side's live maps
+    and one comparison's temporaries, and its peak does not grow with the
+    number of images.  A model and an oracle built on different graphs
+    (another architecture or k) raise :class:`ConfigError` before any
+    image is run.
     """
     g: GraphDef = model.graph
     require_same_graph(g, om.graph)
@@ -364,40 +387,41 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     for bn in g.bnacts:
         report.layers[bn.name] = LayerReport()
     branches = {src for n in g.nodes if isinstance(n, ResidualAdd) for src in (n.src_a, n.src_b)}
-    compared = branches | {embed.dst} | {bn.dst for bn in g.bnacts}
-    kept: dict = {}
 
-    def keep(step, value) -> None:
-        if step.node.dst in compared:
-            kept[step.node.dst] = value
+    walk, lf = None, None  # the image's oracle walk, and the oracle's logits
+
+    def step(_, got: np.ndarray) -> None:
+        nonlocal lf
+        node, want, pre = next(walk)
+        if node.dst == LOGITS_EDGE:
+            lf = want
+            return
+        if node.dst in branches:  # both integer-valued; c scales both alike
+            if not np.array_equal(got, want):
+                report.residual_scaling_exact = False
+            return
+        if node.name not in report.layers:
+            return
+        diffmask = unpack_activations(got, g.edges[node.dst].channels) != want
+        if not diffmask.any():
+            return
+        if isinstance(node, PixelEmbed):
+            # both routes are exact integer maps, no tie excuse
+            hard, tied = int(np.count_nonzero(diffmask)), 0
+        else:
+            ratio = pre / om.bns[node.name].act_scale
+            near = np.abs(ratio - np.rint(ratio)) < TIE_EPS
+            hard = int(np.count_nonzero(diffmask & ~near))
+            tied = int(np.count_nonzero(diffmask & near))
+        report.layers[node.name].mismatches += hard
+        report.layers[node.name].boundary += tied
+        if hard:
+            report.first_divergence = report.first_divergence or node.name
 
     for img in images:
-        li = execute(model, img, observe=keep).logits
+        walk = oracle_steps(om, img)
+        li = execute(model, img, observe=step).logits
         report.images += 1
-        for node, want, pre in oracle_steps(om, img):
-            got = kept.pop(node.dst, None)
-            if got is None:
-                continue
-            if node.dst in branches:  # both integer-valued; c scales both alike
-                if not np.array_equal(got, want):
-                    report.residual_scaling_exact = False
-                continue
-            diffmask = unpack_activations(got, g.edges[node.dst].channels) != want
-            if not diffmask.any():
-                continue
-            if isinstance(node, PixelEmbed):
-                # both routes are exact integer maps, no tie excuse
-                hard, tied = int(np.count_nonzero(diffmask)), 0
-            else:
-                ratio = pre / om.bns[node.name].act_scale
-                near = np.abs(ratio - np.rint(ratio)) < TIE_EPS
-                hard = int(np.count_nonzero(diffmask & ~near))
-                tied = int(np.count_nonzero(diffmask & near))
-            report.layers[node.name].mismatches += hard
-            report.layers[node.name].boundary += tied
-            if hard:
-                report.first_divergence = report.first_divergence or node.name
-        lf = want  # the pool's value, the last the walk yields
         if np.isfinite(lf).all() and np.isfinite(li).all():
             rel = float(np.max(np.abs(li - lf))) / max(float(np.max(np.abs(lf))), 1e-30)
         else:  # max() would drop a NaN error

@@ -220,17 +220,20 @@ def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _LEAF = BLOCK_BYTES // 8
 
 
-def mean_abs(w: np.ndarray) -> float:
+def mean_abs(w) -> float:
     """Mean |w| over a whole layer in 64-bit reals, with no widened copy of the layer.
 
+    ``w`` is an array, or a conv reader
+    (:meth:`ern.compiler.CheckpointManifest.conv_weights`), whose
+    ``w[start:stop]`` reads that range of the flat weights.
     Bit-identical to ``np.abs(w.astype(np.float64)).mean()``: numpy sums a
     contiguous float64 array pairwise, splitting a range of more than 128
     elements at half its length rounded down to a multiple of 8.  This
     sum follows the same split down to leaves of at most ``BLOCK_BYTES``
-    // 8 elements, and widens and sums each leaf on its own, so it adds
-    the same partial sums in the same order.
+    // 8 elements, and reads, widens and sums each leaf on its own, in
+    order, so it adds the same partial sums in the same order.
     """
-    flat = np.asarray(w).reshape(-1)
+    flat = w.reshape(-1) if isinstance(w, np.ndarray) else w
     return _pairwise_abs_sum(flat, 0, flat.size) / flat.size
 
 

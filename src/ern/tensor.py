@@ -38,7 +38,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, ShapeError
 
 LANES = 64
-_SHIFTS = np.arange(LANES, dtype=np.uint64)
 
 ACC_DTYPES = (np.dtype(np.int16), np.dtype(np.int32))  # accumulator widths, narrowest first
 ACC_DTYPE = np.int32  # the widest
@@ -139,12 +138,16 @@ def _pack_lanes(bits: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _unpack_lanes(words: np.ndarray, axis: int, count: int) -> np.ndarray:
-    """Inverse of :func:`_pack_lanes`; returns uint8 0/1 with `count` lanes."""
-    w = np.moveaxis(words, axis, 0)
-    shifts = _SHIFTS.reshape((1, LANES) + (1,) * (w.ndim - 1))
-    bits = ((w[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    bits = bits.reshape(w.shape[0] * LANES, *w.shape[1:])[:count]
-    return np.moveaxis(bits, 0, axis)
+    """Inverse of :func:`_pack_lanes`; returns uint8 0/1 with `count` lanes.
+
+    The words move to the last axis and are read as their 8 little-endian
+    bytes, which ``np.unpackbits`` splits least significant bit first, so
+    lane 64*i + j is bit j of word i on any host.  Beside the result (one
+    byte per lane), the call holds one copy of the words.
+    """
+    b = np.moveaxis(words, axis, -1).astype("<u8", order="C").view(np.uint8)
+    bits = np.unpackbits(b, axis=-1, count=count, bitorder="little")
+    return np.moveaxis(bits, -1, axis)
 
 
 @dataclass(frozen=True)

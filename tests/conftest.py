@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ern.compiler import FORMAT_VERSION, MAGIC, compile_checkpoint, gen_random_checkpoint
+from ern.compiler import (
+    FORMAT_VERSION,
+    MAGIC,
+    ConvReader,
+    compile_checkpoint,
+    gen_random_checkpoint,
+)
 from ern.graph import ArchConfig, BnAct, Conv, build_model, execute
 from ern.oracle import oracle_from_manifest
 from ern.tensor import padded_channels, unpack_activations
@@ -61,6 +67,35 @@ def execute_keeping_all(model, img, kernel="popcount"):
         values[step.node.dst] = value
 
     return execute(model, img, kernel, observe=keep), values
+
+
+def break_blob(path, defect: str) -> None:
+    """Delete a blob, or rewrite it one float shorter or longer."""
+    if defect == "deleted":
+        path.unlink()
+    else:
+        data = path.read_bytes()
+        path.write_bytes(data[:-4] if defect == "truncated" else data + data[:4])
+
+
+def break_after_first_read(monkeypatch, blob, defect: str) -> list:
+    """Break a conv blob (:func:`break_blob`) right after a reader first reads a range of it.
+
+    The blob is ``<layer>.bin``.  Returns a list that holds the range read
+    before the break once the break has happened.
+    """
+    read = ConvReader.__getitem__
+    broken = []
+
+    def read_then_break(self, span):
+        block = read(self, span)
+        if self.name == blob.stem and not broken:
+            break_blob(blob, defect)
+            broken.append(span)
+        return block
+
+    monkeypatch.setattr(ConvReader, "__getitem__", read_then_break)
+    return broken
 
 
 def resign(body: bytes) -> bytes:

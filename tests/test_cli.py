@@ -12,7 +12,7 @@ from ern.compiler import load, serialize
 from ern.graph import execute
 from ern.ppm import write_ppm
 
-from conftest import HEADER_AT, resign, rewrite_threshold_row
+from conftest import HEADER_AT, break_after_first_read, resign, rewrite_threshold_row
 
 
 @pytest.fixture(scope="module")
@@ -493,6 +493,20 @@ class TestMalformedManifest:
         monkeypatch.setattr(ern.cli, "load_manifest", load_then_break)
         assert main(_argv(ws, tmp_path, command, ckpt)) == 2
         assert layer in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    @pytest.mark.parametrize("defect", ["truncated", "extended"])
+    def test_blob_changed_between_reads(self, ws, tmp_path, capsys, monkeypatch, command, defect):
+        """A conv blob that changed after its first block was read."""
+        layer = "s4.b1.conv2"  # 384 x 384 x 3 x 3, read in many blocks
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ws["ckpt"], ckpt)
+        broken = break_after_first_read(monkeypatch, ckpt / f"{layer}.bin", defect)
+        assert main(_argv(ws, tmp_path, command, ckpt)) == 2
+        assert broken
+        err = capsys.readouterr().err
+        assert err.startswith(f"ern: layer '{layer}': ") and "Traceback" not in err
+        assert not (tmp_path / "x.ern").exists()  # compile wrote nothing
 
     @pytest.mark.parametrize("k", [21846, 10**6])
     def test_oversized_k(self, ws, tmp_path, capsys, k):

@@ -9,6 +9,7 @@ from collections.abc import Mapping, MutableMapping
 import numpy as np
 import pytest
 
+import ern.compiler
 from ern.compiler import (
     FORMAT_VERSION,
     MAGIC,
@@ -31,10 +32,18 @@ from ern.errors import (
     VersionError,
 )
 from ern.graph import ArchConfig, GraphDef, arch_config, build_model, execute
-from ern.oracle import oracle_from_manifest
-from ern.tensor import BLOCK_BYTES, LANES, padded_channels
+from ern.oracle import cross_check, oracle_execute, oracle_from_manifest
+from ern.tensor import BLOCK_BYTES, LANES, padded_channels, row_blocks
 
-from conftest import HEADER_AT, random_image, record_offset, resign, rewrite_threshold_row
+from conftest import (
+    HEADER_AT,
+    break_after_first_read,
+    break_blob,
+    random_image,
+    record_offset,
+    resign,
+    rewrite_threshold_row,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,15 +128,6 @@ class TestManifestIO:
         assert not (tmp_path / "ckpt").exists()
 
 
-def break_blob(path, defect: str) -> None:
-    """Delete a blob, or rewrite it one float shorter or longer."""
-    if defect == "deleted":
-        path.unlink()
-    else:
-        data = path.read_bytes()
-        path.write_bytes(data[:-4] if defect == "truncated" else data + data[:4])
-
-
 def traced_peak(fn):
     """``fn()`` and the peak bytes tracemalloc saw while it ran."""
     tracemalloc.start()
@@ -170,6 +170,66 @@ class TestConvBlobsOnDemand:
         with pytest.raises(ConfigError, match="s2.b1.down"):
             build(m)
 
+    # s4.b1.conv2 is 384 x 384 x 3 x 3: 5.3 MB of floats, read in many blocks
+    @pytest.mark.parametrize("build", [compile_checkpoint, oracle_from_manifest])
+    @pytest.mark.parametrize("defect", ["truncated", "extended"])
+    def test_blob_changed_between_reads(self, ckpt, monkeypatch, build, defect):
+        m = load_manifest(ckpt)
+        broken = break_after_first_read(monkeypatch, ckpt / "s4.b1.conv2.bin", defect)
+        with pytest.raises(ConfigError, match="s4.b1.conv2"):
+            build(m)
+        assert broken  # the first range was read whole, the next one refused
+
+    def test_reader_checks_every_range(self, ckpt):
+        node = next(n for n in build_model(arch_config("erns18x075")).convs
+                    if n.name == "s4.b1.conv2")
+        m = load_manifest(ckpt)
+        want = m.convs[node.name]
+        with m.conv_weights(node) as w:
+            assert w.shape == want.shape == (384, 384, 3, 3) and w.size == want.size
+            assert np.array_equal(w[10:20], want.reshape(-1)[10:20])
+            assert np.array_equal(w.rows(slice(2, 4)), want[2:4])
+            break_blob(ckpt / "s4.b1.conv2.bin", "extended")
+            with pytest.raises(ConfigError, match="s4.b1.conv2"):
+                w[0:1]
+
+    def test_blob_reads_build_what_arrays_build(self, small_manifest, small_model, ckpt):
+        m = load_manifest(ckpt)
+        assert serialize(compile_checkpoint(m)) == serialize(small_model)
+        got, want = oracle_from_manifest(m), oracle_from_manifest(small_manifest)
+        assert got.alpha_out == want.alpha_out
+        for name, signs in want.signs.items():
+            assert got.signs[name].tobytes() == signs.tobytes(), name
+        for edge, scale in want.edge_scale.items():
+            assert got.edge_scale[edge].tobytes() == scale.tobytes(), edge
+
+    def test_read_cut_short_after_the_size_check(self, ckpt, monkeypatch):
+        # a blob truncated between a read's size check and its np.fromfile
+        node = build_model(arch_config("erns18x075")).convs[0]
+        m = load_manifest(ckpt)
+        with m.conv_weights(node) as w:
+            break_blob(ckpt / f"{node.name}.bin", "truncated")
+            monkeypatch.setattr(ern.compiler, "_check_conv_blob", lambda *args: None)
+            with pytest.raises(ConfigError, match=node.name):
+                w[w.size - 2 : w.size]
+
+    @pytest.mark.parametrize("build", [compile_checkpoint, oracle_from_manifest])
+    @pytest.mark.parametrize("source", ["blob", "array"])
+    def test_nan_in_last_row_of_last_block(self, small_manifest, ckpt, build, source):
+        layer = "s4.b1.conv2"
+        assert len(list(row_blocks(384, 4 * 384 * 9))) > 1
+        if source == "blob":
+            w = np.fromfile(ckpt / f"{layer}.bin", dtype="<f4")
+            w[-1] = np.nan
+            w.tofile(ckpt / f"{layer}.bin")
+            m = load_manifest(ckpt)
+        else:
+            w = small_manifest.convs[layer].copy()
+            w[-1, -1, -1, -1] = np.nan
+            m = dataclasses.replace(small_manifest, convs={**small_manifest.convs, layer: w})
+        with pytest.raises(CompileError, match=layer):
+            build(m)
+
     def test_compile_peak_below_checkpoint_floats(self, tmp_path):
         save_manifest(gen_random_checkpoint("erns18", seed=5), tmp_path)
         doc = json.loads((tmp_path / "manifest.json").read_text())
@@ -197,11 +257,12 @@ class FreshCopies(Mapping):
 
 
 class TestWorkingSet:
-    """Compile, serialize and the oracle build hold nothing layer-sized beside one conv's floats.
+    """Compile, serialize, the oracle build and the cross-check hold no layer of floats.
 
-    Each bound is in the sizes of erns50's layers; before the blocked
-    reductions the three peaks were 34.0, 14.3 and 22.0 MB against bounds
-    of 17.1, 4.5 and 14.7 MB.
+    Each bound is in the sizes of erns50's layers.  Before the blocked
+    reductions the compile, serialize and oracle-build peaks were 34.0,
+    14.3 and 22.0 MB; before the row-block reads, 15.2, 3.9 and 13.2 MB,
+    against the bounds of 5.3, 4.5 and 5.3 MB now.
     """
 
     @pytest.fixture(scope="class")
@@ -224,8 +285,8 @@ class TestWorkingSet:
     def test_compile(self, ckpt, sizes):
         m = load_manifest(ckpt)
         _, peak = traced_peak(lambda: compile_checkpoint(m))
-        # the largest conv's float32 weights and int8 signs, every packed word, blocks
-        assert peak < 5 * sizes["largest"] + sizes["words"] + 4 * BLOCK_BYTES
+        # every packed word and a few blocks; a whole layer's floats (9.4 MB) goes over
+        assert peak < sizes["words"] + 4 * BLOCK_BYTES
 
     def test_compile_drops_floats_before_the_next_read(self):
         # the last three convs, 512 x 512 x 3 x 3, are the largest and adjacent
@@ -237,9 +298,9 @@ class TestWorkingSet:
         words = sum(8 * s.out_ch * padded_channels(s.in_ch) // LANES * s.kh * s.kw
                     for s in specs)
         _, peak = traced_peak(lambda: compile_checkpoint(m))
-        # one conv's float32 weights and int8 signs, every packed word, blocks;
-        # holding the previous conv's floats or signs at the next read goes over it
-        assert peak < 5 * largest + words + 4 * BLOCK_BYTES
+        # one conv's float32 weights (each lookup's copy), every packed word, blocks;
+        # holding the previous conv's floats at the next lookup goes over it
+        assert peak < 4 * largest + words + 4 * BLOCK_BYTES
 
     def test_serialize(self, ckpt):
         model = compile_checkpoint(load_manifest(ckpt))
@@ -249,8 +310,19 @@ class TestWorkingSet:
     def test_oracle_build(self, ckpt, sizes):
         m = load_manifest(ckpt)
         _, peak = traced_peak(lambda: oracle_from_manifest(m))
-        # the largest conv's float32 weights, every conv's packed signs, blocks
-        assert peak < 4 * sizes["largest"] + sizes["signs"] + 4 * BLOCK_BYTES
+        # every conv's packed signs and a few blocks
+        assert peak < sizes["signs"] + 4 * BLOCK_BYTES
+
+    def test_cross_check(self, ckpt):
+        m = load_manifest(ckpt)
+        model, om = compile_checkpoint(m), oracle_from_manifest(m)
+        img = random_image(np.random.default_rng(5))
+        _, engine = traced_peak(lambda: execute(model, img))
+        _, oracle = traced_peak(lambda: oracle_execute(om, img))
+        report, peak = traced_peak(lambda: cross_check(model, om, [img]))
+        assert report.ok
+        # one step's engine and oracle maps at a time, never an image's compared edges
+        assert peak <= engine + oracle + 2 * BLOCK_BYTES
 
 
 class TestCompile:

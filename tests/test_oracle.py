@@ -334,8 +334,8 @@ class TestFullModel:
         assert peaks[1] < 1.1 * peaks[0]
 
     def test_cross_check_streams_images(self, erns50_model, erns50_oracle, rng):
-        # each image's compared edges are dropped as the oracle reaches them,
-        # so checking 8 images peaks where checking 1 does
+        # the engine and the oracle are compared step by step and nothing is
+        # kept past its step, so checking 8 images peaks where checking 1 does
         imgs = [random_image(rng, 32) for _ in range(8)]
         cross_check(erns50_model, erns50_oracle, imgs[:1])  # warm-up
         peaks = []
@@ -444,6 +444,23 @@ class TestBlockedReductions:
         bits = np.packbits(rng.random(shape) < 0.5)
         got = _conv_im2col(codes, bits, shape, (1, 1), (1, 1))
         assert got.tobytes() == unblocked_conv(codes, bits, shape, 1).tobytes()
+
+    def test_conv_im2col_builds_columns_in_row_blocks(self, rng):
+        # 32 channels, 3 x 3, at 64 x 64: the columns of every output row
+        # together are 288 x 4,096 float32, 4.7 MB, and take ten row blocks
+        shape = (8, 32, 3, 3)
+        codes = rng.integers(0, 4, size=(32, 64, 64), dtype=np.uint8)
+        bits = np.packbits(rng.random(shape) < 0.5)
+        want = unblocked_conv(codes, bits, shape, 1)
+        tracemalloc.start()
+        try:
+            got = _conv_im2col(codes, bits, shape, (1, 1), (1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        # the padded input, the float64 result, one block of columns, signs and product
+        assert peak < 4 * 32 * 66 * 66 + want.nbytes + 3 * BLOCK_BYTES
 
     @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 2 * BLOCK_BYTES + 13])
     def test_signs_match_packbits(self, rng, n):

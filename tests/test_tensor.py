@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ern.errors import DomainError, ShapeError
 from ern.tensor import (
     LANES,
+    _unpack_lanes,
     pack_activations,
     pack_weights,
     padded_channels,
@@ -90,6 +91,29 @@ class TestPackActivations:
     def test_round_trip_property(self, channels, h, w, seed):
         codes = np.random.default_rng(seed).integers(0, 4, size=(channels, h, w), dtype=np.uint8)
         assert np.array_equal(unpack_activations(pack_activations(codes), channels), codes)
+
+
+class TestUnpackLanes:
+    """``_unpack_lanes`` against one shift per lane: bit j of word i is lane 64*i + j."""
+
+    @staticmethod
+    def by_shifts(words, axis):
+        w = np.moveaxis(words, axis, 0)
+        lanes = [(w[i // LANES] >> np.uint64(i % LANES)) & np.uint64(1)
+                 for i in range(w.shape[0] * LANES)]
+        return np.moveaxis(np.array(lanes, dtype=np.uint8), 0, axis)
+
+    @pytest.mark.parametrize("axis,shape", [(0, (3, 2, 5)), (1, (2, 3, 4, 5))])
+    def test_matches_per_lane_shifts(self, rng, axis, shape):
+        words = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+        words.flat[:4] = [0, 2**64 - 1, 1, 2**63]
+        want = self.by_shifts(words, axis)
+        for count in range(1, 3 * LANES + 1):
+            got = _unpack_lanes(words, axis, count)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want.take(np.arange(count), axis=axis)), count
+        # words held big-endian unpack to the same lanes
+        assert np.array_equal(_unpack_lanes(words.astype(">u8"), axis, 3 * LANES), want)
 
 
 class TestPackWeights:
