@@ -8,8 +8,8 @@ Each BnAct's blob, epsilon and act_scale load into one
 :class:`ern.quant.BnParams`, which checks them when it is built and is
 what compilation and the float oracle read.  Conv blobs, the bulk of a
 checkpoint, are only size-checked on load; compilation and the oracle
-read each one in blocks of about ``ern.tensor.BLOCK_BYTES`` through a
-:class:`ConvReader`, so neither holds a whole layer's floats.
+read each one once, in blocks of about ``ern.tensor.BLOCK_BYTES``,
+through a :class:`ConvReader`, so neither holds a whole layer's floats.
 :meth:`CheckpointManifest.checked_graph` and
 :meth:`CheckpointManifest.conv_weights` are the one check of a
 checkpoint against its architecture; compilation and the oracle both
@@ -19,7 +19,8 @@ start from them, so they refuse the same checkpoints with the same
 Compilation binarizes every conv, scaling it as its output edge's
 ``scale`` in the graph says: ``"alpha"``, per-channel alpha = mean |w|;
 ``"c"``, the shared constant c (the convs feeding a residual add);
-``"alpha_out"``, one alpha_out = mean |w| (the head conv).  It folds each
+``"alpha_out"``, one alpha_out, the correctly rounded mean |w| of the
+head conv, which does not depend on summation order.  It folds each
 batch-norm + quantizer pair into an integer threshold table using the
 producing edge's scale, and bit-packs the signs.  The result is fully
 integer-executable and serializes to a single .ern file, format
@@ -84,7 +85,8 @@ from .graph import (
     arch_config,
     build_model,
 )
-from .quant import BnParams, ThresholdTable, binarize_weights, fuse_thresholds, mean_abs
+from .quant import BnParams, ThresholdTable, binarize_weights, exact_abs_sum
+from .quant import fuse_thresholds
 from .tensor import LANES, PackedWeights, pack_weights, padded_channels, row_blocks
 
 MAGIC = b"ERN1"
@@ -451,9 +453,10 @@ def compile_checkpoint(
     and each conv's weights from ``manifest.conv_weights``, the checks
     ``oracle_from_manifest`` shares.  Each conv takes the scale its
     output edge's ``scale`` names: ``"c"``, the shared constant c;
-    ``"alpha_out"``, one alpha_out = mean |w|; ``"alpha"``, per-channel
-    alpha = mean |w|, with all-zero filters substituting alpha = 1 under
-    a warning.  Each BnAct folds against whichever scale its producing
+    ``"alpha_out"``, one alpha_out, the correctly rounded mean |w|;
+    ``"alpha"``, per-channel alpha = mean |w| summed in 64-bit reals,
+    with all-zero filters substituting alpha = 1 under a warning.  Each
+    BnAct folds against whichever scale its producing
     edge carries, clamped to that edge's accumulator bound; a fold that
     is not finite over that bound, in its folded form or as the float
     composition it replaces, raises :class:`CompileError` naming the
@@ -461,16 +464,17 @@ def compile_checkpoint(
 
     Each conv is read one block of output channels at a time
     (:func:`ern.tensor.row_blocks`, a block's float32 weights being about
-    ``ern.tensor.BLOCK_BYTES``); each block is binarized
-    (:func:`binarize_weights`) and packed (:func:`pack_weights`) into its
-    rows of the conv's one word array, and the head's alpha_out is summed
-    by :func:`ern.quant.mean_abs` over a second pass of reads.  No layer
-    of floats or signs is held: compilation holds the words packed so
-    far and temporaries of one block.
+    ``ern.tensor.BLOCK_BYTES``), and each weight is read once.  Each
+    block is binarized (:func:`binarize_weights`) and packed
+    (:func:`pack_weights`) into its rows of the conv's one word array;
+    the head's blocks also add their exact |w| sums
+    (:func:`ern.quant.exact_abs_sum`), which the oracle computes the same
+    way.  No layer of floats or signs is held: compilation holds the
+    words packed so far and temporaries of one block.
     """
     g, c = manifest.checked_graph(shared_const)
     weights: dict[str, PackedWeights] = {}
-    alpha_out = 1.0
+    alpha_out, head_sum = 1.0, 0
     for node in g.convs:
         s = node.spec
         bits = np.empty((s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw), np.uint64)
@@ -479,12 +483,16 @@ def compile_checkpoint(
         scale = g.edges[node.dst].scale
         with manifest.conv_weights(node) as w:
             for rows in row_blocks(s.out_ch, 4 * s.fan_in):
-                signs, a = binarize_weights(w.rows(rows))
+                block = w.rows(rows)
+                if scale == "alpha_out":
+                    head_sum += exact_abs_sum(block)
+                signs, a = binarize_weights(block)
+                del block  # else packing, and the next read, sit beside the floats
                 zero += int(np.count_nonzero(a == 0.0))
                 alpha[rows] = np.where(a == 0.0, 1.0, a)
                 bits[rows] = pack_weights(signs, alpha[rows]).bits
-            if scale == "alpha_out":
-                alpha_out = mean_abs(w) or 1.0
+        if scale == "alpha_out":
+            alpha_out = float(head_sum / w.size) or 1.0
         if zero:
             warnings.warn(
                 f"layer '{node.name}': {zero} all-zero filter(s), using alpha = 1", stacklevel=2

@@ -10,9 +10,10 @@ compilation starts from, and reads each BnAct's
 and in 64-bit reals.  It shares no kernel code with the integer engine,
 so agreement between the two certifies both.
 
-The build reads each conv's weights a block at a time through the
-manifest's reader and holds no layer of floats.  Each conv's signs are
-held at one bit per weight (``np.packbits`` of w >= 0, numpy's own
+The build reads each conv's weights once, a block of output channels
+at a time, through the manifest's reader, and holds no layer of floats.
+Each conv's signs are held at one bit per weight, packed per output
+channel (``np.packbits`` of w >= 0 along each filter, numpy's own
 packing, not the engine's).  The convolution expands them to float32
 +/-1 through a 256-entry byte table, one block of output channels at a
 time, and multiplies each block by the image's columns, built one block
@@ -21,7 +22,12 @@ below 2**24, so it is exact, and its result is widened to 64-bit reals.
 The only rounding happens when a scale or the batch norm touches a
 value.  Residual branches therefore stay exactly c times the engine's
 integer accumulators: the oracle adds the unscaled (integer-valued)
-tensors and applies c lazily.
+tensors and applies c lazily.  The pool averages the head's
+integer-valued accumulator, which is exact, and then scales by
+alpha_out, the correctly rounded mean |w| of the head
+(:func:`ern.quant.exact_abs_sum`), which no summation order changes;
+the engine computes the same two roundings, so the logits agree bit
+for bit.
 
 :func:`oracle_steps` walks the graph once per image, node by node, and
 drops each map after its last reader (the step's ``frees``).
@@ -42,14 +48,13 @@ of an integer), counted, and excluded; any other disagreement fails.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .quant import BnParams, quantize_act_float
+from .quant import BnParams, exact_abs_sum, quantize_act_float
 from .graph import (
     AvgPoolScale,
     BnAct,
@@ -62,12 +67,11 @@ from .graph import (
     ResidualAdd,
     execute,
 )
-from .tensor import BLOCK_BYTES, row_blocks, unpack_activations
+from .tensor import row_blocks, unpack_activations
 
 # byte -> its 8 signs as float32 +/-1, most significant bit first as np.packbits packs
 _BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) * np.float32(2) - 1
 TIE_EPS = 1e-9  # |v / s_a - round(v / s_a)| below this is a code-boundary tie
-LOGIT_RTOL = 1e-6  # max relative logit error a passing cross-check allows
 
 
 # --------------------------------------------------------------------------
@@ -80,7 +84,8 @@ class OracleModel:
 
     graph: GraphDef
     shared_const: float
-    signs: dict[str, np.ndarray]  # np.packbits(w >= 0) of each (OC, IC, kh, kw) conv
+    # each (OC, IC, kh, kw) conv's np.packbits(w.reshape(OC, -1) >= 0, axis=1)
+    signs: dict[str, np.ndarray]
     edge_scale: dict[str, np.ndarray]  # acc edge -> (OC,) effective scale
     bns: dict[str, BnParams]  # the manifest's parameters per BnAct node
     alpha_out: float
@@ -98,36 +103,40 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     compiled model, or divergence is by construction rather than by
     defect.
 
-    Reads each conv through its reader, one range at a time, and keeps
-    only its signs, packed one bit per weight, and its 64-bit scales: the
-    signs are packed from reads of ``BLOCK_BYTES`` bytes of weights into
-    one array (:func:`_packed_signs`), the per-channel scales taken over
-    row blocks of about ``BLOCK_BYTES`` (:func:`ern.tensor.row_blocks`),
-    and the head's alpha_out over numpy's own buffer chunks
-    (:func:`_mean_abs`).  No layer of floats is held: the build holds,
-    beside the manifest, the signs and scales so far and block-sized
-    temporaries.
+    Reads each conv once through its reader, one block of output
+    channels at a time (:func:`ern.tensor.row_blocks`, a block's weights
+    being about ``BLOCK_BYTES``), and takes three things from each block:
+    its rows of packed signs, its per-channel scales, summed in 64-bit
+    reals, and for the head its exact |w| sum
+    (:func:`ern.quant.exact_abs_sum`), so alpha_out is the correctly
+    rounded mean |w| that compilation computes too.  No layer of floats
+    is held: the build holds, beside the manifest, the signs and scales
+    so far and block-sized temporaries.
     """
     g, c = manifest.checked_graph(shared_const)
     signs: dict[str, np.ndarray] = {}
     edge_scale: dict[str, np.ndarray] = {}
-    alpha_out = 1.0
+    alpha_out, head_sum = 1.0, 0
     for node in g.convs:
         # signs read the manifest's floats as they are; scales sum in 64 bits
         s = node.spec
         scale = g.edges[node.dst].scale
+        bits = signs[node.name] = np.empty((s.out_ch, -(-s.fan_in // 8)), np.uint8)
+        alpha = np.empty(s.out_ch)
         with manifest.conv_weights(node) as w:
-            signs[node.name] = _packed_signs(w)
-            if scale == "alpha_out":
-                alpha_out = _mean_abs(w) or 1.0
-                edge_scale[node.dst] = np.full(s.out_ch, alpha_out)
-            elif scale == "c":
-                edge_scale[node.dst] = np.full(s.out_ch, c)
-            else:
-                alpha = np.empty(s.out_ch)
-                for rows in row_blocks(s.out_ch, 4 * s.fan_in):
-                    alpha[rows] = np.abs(w.rows(rows)).mean(axis=(1, 2, 3), dtype=np.float64)
-                edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
+            for rows in row_blocks(s.out_ch, 4 * s.fan_in):
+                block = w.rows(rows)
+                bits[rows] = np.packbits(block.reshape(len(block), -1) >= 0.0, axis=1)
+                if scale == "alpha":
+                    alpha[rows] = np.abs(block).mean(axis=(1, 2, 3), dtype=np.float64)
+                elif scale == "alpha_out":
+                    head_sum += exact_abs_sum(block)
+                del block  # else the next read sits beside it
+        if scale == "alpha_out":
+            alpha_out = float(head_sum / w.size) or 1.0
+        if scale != "alpha":
+            alpha = np.full(s.out_ch, alpha_out if scale == "alpha_out" else c)
+        edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
     for n in g.nodes:
         if isinstance(n, ResidualAdd):
             edge_scale[n.dst] = edge_scale[n.src_a]
@@ -141,39 +150,6 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
         bns=bns,
         alpha_out=alpha_out,
     )
-
-
-def _packed_signs(w) -> np.ndarray:
-    """``np.packbits(w >= 0)`` of the flat weights, read ``BLOCK_BYTES`` of float32 at a time.
-
-    ``w`` is a 1-D array or a conv reader
-    (:meth:`ern.compiler.CheckpointManifest.conv_weights`); each read is
-    a multiple of 8 weights, so its bytes are whole.
-    """
-    out = np.empty(-(-w.size // 8), dtype=np.uint8)
-    step = BLOCK_BYTES // 4
-    for i in range(0, w.size, step):
-        chunk = np.packbits(w[i : i + step] >= 0.0)
-        out[i // 8 : i // 8 + chunk.size] = chunk
-    return out
-
-
-def _mean_abs(w) -> float:
-    """``np.abs(w).mean(dtype=np.float64)`` with no layer-sized ``np.abs(w)``.
-
-    ``w`` is a 1-D array or a conv reader, read one buffer at a time.
-    numpy widens a float32 layer, as every checkpoint holds it, for this
-    reduction one buffer of ``np.getbufsize()`` elements at a time and
-    adds each buffer's pairwise sum to the total in order; this sums the
-    same chunks the same way, so the mean is bit-identical.  (A float64
-    layer numpy sums pairwise in one pass, which this matches to
-    rounding.)
-    """
-    step = np.getbufsize()
-    total = 0.0
-    for i in range(0, w.size, step):
-        total += float(np.abs(w[i : i + step]).sum(dtype=np.float64))
-    return total / w.size
 
 
 # --------------------------------------------------------------------------
@@ -195,19 +171,19 @@ def _thermo_codes(img: np.ndarray, k: int) -> np.ndarray:
 def _conv_im2col(codes: np.ndarray, bits: np.ndarray, shape, stride, padding) -> np.ndarray:
     """Convolve 2-bit codes with packed signs by float32 GEMMs; returns float64.
 
-    ``bits`` is ``np.packbits`` of the (OC, IC, kh, kw) ``shape``'s signs,
-    bit 1 for +1.  Every product and partial sum is an integer of
-    magnitude at most 3 * fan_in, and integers below 2**24 are exact in
-    float32, so the result is exact whatever order a GEMM sums in.  The
-    signs are expanded one block of output channels at a time
+    ``bits`` holds the (OC, IC, kh, kw) ``shape``'s signs packed per
+    output channel, ``np.packbits`` of each filter along its fan-in, bit
+    1 for +1.  Every product and partial sum is an integer of magnitude
+    at most 3 * fan_in, and integers below 2**24 are exact in float32, so
+    the result is exact whatever order a GEMM sums in.  The signs are
+    expanded one block of output channels at a time
     (:func:`ern.tensor.row_blocks`, a block's float32 signs being about
-    ``BLOCK_BYTES``); a block whose first weight is not the first of a
-    byte starts mid-byte.  Each block multiplies the image's columns
-    (fan_in x output pixels, float32), which are built from the window
-    view one block of output rows at a time, a block's columns being
-    about ``BLOCK_BYTES``; when one block holds every row they are built
-    once.  The call holds the padded input, the float64 result, one
-    block of expanded signs and one block of columns.
+    ``BLOCK_BYTES``), each row's pad bits cut off.  Each block multiplies
+    the image's columns (fan_in x output pixels, float32), which are
+    built from the window view one block of output rows at a time, a
+    block's columns being about ``BLOCK_BYTES``; when one block holds
+    every row they are built once.  The call holds the padded input, the
+    float64 result, one block of expanded signs and one block of columns.
     """
     ic, h, wd = codes.shape
     oc, wic, kh, kw = shape
@@ -234,13 +210,11 @@ def _conv_im2col(codes: np.ndarray, bits: np.ndarray, shape, stride, padding) ->
     whole = columns(tiles[0]) if len(tiles) == 1 else None
     acc = np.empty((oc, oh, ow))
     for rows in row_blocks(oc, 4 * fan):
-        start, stop = rows.start * fan, rows.stop * fan  # the block's weights, flat
-        first = start // 8
-        signs = _BYTE_SIGNS.take(bits[first : -(-stop // 8)], axis=0).reshape(-1)
-        signs = signs[start - 8 * first : stop - 8 * first].reshape(-1, fan)
+        r = rows.stop - rows.start
+        signs = _BYTE_SIGNS.take(bits[rows].reshape(-1), axis=0).reshape(r, -1)[:, :fan]
         for t in tiles:
             cols = columns(t) if whole is None else whole
-            acc[rows, t] = (signs @ cols).reshape(len(signs), -1, ow)
+            acc[rows, t] = (signs @ cols).reshape(r, -1, ow)
     return acc
 
 
@@ -280,7 +254,7 @@ def oracle_steps(
         elif isinstance(node, ResidualAdd):
             out = values[node.src_a] + values[node.src_b]
         elif isinstance(node, AvgPoolScale):
-            out = (om.alpha_out * values[node.src]).mean(axis=(1, 2))
+            out = om.alpha_out * values[node.src].mean(axis=(1, 2))
         values[node.dst] = out
         yield node, out, pre
         for src in step.frees:
@@ -315,13 +289,13 @@ class CrossCheckReport:
     images: int = 0
     layers: dict[str, LayerReport] = field(default_factory=dict)
     first_divergence: str | None = None
-    max_logit_rel_err: float = 0.0
+    logits_equal: bool = True  # engine and oracle logits bit-identical on every image
     residual_scaling_exact: bool = True
 
     def summary(self) -> str:
         lines = [
             f"images checked: {self.images}",
-            f"max logit relative error: {self.max_logit_rel_err:.3e}",
+            f"logits bit-identical: {self.logits_equal}",
             f"residual branches exactly c x integer: {self.residual_scaling_exact}",
         ]
         for name, rep in self.layers.items():
@@ -335,13 +309,11 @@ class CrossCheckReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        """Strict JSON: a non-finite logit error is written as null."""
-        err = self.max_logit_rel_err
         return json.dumps(
             {
                 "ok": self.ok,
                 "images": self.images,
-                "max_logit_rel_err": err if math.isfinite(err) else None,
+                "logits_equal": self.logits_equal,
                 "residual_scaling_exact": self.residual_scaling_exact,
                 "first_divergence": self.first_divergence,
                 "layers": {
@@ -366,9 +338,11 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     Passes iff every 2-bit code map matches outside boundary ties, every
     residual-branch accumulator equals the oracle's integer-valued one
     (both are then c times the same integers, so their scaled values
-    agree exactly, and no product by c can overflow), and logits agree
-    within ``LOGIT_RTOL`` relative; a non-finite logit on either side
-    counts as an infinite error.  The check runs in lockstep: ``execute``'s
+    agree exactly, and no product by c can overflow), and the logits are
+    equal bit for bit (``np.array_equal``, so a NaN logit on either side
+    fails).  Both sides pool the head's integer accumulator exactly and
+    scale by the same correctly rounded alpha_out, so any logit
+    difference is a defect.  The check runs in lockstep: ``execute``'s
     ``observe`` hook advances the image's :func:`oracle_steps` walk by one
     step per engine step (both walk the graph's steps in order) and
     compares the two outputs at once (embed and BnAct codes, and
@@ -422,18 +396,10 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
         walk = oracle_steps(om, img)
         li = execute(model, img, observe=step).logits
         report.images += 1
-        if np.isfinite(lf).all() and np.isfinite(li).all():
-            rel = float(np.max(np.abs(li - lf))) / max(float(np.max(np.abs(lf))), 1e-30)
-        else:  # max() would drop a NaN error
-            rel = math.inf
-        report.max_logit_rel_err = max(report.max_logit_rel_err, rel)
+        report.logits_equal &= np.array_equal(li, lf)
 
     hard_total = sum(r.mismatches for r in report.layers.values())
-    report.ok = (
-        hard_total == 0
-        and report.residual_scaling_exact
-        and report.max_logit_rel_err <= LOGIT_RTOL
-    )
+    report.ok = hard_total == 0 and report.residual_scaling_exact and report.logits_equal
     if not report.ok and report.first_divergence is None and hard_total == 0:
         report.first_divergence = "logits"
     return report

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -216,33 +217,38 @@ def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return signs, alpha
 
 
-# elements of each leaf of mean_abs's pairwise sum, widened to 64-bit reals at once
-_LEAF = BLOCK_BYTES // 8
+# elements per sub-chunk of exact_abs_sum: its frexp, integer and float64
+# temporaries of a float32 sub-chunk come to about 0.4 x BLOCK_BYTES
+_SUM_CHUNK = BLOCK_BYTES // 64
 
 
-def mean_abs(w) -> float:
-    """Mean |w| over a whole layer in 64-bit reals, with no widened copy of the layer.
+def exact_abs_sum(w: np.ndarray) -> Fraction:
+    """The exact sum of |w| over a float array (a checkpoint's float32 weights).
 
-    ``w`` is an array, or a conv reader
-    (:meth:`ern.compiler.CheckpointManifest.conv_weights`), whose
-    ``w[start:stop]`` reads that range of the flat weights.
-    Bit-identical to ``np.abs(w.astype(np.float64)).mean()``: numpy sums a
-    contiguous float64 array pairwise, splitting a range of more than 128
-    elements at half its length rounded down to a multiple of 8.  This
-    sum follows the same split down to leaves of at most ``BLOCK_BYTES``
-    // 8 elements, and reads, widens and sums each leaf on its own, in
-    order, so it adds the same partial sums in the same order.
+    ``np.frexp`` writes each |w| of a sub-chunk as m * 2**e with m in
+    [0.5, 1), and ``np.bincount`` sums the m of each e in 64-bit reals.
+    A float32 m is a multiple of 2**-24, so a bin's sum of at most
+    ``_SUM_CHUNK`` of them needs under 38 bits and is exact; a float64 m
+    is split into its float32 rounding and the exact remainder (a
+    multiple of 2**-53 of magnitude at most 2**-25), binned apart.  Each
+    bin's sum, shifted by its exponent, is added into one Python
+    integer, so nothing rounds, and the result does not depend on the
+    order of the weights or of the blocks they are read in.
+    ``float(total / n)`` is then the correctly rounded mean |w|.
     """
-    flat = w.reshape(-1) if isinstance(w, np.ndarray) else w
-    return _pairwise_abs_sum(flat, 0, flat.size) / flat.size
-
-
-def _pairwise_abs_sum(flat: np.ndarray, lo: int, n: int) -> float:
-    if n <= _LEAF:
-        leaf = flat[lo : lo + n].astype(np.float64)
-        return float(np.abs(leaf, out=leaf).sum())
-    half = n // 2 - n // 2 % 8
-    return _pairwise_abs_sum(flat, lo, half) + _pairwise_abs_sum(flat, lo + half, n - half)
+    info = np.finfo(w.dtype)
+    low = info.minexp - info.nmant  # every exponent frexp gives is above it
+    total = 0  # in units of 2**(low - 52)
+    flat = w.reshape(-1)
+    for i in range(0, flat.size, _SUM_CHUNK):
+        m, e = np.frexp(np.abs(flat[i : i + _SUM_CHUNK]))
+        e -= low + 1
+        hi = m.astype(np.float32, copy=False)
+        for part in (m,) if hi is m else (hi, m - hi):
+            sums = np.bincount(e, part)
+            for k in np.flatnonzero(sums):
+                total += int(sums[k] * 2.0**53) << int(k)
+    return Fraction(total, 2 ** (52 - low))
 
 
 def quantize_act_float(v, scale: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import struct
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,17 @@ def rng():
 
 def random_image(rng, size=64):
     return rng.integers(0, 256, size=(3, size, size), dtype=np.uint8)
+
+
+def rounded_mean_abs(w: np.ndarray) -> float:
+    """The mean |w| of float32 weights, rounded once, in integers.
+
+    Every float32 is a whole multiple of 2**-149, and scaling by 2**149
+    is exact in 64-bit reals, so the sum is one of Python integers.
+    """
+    assert w.dtype == np.float32
+    units = np.ldexp(np.abs(w).astype(np.float64), 149).ravel().tolist()
+    return float(Fraction(sum(map(int, units)), w.size << 149))
 
 
 def execute_keeping_all(model, img, kernel="popcount"):

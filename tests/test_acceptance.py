@@ -35,15 +35,15 @@ VARIANT_SEEDS = [
 # SHA-256 of each variant's serialized model and of repr(graph.nodes), as
 # variant_sweep builds them: a builder refactor must change neither
 PINNED = {
-    "erns18": ("237d36d863506295836816c3eca2876b9502ab26756a5b00870f65a55c444157",
+    "erns18": ("7c4a4af2a10bcffac25479905064b93c63a99a3a5da4512ffe22d897b8ff926e",
                "d32391792e3183d03f3759d447a285deb242442043b9a06d3027b39d4774f4c7"),
-    "erns18x075": ("9827783ff22dabeef8e4c0002083a04126ae3f1e8a8bc5842bb596bc7578049e",
+    "erns18x075": ("853899c1700d2332db1111ddc395de50791017c48938d2a969762ef9eb2c62ab",
                    "52e92ccb2ba7cbf0b0ddcc79999a16f7ddac2ad0713a633a3f939006c0cb17d9"),
     "erns34": ("72a669bff7a6b12159f17ac256bb421556d20b9b2cfc988d5c790c02fce49053",
                "8531690b6f9b82b7d54b195a42e6c19fdf6a9343483af8dc34c7cb2862152dbb"),
     "erns50": ("6e01610d2f8145bf7045982bfe7308ae11a3fdfacb3ed607710ed2031844cab2",
                "f115d6b0a41f832e8d2f1eb6fedebc0dca1fffbb328e02846e02fbe2815ef281"),
-    "erns101": ("53ea664cb93bb8ed4069f9bd8a61305ed362c40adcef8e61b3bf83da70113165",
+    "erns101": ("47f736aeee5117feb0aa3cb83defc14aa3ffee7802df9872d4122289811aa1ca",
                 "e9b888858db553799fe963804ce7331e4f6fb7ec59b4f13b0a654f66cbe10a68"),
 }
 
@@ -81,7 +81,7 @@ def variant_sweep():
             "ok": rep.ok,
             "hard": sum(r.mismatches for r in rep.layers.values()),
             "boundary": sum(r.boundary for r in rep.layers.values()),
-            "rel": rep.max_logit_rel_err,
+            "logits_equal": rep.logits_equal,
             "residual_exact": rep.residual_scaling_exact,
             "float_ops_core": execute(model, images[0]).float_ops_core,
             "digests": (hashlib.sha256(serialize(model)).hexdigest(),
@@ -232,19 +232,19 @@ def test_a07_oracle_equivalence(say, variant_sweep, erns18_manifest, erns18_mode
         assert r["ok"], (arch, r)
         assert r["hard"] == 0, (arch, r)
         assert r["residual_exact"], arch
+        assert r["logits_equal"], arch
     t0 = time.perf_counter()
     om = oracle_from_manifest(erns18_manifest)
     rng = np.random.default_rng(31)
     smoke = [rng.integers(0, 256, size=(3, 256, 256), dtype=np.uint8) for _ in range(2)]
     rep = cross_check(erns18_model, om, smoke)
     smoke_dt = time.perf_counter() - t0
-    assert rep.ok, rep.summary()
+    assert rep.ok and rep.logits_equal, rep.summary()
     total = variant_sweep["_elapsed"] + smoke_dt
-    worst = max(variant_sweep[a]["rel"] for a, _ in VARIANT_SEEDS)
     bounds = sum(variant_sweep[a]["boundary"] for a, _ in VARIANT_SEEDS)
     say(f"A7 oracle-equivalence PASS: 5 variants x 10 images at 64x64 plus a 256x256 "
-        f"smoke, 0 hard mismatches, {bounds} boundary ties, max logit rel err "
-        f"{worst:.2e}, {total:.0f}s (budget 600s)")
+        f"smoke, 0 hard mismatches, {bounds} boundary ties, engine and oracle logits "
+        f"bit-identical, {total:.0f}s (budget 600s)")
     assert total < 600.0
 
 

@@ -204,8 +204,8 @@ class TestVerify:
         assert doc["images"] == 1
 
     def test_json_report_is_strict_json(self, ws, capsys, monkeypatch):
-        # a NaN alpha_out makes the logit error infinite; strict JSON has no
-        # token for it, so it is written as null
+        # a NaN alpha_out makes every logit NaN; the report still holds no
+        # NaN, so it is strict JSON
         def load_nan(data):
             return dataclasses.replace(load(data), alpha_out=float("nan"))
 
@@ -218,7 +218,7 @@ class TestVerify:
         assert rc == 3
         doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
         assert doc["ok"] is False
-        assert doc["max_logit_rel_err"] is None
+        assert doc["logits_equal"] is False
         assert doc["first_divergence"] == "logits"
 
     def test_tampered_model_fails(self, ws, capsys):

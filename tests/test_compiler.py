@@ -14,6 +14,7 @@ from ern.compiler import (
     FORMAT_VERSION,
     MAGIC,
     CheckpointManifest,
+    ConvReader,
     compile_checkpoint,
     gen_random_checkpoint,
     load,
@@ -43,6 +44,7 @@ from conftest import (
     record_offset,
     resign,
     rewrite_threshold_row,
+    rounded_mean_abs,
 )
 
 
@@ -203,6 +205,29 @@ class TestConvBlobsOnDemand:
         for edge, scale in want.edge_scale.items():
             assert got.edge_scale[edge].tobytes() == scale.tobytes(), edge
 
+    @pytest.mark.parametrize("build", [compile_checkpoint, oracle_from_manifest])
+    def test_each_conv_read_once(self, ckpt, monkeypatch, build):
+        # every weight of every conv is read by exactly one range
+        m = load_manifest(ckpt)
+        read = ConvReader.__getitem__
+        spans: dict[str, list[tuple[int, int]]] = {}
+
+        def record(self, span):
+            spans.setdefault(self.name, []).append(span.indices(self.size)[:2])
+            return read(self, span)
+
+        monkeypatch.setattr(ConvReader, "__getitem__", record)
+        build(m)
+        convs = m.graph().convs
+        assert set(spans) == {n.name for n in convs}
+        for node in convs:
+            s = node.spec
+            ends = [0]
+            for start, stop in sorted(spans[node.name]):
+                assert start == ends[-1] < stop, node.name
+                ends.append(stop)
+            assert ends[-1] == s.out_ch * s.fan_in, node.name
+
     def test_read_cut_short_after_the_size_check(self, ckpt, monkeypatch):
         # a blob truncated between a read's size check and its np.fromfile
         node = build_model(arch_config("erns18x075")).convs[0]
@@ -279,7 +304,8 @@ class TestWorkingSet:
             "largest": max(counts),  # weights of the largest conv
             "words": sum(8 * s.out_ch * padded_channels(s.in_ch) // LANES * s.kh * s.kw
                          for s in specs),
-            "signs": sum(-(-n // 8) for n in counts),  # one bit per weight
+            # one bit per weight, each filter's bits starting on a byte
+            "signs": sum(s.out_ch * -(-s.fan_in // 8) for s in specs),
         }
 
     def test_compile(self, ckpt, sizes):
@@ -327,9 +353,9 @@ class TestWorkingSet:
 
 class TestCompile:
     def test_scales_match_whole_layer(self, small_manifest, small_model):
-        # alpha_out is the mean of the widened head; alpha, each filter's mean
+        # alpha_out is the head's mean |w| rounded once; alpha, each filter's mean
         head = small_manifest.convs["head.conv"]
-        assert small_model.alpha_out == float(np.abs(head.astype(np.float64)).mean())
+        assert small_model.alpha_out == rounded_mean_abs(head)
         g = small_model.graph
         for node in g.convs:
             if g.edges[node.dst].scale == "alpha":

@@ -317,6 +317,7 @@ class TestGeneratedArchitectures:
             assert popcount.tobytes() == execute(model, img, kernel="naive").logits.tobytes()
             report = cross_check(model, oracle_from_manifest(manifest), [img])
             assert report.ok, report.summary()
+            assert report.logits_equal
             assert sum(r.mismatches for r in report.layers.values()) == 0
 
 
@@ -415,6 +416,7 @@ class TestAdversarialBatchNorm:
         report = cross_check(back, oracle_from_manifest(manifest), [img])
         assert sum(r.mismatches for r in report.layers.values()) == 0, report.summary()
         assert report.ok, report.summary()
+        assert report.logits_equal
 
 
 PPM = b"P6\n# a 5x4 image\n5 4\n255\n" + bytes(range(60))

@@ -19,8 +19,6 @@ from ern.errors import ShapeError
 from ern.oracle import (
     TIE_EPS,
     _conv_im2col,
-    _mean_abs,
-    _packed_signs,
     cross_check,
     oracle_execute,
     oracle_from_manifest,
@@ -29,7 +27,7 @@ from ern.oracle import (
 from ern.quant import BnParams
 from ern.tensor import BLOCK_BYTES, row_blocks
 
-from conftest import execute_keeping_all, random_image
+from conftest import execute_keeping_all, random_image, rounded_mean_abs
 
 
 def toy_graph():
@@ -156,7 +154,7 @@ class TestPencilModel:
     def test_cross_check_passes_clean(self, model, om):
         rep = cross_check(model, om, [toy_image()])
         assert rep.ok
-        assert rep.max_logit_rel_err == 0.0
+        assert rep.logits_equal
         assert rep.first_divergence is None
         assert all(r.mismatches == 0 and r.boundary == 0 for r in rep.layers.values())
 
@@ -288,7 +286,7 @@ class TestDisagreementClassification:
 
     @pytest.mark.parametrize("side", ["oracle", "engine"])
     def test_nan_logits_fail(self, rng, side):
-        # max() drops a NaN, so a NaN error must not be folded in as one
+        # a NaN logit equals nothing, not even the other side's NaN
         m = gen_random_checkpoint("erns18x075", seed=1)
         model = compile_checkpoint(m)
         om = oracle_from_manifest(m)
@@ -299,7 +297,25 @@ class TestDisagreementClassification:
         rep = cross_check(model, om, [random_image(rng, 32)])
         assert not rep.ok
         assert rep.first_divergence == "logits"
-        assert rep.max_logit_rel_err == np.inf
+        assert not rep.logits_equal
+
+    @pytest.mark.parametrize("side", ["oracle", "engine"])
+    def test_alpha_out_one_ulp_off_fails(self, rng, side):
+        # every code map still matches; only the logits' last bits move
+        m = gen_random_checkpoint("erns18x075", seed=1)
+        model = compile_checkpoint(m)
+        om = oracle_from_manifest(m)
+        assert om.alpha_out == model.alpha_out
+        if side == "oracle":
+            om = dataclasses.replace(om, alpha_out=np.nextafter(om.alpha_out, np.inf))
+        else:
+            model = dataclasses.replace(model, alpha_out=np.nextafter(model.alpha_out, 0.0))
+        rep = cross_check(model, om, [random_image(rng, 32)])
+        assert not rep.ok
+        assert not rep.logits_equal
+        assert rep.first_divergence == "logits"
+        assert rep.residual_scaling_exact
+        assert all(r.mismatches == 0 and r.boundary == 0 for r in rep.layers.values())
 
 
 class TestFullModel:
@@ -310,12 +326,13 @@ class TestFullModel:
         assert rep.ok
         assert rep.images == 2
         assert rep.residual_scaling_exact
-        assert rep.max_logit_rel_err <= 1e-6
+        assert rep.logits_equal
         assert sum(r.boundary for r in rep.layers.values()) == 0
         assert "PASS" in rep.summary()
         doc = json.loads(rep.to_json())
         assert doc["ok"] is True
         assert doc["images"] == 2
+        assert doc["logits_equal"] is True
 
     def test_cross_check_peak_does_not_grow_with_images(
         self, erns18_manifest, erns18_model, rng
@@ -368,22 +385,29 @@ class TestFullModel:
         assert r.logits.shape == (1000,)
 
 
+def packed_rows(positive: np.ndarray) -> np.ndarray:
+    """``np.packbits`` of each (IC, kh, kw) filter of an (OC, IC, kh, kw) sign mask."""
+    return np.packbits(positive.reshape(len(positive), -1), axis=1)
+
+
 class TestFloat32Gemm:
     def test_signs_held_as_bits(self):
-        # one bit per weight, ceil(n / 8) bytes per conv, bit 1 for w >= 0
+        # one bit per weight, ceil(fan_in / 8) bytes per filter, bit 1 for w >= 0
         m = pencil_manifest()
         om = oracle_from_manifest(m)
         for name, w in m.convs.items():
             bits = om.signs[name]
+            fan = w[0].size
             assert bits.dtype == np.uint8
-            assert bits.shape == (-(-w.size // 8),)
-            assert np.array_equal(np.unpackbits(bits, count=w.size), (w >= 0).ravel())
+            assert bits.shape == (len(w), -(-fan // 8))
+            signs = np.unpackbits(bits, axis=1, count=fan)
+            assert np.array_equal(signs, (w >= 0).reshape(len(w), fan))
 
     def test_exact_at_largest_accumulator(self):
         # 3 * fan_in just below 2**24: every partial sum is still exact in float32
         ic = (2**24 - 1) // 3 // 9
         codes = np.full((ic, 3, 3), 3, dtype=np.uint8)
-        signs = np.packbits(np.ones(ic * 9, dtype=bool))
+        signs = np.packbits(np.ones((1, ic * 9), dtype=bool), axis=1)
         out = _conv_im2col(codes, signs, (1, ic, 3, 3), (1, 1), (0, 0))
         assert out.dtype == np.float64
         assert out.ravel().tolist() == [3 * ic * 9]
@@ -396,7 +420,7 @@ class TestFloat32Gemm:
         with pytest.raises(ShapeError):
             _conv_im2col(
                 np.zeros((ic, 1, 1), np.uint8),
-                np.packbits(np.ones(ic, dtype=bool)),
+                np.packbits(np.ones((1, ic), dtype=bool), axis=1),
                 (1, ic, 1, 1),
                 (1, 1),
                 (0, 0),
@@ -406,7 +430,7 @@ class TestFloat32Gemm:
         # strided, padded, odd channel count: equals the direct sum of s * x
         codes = rng.integers(0, 4, size=(5, 7, 6), dtype=np.uint8)
         s = rng.choice([-1, 1], size=(3, 5, 3, 3))
-        out = _conv_im2col(codes, np.packbits(s > 0), s.shape, (2, 2), (1, 1))
+        out = _conv_im2col(codes, packed_rows(s > 0), s.shape, (2, 2), (1, 1))
         x = np.pad(codes.astype(np.int64), ((0, 0), (1, 1), (1, 1)))
         want = np.array(
             [
@@ -421,27 +445,57 @@ class TestFloat32Gemm:
 def unblocked_conv(codes, bits, shape, pad):
     """One float32 GEMM of all the expanded signs against the columns, stride 1."""
     oc, ic, kh, kw = shape
-    signs = np.unpackbits(bits, count=oc * ic * kh * kw).reshape(oc, -1) * np.float32(2) - 1
+    signs = np.unpackbits(bits, axis=1, count=ic * kh * kw) * np.float32(2) - 1
     x = np.pad(codes.astype(np.float32), ((0, 0), (pad, pad), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     cols = win.transpose(0, 3, 4, 1, 2).reshape(ic * kh * kw, -1)
     return (signs @ cols).astype(np.float64).reshape(oc, *win.shape[1:3])
 
 
+def toy_checkpoint(rng, oc: int, k: int, kh: int, classes: int = 2) -> CheckpointManifest:
+    """A toy checkpoint: embed k, one oc-filter kh x kh conv and BnAct, a 1x1 head.
+
+    A fifth of each conv's weights are +0.0 and a fifth -0.0, whose signs are +1.
+    """
+    g = GraphDef(
+        nodes=(
+            PixelEmbed("embed", k, "image", "embed.out"),
+            Conv("c1", ConvSpec(3 * k, oc, kh, kh, (1, 1), (kh // 2, kh // 2)), "alpha",
+                 "embed.out", "c1.out"),
+            BnAct("b1", oc, "c1.out", "b1.out"),
+            Conv("f", ConvSpec(oc, classes, 1, 1), "alpha_out", "b1.out", "f.out"),
+            AvgPoolScale("pool", "f.out", "logits"),
+        )
+    )
+
+    class Toy(CheckpointManifest):
+        def graph(self):
+            return g
+
+    convs = {}
+    for node in g.convs:
+        s = node.spec
+        w = rng.standard_normal((s.out_ch, s.in_ch, s.kh, s.kw)).astype(np.float32)
+        w.reshape(-1)[::5] = 0.0
+        w.reshape(-1)[1::5] = -0.0
+        convs[node.name] = w
+    bn = BnParams(np.ones(oc), np.zeros(oc), np.zeros(oc), np.ones(oc))
+    return Toy(arch=None, convs=convs, bnacts={"b1": bn})
+
+
 class TestBlockedReductions:
     """The oracle's blocked reductions equal the whole-layer expressions they replace."""
 
     # the stem's fan-in 30 * 9 = 270: 1,000 filters make three blocks, and
-    # the second and third start mid-byte; 4,608 = 512 * 9, a stage-4 conv
+    # each filter ends 2 bits into its last byte; 4,608 = 512 * 9, a stage-4 conv
     @pytest.mark.parametrize("oc,ic", [(1000, 30), (100, 512)])
     def test_conv_im2col_matches_one_gemm(self, rng, oc, ic):
         shape = (oc, ic, 3, 3)
         blocks = list(row_blocks(oc, 4 * ic * 9))
         assert len(blocks) > 1
-        if ic == 30:
-            assert any(r.start * ic * 9 % 8 for r in blocks)
+        assert (ic * 9 % 8 != 0) == (ic == 30)
         codes = rng.integers(0, 4, size=(ic, 5, 6), dtype=np.uint8)
-        bits = np.packbits(rng.random(shape) < 0.5)
+        bits = packed_rows(rng.random(shape) < 0.5)
         got = _conv_im2col(codes, bits, shape, (1, 1), (1, 1))
         assert got.tobytes() == unblocked_conv(codes, bits, shape, 1).tobytes()
 
@@ -450,7 +504,7 @@ class TestBlockedReductions:
         # together are 288 x 4,096 float32, 4.7 MB, and take ten row blocks
         shape = (8, 32, 3, 3)
         codes = rng.integers(0, 4, size=(32, 64, 64), dtype=np.uint8)
-        bits = np.packbits(rng.random(shape) < 0.5)
+        bits = packed_rows(rng.random(shape) < 0.5)
         want = unblocked_conv(codes, bits, shape, 1)
         tracemalloc.start()
         try:
@@ -462,23 +516,36 @@ class TestBlockedReductions:
         # the padded input, the float64 result, one block of columns, signs and product
         assert peak < 4 * 32 * 66 * 66 + want.nbytes + 3 * BLOCK_BYTES
 
+    # n filters of one weight: each is 1 bit and 7 pad bits, and
+    # 2 * BLOCK_BYTES + 13 filters take nine row blocks
     @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 2 * BLOCK_BYTES + 13])
     def test_signs_match_packbits(self, rng, n):
-        w = rng.standard_normal(n).astype(np.float32)
-        w[::5] = 0.0
-        w[1::5] = -0.0
-        assert np.array_equal(_packed_signs(w), np.packbits(w >= 0))
+        m = toy_checkpoint(rng, oc=1, k=1, kh=1, classes=n)
+        head = m.convs["f"]
+        om = oracle_from_manifest(m)
+        assert om.signs["f"].shape == (n, 1)
+        assert om.signs["f"].tobytes() == packed_rows(head >= 0).tobytes()
+        assert om.alpha_out == (rounded_mean_abs(head) or 1.0)  # n = 1: one zero weight
 
-    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 65_537, 2_048_000])
-    def test_mean_abs_matches_buffered_mean(self, rng, n):
-        w = (rng.standard_normal(n) * rng.uniform(1e-3, 1e3, n)).astype(np.float32)
-        assert _mean_abs(w) == float(np.abs(w).mean(dtype=np.float64))
+    # fan-ins 27 and 147 end mid-byte, 216 on a byte; each conv takes
+    # two to four row blocks
+    @pytest.mark.parametrize("oc,k,kh", [(5000, 1, 3), (3000, 1, 7), (2000, 8, 3)])
+    def test_signs_match_packbits_per_filter(self, rng, oc, k, kh):
+        m = toy_checkpoint(rng, oc, k, kh)
+        w = m.convs["c1"]
+        fan = w[0].size
+        assert len(list(row_blocks(oc, 4 * fan))) > 1
+        om = oracle_from_manifest(m)
+        want = np.packbits(w.reshape(oc, fan) >= 0, axis=1)
+        assert om.signs["c1"].shape == (oc, -(-fan // 8))
+        assert om.signs["c1"].tobytes() == want.tobytes()
+        assert om.signs["f"].tobytes() == packed_rows(m.convs["f"] >= 0).tobytes()
 
     def test_alpha_out_and_scales_match_whole_layer(self, erns18_manifest):
         om = oracle_from_manifest(erns18_manifest)
         g = erns18_manifest.graph()
         head = erns18_manifest.convs["head.conv"]
-        assert om.alpha_out == float(np.abs(head).mean(dtype=np.float64))
+        assert om.alpha_out == rounded_mean_abs(head)
         alpha_convs = [n for n in g.convs if g.edges[n.dst].scale == "alpha"]
         assert len(alpha_convs) > 10
         for node in alpha_convs:

@@ -1,14 +1,19 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from ern.compiler import gen_random_checkpoint
 from ern.errors import ConfigError, DomainError, ShapeError
 from ern.quant import (
     BnParams,
     ThresholdTable,
     apply_thresholds,
+    _SUM_CHUNK,
     binarize_weights,
+    exact_abs_sum,
     fuse_thresholds,
-    mean_abs,
     quantize_act_float,
 )
 from ern.tensor import (
@@ -87,18 +92,66 @@ class TestBlockedBinarize:
         with pytest.raises(DomainError):
             binarize_weights(w)
 
-    # pairwise leaves of 65,536: one leaf, 8-wide blocks, one split, an erns head,
-    # and a half rounded down to a multiple of 8 (65,539 -> 65,536) on data
-    # where a split at 65,539 sums to another double
-    @pytest.mark.parametrize(
-        "shape", [(1, 1), (127, 1), (129, 1), (65_537, 1), (1000, 2048), (131_079, 1)]
-    )
-    def test_mean_abs_matches_widened_mean(self, rng, shape):
-        n = shape[0] * shape[1]
-        # magnitudes over 26 decades, so a sum taken in another order can round differently
+
+def fraction_sum(w) -> Fraction:
+    """The sum of |w| in rational arithmetic, one value at a time."""
+    return sum(map(Fraction, np.abs(w).ravel().tolist()), Fraction(0))
+
+
+class TestExactAbsSum:
+    """``exact_abs_sum`` equals the rational sum of |w|, whatever the values and sizes."""
+
+    F32 = np.finfo(np.float32)
+
+    def test_extreme_values(self):
+        tiny = 2.0**-149  # the smallest float32 subnormal
+        values = [tiny, -tiny, 0.0, -0.0, self.F32.max, -self.F32.max, self.F32.tiny, 1.0,
+                  3 * tiny, -(2.0**-127)]
+        w = np.array(values, dtype=np.float32)
+        assert (np.abs(w).astype(np.float64) == np.abs(values)).all()  # each held exactly
+        assert exact_abs_sum(w) == fraction_sum(w)
+        assert exact_abs_sum(np.array([tiny], np.float32)) == Fraction(1, 2**149)
+        assert exact_abs_sum(np.array([0.0, -0.0], np.float32)) == 0
+
+    def test_spread_where_a_float64_sum_loses_bits(self, rng):
+        # magnitudes over the whole float32 exponent range, subnormals included
+        n = 3 * _SUM_CHUNK
+        w = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-148, 128, n)).astype(np.float32)
+        w[rng.random(n) < 0.5] *= -1
+        w[:3] = [2.0**100, 2.0**-100, -(2.0**-149)]
+        want = fraction_sum(w)
+        assert Fraction(float(np.abs(w.astype(np.float64)).sum())) != want
+        assert Fraction(math.fsum(np.abs(w).tolist())) != want
+        assert exact_abs_sum(w) == want
+        assert exact_abs_sum(w[::-1].copy()) == want  # no summation order changes it
+
+    # one value, a sub-chunk less one, one, one plus one, and a ragged tail
+    @pytest.mark.parametrize("n", [1, _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1,
+                                   3 * _SUM_CHUNK + 13])
+    def test_sub_chunk_tails(self, rng, n):
         w = (rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n))).astype(np.float32)
-        w = w.reshape(*shape, 1, 1)
-        assert mean_abs(w) == float(np.abs(w.astype(np.float64)).mean())
+        w = w.reshape(n, 1, 1, 1)
+        assert exact_abs_sum(w) == fraction_sum(w)
+        cut = n // 3
+        assert exact_abs_sum(w[:cut]) + exact_abs_sum(w[cut:]) == fraction_sum(w)
+
+    def test_float64_weights(self, rng):
+        # 53-bit mantissas, subnormals and magnitudes far past the float32 range
+        n = _SUM_CHUNK + 7
+        w = rng.standard_normal(n) * np.exp2(rng.integers(-1074, 1000, n))
+        w[:4] = [5e-324, -5e-324, np.finfo(np.float64).max, -0.0]
+        assert exact_abs_sum(w) == fraction_sum(w)
+
+    def test_mean_is_rounded_once(self):
+        # erns18's head at seed 11: math.fsum rounds the sum, then the division
+        # rounds again, and lands an ulp below the correctly rounded mean
+        head = gen_random_checkpoint("erns18", seed=11).convs["head.conv"]
+        want = fraction_sum(head) / head.size
+        assert float(want) == float.fromhex("0x1.99ccac8a65011p-1")
+        assert math.fsum(np.abs(head).ravel().tolist()) / head.size == float.fromhex(
+            "0x1.99ccac8a65010p-1"
+        )
+        assert float(exact_abs_sum(head) / head.size) == float(want)
 
 
 class TestFuse:
