@@ -10,7 +10,7 @@ one of three scales, named by its Conv's ``scale``: ``"alpha"``, a
 per-channel scale folded into the next BnAct's thresholds; ``"c"``, the
 shared model constant, which both inputs of a ResidualAdd and its output
 carry (so the add is valid in integers); and ``"alpha_out"``, the head's
-one scale, the only edge the pool reads.
+one scale, the only edge the pool reads and one no BnAct reads.
 A graph is lowered once, at construction, by a single walk over its
 nodes that validates the wiring and derives two things everything
 downstream reads instead of re-deriving them: ``edges``, the kind,
@@ -38,16 +38,17 @@ shortcut is the block input.  All conv output channels are multiples of
 ever padded in storage, so its odd width costs nothing extra).
 
 Execution is pure integer arithmetic from the pixel-embedding output to
-the head conv accumulator.  A graph starts with its embedding and ends
-with its pool, so each call counts the float ops of every step between
-the first and the last in its own counter (the count must be zero), and
-additionally checks the dtype of every step's output against its edge's
-``dtype``: every act2 edge is held as one uint64 array of packed
-bitplanes, (2, words, H, W), and the logits as float64.  An acc edge is
+the head conv accumulator.  The edge table states it, and it is the one
+witness: ``execute`` checks the dtype of every step's output against
+its edge's ``dtype``.  Every act2 edge is held as one uint64 array of
+packed bitplanes, (2, words, H, W), every acc edge as int16 or int32,
+and only the logits, the pool's output, as float64.  An acc edge is
 as wide as its bound: int16 when the bound is at most 32,766 (int16's
 maximum - 1, so negation and the threshold sentinels stay exact), int32
-up to ``ACC_LIMIT``, and a graph with a larger bound is refused.  A
-value is a plain array; its channel count is its edge's, in ``edges``.
+up to ``ACC_LIMIT``, and a graph with a larger bound is refused.  The
+bound is also each accumulator's only range check: no kernel scans its
+output (see :mod:`ern.kernels`).  A value is a plain array; its channel
+count is its edge's, in ``edges``.
 ``execute`` drops each step's ``frees`` after the step runs.  A caller
 that wants intermediates passes ``observe(step, value)``, which sees
 each step's output once, after its dtype check and before its
@@ -61,7 +62,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import instrument
 from .errors import ConfigError, ShapeError
 from .kernels import ConvSpec, avgpool_and_scale, conv_w1a2_naive, conv_w1a2_popcount, residual_add
 from .pixembed import encode_image, thermo_params
@@ -243,8 +243,8 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
     read.  Each acc edge carries its scale: a Conv's own (one of
     ``SCALES``, else :class:`ConfigError`), and ``"c"`` for a
     ResidualAdd, whose inputs must both be ``"c"``.  The pool must read
-    an ``"alpha_out"`` edge, and the graph must end with the pool that
-    produces ``LOGITS_EDGE``.
+    an ``"alpha_out"`` edge, which no BnAct may read, and the graph must
+    end with the pool that produces ``LOGITS_EDGE``.
     """
     edges: dict[str, EdgeInfo] = {IMAGE_EDGE: EdgeInfo("image", 3, "<input>")}
     lowered: list[tuple] = []  # (node, srcs, op, spatial) per node
@@ -292,6 +292,8 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
                 raise ConfigError(
                     f"bnact '{n.name}' has {n.channels} channels, edge has {src.channels}"
                 )
+            if src.scale == "alpha_out":
+                raise ConfigError(f"bnact '{n.name}' reads '{n.src}', an alpha_out edge")
             produce(n.dst, "act2", n.channels, n.name)
             step = (n.src,), _bnact, _keep
         elif isinstance(n, ResidualAdd):
@@ -549,7 +551,8 @@ def model_stats(cfg: ArchConfig, resolution: int) -> ModelStats:
 @dataclass
 class ExecutionResult:
     logits: np.ndarray
-    float_ops_core: int  # real-valued ops in the steps between the embedding and the pool
+    # always 0: a result means every core output passed its integer dtype check
+    float_ops_core: int = 0  # kept only for perfbench's read; goes with ROADMAP item 1
 
 
 def execute(
@@ -569,7 +572,9 @@ def execute(
     the edge's ``dtype``; the logits as float64) after its dtype check
     and before its ``frees`` are dropped; whatever it keeps outlives the
     call.  A step whose output has another dtype than its edge's raises
-    :class:`AssertionError` naming the node, under ``python -O`` too.
+    :class:`AssertionError` naming the node, under ``python -O`` too; so
+    a returned result is the witness that every step from the embedding
+    through the head conv produced integers.
     The embed step checks ``img`` (:func:`encode_image`): one that is not
     (3, H, W) raises :class:`ShapeError` before any other step runs.
     """
@@ -577,8 +582,7 @@ def execute(
         raise ConfigError(f"unknown kernel '{kernel}'")
     g = model.graph
     values: dict[str, np.ndarray] = {IMAGE_EDGE: img}
-
-    def run(s: Step) -> None:
+    for s in g.steps:
         out = s.op(model, s.node, kernel, *[values[src] for src in s.srcs])
         want = g.edges[s.node.dst].dtype
         if out.dtype != want:  # raised, not asserted, so ``python -O`` keeps the check
@@ -588,11 +592,4 @@ def execute(
             observe(s, out)
         for src in s.frees:
             del values[src]
-
-    embed, *core, pool = g.steps
-    run(embed)
-    with instrument.counting_float_ops() as ops:
-        for s in core:
-            run(s)
-    run(pool)
-    return ExecutionResult(logits=values[LOGITS_EDGE], float_ops_core=ops.count)
+    return ExecutionResult(logits=values[LOGITS_EDGE])

@@ -45,10 +45,14 @@ no wider map is made.  The popcount kernel forms ``2 * hits - base`` in
 the unsigned integer of the output's width, modulo 2**16 or 2**32: 2 *
 hits alone can pass 2**15, but the true value's magnitude is at most
 ``acc_bound``, which the width holds, so the wrapped result read as
-signed is exact.  The residual add sums at its output edge's width and
-rejects any element whose true sum passes that width's limit (its
-maximum - 1) in magnitude, detecting wrap-around without a wider
-temporary.
+signed is exact.  The residual add sums at its output edge's width.
+
+No kernel scans its output for range.  Each range is a fact of the
+graph: a conv's |output| is at most ``acc_bound`` = 3 * fan_in, since
+codes are 0-3 (the popcount kernel refuses a code in a pad lane) and
+signs are +/-1 (``pack_weights`` and the naive kernel refuse any
+other); a residual sum is at most its edge's bound, the sum of its
+inputs' bounds; and the graph refuses any bound past its width's limit.
 """
 
 from __future__ import annotations
@@ -57,9 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .instrument import note_float_ops
-from .tensor import ACC_DTYPES, BLOCK_BYTES, LANES, PackedWeights, acc_dtype, acc_limit
+from .errors import ConfigError, DomainError, ShapeError
+from .tensor import ACC_DTYPES, BLOCK_BYTES, LANES, PackedWeights, acc_dtype
 from .tensor import ensure_act2, even_parts, padded_channels, popcount
 
 
@@ -127,8 +130,10 @@ def _tiles(spec: ConvSpec, oh: int, ow: int) -> tuple[int, int]:
 def conv_w1a2_naive(x: np.ndarray, signs: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Direct integer convolution of 2-bit codes against +/-1 signs.
 
-    ``signs`` is the unpacked (OC, IC, kh, kw) view of the weights.
-    Returns the accumulator map (OC, OH, OW) at ``acc_dtype(spec.acc_bound)``.
+    ``signs`` is the unpacked (OC, IC, kh, kw) view of the weights, each
+    exactly +1 or -1 (else :class:`DomainError`, as ``pack_weights``
+    raises for the popcount path).  Returns the accumulator map
+    (OC, OH, OW) at ``acc_dtype(spec.acc_bound)``.
     """
     x = ensure_act2(x)
     signs = np.asarray(signs)
@@ -136,6 +141,8 @@ def conv_w1a2_naive(x: np.ndarray, signs: np.ndarray, spec: ConvSpec) -> np.ndar
         raise ShapeError(f"input has {x.shape[0]} channels, spec wants {spec.in_ch}")
     if signs.shape != (spec.out_ch, spec.in_ch, spec.kh, spec.kw):
         raise ShapeError(f"weight shape {signs.shape} does not match {spec}")
+    if not ((signs == 1) | (signs == -1)).all():
+        raise DomainError("weight signs must be exactly +1 or -1")
     ph, pw = spec.padding
     padded = np.pad(x, ((0, 0), (ph, ph), (pw, pw))).astype(np.int64)
     oh, ow = spec.out_spatial(x.shape[1], x.shape[2])
@@ -145,7 +152,7 @@ def conv_w1a2_naive(x: np.ndarray, signs: np.ndarray, spec: ConvSpec) -> np.ndar
         for j in range(spec.kw):
             win = _tap_window(padded, i, j, spec.stride, oh, ow)
             acc += w2[:, :, i, j] @ win.reshape(spec.in_ch, oh * ow)
-    return _check_acc(acc.reshape(spec.out_ch, oh, ow), spec)
+    return acc.reshape(spec.out_ch, oh, ow).astype(acc_dtype(spec.acc_bound))
 
 
 def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.ndarray:
@@ -224,23 +231,19 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
             out = acc[o0:o1, r0 * ow : r1 * ow].view(wrap)
             np.multiply(hits, 2, out=out, dtype=wrap, casting="unsafe")  # 2 * hits modulo 2**bits
             out -= base
-    return _check_acc(acc.reshape(spec.out_ch, oh, ow), spec)
-
-
-def _check_acc(acc: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    bound = spec.acc_bound
-    if acc.size and (acc.max() > bound or acc.min() < -bound):
-        raise ShapeError(f"accumulator exceeded bound {bound} for {spec}")
-    return acc.astype(acc_dtype(bound), copy=False)
+    return acc.reshape(spec.out_ch, oh, ow)
 
 
 def residual_add(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
     """Elementwise sum of two accumulator maps at ``dtype``, the output edge's width.
 
-    ``dtype`` is one of ``ACC_DTYPES`` and neither input may be wider.
-    Raises :class:`ShapeError` if any element's true sum has magnitude
-    above ``acc_limit(dtype)`` (32,766 for int16, ``ACC_LIMIT`` =
-    2**31 - 2 for int32), the range the threshold stage is exact for.
+    ``dtype`` is one of ``ACC_DTYPES`` and neither input may be wider
+    (else :class:`ShapeError`, as for unequal shapes).  The sum is exact
+    where its magnitude is within ``acc_limit(dtype)`` (32,766 for
+    int16, ``ACC_LIMIT`` = 2**31 - 2 for int32); past that it wraps
+    modulo 2**bits, unchecked.  In a graph it never passes: the output
+    edge's bound is the sum of its inputs' bounds, and the graph refuses
+    a bound past its width's limit.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -253,15 +256,7 @@ def residual_add(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
             f"residual_add sums int16/int32 accumulators into one no narrower, "
             f"got {a.dtype} + {b.dtype} -> {dtype}"
         )
-    limit = acc_limit(dtype)
-    out = np.add(a, b, dtype=dtype)  # wraps modulo 2**bits where the true sum leaves the range
-    if out.size and (int(a.max()) + int(b.max()) > limit or int(a.min()) + int(b.min()) < -limit):
-        # some element may pass the limit; a wrapped sum moved away from a
-        # in the opposite direction to b
-        wrapped = (out < a) != (b < 0)
-        if wrapped.any() or out.max() > limit or out.min() < -limit:
-            raise ShapeError(f"residual sum overflows the {dtype} accumulator")
-    return out
+    return np.add(a, b, dtype=dtype)
 
 
 def avgpool_and_scale(acc: np.ndarray, alpha_out: float) -> np.ndarray:
@@ -276,5 +271,4 @@ def avgpool_and_scale(acc: np.ndarray, alpha_out: float) -> np.ndarray:
         raise ShapeError(f"expected non-empty (C, H, W) accumulator, got {acc.shape}")
     sums = acc.sum(axis=(1, 2), dtype=np.int64)
     area = acc.shape[1] * acc.shape[2]
-    note_float_ops(2 * sums.size)
     return float(alpha_out) * (sums.astype(np.float64) / area)

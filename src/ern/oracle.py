@@ -86,7 +86,7 @@ class OracleModel:
     shared_const: float
     # each (OC, IC, kh, kw) conv's np.packbits(w.reshape(OC, -1) >= 0, axis=1)
     signs: dict[str, np.ndarray]
-    edge_scale: dict[str, np.ndarray]  # acc edge -> (OC,) effective scale
+    edge_scale: dict[str, np.ndarray]  # acc edge a BnAct may read -> (OC,) effective scale
     bns: dict[str, BnParams]  # the manifest's parameters per BnAct node
     alpha_out: float
 
@@ -132,10 +132,11 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
                 elif scale == "alpha_out":
                     head_sum += exact_abs_sum(block)
                 del block  # else the next read sits beside it
-        if scale == "alpha_out":
+        if scale == "alpha_out":  # the pool reads om.alpha_out; no BnAct reads the head
             alpha_out = float(head_sum / w.size) or 1.0
-        if scale != "alpha":
-            alpha = np.full(s.out_ch, alpha_out if scale == "alpha_out" else c)
+            continue
+        if scale == "c":
+            alpha = np.full(s.out_ch, c)
         edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
     for n in g.nodes:
         if isinstance(n, ResidualAdd):

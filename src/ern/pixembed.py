@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .instrument import note_float_ops
 from .quant import NUM_CODES
 from .tensor import pack_activations
 
@@ -75,7 +74,6 @@ def _code_table(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(k, 256) uint8 table of codes for every possible 8-bit input."""
     x = np.arange(256, dtype=np.float64)
     y = w[:, None] * x[None, :] + b[:, None]
-    note_float_ops(2 * y.size)
     z = np.clip(np.floor(y), 0, NUM_CODES - 1)
     return z.astype(np.uint8)
 

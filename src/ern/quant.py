@@ -50,8 +50,11 @@ and both are packed straight into the next layer's bitplanes; no code
 map is ever written.  Since bound + 1 is at most the width's maximum,
 every ts fits the width as it is, and the compares are exact for every
 accumulator with |acc| <= ``acc_limit`` of the width (32,766 for int16,
-``ACC_LIMIT`` = 2**31 - 2 for int32), the range the convolution and
-residual add guarantee for that width.
+``ACC_LIMIT`` = 2**31 - 2 for int32).  Inside a graph that range is a
+static fact: the edge's bound is at most the limit, and no kernel
+output passes its bound.  ``apply_thresholds`` still scans its input
+for it, since it is public and casts a wider accumulator to the table's
+width, where an out-of-range value would wrap silently.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .instrument import note_float_ops
 from .tensor import BLOCK_BYTES, LANES, acc_dtype, acc_limit, pack_bitplanes, padded_channels
 from .tensor import row_blocks
 
@@ -256,7 +258,6 @@ def quantize_act_float(v, scale: float) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if not np.isfinite(v).all():
         raise DomainError("activation input contains NaN or Inf")
-    note_float_ops(2 * v.size)
     with np.errstate(over="ignore"):  # a quotient past the float range clamps all the same
         return np.clip(np.floor(v / scale), 0, NUM_CODES - 1).astype(np.uint8)
 
@@ -313,8 +314,10 @@ def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
     integer compares and packs both bits along the channel axis; this is
     the engine's only activation path.  ``acc`` is (C, H, W) with
     |acc| <= ``acc_limit(tbl.dtype)``, checked for every integer dtype
-    (the sign fold and the sentinels are exact only inside it); an
-    accumulator of another width is cast to the table's as it is read.
+    (the sign fold and the sentinels are exact only inside it), so a
+    direct caller's out-of-range map raises :class:`DomainError` rather
+    than wrapping; an accumulator of another width is cast to the
+    table's as it is read.
     The work goes one block of rows at a time, a block's bool plane pair
     being about ``BLOCK_BYTES``: the sign fold, the three compares and
     the packing make only block-sized temporaries, and each block writes

@@ -22,7 +22,8 @@ Layout rules shared by the whole engine:
 Integer accumulators are int16 or int32 arrays.  Each edge's magnitude
 is bounded by 3 * fan_in of the producing convolution, plus residual
 branch sums; :func:`acc_dtype` maps that static bound to the narrowest of
-``ACC_DTYPES`` that holds it, and no bound may pass ``ACC_LIMIT``.  A
+``ACC_DTYPES`` that holds it, and no bound may pass ``ACC_LIMIT``.  The
+bound is a fact of the graph, not checked against values at run time.  A
 width's limit is its maximum minus one, so every |value| within it
 stays exact under the threshold stage's sign fold and never reaches the
 width's maximum, the "never crossed" sentinel of a clamped threshold.

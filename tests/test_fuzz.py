@@ -299,6 +299,22 @@ def small_arch(draw, block: str) -> ArchConfig:
     )
 
 
+def within_edge(g):
+    """An ``observe`` hook: each acc output is at its edge's dtype and within its bound.
+
+    No kernel checks its output's range, so this is where it is checked.
+    min/max, not abs: int16's minimum has no positive counterpart.
+    """
+
+    def check(step, value):
+        info = g.edges[step.node.dst]
+        if info.kind == "acc":
+            assert value.dtype == info.dtype, step.node.name
+            assert -info.bound <= int(value.min()) and int(value.max()) <= info.bound, step.node.name
+
+    return check
+
+
 class TestGeneratedArchitectures:
     @settings(max_examples=15)
     @given(data=st.data(), odd=st.booleans(), seed=st.integers(*SEEDS))
@@ -313,8 +329,9 @@ class TestGeneratedArchitectures:
             assert model.graph.arch == cfg
             assert serialize(model) == blob
             img = np.random.default_rng(seed).integers(0, 256, (3, size, size), dtype=np.uint8)
-            popcount = execute(model, img).logits
-            assert popcount.tobytes() == execute(model, img, kernel="naive").logits.tobytes()
+            popcount = execute(model, img, observe=within_edge(model.graph)).logits
+            naive = execute(model, img, kernel="naive", observe=within_edge(model.graph)).logits
+            assert popcount.tobytes() == naive.tobytes()
             report = cross_check(model, oracle_from_manifest(manifest), [img])
             assert report.ok, report.summary()
             assert report.logits_equal

@@ -27,7 +27,6 @@ from ern.graph import (
     model_stats,
     trace_shapes,
 )
-from ern.instrument import note_float_ops
 from ern.kernels import ConvSpec
 from ern.quant import BnParams
 from ern.tensor import BLOCK_BYTES, LANES, padded_channels
@@ -102,6 +101,14 @@ class TestValidation:
         nodes = tiny_nodes()
         nodes[2] = BnAct("b1", 8, "c1.out", "b1.out")
         with pytest.raises(ConfigError, match="channels"):
+            GraphDef(tuple(nodes))
+
+    def test_bnact_cannot_read_alpha_out_edge(self):
+        # alpha_out is the head's one scale, read by the pool alone; the
+        # oracle holds it once, as OracleModel.alpha_out
+        nodes = tiny_nodes()
+        nodes[1] = Conv("c1", ConvSpec(3, 4, 1, 1), "alpha_out", "embed.out", "c1.out")
+        with pytest.raises(ConfigError, match="bnact 'b1' reads 'c1.out', an alpha_out edge"):
             GraphDef(tuple(nodes))
 
     def test_residual_requires_c_scaled_branches(self):
@@ -404,7 +411,18 @@ class TestExecution:
         assert a.tobytes() == b.tobytes()
 
     def test_no_float_ops_in_core(self, erns18_model, rng):
-        assert execute(erns18_model, random_image(rng)).float_ops_core == 0
+        # with either kernel, every step but the pool writes integers, each
+        # at its edge's dtype
+        g = erns18_model.graph
+        img = random_image(rng, 32)
+        for kernel in ("popcount", "naive"):
+            seen = {}
+            execute(erns18_model, img, kernel,
+                    observe=lambda step, value: seen.setdefault(step.node.dst, value.dtype))
+            assert seen.pop("logits") == np.float64
+            assert len(seen) == len(g.steps) - 1
+            for edge, dtype in seen.items():
+                assert np.issubdtype(dtype, np.integer) and dtype == g.edges[edge].dtype, edge
 
     def test_record_keeps_intermediates(self, erns18_model, rng):
         # observe sees every step's output once (the helper asserts once)
@@ -416,10 +434,6 @@ class TestExecution:
         for e in acc_edges:  # every acc edge of erns18 is int16
             assert values[e].dtype == g.edges[e].dtype == np.int16, e
         assert values["logits"] is r.logits
-        # without an observer the result holds nothing but the logits and the count
-        assert [f.name for f in dataclasses.fields(execute(erns18_model, random_image(rng)))] == [
-            "logits", "float_ops_core"
-        ]
 
     def test_observe_sees_every_step_in_order(self, erns18_model, rng):
         # once per node, in graph order; act2 edges arrive as (2, words, H, W) planes
@@ -459,7 +473,6 @@ class TestExecution:
         plain = execute(erns18_model, img, kernel=kernel)
         observed, _ = execute_keeping_all(erns18_model, img, kernel=kernel)
         assert observed.logits.tobytes() == plain.logits.tobytes()
-        assert observed.float_ops_core == plain.float_ops_core == 0
         other = "naive" if kernel == "popcount" else "popcount"
         assert execute(erns18_model, img, kernel=other).logits.tobytes() == plain.logits.tobytes()
 
@@ -544,22 +557,16 @@ class TestExecution:
         for n, t in zip(g.bnacts, calls["bnact"]):
             assert t is erns18_model.thresholds[n.name], n.name
 
-    def test_float_op_witness_brackets_embed_output_to_final_conv(
-        self, erns18_model, rng, monkeypatch
-    ):
-        # float ops in the embedding and the pool fall outside the core;
-        # the final conv is inside it
-        def noting(fn, n):
-            def wrapper(*args):
-                note_float_ops(n)
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(ern.graph, "encode_image", noting(ern.graph.encode_image, 1000))
-        monkeypatch.setattr(ern.graph, "conv_w1a2_popcount",
-                            noting(ern.graph.conv_w1a2_popcount, 1))
-        r = execute(erns18_model, random_image(rng, 32))
-        assert r.float_ops_core == len(erns18_model.graph.convs)
+    def test_dtype_table_witnesses_integer_core(self):
+        # the edge table is the one witness of an integer-only core: every
+        # edge from the embedding through the head conv is held as integers,
+        # and only the pool's output, the logits, as floats; execute holds
+        # each step to it (test_output_dtype_checked_under_optimize)
+        for cfg in ARCHITECTURES.values():
+            edges = build_model(cfg).edges
+            held = {e: i.dtype for e, i in edges.items() if e != "image"}
+            assert {e for e, d in held.items() if not np.issubdtype(d, np.integer)} == {"logits"}
+            assert held["logits"] == np.float64
 
     def test_residual_output_dtype_checked(self, erns18_model, rng, monkeypatch):
         # int32 is an accumulator width, but not this int16 edge's
@@ -593,11 +600,11 @@ model = compile_checkpoint(gen_random_checkpoint("erns18x075", seed=0))
 f = ern.graph.{target}
 ern.graph.{target} = {patch}
 try:
-    r = ern.graph.execute(model, np.zeros((3, 32, 32), np.uint8))
+    ern.graph.execute(model, np.zeros((3, 32, 32), np.uint8))
 except AssertionError as e:
     print(e)
 else:
-    sys.exit(f"ran to logits, float_ops_core = {{r.float_ops_core}}")
+    sys.exit("ran to logits")
 """
         src = str(Path(ern.graph.__file__).resolve().parents[1])
         run = subprocess.run(

@@ -552,3 +552,12 @@ class TestBlockedReductions:
             w = erns18_manifest.convs[node.name]
             want = np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)
             assert om.edge_scale[node.dst].tobytes() == want.tobytes(), node.name
+
+    def test_alpha_out_held_once(self, erns18_manifest):
+        # the pool reads om.alpha_out and no BnAct reads the head, so the
+        # head's edge has no per-channel copy of it to go stale
+        om = oracle_from_manifest(erns18_manifest)
+        g = om.graph
+        assert [n.dst for n in g.convs if g.edges[n.dst].scale == "alpha_out"] == ["head.conv.out"]
+        assert "head.conv.out" not in om.edge_scale
+        assert {bn.src for bn in g.bnacts} <= set(om.edge_scale)

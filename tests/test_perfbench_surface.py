@@ -1,20 +1,26 @@
 """The names and fields the benchmark in ``perfbench/`` reads from ern.
 
 ``perfbench/layers.py`` traces ern by patching module attributes and reads
-fields of a loaded model; a rename would otherwise surface only in a traced
+fields of a loaded model, and ``perfbench/workloads.py`` reads fields of
+``ern.execute``'s result; a rename would otherwise surface only in a
 benchmark run.  The module is executed from its source text, so nothing is
 written under ``perfbench/``.
 """
 
+import dataclasses
 import importlib
+import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ern
 from ern.compiler import compile_checkpoint, gen_random_checkpoint, load, serialize
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS_PY = PERFBENCH / "layers.py"
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +51,13 @@ def test_graph_counts(layers, model):
     counts = layers.graph_counts(model.graph, 64, 64)
     assert counts["macs"] > 0
     assert 0 < counts["lane_macs"] <= counts["macs"]
+
+
+def test_execution_result_fields(model):
+    # workloads.py reads res.logits and res.float_ops_core, and fails a
+    # request whose count is not 0; the count is kept only for that read
+    read = set(re.findall(r"\bres\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
+    assert read == {"logits", "float_ops_core"}
+    res = ern.execute(model, np.zeros((3, 32, 32), np.uint8))
+    assert [f.name for f in dataclasses.fields(res)] == ["logits", "float_ops_core"]
+    assert res.logits.shape == (model.graph.arch.classes,) and res.float_ops_core == 0
