@@ -13,7 +13,6 @@ import json
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
@@ -70,7 +69,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _load_model(path: str):
-    return load(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return load(f)
 
 
 def _read_image(args) -> np.ndarray:
@@ -103,12 +103,12 @@ def _ten_crops(img: np.ndarray, size: int) -> list[np.ndarray]:
 def cmd_compile(args) -> int:
     manifest = load_manifest(args.manifest)
     model = compile_checkpoint(manifest, shared_const=args.shared_const)
-    data = serialize(model)
-    Path(args.out).write_bytes(data)
+    with open(args.out, "wb") as f:
+        size = serialize(model, f)
     a = model.graph.arch
     print(
         f"{args.out}: {a.block} blocks {a.counts} widths {a.channels} classes={a.classes} "
-        f"k={a.k} c={model.shared_const} ({len(data)} bytes)"
+        f"k={a.k} c={model.shared_const} ({size} bytes)"
     )
     return EXIT_OK
 
@@ -152,7 +152,8 @@ def cmd_verify(args) -> int:
     model = _load_model(args.model)
     manifest = load_manifest(args.manifest)
     require_same_graph(model.graph, manifest.graph())  # before any blob is read
-    om = oracle_from_manifest(manifest, shared_const=model.shared_const)
+    # certifies every weight word of the model against the manifest, then shares them
+    om = oracle_from_manifest(manifest, shared_const=model.shared_const, model=model)
     rng = np.random.default_rng(args.seed)
     r = args.resolution
     # drawn one at a time as cross_check asks, so no more than one is held

@@ -52,6 +52,7 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -61,6 +62,7 @@ import zlib
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -87,7 +89,7 @@ from .graph import (
 )
 from .quant import BnParams, ThresholdTable, binarize_weights, exact_abs_sum
 from .quant import fuse_thresholds
-from .tensor import LANES, PackedWeights, pack_weights, padded_channels, row_blocks
+from .tensor import BLOCK_BYTES, LANES, PackedWeights, pack_weights, padded_channels, row_blocks
 
 MAGIC = b"ERN1"
 FORMAT_VERSION = 3
@@ -519,20 +521,24 @@ def compile_checkpoint(
 # .ern serialization
 
 
-def serialize(model: CompiledModel) -> bytes:
+def serialize(model: CompiledModel, out: BinaryIO | None = None) -> bytes | int:
     """Encode a compiled model as .ern bytes (see module docstring).
 
     The header stores ``graph.arch``, and one walk over ``graph.nodes``
-    writes each conv's and BnAct's record.  A threshold table whose
+    makes each conv's and BnAct's record.  A threshold table whose
     ``bound`` is not its input edge's raises :class:`DomainError`, and a
     graph with no ``arch`` (wired by hand), which ``load`` could not
-    rebuild, raises :class:`ConfigError`.
+    rebuild, raises :class:`ConfigError`; either is raised before
+    anything is written.
 
-    The file is built in one copy: the records are buffers (the model's
-    own contiguous ``<u8`` words and ``<f8`` scales, and one small array
-    per BnAct), the body CRC is taken over them one by one, and one join
-    writes the prefix, the records and the CRC.  Beside the model, the
-    call holds the BnAct records and the file's bytes.
+    The records are buffers (the model's own contiguous ``<u8`` words and
+    ``<f8`` scales, and one small array per BnAct), and the body CRC is
+    taken over them one by one.  They then go to one sink: without
+    ``out``, one join returns the file's bytes, so the call holds the
+    BnAct records and the file beside the model; with ``out``, an open
+    binary file, the prefix, the records and the CRC are written to it
+    in order and the call returns the count of bytes written, holding
+    only the BnAct records beside the model.
     """
     g = model.graph
     a = g.arch
@@ -563,41 +569,59 @@ def serialize(model: CompiledModel) -> bytes:
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
-    prefix = MAGIC + struct.pack("<II", FORMAT_VERSION, sum(memoryview(p).nbytes for p in parts))
-    return b"".join(
-        [prefix, struct.pack("<I", zlib.crc32(prefix)), *parts, struct.pack("<I", crc)]
-    )
+    body = sum(memoryview(p).nbytes for p in parts)
+    prefix = MAGIC + struct.pack("<II", FORMAT_VERSION, body)
+    chunks = [prefix, struct.pack("<I", zlib.crc32(prefix)), *parts, struct.pack("<I", crc)]
+    if out is None:
+        return b"".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
+    return _PREFIX + body + 4
 
 
 class _Reader:
-    """Reads a body whose CRC matched; a body too short for its graph is a FormatError."""
+    """Reads ``length`` bytes of a file from offset ``start``, in order, each field into a new array.
 
-    def __init__(self, body: memoryview):
-        self.body = body
-        self.pos = 0
+    Reading past ``length`` is a :class:`FormatError` (a body too short
+    for its graph), and a file that ends early a :class:`TruncationError`.
+    ``crc`` is the CRC32 of the bytes read so far.
+    """
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.body):
-            raise FormatError(f"body of {len(self.body)} bytes is too short for its records")
-        self.pos += n
-        return self.body[self.pos - n : self.pos]
-
-    def unpack(self, fmt: struct.Struct) -> tuple:
-        return fmt.unpack(self.take(fmt.size))
+    def __init__(self, f: BinaryIO, start: int, length: int):
+        f.seek(start)
+        self.f, self.length = f, length
+        self.pos = self.crc = 0
 
     def array(self, dtype, count: int) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype)
+        """The next ``count`` values of ``dtype``, read into an array that owns them."""
+        n = np.dtype(dtype).itemsize * count
+        if self.pos + n > self.length:
+            raise FormatError(f"body of {self.length} bytes is too short for its records")
+        out = np.empty(count, dtype)
+        octets = out.view(np.uint8)
+        if self.f.readinto(octets) != n:
+            raise TruncationError(f"file ends inside its {self.length}-byte body")
+        self.crc = zlib.crc32(octets, self.crc)
+        self.pos += n
+        return out
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.array(np.uint8, fmt.size))
 
 
-def load(data: bytes) -> CompiledModel:
-    """Decode .ern bytes in one pass over the graph (see module docstring).
+def load(source: bytes | BinaryIO) -> CompiledModel:
+    """Decode a .ern file in one pass over the graph (see module docstring).
 
-    Magic, version, the prefix CRC, the file length the prefix declares
-    and the body CRC are all checked before any body field is read, so a
-    file that ends early raises :class:`TruncationError` and one whose
-    bytes changed raises :class:`ChecksumError` (or :class:`BadMagicError`
-    or :class:`VersionError` for those fields).  Every other defect of a
+    ``source`` is the file's bytes, or an open binary file, read from
+    its position to its end; bytes, and a file that cannot seek (a
+    pipe), are read through ``io.BytesIO``, which shares a ``bytes``
+    object, so all take the one parser, with the same checks and
+    errors.  Magic, version, the prefix
+    CRC, the file length the prefix declares and the body CRC are all
+    checked before any body field is read, so a file that ends early
+    raises :class:`TruncationError` and one whose bytes changed raises
+    :class:`ChecksumError` (or :class:`BadMagicError` or
+    :class:`VersionError` for those fields).  Every other defect of a
     file whose CRCs match raises a :class:`FormatError`: an unknown block
     kind or a layout :class:`ArchConfig` refuses, c or alpha_out not
     finite and > 0, a stored scale not finite and > 0, a pad weight bit
@@ -608,31 +632,52 @@ def load(data: bytes) -> CompiledModel:
     file that loads is one ``serialize`` writes back byte for byte.
     Only ``"alpha"`` convs' scales are stored; a ``"c"`` conv's scales are
     c and an ``"alpha_out"`` conv's alpha_out.
+
+    The body CRC is taken in chunks of ``BLOCK_BYTES``, then each field
+    is read (``readinto``) straight into its final array, so the call
+    holds the model and one chunk, never the file's bytes beside the
+    model.  The bytes parsed are checked against the CRC too, so a file
+    that changed between the two reads does not load
+    (:class:`ChecksumError`, or the error of a record the change broke).
     """
-    if len(data) < 4:
-        raise TruncationError(f"{len(data)} bytes is too short for a model file")
-    if data[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    if len(data) < 8:
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        f = io.BytesIO(source)
+    elif not source.seekable():  # a pipe is read whole, as its bytes
+        f = io.BytesIO(source.read())
+    else:
+        f = source
+    base = f.tell()
+    size = f.seek(0, io.SEEK_END) - base
+    f.seek(base)
+    head = f.read(_PREFIX)
+    if size < 4:
+        raise TruncationError(f"{size} bytes is too short for a model file")
+    if head[:4] != MAGIC:
+        raise BadMagicError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+    if size < 8:
         raise TruncationError("file ends inside the version field")
-    (version,) = struct.unpack_from("<I", data, 4)
+    (version,) = struct.unpack_from("<I", head, 4)
     if version != FORMAT_VERSION:
         raise VersionError(f"format version {version}, this reader handles {FORMAT_VERSION}")
-    if len(data) < _PREFIX:
+    if size < _PREFIX:
         raise TruncationError("file ends inside the prefix")
-    body_len, prefix_crc = struct.unpack_from("<II", data, 8)
-    if zlib.crc32(data[:12]) != prefix_crc:
+    body_len, prefix_crc = struct.unpack_from("<II", head, 8)
+    if zlib.crc32(head[:12]) != prefix_crc:
         raise ChecksumError("prefix CRC32 does not match the stored checksum")
     end = _PREFIX + body_len
-    if len(data) < end + 4:
-        raise TruncationError(f"file ends at byte {len(data)}, needed {end + 4}")
-    if len(data) > end + 4:
-        raise FormatError(f"{len(data) - end - 4} unexpected bytes after the checksum")
-    body = memoryview(data)[_PREFIX:end]
-    if zlib.crc32(body) != struct.unpack_from("<I", data, end)[0]:
+    if size < end + 4:
+        raise TruncationError(f"file ends at byte {size}, needed {end + 4}")
+    if size > end + 4:
+        raise FormatError(f"{size - end - 4} unexpected bytes after the checksum")
+    f.seek(base + end)
+    (crc,) = struct.unpack("<I", f.read(4))
+    r = _Reader(f, base + _PREFIX, body_len)
+    while r.pos < body_len:
+        r.array(np.uint8, min(BLOCK_BYTES, body_len - r.pos))
+    if r.crc != crc:
         raise ChecksumError("body CRC32 does not match the stored checksum")
 
-    r = _Reader(body)
+    r = _Reader(f, base + _PREFIX, body_len)
     block, *sizes, classes, k, c, alpha_out = r.unpack(_HEADER)
     for what, v in (("shared constant c", c), ("head.conv scale alpha_out", alpha_out)):
         if not (np.isfinite(v) and v > 0):
@@ -651,11 +696,11 @@ def load(data: bytes) -> CompiledModel:
             s = node.spec
             scale = g.edges[node.dst].scale
             if scale == "alpha":
-                alpha = r.array("<f8", s.out_ch).astype(np.float64)
+                alpha = r.array("<f8", s.out_ch).astype(np.float64, copy=False)
                 if not (np.isfinite(alpha) & (alpha > 0)).all():
                     raise FormatError(f"layer '{node.name}': scales must be finite and > 0")
             shape = (s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw)
-            bits = r.array("<u8", math.prod(shape)).astype(np.uint64).reshape(shape)
+            bits = r.array("<u8", math.prod(shape)).astype(np.uint64, copy=False).reshape(shape)
             if scale != "alpha":  # filled once the words are read, so the width is backed by bytes
                 alpha = np.full(s.out_ch, c if scale == "c" else alpha_out)
             lanes = s.in_ch % LANES  # the last word's logical lanes; the rest are pad, stored as 1
@@ -674,8 +719,10 @@ def load(data: bytes) -> CompiledModel:
                 )
             except (DomainError, ShapeError) as e:
                 raise FormatError(f"layer '{node.name}': {e}") from None
-    if r.pos != len(body):
-        raise FormatError(f"{len(body) - r.pos} unexpected bytes after the last record")
+    if r.pos != body_len:
+        raise FormatError(f"{body_len - r.pos} unexpected bytes after the last record")
+    if r.crc != crc:
+        raise ChecksumError("body changed after its CRC32 was checked")
     return CompiledModel(
         graph=g, weights=weights, thresholds=thresholds, alpha_out=alpha_out, shared_const=c
     )

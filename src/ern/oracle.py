@@ -10,20 +10,37 @@ compilation starts from, and reads each BnAct's
 and in 64-bit reals.  It shares no kernel code with the integer engine,
 so agreement between the two certifies both.
 
-The build reads each conv's weights once, a block of output channels
-at a time, through the manifest's reader, and holds no layer of floats.
-Each conv's signs are held at one bit per weight, packed per output
-channel (``np.packbits`` of w >= 0 along each filter, numpy's own
-packing, not the engine's).  The convolution expands them to float32
-+/-1 through a 256-entry byte table, one block of output channels at a
-time, and multiplies each block by the image's columns, built one block
-of output rows at a time; each float32 GEMM's partial sums are integers
-below 2**24, so it is exact, and its result is widened to 64-bit reals.
-The only rounding happens when a scale or the batch norm touches a
-value.  Residual branches therefore stay exactly c times the engine's
-integer accumulators: the oracle adds the unscaled (integer-valued)
-tensors and applies c lazily.  The pool averages the head's
-integer-valued accumulator, which is exact, and then scales by
+Each conv's signs are held in the ``.ern`` word layout: (OC, IC_pad/64,
+kh, kw) uint64 words, bit j of word i of a tap the sign of input
+channel 64*i + j (1 for w >= 0), pad lanes 1.  The build reads each
+conv's weights once, a block of output channels at a time, through the
+manifest's reader, holds no layer of floats, and packs each block with
+its own numpy code (``np.packbits`` of w >= 0, least significant bit
+first), not the engine's packer.  Built against a model (``ern
+verify``), it compares each packed block with the model's words
+(``np.array_equal``) and, once every block of a conv matched, keeps a
+reference to the model's array instead of a copy; a conv that differs
+raises :class:`VerificationError` naming it.  So every weight bit of
+the model is certified against the manifest, over the whole input
+domain, and each weight is held once.  Independence still holds: the
+words the oracle computes with are proven equal to the ones its own
+code packs from the manifest, and its arithmetic decodes them itself
+and shares nothing with the popcount kernel.  Built without a model,
+the oracle keeps the words it packed; both run the same conv path.
+
+The convolution expands a block of output channels' words to float32
++/-1 through a 256-entry little-endian byte table, and multiplies the
+block by the image's columns, ordered (word, kh, kw, lane) over codes
+zero-padded to whole words, so the expansion needs no transpose; only a
+conv whose input width is not a multiple of 64 (the stem's first)
+multiplies pad lanes, each contributing 0.  The columns are built one
+block of output rows at a time; each float32 GEMM's partial sums are
+integers below 2**24, so it is exact, and its result is widened to
+64-bit reals.  The only rounding happens when a scale or the batch norm
+touches a value.  Residual branches therefore stay exactly c times the
+engine's integer accumulators: the oracle adds the unscaled
+(integer-valued) tensors and applies c lazily.  The pool averages the
+head's integer-valued accumulator, which is exact, and then scales by
 alpha_out, the correctly rounded mean |w| of the head
 (:func:`ern.quant.exact_abs_sum`), which no summation order changes;
 the engine computes the same two roundings, so the logits agree bit
@@ -53,7 +70,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, VerificationError
 from .quant import BnParams, exact_abs_sum, quantize_act_float
 from .graph import (
     AvgPoolScale,
@@ -67,10 +84,13 @@ from .graph import (
     ResidualAdd,
     execute,
 )
-from .tensor import row_blocks, unpack_activations
+from .tensor import LANES, padded_channels, row_blocks, unpack_activations
 
-# byte -> its 8 signs as float32 +/-1, most significant bit first as np.packbits packs
-_BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) * np.float32(2) - 1
+# byte -> its 8 signs as float32 +/-1, least significant bit first, as a word's lanes run
+_BYTE_SIGNS = (
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    * np.float32(2) - 1
+)
 TIE_EPS = 1e-9  # |v / s_a - round(v / s_a)| below this is a code-boundary tie
 
 
@@ -84,14 +104,29 @@ class OracleModel:
 
     graph: GraphDef
     shared_const: float
-    # each (OC, IC, kh, kw) conv's np.packbits(w.reshape(OC, -1) >= 0, axis=1)
-    signs: dict[str, np.ndarray]
+    # each (OC, IC, kh, kw) conv's signs as (OC, IC_pad/64, kh, kw) uint64 .ern words;
+    # the model's own arrays when the build certified them
+    words: dict[str, np.ndarray]
     edge_scale: dict[str, np.ndarray]  # acc edge a BnAct may read -> (OC,) effective scale
     bns: dict[str, BnParams]  # the manifest's parameters per BnAct node
     alpha_out: float
 
 
-def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleModel:
+def _pack_words(block: np.ndarray) -> np.ndarray:
+    """A block of (r, IC, kh, kw) float filters as (r, IC_pad/64, kh, kw) uint64 words.
+
+    Bit j of word i of a tap is 1 iff input channel 64*i + j weighs >= 0;
+    pad lanes are 1.  ``np.packbits`` packs each tap's lanes least
+    significant bit first, and the bytes are read as little-endian words.
+    """
+    r, ic, kh, kw = block.shape
+    lanes = np.ones((r, kh, kw, padded_channels(ic)), dtype=bool)
+    lanes[..., :ic] = block.transpose(0, 2, 3, 1) >= 0.0
+    octets = np.packbits(lanes, axis=-1, bitorder="little")  # (r, kh, kw, IC_pad/8)
+    return octets.view("<u8").astype(np.uint64, copy=False).transpose(0, 3, 1, 2)
+
+
+def oracle_from_manifest(manifest, shared_const: float | None = None, model=None) -> OracleModel:
     """Build the float reference with compilation's scale policy.
 
     The graph, c and each conv's weights come from the manifest's
@@ -106,38 +141,56 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     Reads each conv once through its reader, one block of output
     channels at a time (:func:`ern.tensor.row_blocks`, a block's weights
     being about ``BLOCK_BYTES``), and takes three things from each block:
-    its rows of packed signs, its per-channel scales, summed in 64-bit
-    reals, and for the head its exact |w| sum
+    its words of signs (:func:`_pack_words`), its per-channel scales,
+    summed in 64-bit reals, and for the head its exact |w| sum
     (:func:`ern.quant.exact_abs_sum`), so alpha_out is the correctly
-    rounded mean |w| that compilation computes too.  No layer of floats
-    is held: the build holds, beside the manifest, the signs and scales
-    so far and block-sized temporaries.
+    rounded mean |w| that compilation computes too.  A ``"c"`` edge's
+    scale is one value broadcast over its channels.
+
+    With a compiled ``model`` (of the same graph, else
+    :class:`ConfigError`), each block's words are compared with the
+    model's rows instead of stored, and the oracle keeps a reference to
+    the model's word array of each conv; a conv whose words differ raises
+    :class:`VerificationError` naming it.  So the build holds, beside
+    the manifest and the model, the scales and block-sized temporaries;
+    without a model, also the words packed so far.  No layer of floats is
+    held either way.
     """
     g, c = manifest.checked_graph(shared_const)
-    signs: dict[str, np.ndarray] = {}
+    if model is not None:
+        require_same_graph(model.graph, g)
+    words: dict[str, np.ndarray] = {}
     edge_scale: dict[str, np.ndarray] = {}
     alpha_out, head_sum = 1.0, 0
     for node in g.convs:
         # signs read the manifest's floats as they are; scales sum in 64 bits
         s = node.spec
         scale = g.edges[node.dst].scale
-        bits = signs[node.name] = np.empty((s.out_ch, -(-s.fan_in // 8)), np.uint8)
+        shape = (s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw)
+        held = np.empty(shape, np.uint64) if model is None else model.weights[node.name].bits
         alpha = np.empty(s.out_ch)
         with manifest.conv_weights(node) as w:
             for rows in row_blocks(s.out_ch, 4 * s.fan_in):
                 block = w.rows(rows)
-                bits[rows] = np.packbits(block.reshape(len(block), -1) >= 0.0, axis=1)
+                packed = _pack_words(block)
+                if model is None:
+                    held[rows] = packed
+                elif not np.array_equal(packed, held[rows]):
+                    raise VerificationError(
+                        f"layer '{node.name}': weight words differ from the manifest's signs"
+                    )
                 if scale == "alpha":
                     alpha[rows] = np.abs(block).mean(axis=(1, 2, 3), dtype=np.float64)
                 elif scale == "alpha_out":
                     head_sum += exact_abs_sum(block)
-                del block  # else the next read sits beside it
-        if scale == "alpha_out":  # the pool reads om.alpha_out; no BnAct reads the head
+                del block, packed  # else the next read sits beside them
+        words[node.name] = held
+        if scale == "alpha":
+            edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
+        elif scale == "c":  # c > 0, one value for every channel
+            edge_scale[node.dst] = np.broadcast_to(np.float64(c), (s.out_ch,))
+        else:  # the pool reads om.alpha_out; no BnAct reads the head
             alpha_out = float(head_sum / w.size) or 1.0
-            continue
-        if scale == "c":
-            alpha = np.full(s.out_ch, c)
-        edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
     for n in g.nodes:
         if isinstance(n, ResidualAdd):
             edge_scale[n.dst] = edge_scale[n.src_a]
@@ -146,7 +199,7 @@ def oracle_from_manifest(manifest, shared_const: float | None = None) -> OracleM
     return OracleModel(
         graph=g,
         shared_const=c,
-        signs=signs,
+        words=words,
         edge_scale=edge_scale,
         bns=bns,
         alpha_out=alpha_out,
@@ -169,50 +222,57 @@ def _thermo_codes(img: np.ndarray, k: int) -> np.ndarray:
     return z.reshape(c * kk, h, wd)
 
 
-def _conv_im2col(codes: np.ndarray, bits: np.ndarray, shape, stride, padding) -> np.ndarray:
-    """Convolve 2-bit codes with packed signs by float32 GEMMs; returns float64.
+def _conv_im2col(codes: np.ndarray, words: np.ndarray, shape, stride, padding) -> np.ndarray:
+    """Convolve 2-bit codes with signs in word layout by float32 GEMMs; returns float64.
 
-    ``bits`` holds the (OC, IC, kh, kw) ``shape``'s signs packed per
-    output channel, ``np.packbits`` of each filter along its fan-in, bit
-    1 for +1.  Every product and partial sum is an integer of magnitude
-    at most 3 * fan_in, and integers below 2**24 are exact in float32, so
-    the result is exact whatever order a GEMM sums in.  The signs are
-    expanded one block of output channels at a time
-    (:func:`ern.tensor.row_blocks`, a block's float32 signs being about
-    ``BLOCK_BYTES``), each row's pad bits cut off.  Each block multiplies
-    the image's columns (fan_in x output pixels, float32), which are
-    built from the window view one block of output rows at a time, a
-    block's columns being about ``BLOCK_BYTES``; when one block holds
-    every row they are built once.  The call holds the padded input, the
-    float64 result, one block of expanded signs and one block of columns.
+    ``words`` holds the (OC, IC, kh, kw) ``shape``'s signs as (OC,
+    IC_pad/64, kh, kw) uint64 words, bit j of word i the sign of input
+    channel 64*i + j, 1 for +1.  Every product and partial sum is an
+    integer of magnitude at most 3 * fan_in (pad lanes meet code 0), and
+    integers below 2**24 are exact in float32, so the result is exact
+    whatever order a GEMM sums in.  The words are expanded one block of
+    output channels at a time (:func:`ern.tensor.row_blocks`, a block's
+    float32 signs being about ``BLOCK_BYTES``), byte by byte through the
+    little-endian table, which orders each row (word, kh, kw, lane).  Each
+    block multiplies the image's columns in that order, built from the
+    window view over the codes zero-padded to whole words (uint8, one
+    byte a lane), one block of output rows at a time, a block's columns
+    being about ``BLOCK_BYTES``; when one block holds every row they are
+    built once.  The call holds the padded codes, the float64 result, one
+    block of expanded signs and one block of columns.
     """
     ic, h, wd = codes.shape
     oc, wic, kh, kw = shape
     if wic != ic:
         raise ShapeError(f"conv weights expect {wic} channels, got {ic}")
-    fan = ic * kh * kw
-    if 3 * fan >= 2**24:
-        raise ShapeError(f"fan-in {fan} is too large for an exact float32 GEMM")
+    if 3 * ic * kh * kw >= 2**24:
+        raise ShapeError(f"fan-in {ic * kh * kw} is too large for an exact float32 GEMM")
+    nw = padded_channels(ic) // LANES
+    if words.shape != (oc, nw, kh, kw):
+        raise ShapeError(f"conv words shaped {words.shape}, expected {(oc, nw, kh, kw)}")
+    fan = nw * LANES * kh * kw  # each row's lanes, pad lanes included
     sh, sw = stride
     ph, pw = padding
-    x = np.zeros((ic, h + 2 * ph, wd + 2 * pw), dtype=np.float32)
-    x[:, ph : ph + h, pw : pw + wd] = codes
+    x = np.zeros((nw * LANES, h + 2 * ph, wd + 2 * pw), dtype=np.uint8)
+    x[:ic, ph : ph + h, pw : pw + wd] = codes
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (wd + 2 * pw - kw) // sw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"empty conv output for input {h}x{wd}")
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    win = win[:, ::sh, ::sw][:, :oh, :ow]  # (ic, oh, ow, kh, kw)
+    win = win[:, ::sh, ::sw][:, :oh, :ow].reshape(nw, LANES, oh, ow, kh, kw)
 
     def columns(out_rows: slice) -> np.ndarray:
-        return win[:, out_rows].transpose(0, 3, 4, 1, 2).reshape(fan, -1)
+        cols = win[:, :, out_rows].transpose(0, 4, 5, 1, 2, 3)
+        return cols.astype(np.float32, order="C").reshape(fan, -1)
 
     tiles = list(row_blocks(oh, 4 * fan * ow))
     whole = columns(tiles[0]) if len(tiles) == 1 else None
     acc = np.empty((oc, oh, ow))
     for rows in row_blocks(oc, 4 * fan):
         r = rows.stop - rows.start
-        signs = _BYTE_SIGNS.take(bits[rows].reshape(-1), axis=0).reshape(r, -1)[:, :fan]
+        octets = np.ascontiguousarray(words[rows], dtype="<u8").view(np.uint8)
+        signs = _BYTE_SIGNS.take(octets.reshape(-1), axis=0).reshape(r, fan)
         for t in tiles:
             cols = columns(t) if whole is None else whole
             acc[rows, t] = (signs @ cols).reshape(r, -1, ow)
@@ -242,7 +302,7 @@ def oracle_steps(
         elif isinstance(node, Conv):
             s = node.spec
             out = _conv_im2col(
-                values[node.src], om.signs[node.name], (s.out_ch, s.in_ch, s.kh, s.kw),
+                values[node.src], om.words[node.name], (s.out_ch, s.in_ch, s.kh, s.kw),
                 s.stride, s.padding,
             )
         elif isinstance(node, BnAct):

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +239,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert name in out
+
+
+    def test_flipped_weight_bit_fails(self, ws, capsys):
+        # serialize recomputes both CRCs, so the file loads; the oracle build's
+        # weight certificate names the conv before any image runs
+        model = load(ws["model"].read_bytes())
+        name = "s3.b2.conv1"
+        w = model.weights[name]
+        bits = w.bits.copy()
+        bits[7, 2, 1, 1] ^= np.uint64(1 << 17)
+        flipped = dataclasses.replace(
+            model, weights={**model.weights, name: dataclasses.replace(w, bits=bits)}
+        )
+        bad = ws["root"] / "flipped.ern"
+        bad.write_bytes(serialize(flipped))
+        rc = main(["verify", "--model", str(bad), "--manifest", str(ws["ckpt"]),
+                   "--images", "1", "--resolution", "32"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ern: verification failed: ")
+        assert f"'{name}'" in err
 
 
 class TestBench:
@@ -573,3 +596,16 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["infer", "--image", "x.ppm"]) == 1
+
+
+class TestReleasePeaks:
+    def test_a_row_for_every_call(self, ws):
+        # tools/release_peaks.py wraps each ern.cli call by name; a renamed
+        # call would drop its row, so every name must be called by compile or verify
+        path = Path(__file__).resolve().parents[1] / "tools" / "release_peaks.py"
+        spec = importlib.util.spec_from_file_location("release_peaks", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        peaks, codes = tool.run(str(ws["ckpt"]))
+        assert codes == [0, 0]
+        assert {row[0] for row in peaks.rows} == set(tool.CALLS)

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import struct
 import tracemalloc
@@ -200,8 +201,8 @@ class TestConvBlobsOnDemand:
         assert serialize(compile_checkpoint(m)) == serialize(small_model)
         got, want = oracle_from_manifest(m), oracle_from_manifest(small_manifest)
         assert got.alpha_out == want.alpha_out
-        for name, signs in want.signs.items():
-            assert got.signs[name].tobytes() == signs.tobytes(), name
+        for name, words in want.words.items():
+            assert got.words[name].tobytes() == words.tobytes(), name
         for edge, scale in want.edge_scale.items():
             assert got.edge_scale[edge].tobytes() == scale.tobytes(), edge
 
@@ -304,8 +305,7 @@ class TestWorkingSet:
             "largest": max(counts),  # weights of the largest conv
             "words": sum(8 * s.out_ch * padded_channels(s.in_ch) // LANES * s.kh * s.kw
                          for s in specs),
-            # one bit per weight, each filter's bits starting on a byte
-            "signs": sum(s.out_ch * -(-s.fan_in // 8) for s in specs),
+            "bnact_records": 13 * sum(n.channels for n in build_model(arch_config("erns50")).bnacts),
         }
 
     def test_compile(self, ckpt, sizes):
@@ -333,11 +333,41 @@ class TestWorkingSet:
         blob, peak = traced_peak(lambda: serialize(model))
         assert peak < 1.25 * len(blob)
 
+    def test_serialize_to_file(self, ckpt, sizes, tmp_path):
+        model = compile_checkpoint(load_manifest(ckpt))
+        with open(tmp_path / "m.ern", "wb") as f:
+            size, peak = traced_peak(lambda: serialize(model, f))
+        assert size == (tmp_path / "m.ern").stat().st_size > 3_000_000
+        # the BnAct records and small change; the file's bytes go over
+        assert peak < sizes["bnact_records"] + BLOCK_BYTES
+
+    def test_load_from_file(self, ckpt, tmp_path):
+        path = tmp_path / "m.ern"
+        path.write_bytes(serialize(compile_checkpoint(load_manifest(ckpt))))
+        with open(path, "rb") as f:
+            tracemalloc.start()
+            try:
+                model = load(f)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert held > 0.9 * sum(w.bits.nbytes for w in model.weights.values())
+        # the model and one chunk or record; the file's bytes (3.6 MB) beside it go over
+        assert peak < held + BLOCK_BYTES
+
     def test_oracle_build(self, ckpt, sizes):
         m = load_manifest(ckpt)
         _, peak = traced_peak(lambda: oracle_from_manifest(m))
-        # every conv's packed signs and a few blocks
-        assert peak < sizes["signs"] + 4 * BLOCK_BYTES
+        # every conv's words and a few blocks
+        assert peak < sizes["words"] + 4 * BLOCK_BYTES
+
+    def test_oracle_build_against_the_model(self, ckpt):
+        m = load_manifest(ckpt)
+        model = compile_checkpoint(m)
+        om, peak = traced_peak(lambda: oracle_from_manifest(m, model=model))
+        assert all(om.words[n] is w.bits for n, w in model.weights.items())
+        # the scales and a few blocks: no second copy of the words
+        assert peak < 4 * BLOCK_BYTES
 
     def test_cross_check(self, ckpt):
         m = load_manifest(ckpt)
@@ -460,6 +490,63 @@ class TestSerialization:
         blob = serialize(small_model)
         back = load(blob)
         assert serialize(back) == blob
+
+    def test_serialize_to_file_writes_the_bytes(self, small_model, tmp_path):
+        path = tmp_path / "m.ern"
+        with open(path, "wb") as f:
+            size = serialize(small_model, f)
+        blob = serialize(small_model)
+        assert path.read_bytes() == blob
+        assert size == len(blob)
+
+    def test_load_from_file_is_load_from_bytes(self, small_model, tmp_path):
+        blob = serialize(small_model)
+        path = tmp_path / "m.ern"
+        path.write_bytes(b"junk" + blob)
+        with open(path, "rb") as f:
+            f.seek(4)  # a file is read from its position
+            back = load(f)
+        assert serialize(back) == blob
+        for name, w in back.weights.items():
+            assert w.bits.flags.writeable and w.bits.dtype == np.uint64, name
+
+    def test_pipe_is_read_whole(self, small_model):
+        blob = serialize(small_model)
+
+        class Pipe(io.RawIOBase):
+            def __init__(self):
+                self.data = io.BytesIO(blob)
+
+            def readinto(self, b):
+                return self.data.readinto(b)
+
+            def readable(self):
+                return True
+
+        pipe = io.BufferedReader(Pipe())
+        assert not pipe.seekable()
+        assert serialize(load(pipe)) == blob
+
+    def test_file_changed_between_reads(self, small_model, tmp_path, monkeypatch):
+        # the body CRC matched; a word changed before the records were read
+        blob = serialize(small_model)
+        path = tmp_path / "m.ern"
+        path.write_bytes(blob)
+        changed = bytearray(blob)
+        changed[record_offset(blob, "s4.b1.conv2") + 8] ^= 1
+        init = ern.compiler._Reader.__init__
+        passes = []
+
+        def change_before_second_pass(self, f, start, length):
+            passes.append(start)
+            if len(passes) == 2:
+                path.write_bytes(changed)
+            init(self, f, start, length)
+
+        monkeypatch.setattr(ern.compiler._Reader, "__init__", change_before_second_pass)
+        with open(path, "rb") as f, pytest.raises(ChecksumError, match="changed"):
+            load(f)
+        assert len(passes) == 2
 
     def test_round_trip_inference_identical(self, small_model, rng):
         back = load(serialize(small_model))

@@ -8,7 +8,9 @@ file with a structured edit (a flag byte, a threshold row, a
 or width, classes, k, c or alpha_out) either raises a
 :class:`FormatError` or loads as a model that serializes back to the same
 bytes and meets the compiler's invariants, and ``ern infer`` on it exits
-0 or 2, never with a traceback.
+0 or 2, never with a traceback.  Each of these file properties loads
+the damaged file both from its bytes and from an open file, and the two
+raise the same error type with the same message, or load equal models.
 A threshold table refuses a row past its bound + 1 (drawn around the
 bound and int16's range); within it, a table for an int16 accumulator
 edge gives the same planes as the same rows at an int32 bound, for
@@ -73,6 +75,44 @@ def model_file() -> bytes:
     return serialize(compile_checkpoint(gen_random_checkpoint("erns18x075", seed=1)))
 
 
+def assert_same_model(a, b) -> None:
+    """Two loaded models hold the same graph, scalars and arrays."""
+    assert a.graph == b.graph
+    assert (a.shared_const, a.alpha_out) == (b.shared_const, b.alpha_out)
+    for name, w in a.weights.items():
+        assert w.bits.dtype == b.weights[name].bits.dtype, name
+        assert np.array_equal(w.bits, b.weights[name].bits), name
+        assert np.array_equal(w.alpha, b.weights[name].alpha), name
+    for name, t in a.thresholds.items():
+        u = b.thresholds[name]
+        for f in ("t", "ascending", "degenerate", "sign", "ts"):
+            assert np.array_equal(getattr(t, f), getattr(u, f)), (name, f)
+        assert t.bound == u.bound, name
+
+
+def load_both(blob: bytes):
+    """``load`` of ``blob`` from its bytes and from an open file holding them.
+
+    Both must raise the same error type with the same message, which is
+    then raised, or load equal models; returns the one loaded from bytes.
+    """
+    outcomes = []
+    with tempfile.TemporaryFile() as f:
+        f.write(blob)
+        f.seek(0)
+        for source in (blob, f):
+            try:
+                outcomes.append((load(source), None))
+            except FormatError as e:
+                outcomes.append((None, e))
+    (model, err), (from_file, file_err) = outcomes
+    assert (type(file_err), str(file_err)) == (type(err), str(err))
+    if err is not None:
+        raise err
+    assert_same_model(model, from_file)
+    return model
+
+
 class TestModelFile:
     @FUZZ
     @given(data=st.data())
@@ -83,7 +123,7 @@ class TestModelFile:
         damaged = bytearray(blob)
         damaged[pos] ^= 1 << bit
         with pytest.raises((ChecksumError, BadMagicError, VersionError)):
-            load(bytes(damaged))
+            load_both(bytes(damaged))
 
     @FUZZ
     @given(data=st.data())
@@ -91,7 +131,10 @@ class TestModelFile:
         blob = model_file()
         length = data.draw(st.integers(0, len(blob) - 1), label="length")
         with pytest.raises(TruncationError):
-            load(blob[:length])
+            load_both(blob[:length])
+
+    def test_undamaged_file_loads_alike(self):
+        assert serialize(load_both(model_file())) == model_file()
 
 
 @functools.cache
@@ -211,7 +254,7 @@ class TestStructuredEdits:
     def test_load_refuses_or_round_trips(self, edit):
         blob = edited(edit)
         try:
-            m = load(blob)
+            m = load_both(blob)
         except FormatError:
             return
         assert serialize(m) == blob

@@ -15,7 +15,7 @@ from ern.graph import (
     execute,
 )
 from ern.kernels import ConvSpec
-from ern.errors import ShapeError
+from ern.errors import ConfigError, ShapeError, VerificationError
 from ern.oracle import (
     TIE_EPS,
     _conv_im2col,
@@ -25,7 +25,8 @@ from ern.oracle import (
     oracle_steps,
 )
 from ern.quant import BnParams
-from ern.tensor import BLOCK_BYTES, row_blocks
+from ern.tensor import BLOCK_BYTES, LANES, PackedWeights, pack_weights, padded_channels
+from ern.tensor import row_blocks, unpack_signs
 
 from conftest import execute_keeping_all, random_image, rounded_mean_abs
 
@@ -385,34 +386,43 @@ class TestFullModel:
         assert r.logits.shape == (1000,)
 
 
-def packed_rows(positive: np.ndarray) -> np.ndarray:
-    """``np.packbits`` of each (IC, kh, kw) filter of an (OC, IC, kh, kw) sign mask."""
-    return np.packbits(positive.reshape(len(positive), -1), axis=1)
+def packed_words(positive: np.ndarray) -> np.ndarray:
+    """The engine's words (``pack_weights``) of an (OC, IC, kh, kw) sign mask, True for +1."""
+    return pack_weights(np.where(positive, 1, -1), np.ones(len(positive))).bits
+
+
+def all_words(oc: int, ic: int, kh: int, kw: int, value: int) -> np.ndarray:
+    """Words of one value in every lane: 2**64 - 1 for all +1, 0 for all -1."""
+    return np.full((oc, padded_channels(ic) // LANES, kh, kw), value, dtype=np.uint64)
 
 
 class TestFloat32Gemm:
     def test_signs_held_as_bits(self):
-        # one bit per weight, ceil(fan_in / 8) bytes per filter, bit 1 for w >= 0
+        # .ern words: (OC, IC_pad/64, kh, kw) uint64, bit j of word i the sign of
+        # channel 64 i + j, 1 for w >= 0, pad lanes 1; unpacked here by numpy alone
         m = pencil_manifest()
         om = oracle_from_manifest(m)
         for name, w in m.convs.items():
-            bits = om.signs[name]
-            fan = w[0].size
-            assert bits.dtype == np.uint8
-            assert bits.shape == (len(w), -(-fan // 8))
-            signs = np.unpackbits(bits, axis=1, count=fan)
-            assert np.array_equal(signs, (w >= 0).reshape(len(w), fan))
+            words = om.words[name]
+            oc, ic, kh, kw = w.shape
+            ic_pad = padded_channels(ic)
+            assert words.dtype == np.uint64
+            assert words.shape == (oc, ic_pad // LANES, kh, kw)
+            octets = words.astype("<u8").transpose(0, 2, 3, 1).copy().view(np.uint8)
+            lanes = np.unpackbits(octets, axis=-1, bitorder="little")  # (oc, kh, kw, ic_pad)
+            assert np.array_equal(lanes[..., :ic], (w >= 0).transpose(0, 2, 3, 1))
+            assert lanes[..., ic:].all()
 
     def test_exact_at_largest_accumulator(self):
         # 3 * fan_in just below 2**24: every partial sum is still exact in float32
         ic = (2**24 - 1) // 3 // 9
         codes = np.full((ic, 3, 3), 3, dtype=np.uint8)
-        signs = np.packbits(np.ones((1, ic * 9), dtype=bool), axis=1)
-        out = _conv_im2col(codes, signs, (1, ic, 3, 3), (1, 1), (0, 0))
+        out = _conv_im2col(codes, all_words(1, ic, 3, 3, 2**64 - 1), (1, ic, 3, 3), (1, 1),
+                           (0, 0))
         assert out.dtype == np.float64
         assert out.ravel().tolist() == [3 * ic * 9]
         # all -1, the other end of the bound
-        out = _conv_im2col(codes, np.zeros_like(signs), (1, ic, 3, 3), (1, 1), (0, 0))
+        out = _conv_im2col(codes, all_words(1, ic, 3, 3, 0), (1, ic, 3, 3), (1, 1), (0, 0))
         assert out.ravel().tolist() == [-3 * ic * 9]
 
     def test_rejects_fan_in_past_float32_exactness(self):
@@ -420,17 +430,22 @@ class TestFloat32Gemm:
         with pytest.raises(ShapeError):
             _conv_im2col(
                 np.zeros((ic, 1, 1), np.uint8),
-                np.packbits(np.ones((1, ic), dtype=bool), axis=1),
+                all_words(1, ic, 1, 1, 2**64 - 1),
                 (1, ic, 1, 1),
                 (1, 1),
                 (0, 0),
             )
 
+    def test_rejects_words_of_another_shape(self):
+        codes = np.zeros((70, 3, 3), np.uint8)
+        with pytest.raises(ShapeError, match="words shaped"):  # 70 channels need 2 words
+            _conv_im2col(codes, all_words(2, 64, 3, 3, 0), (2, 70, 3, 3), (1, 1), (0, 0))
+
     def test_matches_signed_product(self, rng):
         # strided, padded, odd channel count: equals the direct sum of s * x
         codes = rng.integers(0, 4, size=(5, 7, 6), dtype=np.uint8)
         s = rng.choice([-1, 1], size=(3, 5, 3, 3))
-        out = _conv_im2col(codes, packed_rows(s > 0), s.shape, (2, 2), (1, 1))
+        out = _conv_im2col(codes, packed_words(s > 0), s.shape, (2, 2), (1, 1))
         x = np.pad(codes.astype(np.int64), ((0, 0), (1, 1), (1, 1)))
         want = np.array(
             [
@@ -442,10 +457,13 @@ class TestFloat32Gemm:
         assert np.array_equal(out, want)
 
 
-def unblocked_conv(codes, bits, shape, pad):
-    """One float32 GEMM of all the expanded signs against the columns, stride 1."""
+def unblocked_conv(codes, words, shape, pad):
+    """One float32 GEMM of all the signs, unpacked by the engine, against (IC, kh, kw) columns.
+
+    Stride 1.
+    """
     oc, ic, kh, kw = shape
-    signs = np.unpackbits(bits, axis=1, count=ic * kh * kw) * np.float32(2) - 1
+    signs = unpack_signs(words, ic).reshape(oc, -1).astype(np.float32)
     x = np.pad(codes.astype(np.float32), ((0, 0), (pad, pad), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     cols = win.transpose(0, 3, 4, 1, 2).reshape(ic * kh * kw, -1)
@@ -495,40 +513,42 @@ class TestBlockedReductions:
         assert len(blocks) > 1
         assert (ic * 9 % 8 != 0) == (ic == 30)
         codes = rng.integers(0, 4, size=(ic, 5, 6), dtype=np.uint8)
-        bits = packed_rows(rng.random(shape) < 0.5)
-        got = _conv_im2col(codes, bits, shape, (1, 1), (1, 1))
-        assert got.tobytes() == unblocked_conv(codes, bits, shape, 1).tobytes()
+        words = packed_words(rng.random(shape) < 0.5)
+        got = _conv_im2col(codes, words, shape, (1, 1), (1, 1))
+        assert got.tobytes() == unblocked_conv(codes, words, shape, 1).tobytes()
 
     def test_conv_im2col_builds_columns_in_row_blocks(self, rng):
-        # 32 channels, 3 x 3, at 64 x 64: the columns of every output row
-        # together are 288 x 4,096 float32, 4.7 MB, and take ten row blocks
+        # 32 channels padded to one 64-lane word, 3 x 3, at 64 x 64: the columns
+        # of every output row together are 576 x 4,096 float32, 9.4 MB, and take
+        # nineteen row blocks
         shape = (8, 32, 3, 3)
         codes = rng.integers(0, 4, size=(32, 64, 64), dtype=np.uint8)
-        bits = packed_rows(rng.random(shape) < 0.5)
-        want = unblocked_conv(codes, bits, shape, 1)
+        words = packed_words(rng.random(shape) < 0.5)
+        want = unblocked_conv(codes, words, shape, 1)
         tracemalloc.start()
         try:
-            got = _conv_im2col(codes, bits, shape, (1, 1), (1, 1))
+            got = _conv_im2col(codes, words, shape, (1, 1), (1, 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got.tobytes() == want.tobytes()
-        # the padded input, the float64 result, one block of columns, signs and product
-        assert peak < 4 * 32 * 66 * 66 + want.nbytes + 3 * BLOCK_BYTES
+        # the codes padded to 64 lanes, the float64 result, one block of
+        # columns, signs and product
+        assert peak < LANES * 66 * 66 + want.nbytes + 3 * BLOCK_BYTES
 
-    # n filters of one weight: each is 1 bit and 7 pad bits, and
-    # 2 * BLOCK_BYTES + 13 filters take nine row blocks
+    # n filters of one weight: each is one lane and 63 pad lanes of one
+    # word, and 2 * BLOCK_BYTES + 13 filters take nine row blocks
     @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 2 * BLOCK_BYTES + 13])
     def test_signs_match_packbits(self, rng, n):
         m = toy_checkpoint(rng, oc=1, k=1, kh=1, classes=n)
         head = m.convs["f"]
         om = oracle_from_manifest(m)
-        assert om.signs["f"].shape == (n, 1)
-        assert om.signs["f"].tobytes() == packed_rows(head >= 0).tobytes()
+        assert om.words["f"].shape == (n, 1, 1, 1)
+        assert om.words["f"].tobytes() == packed_words(head >= 0).tobytes()
         assert om.alpha_out == (rounded_mean_abs(head) or 1.0)  # n = 1: one zero weight
 
-    # fan-ins 27 and 147 end mid-byte, 216 on a byte; each conv takes
-    # two to four row blocks
+    # 3 or 24 input channels, one word per tap with pad lanes, at fan-ins
+    # 27, 147 and 216; each conv takes two to four row blocks
     @pytest.mark.parametrize("oc,k,kh", [(5000, 1, 3), (3000, 1, 7), (2000, 8, 3)])
     def test_signs_match_packbits_per_filter(self, rng, oc, k, kh):
         m = toy_checkpoint(rng, oc, k, kh)
@@ -536,10 +556,9 @@ class TestBlockedReductions:
         fan = w[0].size
         assert len(list(row_blocks(oc, 4 * fan))) > 1
         om = oracle_from_manifest(m)
-        want = np.packbits(w.reshape(oc, fan) >= 0, axis=1)
-        assert om.signs["c1"].shape == (oc, -(-fan // 8))
-        assert om.signs["c1"].tobytes() == want.tobytes()
-        assert om.signs["f"].tobytes() == packed_rows(m.convs["f"] >= 0).tobytes()
+        assert om.words["c1"].shape == (oc, padded_channels(3 * k) // LANES, kh, kh)
+        assert om.words["c1"].tobytes() == packed_words(w >= 0).tobytes()
+        assert om.words["f"].tobytes() == packed_words(m.convs["f"] >= 0).tobytes()
 
     def test_alpha_out_and_scales_match_whole_layer(self, erns18_manifest):
         om = oracle_from_manifest(erns18_manifest)
@@ -561,3 +580,61 @@ class TestBlockedReductions:
         assert [n.dst for n in g.convs if g.edges[n.dst].scale == "alpha_out"] == ["head.conv.out"]
         assert "head.conv.out" not in om.edge_scale
         assert {bn.src for bn in g.bnacts} <= set(om.edge_scale)
+
+
+@pytest.fixture(scope="module")
+def small_manifest():
+    return gen_random_checkpoint("erns18x075", seed=3, shared_const=0.5)
+
+
+@pytest.fixture(scope="module")
+def small_model(small_manifest):
+    return compile_checkpoint(small_manifest)
+
+
+def flipped(model, name: str, word: tuple[int, int, int, int], lane: int):
+    """A copy of ``model`` whose conv ``name`` has one weight bit flipped."""
+    w = model.weights[name]
+    bits = w.bits.copy()
+    bits[word] ^= np.uint64(1 << lane)
+    return dataclasses.replace(
+        model, weights={**model.weights, name: PackedWeights(bits=bits, alpha=w.alpha)}
+    )
+
+
+class TestWeightCertificate:
+    """Built against a model, the oracle certifies every weight word and then shares it."""
+
+    def test_certified_words_are_the_models(self, small_manifest, small_model, rng):
+        om = oracle_from_manifest(small_manifest, model=small_model)
+        own = oracle_from_manifest(small_manifest)
+        for node in om.graph.convs:
+            got, bits = om.words[node.name], small_model.weights[node.name].bits
+            assert np.shares_memory(got, bits), node.name
+            assert not np.shares_memory(own.words[node.name], bits), node.name
+            assert np.array_equal(got, own.words[node.name]), node.name
+        img = random_image(rng, 40)
+        assert np.array_equal(oracle_execute(om, img).logits, oracle_execute(own, img).logits)
+        assert cross_check(small_model, om, [img]).ok
+
+    # a mid-network conv; the stem's 30-channel conv, at the last logical
+    # lane of its one word; the head
+    @pytest.mark.parametrize("name,word,lane", [
+        ("s3.b1.conv2", (5, 1, 2, 0), 40),
+        ("stem.conv1", (63, 0, 2, 2), 29),
+        ("head.conv", (999, 5, 0, 0), 0),
+    ])
+    def test_flipped_bit_names_conv(self, small_manifest, small_model, name, word, lane):
+        bad = flipped(small_model, name, word, lane)
+        with pytest.raises(VerificationError, match=f"'{name}'"):
+            oracle_from_manifest(small_manifest, model=bad)
+
+    def test_flipped_pad_lane_names_conv(self, small_manifest, small_model):
+        # lane 30 of the stem's word is pad: a model must store it as 1 too
+        bad = flipped(small_model, "stem.conv1", (0, 0, 0, 0), 30)
+        with pytest.raises(VerificationError, match="'stem.conv1'"):
+            oracle_from_manifest(small_manifest, model=bad)
+
+    def test_model_of_another_graph(self, small_manifest, erns18_model):
+        with pytest.raises(ConfigError, match="graphs differ"):
+            oracle_from_manifest(small_manifest, model=erns18_model)
