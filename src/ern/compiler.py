@@ -89,7 +89,7 @@ from .graph import (
 )
 from .quant import BnParams, ThresholdTable, binarize_weights, exact_abs_sum
 from .quant import fuse_thresholds
-from .tensor import BLOCK_BYTES, LANES, PackedWeights, pack_weights, padded_channels, row_blocks
+from .tensor import BLOCK_BYTES, LANES, PackedWeights, pack_weights, row_blocks
 
 MAGIC = b"ERN1"
 FORMAT_VERSION = 3
@@ -156,7 +156,8 @@ class CheckpointManifest:
         or not shaped as ``node.spec`` (OC, IC, kh, kw); each read then
         checks its values finite.  A loaded manifest's reader reads the
         blob file a block at a time; any other reads slices of the
-        ``convs`` array.  Either way no layer of floats is held.
+        ``convs`` array, cast to float32 as :func:`save_manifest` writes
+        them.  Either way no layer of floats is held.
         """
         s = node.spec
         want = (s.out_ch, s.in_ch, s.kh, s.kw)
@@ -173,7 +174,7 @@ class CheckpointManifest:
 
 
 class ConvReader:
-    """One conv's float weights, read as ranges of their flat (OC, IC, kh, kw) C order.
+    """One conv's float32 weights, read as ranges of their flat (OC, IC, kh, kw) C order.
 
     ``w[start:stop]`` reads that range and ``w.rows(rows)`` a block of
     output channels, shaped (rows, IC, kh, kw).  Nothing is cached: each
@@ -182,8 +183,11 @@ class ConvReader:
     closed (it is a context manager), and each read checks the file's
     size again and is one ``np.fromfile`` of the range; a blob that no
     longer holds its layer's bytes raises :class:`ConfigError` naming the
-    layer.  Over an array, a read is a slice.  Every read checks its
-    values finite (:class:`CompileError` naming the layer).
+    layer.  Over an array, a read is a slice cast to float32 as
+    :func:`save_manifest` writes it, so an array and its saved copy read
+    the same values (a value past float32's range reads as infinite).
+    Every read is float32 and checks its values finite
+    (:class:`CompileError` naming the layer).
     """
 
     def __init__(self, name: str, shape: tuple[int, ...], source: np.ndarray | Path):
@@ -210,6 +214,7 @@ class ConvReader:
             block = np.fromfile(self._file, dtype="<f4", count=stop - start)
             if block.size != stop - start:  # cut short after the size check
                 raise ConfigError(f"{where}: blob ends inside element {start + block.size}")
+        with np.errstate(over="ignore"):  # an overflow is an inf, refused below
             block = block.astype(np.float32, copy=False)
         if not np.isfinite(block).all():
             raise CompileError(self.name, "weights contain non-finite values")
@@ -464,8 +469,8 @@ def compile_checkpoint(
     composition it replaces, raises :class:`CompileError` naming the
     BnAct.
 
-    Each conv is read one block of output channels at a time
-    (:func:`ern.tensor.row_blocks`, a block's float32 weights being about
+    Each conv is read one float32 block of output channels at a time
+    (:func:`ern.tensor.row_blocks`, a block's weights being about
     ``ern.tensor.BLOCK_BYTES``), and each weight is read once.  Each
     block is binarized (:func:`binarize_weights`) and packed
     (:func:`pack_weights`) into its rows of the conv's one word array;
@@ -479,7 +484,7 @@ def compile_checkpoint(
     alpha_out, head_sum = 1.0, 0
     for node in g.convs:
         s = node.spec
-        bits = np.empty((s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw), np.uint64)
+        bits = np.empty(s.word_shape, np.uint64)
         alpha = np.empty(s.out_ch)
         zero = 0  # all-zero filters
         scale = g.edges[node.dst].scale
@@ -699,8 +704,8 @@ def load(source: bytes | BinaryIO) -> CompiledModel:
                 alpha = r.array("<f8", s.out_ch).astype(np.float64, copy=False)
                 if not (np.isfinite(alpha) & (alpha > 0)).all():
                     raise FormatError(f"layer '{node.name}': scales must be finite and > 0")
-            shape = (s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw)
-            bits = r.array("<u8", math.prod(shape)).astype(np.uint64, copy=False).reshape(shape)
+            bits = r.array("<u8", math.prod(s.word_shape)).astype(np.uint64, copy=False)
+            bits = bits.reshape(s.word_shape)
             if scale != "alpha":  # filled once the words are read, so the width is backed by bytes
                 alpha = np.full(s.out_ch, c if scale == "c" else alpha_out)
             lanes = s.in_ch % LANES  # the last word's logical lanes; the rest are pad, stored as 1

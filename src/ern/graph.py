@@ -57,6 +57,7 @@ each step's output once, after its dtype check and before its
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,7 +67,7 @@ from .errors import ConfigError, ShapeError
 from .kernels import ConvSpec, avgpool_and_scale, conv_w1a2_naive, conv_w1a2_popcount, residual_add
 from .pixembed import encode_image, thermo_params
 from .quant import apply_thresholds
-from .tensor import LANES, acc_dtype, padded_channels, unpack_activations, unpack_signs
+from .tensor import LANES, acc_dtype, unpack_activations, unpack_signs
 
 # kept only for perfbench's ``tensor.pack`` lookup; goes with ROADMAP item 1
 from .tensor import pack_activations  # noqa: F401
@@ -527,7 +528,7 @@ def model_stats(cfg: ArchConfig, resolution: int) -> ModelStats:
         spec = n.spec
         params += spec.out_ch * spec.fan_in
         # on-disk form: input lanes padded to 64, one u64 word column per 64
-        padded_bytes += spec.out_ch * (padded_channels(spec.in_ch) // LANES) * spec.kh * spec.kw * 8
+        padded_bytes += 8 * math.prod(spec.word_shape)
         _, h, w = shapes[n.src]
         macs += macs_for_conv(spec, h, w)
         c, oh, ow = shapes[n.dst]

@@ -92,6 +92,11 @@ class ConvSpec:
         """Largest possible |accumulator| value: every tap at code 3."""
         return 3 * self.fan_in
 
+    @property
+    def word_shape(self) -> tuple[int, int, int, int]:
+        """Shape of the packed weight words, as ``.ern`` stores them: (OC, IC_pad/64, kh, kw)."""
+        return (self.out_ch, padded_channels(self.in_ch) // LANES, self.kh, self.kw)
+
     def out_spatial(self, h: int, w: int) -> tuple[int, int]:
         oh = (h + 2 * self.padding[0] - self.kh) // self.stride[0] + 1
         ow = (w + 2 * self.padding[1] - self.kw) // self.stride[1] + 1
@@ -165,7 +170,7 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
     nw = padded_channels(spec.in_ch) // LANES
     if x.ndim != 4 or x.shape[:2] != (2, nw):
         raise ShapeError(f"planes {x.shape} are not (2, {nw}, H, W) for {spec.in_ch} channels")
-    if w.bits.shape != (spec.out_ch, nw, spec.kh, spec.kw):
+    if w.bits.shape != spec.word_shape:
         raise ShapeError(f"weight words {w.bits.shape} do not match {spec}")
     lanes = spec.in_ch % LANES
     if lanes and (x[:, -1] >> np.uint64(lanes)).any():

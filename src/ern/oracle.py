@@ -13,11 +13,11 @@ so agreement between the two certifies both.
 Each conv's signs are held in the ``.ern`` word layout: (OC, IC_pad/64,
 kh, kw) uint64 words, bit j of word i of a tap the sign of input
 channel 64*i + j (1 for w >= 0), pad lanes 1.  The build reads each
-conv's weights once, a block of output channels at a time, through the
-manifest's reader, holds no layer of floats, and packs each block with
-its own numpy code (``np.packbits`` of w >= 0, least significant bit
-first), not the engine's packer.  Built against a model (``ern
-verify``), it compares each packed block with the model's words
+conv's float32 weights once, a block of output channels at a time,
+through the manifest's reader, holds no layer of floats, and packs each
+block with its own numpy code (``np.packbits`` of w >= 0, least
+significant bit first), not the engine's packer.  Built against a model
+(``ern verify``), it compares each packed block with the model's words
 (``np.array_equal``) and, once every block of a conv matched, keeps a
 reference to the model's array instead of a copy; a conv that differs
 raises :class:`VerificationError` naming it.  So every weight bit of
@@ -28,18 +28,20 @@ code packs from the manifest, and its arithmetic decodes them itself
 and shares nothing with the popcount kernel.  Built without a model,
 the oracle keeps the words it packed; both run the same conv path.
 
-The convolution expands a block of output channels' words to float32
-+/-1 through a 256-entry little-endian byte table, and multiplies the
-block by the image's columns, ordered (word, kh, kw, lane) over codes
-zero-padded to whole words, so the expansion needs no transpose; only a
-conv whose input width is not a multiple of 64 (the stem's first)
-multiplies pad lanes, each contributing 0.  The columns are built one
-block of output rows at a time; each float32 GEMM's partial sums are
-integers below 2**24, so it is exact, and its result is widened to
-64-bit reals.  The only rounding happens when a scale or the batch norm
-touches a value.  Residual branches therefore stay exactly c times the
-engine's integer accumulators: the oracle adds the unscaled
-(integer-valued) tensors and applies c lazily.  The pool averages the
+The convolution builds the image's columns one tile of output rows at
+a time, ordered (word, kh, kw, lane) over codes zero-padded to whole
+words, and multiplies them by each block of output channels' words,
+expanded to float32 +/-1 through a 256-entry little-endian byte table,
+so the expansion needs no transpose; only a conv whose input width is
+not a multiple of 64 (the stem's first) multiplies pad lanes, each
+contributing 0.  Each float32 GEMM's partial sums are integers below
+2**24, so it is exact, and its result is widened to 64-bit reals.  The
+only rounding happens when a scale or the batch norm touches a value.
+Residual branches therefore stay exactly c times the engine's integer
+accumulators: the oracle adds the unscaled (integer-valued) tensors and
+applies c lazily.  A BnAct reading an ``"alpha"`` edge multiplies by
+that conv's per-channel scales, and one reading a ``"c"`` edge (a
+c-scaled conv or a residual sum) by c itself.  The pool averages the
 head's integer-valued accumulator, which is exact, and then scales by
 alpha_out, the correctly rounded mean |w| of the head
 (:func:`ern.quant.exact_abs_sum`), which no summation order changes;
@@ -64,6 +66,7 @@ of an integer), counted, and excluded; any other disagreement fails.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -100,14 +103,18 @@ TIE_EPS = 1e-9  # |v / s_a - round(v / s_a)| below this is a code-boundary tie
 
 @dataclass(eq=False)
 class OracleModel:
-    """Pre-folding float view of a compiled model."""
+    """Pre-folding float view of a compiled model.
+
+    Per-channel scales are held only for ``"alpha"`` edges; a ``"c"``
+    edge's scale is ``shared_const`` and the head's is ``alpha_out``.
+    """
 
     graph: GraphDef
     shared_const: float
     # each (OC, IC, kh, kw) conv's signs as (OC, IC_pad/64, kh, kw) uint64 .ern words;
     # the model's own arrays when the build certified them
     words: dict[str, np.ndarray]
-    edge_scale: dict[str, np.ndarray]  # acc edge a BnAct may read -> (OC,) effective scale
+    edge_scale: dict[str, np.ndarray]  # "alpha" acc edge -> (OC,) per-channel scale
     bns: dict[str, BnParams]  # the manifest's parameters per BnAct node
     alpha_out: float
 
@@ -144,8 +151,8 @@ def oracle_from_manifest(manifest, shared_const: float | None = None, model=None
     its words of signs (:func:`_pack_words`), its per-channel scales,
     summed in 64-bit reals, and for the head its exact |w| sum
     (:func:`ern.quant.exact_abs_sum`), so alpha_out is the correctly
-    rounded mean |w| that compilation computes too.  A ``"c"`` edge's
-    scale is one value broadcast over its channels.
+    rounded mean |w| that compilation computes too.  Only ``"alpha"``
+    edges get per-channel scales; ``"c"`` edges read c.
 
     With a compiled ``model`` (of the same graph, else
     :class:`ConfigError`), each block's words are compared with the
@@ -163,11 +170,10 @@ def oracle_from_manifest(manifest, shared_const: float | None = None, model=None
     edge_scale: dict[str, np.ndarray] = {}
     alpha_out, head_sum = 1.0, 0
     for node in g.convs:
-        # signs read the manifest's floats as they are; scales sum in 64 bits
+        # signs and scales read the reader's float32 blocks; scales sum in 64 bits
         s = node.spec
         scale = g.edges[node.dst].scale
-        shape = (s.out_ch, padded_channels(s.in_ch) // LANES, s.kh, s.kw)
-        held = np.empty(shape, np.uint64) if model is None else model.weights[node.name].bits
+        held = np.empty(s.word_shape, np.uint64) if model is None else model.weights[node.name].bits
         alpha = np.empty(s.out_ch)
         with manifest.conv_weights(node) as w:
             for rows in row_blocks(s.out_ch, 4 * s.fan_in):
@@ -187,22 +193,12 @@ def oracle_from_manifest(manifest, shared_const: float | None = None, model=None
         words[node.name] = held
         if scale == "alpha":
             edge_scale[node.dst] = np.where(alpha == 0.0, 1.0, alpha)
-        elif scale == "c":  # c > 0, one value for every channel
-            edge_scale[node.dst] = np.broadcast_to(np.float64(c), (s.out_ch,))
-        else:  # the pool reads om.alpha_out; no BnAct reads the head
+        elif scale == "alpha_out":  # the pool reads om.alpha_out; no BnAct reads the head
             alpha_out = float(head_sum / w.size) or 1.0
-    for n in g.nodes:
-        if isinstance(n, ResidualAdd):
-            edge_scale[n.dst] = edge_scale[n.src_a]
 
     bns = {bn.name: manifest.bnacts[bn.name] for bn in g.bnacts}
     return OracleModel(
-        graph=g,
-        shared_const=c,
-        words=words,
-        edge_scale=edge_scale,
-        bns=bns,
-        alpha_out=alpha_out,
+        graph=g, shared_const=c, words=words, edge_scale=edge_scale, bns=bns, alpha_out=alpha_out
     )
 
 
@@ -230,16 +226,16 @@ def _conv_im2col(codes: np.ndarray, words: np.ndarray, shape, stride, padding) -
     channel 64*i + j, 1 for +1.  Every product and partial sum is an
     integer of magnitude at most 3 * fan_in (pad lanes meet code 0), and
     integers below 2**24 are exact in float32, so the result is exact
-    whatever order a GEMM sums in.  The words are expanded one block of
-    output channels at a time (:func:`ern.tensor.row_blocks`, a block's
-    float32 signs being about ``BLOCK_BYTES``), byte by byte through the
-    little-endian table, which orders each row (word, kh, kw, lane).  Each
-    block multiplies the image's columns in that order, built from the
+    whatever order a GEMM sums in.  One loop order: for each tile of
+    output rows (:func:`ern.tensor.row_blocks`, a tile's float32 columns
+    being about ``BLOCK_BYTES``), the columns are built once from the
     window view over the codes zero-padded to whole words (uint8, one
-    byte a lane), one block of output rows at a time, a block's columns
-    being about ``BLOCK_BYTES``; when one block holds every row they are
-    built once.  The call holds the padded codes, the float64 result, one
-    block of expanded signs and one block of columns.
+    byte a lane), ordered (word, kh, kw, lane); then each block of output
+    channels (a block's float32 signs being about ``BLOCK_BYTES``) is
+    expanded byte by byte through the little-endian table, which orders
+    each row the same way, and multiplies them.  The call holds the
+    padded codes, the float64 result, one tile of columns and one block
+    of expanded signs.
     """
     ic, h, wd = codes.shape
     oc, wic, kh, kw = shape
@@ -261,21 +257,15 @@ def _conv_im2col(codes: np.ndarray, words: np.ndarray, shape, stride, padding) -
         raise ShapeError(f"empty conv output for input {h}x{wd}")
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     win = win[:, ::sh, ::sw][:, :oh, :ow].reshape(nw, LANES, oh, ow, kh, kw)
-
-    def columns(out_rows: slice) -> np.ndarray:
-        cols = win[:, :, out_rows].transpose(0, 4, 5, 1, 2, 3)
-        return cols.astype(np.float32, order="C").reshape(fan, -1)
-
-    tiles = list(row_blocks(oh, 4 * fan * ow))
-    whole = columns(tiles[0]) if len(tiles) == 1 else None
     acc = np.empty((oc, oh, ow))
-    for rows in row_blocks(oc, 4 * fan):
-        r = rows.stop - rows.start
-        octets = np.ascontiguousarray(words[rows], dtype="<u8").view(np.uint8)
-        signs = _BYTE_SIGNS.take(octets.reshape(-1), axis=0).reshape(r, fan)
-        for t in tiles:
-            cols = columns(t) if whole is None else whole
-            acc[rows, t] = (signs @ cols).reshape(r, -1, ow)
+    for tile in row_blocks(oh, 4 * fan * ow):
+        cols = win[:, :, tile].transpose(0, 4, 5, 1, 2, 3)
+        cols = cols.astype(np.float32, order="C").reshape(fan, -1)
+        for rows in row_blocks(oc, 4 * fan):
+            r = rows.stop - rows.start
+            octets = np.ascontiguousarray(words[rows], dtype="<u8").view(np.uint8)
+            signs = _BYTE_SIGNS.take(octets.reshape(-1), axis=0).reshape(r, fan)
+            acc[rows, tile] = (signs @ cols).reshape(r, -1, ow)
     return acc
 
 
@@ -307,7 +297,10 @@ def oracle_steps(
             )
         elif isinstance(node, BnAct):
             bn = om.bns[node.name]
-            y = om.edge_scale[node.src][:, None, None] * values[node.src]
+            if om.graph.edges[node.src].scale == "alpha":
+                y = om.edge_scale[node.src][:, None, None] * values[node.src]
+            else:  # a "c" edge: a c-scaled conv or a residual sum
+                y = om.shared_const * values[node.src]
             sd = np.sqrt(bn.var + bn.epsilon)[:, None, None]
             pre = bn.gamma[:, None, None] * (y - bn.mean[:, None, None]) / sd + bn.beta[:, None, None]
             del y  # else the suspended walk holds it while the caller runs
@@ -346,12 +339,13 @@ class LayerReport:
 
 @dataclass
 class CrossCheckReport:
+    # fields in the order of the JSON report's keys
     ok: bool = True
     images: int = 0
-    layers: dict[str, LayerReport] = field(default_factory=dict)
-    first_divergence: str | None = None
     logits_equal: bool = True  # engine and oracle logits bit-identical on every image
     residual_scaling_exact: bool = True
+    first_divergence: str | None = None
+    layers: dict[str, LayerReport] = field(default_factory=dict)
 
     def summary(self) -> str:
         lines = [
@@ -370,21 +364,7 @@ class CrossCheckReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ok": self.ok,
-                "images": self.images,
-                "logits_equal": self.logits_equal,
-                "residual_scaling_exact": self.residual_scaling_exact,
-                "first_divergence": self.first_divergence,
-                "layers": {
-                    n: {"mismatches": r.mismatches, "boundary": r.boundary}
-                    for n, r in self.layers.items()
-                },
-            },
-            indent=2,
-            allow_nan=False,
-        )
+        return json.dumps(dataclasses.asdict(self), indent=2, allow_nan=False)
 
 
 def require_same_graph(model_graph: GraphDef, manifest_graph: GraphDef) -> None:

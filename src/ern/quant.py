@@ -59,7 +59,6 @@ width, where an out-of-range value would wrap silently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -194,63 +193,52 @@ def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     binary approximations.  An all-zero filter yields alpha 0; callers
     must substitute a positive value before packing.
 
-    The weights are read in their own dtype (a checkpoint's float32), one
-    block of output channels at a time (:func:`ern.tensor.row_blocks`, a
-    block's weights being about ``BLOCK_BYTES``): each block is checked
-    finite, its |w| summed per row in 64-bit reals, and its signs written
-    into the one int8 array returned.  The call holds the weights, the
-    int8 signs and block-sized temporaries at once, and each row's scale
-    is the one a whole-layer ``np.abs(w).mean(axis=(1, 2, 3),
-    dtype=np.float64)`` gives.
+    The weights are read in their own dtype, as given: compilation hands
+    it one float32 block of output channels at a time.  They are checked
+    finite, each row's |w| is summed in 64-bit reals
+    (``np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)``), and the signs
+    are returned as int8.
     """
     w = np.asarray(w)
     if w.ndim != 4:
         raise ShapeError(f"weights must be (OC, IC, kh, kw), got {w.shape}")
-    signs = np.empty(w.shape, dtype=np.int8)
-    alpha = np.empty(w.shape[0], dtype=np.float64)
-    for rows in row_blocks(w.shape[0], w.itemsize * math.prod(w.shape[1:])):
-        block = w[rows]
-        if not np.isfinite(block).all():
-            raise DomainError("weights contain NaN or Inf")
-        alpha[rows] = np.abs(block).mean(axis=(1, 2, 3), dtype=np.float64)
-        out = signs[rows]
-        np.multiply((block >= 0).view(np.int8), 2, out=out)
-        out -= 1
-    return signs, alpha
+    if not np.isfinite(w).all():
+        raise DomainError("weights contain NaN or Inf")
+    alpha = np.abs(w).mean(axis=(1, 2, 3), dtype=np.float64)
+    return (w >= 0).view(np.int8) * np.int8(2) - np.int8(1), alpha
 
 
 # elements per sub-chunk of exact_abs_sum: its frexp, integer and float64
-# temporaries of a float32 sub-chunk come to about 0.4 x BLOCK_BYTES
+# temporaries of a sub-chunk come to about 0.4 x BLOCK_BYTES
 _SUM_CHUNK = BLOCK_BYTES // 64
+_LOW = -149  # below every exponent np.frexp gives a float32: its least subnormal is 2**-149
 
 
 def exact_abs_sum(w: np.ndarray) -> Fraction:
-    """The exact sum of |w| over a float array (a checkpoint's float32 weights).
+    """The exact sum of |w| over a float32 array (a checkpoint's weights).
 
     ``np.frexp`` writes each |w| of a sub-chunk as m * 2**e with m in
     [0.5, 1), and ``np.bincount`` sums the m of each e in 64-bit reals.
-    A float32 m is a multiple of 2**-24, so a bin's sum of at most
-    ``_SUM_CHUNK`` of them needs under 38 bits and is exact; a float64 m
-    is split into its float32 rounding and the exact remainder (a
-    multiple of 2**-53 of magnitude at most 2**-25), binned apart.  Each
-    bin's sum, shifted by its exponent, is added into one Python
-    integer, so nothing rounds, and the result does not depend on the
-    order of the weights or of the blocks they are read in.
-    ``float(total / n)`` is then the correctly rounded mean |w|.
+    Each m is a multiple of 2**-24, so a bin's sum of at most
+    ``_SUM_CHUNK`` of them needs under 38 bits and is exact.  Each bin's
+    sum, shifted by its exponent, is added into one Python integer, so
+    nothing rounds, and the result does not depend on the order of the
+    weights or of the blocks they are read in.  ``float(total / n)`` is
+    then the correctly rounded mean |w|.  Any dtype but float32 raises
+    :class:`DomainError`: the checkpoint format and every reader of it
+    hold float32.
     """
-    info = np.finfo(w.dtype)
-    low = info.minexp - info.nmant  # every exponent frexp gives is above it
-    total = 0  # in units of 2**(low - 52)
+    if w.dtype != np.float32:
+        raise DomainError(f"exact sums take float32 weights, got {w.dtype}")
+    total = 0  # in units of 2**(_LOW - 52)
     flat = w.reshape(-1)
     for i in range(0, flat.size, _SUM_CHUNK):
         m, e = np.frexp(np.abs(flat[i : i + _SUM_CHUNK]))
-        e -= low + 1
-        hi = m.astype(np.float32, copy=False)
-        for part in (m,) if hi is m else (hi, m - hi):
-            sums = np.bincount(e, part)
-            for k in np.flatnonzero(sums):
-                total += int(sums[k] * 2.0**53) << int(k)
-    return Fraction(total, 2 ** (52 - low))
+        e -= _LOW + 1
+        sums = np.bincount(e, m)
+        for k in np.flatnonzero(sums):
+            total += int(sums[k] * 2.0**53) << int(k)
+    return Fraction(total, 2 ** (52 - _LOW))
 
 
 def quantize_act_float(v, scale: float) -> np.ndarray:

@@ -206,28 +206,21 @@ def pack_weights(signs: np.ndarray, alpha: np.ndarray) -> PackedWeights:
 
     Every element of ``signs`` must be exactly +1 or -1; ``alpha`` must be
     positive.  Pad lanes are set to bit 1 (never contribute because padded
-    activations are 0).  The signs are checked and packed one block of
-    output channels at a time (:func:`row_blocks`, a block's uint8 lanes
-    being about ``BLOCK_BYTES``), each block writing its rows of the one
-    word array, so the call holds the signs, the words and block-sized
-    temporaries at once.
+    activations are 0).  The signs are packed as given, in one pass, so
+    the call holds the signs, their uint8 lanes and the words at once;
+    compilation hands it one block of output channels at a time.
     """
     signs = np.asarray(signs)
     if signs.ndim != 4:
         raise ShapeError(f"weight signs must be (OC, IC, kh, kw), got {signs.shape}")
+    if not ((signs == 1) | (signs == -1)).all():
+        raise DomainError("weight signs must be exactly +1 or -1")
     oc, ic, kh, kw = signs.shape
-    ic_pad = padded_channels(ic)
-    bits = np.empty((oc, ic_pad // LANES, kh, kw), dtype=np.uint64)
-    for rows in row_blocks(oc, ic_pad * kh * kw):
-        block = signs[rows]
-        if not ((block == 1) | (block == -1)).all():
-            raise DomainError("weight signs must be exactly +1 or -1")
-        lanes = np.ones((len(block), ic_pad, kh, kw), dtype=np.uint8)
-        lanes[:, :ic] = block > 0
-        bits[rows] = _pack_lanes(lanes, 1)
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (oc,):
         raise ShapeError(f"alpha must have one entry per output channel, got {alpha.shape}")
     if not (alpha > 0).all():
         raise DomainError("alpha must be positive")
-    return PackedWeights(bits=bits, alpha=alpha)
+    lanes = np.ones((oc, padded_channels(ic), kh, kw), dtype=np.uint8)
+    lanes[:, :ic] = signs > 0
+    return PackedWeights(bits=_pack_lanes(lanes, 1), alpha=alpha)

@@ -203,6 +203,9 @@ class TestConvBlobsOnDemand:
         assert got.alpha_out == want.alpha_out
         for name, words in want.words.items():
             assert got.words[name].tobytes() == words.tobytes(), name
+        g = want.graph
+        alpha_edges = {n.dst for n in g.convs if g.edges[n.dst].scale == "alpha"}
+        assert set(got.edge_scale) == set(want.edge_scale) == alpha_edges
         for edge, scale in want.edge_scale.items():
             assert got.edge_scale[edge].tobytes() == scale.tobytes(), edge
 
@@ -381,6 +384,50 @@ class TestWorkingSet:
         assert peak <= engine + oracle + 2 * BLOCK_BYTES
 
 
+class TestFloat32Source:
+    """Every conv block is float32, so an in-memory manifest builds what its saved copy builds."""
+
+    def test_reader_casts_arrays_to_float32(self, rng):
+        w = rng.standard_normal((3, 2, 3, 3)) * (1 + 1e-9)
+        with ConvReader("c", w.shape, w) as r:
+            flat, rows = r[0 : w.size], r.rows(slice(1, 3))
+        assert flat.dtype == rows.dtype == np.float32
+        assert np.array_equal(flat, np.float32(w).reshape(-1))
+        assert np.array_equal(rows, np.float32(w)[1:3])
+
+    def test_float64_manifest_builds_what_its_saved_copy_builds(self, small_manifest, tmp_path):
+        # float32 rounds these otherwise: -1e-50 to -0.0, whose sign is +1, and
+        # 1 + 1e-9 to 1; every other weight is nudged off its float32 value
+        convs = {n: w.astype(np.float64) + 1e-9 for n, w in small_manifest.convs.items()}
+        for name in ("stem.conv1", "s1.b1.conv2", "head.conv"):  # "alpha", "c", "alpha_out"
+            convs[name].flat[:2] = [-1e-50, 1 + 1e-9]
+        wide = dataclasses.replace(small_manifest, convs=convs)
+        save_manifest(wide, tmp_path)
+        saved = load_manifest(tmp_path)
+        assert serialize(compile_checkpoint(wide)) == serialize(compile_checkpoint(saved))
+        got, want = oracle_from_manifest(wide), oracle_from_manifest(saved)
+        assert got.alpha_out == want.alpha_out
+        for name, words in want.words.items():
+            assert got.words[name].tobytes() == words.tobytes(), name
+        assert set(got.edge_scale) == set(want.edge_scale)
+        for edge, scale in want.edge_scale.items():
+            assert got.edge_scale[edge].tobytes() == scale.tobytes(), edge
+
+    @pytest.mark.parametrize("build", [compile_checkpoint, oracle_from_manifest])
+    def test_weight_past_float32_range(self, small_manifest, tmp_path, build):
+        convs = dict(small_manifest.convs)
+        convs["stem.conv2"] = convs["stem.conv2"].astype(np.float64)
+        convs["stem.conv2"][0, 0, 0, 0] = 1e300
+        wide = dataclasses.replace(small_manifest, convs=convs)
+        with np.errstate(over="ignore"):  # saved as float32, it is inf
+            save_manifest(wide, tmp_path)
+        for m in (wide, load_manifest(tmp_path)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CompileError, match="stem.conv2"):
+                    build(m)
+
+
 class TestCompile:
     def test_scales_match_whole_layer(self, small_manifest, small_model):
         # alpha_out is the head's mean |w| rounded once; alpha, each filter's mean
@@ -476,6 +523,23 @@ class TestCompile:
             warnings.simplefilter("error")
             with pytest.raises(CompileError, match="s1.b1.bn0"):
                 compile_checkpoint(small_manifest, shared_const=c)
+
+    def test_calls_the_traced_names(self, small_manifest, small_model, monkeypatch):
+        # perfbench times these at their ern.compiler names; a compile that
+        # stopped calling one would report zero time for its layer, not fail
+        calls = dict.fromkeys(("binarize_weights", "pack_weights", "fuse_thresholds"), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _fn=getattr(ern.compiler, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ern.compiler, name, counted)
+        model = compile_checkpoint(small_manifest)
+        g = model.graph
+        assert calls["binarize_weights"] == calls["pack_weights"] >= len(g.convs)
+        assert calls["fuse_thresholds"] == len(g.bnacts)
+        assert serialize(model) == serialize(small_model)
 
     def test_const_convs_carry_shared_const(self, small_model):
         edges = small_model.graph.edges

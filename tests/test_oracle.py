@@ -517,6 +517,17 @@ class TestBlockedReductions:
         got = _conv_im2col(codes, words, shape, (1, 1), (1, 1))
         assert got.tobytes() == unblocked_conv(codes, words, shape, 1).tobytes()
 
+    def test_conv_im2col_tiles_and_blocks(self, rng):
+        # 300 filters of fan-in 576 take two blocks, and 16 output rows of 64
+        # columns each take several tiles: every block meets every tile
+        shape, (h, w) = (300, 64, 3, 3), (16, 64)
+        assert len(list(row_blocks(300, 4 * 576))) > 1
+        assert len(list(row_blocks(h, 4 * 576 * w))) > 1
+        codes = rng.integers(0, 4, size=(64, h, w), dtype=np.uint8)
+        words = packed_words(rng.random(shape) < 0.5)
+        got = _conv_im2col(codes, words, shape, (1, 1), (1, 1))
+        assert got.tobytes() == unblocked_conv(codes, words, shape, 1).tobytes()
+
     def test_conv_im2col_builds_columns_in_row_blocks(self, rng):
         # 32 channels padded to one 64-lane word, 3 x 3, at 64 x 64: the columns
         # of every output row together are 576 x 4,096 float32, 9.4 MB, and take
@@ -579,7 +590,7 @@ class TestBlockedReductions:
         g = om.graph
         assert [n.dst for n in g.convs if g.edges[n.dst].scale == "alpha_out"] == ["head.conv.out"]
         assert "head.conv.out" not in om.edge_scale
-        assert {bn.src for bn in g.bnacts} <= set(om.edge_scale)
+        assert set(om.edge_scale) == {n.dst for n in g.convs if g.edges[n.dst].scale == "alpha"}
 
 
 @pytest.fixture(scope="module")

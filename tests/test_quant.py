@@ -135,12 +135,11 @@ class TestExactAbsSum:
         cut = n // 3
         assert exact_abs_sum(w[:cut]) + exact_abs_sum(w[cut:]) == fraction_sum(w)
 
-    def test_float64_weights(self, rng):
-        # 53-bit mantissas, subnormals and magnitudes far past the float32 range
-        n = _SUM_CHUNK + 7
-        w = rng.standard_normal(n) * np.exp2(rng.integers(-1074, 1000, n))
-        w[:4] = [5e-324, -5e-324, np.finfo(np.float64).max, -0.0]
-        assert exact_abs_sum(w) == fraction_sum(w)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16])
+    def test_refuses_other_dtypes(self, dtype):
+        # the checkpoint format and every reader of it hold float32
+        with pytest.raises(DomainError, match=np.dtype(dtype).name):
+            exact_abs_sum(np.ones(3, dtype))
 
     def test_mean_is_rounded_once(self):
         # erns18's head at seed 11: math.fsum rounds the sum, then the division
