@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 import tracemalloc
@@ -25,7 +26,7 @@ from .compiler import (
     serialize,
 )
 from .errors import ErnError, FormatError, VerificationError
-from .graph import arch_config, execute, model_stats
+from .graph import arch_config, execute, model_stats, preset_name
 from .oracle import cross_check, oracle_from_manifest, require_same_graph
 from .ppm import read_ppm
 
@@ -170,23 +171,41 @@ def cmd_bench(args) -> int:
     img = rng.integers(0, 256, size=(3, r, r), dtype=np.uint8)
     kernels = [args.kernel] if args.kernel else ["popcount", "naive"]
     logits_by_kernel = {}
+    report = {
+        "arch": preset_name(model.graph.arch),
+        "k": model.graph.arch.k,
+        "resolution": r,
+        "iters": args.iters,
+        "seed": args.seed,
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "kernels": {},
+    }
     for kern in kernels:
         times = []
         for _ in range(args.iters):
             t0 = time.perf_counter()
             logits_by_kernel[kern] = execute(model, img, kernel=kern).logits
             times.append(time.perf_counter() - t0)
-        print(
-            f"{kern:9s} mean {np.mean(times) * 1e3:9.2f} ms   min {np.min(times) * 1e3:9.2f} ms"
-            f"   ({args.iters} iters, {r}x{r})"
-        )
-        print(f"{kern:9s} peak {_execute_peak(model, img, kern) / 1e6:9.2f} MB"
-              f"   (tracemalloc, one more untimed run)")
+        got = report["kernels"][kern] = {
+            "mean_ms": float(np.mean(times)) * 1e3,
+            "min_ms": float(np.min(times)) * 1e3,
+            "peak_bytes": _execute_peak(model, img, kern),
+        }
+        if not args.json:
+            print(f"{kern:9s} mean {got['mean_ms']:9.2f} ms   min {got['min_ms']:9.2f} ms"
+                  f"   ({args.iters} iters, {r}x{r})")
+            print(f"{kern:9s} peak {got['peak_bytes'] / 1e6:9.2f} MB"
+                  f"   (tracemalloc, one more untimed run)")
     if len(logits_by_kernel) == 2:
         a, b = logits_by_kernel["popcount"], logits_by_kernel["naive"]
         if not np.array_equal(a, b):
             raise VerificationError("popcount and naive kernels disagree on logits")
-        print("kernel paths agree: identical logits")
+        report["logits_equal"] = True
+        if not args.json:
+            print("kernel paths agree: identical logits")
+    if args.json:
+        print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
@@ -252,6 +271,8 @@ def _build_parser() -> _Parser:
     b.add_argument("--kernel", choices=["popcount", "naive"], default=None)
     b.add_argument("--resolution", type=positive_int, default=256)
     b.add_argument("--seed", type=seed_int, default=0)
+    b.add_argument("--json", action="store_true",
+                   help="print one JSON object: times, peaks, numpy version and CPU count")
     b.set_defaults(fn=cmd_bench)
 
     r = sub.add_parser("init-random", help="write a seeded random checkpoint manifest")

@@ -5,8 +5,10 @@ plus one raw little-endian float32 blob per layer (conv weights in
 (OC, IC, kh, kw) C order; batch-norm blobs are gamma, beta, mean, var
 concatenated).  Any training framework can emit one with a few lines.
 Each BnAct's blob, epsilon and act_scale load into one
-:class:`ern.quant.BnParams`, which checks them when it is built and is
-what compilation and the float oracle read.  Conv blobs, the bulk of a
+:class:`ern.quant.BnParams`, which checks them when it is built;
+compilation and the float oracle read it through
+:meth:`CheckpointManifest.bn_params`, with its statistics at float32 as
+the blob holds them.  Conv blobs, the bulk of a
 checkpoint, are only size-checked on load; compilation and the oracle
 read each one once, in blocks of about ``ern.tensor.BLOCK_BYTES``,
 through a :class:`ConvReader`, so neither holds a whole layer's floats.
@@ -78,7 +80,6 @@ from .errors import (
     VersionError,
 )
 from .graph import (
-    ARCHITECTURES,
     BLOCKS,
     ArchConfig,
     BnAct,
@@ -86,6 +87,7 @@ from .graph import (
     GraphDef,
     arch_config,
     build_model,
+    preset_name,
 )
 from .quant import BnParams, ThresholdTable, binarize_weights, exact_abs_sum
 from .quant import fuse_thresholds
@@ -101,6 +103,7 @@ _HEADER = struct.Struct("<B4B4IIIdd")
 _BNACT_CHANNEL = np.dtype([("t", "<i4", 3), ("flags", "u1")])
 _ASCENDING = 1
 _DEGENERATE = 2
+_BN_STATS = ("gamma", "beta", "mean", "var")  # a batch-norm blob's order
 
 
 # --------------------------------------------------------------------------
@@ -111,9 +114,11 @@ _DEGENERATE = 2
 class CheckpointManifest:
     """Float checkpoint: architecture plus per-layer parameter arrays.
 
-    :meth:`graph` is the one source of the graph, and :meth:`checked_graph`
+    :meth:`graph` is the one source of the graph, :meth:`checked_graph`
     and :meth:`conv_weights` the one check of the held layers against it,
-    for compilation and the float oracle alike.
+    and :meth:`conv_weights` and :meth:`bn_params` the one read of a
+    layer, at float32 as :func:`save_manifest` writes it, for compilation
+    and the float oracle alike.
     """
 
     arch: ArchConfig
@@ -171,6 +176,25 @@ class CheckpointManifest:
         if shape != want:
             raise CompileError(node.name, f"weights shaped {shape}, expected {want}")
         return ConvReader(node.name, want, source)
+
+    def bn_params(self, node: BnAct) -> BnParams:
+        """One BnAct's parameters, each statistic rounded to float32.
+
+        They read as :func:`save_manifest` writes them, so a manifest in
+        memory folds what its saved copy folds.  A record whose statistics
+        are float32 values already is returned as it is held; one that
+        passes float32's range raises :class:`CompileError` naming the
+        layer.  The record must be present (:meth:`checked_graph`).
+        """
+        rec = self.bnacts[node.name]
+        with np.errstate(over="ignore"):  # an overflow is an inf, refused below
+            stats = [getattr(rec, f).astype(np.float32) for f in _BN_STATS]
+        if all(np.array_equal(a, getattr(rec, f)) for a, f in zip(stats, _BN_STATS)):
+            return rec
+        try:
+            return BnParams(*stats, epsilon=rec.epsilon, act_scale=rec.act_scale)
+        except DomainError as e:
+            raise CompileError(node.name, str(e)) from None
 
 
 class ConvReader:
@@ -238,16 +262,33 @@ class ConvReader:
         self.close()
 
 
+def _float32_blob(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as the little-endian float32 of a blob; :class:`ConfigError` if one is infinite."""
+    with np.errstate(over="ignore"):  # an overflow is an inf, refused below
+        blob = np.ascontiguousarray(values, dtype="<f4")
+    if not np.isfinite(blob).all():
+        raise ConfigError(f"layer '{name}': a value is not finite as float32")
+    return blob
+
+
 def save_manifest(m: CheckpointManifest, path: str | Path) -> None:
     """Write manifest.json plus one float32 blob per layer.
 
     The manifest names its architecture: the preset of ``ARCHITECTURES``
-    whose layout is ``m.arch``'s up to k.  Any other layout raises
-    :class:`ConfigError` before anything is written.
+    whose layout is ``m.arch``'s up to k.  Any other layout, and any conv
+    weight or batch-norm statistic that is not finite as float32 (a
+    float64 value past its range), raise :class:`ConfigError` naming it
+    before anything is written.
     """
-    preset = next((n for n, a in ARCHITECTURES.items() if replace(a, k=m.arch.k) == m.arch), None)
+    preset = preset_name(m.arch)
     if preset is None:
         raise ConfigError(f"a manifest names a preset architecture; no preset has {m.arch}")
+    bn_blobs = {
+        name: _float32_blob(name, np.concatenate([getattr(rec, f) for f in _BN_STATS]))
+        for name, rec in m.bnacts.items()
+    }
+    for name, w in m.convs.items():  # checked here, cast again as each is written
+        _float32_blob(name, w)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     layers: dict[str, dict] = {}
@@ -256,15 +297,7 @@ def save_manifest(m: CheckpointManifest, path: str | Path) -> None:
         (root / f"{name}.bin").write_bytes(blob.tobytes())
         layers[name] = {"kind": "conv", "shape": list(w.shape), "file": f"{name}.bin"}
     for name, rec in m.bnacts.items():
-        blob = np.concatenate(
-            [
-                np.asarray(rec.gamma, dtype="<f4"),
-                np.asarray(rec.beta, dtype="<f4"),
-                np.asarray(rec.mean, dtype="<f4"),
-                np.asarray(rec.var, dtype="<f4"),
-            ]
-        )
-        (root / f"{name}.bin").write_bytes(blob.tobytes())
+        (root / f"{name}.bin").write_bytes(bn_blobs[name].tobytes())
         layers[name] = {
             "kind": "bnact",
             "channels": int(rec.gamma.shape[0]),
@@ -513,7 +546,7 @@ def compile_checkpoint(
         info = g.edges[bn.src]
         alpha = np.full(bn.channels, c) if info.scale == "c" else weights[info.producer].alpha
         try:
-            thresholds[bn.name] = fuse_thresholds(alpha, manifest.bnacts[bn.name], info.bound)
+            thresholds[bn.name] = fuse_thresholds(alpha, manifest.bn_params(bn), info.bound)
         except DomainError as e:
             raise CompileError(bn.name, str(e)) from None
 

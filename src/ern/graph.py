@@ -58,7 +58,7 @@ each step's output once, after its dtype check and before its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -389,6 +389,11 @@ def arch_config(name: str) -> ArchConfig:
         raise ConfigError(
             f"unknown architecture '{name}' (have {', '.join(sorted(ARCHITECTURES))})"
         ) from None
+
+
+def preset_name(cfg: ArchConfig) -> str | None:
+    """The preset of ``ARCHITECTURES`` whose layout is ``cfg``'s up to k, or None."""
+    return next((n for n, a in ARCHITECTURES.items() if replace(a, k=cfg.k) == cfg), None)
 
 
 # --------------------------------------------------------------------------

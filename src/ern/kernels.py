@@ -20,32 +20,48 @@ accumulators, each at its edge's width (``acc_dtype`` of the conv's
   kernel works on tiles of whole output rows, and no step holds a
   temporary the size of the input or output map, so its working set
   stays in cache.  A tile has as many rows as keep all its taps'
-  windows within ``2 * BLOCK_BYTES`` (at least one row).  Each tap's strided
-  window of both planes is copied once per tile into a contiguous
-  (2, words, 1, rows * OW) array, straight from the unpadded planes:
-  the part that falls outside the input is zero-filled, so no padded
-  copy exists.  Each tap's (words, OC, 1) weight words are ANDed against
-  both planes by broadcasting, so one AND and one popcount serve both.
-  The image-only term ``popcount(p)`` is summed once per tile for all
-  output channels.  Output channels are then walked in blocks whose
-  uint64 AND temporary over the tile, (2, words, block, rows * OW), is
-  about ``BLOCK_BYTES``: per tap, the block's popcounts are added into
-  a uint16 (uint32 for very large kernels) counter per (plane, word,
-  oc, pixel).  The plane and word axes are outermost, so the counters
-  reduce once per block to ``2 * sum(hi) + sum(lo)`` as two sums over
-  the word axis, in uint16 while the largest possible total fits it and
-  uint32 otherwise.  Rows and channels are split into near-equal parts,
-  so no tile or block is a small remainder.
+  windows within ``BLOCK_BYTES`` (at least one row).  Each tap's strided
+  window of each word is copied once per tile into a contiguous
+  (taps, words, 2 * rows * OW) array, both planes side by side, straight
+  from the unpadded planes: the part that falls outside the input is
+  zero-filled, so no padded copy exists.  The image-only term
+  ``popcount(p)`` is summed once per tile for all output channels.
+  Output channels are then walked in blocks whose uint64 AND temporary
+  over one word of the tile, (block, 2 * rows * OW), is about
+  ``BLOCK_BYTES``.  For each (tap, word) pair, the block's weight words
+  are ANDed against both planes at once by broadcasting, and the
+  popcounts are added into one counter per (oc, plane, pixel), so no
+  per-word counters need reducing.  The counter has the output's
+  width, uint16 or uint32, and wraps like it: ``2 * (2 * hi + lo) -
+  base`` is exact modulo 2**bits (see below).  When a block has more
+  channels than the tile has pixels in both planes (maps of 7x7 and 8x8
+  at 224 and 256), the AND and the counter are laid out (2 * rows * OW,
+  block) instead, so each row runs along channels; the block is
+  transposed once, as its output is written.  Rows and channels are
+  split into near-equal parts, so no tile or block is a small
+  remainder.
+
+  Two numpy costs shape the tap loop.  numpy routes a broadcast ufunc
+  whose rows are shorter than about half its ufunc buffer (8,192
+  elements by default) through copy buffers, which made the AND about
+  three times slower on rows of 49 to 2,048 elements.  So the loop runs
+  inside ``np.errstate()`` with ``np.setbufsize(_BUFSIZE)``; numpy ties
+  the buffer size to that context and restores the caller's on exit,
+  on an error too.  Without buffers, a uint8 -> counter-width cast-add
+  costs several times a same-width add, so each popcount is written
+  into the low byte of a zeroed counter-width array whose other bytes
+  stay zero, and one same-width add follows.
 
 Zero padding uses activation code 0, which contributes exactly 0 to any
 +/-1-weighted sum, making pad semantics bit-exact.
 
 An accumulator keeps its edge's width from the conv output to the pool;
-no wider map is made.  The popcount kernel forms ``2 * hits - base`` in
-the unsigned integer of the output's width, modulo 2**16 or 2**32: 2 *
-hits alone can pass 2**15, but the true value's magnitude is at most
-``acc_bound``, which the width holds, so the wrapped result read as
-signed is exact.  The residual add sums at its output edge's width.
+no wider map is made.  The popcount kernel counts and forms ``2 * hits
+- base`` in the unsigned integer of the output's width, modulo 2**16 or
+2**32: a plane's count, and 2 * hits, can pass that width, but the true
+value's magnitude is at most ``acc_bound``, which the width holds, so
+the wrapped result read as signed is exact.  The residual add sums at
+its output edge's width.
 
 No kernel scans its output for range.  Each range is a fact of the
 graph: a conv's |output| is at most ``acc_bound`` = 3 * fan_in, since
@@ -57,6 +73,7 @@ inputs' bounds; and the graph refuses any bound past its width's limit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,19 +133,23 @@ def _inside(n: int, stride: int, offset: int, size: int) -> tuple[int, int]:
     return lo, max(lo, min(n, (size - 1 - offset) // stride + 1))
 
 
+# elements of numpy's ufunc buffer while the popcount kernel's tap loop runs:
+# a broadcast AND whose rows are shorter than about half the buffer goes
+# through copy buffers, about 3x slower than reading its operands in place
+_BUFSIZE = 16
+
+
 def _tiles(spec: ConvSpec, oh: int, ow: int) -> tuple[int, int]:
     """Output rows per tile and output channels per block of the popcount kernel.
 
-    A tile's windows are at most ``2 * BLOCK_BYTES`` and a block's AND
-    temporary over one tile at most ``BLOCK_BYTES`` (unless one row alone
-    is larger), and each axis is split into as few parts as that allows,
-    of near-equal size.  The windows get twice the budget because
-    splitting a map whose windows fit it measured up to 1.7x slower: at
-    256 that is every conv after the stem's first two, whose tiles would
-    fall to 2,048 pixels, and the AND runs slower on such short rows.
+    A tile's windows are at most ``BLOCK_BYTES``, and so is a block's AND
+    temporary over one tile and one word, (block, 2 * rows * OW), unless
+    one row alone is larger; each axis is split into as few parts as that
+    allows, of near-equal size.
     """
-    row = 2 * (padded_channels(spec.in_ch) // LANES) * ow * 8  # both planes' words, one row
-    rows = even_parts(oh, 2 * BLOCK_BYTES // (spec.kh * spec.kw * row))
+    row = 2 * ow * 8  # both planes' words of one output row, one word deep
+    nw = padded_channels(spec.in_ch) // LANES
+    rows = even_parts(oh, BLOCK_BYTES // (spec.kh * spec.kw * nw * row))
     return rows, even_parts(spec.out_ch, BLOCK_BYTES // (rows * row))
 
 
@@ -165,7 +186,8 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
 
     The planes must hold ``spec.in_ch`` channels: their word count is
     checked against it, and when the last word has pad lanes, that no
-    code sits in one (each would add to the popcount).
+    code sits in one (each would add to the popcount).  numpy's ufunc
+    buffer size is the caller's again when the call returns or raises.
     """
     nw = padded_channels(spec.in_ch) // LANES
     if x.ndim != 4 or x.shape[:2] != (2, nw):
@@ -187,26 +209,25 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
     # 2 * hits - base never exceeds acc_bound, which the width holds
     dtype = acc_dtype(spec.acc_bound)
     wrap = np.dtype(f"u{dtype.itemsize}")
-    # (taps, words, OC, 1): each tap's weight words, ANDed against both planes
-    wtaps = w.bits.reshape(spec.out_ch, nw, taps)
-    wtaps = np.ascontiguousarray(wtaps.transpose(2, 1, 0))[..., None]
+    # (taps, words, OC): each tap's weight words, ANDed against both planes
+    wtaps = np.ascontiguousarray(w.bits.reshape(spec.out_ch, nw, taps).transpose(2, 1, 0))
 
     rows, block = _tiles(spec, oh, ow)
-    # each tap adds at most 64 to a (plane, word, oc, pixel) counter, and each
-    # word and tap at most 3 * 64 to a pixel's 2 * sum(hi) + sum(lo)
-    count_dtype = np.uint16 if taps * LANES < 2**16 else np.uint32
-    hits_dtype = np.uint16 if 3 * LANES * nw * taps < 2**16 else np.uint32
-    window_words = np.empty(taps * 2 * nw * rows * ow, dtype=np.uint64)
-    anded = np.empty((2, nw, block, rows * ow), dtype=np.uint64)
-    bits = np.empty(anded.shape, dtype=np.uint8)
-    counts = np.empty(anded.shape, dtype=count_dtype)
+    window_words = np.empty(taps * nw * 2 * rows * ow, dtype=np.uint64)
+    anded = np.empty(block * 2 * rows * ow, dtype=np.uint64)
+    counts = np.empty(anded.size, dtype=wrap)
+    # each popcount lands in the low byte of a counter-width element whose
+    # other bytes stay zero, so the add into ``counts`` casts nothing
+    low = np.zeros(anded.size, dtype=wrap)
+    first = 0 if sys.byteorder == "little" else wrap.itemsize - 1
+    low_bytes = low.view(np.uint8)[first :: wrap.itemsize]
     acc = np.empty((spec.out_ch, oh * ow), dtype=dtype)
     for r0 in range(0, oh, rows):
         r1 = min(r0 + rows, oh)
         n = (r1 - r0) * ow
-        # (taps, 2, words, rows, OW): each tap's strided window of both planes,
+        # (taps, words, 2, rows, OW): each tap's strided window of both planes,
         # read from the input where it lies inside and zero (code 0) elsewhere
-        windows = window_words[: taps * 2 * nw * n].reshape(taps, 2, nw, r1 - r0, ow)
+        windows = window_words[: taps * nw * 2 * n].reshape(taps, nw, 2, r1 - r0, ow)
         for t in range(taps):
             i, j = divmod(t, spec.kw)
             (a0, a1), (c0, c1) = tap_rows[i], tap_cols[j]
@@ -216,26 +237,38 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
             if a0 < a1 and c0 < c1:
                 rs = slice(a0 * sh + i - ph, (a1 - 1) * sh + i - ph + 1, sh)
                 cs = slice(c0 * sw + j - pw, (c1 - 1) * sw + j - pw + 1, sw)
-                windows[t, :, :, a0 - r0 : a1 - r0, c0:c1] = x[:, :, rs, cs]
-        windows = windows.reshape(taps, 2, nw, 1, n)
-        pc = popcount(windows[..., 0, :])
-        base = 2 * pc[:, 0].sum(axis=(0, 1), dtype=wrap)
-        base += pc[:, 1].sum(axis=(0, 1), dtype=wrap)
-        for o0 in range(0, spec.out_ch, block):
-            o1 = min(o0 + block, spec.out_ch)
-            a, b, c = (buf[:, :, : o1 - o0, :n] for buf in (anded, bits, counts))
-            for t in range(taps):
-                np.bitwise_and(wtaps[t, :, o0:o1], windows[t], out=a)
-                if t == 0:
-                    np.bitwise_count(a, out=c)
+                windows[t, :, :, a0 - r0 : a1 - r0, c0:c1] = x[:, :, rs, cs].swapaxes(0, 1)
+        windows = windows.reshape(taps, nw, 2 * n)
+        pc = popcount(windows).reshape(taps * nw, 2, n)
+        base = 2 * pc[:, 0].sum(axis=0, dtype=wrap)
+        base += pc[:, 1].sum(axis=0, dtype=wrap)
+        with np.errstate():
+            np.setbufsize(_BUFSIZE)  # restored when the context exits
+            for o0 in range(0, spec.out_ch, block):
+                o1 = min(o0 + block, spec.out_ch)
+                size = (o1 - o0) * 2 * n
+                # each AND's rows run along the longer of the block's channels
+                # and both planes' pixels
+                by_channel = o1 - o0 > 2 * n
+                if by_channel:
+                    shape, ws, xs = (2 * n, o1 - o0), wtaps[:, :, o0:o1], windows[..., None]
                 else:
-                    np.add(c, np.bitwise_count(a, out=b), out=c)
-            hits = np.add.reduce(c[0], axis=0, dtype=hits_dtype)
-            hits *= 2
-            hits += np.add.reduce(c[1], axis=0, dtype=hits_dtype)
-            out = acc[o0:o1, r0 * ow : r1 * ow].view(wrap)
-            np.multiply(hits, 2, out=out, dtype=wrap, casting="unsafe")  # 2 * hits modulo 2**bits
-            out -= base
+                    shape, ws, xs = (o1 - o0, 2 * n), wtaps[:, :, o0:o1, None], windows
+                a, c, pcs, pcs_low = (
+                    buf[:size].reshape(shape) for buf in (anded, counts, low, low_bytes)
+                )
+                c.fill(0)
+                for t in range(taps):
+                    for k in range(nw):
+                        np.bitwise_and(ws[t, k], xs[t, k], out=a)
+                        np.bitwise_count(a, out=pcs_low)
+                        c += pcs
+                c = (c.T if by_channel else c).reshape(o1 - o0, 2, n)
+                out = acc[o0:o1, r0 * ow : r1 * ow].view(wrap)
+                np.multiply(c[:, 0], 2, out=out)  # 2 * (2 * hi + lo) - base, modulo 2**bits
+                out += c[:, 1]
+                out *= 2
+                out -= base
     return acc.reshape(spec.out_ch, oh, ow)
 
 

@@ -196,7 +196,7 @@ def oracle_from_manifest(manifest, shared_const: float | None = None, model=None
         elif scale == "alpha_out":  # the pool reads om.alpha_out; no BnAct reads the head
             alpha_out = float(head_sum / w.size) or 1.0
 
-    bns = {bn.name: manifest.bnacts[bn.name] for bn in g.bnacts}
+    bns = {bn.name: manifest.bn_params(bn) for bn in g.bnacts}
     return OracleModel(
         graph=g, shared_const=c, words=words, edge_scale=edge_scale, bns=bns, alpha_out=alpha_out
     )

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -292,6 +293,26 @@ class TestBench:
         finally:
             tracemalloc.stop()
         assert float(mb) == pytest.approx(peak / 1e6, rel=0.1)
+
+    def test_json_report(self, ws, capsys):
+        rc = main(["bench", "--model", str(ws["model"]), "--iters", "2",
+                   "--resolution", "48", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)  # one object, nothing else
+        assert (doc["arch"], doc["k"], doc["resolution"], doc["iters"]) == ("erns18x075", 10, 48, 2)
+        assert doc["numpy"] == np.__version__ and doc["cpu_count"] == os.cpu_count()
+        assert set(doc["kernels"]) == {"popcount", "naive"} and doc["logits_equal"] is True
+        for kern in doc["kernels"].values():
+            assert 0 < kern["min_ms"] <= kern["mean_ms"]
+            assert kern["peak_bytes"] > 0
+        assert not tracemalloc.is_tracing()
+
+    def test_json_report_of_one_kernel(self, ws, capsys):
+        rc = main(["bench", "--model", str(ws["model"]), "--iters", "1",
+                   "--kernel", "popcount", "--resolution", "48", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc["kernels"]) == {"popcount"} and "logits_equal" not in doc
 
     def test_threads_flag_removed(self, ws):
         rc = main(["bench", "--model", str(ws["model"]), "--iters", "1",

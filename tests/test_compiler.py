@@ -415,17 +415,58 @@ class TestFloat32Source:
 
     @pytest.mark.parametrize("build", [compile_checkpoint, oracle_from_manifest])
     def test_weight_past_float32_range(self, small_manifest, tmp_path, build):
+        # as float32 it is inf: saving refuses it before writing anything,
+        # and the manifest in memory builds nothing either
         convs = dict(small_manifest.convs)
         convs["stem.conv2"] = convs["stem.conv2"].astype(np.float64)
         convs["stem.conv2"][0, 0, 0, 0] = 1e300
         wide = dataclasses.replace(small_manifest, convs=convs)
-        with np.errstate(over="ignore"):  # saved as float32, it is inf
-            save_manifest(wide, tmp_path)
-        for m in (wide, load_manifest(tmp_path)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(CompileError, match="stem.conv2"):
-                    build(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="stem.conv2"):
+                save_manifest(wide, tmp_path / "ckpt")
+            with pytest.raises(CompileError, match="stem.conv2"):
+                build(wide)
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("stat", ["gamma", "beta", "mean", "var"])
+    @pytest.mark.parametrize("build", [compile_checkpoint, oracle_from_manifest])
+    def test_statistic_past_float32_range(self, small_manifest, tmp_path, build, stat):
+        bnacts = dict(small_manifest.bnacts)
+        values = getattr(bnacts["s2.b1.bn1"], stat).copy()
+        values[3] = 1e300
+        bnacts["s2.b1.bn1"] = dataclasses.replace(bnacts["s2.b1.bn1"], **{stat: values})
+        wide = dataclasses.replace(small_manifest, bnacts=bnacts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="s2.b1.bn1"):
+                save_manifest(wide, tmp_path / "ckpt")
+            with pytest.raises(CompileError, match="s2.b1.bn1"):
+                build(wide)
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_float64_batch_norm_builds_what_its_saved_copy_builds(self, tmp_path):
+        # each nudged statistic rounds back to its float32 value when saved;
+        # held as float64, one threshold of this checkpoint folded otherwise
+        m = gen_random_checkpoint("erns18x075", seed=5)
+        up, down = 1 + 2.5e-8, 1 - 2.5e-8
+        bnacts = {
+            n: dataclasses.replace(r, gamma=r.gamma * up, mean=r.mean * up, var=r.var * down)
+            for n, r in m.bnacts.items()
+        }
+        wide = dataclasses.replace(m, bnacts=bnacts)
+        save_manifest(wide, tmp_path)
+        saved = load_manifest(tmp_path)
+        assert serialize(compile_checkpoint(wide)) == serialize(compile_checkpoint(saved))
+        got, want = oracle_from_manifest(wide), oracle_from_manifest(saved)
+        for name, rec in want.bns.items():
+            for stat in ("gamma", "beta", "mean", "var"):
+                assert getattr(got.bns[name], stat).tobytes() == getattr(rec, stat).tobytes()
+
+    def test_float32_batch_norm_is_read_as_held(self, small_manifest):
+        # a record already at float32 is not copied, so the oracle holds no twin
+        for bn in small_manifest.graph().bnacts:
+            assert small_manifest.bn_params(bn) is small_manifest.bnacts[bn.name]
 
 
 class TestCompile:

@@ -120,11 +120,11 @@ class TestBlockedKernel:
     """Shapes that split the popcount kernel's row tiles and output-channel blocks."""
 
     def test_ragged_last_block(self, rng):
-        spec = ConvSpec(70, 23, 3, 3, (1, 1), (1, 1))
+        spec = ConvSpec(70, 61, 3, 3, (1, 1), (1, 1))
         block = tiles(spec, 48, 48)[1]
         assert 1 < block < spec.out_ch and spec.out_ch % block
         codes = rng.integers(0, 4, size=(70, 48, 48), dtype=np.uint8)
-        signs = rng.choice([-1, 1], size=(23, 70, 3, 3)).astype(np.int8)
+        signs = rng.choice([-1, 1], size=(61, 70, 3, 3)).astype(np.int8)
         naive, pop = run_both(codes, signs, spec)
         assert np.array_equal(naive, pop)
 
@@ -138,8 +138,8 @@ class TestBlockedKernel:
         assert np.array_equal(naive, pop)
 
     def test_row_wider_than_budget(self, rng):
-        # one output row of windows passes the windows' budget, twice
-        # BLOCK_BYTES, so each tile is one row
+        # one output row of windows passes the windows' budget,
+        # BLOCK_BYTES, twice over, so each tile is one row
         spec = ConvSpec(1280, 4, 3, 3, (1, 1), (1, 1))
         assert window_bytes(spec, 400) > 2 * BLOCK_BYTES
         assert tiles(spec, 3, 400)[0] == 1
@@ -173,6 +173,18 @@ class TestBlockedKernel:
         centre = signs[:, :, 1, 1].astype(np.int64) @ codes[:, 0, 0]
         assert pop[:, 0, 0].tolist() == centre.tolist()
 
+    @pytest.mark.parametrize("size", [4, 40])
+    def test_and_rows_by_channel_or_by_pixel(self, rng, size):
+        # at 4x4 a block's channels outnumber both planes' 16 pixels, so each
+        # AND's rows run along channels; at 40x40 they run along pixels
+        spec = ConvSpec(130, 300, 3, 3, (1, 1), (1, 1))
+        rows, block = tiles(spec, size, size)
+        assert (block > 2 * rows * size) == (size == 4)
+        codes = rng.integers(0, 4, size=(130, size, size), dtype=np.uint8)
+        signs = rng.choice([-1, 1], size=(300, 130, 3, 3)).astype(np.int8)
+        naive, pop = run_both(codes, signs, spec)
+        assert np.array_equal(naive, pop)
+
     def test_stock_stem(self, rng):
         spec = ConvSpec(30, 64, 3, 3, (2, 2), (1, 1))
         assert tiles(spec, 64, 64)[1] < spec.out_ch
@@ -197,8 +209,8 @@ class TestBlockedKernel:
             (ConvSpec(2048, 1000, 1, 1), 7),
             (ConvSpec(30, 64, 3, 3, (2, 2)), 65),
             # 3x3 taps over 37 words total at most 63936, inside uint16; over
-            # 38 words they reach 65664, past it, though each per-tap counter
-            # (at most 9 * 64) still fits
+            # 38 words they reach 65664, past it, so the uint16 counters and
+            # 2 * hits wrap, and only the int16 result is in range
             (ConvSpec(2368, 2, 3, 3), 3),
             (ConvSpec(2432, 2, 3, 3), 3),
         ],
@@ -219,6 +231,45 @@ class TestBlockedKernel:
         naive, pop = run_both(codes, signs, spec)
         assert (pop[:2] == spec.acc_bound).all()
         assert np.array_equal(naive, pop)
+
+
+class TestBufferScope:
+    """The popcount kernel shrinks numpy's ufunc buffer only inside its own scope."""
+
+    def case(self, rng):
+        spec = ConvSpec(130, 40, 3, 3, (1, 1), (1, 1))
+        codes = rng.integers(0, 4, size=(130, 14, 14), dtype=np.uint8)
+        signs = rng.choice([-1, 1], size=(40, 130, 3, 3)).astype(np.int8)
+        return spec, codes, signs
+
+    @pytest.mark.parametrize("bufsize", [16, 8192, 2**20])
+    def test_same_accumulators_under_any_buffer_size(self, rng, bufsize):
+        spec, codes, signs = self.case(rng)
+        x, w = pack_activations(codes), pack_weights(signs, np.ones(spec.out_ch))
+        with np.errstate():
+            np.setbufsize(bufsize)
+            got = conv_w1a2_popcount(x, w, spec)
+            assert np.getbufsize() == bufsize
+        assert np.array_equal(got, conv_w1a2_naive(codes, signs, spec))
+
+    def test_buffer_size_restored_after_an_error(self, rng, monkeypatch):
+        spec, codes, signs = self.case(rng)
+        x, w = pack_activations(codes), pack_weights(signs, np.ones(spec.out_ch))
+        before = np.getbufsize()
+        conv_w1a2_popcount(x, w, spec)
+        assert np.getbufsize() == before
+        with pytest.raises(ShapeError):  # refused before the tap loop
+            conv_w1a2_popcount(x[:, :1], w, spec)
+        assert np.getbufsize() == before
+
+        def fail(*args, **kwargs):
+            raise ShapeError("raised inside the tap loop")
+
+        monkeypatch.setattr(np, "bitwise_and", fail)
+        with pytest.raises(ShapeError, match="tap loop"):
+            conv_w1a2_popcount(x, w, spec)
+        monkeypatch.undo()
+        assert np.getbufsize() == before
 
 
 class TestAccumulatorWidth:
