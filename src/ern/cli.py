@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -176,7 +177,8 @@ def cmd_bench(args) -> int:
         "k": model.graph.arch.k,
         "resolution": r,
         "iters": args.iters,
-        "seed": args.seed,
+        "image_seed": args.seed,
+        "model_sha256": _sha256(args.model),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "kernels": {},
@@ -207,6 +209,11 @@ def cmd_bench(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2))
     return EXIT_OK
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def _execute_peak(model, img, kernel: str) -> int:
@@ -272,7 +279,8 @@ def _build_parser() -> _Parser:
     b.add_argument("--resolution", type=positive_int, default=256)
     b.add_argument("--seed", type=seed_int, default=0)
     b.add_argument("--json", action="store_true",
-                   help="print one JSON object: times, peaks, numpy version and CPU count")
+                   help="print one JSON object: times, peaks, the model's SHA-256, "
+                        "numpy version and CPU count")
     b.set_defaults(fn=cmd_bench)
 
     r = sub.add_parser("init-random", help="write a seeded random checkpoint manifest")

@@ -275,10 +275,12 @@ def save_manifest(m: CheckpointManifest, path: str | Path) -> None:
     """Write manifest.json plus one float32 blob per layer.
 
     The manifest names its architecture: the preset of ``ARCHITECTURES``
-    whose layout is ``m.arch``'s up to k.  Any other layout, and any conv
-    weight or batch-norm statistic that is not finite as float32 (a
-    float64 value past its range), raise :class:`ConfigError` naming it
-    before anything is written.
+    whose layout is ``m.arch``'s up to k.  Any other layout, any batch-norm
+    statistic that is not finite as float32, and any conv weight held
+    wider than float32 that is not finite when cast to it (a float64
+    value past its range), raise :class:`ConfigError` naming it before
+    anything is written.  A conv array already at float32, as every
+    loaded and generated one is, is written as held.
     """
     preset = preset_name(m.arch)
     if preset is None:
@@ -287,8 +289,10 @@ def save_manifest(m: CheckpointManifest, path: str | Path) -> None:
         name: _float32_blob(name, np.concatenate([getattr(rec, f) for f in _BN_STATS]))
         for name, rec in m.bnacts.items()
     }
-    for name, w in m.convs.items():  # checked here, cast again as each is written
-        _float32_blob(name, w)
+    if not isinstance(m.convs, _ConvBlobs):  # a lookup there reads a float32 blob
+        for name, w in m.convs.items():
+            if np.asarray(w).dtype != np.float32:  # checked here, cast again as written
+                _float32_blob(name, w)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     layers: dict[str, dict] = {}

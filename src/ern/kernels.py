@@ -35,9 +35,11 @@ accumulators, each at its edge's width (``acc_dtype`` of the conv's
   width, uint16 or uint32, and wraps like it: ``2 * (2 * hi + lo) -
   base`` is exact modulo 2**bits (see below).  When a block has more
   channels than the tile has pixels in both planes (maps of 7x7 and 8x8
-  at 224 and 256), the AND and the counter are laid out (2 * rows * OW,
-  block) instead, so each row runs along channels; the block is
-  transposed once, as its output is written.  Rows and channels are
+  at 224 and 256, and of 4x4 and below), the AND and the counter are
+  laid out (2 * rows * OW, block) instead, so each row runs along
+  channels; the block is transposed once, as its output is written.
+  Laid out by pixel, the 4x4 and 2x2 maps' rows of 8 to 32 elements
+  cost up to three times as much, one ufunc inner-loop call each.  Rows and channels are
   split into near-equal parts, so no tile or block is a small
   remainder.
 

@@ -46,13 +46,10 @@ ACC_LIMIT = int(np.iinfo(ACC_DTYPE).max) - 1  # largest |accumulator| the engine
 
 # bytes of each large working array of a hot-path step: a popcount conv's row
 # tile of tap windows, and its uint64 AND temporary over one weight word of
-# that tile, which is as wide as the block's (oc, plane, pixel) counter of
-# the output's width beside it (the counter sums every tap and word; the
-# popcounts land in the low bytes of one more array of that width, and the
-# loop runs with numpy's ufunc buffer shrunk, so its short rows are read in
-# place, not copied; see ern.kernels); a threshold stage's row block of bit
-# planes; a row block of one layer's weights as compilation and the oracle
-# read them.  Sized to stay in cache (256 KiB to 1 MiB measured flat)
+# that tile, with the block's counters beside it (see ern.kernels); a
+# threshold stage's row block of bit planes; a row block of one layer's
+# weights as compilation and the oracle read them.  Sized to stay in cache
+# (256 KiB to 1 MiB measured flat)
 BLOCK_BYTES = 512 * 1024
 
 

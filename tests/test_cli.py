@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -301,6 +302,8 @@ class TestBench:
         doc = json.loads(capsys.readouterr().out)  # one object, nothing else
         assert (doc["arch"], doc["k"], doc["resolution"], doc["iters"]) == ("erns18x075", 10, 48, 2)
         assert doc["numpy"] == np.__version__ and doc["cpu_count"] == os.cpu_count()
+        assert doc["image_seed"] == 0
+        assert doc["model_sha256"] == hashlib.sha256(ws["model"].read_bytes()).hexdigest()
         assert set(doc["kernels"]) == {"popcount", "naive"} and doc["logits_equal"] is True
         for kern in doc["kernels"].values():
             assert 0 < kern["min_ms"] <= kern["mean_ms"]

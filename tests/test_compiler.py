@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 import zlib
 from collections.abc import Mapping, MutableMapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +183,23 @@ class TestConvBlobsOnDemand:
         with pytest.raises(ConfigError, match="s4.b1.conv2"):
             build(m)
         assert broken  # the first range was read whole, the next one refused
+
+    def test_save_reads_each_blob_once(self, ckpt, tmp_path, monkeypatch):
+        m = load_manifest(ckpt)
+        fromfile = np.fromfile
+        reads = []
+
+        def counted(file, *args, **kwargs):
+            reads.append(Path(file).stem)
+            return fromfile(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "fromfile", counted)
+        save_manifest(m, tmp_path / "copy")
+        assert sorted(reads) == sorted(m.convs)
+        for name in m.convs:
+            assert (tmp_path / "copy" / f"{name}.bin").read_bytes() == (
+                ckpt / f"{name}.bin"
+            ).read_bytes()
 
     def test_reader_checks_every_range(self, ckpt):
         node = next(n for n in build_model(arch_config("erns18x075")).convs
