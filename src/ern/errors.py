@@ -53,4 +53,4 @@ class ChecksumError(FormatError):
 
 
 class VerificationError(ErnError):
-    """Oracle cross-check found non-boundary mismatches."""
+    """A model failed a check: its weight words or its two kernels' logits disagree."""

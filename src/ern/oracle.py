@@ -48,6 +48,17 @@ alpha_out, the correctly rounded mean |w| of the head
 the engine computes the same two roundings, so the logits agree bit
 for bit.
 
+Each BnAct's codes come from :func:`ern.quant.act_codes`, the one
+definition of the expression clip(floor((gamma * (s * acc - mean) / sd
++ beta) / s_a), 0, 3) in its op order.  Compilation folds that same
+function into integer thresholds, each the exact preimage of a code
+step, so the engine and the oracle agree at every accumulator, ties
+included, and any disagreement is a defect.  Independence still holds:
+compilation evaluates the expression only to fold it, while the oracle
+evaluates it at run time on its own accumulators, which its float
+convolution computes with no engine code; a table folded or stored
+wrongly differs from the oracle's codes wherever a step moved.
+
 :func:`oracle_steps` walks the graph once per image, node by node, and
 drops each map after its last reader (the step's ``frees``).
 :func:`cross_check` runs the engine and the oracle in lockstep: through
@@ -56,12 +67,6 @@ walk by the same step, and the two outputs are compared at once (embed
 and BnAct codes, residual-branch accumulators).  So the check holds one
 step's engine and oracle maps beside each side's live maps, never an
 image's worth of compared edges.
-
-A cross-check can still legitimately disagree with the engine at
-positions where the pre-quantization value sits essentially on a code
-boundary: the folded thresholds and the direct float composition round
-differently there.  Those positions are detected (|v / s_a| within 1e-9
-of an integer), counted, and excluded; any other disagreement fails.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, ShapeError, VerificationError
-from .quant import BnParams, exact_abs_sum, quantize_act_float
+from .quant import BnParams, act_codes, exact_abs_sum
 from .graph import (
     AvgPoolScale,
     BnAct,
@@ -94,7 +99,6 @@ _BYTE_SIGNS = (
     np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
     * np.float32(2) - 1
 )
-TIE_EPS = 1e-9  # |v / s_a - round(v / s_a)| below this is a code-boundary tie
 
 
 # --------------------------------------------------------------------------
@@ -269,14 +273,11 @@ def _conv_im2col(codes: np.ndarray, words: np.ndarray, shape, stride, padding) -
     return acc
 
 
-def oracle_steps(
-    om: OracleModel, img: np.ndarray
-) -> Iterator[tuple[Node, np.ndarray, np.ndarray | None]]:
+def oracle_steps(om: OracleModel, img: np.ndarray) -> Iterator[tuple[Node, np.ndarray]]:
     """Run the float reference on one image, yielding each node's output in order.
 
-    Yields ``(node, value, pre)``: act2 values are uint8 codes, acc values
-    integer-valued float64, the pool's value the float64 logits; ``pre``
-    is a BnAct's float value before quantization, else None.  Each map is
+    Yields ``(node, value)``: act2 values are uint8 codes, acc values
+    integer-valued float64, the pool's value the float64 logits.  Each map is
     dropped after its last reader, as the graph's steps' ``frees`` say,
     so a caller that keeps nothing holds only the live maps.
     """
@@ -286,7 +287,6 @@ def oracle_steps(
     values: dict[str, np.ndarray] = {IMAGE_EDGE: img}
     for step in om.graph.steps:
         node = step.node
-        pre = None
         if isinstance(node, PixelEmbed):
             out = _thermo_codes(img, node.k).astype(np.uint8)
         elif isinstance(node, Conv):
@@ -296,21 +296,17 @@ def oracle_steps(
                 s.stride, s.padding,
             )
         elif isinstance(node, BnAct):
-            bn = om.bns[node.name]
             if om.graph.edges[node.src].scale == "alpha":
-                y = om.edge_scale[node.src][:, None, None] * values[node.src]
+                scale = om.edge_scale[node.src][:, None, None]
             else:  # a "c" edge: a c-scaled conv or a residual sum
-                y = om.shared_const * values[node.src]
-            sd = np.sqrt(bn.var + bn.epsilon)[:, None, None]
-            pre = bn.gamma[:, None, None] * (y - bn.mean[:, None, None]) / sd + bn.beta[:, None, None]
-            del y  # else the suspended walk holds it while the caller runs
-            out = quantize_act_float(pre, bn.act_scale)
+                scale = om.shared_const
+            out = act_codes(om.bns[node.name], scale, values[node.src])
         elif isinstance(node, ResidualAdd):
             out = values[node.src_a] + values[node.src_b]
         elif isinstance(node, AvgPoolScale):
             out = om.alpha_out * values[node.src].mean(axis=(1, 2))
         values[node.dst] = out
-        yield node, out, pre
+        yield node, out
         for src in step.frees:
             del values[src]
 
@@ -322,7 +318,7 @@ class OracleResult:
 
 def oracle_execute(om: OracleModel, img: np.ndarray) -> OracleResult:
     """Run the float reference on one image; only the logits are kept."""
-    for _, out, _ in oracle_steps(om, img):
+    for _, out in oracle_steps(om, img):
         pass
     return OracleResult(logits=out)
 
@@ -333,8 +329,8 @@ def oracle_execute(om: OracleModel, img: np.ndarray) -> OracleResult:
 
 @dataclass
 class LayerReport:
-    mismatches: int = 0  # non-boundary code disagreements
-    boundary: int = 0  # disagreements excused as quantization-boundary ties
+    mismatches: int = 0  # code disagreements
+    boundary: int = 0  # always 0, read by perfbench (ROADMAP item 1)
 
 
 @dataclass
@@ -354,10 +350,8 @@ class CrossCheckReport:
             f"residual branches exactly c x integer: {self.residual_scaling_exact}",
         ]
         for name, rep in self.layers.items():
-            if rep.mismatches or rep.boundary:
-                lines.append(
-                    f"  {name}: {rep.mismatches} mismatches, {rep.boundary} boundary ties"
-                )
+            if rep.mismatches:
+                lines.append(f"  {name}: {rep.mismatches} mismatches")
         if self.first_divergence:
             lines.append(f"first divergent layer: {self.first_divergence}")
         lines.append("PASS" if self.ok else "FAIL")
@@ -376,7 +370,7 @@ def require_same_graph(model_graph: GraphDef, manifest_graph: GraphDef) -> None:
 def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
     """Compare integer execution against the float reference, step by step.
 
-    Passes iff every 2-bit code map matches outside boundary ties, every
+    Passes iff every 2-bit code map matches at every position, every
     residual-branch accumulator equals the oracle's integer-valued one
     (both are then c times the same integers, so their scaled values
     agree exactly, and no product by c can overflow), and the logits are
@@ -407,7 +401,7 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
 
     def step(_, got: np.ndarray) -> None:
         nonlocal lf
-        node, want, pre = next(walk)
+        node, want = next(walk)
         if node.dst == LOGITS_EDGE:
             lf = want
             return
@@ -417,20 +411,9 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
             return
         if node.name not in report.layers:
             return
-        diffmask = unpack_activations(got, g.edges[node.dst].channels) != want
-        if not diffmask.any():
-            return
-        if isinstance(node, PixelEmbed):
-            # both routes are exact integer maps, no tie excuse
-            hard, tied = int(np.count_nonzero(diffmask)), 0
-        else:
-            ratio = pre / om.bns[node.name].act_scale
-            near = np.abs(ratio - np.rint(ratio)) < TIE_EPS
-            hard = int(np.count_nonzero(diffmask & ~near))
-            tied = int(np.count_nonzero(diffmask & near))
-        report.layers[node.name].mismatches += hard
-        report.layers[node.name].boundary += tied
-        if hard:
+        diff = np.count_nonzero(unpack_activations(got, g.edges[node.dst].channels) != want)
+        if diff:
+            report.layers[node.name].mismatches += int(diff)
             report.first_divergence = report.first_divergence or node.name
 
     for img in images:
@@ -439,8 +422,9 @@ def cross_check(model, om: OracleModel, images) -> CrossCheckReport:
         report.images += 1
         report.logits_equal &= np.array_equal(li, lf)
 
-    hard_total = sum(r.mismatches for r in report.layers.values())
-    report.ok = hard_total == 0 and report.residual_scaling_exact and report.logits_equal
-    if not report.ok and report.first_divergence is None and hard_total == 0:
+    report.ok = (
+        report.first_divergence is None and report.residual_scaling_exact and report.logits_equal
+    )
+    if not report.ok and report.first_divergence is None:
         report.first_divergence = "logits"
     return report

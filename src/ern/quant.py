@@ -1,36 +1,40 @@
 """Weight binarization, the 2-bit activation function, and threshold fusion.
 
-A conv layer's real-valued pre-activation is affine in its integer
-accumulator ``acc``:
+A BnAct's 2-bit code is defined by one float expression of its integer
+accumulator ``acc`` scaled by s (alpha, c or alpha_out),
+:func:`act_codes`:
 
-    v(acc) = A * acc + B
-    A = gamma * alpha / sqrt(var + eps)
-    B = beta - gamma * mean / sqrt(var + eps)
+    code(acc) = clamp(floor((gamma * (s * acc - mean) / sd + beta) / s_a), 0, 3)
+    sd = sqrt(var + eps)
 
-and the quantized activation ``clamp(floor(v / s_a), 0, 3)`` crosses
-code u exactly when ``v >= u * s_a``.  Solving for acc turns the whole
-(scale o batch-norm o activation) composition into three integer
+evaluated in 64-bit reals in this op order.  Each op is monotone under
+round-to-nearest (s > 0, sd > 0), so the code never falls as acc rises
+when gamma > 0 (ascending), never rises when gamma < 0 (descending),
+and is constant when gamma == 0 (degenerate).  So the whole
+(scale o batch-norm o activation) composition is three integer
 thresholds per channel, compared directly against the accumulator:
+each threshold is the preimage of a code step, the least acc whose code
+reaches u (ascending) or the greatest (descending), u = 1, 2, 3.
 
-    A > 0:  code = #{ u : acc >= ceil((u * s_a - B) / A) }   (ascending)
-    A < 0:  code = #{ u : acc <= floor((u * s_a - B) / A) }  (descending)
-    A = 0:  constant code clamp(floor(B / s_a), 0, 3)
+:func:`fuse_thresholds` finds each preimage by evaluating the expression
+itself, so a table and the float oracle agree at every acc, ties
+included.  The real-arithmetic closed form, with A = gamma * s / sd and
+B = beta - gamma * mean / sd, ceil((u * s_a - B) / A) ascending or
+floor((u * s_a - B) / A) descending, is only the seed of that search:
+at an exact tie the expression can round to the code below it.
 
 The float inputs of one fold -- gamma, beta, mean, var, eps and the code
 step s_a -- travel together as one :class:`BnParams`, checked once when it
 is built; the checkpoint manifest, the fold and the float oracle all hold
 that one type.
 
-All folding is done in 64-bit reals with a fixed evaluation order; the
-integer threshold path is canonical at real-arithmetic boundary ties.
-
 Every table is held in the one form the ``.ern`` record stores (see
 :class:`ThresholdTable`): a live channel's three thresholds sorted
 ascending with a direction flag, or a degenerate channel's constant
 code followed by 0, 0, together with the static bound of the
 accumulator edge the table reads.  Each threshold lies within
-+/-(bound + 1), one past the bound being the "never/always crossed"
-sentinel of a clamped fold.
++/-(bound + 1), one past the bound being the sentinel of a step that
+no acc in range crosses, or that every acc does.
 
 At run time the direction folds into a per-channel sign s = +/-1, so
 every channel counts the same way against sorted thresholds ts, held at
@@ -250,49 +254,79 @@ def quantize_act_float(v, scale: float) -> np.ndarray:
         return np.clip(np.floor(v / scale), 0, NUM_CODES - 1).astype(np.uint8)
 
 
+def act_codes(bn: BnParams, s, acc: np.ndarray) -> np.ndarray:
+    """One BnAct's 2-bit codes of the accumulators ``acc`` (C, ...) scaled by ``s``.
+
+    The defining expression, in 64-bit reals and in this op order:
+    ``quantize_act_float(gamma * (s * acc - mean) / sqrt(var + eps) + beta, s_a)``,
+    each parameter broadcast along ``acc``'s leading (channel) axis; ``s``
+    is a scalar or broadcasts against ``acc``.  The float oracle runs
+    every BnAct through it, and :func:`fuse_thresholds` folds it into
+    thresholds; so one function defines what a code is.  It holds one
+    map of 64-bit reals beside the quantizer's temporaries.
+    """
+    col = (-1,) + (1,) * (np.ndim(acc) - 1)
+    v = np.multiply(s, acc, dtype=np.float64)
+    v -= bn.mean.reshape(col)
+    v *= bn.gamma.reshape(col)
+    v /= np.sqrt(bn.var + bn.epsilon).reshape(col)
+    v += bn.beta.reshape(col)
+    return quantize_act_float(v, bn.act_scale)
+
+
 def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
     """Fold per-channel scale, batch norm, and activation into thresholds.
 
-    ``alpha`` is scalar or per-channel.  ``acc_bound`` is the producing
-    edge's static accumulator bound (3 * fan_in plus any residual
-    contributions) and becomes the table's ``bound``; thresholds outside
-    +/-acc_bound are clamped to sentinel values one past the bound --
-    never/always crossed, identical semantics, bounded storage.  A
-    degenerate channel (A == 0) stores its constant code
-    clamp(floor(B / s_a), 0, 3) in t1 and 0 in t2, t3, as the record
-    does.  Both the folded value A * acc + B and the float composition
-    gamma * (alpha * acc - mean) / sd + beta it replaces must stay finite
-    over the whole range: a channel where either overflows at |acc| =
-    acc_bound raises :class:`DomainError`.
+    ``alpha`` is scalar or per-channel, the scale s of the accumulator,
+    and ``acc_bound`` = b the producing edge's static accumulator bound
+    (3 * fan_in plus any residual contributions), which becomes the
+    table's ``bound``.  Each threshold is the integer preimage of
+    :func:`act_codes` at y = s * acc: for u = 1, 2, 3, the least acc
+    (ascending, gamma > 0) or the greatest (descending, gamma < 0) in
+    [-b, b] whose code reaches u, or the sentinel +/-(b + 1) where no acc
+    in range crosses u or every acc does.  A degenerate channel (gamma
+    == 0) stores its constant code in t1 and 0 in t2, t3, as the record
+    does.  The expression must stay finite over the whole range: a
+    channel where it overflows at acc = +/-b raises :class:`DomainError`.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     if not (np.isfinite(alpha).all() and (alpha > 0).all()):
         raise DomainError("alpha must be finite and positive")
-    c = bn.channels
-    alpha = np.broadcast_to(alpha, (c,))
+    b = acc_bound
+    s = np.broadcast_to(alpha, (bn.channels,))[:, None]
+    ascending, degenerate = bn.gamma > 0.0, bn.gamma == 0.0
+    d = np.where(ascending, 1, -1)[:, None]  # the code of acc = d * x never falls as x rises
+    u = np.arange(1, NUM_CODES)
 
-    sd = np.sqrt(bn.var + bn.epsilon)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_coef = bn.gamma * alpha / sd
-        b_coef = bn.beta - bn.gamma * bn.mean / sd
-        # both the fold and the float composition it replaces, at |acc| = acc_bound
-        reach = np.abs(a_coef) * acc_bound + np.abs(b_coef)
-        reach += np.abs(bn.gamma) * (alpha * acc_bound + np.abs(bn.mean)) / sd + np.abs(bn.beta)
-    if not np.isfinite(reach).all():
-        raise DomainError(f"fold over the accumulator range +/-{acc_bound} is not finite")
+    def reached(x: np.ndarray) -> np.ndarray:  # code(d * x) >= u per (channel, u), |x| <= b
+        return act_codes(bn, s, d * x) >= u
 
-    degenerate = a_coef == 0.0
-    ascending = a_coef > 0.0
-    u = np.arange(1, NUM_CODES, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bounds = (u[None, :] * bn.act_scale - b_coef[:, None]) / a_coef[:, None]
-    rounded = np.where(ascending[:, None], np.ceil(bounds), np.floor(bounds))
-    limit = float(acc_bound + 1)
-    rounded = np.clip(np.nan_to_num(rounded, nan=0.0, posinf=limit, neginf=-limit), -limit, limit)
-    t = np.sort(rounded, axis=1).astype(np.int64)
+        try:  # monotone in acc, so finite at both ends means finite everywhere between
+            low, high = (reached(np.full((bn.channels, NUM_CODES - 1), e)) for e in (-b, b))
+        except DomainError:
+            raise DomainError(f"fold over the accumulator range +/-{b} is not finite") from None
+        # the real-arithmetic preimage ceil(d * (u * s_a - B) / A) seeds the search
+        sd = np.sqrt(bn.var + bn.epsilon)
+        seed = (u * bn.act_scale - (bn.beta - bn.gamma * bn.mean / sd)[:, None]) * d
+        seed /= (bn.gamma * alpha / sd)[:, None]
+    live = high & ~low  # the answer x lies in (-b, b]: reached(x - 1) < reached(x)
+    hi = np.clip(np.ceil(np.where(np.isnan(seed), 0.0, seed)), 1 - b, b).astype(np.int64)
+    lo = hi - 1
+    while True:  # move each live bracket, doubling its width, until reached(lo) < reached(hi)
+        up, down = live & ~reached(hi), live & reached(lo)
+        if not (up.any() or down.any()):
+            break
+        lo, hi = np.where(up, hi, lo), np.where(up, np.minimum(hi + 2 * (hi - lo), b), hi)
+        lo, hi = np.where(down, np.maximum(lo - 2 * (hi - lo), -b), lo), np.where(down, lo, hi)
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        r = reached(mid)
+        lo, hi = np.where(r, lo, mid), np.where(r, mid, hi)
+    t = np.sort(d * np.where(live, hi, np.where(low, -(b + 1), b + 1)), axis=1)
     t[degenerate] = 0
-    t[degenerate, 0] = np.clip(np.floor(b_coef[degenerate] / bn.act_scale), 0, NUM_CODES - 1)
-    return ThresholdTable(t, ascending, degenerate, acc_bound)
+    t[degenerate, 0] = low[degenerate].sum(axis=1)
+    return ThresholdTable(t, ascending, degenerate, b)
 
 
 def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:

@@ -15,6 +15,7 @@ from ern.compiler import (
 )
 from ern.graph import ArchConfig, BnAct, Conv, build_model, execute
 from ern.oracle import oracle_from_manifest
+from ern.quant import BnParams
 from ern.tensor import padded_channels, unpack_activations
 
 # every property draws the same cases on every run and writes no example database
@@ -61,6 +62,24 @@ def rounded_mean_abs(w: np.ndarray) -> float:
     assert w.dtype == np.float32
     units = np.ldexp(np.abs(w).astype(np.float64), 149).ravel().tolist()
     return float(Fraction(sum(map(int, units)), w.size << 149))
+
+
+def tie_checkpoint():
+    """erns18x075 at seed 3 and c = 0.7 with every code step of ``s1.b1.bn0`` on a tie.
+
+    Every channel has gamma 1.5, beta 0, mean 0, var 1 - 2**-16, epsilon
+    2**-16 and act_scale 0.7, all float32 values, so sd is exactly 1 and
+    the real value 1.5 * 0.7 * acc / 0.7 is an integer at every even acc.
+    A fold in real arithmetic puts each threshold on such a tie, where
+    the oracle's float expression can round to the code below; the tables
+    must follow the expression.
+    """
+    m = gen_random_checkpoint("erns18x075", seed=3, shared_const=0.7)
+    n = m.bnacts["s1.b1.bn0"].channels
+    m.bnacts["s1.b1.bn0"] = BnParams(
+        np.full(n, 1.5), np.zeros(n), np.zeros(n), np.full(n, 1 - 2**-16), 2**-16, 0.7
+    )
+    return m
 
 
 def execute_keeping_all(model, img, kernel="popcount"):

@@ -12,11 +12,17 @@ import pytest
 
 import ern.cli
 from ern.cli import main
-from ern.compiler import load, serialize
+from ern.compiler import load, save_manifest, serialize
 from ern.graph import execute
 from ern.ppm import write_ppm
 
-from conftest import HEADER_AT, break_after_first_read, resign, rewrite_threshold_row
+from conftest import (
+    HEADER_AT,
+    break_after_first_read,
+    resign,
+    rewrite_threshold_row,
+    tie_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +248,21 @@ class TestVerify:
         assert "FAIL" in out
         assert name in out
 
+
+    def test_thresholds_on_ties_pass(self, tmp_path, capsys):
+        # a valid checkpoint whose code steps sit on exact ties: verify
+        # exited 3, first diverging at s1.b1.bn1, while the fold rounded
+        # in real arithmetic and the oracle in floats
+        save_manifest(tie_checkpoint(), tmp_path / "ckpt")
+        model = tmp_path / "m.ern"
+        assert main(["compile", "--manifest", str(tmp_path / "ckpt"), "--out", str(model)]) == 0
+        rc = main(["verify", "--model", str(model), "--manifest", str(tmp_path / "ckpt"),
+                   "--images", "4", "--resolution", "64", "--json"])
+        out = capsys.readouterr().out
+        doc = json.loads(out[out.index("{"):])
+        assert rc == 0, doc
+        assert doc["ok"] and doc["logits_equal"]
+        assert doc["first_divergence"] is None
 
     def test_flipped_weight_bit_fails(self, ws, capsys):
         # serialize recomputes both CRCs, so the file loads; the oracle build's
