@@ -43,13 +43,13 @@ packed u64 weight words, preceded by its f64 per-channel scales only if
 its edge's scale is ``"alpha"``: the scales of a ``"c"`` or
 ``"alpha_out"`` conv are c or alpha_out, each written once at the start
 of the body.  A BnAct record is its :class:`ern.quant.ThresholdTable`
-as the table holds it: ``<i4 t1, t2, t3, u1 flags>`` per channel, flag
-bit 0 ascending and bit 1 degenerate, never both, and t1 <= t2 <= t3
-or, for a degenerate channel (folded slope exactly zero), its constant
-code then 0, 0.  Every |threshold| is at most the table's bound + 1,
-the bound being its input edge's static one (42,240 at most on a stock
-model), so i4 holds each.  All multi-byte values are little-endian;
-identical inputs produce byte-identical files.
+in the record form the table derives: ``<i4 t1, t2, t3, u1 flags>``
+per channel, flag bit 0 ascending and bit 1 degenerate, never both,
+and t1 <= t2 <= t3 or, for a degenerate channel (folded slope exactly
+zero), its constant code then 0, 0.  Every |threshold| is at most the
+table's bound + 1, the bound being its input edge's static one (42,240
+at most on a stock model), so i4 holds each.  All multi-byte values are
+little-endian; identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations

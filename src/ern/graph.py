@@ -49,16 +49,23 @@ up to ``ACC_LIMIT``, and a graph with a larger bound is refused.  The
 bound is also each accumulator's only range check: no kernel scans its
 output (see :mod:`ern.kernels`).  A value is a plain array; its channel
 count is its edge's, in ``edges``.
-``execute`` drops each step's ``frees`` after the step runs.  A caller
+``execute`` drops each step's ``frees`` after the step runs, and a
+residual add writes its sum over an input it frees that already has
+the output's dtype (the shared c makes the sum a plain integer add, as
+an accelerator's accumulator buffer absorbs it), so an add makes a new
+map only when its output is wider than both inputs it frees.  A caller
 that wants intermediates passes ``observe(step, value)``, which sees
 each step's output once, after its dtype check and before its
-``frees`` are dropped, and keeps only what it needs.
+``frees`` are dropped, and keeps only what it needs; an acc value it
+keeps may be overwritten by a later add that frees it, so it keeps a
+copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -147,8 +154,9 @@ class Step:
     """One node, lowered: what it reads, what it computes, what it frees.
 
     ``op(model, node, kernel, *inputs)`` computes the node's output from
-    the values of ``srcs``; ``spatial(h, w)`` maps the inputs' spatial
-    dims to the output's; ``frees`` are the inputs no later step reads,
+    the values of ``srcs`` (a residual op may write it over an input in
+    ``frees``); ``spatial(h, w)`` maps the inputs' spatial dims to the
+    output's; ``frees`` are the inputs no later step reads,
     each named once.  Steps belong to a graph, not to a model: ops look
     up the model's weights, and this module's kernels, when they run.
     """
@@ -216,8 +224,11 @@ def _bnact(model, n: BnAct, kernel: str, acc: np.ndarray) -> np.ndarray:
     return apply_thresholds(acc, model.thresholds[n.name])
 
 
-def _residual(model, n: ResidualAdd, kernel: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return residual_add(a, b, model.graph.edges[n.dst].dtype)
+def _residual(model, n: ResidualAdd, kernel: str, a: np.ndarray, b: np.ndarray,
+              into: int | None = None) -> np.ndarray:
+    """The sum, in a new map, or over input ``into`` (0 for ``a``, 1 for ``b``)."""
+    out = None if into is None else (a, b)[into]
+    return residual_add(a, b, model.graph.edges[n.dst].dtype, out=out)
 
 
 def _pool(model, n: AvgPoolScale, kernel: str, acc: np.ndarray) -> np.ndarray:
@@ -241,8 +252,10 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
     the narrowest that holds its bound (``acc_dtype``; a bound past
     ``ACC_LIMIT`` is a :class:`ConfigError` naming the edge), and one
     :class:`Step` per node, each freeing the inputs it is the last to
-    read.  Each acc edge carries its scale: a Conv's own (one of
-    ``SCALES``, else :class:`ConfigError`), and ``"c"`` for a
+    read.  A ResidualAdd's step writes its sum over the first input it
+    frees whose dtype is the output's, and makes a new map only when
+    neither input is one.  Each acc edge carries its scale: a Conv's own
+    (one of ``SCALES``, else :class:`ConfigError`), and ``"c"`` for a
     ResidualAdd, whose inputs must both be ``"c"``.  The pool must read
     an ``"alpha_out"`` edge, which no BnAct may read, and the graph must
     end with the pool that produces ``LOGITS_EDGE``.
@@ -324,8 +337,14 @@ def _lower(g: GraphDef) -> tuple[dict[str, EdgeInfo], tuple[Step, ...]]:
     frees: list[list[str]] = [[] for _ in lowered]
     for edge, i in last_read.items():
         frees[i].append(edge)
-    steps = tuple(Step(*row, frees=tuple(f)) for row, f in zip(lowered, frees))
-    return edges, steps
+    steps = []
+    for (n, srcs, op, spatial), f in zip(lowered, frees):
+        if isinstance(n, ResidualAdd):  # the sum overwrites a freed input of its dtype, if any
+            want = edges[n.dst].dtype
+            fit = [i for i, e in enumerate(srcs) if e in f and edges[e].dtype == want]
+            op = partial(_residual, into=fit[0]) if fit else op
+        steps.append(Step(n, srcs, op, spatial, tuple(f)))
+    return edges, tuple(steps)
 
 
 # --------------------------------------------------------------------------
@@ -576,8 +595,11 @@ def execute(
     as (2, words, H, W) uint64 planes, whose width is the edge's
     ``channels`` in ``model.graph.edges``; acc edges as int16 or int32,
     the edge's ``dtype``; the logits as float64) after its dtype check
-    and before its ``frees`` are dropped; whatever it keeps outlives the
-    call.  A step whose output has another dtype than its edge's raises
+    and before its ``frees`` are dropped.  An act2 value or the logits
+    it keeps outlive the call unchanged, but an acc value it keeps may
+    be overwritten by a later residual add that frees it (the sum is
+    written in place); to keep one, copy it.  A step whose output has
+    another dtype than its edge's raises
     :class:`AssertionError` naming the node, under ``python -O`` too; so
     a returned result is the witness that every step from the embedding
     through the head conv produced integers.

@@ -63,7 +63,7 @@ no wider map is made.  The popcount kernel counts and forms ``2 * hits
 2**32: a plane's count, and 2 * hits, can pass that width, but the true
 value's magnitude is at most ``acc_bound``, which the width holds, so
 the wrapped result read as signed is exact.  The residual add sums at
-its output edge's width.
+its output edge's width, into a new map or into one of its inputs.
 
 No kernel scans its output for range.  Each range is a fact of the
 graph: a conv's |output| is at most ``acc_bound`` = 3 * fan_in, since
@@ -274,7 +274,7 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
     return acc.reshape(spec.out_ch, oh, ow)
 
 
-def residual_add(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+def residual_add(a: np.ndarray, b: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise sum of two accumulator maps at ``dtype``, the output edge's width.
 
     ``dtype`` is one of ``ACC_DTYPES`` and neither input may be wider
@@ -283,7 +283,10 @@ def residual_add(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
     int16, ``ACC_LIMIT`` = 2**31 - 2 for int32); past that it wraps
     modulo 2**bits, unchecked.  In a graph it never passes: the output
     edge's bound is the sum of its inputs' bounds, and the graph refuses
-    a bound past its width's limit.
+    a bound past its width's limit.  ``out``, if given, receives the sum
+    and is returned; it must have the inputs' shape and ``dtype`` (else
+    :class:`ShapeError`), and may be ``a`` or ``b`` itself, since each
+    element is read before it is written.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -296,7 +299,9 @@ def residual_add(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
             f"residual_add sums int16/int32 accumulators into one no narrower, "
             f"got {a.dtype} + {b.dtype} -> {dtype}"
         )
-    return np.add(a, b, dtype=dtype)
+    if out is not None and (out.shape != a.shape or out.dtype != dtype):
+        raise ShapeError(f"residual output {out.dtype} {out.shape} is not {dtype} {a.shape}")
+    return np.add(a, b, out=out, dtype=dtype)
 
 
 def avgpool_and_scale(acc: np.ndarray, alpha_out: float) -> np.ndarray:

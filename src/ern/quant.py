@@ -28,7 +28,7 @@ step s_a -- travel together as one :class:`BnParams`, checked once when it
 is built; the checkpoint manifest, the fold and the float oracle all hold
 that one type.
 
-Every table is held in the one form the ``.ern`` record stores (see
+A table's record form is what the ``.ern`` record stores (see
 :class:`ThresholdTable`): a live channel's three thresholds sorted
 ascending with a direction flag, or a degenerate channel's constant
 code followed by 0, 0, together with the static bound of the
@@ -36,17 +36,19 @@ accumulator edge the table reads.  Each threshold lies within
 +/-(bound + 1), one past the bound being the sentinel of a step that
 no acc in range crosses, or that every acc does.
 
-At run time the direction folds into a per-channel sign s = +/-1, so
-every channel counts the same way against sorted thresholds ts, held at
-``acc_dtype(bound)``, the width the graph gives the input edge (int16 or
-int32):
+A table is built from that form but holds only its run-time form, from
+which the record form is derived on demand.  The direction folds into
+a per-channel sign s, so every channel counts the same way against
+sorted thresholds ts, both held at ``acc_dtype(bound)``, the width the
+graph gives the input edge (int16 or int32):
 
     code = #{ j : s * acc >= ts_j }
 
-(a descending channel has ts = -t reversed; a degenerate one has
-s = +1 and as many copies of the width's minimum as its code, followed
-by its maximum).  Because ts is sorted, the three compares c1 >= c2 >= c3
-are nested, so the code's bits come out directly:
+(an ascending channel has s = +1 and ts = t; a descending one s = -1
+and ts = -t reversed; a degenerate one s = 0 and as many copies of the
+width's minimum as its code, followed by its maximum).  Because ts is
+sorted, the three compares c1 >= c2 >= c3 are nested, so the code's
+bits come out directly:
 
     hi = (s * acc >= ts_2)        lo = c1 xor c2 xor c3
 
@@ -63,7 +65,7 @@ width, where an out-of-range value would wrap silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -115,42 +117,47 @@ class BnParams:
         return self.gamma.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ThresholdTable:
     """Fused (scale o batch-norm o activation) as integer thresholds.
 
-    ``t`` is (C, 3), each row as the ``.ern`` record stores it: a live
-    channel's thresholds sorted ascending, or a degenerate channel's
-    (gamma == 0) constant code 0-3 followed by 0, 0.  Ascending channels
-    output #{j : acc >= t_j}, descending #{j : acc <= t_j}, degenerate
-    their code; no channel is both ascending and degenerate.  ``bound``
-    is the static bound of the accumulator edge the table reads, and
-    every |t| <= bound + 1.  Construction checks each of these
-    (:class:`ShapeError` for a shape, :class:`DomainError` otherwise),
-    stores ``t`` as int64, and builds the sign-folded run-time form,
-    ``sign`` (C, 1, 1) and ``ts`` (3, C, 1, 1), both at ``dtype`` =
-    ``acc_dtype(bound)``, the edge's width.
+    A table is built from its record form, as the ``.ern`` record stores
+    it: ``t`` (C, 3), a live channel's thresholds sorted ascending, or a
+    degenerate channel's (gamma == 0) constant code 0-3 followed by 0, 0,
+    and the per-channel flags ``ascending`` and ``degenerate``.
+    Ascending channels output #{j : acc >= t_j}, descending #{j : acc <=
+    t_j}, degenerate their code; no channel is both ascending and
+    degenerate.  ``bound`` is the static bound of the accumulator edge
+    the table reads, and every |t| <= bound + 1.  Construction checks
+    each of these (:class:`ShapeError` for a shape, :class:`DomainError`
+    otherwise).
+
+    The table holds only the sign-folded run-time form (module
+    docstring), ``sign`` (C, 1, 1) and ``ts`` (3, C, 1, 1), both at
+    ``dtype`` = ``acc_dtype(bound)``, the edge's width, and ``bound``.
+    ``sign`` is +1 for an ascending channel, -1 for a descending one and
+    0 for a degenerate one, so a degenerate code-0 channel stays apart
+    from an ascending one whose thresholds are all the width's maximum.
+    The record form is derived from them on demand: ``t`` as int64, and
+    ``ascending`` and ``degenerate`` as bool, new arrays on every read.
     """
 
-    t: np.ndarray
-    ascending: np.ndarray
-    degenerate: np.ndarray
+    sign: np.ndarray
+    ts: np.ndarray
     bound: int
-    sign: np.ndarray = field(init=False, compare=False, repr=False)
-    ts: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        t = np.asarray(self.t)
+    def __init__(self, t, ascending, degenerate, bound: int):
+        t = np.asarray(t)
         if t.ndim != 2 or t.shape[1] != NUM_CODES - 1 or not np.issubdtype(t.dtype, np.integer):
             raise ShapeError(f"thresholds must be integer (C, {NUM_CODES - 1}), got {t.shape}")
         c = t.shape[0]
-        flags = {n: np.asarray(getattr(self, n)) for n in ("ascending", "degenerate")}
+        flags = {"ascending": np.asarray(ascending), "degenerate": np.asarray(degenerate)}
         for name, arr in flags.items():
             if arr.shape != (c,):
                 raise ShapeError(f"{name} must have {c} entries, got shape {arr.shape}")
         ascending = flags["ascending"].astype(bool, copy=False)
         degenerate = flags["degenerate"].astype(bool, copy=False)
-        bound = int(self.bound)
+        bound = int(bound)
         dtype = acc_dtype(bound)
         if int(t.max(initial=0)) > bound + 1 or int(t.min(initial=0)) < -(bound + 1):
             raise DomainError(f"a threshold exceeds the accumulator bound {bound} + 1")
@@ -167,26 +174,37 @@ class ThresholdTable:
         ts = np.where(ascending[:, None], t, -t[:, ::-1])
         fixed = np.arange(NUM_CODES - 1) < t[:, :1]
         ts[degenerate] = np.where(fixed, lo, hi)[degenerate]
-        sign = np.where(ascending | degenerate, 1, -1).astype(dtype).reshape(c, 1, 1)
+        sign = np.where(ascending, 1, np.where(degenerate, 0, -1)).astype(dtype).reshape(c, 1, 1)
         ts = np.ascontiguousarray(ts.T, dtype=dtype).reshape(NUM_CODES - 1, c, 1, 1)
-        for name, value in (
-            ("t", t),
-            ("ascending", ascending),
-            ("degenerate", degenerate),
-            ("bound", bound),
-            ("sign", sign),
-            ("ts", ts),
-        ):
+        for name, value in (("sign", sign), ("ts", ts), ("bound", bound)):
             object.__setattr__(self, name, value)
 
     @property
     def channels(self) -> int:
-        return self.t.shape[0]
+        return self.sign.shape[0]
 
     @property
     def dtype(self) -> np.dtype:
         """The width of the accumulator the table reads, ``acc_dtype(bound)``."""
         return self.ts.dtype
+
+    @property
+    def ascending(self) -> np.ndarray:
+        return self.sign.reshape(-1) > 0
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return self.sign.reshape(-1) == 0
+
+    @property
+    def t(self) -> np.ndarray:
+        """The (C, 3) int64 rows the record stores, unfolded from ``ts`` and ``sign``."""
+        ts = self.ts.reshape(NUM_CODES - 1, -1).T.astype(np.int64)
+        t = np.where(self.sign.reshape(-1, 1) < 0, -ts[:, ::-1], ts)
+        degenerate = self.degenerate
+        t[degenerate] = 0
+        t[degenerate, 0] = (ts[degenerate] == np.iinfo(self.dtype).min).sum(axis=1)
+        return t
 
 
 def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -48,8 +48,9 @@ ACC_LIMIT = int(np.iinfo(ACC_DTYPE).max) - 1  # largest |accumulator| the engine
 # tile of tap windows, and its uint64 AND temporary over one weight word of
 # that tile, with the block's counters beside it (see ern.kernels); a
 # threshold stage's row block of bit planes; a row block of one layer's
-# weights as compilation and the oracle read them.  Sized to stay in cache
-# (256 KiB to 1 MiB measured flat)
+# weights as compilation and the oracle read them.  Sized to stay in cache:
+# erns18@256 ``execute`` on 2 vCPUs (numpy 2.4.6) ran 5-12% slower at 256 KiB
+# than at 512 KiB, and no faster at 1 MiB
 BLOCK_BYTES = 512 * 1024
 
 

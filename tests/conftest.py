@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 from fractions import Fraction
@@ -15,7 +16,7 @@ from ern.compiler import (
 )
 from ern.graph import ArchConfig, BnAct, Conv, build_model, execute
 from ern.oracle import oracle_from_manifest
-from ern.quant import BnParams
+from ern.quant import BnParams, ThresholdTable
 from ern.tensor import padded_channels, unpack_activations
 
 # every property draws the same cases on every run and writes no example database
@@ -86,7 +87,9 @@ def execute_keeping_all(model, img, kernel="popcount"):
     """``execute`` with an observer that keeps every step's output.
 
     Returns the result and a dict of every edge but the image, with act2
-    edges unpacked to uint8 code maps of the width the graph gives them.
+    edges unpacked to uint8 code maps of the width the graph gives them
+    and acc edges copied, since a later residual add may write its sum
+    into an acc map it frees.
     """
     values = {}
 
@@ -95,9 +98,28 @@ def execute_keeping_all(model, img, kernel="popcount"):
         info = model.graph.edges[step.node.dst]
         if info.kind == "act2":
             value = unpack_activations(value, info.channels)
+        elif info.kind == "acc":
+            value = value.copy()
         values[step.node.dst] = value
 
     return execute(model, img, kernel, observe=keep), values
+
+
+def replace_table(tbl: ThresholdTable, **changes) -> ThresholdTable:
+    """``tbl`` rebuilt from its record form with ``changes`` (``t``, the flags, ``bound``)."""
+    fields = dict(t=tbl.t, ascending=tbl.ascending, degenerate=tbl.degenerate, bound=tbl.bound)
+    return ThresholdTable(**{**fields, **changes})
+
+
+def assert_same_bytes(a: bytes, b: bytes) -> None:
+    """Assert two byte strings (serialized models) equal by their SHA-256 digests.
+
+    As strict as ``a == b``, but a failure reports two digests and the
+    lengths: pytest's explanation of two unequal ~1 MB ``bytes`` values
+    can take gigabytes of memory.
+    """
+    da, db = hashlib.sha256(a).hexdigest(), hashlib.sha256(b).hexdigest()
+    assert da == db, f"{len(a)} and {len(b)} bytes differ"
 
 
 def break_blob(path, defect: str) -> None:

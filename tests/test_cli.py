@@ -19,6 +19,7 @@ from ern.ppm import write_ppm
 from conftest import (
     HEADER_AT,
     break_after_first_read,
+    replace_table,
     resign,
     rewrite_threshold_row,
     tie_checkpoint,
@@ -237,7 +238,7 @@ class TestVerify:
         tbl = model.thresholds[name]
         tampered = dataclasses.replace(
             model,
-            thresholds={**model.thresholds, name: dataclasses.replace(tbl, t=tbl.t + 25)},
+            thresholds={**model.thresholds, name: replace_table(tbl, t=tbl.t + 25)},
         )
         bad = ws["root"] / "tampered.ern"
         bad.write_bytes(serialize(tampered))

@@ -40,10 +40,12 @@ from ern.tensor import BLOCK_BYTES, LANES, padded_channels, row_blocks
 
 from conftest import (
     HEADER_AT,
+    assert_same_bytes,
     break_after_first_read,
     break_blob,
     random_image,
     record_offset,
+    replace_table,
     resign,
     rewrite_threshold_row,
     rounded_mean_abs,
@@ -422,7 +424,7 @@ class TestFloat32Source:
         wide = dataclasses.replace(small_manifest, convs=convs)
         save_manifest(wide, tmp_path)
         saved = load_manifest(tmp_path)
-        assert serialize(compile_checkpoint(wide)) == serialize(compile_checkpoint(saved))
+        assert_same_bytes(serialize(compile_checkpoint(wide)), serialize(compile_checkpoint(saved)))
         got, want = oracle_from_manifest(wide), oracle_from_manifest(saved)
         assert got.alpha_out == want.alpha_out
         for name, words in want.words.items():
@@ -475,7 +477,7 @@ class TestFloat32Source:
         wide = dataclasses.replace(m, bnacts=bnacts)
         save_manifest(wide, tmp_path)
         saved = load_manifest(tmp_path)
-        assert serialize(compile_checkpoint(wide)) == serialize(compile_checkpoint(saved))
+        assert_same_bytes(serialize(compile_checkpoint(wide)), serialize(compile_checkpoint(saved)))
         got, want = oracle_from_manifest(wide), oracle_from_manifest(saved)
         for name, rec in want.bns.items():
             for stat in ("gamma", "beta", "mean", "var"):
@@ -613,6 +615,18 @@ class TestSerialization:
         blob = serialize(small_model)
         back = load(blob)
         assert serialize(back) == blob
+
+    @pytest.mark.parametrize("arch", ["erns50", "erns101"])
+    def test_loaded_tables_hold_only_their_run_time_form(self, arch):
+        # sign and ts at the edge's width, 4 values a channel; the int64 rows
+        # and bool flags of the record are derived on demand
+        model = load(serialize(compile_checkpoint(gen_random_checkpoint(arch, seed=1))))
+        g = model.graph
+        for bn in g.bnacts:
+            tbl, dtype = model.thresholds[bn.name], g.edges[bn.src].dtype
+            held = [v for v in vars(tbl).values() if isinstance(v, np.ndarray)]
+            assert {v.dtype for v in held} == {dtype}, bn.name
+            assert sum(v.nbytes for v in held) == 4 * bn.channels * dtype.itemsize, bn.name
 
     def test_serialize_to_file_writes_the_bytes(self, small_model, tmp_path):
         path = tmp_path / "m.ern"
@@ -792,7 +806,7 @@ class TestSerialization:
         t = tbl.t.copy()
         t[~tbl.degenerate, 0] = -(bound + 2)
         with pytest.raises(DomainError, match=f"bound {bound} \\+ 1"):
-            dataclasses.replace(tbl, t=t)
+            replace_table(tbl, t=t)
 
     @pytest.mark.parametrize("shift", [1, 2**15])
     def test_serialize_refuses_table_of_another_bound(self, small_model, shift):
@@ -803,7 +817,7 @@ class TestSerialization:
             small_model,
             thresholds={
                 **small_model.thresholds,
-                "s1.b1.bn1": dataclasses.replace(tbl, bound=tbl.bound + shift),
+                "s1.b1.bn1": replace_table(tbl, bound=tbl.bound + shift),
             },
         )
         with pytest.raises(DomainError, match="s1.b1.bn1.*bound"):
@@ -822,7 +836,7 @@ class TestSerialization:
         t = tbl.t.copy()
         t[0] = 2, 7, 9
         with pytest.raises(DomainError, match="degenerate"):
-            dataclasses.replace(tbl, t=t)
+            replace_table(tbl, t=t)
         struct.pack_into("<iiiB", blob, row, 2, 7, 9, 2)
         with pytest.raises(FormatError, match="s1.b1.bn1.*degenerate"):
             load(resign(bytes(blob[16:-4])))

@@ -78,7 +78,7 @@ from ern.ppm import decode_ppm
 from ern.quant import BnParams, ThresholdTable, apply_thresholds
 from ern.tensor import ACC_LIMIT, LANES, padded_channels
 
-from conftest import HEADER_AT, record_offset, resign
+from conftest import HEADER_AT, assert_same_bytes, record_offset, resign
 
 FUZZ = settings(max_examples=1000)
 
@@ -148,7 +148,7 @@ class TestModelFile:
             load_both(blob[:length])
 
     def test_undamaged_file_loads_alike(self):
-        assert serialize(load_both(model_file())) == model_file()
+        assert_same_bytes(serialize(load_both(model_file())), model_file())
 
 
 @functools.cache
@@ -271,7 +271,7 @@ class TestStructuredEdits:
             m = load_both(blob)
         except FormatError:
             return
-        assert serialize(m) == blob
+        assert_same_bytes(serialize(m), blob)
         assert_compiler_invariants(m)
 
     @settings(max_examples=100)
@@ -330,6 +330,9 @@ class TestThresholdWidths:
         wide = ThresholdTable(**fields, bound=wide_bound)
         assert narrow.dtype == narrow.sign.dtype == narrow.ts.dtype == np.int16
         assert wide.dtype == wide.sign.dtype == wide.ts.dtype == np.int32
+        for tbl in (narrow, wide):  # each derives the record form it was built from
+            for name, value in fields.items():
+                assert np.array_equal(getattr(tbl, name), value), name
         got = apply_thresholds(acc.astype(np.int16), narrow)
         assert np.array_equal(got, apply_thresholds(acc.astype(np.int32), wide))
 
@@ -384,7 +387,7 @@ class TestGeneratedArchitectures:
             blob = serialize(compile_checkpoint(manifest))
             model = load(blob)
             assert model.graph.arch == cfg
-            assert serialize(model) == blob
+            assert_same_bytes(serialize(model), blob)
             img = np.random.default_rng(seed).integers(0, 256, (3, size, size), dtype=np.uint8)
             popcount = execute(model, img, observe=within_edge(model.graph)).logits
             naive = execute(model, img, kernel="naive", observe=within_edge(model.graph)).logits
@@ -501,7 +504,7 @@ class TestAdversarialBatchNorm:
         assert ("zero_gamma" in modes) == (degenerate > 0)
         blob = serialize(model)
         back = load(blob)
-        assert serialize(back) == blob
+        assert_same_bytes(serialize(back), blob)
         assert_compiler_invariants(model)
         assert_compiler_invariants(back)
         img = np.random.default_rng(seed).integers(0, 256, (3, side, side), dtype=np.uint8)

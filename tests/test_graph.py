@@ -61,6 +61,35 @@ def compile_toy(g, rng):
     return compile_checkpoint(m)
 
 
+def bottleneck_nodes(mid: int, out: int) -> tuple:
+    """A stem conv, then one projected bottleneck block: its add sums two int16 maps."""
+    return (
+        PixelEmbed("embed", 1, "image", "embed.out"),
+        Conv("stem", ConvSpec(3, mid, 3, 3, padding=(1, 1)), "alpha", "embed.out", "stem.out"),
+        BnAct("bn0", mid, "stem.out", "bn0.out"),
+        Conv("down", ConvSpec(mid, out, 1, 1), "c", "bn0.out", "down.out"),
+        Conv("conv1", ConvSpec(mid, mid, 1, 1), "alpha", "bn0.out", "conv1.out"),
+        BnAct("bn1", mid, "conv1.out", "bn1.out"),
+        Conv("conv2", ConvSpec(mid, mid, 3, 3, padding=(1, 1)), "alpha", "bn1.out", "conv2.out"),
+        BnAct("bn2", mid, "conv2.out", "bn2.out"),
+        Conv("conv3", ConvSpec(mid, out, 1, 1), "c", "bn2.out", "conv3.out"),
+        ResidualAdd("add", "conv3.out", "down.out", "add.out"),
+        BnAct("head.bn", out, "add.out", "head.bn.out"),
+        Conv("head", ConvSpec(out, 10, 1, 1), "alpha_out", "head.bn.out", "head.out"),
+        AvgPoolScale("pool", "head.out", "logits"),
+    )
+
+
+def execute_keeping_raw(model, img):
+    """``execute`` with an observer that keeps every output as given, and a copy of it."""
+    raw, copies = {}, {}
+
+    def keep(step, value):
+        raw[step.node.dst], copies[step.node.dst] = value, value.copy()
+
+    return execute(model, img, observe=keep), raw, copies
+
+
 def tiny_nodes():
     return [
         PixelEmbed("embed", 1, "image", "embed.out"),
@@ -487,10 +516,11 @@ class TestExecution:
             tracemalloc.stop()
 
     def test_acc_width_bitplane_datapath_peak(self, erns50_model, rng):
-        # at 224 stage 1's residual add holds three (256, 56, 56) acc maps,
-        # int16 on erns50: 1.5 int32 maps.  Held as int32 they alone pass 1.6,
-        # as do int64 temporaries, uint8 code maps between layers, or the
-        # full-size stem and threshold temporaries of untiled steps (1.85)
+        # at 224 the peak is a stage-1 conv3 step: the shortcut and conv3's
+        # output, two (256, 56, 56) int16 maps (one int32 map), and conv3's
+        # tiles.  Held as int32 the maps alone pass 1.6, as do int64
+        # temporaries, uint8 code maps between layers, or the full-size stem
+        # and threshold temporaries of untiled steps (1.85)
         peak = self.execute_peak(erns50_model, random_image(rng, 224))
         stage1_acc = 256 * 56 * 56 * np.dtype(np.int32).itemsize
         assert peak < 1.6 * stage1_acc
@@ -532,6 +562,86 @@ class TestExecution:
         for kernel in ("popcount", "naive"):
             assert execute(model, img, kernel=kernel).logits.tobytes() == rec.logits.tobytes()
 
+    def test_residual_sum_written_over_a_freed_input(self):
+        # the add frees both inputs, int16 like its output: the sum goes
+        # over the first, so an observer's acc value changes after its step
+        g = GraphDef(bottleneck_nodes(64, 256))
+        assert g.edges["add.out"].dtype == g.edges["conv3.out"].dtype == np.int16
+        rng = np.random.default_rng(0)
+        model = compile_toy(g, rng)
+        img = random_image(rng, 16)
+        r, raw, copies = execute_keeping_raw(model, img)
+        assert np.shares_memory(raw["add.out"], raw["conv3.out"])
+        assert not np.shares_memory(raw["add.out"], raw["down.out"])
+        assert np.array_equal(copies["add.out"], copies["conv3.out"] + copies["down.out"])
+        assert r.logits.tobytes() == execute(model, img, kernel="naive").logits.tobytes()
+
+    def test_residual_allocates_unless_a_freed_input_has_its_dtype(self):
+        # ca and cb are int16 maps of bound 27 * 741 = 20,007; their sum is
+        # an int32 edge, so it takes a new map.  add2 then sums int16 cc and
+        # that int32 map into int32, over the int32 input it frees
+        nodes = (
+            PixelEmbed("embed", 1, "image", "embed.out"),
+            Conv("c1", ConvSpec(3, 741, 1, 1), "alpha", "embed.out", "c1.out"),
+            BnAct("b1", 741, "c1.out", "b1.out"),
+            *(
+                Conv(n, ConvSpec(741, 64, 3, 3, padding=(1, 1)), "c", "b1.out", f"{n}.out")
+                for n in ("ca", "cb", "cc")
+            ),
+            ResidualAdd("add", "ca.out", "cb.out", "add.out"),
+            ResidualAdd("add2", "cc.out", "add.out", "add2.out"),
+            BnAct("b2", 64, "add2.out", "b2.out"),
+            Conv("f", ConvSpec(64, 2, 1, 1), "alpha_out", "b2.out", "f.out"),
+            AvgPoolScale("pool", "f.out", "logits"),
+        )
+        g = GraphDef(nodes)
+        dtypes = [g.edges[e].dtype for e in ("ca.out", "cb.out", "cc.out", "add.out", "add2.out")]
+        assert dtypes == [np.int16] * 3 + [np.int32] * 2
+        rng = np.random.default_rng(0)
+        model = compile_toy(g, rng)
+        img = random_image(rng, 8)
+        r, raw, copies = execute_keeping_raw(model, img)
+        for src in ("ca.out", "cb.out", "cc.out"):
+            assert not np.shares_memory(raw["add.out"], raw[src]), src
+            assert not np.shares_memory(raw["add2.out"], raw[src]), src
+        assert np.shares_memory(raw["add2.out"], raw["add.out"])
+        assert np.array_equal(copies["add.out"], copies["ca.out"].astype(np.int32) + copies["cb.out"])
+        assert np.array_equal(copies["add2.out"], copies["add.out"] + copies["cc.out"])
+        assert r.logits.tobytes() == execute(model, img, kernel="naive").logits.tobytes()
+
+    def test_residual_keeps_an_input_a_later_step_reads(self):
+        # add1 frees c2.out but not c1.out, which add2 reads after it
+        nodes = tiny_nodes()[:1] + [
+            Conv(n, ConvSpec(3, 4, 1, 1), "c", "embed.out", f"{n}.out") for n in ("c1", "c2")
+        ] + [
+            ResidualAdd("add1", "c1.out", "c2.out", "add1.out"),
+            ResidualAdd("add2", "add1.out", "c1.out", "add2.out"),
+            BnAct("b1", 4, "add2.out", "b1.out"),
+            Conv("f", ConvSpec(4, 2, 1, 1), "alpha_out", "b1.out", "f.out"),
+            AvgPoolScale("pool", "f.out", "logits"),
+        ]
+        g = GraphDef(tuple(nodes))
+        assert freed_by(g, "c1.out") == ["add2"] and freed_by(g, "c2.out") == ["add1"]
+        rng = np.random.default_rng(0)
+        model = compile_toy(g, rng)
+        r, raw, copies = execute_keeping_raw(model, random_image(rng, 8))
+        assert np.shares_memory(raw["add1.out"], raw["c2.out"])
+        assert np.shares_memory(raw["add2.out"], raw["add1.out"])
+        assert not np.shares_memory(raw["add2.out"], raw["c1.out"])
+        assert np.array_equal(copies["add2.out"], 2 * copies["c1.out"] + copies["c2.out"])
+
+    def test_bottleneck_add_makes_no_third_map(self):
+        # the block's add reads two (512, 64, 64) int16 maps of 4 MiB each.
+        # Summed over conv3's output, the peak is conv3's step: the shortcut,
+        # conv3's output and its tiles (about 2.3 maps).  A new map for the
+        # sum would hold three maps at the add
+        g = GraphDef(bottleneck_nodes(64, 512))
+        rng = np.random.default_rng(0)
+        model = compile_toy(g, rng)
+        peak = self.execute_peak(model, random_image(rng, 64))
+        acc = 512 * 64 * 64 * np.dtype(np.int16).itemsize
+        assert peak < 2.5 * acc
+
     def test_kernels_looked_up_per_call(self, erns18_model, rng, monkeypatch):
         # steps call this module's kernels by name, with the model's own
         # weight and table objects, so a wrapper installed after the model
@@ -571,14 +681,15 @@ class TestExecution:
     def test_residual_output_dtype_checked(self, erns18_model, rng, monkeypatch):
         # int32 is an accumulator width, but not this int16 edge's
         add = ern.graph.residual_add
-        monkeypatch.setattr(ern.graph, "residual_add", lambda a, b, dtype: add(a, b, np.int32))
+        monkeypatch.setattr(ern.graph, "residual_add",
+                            lambda a, b, dtype, out: add(a, b, np.int32))
         with pytest.raises(AssertionError, match="s1.b1.add: int32 output, expected int16"):
             execute(erns18_model, random_image(rng, 32))
 
     @pytest.mark.parametrize(
         "target,patch,node",
         [
-            ("residual_add", "lambda a, b, d: f(a, b, np.int32)", "s1.b1.add"),
+            ("residual_add", "lambda a, b, d, out: f(a, b, np.int32)", "s1.b1.add"),
             (
                 "conv_w1a2_popcount",
                 "lambda x, w, s: f(x, w, s).astype(np.float64 if s.out_ch == 1000 else np.int16)",

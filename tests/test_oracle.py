@@ -27,7 +27,8 @@ from ern.quant import BnParams
 from ern.tensor import BLOCK_BYTES, LANES, PackedWeights, pack_weights, padded_channels
 from ern.tensor import row_blocks, unpack_signs
 
-from conftest import execute_keeping_all, random_image, rounded_mean_abs, tie_checkpoint
+from conftest import execute_keeping_all, random_image, replace_table, rounded_mean_abs
+from conftest import tie_checkpoint
 
 
 def toy_graph():
@@ -215,7 +216,7 @@ class TestDisagreementClassification:
         t2 = tbl.t.copy()
         t2[1] = [1, 2, 3]
         tampered = dataclasses.replace(
-            model, thresholds={"b1": dataclasses.replace(tbl, t=t2)}
+            model, thresholds={"b1": replace_table(tbl, t=t2)}
         )
         rep = cross_check(tampered, om, [toy_image()])
         assert rep.layers["b1"].mismatches == 2
@@ -233,7 +234,7 @@ class TestDisagreementClassification:
             model,
             thresholds={
                 **model.thresholds,
-                "s2.b1.bn1": dataclasses.replace(tbl, t=tbl.t + 25),
+                "s2.b1.bn1": replace_table(tbl, t=tbl.t + 25),
             },
         )
         rep = cross_check(tampered, om, [random_image(rng)])
@@ -251,7 +252,7 @@ class TestDisagreementClassification:
         tbl = model.thresholds[name]
         tampered = dataclasses.replace(
             model,
-            thresholds={**model.thresholds, name: dataclasses.replace(tbl, t=tbl.t + 25)},
+            thresholds={**model.thresholds, name: replace_table(tbl, t=tbl.t + 25)},
         )
         imgs = [random_image(rng, 32) for _ in range(2)]
         rep = cross_check(tampered, erns50_oracle, imgs)

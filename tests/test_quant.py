@@ -418,7 +418,7 @@ class TestThresholdTable:
         assert tbl.bound == ACC_LIMIT and tbl.t.dtype == np.int64
         assert tbl.t.tolist() == [[2, 4, 6], [-6, -4, -2], [2, 0, 0]]  # the record's rows
         assert tbl.sign.dtype == tbl.ts.dtype == tbl.dtype == np.int32
-        assert tbl.sign.ravel().tolist() == [1, -1, 1]
+        assert tbl.sign.ravel().tolist() == [1, -1, 0]
         lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
         assert tbl.ts.reshape(3, 3).T.tolist() == [[2, 4, 6], [2, 4, 6], [lo, lo, hi]]
 
@@ -446,6 +446,19 @@ class TestThresholdTable:
         for v in (32767, -32767, -(2**15)):  # past int16's limit
             with pytest.raises(DomainError, match="32766"):
                 apply_thresholds(np.full((5, 1, 1), v, dtype=np.int32), tbl)
+
+    @pytest.mark.parametrize("bound", [32766, ACC_LIMIT])
+    def test_record_form_derived_at_the_width_maximum(self, bound):
+        # an ascending row never crossed, (bound + 1) x 3, folds to the
+        # width's maximum thrice, as a degenerate code-0 row does; only the
+        # sign (+1 against 0) tells the two apart
+        t = [[bound + 1] * 3, [0, 0, 0], [-(bound + 1)] * 3, [3, 0, 0]]
+        ascending, degenerate = [True, False, False, False], [False, True, False, True]
+        tbl = table(t, ascending, degenerate, bound)
+        assert np.array_equal(tbl.ts[:, 0], tbl.ts[:, 1])
+        assert tbl.t.dtype == np.int64 and tbl.t.tolist() == t
+        assert tbl.ascending.dtype == tbl.degenerate.dtype == bool
+        assert tbl.ascending.tolist() == ascending and tbl.degenerate.tolist() == degenerate
 
     def test_width_from_fold_bound(self):
         narrow = fuse_thresholds(np.ones(1), bn1(), acc_bound=32766)
