@@ -43,13 +43,14 @@ packed u64 weight words, preceded by its f64 per-channel scales only if
 its edge's scale is ``"alpha"``: the scales of a ``"c"`` or
 ``"alpha_out"`` conv are c or alpha_out, each written once at the start
 of the body.  A BnAct record is its :class:`ern.quant.ThresholdTable`
-in the record form the table derives: ``<i4 t1, t2, t3, u1 flags>``
-per channel, flag bit 0 ascending and bit 1 degenerate, never both,
-and t1 <= t2 <= t3 or, for a degenerate channel (folded slope exactly
-zero), its constant code then 0, 0.  Every |threshold| is at most the
-table's bound + 1, the bound being its input edge's static one (42,240
-at most on a stock model), so i4 holds each.  All multi-byte values are
-little-endian; identical inputs produce byte-identical files.
+in the record form the table derives: ``<i4 t1, t2, t3, u1 ascending>``
+per channel, t1 <= t2 <= t3 and a flag byte of 1 for an ascending
+channel or 0 for a descending one; a constant channel (folded slope
+exactly zero) is an ascending row of sentinels.  Every |threshold| is
+at most the table's bound + 1, the bound being its input edge's static
+one (42,240 at most on a stock model), so i4 holds each.  All
+multi-byte values are little-endian; identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -99,10 +100,8 @@ MANIFEST_FORMAT = "ern-checkpoint-v1"
 _PREFIX = 16  # magic, version, body length, CRC32 of those 12 bytes
 # block kind, 4 stage counts, 4 stage widths, classes, k, c, alpha_out
 _HEADER = struct.Struct("<B4B4IIIdd")
-# one BnAct channel: t1, t2, t3, then flag bits
-_BNACT_CHANNEL = np.dtype([("t", "<i4", 3), ("flags", "u1")])
-_ASCENDING = 1
-_DEGENERATE = 2
+# one BnAct channel: t1, t2, t3, then its flag byte, 1 ascending and 0 descending
+_BNACT_CHANNEL = np.dtype([("t", "<i4", 3), ("ascending", "u1")])
 _BN_STATS = ("gamma", "beta", "mean", "var")  # a batch-norm blob's order
 
 
@@ -606,7 +605,7 @@ def serialize(model: CompiledModel, out: BinaryIO | None = None) -> bytes | int:
                 )
             rec = np.empty(node.channels, dtype=_BNACT_CHANNEL)
             rec["t"] = tbl.t
-            rec["flags"] = tbl.ascending * _ASCENDING | tbl.degenerate * _DEGENERATE
+            rec["ascending"] = tbl.ascending
             parts.append(rec)
     crc = 0
     for part in parts:
@@ -667,11 +666,11 @@ def load(source: bytes | BinaryIO) -> CompiledModel:
     file whose CRCs match raises a :class:`FormatError`: an unknown block
     kind or a layout :class:`ArchConfig` refuses, c or alpha_out not
     finite and > 0, a stored scale not finite and > 0, a pad weight bit
-    that is not 1, a flag byte other than 0, 1 or 2, a BnAct record that
+    that is not 1, a flag byte other than 0 or 1, a BnAct record that
     is not a valid :class:`ThresholdTable` for its input edge's bound
-    (a threshold past bound + 1, an unsorted live row, a degenerate row
-    other than (0-3, 0, 0)), or a body of the wrong length, so every
-    file that loads is one ``serialize`` writes back byte for byte.
+    (a threshold past bound + 1 or an unsorted row), or a body of the
+    wrong length, so every file that loads is one ``serialize`` writes
+    back byte for byte.
     Only ``"alpha"`` convs' scales are stored; a ``"c"`` conv's scales are
     c and an ``"alpha_out"`` conv's alpha_out.
 
@@ -752,12 +751,11 @@ def load(source: bytes | BinaryIO) -> CompiledModel:
             weights[node.name] = PackedWeights(bits=bits, alpha=alpha)
         elif isinstance(node, BnAct):
             rec = r.array(_BNACT_CHANNEL, node.channels)
-            flags = rec["flags"]
-            if (flags >= _ASCENDING | _DEGENERATE).any():  # a degenerate slope is 0
-                raise FormatError(f"layer '{node.name}': flag bits must read 0, 1 or 2")
+            if (rec["ascending"] > 1).any():
+                raise FormatError(f"layer '{node.name}': a flag byte is not 0 or 1")
             try:
                 thresholds[node.name] = ThresholdTable(
-                    rec["t"], flags & _ASCENDING, flags & _DEGENERATE, g.edges[node.src].bound
+                    rec["t"], rec["ascending"], g.edges[node.src].bound
                 )
             except (DomainError, ShapeError) as e:
                 raise FormatError(f"layer '{node.name}': {e}") from None

@@ -82,7 +82,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .tensor import ACC_DTYPES, BLOCK_BYTES, LANES, PackedWeights, acc_dtype
-from .tensor import ensure_act2, even_parts, padded_channels, popcount
+from .tensor import ensure_act2, even_parts, padded_channels
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def conv_w1a2_popcount(x: np.ndarray, w: PackedWeights, spec: ConvSpec) -> np.nd
                 cs = slice(c0 * sw + j - pw, (c1 - 1) * sw + j - pw + 1, sw)
                 windows[t, :, :, a0 - r0 : a1 - r0, c0:c1] = x[:, :, rs, cs].swapaxes(0, 1)
         windows = windows.reshape(taps, nw, 2 * n)
-        pc = popcount(windows).reshape(taps * nw, 2, n)
+        pc = np.bitwise_count(windows).reshape(taps * nw, 2, n)
         base = 2 * pc[:, 0].sum(axis=0, dtype=wrap)
         base += pc[:, 1].sum(axis=0, dtype=wrap)
         with np.errstate():

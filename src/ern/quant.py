@@ -9,8 +9,8 @@ accumulator ``acc`` scaled by s (alpha, c or alpha_out),
 
 evaluated in 64-bit reals in this op order.  Each op is monotone under
 round-to-nearest (s > 0, sd > 0), so the code never falls as acc rises
-when gamma > 0 (ascending), never rises when gamma < 0 (descending),
-and is constant when gamma == 0 (degenerate).  So the whole
+when gamma >= 0 (ascending; a gamma of zero makes it constant) and
+never rises when gamma < 0 (descending).  So the whole
 (scale o batch-norm o activation) composition is three integer
 thresholds per channel, compared directly against the accumulator:
 each threshold is the preimage of a code step, the least acc whose code
@@ -29,12 +29,14 @@ is built; the checkpoint manifest, the fold and the float oracle all hold
 that one type.
 
 A table's record form is what the ``.ern`` record stores (see
-:class:`ThresholdTable`): a live channel's three thresholds sorted
-ascending with a direction flag, or a degenerate channel's constant
-code followed by 0, 0, together with the static bound of the
+:class:`ThresholdTable`): each channel's three thresholds sorted
+ascending with a direction flag, together with the static bound of the
 accumulator edge the table reads.  Each threshold lies within
 +/-(bound + 1), one past the bound being the sentinel of a step that
-no acc in range crosses, or that every acc does.
+no acc in range crosses, or that every acc does, so a table gives the
+fold's codes for |acc| <= bound, the range the graph guarantees.  A
+constant channel (gamma == 0) of code q is an ascending row of q
+sentinels -(bound + 1) followed by 3 - q sentinels bound + 1.
 
 A table is built from that form but holds only its run-time form, from
 which the record form is derived on demand.  The direction folds into
@@ -45,10 +47,8 @@ graph gives the input edge (int16 or int32):
     code = #{ j : s * acc >= ts_j }
 
 (an ascending channel has s = +1 and ts = t; a descending one s = -1
-and ts = -t reversed; a degenerate one s = 0 and as many copies of the
-width's minimum as its code, followed by its maximum).  Because ts is
-sorted, the three compares c1 >= c2 >= c3 are nested, so the code's
-bits come out directly:
+and ts = -t reversed).  Because ts is sorted, the three compares
+c1 >= c2 >= c3 are nested, so the code's bits come out directly:
 
     hi = (s * acc >= ts_2)        lo = c1 xor c2 xor c3
 
@@ -122,59 +122,45 @@ class ThresholdTable:
     """Fused (scale o batch-norm o activation) as integer thresholds.
 
     A table is built from its record form, as the ``.ern`` record stores
-    it: ``t`` (C, 3), a live channel's thresholds sorted ascending, or a
-    degenerate channel's (gamma == 0) constant code 0-3 followed by 0, 0,
-    and the per-channel flags ``ascending`` and ``degenerate``.
-    Ascending channels output #{j : acc >= t_j}, descending #{j : acc <=
-    t_j}, degenerate their code; no channel is both ascending and
-    degenerate.  ``bound`` is the static bound of the accumulator edge
-    the table reads, and every |t| <= bound + 1.  Construction checks
-    each of these (:class:`ShapeError` for a shape, :class:`DomainError`
-    otherwise).
+    it: ``t`` (C, 3), each channel's thresholds sorted ascending, and the
+    per-channel flag ``ascending``.  Ascending channels output #{j : acc
+    >= t_j}, descending ones #{j : acc <= t_j}; a constant channel is a
+    row of sentinels.  ``bound`` is the static bound of the accumulator
+    edge the table reads, and every |t| <= bound + 1.  Construction
+    checks each of these (:class:`ShapeError` for a shape,
+    :class:`DomainError` otherwise).
 
     The table holds only the sign-folded run-time form (module
-    docstring), ``sign`` (C, 1, 1) and ``ts`` (3, C, 1, 1), both at
-    ``dtype`` = ``acc_dtype(bound)``, the edge's width, and ``bound``.
-    ``sign`` is +1 for an ascending channel, -1 for a descending one and
-    0 for a degenerate one, so a degenerate code-0 channel stays apart
-    from an ascending one whose thresholds are all the width's maximum.
-    The record form is derived from them on demand: ``t`` as int64, and
-    ``ascending`` and ``degenerate`` as bool, new arrays on every read.
+    docstring), ``sign`` (C, 1, 1), +1 ascending and -1 descending, and
+    ``ts`` (3, C, 1, 1), both at ``dtype`` = ``acc_dtype(bound)``, the
+    edge's width, and ``bound``.  The record form is derived from them
+    on demand: ``t`` as int64 and ``ascending`` as bool, new arrays on
+    every read.
     """
 
     sign: np.ndarray
     ts: np.ndarray
     bound: int
 
-    def __init__(self, t, ascending, degenerate, bound: int):
+    def __init__(self, t, ascending, bound: int):
         t = np.asarray(t)
         if t.ndim != 2 or t.shape[1] != NUM_CODES - 1 or not np.issubdtype(t.dtype, np.integer):
             raise ShapeError(f"thresholds must be integer (C, {NUM_CODES - 1}), got {t.shape}")
         c = t.shape[0]
-        flags = {"ascending": np.asarray(ascending), "degenerate": np.asarray(degenerate)}
-        for name, arr in flags.items():
-            if arr.shape != (c,):
-                raise ShapeError(f"{name} must have {c} entries, got shape {arr.shape}")
-        ascending = flags["ascending"].astype(bool, copy=False)
-        degenerate = flags["degenerate"].astype(bool, copy=False)
+        ascending = np.asarray(ascending)
+        if ascending.shape != (c,):
+            raise ShapeError(f"ascending must have {c} entries, got shape {ascending.shape}")
+        ascending = ascending.astype(bool, copy=False)
         bound = int(bound)
         dtype = acc_dtype(bound)
         if int(t.max(initial=0)) > bound + 1 or int(t.min(initial=0)) < -(bound + 1):
             raise DomainError(f"a threshold exceeds the accumulator bound {bound} + 1")
         t = t.astype(np.int64, copy=False)
-        live, code = t[~degenerate], t[degenerate]
-        if (live[:, 1:] < live[:, :-1]).any():
+        if (t[:, 1:] < t[:, :-1]).any():
             raise DomainError("thresholds must be sorted ascending per channel")
-        if code[:, 1:].any() or ((code[:, 0] < 0) | (code[:, 0] >= NUM_CODES)).any():
-            raise DomainError(f"a degenerate channel must store (0..{NUM_CODES - 1}, 0, 0)")
-        if (ascending & degenerate).any():
-            raise DomainError("a degenerate channel cannot also be ascending")
 
-        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
         ts = np.where(ascending[:, None], t, -t[:, ::-1])
-        fixed = np.arange(NUM_CODES - 1) < t[:, :1]
-        ts[degenerate] = np.where(fixed, lo, hi)[degenerate]
-        sign = np.where(ascending, 1, np.where(degenerate, 0, -1)).astype(dtype).reshape(c, 1, 1)
+        sign = np.where(ascending, 1, -1).astype(dtype).reshape(c, 1, 1)
         ts = np.ascontiguousarray(ts.T, dtype=dtype).reshape(NUM_CODES - 1, c, 1, 1)
         for name, value in (("sign", sign), ("ts", ts), ("bound", bound)):
             object.__setattr__(self, name, value)
@@ -194,17 +180,14 @@ class ThresholdTable:
 
     @property
     def degenerate(self) -> np.ndarray:
-        return self.sign.reshape(-1) == 0
+        # kept only for perfbench's section_bytes; goes with ROADMAP item 1
+        return np.zeros(self.channels, bool)
 
     @property
     def t(self) -> np.ndarray:
         """The (C, 3) int64 rows the record stores, unfolded from ``ts`` and ``sign``."""
         ts = self.ts.reshape(NUM_CODES - 1, -1).T.astype(np.int64)
-        t = np.where(self.sign.reshape(-1, 1) < 0, -ts[:, ::-1], ts)
-        degenerate = self.degenerate
-        t[degenerate] = 0
-        t[degenerate, 0] = (ts[degenerate] == np.iinfo(self.dtype).min).sum(axis=1)
-        return t
+        return np.where(self.sign.reshape(-1, 1) < 0, -ts[:, ::-1], ts)
 
 
 def binarize_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,19 +283,20 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
     (3 * fan_in plus any residual contributions), which becomes the
     table's ``bound``.  Each threshold is the integer preimage of
     :func:`act_codes` at y = s * acc: for u = 1, 2, 3, the least acc
-    (ascending, gamma > 0) or the greatest (descending, gamma < 0) in
+    (ascending, gamma >= 0) or the greatest (descending, gamma < 0) in
     [-b, b] whose code reaches u, or the sentinel +/-(b + 1) where no acc
-    in range crosses u or every acc does.  A degenerate channel (gamma
-    == 0) stores its constant code in t1 and 0 in t2, t3, as the record
-    does.  The expression must stay finite over the whole range: a
-    channel where it overflows at acc = +/-b raises :class:`DomainError`.
+    in range crosses u or every acc does.  So a gamma of zero (or -0.0),
+    whose code q is constant, comes out as q sentinels -(b + 1) followed
+    by 3 - q sentinels b + 1.  The expression must stay finite over the
+    whole range: a channel where it overflows at acc = +/-b raises
+    :class:`DomainError`.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     if not (np.isfinite(alpha).all() and (alpha > 0).all()):
         raise DomainError("alpha must be finite and positive")
     b = acc_bound
     s = np.broadcast_to(alpha, (bn.channels,))[:, None]
-    ascending, degenerate = bn.gamma > 0.0, bn.gamma == 0.0
+    ascending = bn.gamma >= 0.0
     d = np.where(ascending, 1, -1)[:, None]  # the code of acc = d * x never falls as x rises
     u = np.arange(1, NUM_CODES)
 
@@ -342,17 +326,15 @@ def fuse_thresholds(alpha, bn: BnParams, acc_bound: int) -> ThresholdTable:
         r = reached(mid)
         lo, hi = np.where(r, lo, mid), np.where(r, mid, hi)
     t = np.sort(d * np.where(live, hi, np.where(low, -(b + 1), b + 1)), axis=1)
-    t[degenerate] = 0
-    t[degenerate, 0] = low[degenerate].sum(axis=1)
-    return ThresholdTable(t, ascending, degenerate, b)
+    return ThresholdTable(t, ascending, b)
 
 
 def apply_thresholds(acc: np.ndarray, tbl: ThresholdTable) -> np.ndarray:
     """Turn an integer accumulator map into its (2, words, H, W) packed code planes.
 
-    Applies the sign-folded hi/lo rule (module docstring) with pure
-    integer compares and packs both bits along the channel axis; this is
-    the engine's only activation path.  ``acc`` is (C, H, W) with
+    Applies the sign-folded hi/lo rule (module docstring), each channel's
+    sign +1 or -1, with pure integer compares and packs both bits along
+    the channel axis; this is the engine's only activation path.  ``acc`` is (C, H, W) with
     |acc| <= ``acc_limit(tbl.dtype)``, checked for every integer dtype
     (the sign fold and the sentinels are exact only inside it), so a
     direct caller's out-of-range map raises :class:`DomainError` rather

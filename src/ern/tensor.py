@@ -98,11 +98,6 @@ def padded_channels(c: int) -> int:
     return -(-c // LANES) * LANES
 
 
-def popcount(words: np.ndarray) -> np.ndarray:
-    """Per-element population count of a uint64 array, as uint8."""
-    return np.bitwise_count(words)
-
-
 def ensure_act2(a: np.ndarray) -> np.ndarray:
     """Validate a canonical 2-bit activation map: uint8 (C, H, W), codes <= 3."""
     a = np.asarray(a)

@@ -106,8 +106,8 @@ def execute_keeping_all(model, img, kernel="popcount"):
 
 
 def replace_table(tbl: ThresholdTable, **changes) -> ThresholdTable:
-    """``tbl`` rebuilt from its record form with ``changes`` (``t``, the flags, ``bound``)."""
-    fields = dict(t=tbl.t, ascending=tbl.ascending, degenerate=tbl.degenerate, bound=tbl.bound)
+    """``tbl`` rebuilt from its record form with ``changes`` (``t``, ``ascending``, ``bound``)."""
+    fields = dict(t=tbl.t, ascending=tbl.ascending, bound=tbl.bound)
     return ThresholdTable(**{**fields, **changes})
 
 
@@ -195,15 +195,9 @@ def record_offset(blob: bytes, layer: str) -> int:
     raise KeyError(layer)
 
 
-def rewrite_threshold_row(blob: bytes, layer: str, t1: int, degenerate: int | None = None,
-                          recrc: bool = True) -> bytes:
-    """Set t1 (and optionally the degenerate flag bit) of the first non-degenerate
-    channel of a serialized BnAct record; re-sign the file unless ``recrc`` is off."""
+def rewrite_threshold_row(blob: bytes, layer: str, t1: int, recrc: bool = True) -> bytes:
+    """Set t1 of the first channel of a serialized BnAct record; re-sign the
+    file unless ``recrc`` is off."""
     data = bytearray(blob)
-    row = record_offset(blob, layer)
-    while data[row + 12] & 2:  # skip degenerate channels
-        row += 13
-    struct.pack_into("<i", data, row, t1)
-    if degenerate is not None:
-        data[row + 12] = data[row + 12] & 1 | degenerate << 1
+    struct.pack_into("<i", data, record_offset(blob, layer), t1)
     return resign(bytes(data[16:-4])) if recrc else bytes(data)

@@ -778,18 +778,19 @@ class TestSerialization:
         with pytest.raises(ChecksumError):
             load(blob)
 
-    @pytest.mark.parametrize("t1,degenerate", [(10**6, None), (4, 1), (256, 1), (-1, 1)])
-    def test_bad_threshold_table_is_format_error(self, small_model, t1, degenerate):
-        # an unsorted row, or a constant code past 3
-        blob = rewrite_threshold_row(serialize(small_model), "s1.b1.bn1", t1, degenerate)
+    def test_bad_threshold_table_is_format_error(self, small_model):
+        # a threshold far past the bound
+        blob = rewrite_threshold_row(serialize(small_model), "s1.b1.bn1", 10**6)
         with pytest.raises(FormatError, match="s1.b1.bn1"):
             load(blob)
 
-    @pytest.mark.parametrize("flags", [4, 0x80, 0xFF])
+    @pytest.mark.parametrize("flags", [2, 3, 4, 0x80, 0xFF])
     def test_unknown_flag_bits_are_format_error(self, small_model, flags):
+        # the flag byte is 1 ascending or 0 descending; 2 and 3 were an
+        # older writer's constant-channel flag, refused rather than converted
         blob = bytearray(serialize(small_model))
-        blob[record_offset(blob, "s1.b1.bn1") + 12] |= flags
-        with pytest.raises(FormatError, match="s1.b1.bn1.*flag bits"):
+        blob[record_offset(blob, "s1.b1.bn1") + 12] = flags
+        with pytest.raises(FormatError, match="s1.b1.bn1.*flag byte is not 0 or 1"):
             load(resign(bytes(blob[16:-4])))
 
     def test_thresholds_within_bound_plus_one(self, small_model):
@@ -804,7 +805,7 @@ class TestSerialization:
         with pytest.raises(FormatError, match=f"s1.b1.bn1.*bound {bound} \\+ 1"):
             load(rewrite_threshold_row(blob, "s1.b1.bn1", -(bound + 2)))
         t = tbl.t.copy()
-        t[~tbl.degenerate, 0] = -(bound + 2)
+        t[:, 0] = -(bound + 2)
         with pytest.raises(DomainError, match=f"bound {bound} \\+ 1"):
             replace_table(tbl, t=t)
 
@@ -822,28 +823,6 @@ class TestSerialization:
         )
         with pytest.raises(DomainError, match="s1.b1.bn1.*bound"):
             serialize(bad)
-
-    def test_degenerate_row_stores_zero_t2_t3(self, small_model):
-        # a degenerate channel is (const code, 0, 0), in the table as in the
-        # record; a table refuses (2, 7, 9), and so load does
-        blob = bytearray(serialize(small_model))
-        row = record_offset(blob, "s1.b1.bn1")
-        struct.pack_into("<iiiB", blob, row, 2, 0, 0, 2)
-        back = load(resign(bytes(blob[16:-4])))
-        assert back.thresholds["s1.b1.bn1"].t[0].tolist() == [2, 0, 0]
-        assert serialize(back) == resign(bytes(blob[16:-4]))
-        tbl = back.thresholds["s1.b1.bn1"]
-        t = tbl.t.copy()
-        t[0] = 2, 7, 9
-        with pytest.raises(DomainError, match="degenerate"):
-            replace_table(tbl, t=t)
-        struct.pack_into("<iiiB", blob, row, 2, 7, 9, 2)
-        with pytest.raises(FormatError, match="s1.b1.bn1.*degenerate"):
-            load(resign(bytes(blob[16:-4])))
-        # a degenerate channel's slope is 0, so it is never also ascending
-        struct.pack_into("<iiiB", blob, row, 2, 0, 0, 3)
-        with pytest.raises(FormatError, match="s1.b1.bn1.*flag bits"):
-            load(resign(bytes(blob[16:-4])))
 
     def test_pad_weight_bits_must_be_one(self, small_model):
         # stem.conv1 reads 3k channels, so each tap word has 64 - 3k pad lanes
@@ -938,9 +917,12 @@ class TestLoadChecksGraphAndScales:
 
 
 class TestDegenerate:
+    """A batch norm of gamma 0 makes a constant channel: a row of sentinels."""
+
     def test_bnact_record_bytes(self, small_manifest):
-        # each channel is <iiiB: (t1, t2, t3) or (const code, 0, 0), then
-        # flag bit 0 ascending and bit 1 degenerate
+        # each channel is <iiiB: t1 <= t2 <= t3, then its flag byte, 1
+        # ascending or 0 descending; a channel of gamma 0 is an ascending
+        # row of sentinels, here code 2 of 3
         bnacts = dict(small_manifest.bnacts)
         rec = bnacts["s3.b1.bn1"]
         gamma = rec.gamma.copy()
@@ -958,14 +940,11 @@ class TestDegenerate:
         )
         model = compile_checkpoint(patched)
         tbl = model.thresholds["s3.b1.bn1"]
-        assert tbl.degenerate[7] and tbl.t[7].tolist() == [2, 0, 0] and not tbl.ascending[3]
+        s = tbl.bound + 1
         assert tbl.bound == model.graph.edges[model.graph.node("s3.b1.bn1").src].bound
+        assert tbl.ascending[7] and tbl.t[7].tolist() == [-s, -s, s] and not tbl.ascending[3]
         want = b"".join(
-            struct.pack(
-                "<iiiB",
-                *map(int, tbl.t[ch]),
-                int(tbl.ascending[ch]) | int(tbl.degenerate[ch]) << 1,
-            )
+            struct.pack("<iiiB", *map(int, tbl.t[ch]), int(tbl.ascending[ch]))
             for ch in range(tbl.channels)
         )
         blob = serialize(model)
@@ -976,7 +955,7 @@ class TestDegenerate:
         bnacts = {n: r for n, r in small_manifest.bnacts.items()}
         rec = bnacts["s3.b1.bn1"]
         gamma = rec.gamma.copy()
-        gamma[7] = 0.0
+        gamma[7], gamma[8] = 0.0, -0.0
         bnacts["s3.b1.bn1"] = type(rec)(
             gamma=gamma, beta=rec.beta, mean=rec.mean, var=rec.var,
             epsilon=rec.epsilon, act_scale=rec.act_scale,
@@ -987,11 +966,11 @@ class TestDegenerate:
         )
         model = compile_checkpoint(patched)
         table = model.thresholds["s3.b1.bn1"]
-        assert table.degenerate[7]
+        assert table.ascending[7:9].all() and (np.abs(table.t[7:9]) == table.bound + 1).all()
         blob = serialize(model)
         back = load(blob)
         assert serialize(back) == blob
-        assert back.thresholds["s3.b1.bn1"].degenerate[7]
+        assert np.array_equal(back.thresholds["s3.b1.bn1"].ascending, table.ascending)
         assert np.array_equal(back.thresholds["s3.b1.bn1"].t, table.t)
         assert back.thresholds["s3.b1.bn1"].bound == table.bound
         img = random_image(rng)

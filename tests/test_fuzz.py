@@ -99,7 +99,7 @@ def assert_same_model(a, b) -> None:
         assert np.array_equal(w.alpha, b.weights[name].alpha), name
     for name, t in a.thresholds.items():
         u = b.thresholds[name]
-        for f in ("t", "ascending", "degenerate", "sign", "ts"):
+        for f in ("t", "ascending", "sign", "ts"):
             assert np.array_equal(getattr(t, f), getattr(u, f)), (name, f)
         assert t.bound == u.bound, name
 
@@ -184,14 +184,9 @@ def structured_edit(draw) -> tuple[int, bytes]:
             return pos + 12, bytes([draw(st.integers(0, 255), label="flags")])
         near = int32_near(g.edges[bn.src].bound)
         rows = st.tuples(near, near, near)
-        degenerate = st.tuples(st.integers(0, 3), st.just(0), st.just(0))
-        t, flags = draw(
-            st.one_of(
-                st.tuples(st.one_of(rows, rows.map(sorted)), st.integers(0, 3)),
-                st.tuples(degenerate, st.sampled_from([2, 3])),  # 3: also flagged ascending
-            ),
-            label="row",
-        )
+        # flag bytes 0-3: 0 and 1 load, 2 and 3 are refused
+        t, flags = draw(st.tuples(st.one_of(rows, rows.map(sorted)), st.integers(0, 3)),
+                        label="row")
         return pos, struct.pack("<3iB", *t, flags)
     if edit == "pad":  # logical lanes are free; pad lanes must stay 1
         s = g.node("stem.conv1").spec
@@ -237,11 +232,8 @@ def assert_compiler_invariants(m) -> None:
     for bn in g.bnacts:
         tbl, bound = m.thresholds[bn.name], g.edges[bn.src].bound
         assert tbl.bound == bound
-        d = tbl.degenerate
-        assert (np.diff(tbl.t[~d], axis=1) >= 0).all()
+        assert (np.diff(tbl.t, axis=1) >= 0).all()
         assert np.abs(tbl.t).max() <= bound + 1
-        assert not (tbl.ascending & d).any()
-        assert not tbl.t[d, 1:].any() and ((tbl.t[d, 0] >= 0) & (tbl.t[d, 0] < 4)).all()
         assert tbl.dtype == tbl.sign.dtype == tbl.ts.dtype == g.edges[bn.src].dtype
 
 
@@ -294,9 +286,8 @@ def int16_table(draw) -> tuple[np.ndarray, dict, int]:
 
     Rows come from ``int32_near``, so they include the +/-(bound + 1)
     sentinels and values past them and past int16's range; channels are
-    ascending, descending or degenerate, (code 0-3, 0, 0).  Each
-    channel's accumulators are +/-bound, 0 and t - 1, t, t + 1 of each
-    threshold, clipped to the bound.
+    ascending or descending.  Each channel's accumulators are +/-bound,
+    0 and t - 1, t, t + 1 of each threshold, clipped to the bound.
     """
     bound = draw(
         st.one_of(st.sampled_from([1, 16512, 28416, 32765, 32766]), st.integers(1, 32766)),
@@ -306,14 +297,10 @@ def int16_table(draw) -> tuple[np.ndarray, dict, int]:
     near = int32_near(bound)
     t = np.array(draw(st.lists(st.tuples(near, near, near).map(sorted), min_size=c, max_size=c),
                       label="rows"), dtype=np.int64)
-    kind = np.array(draw(st.lists(st.integers(0, 2), min_size=c, max_size=c), label="kinds"))
-    degenerate = kind == 2
-    const = np.array(draw(st.lists(st.integers(0, 3), min_size=c, max_size=c), label="codes"))
-    t[degenerate] = 0
-    t[degenerate, 0] = const[degenerate]
+    ascending = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c), label="kinds"))
     steps = t[:, :, None] + np.arange(-1, 2)
     acc = np.concatenate([np.tile([-bound, 0, bound], (c, 1)), steps.reshape(c, 9)], axis=1)
-    fields = dict(t=t, ascending=kind == 0, degenerate=degenerate)
+    fields = dict(t=t, ascending=ascending)
     return np.clip(acc, -bound, bound)[:, None, :], fields, bound
 
 
@@ -413,7 +400,7 @@ def adversarial(rec: BnParams, mode: str) -> BnParams:
     """
     gamma, beta, mean, var = rec.gamma.copy(), rec.beta, rec.mean, rec.var
     epsilon, act_scale = rec.epsilon, rec.act_scale
-    if mode == "zero_gamma":  # every other channel: degenerate next to live
+    if mode == "zero_gamma":  # every other channel: constant next to live
         gamma[::2] = 0.0
     elif mode == "negative_gamma":
         gamma = -np.abs(gamma)
@@ -467,8 +454,8 @@ class TestAdversarialBatchNorm:
     @settings(max_examples=15)
     # each draw builds one network of each block kind
     @given(case=st.integers(0, 2**32 - 1).map(adversarial_case))
-    # random checkpoints have no degenerate channel; here every other one
-    # of each second layer is
+    # random checkpoints have no gamma 0 channel; here every other one of
+    # each second layer has
     @example(
         case=((ArchConfig("bottleneck", (1, 1, 1, 1), (64, 64, 64, 64), classes=7, k=3),),
               ["zero_gamma", "keep"], 1.0, 0, 32),
@@ -500,8 +487,8 @@ class TestAdversarialBatchNorm:
             model = compile_checkpoint(manifest)
         except CompileError:
             return
-        degenerate = sum(int(t.degenerate.sum()) for t in model.thresholds.values())
-        assert ("zero_gamma" in modes) == (degenerate > 0)
+        zero = sum(int((manifest.bn_params(bn).gamma == 0).sum()) for bn in model.graph.bnacts)
+        assert ("zero_gamma" in modes) == (zero > 0)
         blob = serialize(model)
         back = load(blob)
         assert_same_bytes(serialize(back), blob)

@@ -127,7 +127,6 @@ class TestPencilModel:
         assert np.array_equal(tbl.t[2], [5, 6, 7])
         assert np.array_equal(tbl.t[3], [-6, -5, -4])
         assert tbl.ascending.tolist() == [True, True, True, False]
-        assert not tbl.degenerate.any()
 
     def test_quantized_codes(self, model):
         _, values = execute_keeping_all(model, toy_image())

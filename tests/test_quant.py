@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ern.quant import (
     apply_thresholds,
     _SUM_CHUNK,
     binarize_weights,
+    act_codes,
     exact_abs_sum,
     fuse_thresholds,
     quantize_act_float,
@@ -159,7 +161,6 @@ class TestFuse:
         tbl = fuse_thresholds(np.ones(1), bn1(s_a=2.0), acc_bound=100)
         assert tbl.t.tolist() == [[2, 4, 6]]
         assert tbl.ascending.tolist() == [True]
-        assert not tbl.degenerate.any()
 
     def test_descending_mirror(self):
         # gamma < 0 flips direction: floor(-2u) sorted -> -6, -4, -2
@@ -168,11 +169,33 @@ class TestFuse:
         assert tbl.ascending.tolist() == [False]
 
     def test_degenerate_constant_channel(self):
-        tbl = fuse_thresholds(np.ones(1), bn1(gamma=0.0, beta=7.0, s_a=2.0), acc_bound=100)
-        assert tbl.degenerate.tolist() == [True] and tbl.ascending.tolist() == [False]
-        assert tbl.t.tolist() == [[3, 0, 0]]  # clamp(floor(7/2), 0, 3), then 0, 0
-        acc = np.arange(-5, 6, dtype=np.int32).reshape(1, -1, 1)
-        assert (unpack_activations(apply_thresholds(acc, tbl), 1) == 3).all()
+        # gamma 0 and -0.0 fold as ascending: the constant code q is q
+        # always-crossed sentinels -(b + 1), then 3 - q never-crossed ones, b + 1
+        # (beta, its code clamp(floor(beta / 2), 0, 3))
+        for gamma, (beta, code) in itertools.product((0.0, -0.0), ((7.0, 3), (2.5, 1))):
+            tbl = fuse_thresholds(np.ones(1), bn1(gamma=gamma, beta=beta, s_a=2.0), acc_bound=100)
+            assert tbl.ascending.tolist() == [True] and tbl.sign.ravel().tolist() == [1]
+            assert tbl.t.tolist() == [[-101] * code + [101] * (3 - code)]
+            acc = np.arange(-100, 101, dtype=np.int16).reshape(1, -1, 1)
+            assert (unpack_activations(apply_thresholds(acc, tbl), 1) == code).all()
+
+    @pytest.mark.parametrize("bound", [27, 32766, 40000])
+    def test_constant_channel_equals_act_codes(self, bound):
+        # each constant code at gamma 0 and -0.0 is an all-sentinel ascending
+        # row, and its table equals the oracle's expression at every acc in
+        # [-b, b], int16 at its maximum bound and int32 past it
+        gamma = np.array([0.0, -0.0] * 4)
+        beta = np.repeat([-1.0, 1.5, 2.5, 9.0], 2)  # codes 0, 1, 2, 3
+        bn = BnParams(gamma, beta, np.full(8, 3.0), np.full(8, 0.75), 0.25, 1.0)
+        alpha = np.linspace(0.1, 2.0, 8)
+        tbl = fuse_thresholds(alpha, bn, acc_bound=bound)
+        assert tbl.dtype == (np.int16 if bound <= 32766 else np.int32)
+        assert tbl.ascending.all() and (np.abs(tbl.t) == bound + 1).all()
+        acc = np.broadcast_to(np.arange(-bound, bound + 1, dtype=tbl.dtype), (8, 1, 2 * bound + 1))
+        got = unpack_activations(apply_thresholds(acc, tbl), 8)
+        want = act_codes(bn, alpha[:, None, None], acc)
+        assert np.array_equal(got, want)
+        assert [int(v) for v in want[:, 0, 0]] == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_acc_bound_clamps_to_sentinels(self):
         # thresholds far outside the reachable range clamp to bound + 1
@@ -319,22 +342,17 @@ def count_rule(acc, tbl):
     codes = np.zeros(acc.shape, dtype=np.uint8)
     for ch in range(tbl.channels):
         a = acc[ch].astype(np.int64)
-        if tbl.degenerate[ch]:
-            codes[ch] = tbl.t[ch, 0]
-        elif tbl.ascending[ch]:
+        if tbl.ascending[ch]:
             codes[ch] = sum(a >= int(t) for t in tbl.t[ch])
         else:
             codes[ch] = sum(a <= int(t) for t in tbl.t[ch])
     return codes
 
 
-def table(t, ascending, degenerate=None, bound=ACC_LIMIT):
+def table(t, ascending, bound=ACC_LIMIT):
     """A table of the given rows; the default bound is int32's, ``ACC_LIMIT``."""
     return ThresholdTable(
-        t=np.asarray(t, dtype=np.int64),
-        ascending=np.asarray(ascending, dtype=bool),
-        degenerate=np.zeros(len(t), bool) if degenerate is None else np.asarray(degenerate),
-        bound=bound,
+        t=np.asarray(t, dtype=np.int64), ascending=np.asarray(ascending, dtype=bool), bound=bound
     )
 
 
@@ -361,13 +379,12 @@ class TestBitplanes:
             t[ch, 2] = (bound + 1) * (-1) ** (ch // 5)
             t[ch] = np.sort(t[ch])
         ascending = np.arange(c) % 3 != 1
-        degenerate = np.arange(c) % 7 == 3
-        t[degenerate] = 0
-        t[degenerate, 0] = (np.arange(c) // 7 % 4)[degenerate]
-        if c == 1:
-            degenerate[0], t[0] = True, [2, 0, 0]
-        ascending &= ~degenerate
-        tbl = table(t, ascending, degenerate, bound)
+        # constant rows: code q is q always-crossed sentinels, then never-crossed ones
+        constant = np.arange(c) % 7 == 3
+        codes = (np.arange(c) // 7 % 4)[constant]
+        t[constant] = np.where(np.arange(3) < codes[:, None], -(bound + 1), bound + 1)
+        ascending |= constant
+        tbl = table(t, ascending, bound)
         assert tbl.dtype == (np.int16 if bound == 500 else np.int32)
         limit = acc_limit(tbl.dtype)
         acc = rng.integers(-502, 503, size=(c, *shape)).astype(tbl.dtype)
@@ -383,8 +400,6 @@ class TestBitplanes:
         assert np.array_equal(got[1], ref[1])
         lanes = unpack_activations(got, got.shape[1] * LANES)
         assert not lanes[c:].any()  # pad lanes 0 in both planes
-        if c >= 65:
-            assert set(np.unique(want[degenerate])) == {0, 1, 2, 3}
 
     def test_wide_accumulator_narrowed_or_rejected(self):
         tbl = table([[-1, 0, 1]], [True])
@@ -414,27 +429,28 @@ class TestBitplanes:
 
 class TestThresholdTable:
     def test_runtime_form_built_at_construction(self):
-        tbl = table([[2, 4, 6], [-6, -4, -2], [2, 0, 0]], [True, False, False], [0, 0, 1])
+        s = ACC_LIMIT + 1  # the sentinel; [-s, -s, s] is constant code 2
+        t = [[2, 4, 6], [-6, -4, -2], [-s, -s, s]]
+        tbl = table(t, [True, False, True])
         assert tbl.bound == ACC_LIMIT and tbl.t.dtype == np.int64
-        assert tbl.t.tolist() == [[2, 4, 6], [-6, -4, -2], [2, 0, 0]]  # the record's rows
+        assert tbl.t.tolist() == t  # the record's rows
         assert tbl.sign.dtype == tbl.ts.dtype == tbl.dtype == np.int32
-        assert tbl.sign.ravel().tolist() == [1, -1, 0]
-        lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
-        assert tbl.ts.reshape(3, 3).T.tolist() == [[2, 4, 6], [2, 4, 6], [lo, lo, hi]]
+        assert tbl.sign.ravel().tolist() == [1, -1, 1]
+        assert tbl.ts.reshape(3, 3).T.tolist() == [[2, 4, 6], [2, 4, 6], [-s, -s, s]]
 
     def test_int16_runtime_form(self):
         # at bound 32766 the +/-32767 sentinels are int16's maximum and its minimum + 1
-        t = [[2, 4, 6], [-6, -4, -2], [2, 0, 0], [-32767, 30000, 32767], [-32767, 0, 32767]]
+        t = [[2, 4, 6], [-6, -4, -2], [-32767, -32767, 32767], [-32767, 30000, 32767],
+             [-32767, 0, 32767]]
         fields = dict(
             t=np.asarray(t, dtype=np.int64),
-            ascending=np.array([True, False, False, True, False]),
-            degenerate=np.array([False, False, True, False, False]),
+            ascending=np.array([True, False, True, True, False]),
         )
         tbl = ThresholdTable(**fields, bound=32766)
         assert tbl.sign.dtype == tbl.ts.dtype == tbl.dtype == np.int16
-        lo, hi = -(2**15), 2**15 - 1
+        hi = 2**15 - 1
         assert tbl.ts.reshape(3, 5).T.tolist() == [
-            [2, 4, 6], [2, 4, 6], [lo, lo, hi], [-hi, 30000, hi], [-hi, 0, hi]
+            [2, 4, 6], [2, 4, 6], [-hi, -hi, hi], [-hi, 30000, hi], [-hi, 0, hi]
         ]
         acc = np.array([-32766, -32765, -1, 0, 1, 29999, 30000, 32765, 32766])
         acc = np.tile(acc, (5, 1)).reshape(5, 1, -1)
@@ -449,16 +465,14 @@ class TestThresholdTable:
 
     @pytest.mark.parametrize("bound", [32766, ACC_LIMIT])
     def test_record_form_derived_at_the_width_maximum(self, bound):
-        # an ascending row never crossed, (bound + 1) x 3, folds to the
-        # width's maximum thrice, as a degenerate code-0 row does; only the
-        # sign (+1 against 0) tells the two apart
-        t = [[bound + 1] * 3, [0, 0, 0], [-(bound + 1)] * 3, [3, 0, 0]]
-        ascending, degenerate = [True, False, False, False], [False, True, False, True]
-        tbl = table(t, ascending, degenerate, bound)
+        # an ascending row never crossed, (bound + 1) x 3, and a descending
+        # row always crossed, -(bound + 1) x 3, both fold to bound + 1 thrice
+        # (int16's maximum at 32766); only the sign tells the two apart
+        t = [[bound + 1] * 3, [-(bound + 1)] * 3]
+        tbl = table(t, [True, False], bound)
         assert np.array_equal(tbl.ts[:, 0], tbl.ts[:, 1])
         assert tbl.t.dtype == np.int64 and tbl.t.tolist() == t
-        assert tbl.ascending.dtype == tbl.degenerate.dtype == bool
-        assert tbl.ascending.tolist() == ascending and tbl.degenerate.tolist() == degenerate
+        assert tbl.ascending.dtype == bool and tbl.ascending.tolist() == [True, False]
 
     def test_width_from_fold_bound(self):
         narrow = fuse_thresholds(np.ones(1), bn1(), acc_bound=32766)
@@ -476,28 +490,13 @@ class TestThresholdTable:
             with pytest.raises(DomainError, match=f"bound {bound} \\+ 1"):
                 table([row], [True], bound=bound)
         with pytest.raises(DomainError, match="bound"):  # checked before any cast
-            ThresholdTable(np.full((1, 3), 2**64 - 1, np.uint64), [True], [False], bound)
+            ThresholdTable(np.full((1, 3), 2**64 - 1, np.uint64), [True], bound)
 
     def test_rejects_unsorted_row(self):
         with pytest.raises(DomainError, match="sorted"):
             table([[1, 3, 2]], [True])
         with pytest.raises(DomainError, match="sorted"):
             table([[1, 3, 2]], [False])
-
-    @pytest.mark.parametrize("code", [4, 256, -1])
-    def test_rejects_bad_const_code(self, code):
-        table([[3, 0, 0]], [False], [True])  # a degenerate row: its constant code, then 0, 0
-        with pytest.raises(DomainError, match="degenerate"):
-            table([[code, 0, 0]], [False], [True])
-
-    @pytest.mark.parametrize("row", [[2, 7, 9], [0, 0, 1], [3, -1, 0]])
-    def test_rejects_degenerate_row_with_nonzero_t2_t3(self, row):
-        with pytest.raises(DomainError, match="degenerate"):
-            table([row], [False], [True])
-
-    def test_rejects_ascending_degenerate_channel(self):
-        with pytest.raises(DomainError, match="degenerate"):
-            table([[2, 0, 0]], [True], [True])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):

@@ -12,7 +12,6 @@ from ern.tensor import (
     pack_activations,
     pack_weights,
     padded_channels,
-    popcount,
     row_blocks,
     unpack_activations,
     unpack_signs,
@@ -24,12 +23,6 @@ from ern.tensor import (
 )
 def test_padded_channels(c, expect):
     assert padded_channels(c) == expect
-
-
-def test_popcount_matches_python(rng):
-    words = rng.integers(0, 2**64, size=50, dtype=np.uint64)
-    got = popcount(words)
-    assert [int(v) for v in got] == [bin(int(w)).count("1") for w in words]
 
 
 class TestPackActivations:
